@@ -21,7 +21,6 @@ Subpackages by theme:
 """
 
 from .gaussalg import (
-    BargmannClassError,
     ComplexPoly,
     DegreeCapError,
     DiffOp,
@@ -46,7 +45,6 @@ from .bargmann import (
 from .hermite import HermiteSystem
 
 __all__ = [
-    "BargmannClassError",
     "ComplexPoly",
     "DegreeCapError",
     "DiffOp",

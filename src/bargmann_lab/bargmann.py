@@ -9,7 +9,14 @@ plane in closed form (completing the square reduces the integral to Gaussian
 moments).  The adjoint and the projector are kept quadrature-only on purpose:
 they are the *independent* route against which the closed forms are certified.
 
-Quadrature grids are tensor Gauss-Hermite grids rescaled to the total real
+A quadrature grid holds two read-only arrays: ``nodes`` (float on the line,
+complex x+iy on the plane) and positive float ``weights``.  Every integrand
+below is one expression on the node array: the ``phasecore`` functions and
+``ComplexPoly.__call__`` accept arrays, and the exponents of all factors are
+summed before a single ``np.exp``, because a factor alone can overflow where
+the product is negligible.
+
+Planar grids are tensor Gauss-Hermite grids rescaled to the total real
 exponent of the integrand (weight plus the Gaussian factors of the integrand
 itself, including the induced center shift).  Rescaling to the weight alone
 looks sufficient but loses every digit on near-degenerate inputs whose own
@@ -21,10 +28,9 @@ oscillatory phase, which the node count then resolves spectrally.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -51,7 +57,6 @@ __all__ = [
     "projector_apply",
     "inner_product_HPhi",
     "grid_values",
-    "dump_grid_csv",
 ]
 
 #: Heuristic bound on the admissible outer-shell contribution, relative to
@@ -63,38 +68,34 @@ class TruncationError(RuntimeError):
     """The grid does not extend far enough for the requested integrand."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadGrid:
-    """Quadrature nodes and positive weights.
+    """Quadrature nodes and positive weights, as read-only arrays.
 
-    ``nodes`` holds floats for 1D grids and (x, y) pairs for 2D grids;
-    ``kind`` is one of ``gauss-hermite-1d``, ``tensor-2d``,
-    ``trapezoid-truncated``.
+    ``nodes`` is float for 1D grids and complex x+iy for planar grids;
+    ``weights`` is float.  ``kind`` is one of ``gauss-hermite-1d``,
+    ``tensor-2d``, ``trapezoid-truncated``.
     """
 
-    nodes: tuple
-    weights: tuple[float, ...]
+    nodes: np.ndarray
+    weights: np.ndarray
     kind: str
 
     def __post_init__(self) -> None:
-        if len(self.nodes) != len(self.weights):
+        nodes = np.array(self.nodes)
+        weights = np.array(self.weights, dtype=float)
+        if nodes.shape != weights.shape:
             raise DomainError("nodes and weights must have equal length")
-        if any(not w > 0 for w in self.weights):
+        if not (weights > 0).all():
             raise DomainError("weights must be positive")
-
-    @property
-    def is_planar(self) -> bool:
-        return self.kind in ("tensor-2d", "trapezoid-truncated")
+        nodes.flags.writeable = False
+        weights.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
 
     def points(self) -> np.ndarray:
-        """Nodes as a numpy array: float (1D) or complex x+iy (2D)."""
-        if self.is_planar:
-            xy = np.asarray(self.nodes, dtype=float)
-            return xy[:, 0] + 1j * xy[:, 1]
-        return np.asarray(self.nodes, dtype=float)
-
-    def weight_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
+        """The node array: float (1D) or complex x+iy (2D)."""
+        return self.nodes
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +125,7 @@ def line_grid(real_exponent: Callable[[float], float], n: int = 200) -> QuadGrid
     t, w = hermgauss(n)
     nodes = center + scale * t
     weights = w * np.exp(t * t) * scale
-    return QuadGrid(tuple(nodes), tuple(weights), "gauss-hermite-1d")
+    return QuadGrid(nodes, weights, "gauss-hermite-1d")
 
 
 def _fit_quad_2d(fn: Callable[[complex], float]):
@@ -169,11 +170,7 @@ def plane_grid(real_exponent: Callable[[complex], float], n: int = 160) -> QuadG
         + t2[..., None] * evecs[:, 1][None, None, :]
     ).reshape(-1, 2)
     ww = (np.outer(ew, ew) * (s1 * s2)).reshape(-1)
-    return QuadGrid(
-        tuple(map(tuple, xy)),
-        tuple(ww),
-        "tensor-2d",
-    )
+    return QuadGrid(xy[:, 0] + 1j * xy[:, 1], ww, "tensor-2d")
 
 
 def hphi_grid(
@@ -220,9 +217,9 @@ def polar_grid(
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     wt = 2.0 * math.pi / n_theta
     rr, tt = np.meshgrid(r, theta, indexing="ij")
-    xy = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1).reshape(-1, 2)
+    nodes = (rr * np.cos(tt) + 1j * (rr * np.sin(tt))).reshape(-1)
     ww = np.repeat(wr * wt, n_theta)
-    return QuadGrid(tuple(map(tuple, xy)), tuple(ww), "trapezoid-truncated")
+    return QuadGrid(nodes, ww, "trapezoid-truncated")
 
 
 # ---------------------------------------------------------------------------
@@ -232,41 +229,15 @@ def polar_grid(
 
 def grid_values(fn: Callable[[complex], complex], grid: QuadGrid) -> np.ndarray:
     """Evaluate a callable on every node (complex nodes for planar grids)."""
-    return np.asarray([fn(z) for z in grid.points()], dtype=complex)
-
-
-def _poly_values(poly: ComplexPoly, z: np.ndarray) -> np.ndarray:
-    p = np.zeros_like(z)
-    for c in reversed(poly.coeffs):
-        p = p * z + c
-    return p
-
-
-def _holo_values(U: HoloGauss, z: np.ndarray) -> np.ndarray:
-    return _poly_values(U.poly, z) * np.exp(U.c2 * z * z + U.c1 * z)
-
-
-def _weight_exponent(p: PhaseParams, z: np.ndarray) -> np.ndarray:
-    """-2 Phi(z)/h, vectorized (real array).
-
-    Individual exponential factors of an integrand can overflow where the
-    full product is negligible, so integrands below always add this to the
-    other exponents and exponentiate once.
-    """
-    bz = p.B * z
-    phi = (np.abs(bz) ** 2) / (4 * p.C.imag) - (
-        bz * bz / (4 * p.C.imag) + p.A * z * z / 2j
-    ).real
-    return -2.0 * phi / p.h
+    return np.asarray([fn(z) for z in grid.nodes], dtype=complex)
 
 
 def _quad_sum(grid: QuadGrid, values: np.ndarray) -> complex:
     """Weighted sum with a truncation-error check on the outer node shell."""
-    w = grid.weight_array()
+    w = grid.weights
     mass = np.abs(values) * w
     total_mass = float(mass.sum())
-    pts = grid.points()
-    r = np.abs(pts - pts.mean())
+    r = np.abs(grid.nodes - grid.nodes.mean())
     shell = r >= 0.95 * r.max()
     estimate = float(mass[shell].sum())
     if estimate > TRUNCATION_TOL * max(total_mass, 1e-300):
@@ -338,9 +309,9 @@ def transform_quad(
         ).real
 
     g = grid if grid is not None else line_grid(real_exponent, n)
-    x = g.points()
-    vals = np.asarray(
-        [cmath.exp(1j * phi_phase(p, z, xi) / p.h) * f(xi) for xi in x]
+    x = g.nodes
+    vals = f.poly(x) * np.exp(
+        1j * phi_phase(p, z, x) / p.h + f.gamma2 * x * x + f.gamma1 * x
     )
     return p.C_phi * p.h ** (-0.75) * _quad_sum(g, vals)
 
@@ -368,14 +339,13 @@ def adjoint_quad(
         )
 
     g = grid if grid is not None else plane_grid(real_exponent, n)
-    zs = g.points()
-    total_exp = (
-        np.asarray([-1j * phi_phase(p, z, x).conjugate() / p.h for z in zs])
+    zs = g.nodes
+    vals = U.poly(zs) * np.exp(
+        -1j * phi_phase(p, zs, x).conjugate() / p.h
         + U.c2 * zs * zs
         + U.c1 * zs
-        + _weight_exponent(p, zs)
+        - 2.0 * weight_Phi(p, zs) / p.h
     )
-    vals = _poly_values(U.poly, zs) * np.exp(total_exp)
     return p.C_phi * p.h ** (-0.75) * _quad_sum(g, vals)
 
 
@@ -391,12 +361,10 @@ def projector_apply(
     no interpolation happens).  Reproduces U(z) when U is a member of the
     weighted holomorphic class resolved by the grid.
     """
-    zs = grid.points()
-    kern_weight = np.exp(
-        np.asarray([2.0 * kernel_Psi(p, z, zeta.conjugate()) / p.h for zeta in zs])
-        + _weight_exponent(p, zs)
+    zs = grid.nodes
+    vals = np.asarray(U_values, dtype=complex) * np.exp(
+        2.0 * kernel_Psi(p, z, zs.conjugate()) / p.h - 2.0 * weight_Phi(p, zs) / p.h
     )
-    vals = kern_weight * np.asarray(U_values, dtype=complex)
     return p.C_Phi / p.h * _quad_sum(grid, vals)
 
 
@@ -417,30 +385,12 @@ def inner_product_HPhi(
     if U.is_zero or V.is_zero:
         return 0j
     g = grid if grid is not None else hphi_grid(p, U, V, n)
-    zs = g.points()
-    total_exp = (
+    zs = g.nodes
+    vals = U.poly(zs) * np.conj(V.poly(zs)) * np.exp(
         U.c2 * zs * zs
         + U.c1 * zs
         + np.conj(V.c2 * zs * zs + V.c1 * zs)
-        + _weight_exponent(p, zs)
-    )
-    vals = _poly_values(U.poly, zs) * np.conj(_poly_values(V.poly, zs)) * np.exp(
-        total_exp
+        - 2.0 * weight_Phi(p, zs) / p.h
     )
     return _quad_sum(g, vals)
 
-
-def dump_grid_csv(path_or_file, grid: QuadGrid, values: Iterable[complex]) -> None:
-    """Write ``re(node), im(node), weight, re(value), im(value)`` rows."""
-    own = isinstance(path_or_file, (str, bytes))
-    fh = open(path_or_file, "w", newline="") if own else path_or_file
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["re(node)", "im(node)", "weight", "re(value)", "im(value)"])
-        for node, w, v in zip(grid.points(), grid.weights, values):
-            zc = complex(node)
-            vc = complex(v)
-            writer.writerow([zc.real, zc.imag, w, vc.real, vc.imag])
-    finally:
-        if own:
-            fh.close()

@@ -29,7 +29,7 @@ violation (each failure is reported on stderr with the measured value),
 Complex flag values are written ``a+bi`` (``--C 1+2i``, ``--B=-i``); a lone
 ``-i`` after a flag is accepted too.  JSON output encodes complex scalars as
 ``[re, im]`` pairs.  Reports are deterministic: the same invocation produces
-byte-identical output.  ``BARGMANN_LAB_THREADS`` sets the suite worker count.
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -42,15 +42,9 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .gaussalg import DEGREE_CAP, DomainError, apply_diffop, norm_line
-from .phasecore import PhaseParams, canonical_A, params_to_dict
-from .bargmann import (
-    grid_values,
-    hphi_grid,
-    inner_product_HPhi,
-    transform,
-    transform_quad,
-)
+from .gaussalg import DEGREE_CAP, DomainError, coeff_deviation, relative_residual
+from .phasecore import params_to_dict
+from .bargmann import grid_values, hphi_grid, inner_product_HPhi, transform, transform_quad
 from .hermite import HermiteSystem, gram_deviation
 from .ncho import NchoParams, eigenfunction_vec, spectrum_check, vec_inner
 from .ellipse import (
@@ -62,7 +56,7 @@ from .ellipse import (
     psi_n,
     psi_n_ladder,
 )
-from .toeplitz import disk_eigenvalue, radius_from_groundstate, spectrum_rows
+from .toeplitz import radius_roundtrip_error, spectrum_rows
 from . import suites
 
 __all__ = ["RunConfig", "main", "run", "parse_complex"]
@@ -258,22 +252,8 @@ def _cmd_gram(cfg: RunConfig):
         matrix = [[G[i, j] for j in range(cfg.n)] for i in range(cfg.n)]
         extra = {}
     elif cfg.system == "ellipse":
-        p = derived_constants(cfg.alpha, cfg.beta)
-        pc = PhaseParams.classic()
         params = {"alpha": cfg.alpha, "beta": cfg.beta}
-        fams = [psi_n(p, k) for k in range(cfg.n)]
-        diag = [
-            _factorial(k) * p.lam_over_a**k * p.norm_psi0_sq for k in range(cfg.n)
-        ]
-        matrix = [[0j] * cfg.n for _ in range(cfg.n)]
-        dev = 0.0
-        for i in range(cfg.n):
-            for j in range(i, cfg.n):
-                g = inner_product_HPhi(pc, fams[i], fams[j])
-                matrix[i][j] = g
-                matrix[j][i] = g.conjugate()
-                closed = diag[j] if i == j else 0.0
-                dev = max(dev, abs(g - closed) / (diag[i] * diag[j]) ** 0.5)
+        matrix, diag, dev = suites.ellipse_gram(cfg.alpha, cfg.beta, cfg.n)
         checks.append(suites.check("gram_rel_dev", dev, suites.TOL_NORM_REL))
         extra = {"closed_form_diagonal": diag}
     else:  # ncho
@@ -309,13 +289,6 @@ def _cmd_gram(cfg: RunConfig):
     return report, ("m", "n", "re", "im"), rows
 
 
-def _factorial(n: int) -> float:
-    out = 1.0
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def _cmd_eigres(cfg: RunConfig):
     entries = []
     checks: _CheckList = []
@@ -331,11 +304,8 @@ def _cmd_eigres(cfg: RunConfig):
         params = {"alpha": cfg.alpha, "beta": cfg.beta}
         _, _, H = ladder_diffops(p)
         for k in range(cfg.n):
-            f = Psi_n(p, k)
             mu = p.eigen_gap * (2 * k + 1)
-            defect = apply_diffop(H, f).add(f.scale(-mu))
-            denom = norm_line(f)
-            res = norm_line(defect) / denom if denom > 0.0 else float("inf")
+            res = relative_residual(H, Psi_n(p, k), mu)
             entries.append({"n": k, "eigenvalue": mu, "residual": res})
     for e in entries:
         checks.append(
@@ -381,8 +351,8 @@ def _cmd_transform(cfg: RunConfig):
         "checks": checks,
     }
     rows = [
-        (complex(z).real, complex(z).imag, w, complex(v).real, complex(v).imag)
-        for z, w, v in zip(grid.points(), grid.weights, values)
+        (z.real, z.imag, w, v.real, v.imag)
+        for z, w, v in zip(grid.nodes.tolist(), grid.weights.tolist(), values.tolist())
     ]
     return report, ("re(node)", "im(node)", "weight", "re(value)", "im(value)"), rows
 
@@ -418,8 +388,7 @@ def _cmd_ellipse(cfg: RunConfig):
         )
     ]
     dev = max(
-        suites._poly_rel_dev(psi_n(p, k).poly, psi_n_ladder(p, k).poly)
-        for k in range(cfg.n)
+        coeff_deviation(psi_n(p, k).poly, psi_n_ladder(p, k).poly) for k in range(cfg.n)
     )
     checks.append(suites.check("psi_routes_dev", dev, suites.TOL_IDENTITY))
 
@@ -451,11 +420,7 @@ def _cmd_toeplitz(cfg: RunConfig):
         for e in entries
     ]
     checks.append(
-        suites.check(
-            "radius_roundtrip",
-            abs(radius_from_groundstate(disk_eigenvalue(cfg.R, 0)) - cfg.R),
-            suites.TOL_ROUNDTRIP,
-        )
+        suites.check("radius_roundtrip", radius_roundtrip_error(cfg.R), suites.TOL_ROUNDTRIP)
     )
     report = {"command": "toeplitz", "R": cfg.R, "entries": entries, "checks": checks}
     rows = [

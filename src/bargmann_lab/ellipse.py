@@ -39,7 +39,6 @@ from .gaussalg import (
     apply_diffop,
     holo_add,
     holo_differentiate,
-    holo_multiply_exp,
     holo_multiply_z,
     holo_scale,
 )

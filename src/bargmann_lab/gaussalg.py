@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 #: Hard cap on stored polynomial degree.  High enough for every certified
 #: index range (n <= 20 eigenfunctions, Gram blocks to n = 15, products of
@@ -37,10 +37,6 @@ class DomainError(ValueError):
 
 class DegreeCapError(DomainError):
     """A polynomial operation tried to exceed :data:`DEGREE_CAP`."""
-
-
-class BargmannClassError(DomainError):
-    """A ``HoloGauss`` left the declared weighted-space growth class."""
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +99,7 @@ class ComplexPoly:
         return len(self.coeffs) == 1 and self.coeffs[0] == 0
 
     def __call__(self, x: complex) -> complex:
+        """Horner evaluation; ``x`` may also be a numpy array of points."""
         acc = 0j
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -176,6 +173,20 @@ def _convolve(a: tuple[complex, ...], b: tuple[complex, ...]) -> list[complex]:
     return out
 
 
+def coeff_deviation(u: ComplexPoly, v: ComplexPoly, collinear: bool = False) -> float:
+    """Max coefficient deviation of v from u, relative to u's largest coefficient.
+
+    With ``collinear`` v is first rescaled to agree with u at that largest
+    coefficient, so only the directions of the two polynomials are compared.
+    """
+    n = max(len(u.coeffs), len(v.coeffs))
+    a = u.coeffs + (0j,) * (n - len(u.coeffs))
+    b = v.coeffs + (0j,) * (n - len(v.coeffs))
+    k = max(range(n), key=lambda i: abs(a[i]))
+    ratio = a[k] / b[k] if collinear else 1.0
+    return max(abs(x - ratio * y) for x, y in zip(a, b)) / max(abs(a[k]), 1e-300)
+
+
 # ---------------------------------------------------------------------------
 # PolyGauss / HoloGauss
 # ---------------------------------------------------------------------------
@@ -236,8 +247,7 @@ class HoloGauss:
 
     Membership in the weighted Bargmann space with weight ``exp(-|z|**2/2h)``
     requires ``|c2| < 1/(4h)``; this is *not* enforced at construction (the
-    algebra is useful on the whole class) but can be demanded via
-    :meth:`require_bargmann`.
+    algebra is useful on the whole class).
     """
 
     poly: ComplexPoly
@@ -250,17 +260,6 @@ class HoloGauss:
     @property
     def is_zero(self) -> bool:
         return self.poly.is_zero
-
-    def in_bargmann_class(self, h: float) -> bool:
-        return self.is_zero or abs(self.c2) < 1.0 / (4.0 * h)
-
-    def require_bargmann(self, h: float) -> "HoloGauss":
-        if not self.in_bargmann_class(h):
-            raise BargmannClassError(
-                f"|c2| = {abs(self.c2)} >= 1/(4h) = {1.0 / (4 * h)}: "
-                "outside the weighted-space growth class"
-            )
-        return self
 
 
 def _close(a: complex, b: complex) -> bool:
@@ -280,15 +279,6 @@ def holo_differentiate(f: HoloGauss) -> HoloGauss:
 
 def holo_multiply_z(f: HoloGauss) -> HoloGauss:
     return HoloGauss(f.poly.shift_up(), f.c2, f.c1)
-
-
-def holo_multiply_exp(f: HoloGauss, c2: complex, c1: complex = 0j) -> HoloGauss:
-    """Multiply by ``exp(c2*z**2 + c1*z)``.
-
-    May leave the weighted-space growth class; check
-    :meth:`HoloGauss.require_bargmann` where membership is asserted.
-    """
-    return HoloGauss(f.poly, f.c2 + c2, f.c1 + c1)
 
 
 def holo_scale(f: HoloGauss, c: complex) -> HoloGauss:
@@ -542,3 +532,21 @@ def apply_diffop(op: DiffOp, f: PolyGauss) -> PolyGauss:
     for (j, k), c in sorted(op.terms.items()):
         acc = acc + hd_power(k).shift_up(j).scale(c)
     return PolyGauss(acc, f.gamma2, f.gamma1)
+
+
+def relative_residual(op: DiffOp, f: PolyGauss, mu: complex) -> float:
+    """Eigen-residual ||op f - mu f|| / ||f||, exact.
+
+    Returns ``inf`` when the residual cannot be evaluated: the norm of f
+    evaluates to zero (past the float64 cancellation floor at high degree),
+    or ``op f`` would exceed :data:`DEGREE_CAP`.  Such a residual must not
+    certify.
+    """
+    denom = norm_line(f)
+    if denom == 0.0:
+        return math.inf
+    try:
+        image = apply_diffop(op, f)
+    except DegreeCapError:
+        return math.inf
+    return norm_line(image.add(f.scale(-mu))) / denom

@@ -19,7 +19,6 @@ the independent Gram-matrix oracle.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .gaussalg import (
     PolyGauss,
     apply_diffop,
     inner_product_line,
-    norm_line,
+    relative_residual,
 )
 from .phasecore import PhaseParams, canonical_A
 
@@ -39,7 +38,7 @@ __all__ = ["HermiteSystem", "gram_deviation"]
 
 
 class HermiteSystem:
-    """Phase data with canonical A, plus a thread-safe cache of phi_n.
+    """Phase data with canonical A, plus a cache of phi_n.
 
     A non-canonical ``A`` in the input is replaced by ``canonical_A(B, C)``
     (the original is kept in ``original_A``): the general-A system differs
@@ -51,7 +50,6 @@ class HermiteSystem:
         self.original_A = params.A
         self.params = PhaseParams(a_canon, params.B, params.C, params.h)
         self._phi_cache: list[PolyGauss] = [self._phi0()]
-        self._lock = threading.Lock()
 
     @classmethod
     def from_bch(cls, B: complex, C: complex, h: float = 1.0) -> "HermiteSystem":
@@ -71,15 +69,14 @@ class HermiteSystem:
         """n-th generalized Hermite function, by the ladder recursion."""
         if n < 0:
             raise DomainError("index must be >= 0")
-        with self._lock:
-            p = self.params
-            _, pstar, _ = self.ladder_ops()
-            while len(self._phi_cache) <= n:
-                m = len(self._phi_cache)  # building phi_m from phi_{m-1}
-                up = apply_diffop(pstar, self._phi_cache[-1])
-                factor = p.B / _sqrt_pos(m * 2 * p.h * p.C.imag)
-                self._phi_cache.append(up.scale(factor))
-            return self._phi_cache[n]
+        p = self.params
+        _, pstar, _ = self.ladder_ops()
+        while len(self._phi_cache) <= n:
+            m = len(self._phi_cache)  # building phi_m from phi_{m-1}
+            up = apply_diffop(pstar, self._phi_cache[-1])
+            factor = p.B / _sqrt_pos(m * 2 * p.h * p.C.imag)
+            self._phi_cache.append(up.scale(factor))
+        return self._phi_cache[n]
 
     def rodrigues_phi(self, n: int) -> PolyGauss:
         """Same function by the independent Rodrigues route.
@@ -158,17 +155,11 @@ class HermiteSystem:
     def eigen_residual(self, n: int) -> float:
         """Relative residual ||H phi_n - mu_n phi_n|| / ||phi_n||, exact.
 
-        Returns ``inf`` when the norm evaluation collapses to zero, which
-        happens past the float64 cancellation floor (roughly n > 30): the
-        residual is then numerically indeterminate and must not certify.
+        ``inf`` past the float64 cancellation floor (roughly n > 30), see
+        :func:`~bargmann_lab.gaussalg.relative_residual`.
         """
-        phi = self.hermite_phi(n)
         _, _, H = self.ladder_ops()
-        r = apply_diffop(H, phi).add(phi.scale(-self.eigenvalue(n)))
-        denom = norm_line(phi)
-        if denom == 0.0:
-            return math.inf
-        return norm_line(r) / denom
+        return relative_residual(H, self.hermite_phi(n), self.eigenvalue(n))
 
     # -- Gram matrices -------------------------------------------------------
 
@@ -195,14 +186,14 @@ class HermiteSystem:
         t, w = np.polynomial.hermite.hermgauss(200)
         scale = math.sqrt(p.h / p.C.imag)  # combined decay e^{-ImC x^2/h}
         x = t * scale
-        vals = np.array([[f(xi) for xi in x] for f in phis])
         wx = w * scale  # e^{+t^2} folded into the sampled Gaussians below
-        osc = np.exp(
-            (p.C.imag / p.h) * x * x
-        )  # cancel each factor's decay once: f conj(g) e^{t^2} stays polynomial
+        # each factor sheds half the combined decay, so f conj(g) e^{t^2}
+        # is sampled as a polynomial times a pure phase
+        half = p.C.imag / (2 * p.h)
+        vals = [f.poly(x) * np.exp((f.gamma2 + half) * x * x + f.gamma1 * x) for f in phis]
         for m in range(N):
             for n in range(N):
-                G[m, n] = np.sum(wx * vals[m] * np.conj(vals[n]) * osc)
+                G[m, n] = np.sum(wx * vals[m] * np.conj(vals[n]))
         return G
 
 

@@ -10,18 +10,13 @@ quadrature, closed-form series vs. radial integrals, ladder recursions vs.
 Rodrigues formulas) so a pass certifies both routes at the stated tolerance.
 
 ``suite_all`` runs the whole certification battery on the reference parameter
-sets.  Independent suites can be fanned out to worker threads; the worker
-count comes from the ``BARGMANN_LAB_THREADS`` environment variable (default:
-sequential).  Results are merged in task order, so output is deterministic
-for any worker count.
+sets, one suite after another, and prefixes each check name with its suite.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,16 +26,15 @@ from .gaussalg import (
     ComplexPoly,
     DiffOp,
     PolyGauss,
-    apply_diffop,
+    coeff_deviation,
     gauss_integral,
     inner_product_line,
-    norm_line,
+    relative_residual,
 )
 from .phasecore import PhaseParams, canonical_A
 from .bargmann import (
     hphi_grid,
     inner_product_HPhi,
-    plane_grid,
     projector_apply,
     transform,
     transform_quad,
@@ -50,7 +44,6 @@ from .bargmann import (
 from .hermite import HermiteSystem, gram_deviation
 from .ncho import NchoParams, eigenfunction_vec, spectrum_check, vec_inner
 from .ellipse import (
-    EllipseParams,
     Psi_n,
     Psi_n_ladder,
     bridge_params,
@@ -62,9 +55,8 @@ from .ellipse import (
 from .toeplitz import (
     RadialSymbol,
     default_toeplitz_grid,
-    disk_eigenvalue,
     radial_eigenvalue,
-    radius_from_groundstate,
+    radius_roundtrip_error,
     spectrum_rows,
     toeplitz_matrix_quad,
 )
@@ -79,6 +71,7 @@ __all__ = [
     "suite_bridge",
     "suite_toeplitz",
     "suite_all",
+    "ellipse_gram",
     "HERMITE_PARAM_SETS",
     "NCHO_ALPHAS",
     "NCHO_PLANCKS",
@@ -297,14 +290,27 @@ def suite_ncho(alpha: float, h: float, n_res: int = 11, n_gram: int = 9) -> list
 # ---------------------------------------------------------------------------
 
 
-def _poly_rel_dev(u: ComplexPoly, v: ComplexPoly) -> float:
-    """max coefficient deviation between two polynomials, relative to u."""
-    la, lb = len(u.coeffs), len(v.coeffs)
-    n = max(la, lb)
-    a = u.coeffs + (0j,) * (n - la)
-    b = v.coeffs + (0j,) * (n - lb)
-    scale = max(max(abs(x) for x in a), 1e-300)
-    return max(abs(x - y) for x, y in zip(a, b)) / scale
+def ellipse_gram(alpha: float, beta: float, n: int):
+    """Plane-quadrature Gram matrix of psi_0..psi_{n-1} against its closed form.
+
+    Returns ``(G, diag, dev)``: G as nested lists, the closed-form diagonal
+    ``n! (lambda/a)^n ||psi_0||^2``, and the largest deviation from it,
+    relative to ``sqrt(diag_m diag_n)``.
+    """
+    p = derived_constants(alpha, beta)
+    pc = PhaseParams.classic()
+    psis = [psi_n(p, k) for k in range(n)]
+    diag = [math.factorial(k) * p.lam_over_a**k * p.norm_psi0_sq for k in range(n)]
+    G = [[0j] * n for _ in range(n)]
+    dev = 0.0
+    for m_ in range(n):
+        for n_ in range(m_, n):
+            g = inner_product_HPhi(pc, psis[m_], psis[n_])
+            G[m_][n_] = g
+            G[n_][m_] = g.conjugate()
+            closed = diag[n_] if m_ == n_ else 0.0
+            dev = max(dev, abs(g - closed) / math.sqrt(diag[m_] * diag[n_]))
+    return G, diag, dev
 
 
 def suite_ellipse(
@@ -312,7 +318,6 @@ def suite_ellipse(
 ) -> list[dict]:
     """Route agreement, quadrature norms, and oscillator residuals."""
     p = derived_constants(alpha, beta)
-    pc = PhaseParams.classic()
     checks = []
 
     checks.append(
@@ -324,38 +329,27 @@ def suite_ellipse(
     )
 
     dev = max(
-        _poly_rel_dev(psi_n(p, n).poly, psi_n_ladder(p, n).poly) for n in range(n_eig)
+        coeff_deviation(psi_n(p, n).poly, psi_n_ladder(p, n).poly) for n in range(n_eig)
     )
     checks.append(check(f"psi_routes_dev[n<{n_eig}]", dev, TOL_IDENTITY))
     dev = max(
-        _poly_rel_dev(Psi_n(p, n).poly, Psi_n_ladder(p, n).poly) for n in range(n_eig)
+        coeff_deviation(Psi_n(p, n).poly, Psi_n_ladder(p, n).poly) for n in range(n_eig)
     )
     checks.append(check(f"Psi_routes_dev[n<{n_eig}]", dev, TOL_IDENTITY))
 
-    psis = [psi_n(p, n) for n in range(n_gram)]
-    diag = [
-        math.factorial(n) * p.lam_over_a**n * p.norm_psi0_sq for n in range(n_gram)
-    ]
-    n0 = inner_product_HPhi(pc, psis[0], psis[0]).real
+    psi0 = psi_n(p, 0)
+    n0 = inner_product_HPhi(PhaseParams.classic(), psi0, psi0).real
     checks.append(
         check("psi0_norm_rel_err", abs(n0 - p.norm_psi0_sq) / p.norm_psi0_sq, TOL_NORM_REL)
     )
-    dev = 0.0
-    for m_ in range(n_gram):
-        for n_ in range(m_, n_gram):
-            g = inner_product_HPhi(pc, psis[m_], psis[n_])
-            closed = diag[n_] if m_ == n_ else 0.0
-            dev = max(dev, abs(g - closed) / math.sqrt(diag[m_] * diag[n_]))
+    _, _, dev = ellipse_gram(alpha, beta, n_gram)
     checks.append(check(f"psi_gram_rel_dev[n<{n_gram}]", dev, TOL_NORM_REL))
 
     _, _, H = ladder_diffops(p)
     for n in range(n_eig):
-        f = Psi_n(p, n)
         mu = p.eigen_gap * (2 * n + 1)
-        defect = apply_diffop(H, f).add(f.scale(-mu))
-        checks.append(
-            check(f"H_residual[n={n}]", norm_line(defect) / norm_line(f), TOL_ALGEBRA)
-        )
+        res = relative_residual(H, Psi_n(p, n), mu)
+        checks.append(check(f"H_residual[n={n}]", res, TOL_ALGEBRA))
 
     if (alpha, beta) == (2.0, 0.0):
         target = DiffOp({(0, 2): 1.0, (2, 0): 16.0}, h=1.0)
@@ -383,16 +377,7 @@ def suite_bridge(alpha: float, beta: float, n_max: int = 11) -> list[dict]:
         big = Psi_n(p, n)
         phi = hs.hermite_phi(n)
         exp_dev = abs(big.gamma2 - phi.gamma2) + abs(big.gamma1 - phi.gamma1)
-        a = big.poly.coeffs
-        b = phi.poly.coeffs
-        la, lb = len(a), len(b)
-        m = max(la, lb)
-        a = a + (0j,) * (m - la)
-        b = b + (0j,) * (m - lb)
-        k = max(range(m), key=lambda i: abs(a[i]))
-        ratio = a[k] / b[k]
-        scale = max(abs(x) for x in a)
-        coeff_dev = max(abs(x - ratio * y) for x, y in zip(a, b)) / scale
+        coeff_dev = coeff_deviation(big.poly, phi.poly, collinear=True)
         checks.append(
             check(f"bridge_collinear[n={n}]", max(exp_dev, coeff_dev), TOL_ALGEBRA)
         )
@@ -411,13 +396,7 @@ def suite_toeplitz(R: float, n_max: int = 11, n_matrix: int = 7) -> list[dict]:
         checks.append(
             check(f"series_vs_radial[n={row['n']}]", row["abs_diff"], TOL_TOEPLITZ_SERIES)
         )
-    checks.append(
-        check(
-            "radius_roundtrip",
-            abs(radius_from_groundstate(disk_eigenvalue(R, 0)) - R),
-            TOL_ROUNDTRIP,
-        )
-    )
+    checks.append(check("radius_roundtrip", radius_roundtrip_error(R), TOL_ROUNDTRIP))
 
     sym = RadialSymbol.indicator(R)
     grid = default_toeplitz_grid(sym, n_matrix - 1)
@@ -448,26 +427,11 @@ def suite_toeplitz(R: float, n_max: int = 11, n_matrix: int = 7) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _worker_count() -> int:
-    env = os.environ.get("BARGMANN_LAB_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return 1
-
-
 def _fan_out(tasks: Sequence[tuple[str, Callable[[], list[dict]]]]) -> list[dict]:
-    """Run independent suite tasks, merging results in task (index) order."""
-    workers = _worker_count()
-    if workers == 1:
-        results = [fn() for _, fn in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: t[1](), tasks))
-    merged = []
-    for (prefix, _), checks in zip(tasks, results):
-        for c in checks:
-            merged.append({**c, "name": f"{prefix}::{c['name']}"})
-    return merged
+    """Run suite tasks in order, prefixing each check name with its task's."""
+    return [
+        {**c, "name": f"{prefix}::{c['name']}"} for prefix, fn in tasks for c in fn()
+    ]
 
 
 def suite_all(seed: int = 2026) -> list[dict]:

@@ -32,8 +32,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .gaussalg import ComplexPoly, DomainError, HoloGauss
-from .bargmann import QuadGrid, polar_grid, _holo_values, _quad_sum
+from .gaussalg import ComplexPoly, DomainError
+from .bargmann import QuadGrid, polar_grid, _quad_sum
 
 __all__ = [
     "RadialSymbol",
@@ -41,6 +41,7 @@ __all__ = [
     "radial_eigenvalue",
     "disk_eigenvalue",
     "radius_from_groundstate",
+    "radius_roundtrip_error",
     "toeplitz_matrix_quad",
     "default_toeplitz_grid",
     "spectrum_rows",
@@ -52,7 +53,9 @@ class RadialSymbol:
     """Radial profile c(u) with u = x^2 + xi^2, tagged by kind.
 
     ``support`` bounds the profile argument (``inf`` for global profiles);
-    it doubles as the quadrature split/truncation hint.
+    it doubles as the quadrature split/truncation hint.  ``c`` is called
+    with a float by :func:`radial_eigenvalue` and with the array of node
+    values by :func:`toeplitz_matrix_quad`; the built-in profiles take both.
     """
 
     c: Callable[[float], float]
@@ -64,7 +67,7 @@ class RadialSymbol:
         """Indicator profile c(u) = 1_{u <= 2R} (series parameter R)."""
         if not R > 0:
             raise DomainError(f"R = {R} must be positive")
-        return RadialSymbol(lambda u: 1.0 if u <= 2 * R else 0.0, "indicator", 2 * R)
+        return RadialSymbol(lambda u: (u <= 2 * R) * 1.0, "indicator", 2 * R)
 
     @staticmethod
     def smooth(c: Callable[[float], float], support: float = math.inf) -> "RadialSymbol":
@@ -75,7 +78,7 @@ class RadialSymbol:
         """c(u) = exp(-rate * u)."""
         if not rate > 0:
             raise DomainError(f"rate = {rate} must be positive")
-        return RadialSymbol(lambda u: math.exp(-rate * u), "smooth", math.inf)
+        return RadialSymbol(lambda u: np.exp(-rate * u), "smooth", math.inf)
 
 
 def radial_eigenvalue(sym: RadialSymbol, n: int) -> float:
@@ -115,12 +118,16 @@ def disk_eigenvalue(R: float, n: int) -> float:
     """Poisson-tail series lambda_n = 1 - e^{-R} sum_{k<=n} R^k/k!.
 
     Terms are evaluated in log space and combined with compensated
-    summation; values below double precision underflow to zero.
+    summation; values below double precision underflow to zero.  The ground
+    state ``1 - e^{-R}`` is computed as ``-expm1(-R)``, which keeps its
+    relative accuracy for small R.
     """
     if not R > 0:
         raise DomainError(f"R = {R} must be positive")
     if n < 0:
         raise DomainError("index must be >= 0")
+    if n == 0:
+        return -math.expm1(-R)
     log_r = math.log(R)
     head = math.fsum(
         math.exp(k * log_r - R - math.lgamma(k + 1)) for k in range(n + 1)
@@ -135,6 +142,18 @@ def radius_from_groundstate(lambda0: float) -> float:
     return -math.log1p(-lambda0)
 
 
+def radius_roundtrip_error(R: float) -> float:
+    """|radius_from_groundstate(disk_eigenvalue(R, 0)) - R|.
+
+    ``inf`` when lambda_0 rounds to 1 (R above about 37), where R cannot be
+    recovered from lambda_0 and the round trip must not certify.
+    """
+    lambda0 = disk_eigenvalue(R, 0)
+    if lambda0 == 1.0:
+        return math.inf
+    return abs(radius_from_groundstate(lambda0) - R)
+
+
 def symbol_convolve(
     b_values: Sequence[float],
     x: float,
@@ -146,18 +165,17 @@ def symbol_convolve(
     ``b_values`` are samples of b on the (planar) grid.  Returns the smoothed
     symbol at (x, xi); constants are preserved and sup|a| <= sup|b|.
     """
-    pts = grid.points()
-    dy = pts.real - x
-    de = pts.imag - xi
+    dy = grid.nodes.real - x
+    de = grid.nodes.imag - xi
     kern = np.exp(-(dy * dy) - (de * de))
     vals = kern * np.asarray(b_values, dtype=complex)
     return float(_quad_sum(grid, vals).real / math.pi)
 
 
-def _classic_varphi(k: int) -> HoloGauss:
+def _classic_varphi(k: int) -> ComplexPoly:
     """Classic normalized monomial z^k / sqrt(pi 2^{k+1} k!) (h = 1)."""
     coeff = 1.0 / math.sqrt(math.pi * 2.0 ** (k + 1) * math.factorial(k))
-    return HoloGauss(ComplexPoly.monomial(k, coeff))
+    return ComplexPoly.monomial(k, coeff)
 
 
 def default_toeplitz_grid(
@@ -189,13 +207,12 @@ def toeplitz_matrix_quad(
     result is diagonal; the diagonal reproduces :func:`radial_eigenvalue`.
     """
     g = grid if grid is not None else default_toeplitz_grid(sym, max(m, n))
-    z = g.points()
-    b = np.asarray([sym.c(abs(zz) ** 2) for zz in z])
+    u = np.abs(g.nodes) ** 2
     vals = (
-        b
-        * _holo_values(_classic_varphi(m), z)
-        * np.conj(_holo_values(_classic_varphi(n), z))
-        * np.exp(-np.abs(z) ** 2 / 2.0)
+        sym.c(u)
+        * _classic_varphi(m)(g.nodes)
+        * np.conj(_classic_varphi(n)(g.nodes))
+        * np.exp(-u / 2.0)
     )
     return _quad_sum(g, vals)
 

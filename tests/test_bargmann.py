@@ -6,6 +6,7 @@ inverts it pointwise, and the reproducing projector fixes transformed
 functions while moving anti-holomorphic impostors.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from bargmann_lab.bargmann import (
     grid_values,
     hphi_grid,
     inner_product_HPhi,
+    polar_grid,
     projector_apply,
     transform,
     transform_quad,
@@ -23,7 +25,8 @@ from bargmann_lab.bargmann import (
 from bargmann_lab.ellipse import derived_constants, psi0
 from bargmann_lab.gaussalg import ComplexPoly, PolyGauss, inner_product_line
 from bargmann_lab.hermite import HermiteSystem
-from bargmann_lab.phasecore import PhaseParams, canonical_A
+from bargmann_lab.phasecore import PhaseParams, canonical_A, kernel_Psi, phi_phase, weight_Phi
+from bargmann_lab.toeplitz import RadialSymbol, toeplitz_matrix_quad
 
 CLASSIC = PhaseParams(0.5j, -1j, 1j, 1.0)
 GENERAL = PhaseParams(canonical_A(3.0, 1 + 2j), 3.0, 1 + 2j, 0.5)
@@ -144,3 +147,52 @@ def test_projector_moves_antiholomorphic_function():
     z = 0.9 + 0.4j
     residual = abs(projector_apply(CLASSIC, vals, z, grid) - z.conjugate())
     assert residual > 0.1
+
+
+def test_array_path_matches_per_node_reference():
+    # the array integrands against a plain loop over scalar phasecore calls
+    p = GENERAL
+    U = transform(p, HermiteSystem(p).hermite_phi(2))
+    grid = hphi_grid(p, U, U, n=24)
+    x, z = 0.3, 0.4 - 0.2j
+
+    def ref_sum(grid, term):
+        nodes, weights = grid.nodes.tolist(), grid.weights.tolist()
+        return sum(w * term(zeta) for zeta, w in zip(nodes, weights))
+
+    def adjoint_term(zeta):
+        return U(zeta) * cmath.exp(
+            -1j * phi_phase(p, zeta, x).conjugate() / p.h - 2 * weight_Phi(p, zeta) / p.h
+        )
+
+    def projector_term(zeta):
+        return U(zeta) * cmath.exp(
+            2 * kernel_Psi(p, z, zeta.conjugate()) / p.h - 2 * weight_Phi(p, zeta) / p.h
+        )
+
+    want = p.C_phi * p.h ** (-0.75) * ref_sum(grid, adjoint_term)
+    assert adjoint_quad(p, U, x, grid=grid) == pytest.approx(want, rel=1e-12)
+    want = p.C_Phi / p.h * ref_sum(grid, projector_term)
+    got = projector_apply(p, grid_values(U, grid), z, grid)
+    assert got == pytest.approx(want, rel=1e-12)
+
+    sym = RadialSymbol.gaussian(0.5)
+    polar = polar_grid(9.0, n_r=40, n_theta=16)
+
+    def varphi(k, zeta):  # classic normalized monomial
+        return zeta**k / math.sqrt(math.pi * 2.0 ** (k + 1) * math.factorial(k))
+
+    for m, n in ((0, 0), (2, 2), (1, 3)):
+        want = ref_sum(polar, lambda zeta: sym.c(abs(zeta) ** 2) * varphi(m, zeta)
+                       * varphi(n, zeta).conjugate() * math.exp(-abs(zeta) ** 2 / 2))
+        got = toeplitz_matrix_quad(sym, m, n, grid=polar)
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1e-3)
+
+
+def test_grid_arrays_are_read_only():
+    grid = polar_grid(2.0, n_r=4, n_theta=4)
+    assert grid.nodes.dtype == complex and grid.weights.dtype == float
+    assert grid.points() is grid.nodes
+    for arr in (grid.nodes, grid.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0

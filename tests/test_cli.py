@@ -106,6 +106,38 @@ def test_tolerance_violation_is_exit_2(tmp_path, capsys):
     assert any(not c["pass"] for c in rep["checks"])
 
 
+@pytest.mark.parametrize("args", [
+    ["--n", "64"],
+    ["--alpha", "0.5", "--beta", "3", "--n", "40"],
+], ids=["n64", "alpha0.5-beta3-n40"])
+def test_unevaluable_ellipse_residual_is_exit_2(tmp_path, capsys, args):
+    # past the cancellation floor the residual cannot be evaluated: reported as inf
+    out = tmp_path / "ell.json"
+    assert cli.main(["certify", "--suite", "ellipse", *args, "-o", str(out)]) == 2
+    capsys.readouterr()
+    checks = json.loads(out.read_text())["checks"]
+    assert any(c["name"].startswith("H_residual") and c["measured"] == math.inf
+               for c in checks)
+
+
+def test_tiny_disk_radius_roundtrips(tmp_path):
+    out = tmp_path / "tiny.json"
+    assert cli.main(["certify", "--suite", "toeplitz", "--R", "1e-300", "-o", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["radius_roundtrip"]["measured"] == 0.0
+
+
+def test_saturated_disk_roundtrip_is_exit_2(tmp_path, capsys):
+    # lambda_0 rounds to 1 for R = 800: R is unrecoverable, so the check fails
+    out = tmp_path / "big.json"
+    rc = cli.main(["toeplitz", "--disk", "800", "--n", "3", "--format", "json",
+                   "-o", str(out)])
+    assert rc == 2
+    assert "radius_roundtrip" in capsys.readouterr().err
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["radius_roundtrip"]["measured"] == math.inf
+
+
 # -------------------------------------------------------------- determinism
 
 
@@ -117,15 +149,13 @@ def test_same_config_twice_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_worker_env_does_not_change_results(monkeypatch):
+def test_worker_env_does_not_change_results():
     tasks = [("t%d" % k, (lambda k=k: [{"name": "c", "measured": float(k),
                                         "tolerance": 1.0, "pass": True}])) for k in range(6)]
-    monkeypatch.setenv("BARGMANN_LAB_THREADS", "4")
-    wide = suites._fan_out(tasks)
-    monkeypatch.setenv("BARGMANN_LAB_THREADS", "1")
-    narrow = suites._fan_out(tasks)
-    assert wide == narrow  # merge order is task order, not completion order
-    assert [c["name"] for c in wide] == ["t%d::c" % k for k in range(6)]
+    merged = suites._fan_out(tasks)
+    assert merged == suites._fan_out(tasks)
+    assert [c["measured"] for c in merged] == [float(k) for k in range(6)]  # task order
+    assert [c["name"] for c in merged] == ["t%d::c" % k for k in range(6)]
 
 
 def test_console_script_runs_end_to_end(tmp_path):
