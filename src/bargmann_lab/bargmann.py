@@ -16,6 +16,12 @@ below is one expression on the node array: the ``phasecore`` functions and
 summed before a single ``np.exp``, because a factor alone can overflow where
 the product is negligible.
 
+Gauss rules are computed once per process: ``_gauss_rule`` fills a private
+cache, keyed by family and node count, on first use and hands out the same
+read-only (nodes, weights) arrays afterwards, so the hundreds of grids a
+certification battery builds share a handful of eigenvalue solves.  Each
+grid also computes its outer truncation shell once, at construction.
+
 Planar grids are tensor Gauss-Hermite grids rescaled to the total real
 exponent of the integrand (weight plus the Gaussian factors of the integrand
 itself, including the induced center shift).  Rescaling to the weight alone
@@ -29,11 +35,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.legendre import leggauss
 
 from .gaussalg import (
     ComplexPoly,
@@ -74,12 +81,15 @@ class QuadGrid:
 
     ``nodes`` is float for 1D grids and complex x+iy for planar grids;
     ``weights`` is float.  ``kind`` is one of ``gauss-hermite-1d``,
-    ``tensor-2d``, ``trapezoid-truncated``.
+    ``tensor-2d``, ``trapezoid-truncated``.  ``shell`` is the read-only
+    boolean mask of the outer node shell, ``|node - mean| >= 0.95 max``,
+    on which the truncation check of every sum looks for mass.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     kind: str
+    shell: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         nodes = np.array(self.nodes)
@@ -88,10 +98,13 @@ class QuadGrid:
             raise DomainError("nodes and weights must have equal length")
         if not (weights > 0).all():
             raise DomainError("weights must be positive")
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
+        r = np.abs(nodes - nodes.mean())
+        shell = r >= 0.95 * r.max()
+        for arr in (nodes, weights, shell):
+            arr.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "shell", shell)
 
     def points(self) -> np.ndarray:
         """The node array: float (1D) or complex x+iy (2D)."""
@@ -101,6 +114,26 @@ class QuadGrid:
 # ---------------------------------------------------------------------------
 # Grid construction
 # ---------------------------------------------------------------------------
+
+_RULES: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _gauss_rule(family: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (nodes, weights) of the n-point Gauss rule of ``family``.
+
+    ``family`` is ``"hermite"`` (weight e^{-t^2}) or ``"legendre"`` (on
+    [-1, 1]).  Each rule is computed on first use, by the module-level
+    ``hermgauss``/``leggauss``, and then served from a per-process cache;
+    the arrays are shared, hence read-only.
+    """
+    key = (family, n)
+    rule = _RULES.get(key)
+    if rule is None:
+        t, w = (hermgauss if family == "hermite" else leggauss)(n)
+        t.flags.writeable = False
+        w.flags.writeable = False
+        rule = _RULES[key] = (t, w)
+    return rule
 
 
 def _fit_quad_1d(fn: Callable[[float], float]) -> tuple[float, float, float]:
@@ -122,7 +155,7 @@ def line_grid(real_exponent: Callable[[float], float], n: int = 200) -> QuadGrid
         raise DomainError(f"integrand does not decay: quadratic coeff {m2}")
     center = -m1 / (2.0 * m2)
     scale = 1.0 / math.sqrt(-m2)
-    t, w = hermgauss(n)
+    t, w = _gauss_rule("hermite", n)
     nodes = center + scale * t
     weights = w * np.exp(t * t) * scale
     return QuadGrid(nodes, weights, "gauss-hermite-1d")
@@ -159,18 +192,16 @@ def plane_grid(real_exponent: Callable[[complex], float], n: int = 160) -> QuadG
             f"integrand does not decay in all directions: eigenvalues {evals}"
         )
     center = np.linalg.solve(2.0 * M, -L)
-    t, w = hermgauss(n)
+    t, w = _gauss_rule("hermite", n)
     ew = w * np.exp(t * t)
     s1 = 1.0 / math.sqrt(-evals[0])
     s2 = 1.0 / math.sqrt(-evals[1])
-    t1, t2 = np.meshgrid(t * s1, t * s2, indexing="ij")
-    xy = (
-        center[None, None, :]
-        + t1[..., None] * evecs[:, 0][None, None, :]
-        + t2[..., None] * evecs[:, 1][None, None, :]
-    ).reshape(-1, 2)
+    t1 = (t * s1)[:, None]
+    t2 = (t * s2)[None, :]
+    x = (center[0] + t1 * evecs[0, 0]) + t2 * evecs[0, 1]
+    y = (center[1] + t1 * evecs[1, 0]) + t2 * evecs[1, 1]
     ww = (np.outer(ew, ew) * (s1 * s2)).reshape(-1)
-    return QuadGrid(xy[:, 0] + 1j * xy[:, 1], ww, "tensor-2d")
+    return QuadGrid((x + 1j * y).reshape(-1), ww, "tensor-2d")
 
 
 def hphi_grid(
@@ -207,7 +238,7 @@ def polar_grid(
     if split_at is not None and 0.0 < split_at < r_max:
         breaks.append(float(split_at))
     breaks.append(float(r_max))
-    t, w = np.polynomial.legendre.leggauss(n_r)
+    t, w = _gauss_rule("legendre", n_r)
     rs, rw = [], []
     for a, b in zip(breaks[:-1], breaks[1:]):
         rs.append((b - a) / 2.0 * t + (b + a) / 2.0)
@@ -232,20 +263,29 @@ def grid_values(fn: Callable[[complex], complex], grid: QuadGrid) -> np.ndarray:
     return np.asarray([fn(z) for z in grid.nodes], dtype=complex)
 
 
+def _check_truncation(total_mass, shell_mass) -> None:
+    """Raise ``TruncationError`` if, for any of the quadrature sums, the
+    absolute mass on the outer node shell exceeds ``TRUNCATION_TOL`` of the
+    total absolute mass.  Takes one sum's masses or equal-shape arrays of
+    them, one entry per sum.
+    """
+    total = np.asarray(total_mass, dtype=float)
+    shell = np.asarray(shell_mass, dtype=float)
+    bad = np.flatnonzero(shell > TRUNCATION_TOL * np.maximum(total, 1e-300))
+    if bad.size:
+        estimate, mass = shell.flat[bad[0]], total.flat[bad[0]]
+        raise TruncationError(
+            f"outer-shell contribution {estimate:.3e} exceeds "
+            f"{TRUNCATION_TOL:.1e} of total mass {mass:.3e}; "
+            "enlarge the grid"
+        )
+
+
 def _quad_sum(grid: QuadGrid, values: np.ndarray) -> complex:
     """Weighted sum with a truncation-error check on the outer node shell."""
     w = grid.weights
     mass = np.abs(values) * w
-    total_mass = float(mass.sum())
-    r = np.abs(grid.nodes - grid.nodes.mean())
-    shell = r >= 0.95 * r.max()
-    estimate = float(mass[shell].sum())
-    if estimate > TRUNCATION_TOL * max(total_mass, 1e-300):
-        raise TruncationError(
-            f"outer-shell contribution {estimate:.3e} exceeds "
-            f"{TRUNCATION_TOL:.1e} of total mass {total_mass:.3e}; "
-            "enlarge the grid"
-        )
+    _check_truncation(mass.sum(), mass[grid.shell].sum())
     return complex((values * w).sum())
 
 

@@ -35,6 +35,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import io
 import json
 import re
@@ -137,6 +138,15 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.n <= DEGREE_CAP:
             raise DomainError(f"n = {self.n} must be in 1..{DEGREE_CAP}")
+        r_flag = "--disk" if self.command == "toeplitz" else "--R"
+        for flag, value in (
+            ("--B", self.B), ("--C", self.C), ("--h", self.h), ("--alpha", self.alpha),
+            ("--beta", self.beta), (r_flag, self.R), ("--rho", self.rho),
+        ):
+            if not cmath.isfinite(value):
+                raise DomainError(f"{flag} = {value} must be finite")
+        if self.samples < 1:
+            raise DomainError(f"--samples = {self.samples} must be >= 1")
 
 
 def _add_phase_flags(p: argparse.ArgumentParser) -> None:

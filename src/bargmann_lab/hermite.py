@@ -33,6 +33,7 @@ from .gaussalg import (
     relative_residual,
 )
 from .phasecore import PhaseParams, canonical_A
+from .bargmann import _gauss_rule
 
 __all__ = ["HermiteSystem", "gram_deviation"]
 
@@ -169,7 +170,8 @@ class HermiteSystem:
         ``exact`` sums closed-form Gaussian moments; ``quadrature`` is the
         independent Gauss-Hermite oracle on the line (the combined exponent
         of phi_m conj(phi_n) is a real Gaussian, so the rule is exact up to
-        round-off, with nodes from numpy rather than from our algebra).
+        round-off, with nodes from numpy rather than from our algebra; the
+        rule comes from the per-process cache the plane grids share).
         """
         if method not in ("exact", "quadrature"):
             raise DomainError(f"unknown method {method!r}")
@@ -183,7 +185,7 @@ class HermiteSystem:
                     G[n, m] = v.conjugate()
             return G
         p = self.params
-        t, w = np.polynomial.hermite.hermgauss(200)
+        t, w = _gauss_rule("hermite", 200)
         scale = math.sqrt(p.h / p.C.imag)  # combined decay e^{-ImC x^2/h}
         x = t * scale
         wx = w * scale  # e^{+t^2} folded into the sampled Gaussians below

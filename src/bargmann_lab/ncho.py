@@ -23,6 +23,7 @@ with eigenvalues ``(sqrt(alpha^2 - 1)/2) h (2n + 1)`` -- each appearing twice
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,6 +92,14 @@ def hermite_bridge(p: NchoParams, sign: int) -> HermiteSystem:
     return HermiteSystem.from_bch(math.sqrt(2 / p.alpha) * v, v, p.h)
 
 
+@functools.lru_cache(maxsize=2)
+def _bridge_system(p: NchoParams, sign: int) -> HermiteSystem:
+    """The bridged system of :func:`hermite_bridge`, built once per (p, sign),
+    so its ladder cache of phi_n serves every later index.  Callers work
+    through both signs of one parameter set at a time: two entries suffice."""
+    return hermite_bridge(p, sign)
+
+
 def eigenfunction_vec(p: NchoParams, sign: int, n: int) -> VecFun2:
     """Phi_{alpha,sign,n}: normalized vector eigenfunction of Q_alpha.
 
@@ -98,7 +107,7 @@ def eigenfunction_vec(p: NchoParams, sign: int, n: int) -> VecFun2:
     bridged Hermite system (its Gaussian factor already carries the
     ``exp(-+ i x^2 / 2 alpha h)`` phase).
     """
-    phi = hermite_bridge(p, sign).hermite_phi(n)
+    phi = _bridge_system(p, sign).hermite_phi(n)
     s = 1 / math.sqrt(2)
     return VecFun2(phi.scale(s), phi.scale(sign * 1j * s))
 

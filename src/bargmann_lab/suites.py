@@ -54,11 +54,10 @@ from .ellipse import (
 )
 from .toeplitz import (
     RadialSymbol,
-    default_toeplitz_grid,
     radial_eigenvalue,
     radius_roundtrip_error,
     spectrum_rows,
-    toeplitz_matrix_quad,
+    toeplitz_block_quad,
 )
 
 __all__ = [
@@ -337,12 +336,11 @@ def suite_ellipse(
     )
     checks.append(check(f"Psi_routes_dev[n<{n_eig}]", dev, TOL_IDENTITY))
 
-    psi0 = psi_n(p, 0)
-    n0 = inner_product_HPhi(PhaseParams.classic(), psi0, psi0).real
+    G, _, dev = ellipse_gram(alpha, beta, n_gram)
+    n0 = G[0][0].real  # the plane-quadrature norm of psi_0
     checks.append(
         check("psi0_norm_rel_err", abs(n0 - p.norm_psi0_sq) / p.norm_psi0_sq, TOL_NORM_REL)
     )
-    _, _, dev = ellipse_gram(alpha, beta, n_gram)
     checks.append(check(f"psi_gram_rel_dev[n<{n_gram}]", dev, TOL_NORM_REL))
 
     _, _, H = ladder_diffops(p)
@@ -399,25 +397,15 @@ def suite_toeplitz(R: float, n_max: int = 11, n_matrix: int = 7) -> list[dict]:
     checks.append(check("radius_roundtrip", radius_roundtrip_error(R), TOL_ROUNDTRIP))
 
     sym = RadialSymbol.indicator(R)
-    grid = default_toeplitz_grid(sym, n_matrix - 1)
-    off = 0.0
-    diag = 0.0
-    for m_ in range(n_matrix):
-        for n_ in range(n_matrix):
-            g = toeplitz_matrix_quad(sym, m_, n_, grid=grid)
-            if m_ == n_:
-                diag = max(diag, abs(g - radial_eigenvalue(sym, n_)))
-            else:
-                off = max(off, abs(g))
+    G = toeplitz_block_quad(sym, n_matrix)
+    idx = range(n_matrix)
+    off = max((abs(G[m_, n_]) for m_ in idx for n_ in idx if m_ != n_), default=0.0)
+    diag = max(abs(G[n_, n_] - radial_eigenvalue(sym, n_)) for n_ in idx)
     checks.append(check(f"matrix_offdiag_max[n<{n_matrix}]", off, TOL_TOEPLITZ_OFFDIAG))
     checks.append(check(f"matrix_diag_dev[n<{n_matrix}]", diag, TOL_TOEPLITZ_DIAG))
 
-    sym_g = RadialSymbol.gaussian(0.5)
-    grid_g = default_toeplitz_grid(sym_g, n_matrix - 1)
-    dev = max(
-        abs(toeplitz_matrix_quad(sym_g, n_, n_, grid=grid_g) - 2.0 ** (-(n_ + 1)))
-        for n_ in range(n_matrix)
-    )
+    G = toeplitz_block_quad(RadialSymbol.gaussian(0.5), n_matrix)
+    dev = max(abs(G[n_, n_] - 2.0 ** (-(n_ + 1))) for n_ in idx)
     checks.append(check(f"gaussian_diag_dev[n<{n_matrix}]", dev, TOL_TOEPLITZ_DIAG))
     return checks
 

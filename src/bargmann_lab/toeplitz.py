@@ -21,6 +21,9 @@ this documented convention.
 
 Three independent routes are kept deliberately separate: the Poisson series,
 adaptive radial quadrature, and full 2D quadrature of the matrix elements.
+The 2D route computes a whole N x N block in one pass over the polar nodes:
+|z|^2, the symbol, the Gaussian and the monomial powers are evaluated once
+per node, and the block is one weighted product of the monomial columns.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .gaussalg import ComplexPoly, DomainError
-from .bargmann import QuadGrid, polar_grid, _quad_sum
+from .gaussalg import DomainError
+from .bargmann import QuadGrid, polar_grid, _check_truncation, _quad_sum
 
 __all__ = [
     "RadialSymbol",
@@ -43,6 +46,7 @@ __all__ = [
     "radius_from_groundstate",
     "radius_roundtrip_error",
     "toeplitz_matrix_quad",
+    "toeplitz_block_quad",
     "default_toeplitz_grid",
     "spectrum_rows",
 ]
@@ -54,8 +58,8 @@ class RadialSymbol:
 
     ``support`` bounds the profile argument (``inf`` for global profiles);
     it doubles as the quadrature split/truncation hint.  ``c`` is called
-    with a float by :func:`radial_eigenvalue` and with the array of node
-    values by :func:`toeplitz_matrix_quad`; the built-in profiles take both.
+    with a float by :func:`radial_eigenvalue` and with arrays of node values
+    by the 2D-quadrature route; the built-in profiles take both.
     """
 
     c: Callable[[float], float]
@@ -172,10 +176,9 @@ def symbol_convolve(
     return float(_quad_sum(grid, vals).real / math.pi)
 
 
-def _classic_varphi(k: int) -> ComplexPoly:
-    """Classic normalized monomial z^k / sqrt(pi 2^{k+1} k!) (h = 1)."""
-    coeff = 1.0 / math.sqrt(math.pi * 2.0 ** (k + 1) * math.factorial(k))
-    return ComplexPoly.monomial(k, coeff)
+def _classic_coeff(k: int) -> float:
+    """Coefficient of the classic normalized monomial z^k / sqrt(pi 2^{k+1} k!) (h = 1)."""
+    return 1.0 / math.sqrt(math.pi * 2.0 ** (k + 1) * math.factorial(k))
 
 
 def default_toeplitz_grid(
@@ -195,6 +198,69 @@ def default_toeplitz_grid(
     return polar_grid(r_max, n_r=n_r, n_theta=n_theta, split_at=split)
 
 
+#: Nodes per pass of the block product.  Bounds the node-by-index work
+#: arrays (about 1 MB each at 7 indices) whatever the grid size: one array
+#: over all 102,400 nodes of a default grid costs tens of MB of peak memory.
+_CHUNK = 8192
+
+
+def _toeplitz_entries(
+    sym: RadialSymbol, rows: Sequence[int], cols: Sequence[int], g: QuadGrid
+) -> np.ndarray:
+    """Matrix elements for m in ``rows`` and n in ``cols``, in one pass.
+
+    With K the largest index plus one, each chunk of nodes evaluates |z|^2,
+    the weight ``w c(|z|^2) e^{-|z|^2/2}`` and the powers z^k, |z|^k (k < K,
+    each from the previous one) once, and adds ``Z diag(weight) Z^H`` to a
+    K x K sum.  The truncation test of a single quadrature sum then runs on
+    every requested entry: its total and outer-shell absolute masses are the
+    same product of ``|Z|`` and ``|weight|``, over all nodes and over the
+    shell.  The monomial normalizations scale the K x K sums at the end.
+    """
+    rows, cols = list(rows), list(cols)
+    if min(rows + cols) < 0:
+        raise DomainError("index must be >= 0")
+    K = max(rows + cols) + 1
+    block = np.zeros((K, K), dtype=complex)
+    total = np.zeros((K, K))
+    shell = np.zeros((K, K))
+    for start in range(0, len(g.nodes), _CHUNK):
+        z = g.nodes[start:start + _CHUNK]
+        r = np.abs(z)
+        u = r * r
+        weight = g.weights[start:start + _CHUNK] * sym.c(u) * np.exp(-u / 2.0)
+        powers = np.empty((K, len(z)), dtype=complex)
+        moduli = np.empty((K, len(z)))
+        powers[0], moduli[0] = 1.0, 1.0
+        for k in range(1, K):
+            powers[k] = powers[k - 1] * z
+            moduli[k] = moduli[k - 1] * r
+        block += (powers * weight) @ np.conj(powers).T
+        mass = np.abs(weight)
+        total += (moduli * mass) @ moduli.T
+        on = g.shell[start:start + _CHUNK]
+        shell += (moduli[:, on] * mass[on]) @ moduli[:, on].T
+    coeffs = np.array([_classic_coeff(k) for k in range(K)])
+    norm = np.outer(coeffs, coeffs)
+    pick = np.ix_(rows, cols)
+    _check_truncation((norm * total)[pick], (norm * shell)[pick])
+    return (norm * block)[pick]
+
+
+def toeplitz_block_quad(
+    sym: RadialSymbol, N: int, grid: QuadGrid | None = None
+) -> np.ndarray:
+    """The N x N matrix of :func:`toeplitz_matrix_quad` elements, m, n < N.
+
+    All entries come from one pass over the nodes instead of one pass per
+    entry; each entry is checked for truncation as a single sum would be.
+    """
+    if N < 1:
+        raise DomainError("N must be >= 1")
+    g = grid if grid is not None else default_toeplitz_grid(sym, N - 1)
+    return _toeplitz_entries(sym, range(N), range(N), g)
+
+
 def toeplitz_matrix_quad(
     sym: RadialSymbol,
     m: int,
@@ -205,16 +271,10 @@ def toeplitz_matrix_quad(
 
     2D-quadrature route in the classic basis (h = 1).  For radial b the
     result is diagonal; the diagonal reproduces :func:`radial_eigenvalue`.
+    Computed as the 1 x 1 block of :func:`toeplitz_block_quad`'s pass.
     """
     g = grid if grid is not None else default_toeplitz_grid(sym, max(m, n))
-    u = np.abs(g.nodes) ** 2
-    vals = (
-        sym.c(u)
-        * _classic_varphi(m)(g.nodes)
-        * np.conj(_classic_varphi(n)(g.nodes))
-        * np.exp(-u / 2.0)
-    )
-    return _quad_sum(g, vals)
+    return complex(_toeplitz_entries(sym, [m], [n], g)[0, 0])
 
 
 def spectrum_rows(R: float, N: int) -> list[dict]:

@@ -11,12 +11,17 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.legendre import leggauss
 
+from bargmann_lab import bargmann
 from bargmann_lab.bargmann import (
     adjoint_quad,
     grid_values,
     hphi_grid,
     inner_product_HPhi,
+    line_grid,
+    plane_grid,
     polar_grid,
     projector_apply,
     transform,
@@ -196,3 +201,79 @@ def test_grid_arrays_are_read_only():
     for arr in (grid.nodes, grid.weights):
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+def test_rule_and_shell_arrays_are_read_only():
+    grid = polar_grid(2.0, n_r=4, n_theta=4)
+    assert grid.shell.dtype == bool and grid.shell.shape == grid.nodes.shape
+    arrays = [grid.shell, *bargmann._gauss_rule("hermite", 8), *bargmann._gauss_rule("legendre", 8)]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_grids_of_one_size_share_one_hermgauss_call(monkeypatch):
+    calls = []
+
+    def counting_hermgauss(n):
+        calls.append(n)
+        return hermgauss(n)
+
+    monkeypatch.setattr(bargmann, "_RULES", {})
+    monkeypatch.setattr(bargmann, "hermgauss", counting_hermgauss)
+    line_grid(lambda x: -x * x, n=24)
+    plane_grid(lambda z: -abs(z) ** 2, n=24)
+    plane_grid(lambda z: -(z.real**2) - 3.0 * z.imag**2 + z.real, n=24)
+    assert calls == [24]
+
+
+def _reference_plane_grid(M, L, n):
+    # the grid built from numpy's rule directly, as before the rule cache
+    evals, evecs = np.linalg.eigh(M)
+    center = np.linalg.solve(2.0 * M, -L)
+    t, w = hermgauss(n)
+    ew = w * np.exp(t * t)
+    s1, s2 = 1.0 / math.sqrt(-evals[0]), 1.0 / math.sqrt(-evals[1])
+    t1, t2 = np.meshgrid(t * s1, t * s2, indexing="ij")
+    xy = (
+        center[None, None, :]
+        + t1[..., None] * evecs[:, 0][None, None, :]
+        + t2[..., None] * evecs[:, 1][None, None, :]
+    ).reshape(-1, 2)
+    return xy[:, 0] + 1j * xy[:, 1], (np.outer(ew, ew) * (s1 * s2)).reshape(-1)
+
+
+def _reference_polar_grid(r_max, split, n_r, n_theta):
+    t, w = leggauss(n_r)
+    breaks = [0.0, split, r_max]
+    r = np.concatenate([(b - a) / 2.0 * t + (b + a) / 2.0 for a, b in zip(breaks, breaks[1:])])
+    wr = np.concatenate([(b - a) / 2.0 * w for a, b in zip(breaks, breaks[1:])]) * r
+    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    rr, tt = np.meshgrid(r, theta, indexing="ij")
+    nodes = (rr * np.cos(tt) + 1j * (rr * np.sin(tt))).reshape(-1)
+    return nodes, np.repeat(wr * (2.0 * math.pi / n_theta), n_theta)
+
+
+def test_cached_rules_give_the_grids_of_a_fresh_build():
+    # dyadic coefficients: the exponent fits recover M and L exactly
+    t, w = hermgauss(40)
+    scale = 1.0 / math.sqrt(0.5)
+    want_line = (0.25 + scale * t, w * np.exp(t * t) * scale)
+    M = np.array([[-0.5, 0.125], [0.125, -0.25]])
+    L = np.array([0.5, -0.25])
+    want_plane = _reference_plane_grid(M, L, 40)
+    want_polar = _reference_polar_grid(5.0, 1.5, 30, 8)
+
+    def plane_exponent(z):
+        x, y = z.real, z.imag
+        return -0.5 * x * x + 0.25 * x * y - 0.25 * y * y + 0.5 * x - 0.25 * y
+
+    for _ in range(2):  # the first build may fill the cache, the second reads it
+        grids = (
+            (line_grid(lambda x: -0.5 * x * x + 0.25 * x, n=40), want_line),
+            (plane_grid(plane_exponent, n=40), want_plane),
+            (polar_grid(5.0, n_r=30, n_theta=8, split_at=1.5), want_polar),
+        )
+        for grid, (nodes, weights) in grids:
+            assert np.array_equal(grid.nodes, nodes)
+            assert np.array_equal(grid.weights, weights)

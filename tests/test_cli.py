@@ -88,6 +88,26 @@ def test_domain_error_is_exit_1(capsys):
     assert "B" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["eigres", "--h", "inf"], "--h"),
+    (["ncho", "--alpha", "inf"], "--alpha"),
+    (["ellipse", "--beta", "nan"], "--beta"),
+    (["toeplitz", "--disk", "inf"], "--disk"),
+    (["certify", "--suite", "toeplitz", "--R", "nan"], "--R"),
+    (["ellipse", "--rho", "inf"], "--rho"),
+    (["transform", "--B=nan"], "--B"),
+    (["transform", "--C=1e400i"], "--C"),
+    (["ellipse", "--samples", "-5"], "--samples"),
+    (["ellipse", "--samples", "0"], "--samples"),
+], ids=["h", "alpha", "beta", "disk", "R", "rho", "B", "C", "samples-5", "samples0"])
+def test_bad_flag_is_rejected_at_the_boundary(tmp_path, capsys, argv, flag):
+    out = tmp_path / "artifact"
+    assert cli.main([*argv, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} = ")
+    assert not out.exists()
+
+
 def test_degenerate_ellipse_is_exit_1(capsys):
     assert cli.main(["ellipse", "--alpha", "1", "--beta", "0"]) == 1
     capsys.readouterr()

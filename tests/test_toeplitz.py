@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from bargmann_lab.bargmann import grid_values
+from bargmann_lab.bargmann import TruncationError, grid_values, polar_grid
 from bargmann_lab.gaussalg import DomainError
 from bargmann_lab.toeplitz import (
     RadialSymbol,
@@ -14,6 +15,7 @@ from bargmann_lab.toeplitz import (
     radius_from_groundstate,
     spectrum_rows,
     symbol_convolve,
+    toeplitz_block_quad,
     toeplitz_matrix_quad,
 )
 
@@ -107,3 +109,50 @@ def test_smoothing_preserves_constants():
 def test_indicator_requires_positive_radius():
     with pytest.raises(DomainError):
         RadialSymbol.indicator(0.0)
+
+
+def _reference_entry(sym, m, n, grid):
+    # one plain sum over the nodes per entry, scalar arithmetic throughout
+    def varphi(k, z):
+        return z**k / math.sqrt(math.pi * 2.0 ** (k + 1) * math.factorial(k))
+
+    return sum(
+        w * sym.c(abs(z) ** 2) * varphi(m, z) * varphi(n, z).conjugate()
+        * math.exp(-abs(z) ** 2 / 2)
+        for z, w in zip(grid.nodes.tolist(), grid.weights.tolist())
+    )
+
+
+def test_block_matches_per_node_reference():
+    # three angles alias e^{3ik theta} to 1: entries with |m - n| in {3, 6}
+    # are genuinely nonzero, so the off-diagonal comparison has substance
+    sym = RadialSymbol.gaussian(0.5)
+    grid = polar_grid(12.0, n_r=40, n_theta=3)
+    N = 7
+    got = toeplitz_block_quad(sym, N, grid=grid)
+    want = np.array([[_reference_entry(sym, m, n, grid) for n in range(N)] for m in range(N)])
+    assert abs(want[0, 3]) > 1e-3 and abs(want[1, 4]) > 1e-3
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * abs(want).max())
+    for m, n in ((0, 3), (6, 0), (2, 2)):
+        assert toeplitz_matrix_quad(sym, m, n, grid=grid) == pytest.approx(got[m, n], rel=1e-12)
+
+
+def test_block_and_entry_raise_truncation_where_a_single_sum_would():
+    # r_max = 6: the outer shell holds ~1e-14 of the (0, 0) mass but ~1e-8
+    # of the (6, 6) mass, above TRUNCATION_TOL
+    sym = RadialSymbol.gaussian(0.5)
+    grid = polar_grid(6.0, n_r=60, n_theta=16)
+    toeplitz_matrix_quad(sym, 0, 0, grid=grid)
+    toeplitz_block_quad(sym, 2, grid=grid)
+    with pytest.raises(TruncationError):
+        toeplitz_matrix_quad(sym, 6, 6, grid=grid)
+    with pytest.raises(TruncationError):
+        toeplitz_block_quad(sym, 7, grid=grid)
+
+
+def test_block_rejects_empty_and_negative_indices():
+    sym = RadialSymbol.gaussian(0.5)
+    with pytest.raises(DomainError):
+        toeplitz_block_quad(sym, 0)
+    with pytest.raises(DomainError):
+        toeplitz_matrix_quad(sym, -1, 0)
