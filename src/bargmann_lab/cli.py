@@ -47,7 +47,7 @@ from .gaussalg import DEGREE_CAP, DomainError, coeff_deviation, relative_residua
 from .phasecore import params_to_dict
 from .bargmann import grid_values, hphi_grid, inner_product_HPhi, transform, transform_quad
 from .hermite import HermiteSystem, gram_deviation
-from .ncho import NchoParams, eigenfunction_vec, spectrum_check, vec_inner
+from .ncho import NchoParams, combined_gram, spectrum_check
 from .ellipse import (
     Psi_n,
     bridge_params,
@@ -267,18 +267,8 @@ def _cmd_gram(cfg: RunConfig):
         checks.append(suites.check("gram_rel_dev", dev, suites.TOL_NORM_REL))
         extra = {"closed_form_diagonal": diag}
     else:  # ncho
-        p = NchoParams(cfg.alpha, cfg.h)
         params = {"alpha": cfg.alpha, "h": cfg.h}
-        vecs = [
-            eigenfunction_vec(p, sign, k) for k in range(cfg.n) for sign in (+1, -1)
-        ]
-        m = len(vecs)
-        matrix = [[vec_inner(vecs[i], vecs[j]) for j in range(m)] for i in range(m)]
-        dev = max(
-            abs(matrix[i][j] - (1.0 if i == j else 0.0))
-            for i in range(m)
-            for j in range(m)
-        )
+        matrix, dev = combined_gram(NchoParams(cfg.alpha, cfg.h), cfg.n)
         checks.append(suites.check("combined_gram_dev", dev, suites.TOL_ALGEBRA))
         extra = {}
 

@@ -46,7 +46,7 @@ class DegreeCapError(DomainError):
 
 def _trim(coeffs: Iterable[complex]) -> tuple[complex, ...]:
     """Strip exactly-zero leading (highest-degree) coefficients."""
-    out = [complex(c) for c in coeffs]
+    out = list(map(complex, coeffs))
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     if not out:
@@ -148,28 +148,38 @@ class ComplexPoly:
         return acc
 
 
-def _convolve(a: tuple[complex, ...], b: tuple[complex, ...]) -> list[complex]:
+def _convolve(
+    a: tuple[complex, ...], b: tuple[complex, ...], step: int = 1
+) -> list[complex]:
     """Coefficient convolution with compensated (exact) accumulation.
 
-    Each output coefficient is a correctly rounded sum of the cross products;
-    this keeps high-degree cancellation (Hermite-type alternating signs) at
-    the rounding error of the individual products.
+    Returns the anti-diagonal sums ``k = 0, step, 2*step, ...`` of the
+    product table ``a[i] * b[l]``.  Each is a correctly rounded sum (one
+    ``math.fsum`` per real and imaginary part) of the rounded real cross
+    products; this keeps high-degree cancellation (Hermite-type alternating
+    signs) at the rounding error of the individual products.  ``fsum`` does
+    not depend on the order of its terms, so the products are formed in bulk
+    in row-major ``(i, l)`` order, where anti-diagonal ``k`` is a strided
+    slice with stride ``len(b) - 1`` (a single entry when ``len(b) == 1``).
     """
     la, lb = len(a), len(b)
+    ar = [x.real for x in a]
+    ai = [x.imag for x in a]
+    nai = [-x for x in ai]
+    br = [y.real for y in b]
+    bi = [y.imag for y in b]
+    rr = [x * y for x in ar for y in br]
+    ii = [x * y for x in nai for y in bi]
+    ri = [x * y for x in ar for y in bi]
+    ir = [x * y for x in ai for y in br]
+    d = lb - 1
+    fsum = math.fsum
     out: list[complex] = []
-    for k in range(la + lb - 1):
-        lo = max(0, k - lb + 1)
+    for k in range(0, la + d, step):
+        lo = max(0, k - d)
         hi = min(k + 1, la)
-        re: list[float] = []
-        im: list[float] = []
-        for i in range(lo, hi):
-            ai = a[i]
-            bj = b[k - i]
-            re.append(ai.real * bj.real)
-            re.append(-ai.imag * bj.imag)
-            im.append(ai.real * bj.imag)
-            im.append(ai.imag * bj.real)
-        out.append(complex(math.fsum(re), math.fsum(im)))
+        s = slice(lo * d + k, (hi - 1) * d + k + 1, d or 1)
+        out.append(complex(fsum(rr[s] + ii[s]), fsum(ri[s] + ir[s])))
     return out
 
 
@@ -323,20 +333,15 @@ def gaussian_moment(gamma2: complex, gamma1: complex, k: int) -> complex:
 
     Completing the square shifts to centered moments
     ``E_{2m} = Gamma(m + 1/2) * (-gamma2)**(-m-1/2)`` (odd ones vanish), then
-    the binomial theorem restores the shift.  Requires ``Re(gamma2) < 0``.
+    the binomial theorem restores the shift (see :func:`_moments`).
+    Requires ``Re(gamma2) < 0``.
     """
     if not gamma2.real < 0:
         raise DomainError(f"Re(gamma2) = {gamma2.real} must be negative")
     if k < 0:
         raise DomainError("moment order must be >= 0")
-    shift = -gamma1 / (2 * gamma2)  # x = t + shift
-    even = _centered_even_moments(gamma2, k)
     prefac = cmath.exp(-gamma1 * gamma1 / (4 * gamma2))
-    total = 0j
-    # x^k = sum_j C(k,j) t^j shift^(k-j); odd-j centered moments vanish
-    for j in range(0, k + 1, 2):
-        total += math.comb(k, j) * shift ** (k - j) * even[j // 2]
-    return prefac * total
+    return prefac * _moments(gamma2, gamma1, k)[k]
 
 
 def _centered_even_moments(gamma2: complex, k: int) -> list[complex]:
@@ -345,6 +350,32 @@ def _centered_even_moments(gamma2: complex, k: int) -> list[complex]:
     for m in range(1, k // 2 + 1):
         e.append(e[-1] * (2 * m - 1) / (-2 * gamma2))
     return e
+
+
+def _moments(gamma2: complex, gamma1: complex, K: int) -> list[complex]:
+    """``[M_0, ..., M_K]``: the moments of :func:`gaussian_moment` without
+    their common prefactor ``exp(-gamma1**2 / (4 gamma2))``.
+
+    With ``x = t + shift``, ``shift = -gamma1 / (2 gamma2)``,
+    ``M_k = sum_{j even} C(k,j) shift**(k-j) E_j``, one correctly rounded
+    sum per k.  With no linear exponent ``M_k`` is ``E_k``: zero for odd k.
+    """
+    even = _centered_even_moments(gamma2, K)
+    if gamma1 == 0:
+        out = [0j] * (K + 1)
+        out[::2] = even
+        return out
+    shift = -gamma1 / (2 * gamma2)
+    out = []
+    for k in range(K + 1):
+        terms = [
+            math.comb(k, j) * shift ** (k - j) * even[j // 2]
+            for j in range(0, k + 1, 2)
+        ]
+        out.append(
+            complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+        )
+    return out
 
 
 def reduced_moment_polys(gamma2: complex, max_k: int) -> list[ComplexPoly]:
@@ -372,8 +403,10 @@ def reduced_moment_polys(gamma2: complex, max_k: int) -> list[ComplexPoly]:
 def inner_product_line(f: PolyGauss, g: PolyGauss) -> complex:
     """L2(R) inner product ``int f(x) * conj(g(x)) dx``, exact.
 
-    Conjugating ``g`` on the real line is coefficient-wise; the product's
-    moments come from :func:`gaussian_moment`.  Conjugate-symmetric and
+    Conjugating ``g`` on the real line is coefficient-wise.  The value is
+    one correctly rounded sum of ``prod_k * M_k`` over the coefficients of
+    the polynomial product (:func:`_convolve`) and the moments of the
+    combined exponent (:func:`_moments`).  Conjugate-symmetric and
     sesquilinear by construction.
 
     Raises
@@ -391,20 +424,19 @@ def inner_product_line(f: PolyGauss, g: PolyGauss) -> complex:
         raise DomainError(
             f"combined exponent Re = {g2.real} not integrable"
         )
-    prod = _convolve(f.poly.coeffs, gc.poly.coeffs)  # no cap: transient value
-    even = _centered_even_moments(g2, len(prod) - 1)
-    shift = -g1 / (2 * g2)
+    a, b = f.poly.coeffs, gc.poly.coeffs
+    # With no linear exponent the odd moments vanish, so only the even
+    # anti-diagonals are formed -- unless one factor is a constant, which
+    # would confine a non-finite coefficient to a single anti-diagonal.
+    step = 2 if g1 == 0 and min(len(a), len(b)) > 1 else 1
+    prod = _convolve(a, b, step)  # no cap: transient value
+    moments = _moments(g2, g1, len(a) + len(b) - 2)[::step]
+    # a vanishing coefficient adds nothing, even against an overflowed moment
+    terms = [c * m for c, m in zip(prod, moments) if c != 0]
     prefac = cmath.exp(-g1 * g1 / (4 * g2))
-    term_re: list[float] = []
-    term_im: list[float] = []
-    for k, ck in enumerate(prod):
-        if ck == 0:
-            continue
-        for j in range(0, k + 1, 2):
-            t = ck * (math.comb(k, j) * shift ** (k - j) * even[j // 2])
-            term_re.append(t.real)
-            term_im.append(t.imag)
-    return prefac * complex(math.fsum(term_re), math.fsum(term_im))
+    return prefac * complex(
+        math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
+    )
 
 
 def norm_line(f: PolyGauss) -> float:

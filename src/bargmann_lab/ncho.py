@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .gaussalg import (
+    DegreeCapError,
     DiffOp,
     DomainError,
     PolyGauss,
@@ -44,6 +45,7 @@ __all__ = [
     "eigenfunction_vec",
     "apply_Q",
     "spectrum_check",
+    "combined_gram",
     "vec_inner",
     "vec_norm",
 ]
@@ -159,22 +161,57 @@ def spectrum_check(p: NchoParams, N: int) -> list[dict]:
 
     Returns entries ``{"sign", "n", "lambda", "residual"}`` ordered by
     (n, sign), i.e. by increasing eigenvalue with the double multiplicity
-    adjacent.
+    adjacent.  As in :func:`~bargmann_lab.gaussalg.relative_residual`, a
+    residual that cannot be evaluated (||Phi|| evaluates to zero, or
+    ``Q Phi`` would exceed the degree cap) is ``inf``.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
     out = []
     for n in range(N):
         for sign, tag in ((+1, "+"), (-1, "-")):
-            F = eigenfunction_vec(p, sign, n)
             lam = eigenvalue(p, n)
-            r = apply_Q(p, F).add(F.scale(-lam))
             out.append(
                 {
                     "sign": tag,
                     "n": n,
                     "lambda": lam,
-                    "residual": vec_norm(r) / vec_norm(F),
+                    "residual": _vec_residual(p, eigenfunction_vec(p, sign, n), lam),
                 }
             )
     return out
+
+
+def _vec_residual(p: NchoParams, F: VecFun2, lam: float) -> float:
+    """||Q F - lam F|| / ||F||, or ``inf`` where it cannot be evaluated."""
+    denom = vec_norm(F)
+    if denom == 0.0:
+        return math.inf
+    try:
+        image = apply_Q(p, F)
+    except DegreeCapError:
+        return math.inf
+    return vec_norm(image.add(F.scale(-lam))) / denom
+
+
+def combined_gram(p: NchoParams, n: int) -> tuple[list[list[complex]], float]:
+    """Gram matrix of Phi_{alpha,sign,k} for k < n, both signs, and its
+    largest deviation from the identity.
+
+    Rows and columns run over (k, sign) with ``+`` first.  The matrix is
+    Hermitian: the upper triangle is computed and conjugated into the lower,
+    with ``0.0 - imag`` so that an exactly cancelled entry stays ``+0.0``, as
+    evaluating it directly gives.
+    """
+    vecs = [eigenfunction_vec(p, sign, k) for k in range(n) for sign in (+1, -1)]
+    m = len(vecs)
+    G = [[0j] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            g = vec_inner(vecs[i], vecs[j])
+            G[j][i] = complex(g.real, 0.0 - g.imag)
+            G[i][j] = g
+    dev = max(
+        abs(G[i][j] - (1.0 if i == j else 0.0)) for i in range(m) for j in range(m)
+    )
+    return G, dev

@@ -42,7 +42,7 @@ from .bargmann import (
     grid_values,
 )
 from .hermite import HermiteSystem, gram_deviation
-from .ncho import NchoParams, eigenfunction_vec, spectrum_check, vec_inner
+from .ncho import NchoParams, combined_gram, spectrum_check
 from .ellipse import (
     Psi_n,
     Psi_n_ladder,
@@ -271,15 +271,7 @@ def suite_ncho(alpha: float, h: float, n_res: int = 11, n_gram: int = 9) -> list
         checks.append(
             check(f"residual[sign={row['sign']},n={row['n']}]", row["residual"], TOL_ALGEBRA)
         )
-    vecs = [
-        eigenfunction_vec(p, sign, n) for n in range(n_gram) for sign in (+1, -1)
-    ]
-    m = len(vecs)
-    dev = 0.0
-    for i in range(m):
-        for j in range(m):
-            g = vec_inner(vecs[i], vecs[j])
-            dev = max(dev, abs(g - (1.0 if i == j else 0.0)))
+    _, dev = combined_gram(p, n_gram)
     checks.append(check(f"combined_gram_dev[n<{n_gram}]", dev, TOL_ALGEBRA))
     return checks
 

@@ -140,6 +140,21 @@ def test_unevaluable_ellipse_residual_is_exit_2(tmp_path, capsys, args):
                for c in checks)
 
 
+@pytest.mark.parametrize("args", [
+    ["ncho", "--n", "40"],
+    ["certify", "--suite", "ncho", "--n", "41"],
+    ["ncho", "--n", "64"],
+], ids=["ncho-n40", "certify-n41", "ncho-n64-degree-cap"])
+def test_unevaluable_ncho_residual_is_exit_2(tmp_path, capsys, args):
+    # ||Phi_39|| evaluates to zero, and Q Phi_63 would pass the degree cap
+    out = tmp_path / "ncho.json"
+    assert cli.main([*args, "-o", str(out)]) == 2
+    capsys.readouterr()
+    checks = json.loads(out.read_text())["checks"]
+    assert any(c["name"].startswith("residual") and c["measured"] == math.inf
+               for c in checks)
+
+
 def test_tiny_disk_radius_roundtrips(tmp_path):
     out = tmp_path / "tiny.json"
     assert cli.main(["certify", "--suite", "toeplitz", "--R", "1e-300", "-o", str(out)]) == 0

@@ -28,6 +28,8 @@ from bargmann_lab.gaussalg import (
     holo_add,
     inner_product_line,
     norm_line,
+    _convolve,
+    _moments,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -186,6 +188,109 @@ def test_norm_line_matches_self_inner_product():
     f = PolyGauss(ComplexPoly((0.7 - 0.1j, 0.4j, 1.2)), -0.9 + 0.2j, 0.3 - 0.2j)
     assert norm_line(f) == pytest.approx(
         math.sqrt(inner_product_line(f, f).real), rel=1e-13)
+
+
+# ------------------------------------- bulk kernel against per-term reference
+
+
+def _convolve_reference(a, b):
+    """The per-term convolution: one fsum per part over each anti-diagonal."""
+    la, lb = len(a), len(b)
+    out = []
+    for k in range(la + lb - 1):
+        re, im = [], []
+        for i in range(max(0, k - lb + 1), min(k + 1, la)):
+            ai, bj = a[i], b[k - i]
+            re += [ai.real * bj.real, -ai.imag * bj.imag]
+            im += [ai.real * bj.imag, ai.imag * bj.real]
+        out.append(complex(math.fsum(re), math.fsum(im)))
+    return out
+
+
+def _inner_reference(f, g):
+    """Per-term moment expansion: every binomial term in one fsum."""
+    gc = g.conj()
+    g2, g1 = f.gamma2 + gc.gamma2, f.gamma1 + gc.gamma1
+    prod = _convolve_reference(f.poly.coeffs, gc.poly.coeffs)
+    even = [cmath.sqrt(math.pi / -g2)]
+    for m in range(1, (len(prod) - 1) // 2 + 1):
+        even.append(even[-1] * (2 * m - 1) / (-2 * g2))
+    shift = -g1 / (2 * g2)
+    re, im = [], []
+    for k, ck in enumerate(prod):
+        if ck == 0:
+            continue
+        for j in range(0, k + 1, 2):
+            t = ck * (math.comb(k, j) * shift ** (k - j) * even[j // 2])
+            re.append(t.real)
+            im.append(t.imag)
+    return cmath.exp(-g1 * g1 / (4 * g2)) * complex(math.fsum(re), math.fsum(im))
+
+
+def _random_coeffs(rng, n, spread=False):
+    mag = 10.0 ** rng.uniform(-5, 15, size=n) if spread else np.ones(n)
+    return tuple(
+        complex(re, im) for re, im in zip(mag * rng.normal(size=n), mag * rng.normal(size=n))
+    )
+
+
+@pytest.mark.parametrize("spread", [False, True])
+def test_convolve_bit_identical_to_per_term_reference(spread):
+    rng = np.random.default_rng(7)
+    shapes = [(1, 1), (1, 9), (9, 1), (2, 17), (17, 2), (12, 12), (41, 30)]
+    shapes += [tuple(int(v) for v in rng.integers(1, 42, size=2)) for _ in range(200)]
+    for la, lb in shapes:
+        a = _random_coeffs(rng, la, spread)
+        b = _random_coeffs(rng, lb, spread)
+        want = _convolve_reference(a, b)
+        assert _convolve(a, b) == want
+        assert _convolve(a, b, 2) == want[::2]
+
+
+def _random_pg(rng, n, g1):
+    return PolyGauss(
+        ComplexPoly.from_coeffs(_random_coeffs(rng, n)),
+        complex(-rng.uniform(0.2, 1.0), rng.uniform(-1, 1)),
+        g1,
+    )
+
+
+def test_inner_product_bit_identical_without_linear_exponent():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        la, lb = (int(v) for v in rng.integers(1, 30, size=2))
+        f, g = _random_pg(rng, la, 0j), _random_pg(rng, lb, 0j)
+        assert inner_product_line(f, g) == _inner_reference(f, g)
+
+
+def test_inner_product_close_with_linear_exponent():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        la, lb = (int(v) for v in rng.integers(1, 12, size=2))
+        f = _random_pg(rng, la, complex(*rng.uniform(-0.5, 0.5, size=2)))
+        g = _random_pg(rng, lb, complex(*rng.uniform(-0.5, 0.5, size=2)))
+        got, want = inner_product_line(f, g), _inner_reference(f, g)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(math.inf, 0.0)])
+@pytest.mark.parametrize("other", [(1.0,), (0.5, -0.2j, 1.0)])
+def test_non_finite_coefficient_gives_non_finite_inner_product(bad, other):
+    # the bad coefficient sits at an odd power, whose moment vanishes
+    f = PolyGauss(ComplexPoly((1.0 + 0j, complex(bad))), -0.5 + 0j)
+    g = PolyGauss(ComplexPoly(tuple(map(complex, other))), -0.5 + 0j)
+    assert not cmath.isfinite(inner_product_line(f, g))
+    assert not cmath.isfinite(inner_product_line(g, f))
+
+
+@pytest.mark.parametrize("g1", [0j, 0.4 - 0.3j])
+def test_gaussian_moment_agrees_with_moments(g1):
+    g2 = -0.8 + 0.25j
+    m = _moments(g2, g1, 12)
+    prefac = cmath.exp(-g1 * g1 / (4 * g2))
+    assert [gaussian_moment(g2, g1, k) for k in range(13)] == [prefac * v for v in m]
+    if g1 == 0:
+        assert m[1::2] == [0j] * 6
 
 
 # -------------------------------------------------------------------- DiffOp
