@@ -22,6 +22,9 @@ read-only (nodes, weights) arrays afterwards, so the hundreds of grids a
 certification battery builds share a handful of eigenvalue solves.  Each
 grid also computes its outer truncation shell once, at construction.
 
+The program's BLAS/LAPACK calls (those eigenvalue solves and the Toeplitz
+block products) run inside ``_serial_blas``, on the calling thread only.
+
 Planar grids are tensor Gauss-Hermite grids rescaled to the total real
 exponent of the integrand (weight plus the Gaussian factors of the integrand
 itself, including the induced center shift).  Rescaling to the weight alone
@@ -34,6 +37,8 @@ oscillatory phase, which the node count then resolves spectrally.
 from __future__ import annotations
 
 import cmath
+import contextlib
+import ctypes
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -115,6 +120,61 @@ class QuadGrid:
 # Grid construction
 # ---------------------------------------------------------------------------
 
+#: OpenBLAS's thread-count functions under the names its builds export:
+#: plain, with the ILP64 suffix ``64_``, and with the ``scipy_`` prefix of
+#: the builds that numpy wheels bundle.
+_OPENBLAS_THREAD_FUNCS = [
+    (f"{pre}openblas_get_num_threads{suf}", f"{pre}openblas_set_num_threads{suf}")
+    for pre in ("", "scipy_")
+    for suf in ("", "64_")
+]
+
+
+def _find_openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy's
+    linear algebra links, or None when numpy uses another BLAS."""
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)  # its symbols and its BLAS's
+    except (ImportError, OSError):
+        return None
+    for get, set_ in _OPENBLAS_THREAD_FUNCS:
+        if hasattr(lib, get) and hasattr(lib, set_):
+            return getattr(lib, get), getattr(lib, set_)
+    return None
+
+
+#: Found once at import (numpy has loaded both libraries by then).
+_OPENBLAS_THREADS = _find_openblas_threads()
+
+
+@contextlib.contextmanager
+def _serial_blas():
+    """Run the enclosed BLAS/LAPACK calls on the calling thread only.
+
+    The program's matrices are small (the eigenvalue solve of a Gauss rule
+    of a few hundred nodes, Toeplitz block sums of a few dozen rows), so a
+    second OpenBLAS thread does not speed them up, but each threaded call
+    has to wake it.  On a shared machine that wake-up can stall one call
+    for up to a second: on a 2-vCPU virtual machine, in fresh processes
+    with two OpenBLAS threads, 1 of 40 ``leggauss(400)`` calls took 0.53 s
+    instead of 0.02 s, and one ``certify --suite all`` in 14 spent 1.17 s
+    in it.  Results do not depend on the thread count; the previous count
+    is restored on exit.  Without OpenBLAS this does nothing.
+    """
+    if _OPENBLAS_THREADS is None:
+        yield
+        return
+    get, set_ = _OPENBLAS_THREADS
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 _RULES: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -123,13 +183,14 @@ def _gauss_rule(family: str, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     ``family`` is ``"hermite"`` (weight e^{-t^2}) or ``"legendre"`` (on
     [-1, 1]).  Each rule is computed on first use, by the module-level
-    ``hermgauss``/``leggauss``, and then served from a per-process cache;
-    the arrays are shared, hence read-only.
+    ``hermgauss``/``leggauss`` under :func:`_serial_blas`, and then served
+    from a per-process cache; the arrays are shared, hence read-only.
     """
     key = (family, n)
     rule = _RULES.get(key)
     if rule is None:
-        t, w = (hermgauss if family == "hermite" else leggauss)(n)
+        with _serial_blas():
+            t, w = (hermgauss if family == "hermite" else leggauss)(n)
         t.flags.writeable = False
         w.flags.writeable = False
         rule = _RULES[key] = (t, w)

@@ -145,6 +145,9 @@ class RunConfig:
         ):
             if not cmath.isfinite(value):
                 raise DomainError(f"{flag} = {value} must be finite")
+        for flag, value in (("--h", self.h), (r_flag, self.R), ("--rho", self.rho)):
+            if not value > 0:
+                raise DomainError(f"{flag} = {value} must be positive")
         if self.samples < 1:
             raise DomainError(f"--samples = {self.samples} must be >= 1")
 

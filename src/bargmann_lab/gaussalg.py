@@ -44,14 +44,16 @@ class DegreeCapError(DomainError):
 # ---------------------------------------------------------------------------
 
 
-def _trim(coeffs: Iterable[complex]) -> tuple[complex, ...]:
-    """Strip exactly-zero leading (highest-degree) coefficients."""
-    out = list(map(complex, coeffs))
+def _fit(out: list[complex]) -> list[complex]:
+    """Strip exactly-zero leading (highest-degree) coefficients in place, then
+    enforce :data:`DEGREE_CAP`."""
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     if not out:
-        out = [0j]
-    return tuple(out)
+        out.append(0j)
+    if len(out) - 1 > DEGREE_CAP:
+        raise DegreeCapError(f"degree {len(out) - 1} exceeds cap {DEGREE_CAP}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -69,12 +71,7 @@ class ComplexPoly:
 
     @staticmethod
     def from_coeffs(coeffs: Iterable[complex]) -> "ComplexPoly":
-        c = _trim(coeffs)
-        if len(c) - 1 > DEGREE_CAP:
-            raise DegreeCapError(
-                f"degree {len(c) - 1} exceeds cap {DEGREE_CAP}"
-            )
-        return ComplexPoly(c)
+        return ComplexPoly(tuple(_fit(list(map(complex, coeffs)))))
 
     @staticmethod
     def zero() -> "ComplexPoly":
@@ -148,39 +145,89 @@ class ComplexPoly:
         return acc
 
 
+def _cross_products(
+    a: tuple[complex, ...], b: tuple[complex, ...]
+) -> tuple[list[float], list[float], list[float], list[float]]:
+    """The real cross-product tables ``re*re``, ``-im*im``, ``re*im`` and
+    ``im*re`` of ``a[i] * b[l]``, in row-major ``(i, l)`` order."""
+    ar = [x.real for x in a]
+    ai = [x.imag for x in a]
+    nai = [-x for x in ai]
+    br = [y.real for y in b]
+    bi = [y.imag for y in b]
+    return (
+        [x * y for x in ar for y in br],
+        [x * y for x in nai for y in bi],
+        [x * y for x in ar for y in bi],
+        [x * y for x in ai for y in br],
+    )
+
+
+def _vanishes(x: tuple[complex, ...], y: tuple[complex, ...]) -> bool:
+    """Every product ``x[i] * y[l]`` is a signed zero."""
+    return not any(x) and all(map(cmath.isfinite, y))
+
+
 def _convolve(
     a: tuple[complex, ...], b: tuple[complex, ...], step: int = 1
 ) -> list[complex]:
     """Coefficient convolution with compensated (exact) accumulation.
 
     Returns the anti-diagonal sums ``k = 0, step, 2*step, ...`` of the
-    product table ``a[i] * b[l]``.  Each is a correctly rounded sum (one
-    ``math.fsum`` per real and imaginary part) of the rounded real cross
-    products; this keeps high-degree cancellation (Hermite-type alternating
-    signs) at the rounding error of the individual products.  ``fsum`` does
-    not depend on the order of its terms, so the products are formed in bulk
-    in row-major ``(i, l)`` order, where anti-diagonal ``k`` is a strided
-    slice with stride ``len(b) - 1`` (a single entry when ``len(b) == 1``).
+    product table ``a[i] * b[l]`` (``step`` is 1 or 2).  Each is a correctly
+    rounded sum (one ``math.fsum`` per real and imaginary part) of the
+    rounded real cross products; this keeps high-degree cancellation
+    (Hermite-type alternating signs) at the rounding error of the individual
+    products.  ``fsum`` does not depend on the order of its terms, so the
+    products are formed in bulk in row-major ``(i, l)`` order, where
+    anti-diagonal ``k`` is a strided slice with stride ``len(b) - 1`` (a
+    single entry when ``len(b) == 1``).
+
+    With ``step == 2`` the factors are split by index parity: anti-diagonal
+    ``2K`` is anti-diagonal ``K`` of the even-index half ``a[0::2] * b[0::2]``
+    plus anti-diagonal ``K - 1`` of the odd-index half, summed together, so
+    the odd anti-diagonals are never formed.  A half whose products are all
+    signed zeros (one factor all zero, the other all finite) is skipped:
+    ``fsum`` ignores signed zeros and gives ``+0.0`` for no terms, so the
+    result is unchanged.  On a polynomial of definite parity (every ``phi_n``
+    and its images under the operators) this drops one half or both.
     """
-    la, lb = len(a), len(b)
-    ar = [x.real for x in a]
-    ai = [x.imag for x in a]
-    nai = [-x for x in ai]
-    br = [y.real for y in b]
-    bi = [y.imag for y in b]
-    rr = [x * y for x in ar for y in br]
-    ii = [x * y for x in nai for y in bi]
-    ri = [x * y for x in ar for y in bi]
-    ir = [x * y for x in ai for y in br]
-    d = lb - 1
     fsum = math.fsum
-    out: list[complex] = []
-    for k in range(0, la + d, step):
-        lo = max(0, k - d)
-        hi = min(k + 1, la)
-        s = slice(lo * d + k, (hi - 1) * d + k + 1, d or 1)
-        out.append(complex(fsum(rr[s] + ii[s]), fsum(ri[s] + ir[s])))
-    return out
+    if step == 1:
+        la, lb = len(a), len(b)
+        rr, ii, ri, ir = _cross_products(a, b)
+        d = lb - 1
+        out: list[complex] = []
+        for k in range(la + d):
+            lo = max(0, k - d)
+            hi = min(k + 1, la)
+            s = slice(lo * d + k, (hi - 1) * d + k + 1, d or 1)
+            out.append(complex(fsum(rr[s] + ii[s]), fsum(ri[s] + ir[s])))
+        return out
+    n = (len(a) + len(b)) // 2  # anti-diagonals 0, 2, ..., len(a) + len(b) - 2
+    halves = []  # per kept half: the real and imaginary terms of each 2K
+    for shift, x, y in ((0, a[0::2], b[0::2]), (1, a[1::2], b[1::2])):
+        if not (x and y) or _vanishes(x, y) or _vanishes(y, x):
+            continue
+        lx = len(x)
+        rr, ii, ri, ir = _cross_products(x, y)
+        d = len(y) - 1
+        re: list[list[float]] = [[]] * shift
+        im: list[list[float]] = [[]] * shift
+        for k in range(lx + d):
+            lo = max(0, k - d)
+            hi = min(k + 1, lx)
+            s = slice(lo * d + k, (hi - 1) * d + k + 1, d or 1)
+            re.append(rr[s] + ii[s])
+            im.append(ri[s] + ir[s])
+        halves.append((re + [[]] * (n - len(re)), im + [[]] * (n - len(im))))
+    if not halves:
+        return [0j] * n
+    re, im = halves[0]
+    if len(halves) == 2:
+        re = [u + v for u, v in zip(re, halves[1][0])]
+        im = [u + v for u, v in zip(im, halves[1][1])]
+    return [complex(fsum(r), fsum(i)) for r, i in zip(re, im)]
 
 
 def coeff_deviation(u: ComplexPoly, v: ComplexPoly, collinear: bool = False) -> float:
@@ -538,32 +585,49 @@ class DiffOp:
             raise DomainError(f"mismatched h: {self.h} != {other.h}")
 
 
+def _added(x: list[complex], y: list[complex]) -> list[complex]:
+    """``ComplexPoly.__add__`` on coefficient lists."""
+    n = max(len(x), len(y))
+    return _fit([u + v for u, v in zip(x + [0j] * (n - len(x)), y + [0j] * (n - len(y)))])
+
+
+def _scaled(x: list[complex], c: complex) -> list[complex]:
+    """``ComplexPoly.scale`` on a coefficient list."""
+    return [0j] if c == 0 else _fit([c * u for u in x])
+
+
+def _shifted(x: list[complex], j: int) -> list[complex]:
+    """``ComplexPoly.shift_up`` on a coefficient list."""
+    return x if len(x) == 1 and x[0] == 0 else _fit([0j] * j + x)
+
+
 def apply_diffop(op: DiffOp, f: PolyGauss) -> PolyGauss:
     """Apply a :class:`DiffOp` exactly; the exponent is preserved.
 
     ``hD (p e^g) = -i h (p' + g' p) e^g`` with ``g' = 2 gamma2 x + gamma1``,
-    iterated per term, then shifted by ``x**j`` and summed.
+    iterated per term, then shifted by ``x**j`` and summed in sorted term
+    order.  The work is done on coefficient lists, with the float operations,
+    trims and :class:`DegreeCapError` of the equivalent :class:`ComplexPoly`
+    expression ``(p.derivative() + p.shift_up().scale(2 gamma2) +
+    p.scale(gamma1)).scale(-i h)``, and one polynomial is built at the end.
     """
     if f.is_zero:
         return f
-    hd_powers = [f.poly]  # hd_powers[k] = polynomial part of (hD)^k f
+    g2, g1, minus_ih = 2 * f.gamma2, f.gamma1, -1j * op.h
+    hd_powers = [list(f.poly.coeffs)]  # hd_powers[k]: polynomial part of (hD)^k f
 
-    def hd_power(k: int) -> ComplexPoly:
+    def hd_power(k: int) -> list[complex]:
         while len(hd_powers) <= k:
             p = hd_powers[-1]
-            hd_powers.append(
-                (
-                    p.derivative()
-                    + p.shift_up().scale(2 * f.gamma2)
-                    + p.scale(f.gamma1)
-                ).scale(-1j * op.h)
-            )
+            d = _fit([i * p[i] for i in range(1, len(p))]) if len(p) > 1 else [0j]
+            s = _added(d, _scaled(_shifted(p, 1), g2))
+            hd_powers.append(_scaled(_added(s, _scaled(p, g1)), minus_ih))
         return hd_powers[k]
 
-    acc = ComplexPoly.zero()
+    acc = [0j]
     for (j, k), c in sorted(op.terms.items()):
-        acc = acc + hd_power(k).shift_up(j).scale(c)
-    return PolyGauss(acc, f.gamma2, f.gamma1)
+        acc = _added(acc, _scaled(_shifted(hd_power(k), j), c))
+    return PolyGauss(ComplexPoly(tuple(acc)), f.gamma2, f.gamma1)
 
 
 def relative_residual(op: DiffOp, f: PolyGauss, mu: complex) -> float:

@@ -172,6 +172,9 @@ class HermiteSystem:
         of phi_m conj(phi_n) is a real Gaussian, so the rule is exact up to
         round-off, with nodes from numpy rather than from our algebra; the
         rule comes from the per-process cache the plane grids share).
+        The exact matrix is Hermitian: its upper triangle and diagonal are
+        computed, and the lower triangle is filled with ``0.0 - imag`` so
+        that an exactly cancelled entry stays ``+0.0``.
         """
         if method not in ("exact", "quadrature"):
             raise DomainError(f"unknown method {method!r}")
@@ -181,8 +184,8 @@ class HermiteSystem:
             for m in range(N):
                 for n in range(m, N):
                     v = inner_product_line(phis[m], phis[n])
+                    G[n, m] = complex(v.real, 0.0 - v.imag)
                     G[m, n] = v
-                    G[n, m] = v.conjugate()
             return G
         p = self.params
         t, w = _gauss_rule("hermite", 200)

@@ -286,7 +286,9 @@ def ellipse_gram(alpha: float, beta: float, n: int):
 
     Returns ``(G, diag, dev)``: G as nested lists, the closed-form diagonal
     ``n! (lambda/a)^n ||psi_0||^2``, and the largest deviation from it,
-    relative to ``sqrt(diag_m diag_n)``.
+    relative to ``sqrt(diag_m diag_n)``.  The upper triangle and diagonal
+    are computed; the lower triangle mirrors them as in
+    :meth:`HermiteSystem.gram_matrix`.
     """
     p = derived_constants(alpha, beta)
     pc = PhaseParams.classic()
@@ -297,8 +299,8 @@ def ellipse_gram(alpha: float, beta: float, n: int):
     for m_ in range(n):
         for n_ in range(m_, n):
             g = inner_product_HPhi(pc, psis[m_], psis[n_])
+            G[n_][m_] = complex(g.real, 0.0 - g.imag)
             G[m_][n_] = g
-            G[n_][m_] = g.conjugate()
             closed = diag[n_] if m_ == n_ else 0.0
             dev = max(dev, abs(g - closed) / math.sqrt(diag[m_] * diag[n_]))
     return G, diag, dev

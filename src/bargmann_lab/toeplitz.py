@@ -36,7 +36,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .gaussalg import DomainError
-from .bargmann import QuadGrid, polar_grid, _check_truncation, _quad_sum
+from .bargmann import QuadGrid, polar_grid, _check_truncation, _quad_sum, _serial_blas
 
 __all__ = [
     "RadialSymbol",
@@ -216,6 +216,7 @@ def _toeplitz_entries(
     every requested entry: its total and outer-shell absolute masses are the
     same product of ``|Z|`` and ``|weight|``, over all nodes and over the
     shell.  The monomial normalizations scale the K x K sums at the end.
+    The products run under :func:`~bargmann_lab.bargmann._serial_blas`.
     """
     rows, cols = list(rows), list(cols)
     if min(rows + cols) < 0:
@@ -224,22 +225,23 @@ def _toeplitz_entries(
     block = np.zeros((K, K), dtype=complex)
     total = np.zeros((K, K))
     shell = np.zeros((K, K))
-    for start in range(0, len(g.nodes), _CHUNK):
-        z = g.nodes[start:start + _CHUNK]
-        r = np.abs(z)
-        u = r * r
-        weight = g.weights[start:start + _CHUNK] * sym.c(u) * np.exp(-u / 2.0)
-        powers = np.empty((K, len(z)), dtype=complex)
-        moduli = np.empty((K, len(z)))
-        powers[0], moduli[0] = 1.0, 1.0
-        for k in range(1, K):
-            powers[k] = powers[k - 1] * z
-            moduli[k] = moduli[k - 1] * r
-        block += (powers * weight) @ np.conj(powers).T
-        mass = np.abs(weight)
-        total += (moduli * mass) @ moduli.T
-        on = g.shell[start:start + _CHUNK]
-        shell += (moduli[:, on] * mass[on]) @ moduli[:, on].T
+    with _serial_blas():
+        for start in range(0, len(g.nodes), _CHUNK):
+            z = g.nodes[start:start + _CHUNK]
+            r = np.abs(z)
+            u = r * r
+            weight = g.weights[start:start + _CHUNK] * sym.c(u) * np.exp(-u / 2.0)
+            powers = np.empty((K, len(z)), dtype=complex)
+            moduli = np.empty((K, len(z)))
+            powers[0], moduli[0] = 1.0, 1.0
+            for k in range(1, K):
+                powers[k] = powers[k - 1] * z
+                moduli[k] = moduli[k - 1] * r
+            block += (powers * weight) @ np.conj(powers).T
+            mass = np.abs(weight)
+            total += (moduli * mass) @ moduli.T
+            on = g.shell[start:start + _CHUNK]
+            shell += (moduli[:, on] * mass[on]) @ moduli[:, on].T
     coeffs = np.array([_classic_coeff(k) for k in range(K)])
     norm = np.outer(coeffs, coeffs)
     pick = np.ix_(rows, cols)

@@ -227,6 +227,41 @@ def test_grids_of_one_size_share_one_hermgauss_call(monkeypatch):
     assert calls == [24]
 
 
+def _openblas_thread_count():
+    threads = bargmann._OPENBLAS_THREADS
+    if threads is None:
+        pytest.skip("numpy's linear algebra does not link OpenBLAS")
+    return threads[0]
+
+
+def test_serial_blas_runs_one_thread_and_restores_the_count():
+    get = _openblas_thread_count()
+    before = get()
+    with bargmann._serial_blas():
+        assert get() == 1
+    assert get() == before
+    with pytest.raises(RuntimeError):
+        with bargmann._serial_blas():
+            raise RuntimeError
+    assert get() == before
+
+
+def test_gauss_rules_are_computed_on_one_thread_with_numpys_values(monkeypatch):
+    get = _openblas_thread_count()
+    seen = []
+
+    def recording_leggauss(n):
+        seen.append(get())
+        return leggauss(n)
+
+    monkeypatch.setattr(bargmann, "_RULES", {})
+    monkeypatch.setattr(bargmann, "leggauss", recording_leggauss)
+    t, w = bargmann._gauss_rule("legendre", 400)
+    assert seen == [1]
+    t_ref, w_ref = leggauss(400)
+    assert t.tobytes() == t_ref.tobytes() and w.tobytes() == w_ref.tobytes()
+
+
 def _reference_plane_grid(M, L, n):
     # the grid built from numpy's rule directly, as before the rule cache
     evals, evecs = np.linalg.eigh(M)

@@ -72,6 +72,18 @@ def test_gram_ellipse_closed_diagonal(tmp_path):
         assert d == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("method", ["exact", "both"])
+def test_hermite_gram_artifact_has_no_negative_zero(tmp_path, method):
+    out = tmp_path / "gram.json"
+    rc = cli.main(["gram", "--B", "3", "--C", "1+2i", "--h", "0.5", "--n", "3",
+                   "--method", method, "-o", str(out)])
+    assert rc == 0
+    # the artifact is indented JSON: one number per line
+    tokens = [line.strip().rstrip(",") for line in out.read_text().splitlines()]
+    assert "0.0" in tokens
+    assert "-0.0" not in tokens
+
+
 # ------------------------------------------------------------- exit statuses
 
 
@@ -99,7 +111,14 @@ def test_domain_error_is_exit_1(capsys):
     (["transform", "--C=1e400i"], "--C"),
     (["ellipse", "--samples", "-5"], "--samples"),
     (["ellipse", "--samples", "0"], "--samples"),
-], ids=["h", "alpha", "beta", "disk", "R", "rho", "B", "C", "samples-5", "samples0"])
+    (["eigres", "--h", "0"], "--h"),
+    (["ncho", "--h", "-1"], "--h"),
+    (["toeplitz", "--disk", "0"], "--disk"),
+    (["certify", "--suite", "toeplitz", "--R", "-2"], "--R"),
+    (["ellipse", "--rho", "0"], "--rho"),
+    (["ellipse", "--rho", "-1"], "--rho"),
+], ids=["h", "alpha", "beta", "disk", "R", "rho", "B", "C", "samples-5", "samples0",
+        "h0", "ncho-h-1", "disk0", "R-2", "rho0", "rho-1"])
 def test_bad_flag_is_rejected_at_the_boundary(tmp_path, capsys, argv, flag):
     out = tmp_path / "artifact"
     assert cli.main([*argv, "-o", str(out)]) == 1

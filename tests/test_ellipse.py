@@ -33,6 +33,7 @@ from bargmann_lab.ellipse import (
 from bargmann_lab.gaussalg import DiffOp, apply_diffop, inner_product_line, norm_line
 from bargmann_lab.hermite import HermiteSystem
 from bargmann_lab.phasecore import PhaseParams
+from bargmann_lab.suites import ellipse_gram
 
 CLASSIC = PhaseParams(0.5j, -1j, 1j, 1.0)
 SETS = [(2.0, 0.0), (2.0, 1.0), (0.5, 3.0)]
@@ -288,3 +289,15 @@ def test_trace_lies_on_level_set():
     assert len(pts) == 64
     for x, xi in pts:
         assert abs(abs(zeta_map(p, complex(x, -xi))) - 1.7) <= 1e-10
+
+
+def test_ellipse_gram_diagonal_is_the_direct_evaluation():
+    G, _, _ = ellipse_gram(2.0, 1.0, 3)
+    p = derived_constants(2.0, 1.0)
+    pc = PhaseParams.classic()
+    psis = [psi_n(p, k) for k in range(3)]
+    for m in range(3):
+        for n in range(m, 3):
+            g = inner_product_HPhi(pc, psis[m], psis[n])
+            assert repr(G[m][n]) == repr(g)
+            assert repr(G[n][m]) == repr(g if m == n else complex(g.real, 0.0 - g.imag))

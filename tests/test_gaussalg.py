@@ -14,7 +14,9 @@ from hypothesis import given, seed, strategies as st
 from scipy.integrate import quad
 
 from bargmann_lab.gaussalg import (
+    DEGREE_CAP,
     ComplexPoly,
+    DegreeCapError,
     DiffOp,
     DomainError,
     HoloGauss,
@@ -245,6 +247,104 @@ def test_convolve_bit_identical_to_per_term_reference(spread):
         want = _convolve_reference(a, b)
         assert _convolve(a, b) == want
         assert _convolve(a, b, 2) == want[::2]
+
+
+_SIGNED_ZEROS = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
+
+
+def _parity_coeffs(rng, n, parity, spread=False):
+    """Random coefficients at indices of one parity, signed zeros elsewhere."""
+    c = _random_coeffs(rng, n, spread)
+    return tuple(
+        x if i % 2 == parity else _SIGNED_ZEROS[int(rng.integers(4))]
+        for i, x in enumerate(c)
+    )
+
+
+@pytest.mark.parametrize("spread", [False, True])
+def test_convolve_parity_split_bit_identical_to_reference(spread):
+    # definite and opposite parity (halves skipped), lengths 1 and 2, and
+    # dense factors; repr also tells signed zeros apart
+    rng = np.random.default_rng(17)
+    shapes = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 9), (2, 17), (41, 41)]
+    shapes += [tuple(int(v) for v in rng.integers(1, 42, size=2)) for _ in range(100)]
+    for la, lb in shapes:
+        for pa, pb in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            a = _parity_coeffs(rng, la, pa, spread)
+            b = _parity_coeffs(rng, lb, pb, spread)
+            dense = _random_coeffs(rng, lb, spread)
+            assert repr(_convolve(a, b, 2)) == repr(_convolve_reference(a, b)[::2])
+            assert repr(_convolve(a, dense, 2)) == repr(_convolve_reference(a, dense)[::2])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_convolve_keeps_non_finite_against_an_all_zero_half(bad, at):
+    # the half holding the bad coefficient faces exact zeros: 0 * inf is NaN,
+    # so that half must not be skipped
+    a = [0.5 + 1j, -0.25j, 2.0 + 0j, 1.5 - 0.5j, 0.75 + 0j]
+    a[at] = complex(bad, 1.0)
+    a = tuple(a)
+    for b in [(0j, 1 + 1j, 0j, -2j), (1 - 1j, 0j, 0.5j, 0j, 3.0 + 0j), (0j, 0j), (0j,), (2j,)]:
+        for x, y in [(a, b), (b, a)]:
+            assert repr(_convolve(x, y, 2)) == repr(_convolve_reference(x, y)[::2])
+
+
+def _apply_diffop_reference(op, f):
+    """The object-based apply_diffop: ComplexPoly arithmetic per step and term."""
+    if f.is_zero:
+        return f
+    hd_powers = [f.poly]
+
+    def hd_power(k):
+        while len(hd_powers) <= k:
+            p = hd_powers[-1]
+            hd_powers.append(
+                (
+                    p.derivative()
+                    + p.shift_up().scale(2 * f.gamma2)
+                    + p.scale(f.gamma1)
+                ).scale(-1j * op.h)
+            )
+        return hd_powers[k]
+
+    acc = ComplexPoly.zero()
+    for (j, k), c in sorted(op.terms.items()):
+        acc = acc + hd_power(k).shift_up(j).scale(c)
+    return PolyGauss(acc, f.gamma2, f.gamma1)
+
+
+def _outcome(fn, op, f):
+    try:
+        g = fn(op, f)
+    except DegreeCapError as exc:
+        return f"DegreeCapError: {exc}"
+    return repr((g.poly.coeffs, g.gamma2, g.gamma1))
+
+
+def test_apply_diffop_bit_identical_to_object_reference():
+    rng = np.random.default_rng(19)
+    caps = 0
+    for trial in range(1200):
+        n = int(rng.integers(1, DEGREE_CAP + 2))
+        coeffs = (
+            _parity_coeffs(rng, n, int(rng.integers(2)), spread=bool(trial % 2))
+            if trial % 3
+            else _random_coeffs(rng, n, spread=bool(trial % 2))
+        )
+        g1 = 0j if trial % 4 < 2 else complex(*rng.uniform(-1, 1, size=2))
+        f = PolyGauss(
+            ComplexPoly.from_coeffs(coeffs), complex(-rng.uniform(0.1, 2), rng.uniform(-2, 2)), g1
+        )
+        terms = {
+            (int(rng.integers(4)), int(rng.integers(4))): complex(*rng.normal(size=2))
+            for _ in range(int(rng.integers(1, 6)))
+        }
+        op = DiffOp(terms, float(10 ** rng.uniform(-2, 1)))
+        want = _outcome(_apply_diffop_reference, op, f)
+        assert _outcome(apply_diffop, op, f) == want
+        caps += want.startswith("DegreeCapError")
+    assert caps >= 50
 
 
 def _random_pg(rng, n, g1):

@@ -199,6 +199,21 @@ def test_gram_exact_is_identity(B, C, h):
     assert gram_deviation(G) <= TOL_EXACT_GRAM
 
 
+def test_exact_gram_diagonal_is_the_direct_evaluation():
+    # repr tells signed zeros apart: the lower triangle is the conjugate with
+    # 0.0 - imag, and the diagonal is the value computed, not its conjugate
+    hs = _system(3.0, 1 + 2j, 0.5)
+    G = hs.gram_matrix(6, method="exact")
+    phis = [hs.hermite_phi(n) for n in range(6)]
+    for m in range(6):
+        for n in range(m, 6):
+            v = inner_product_line(phis[m], phis[n])
+            assert repr(complex(G[m, n])) == repr(v)
+            assert repr(complex(G[n, m])) == repr(
+                v if m == n else complex(v.real, 0.0 - v.imag)
+            )
+
+
 def test_gram_quadrature_route_agrees():
     for B, C, h in PARAM_SETS[:2]:
         G = _system(B, C, h).gram_matrix(10, method="quadrature")
