@@ -1,5 +1,9 @@
 """Command-line front end: certification suites and plot-ready data files.
 
+Every check is computed in :mod:`bargmann_lab.suites`; a command renders what
+those functions return.  Each command is one entry of the table ``_COMMANDS``,
+each flag one entry of ``_FLAGS``, and the defaults are those of RunConfig.
+
 Commands
 --------
 gram
@@ -24,7 +28,8 @@ certify
 
 Exit status: 0 when every check meets its tolerance, 2 on a tolerance
 violation (each failure is reported on stderr with the measured value),
-1 on usage or domain errors.
+1 on usage or domain errors, such as a non-finite or out-of-range flag (a
+negative ``--seed`` too) or a parameter whose square overflows.
 
 Complex flag values are written ``a+bi`` (``--C 1+2i``, ``--B=-i``); a lone
 ``-i`` after a flag is accepted too.  JSON output encodes complex scalars as
@@ -41,23 +46,14 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .gaussalg import DEGREE_CAP, DomainError, coeff_deviation, relative_residual
+from .gaussalg import DEGREE_CAP, DomainError
 from .phasecore import params_to_dict
 from .bargmann import grid_values, hphi_grid, inner_product_HPhi, transform, transform_quad
-from .hermite import HermiteSystem, gram_deviation
-from .ncho import NchoParams, combined_gram, spectrum_check
-from .ellipse import (
-    Psi_n,
-    bridge_params,
-    derived_constants,
-    ellipse_trace,
-    ladder_diffops,
-    psi_n,
-    psi_n_ladder,
-)
-from .toeplitz import radius_roundtrip_error, spectrum_rows
+from .hermite import HermiteSystem
+from .ncho import NchoParams, combined_gram
+from .ellipse import bridge_params, derived_constants, ellipse_trace
 from . import suites
 
 __all__ = ["RunConfig", "main", "run", "parse_complex"]
@@ -116,7 +112,7 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One validated CLI invocation."""
+    """One validated CLI invocation; its field defaults are the flag defaults."""
 
     command: str
     system: str = "hermite"
@@ -150,179 +146,62 @@ class RunConfig:
                 raise DomainError(f"{flag} = {value} must be positive")
         if self.samples < 1:
             raise DomainError(f"--samples = {self.samples} must be >= 1")
-
-
-def _add_phase_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--B", type=parse_complex, default=-1j, help="phase parameter B (a+bi, nonzero)")
-    p.add_argument("--C", type=parse_complex, default=1j, help="phase parameter C (a+bi, Im C > 0)")
-    p.add_argument("--h", type=float, default=1.0, help="scale parameter h > 0")
-
-
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default=None, help="output format")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="bargmann-lab", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gram", help="Gram matrix with deviation checks")
-    p.add_argument("--system", choices=("hermite", "ellipse", "ncho"), default="hermite")
-    _add_phase_flags(p)
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--n", type=int, default=12, help="number of basis indices")
-    p.add_argument("--method", choices=("exact", "quadrature", "both"), default="both")
-    _add_output_flags(p)
-
-    p = sub.add_parser("eigres", help="eigen-residual report")
-    p.add_argument("--system", choices=("hermite", "ellipse"), default="hermite")
-    _add_phase_flags(p)
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--n", type=int, default=12)
-    _add_output_flags(p)
-
-    p = sub.add_parser("transform", help="transform of the ground state on its grid")
-    _add_phase_flags(p)
-    _add_output_flags(p)
-
-    p = sub.add_parser("ncho", help="two-component spectrum report")
-    p.add_argument("--alpha", type=float, default=2.0, help="coupling alpha > 1")
-    p.add_argument("--h", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=12)
-    _add_output_flags(p)
-
-    p = sub.add_parser("ellipse", help="derived constants / boundary trace")
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--rho", type=float, default=1.0, help="boundary level |zeta| = rho")
-    p.add_argument("--samples", type=int, default=256, help="trace sample count")
-    p.add_argument("--n", type=int, default=6)
-    _add_output_flags(p)
-
-    p = sub.add_parser("toeplitz", help="localization eigenvalues of a disk symbol")
-    p.add_argument("--disk", type=float, default=1.0, metavar="R", help="disk series parameter R > 0")
-    p.add_argument("--n", type=int, default=12, help="number of eigenvalues")
-    _add_output_flags(p)
-
-    p = sub.add_parser("certify", help="run a named certification suite")
-    p.add_argument(
-        "--suite",
-        choices=("all", "gaussint", "hermite", "transform", "ncho", "ellipse", "bridge", "toeplitz"),
-        default="all",
-    )
-    _add_phase_flags(p)
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=12)
-    p.add_argument("--seed", type=int, default=2026)
-    _add_output_flags(p)
-
-    return parser
-
-
-def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
-    kwargs = {"command": ns.command}
-    for name in (
-        "system", "suite", "B", "C", "h", "alpha", "beta", "R", "n",
-        "rho", "samples", "seed", "method", "output", "format",
-    ):
-        if hasattr(ns, name) and getattr(ns, name) is not None:
-            kwargs[name] = getattr(ns, name)
-    if ns.command == "toeplitz":
-        kwargs["R"] = ns.disk
-    return RunConfig(**kwargs)
+        if self.seed < 0:
+            raise DomainError(f"--seed = {self.seed} must be >= 0")
 
 
 # ---------------------------------------------------------------------------
 # command implementations: each returns (report, csv_header, csv_rows)
 # ---------------------------------------------------------------------------
 
-_CheckList = list[dict]
 
-
-def _matrix_json(G) -> list[list[list[float]]]:
-    return [[_cpair(G[i][j]) for j in range(len(G[i]))] for i in range(len(G))]
+def _entries_report(command: str, head: dict, entries: list[dict], checks: list[dict]):
+    """Report of a command whose CSV rows are its (same-keyed) entries."""
+    report = {"command": command, **head, "entries": entries, "checks": checks}
+    return report, tuple(entries[0]), [tuple(e.values()) for e in entries]
 
 
 def _cmd_gram(cfg: RunConfig):
-    checks: _CheckList = []
+    extra = {}
     if cfg.system == "hermite":
         sys_ = HermiteSystem.from_bch(cfg.B, cfg.C, cfg.h)
         params = params_to_dict(sys_.params)
-        G = None
-        if cfg.method in ("exact", "both"):
-            G = sys_.gram_matrix(cfg.n, method="exact")
-            checks.append(suites.check("gram_exact_dev", gram_deviation(G), suites.TOL_ALGEBRA))
-        if cfg.method in ("quadrature", "both"):
-            Gq = sys_.gram_matrix(cfg.n, method="quadrature")
-            checks.append(suites.check("gram_quad_dev", gram_deviation(Gq), suites.TOL_GRAM_QUAD))
-            if G is None:
-                G = Gq
-        matrix = [[G[i, j] for j in range(cfg.n)] for i in range(cfg.n)]
-        extra = {}
+        methods = ("exact", "quadrature") if cfg.method == "both" else (cfg.method,)
+        G, checks = suites.hermite_gram_checks(sys_, cfg.n, methods)
+        matrix = G.tolist()
     elif cfg.system == "ellipse":
         params = {"alpha": cfg.alpha, "beta": cfg.beta}
         matrix, diag, dev = suites.ellipse_gram(cfg.alpha, cfg.beta, cfg.n)
-        checks.append(suites.check("gram_rel_dev", dev, suites.TOL_NORM_REL))
+        checks = [suites.check("gram_rel_dev", dev, suites.TOL_NORM_REL)]
         extra = {"closed_form_diagonal": diag}
     else:  # ncho
         params = {"alpha": cfg.alpha, "h": cfg.h}
         matrix, dev = combined_gram(NchoParams(cfg.alpha, cfg.h), cfg.n)
-        checks.append(suites.check("combined_gram_dev", dev, suites.TOL_ALGEBRA))
-        extra = {}
+        checks = [suites.check("combined_gram_dev", dev, suites.TOL_ALGEBRA)]
 
     report = {
         "command": "gram",
         "system": cfg.system,
         "params": params,
         "n": cfg.n,
-        "matrix": _matrix_json(matrix),
+        "matrix": [[_cpair(z) for z in row] for row in matrix],
         **extra,
         "checks": checks,
     }
-    rows = [
-        (i, j, matrix[i][j].real, matrix[i][j].imag)
-        for i in range(len(matrix))
-        for j in range(len(matrix))
-    ]
+    rows = [(i, j, z.real, z.imag) for i, row in enumerate(matrix) for j, z in enumerate(row)]
     return report, ("m", "n", "re", "im"), rows
 
 
 def _cmd_eigres(cfg: RunConfig):
-    entries = []
-    checks: _CheckList = []
     if cfg.system == "hermite":
         sys_ = HermiteSystem.from_bch(cfg.B, cfg.C, cfg.h)
         params = params_to_dict(sys_.params)
-        for k in range(cfg.n):
-            entries.append(
-                {"n": k, "eigenvalue": sys_.eigenvalue(k), "residual": sys_.eigen_residual(k)}
-            )
+        entries, checks = suites.hermite_eigen_checks(sys_, cfg.n)
     else:
         p = derived_constants(cfg.alpha, cfg.beta)
         params = {"alpha": cfg.alpha, "beta": cfg.beta}
-        _, _, H = ladder_diffops(p)
-        for k in range(cfg.n):
-            mu = p.eigen_gap * (2 * k + 1)
-            res = relative_residual(H, Psi_n(p, k), mu)
-            entries.append({"n": k, "eigenvalue": mu, "residual": res})
-    for e in entries:
-        checks.append(
-            suites.check(f"eig_residual[n={e['n']}]", e["residual"], suites.TOL_ALGEBRA)
-        )
-    report = {
-        "command": "eigres",
-        "system": cfg.system,
-        "params": params,
-        "entries": entries,
-        "checks": checks,
-    }
-    rows = [(e["n"], e["eigenvalue"], e["residual"]) for e in entries]
-    return report, ("n", "eigenvalue", "residual"), rows
+        entries, checks = suites.ellipse_eigen_checks(p, cfg.n, "eig_residual")
+    return _entries_report("eigres", {"system": cfg.system, "params": params}, entries, checks)
 
 
 def _cmd_transform(cfg: RunConfig):
@@ -333,16 +212,14 @@ def _cmd_transform(cfg: RunConfig):
     grid = hphi_grid(p, U, U)
     values = grid_values(U, grid)
 
-    checks: _CheckList = []
     dev = max(
         abs(U(z) - transform_quad(p, f0, z)) for z in (0.3 + 0.1j, -0.8 + 0.5j, 1.1 - 0.9j)
     )
-    checks.append(suites.check("closed_vs_quad", dev, suites.TOL_TRANSFORM_QUAD))
     norm_sq = inner_product_HPhi(p, U, U, grid=grid)
-    checks.append(
-        suites.check("unitarity_ground_state", abs(norm_sq - 1.0), suites.TOL_UNITARITY)
-    )
-
+    checks = [
+        suites.check("closed_vs_quad", dev, suites.TOL_TRANSFORM_QUAD),
+        suites.check("unitarity_ground_state", abs(norm_sq - 1.0), suites.TOL_UNITARITY),
+    ]
     report = {
         "command": "transform",
         "params": params_to_dict(p),
@@ -361,40 +238,12 @@ def _cmd_transform(cfg: RunConfig):
 
 
 def _cmd_ncho(cfg: RunConfig):
-    p = NchoParams(cfg.alpha, cfg.h)
-    entries = spectrum_check(p, cfg.n)
-    checks = [
-        suites.check(
-            f"residual[sign={e['sign']},n={e['n']}]", e["residual"], suites.TOL_ALGEBRA
-        )
-        for e in entries
-    ]
-    report = {
-        "command": "ncho",
-        "alpha": cfg.alpha,
-        "h": cfg.h,
-        "entries": entries,
-        "checks": checks,
-    }
-    rows = [(e["sign"], e["n"], e["lambda"], e["residual"]) for e in entries]
-    return report, ("sign", "n", "lambda", "residual"), rows
+    entries, checks = suites.ncho_residual_checks(NchoParams(cfg.alpha, cfg.h), cfg.n)
+    return _entries_report("ncho", {"alpha": cfg.alpha, "h": cfg.h}, entries, checks)
 
 
 def _cmd_ellipse(cfg: RunConfig):
     p = derived_constants(cfg.alpha, cfg.beta)
-    bp = bridge_params(p)
-    checks: _CheckList = [
-        suites.check(
-            "constants_identity_dev",
-            abs(p.a + 2 * p.lam - 1 / p.a.conjugate()),
-            suites.TOL_IDENTITY,
-        )
-    ]
-    dev = max(
-        coeff_deviation(psi_n(p, k).poly, psi_n_ladder(p, k).poly) for k in range(cfg.n)
-    )
-    checks.append(suites.check("psi_routes_dev", dev, suites.TOL_IDENTITY))
-
     report = {
         "command": "ellipse",
         "params": {"alpha": cfg.alpha, "beta": cfg.beta},
@@ -407,77 +256,107 @@ def _cmd_ellipse(cfg: RunConfig):
             "norm_psi0_sq": p.norm_psi0_sq,
             "eigen_gap": p.eigen_gap,
         },
-        "bridge": params_to_dict(bp),
-        "checks": checks,
+        "bridge": params_to_dict(bridge_params(p)),
+        "checks": suites.ellipse_route_checks(p, cfg.n),
     }
-    rows = ellipse_trace(p, cfg.rho, cfg.samples)
-    return report, ("x", "xi"), rows
+    return report, ("x", "xi"), ellipse_trace(p, cfg.rho, cfg.samples)
 
 
 def _cmd_toeplitz(cfg: RunConfig):
-    entries = spectrum_rows(cfg.R, cfg.n)
-    checks = [
-        suites.check(
-            f"series_vs_radial[n={e['n']}]", e["abs_diff"], suites.TOL_TOEPLITZ_SERIES
-        )
-        for e in entries
-    ]
-    checks.append(
-        suites.check("radius_roundtrip", radius_roundtrip_error(cfg.R), suites.TOL_ROUNDTRIP)
-    )
-    report = {"command": "toeplitz", "R": cfg.R, "entries": entries, "checks": checks}
-    rows = [
-        (e["n"], e["lambda_formula"], e["lambda_quadrature"], e["abs_diff"])
-        for e in entries
-    ]
-    return report, ("n", "lambda_formula", "lambda_quadrature", "abs_diff"), rows
+    return _entries_report("toeplitz", {"R": cfg.R}, *suites.toeplitz_series_checks(cfg.R, cfg.n))
+
+
+def _phase_params(c: RunConfig) -> dict:
+    return {"B": _cpair(c.B), "C": _cpair(c.C), "h": c.h}
+
+
+# suite -> config -> (report params, checks).  The transform sizes are
+# reported and passed from the same defaults.
+_SUITES: dict[str, Callable[[RunConfig], tuple[dict, list[dict]]]] = {
+    "all": lambda c: ({"seed": c.seed}, suites.suite_all(seed=c.seed)),
+    "gaussint": lambda c: ({}, suites.suite_gaussint()),
+    "hermite": lambda c: ({**_phase_params(c), "n": c.n},
+                          suites.suite_hermite(c.B, c.C, c.h, n_res=c.n, n_gram=c.n)),
+    "transform": lambda c, pairs=20, points=10: (
+        {**_phase_params(c), "pairs": pairs, "points": points, "seed": c.seed},
+        suites.suite_transform(c.B, c.C, c.h, n_pairs=pairs, n_points=points, seed=c.seed)),
+    "ncho": lambda c: ({"alpha": c.alpha, "h": c.h, "n": c.n},
+                       suites.suite_ncho(c.alpha, c.h, n_res=c.n, n_gram=min(c.n, 9))),
+    "ellipse": lambda c: ({"alpha": c.alpha, "beta": c.beta, "n": c.n},
+                          suites.suite_ellipse(c.alpha, c.beta, n_eig=c.n, n_gram=min(c.n, 7))),
+    "bridge": lambda c: ({"alpha": c.alpha, "beta": c.beta, "n": c.n},
+                         suites.suite_bridge(c.alpha, c.beta, n_max=c.n)),
+    "toeplitz": lambda c: ({"R": c.R, "n": c.n},
+                           suites.suite_toeplitz(c.R, n_max=c.n, n_matrix=min(c.n, 7))),
+}
 
 
 def _cmd_certify(cfg: RunConfig):
-    phase = {"B": _cpair(cfg.B), "C": _cpair(cfg.C), "h": cfg.h}
-    if cfg.suite == "all":
-        params = {"seed": cfg.seed}
-        checks = suites.suite_all(seed=cfg.seed)
-    elif cfg.suite == "gaussint":
-        params = {}
-        checks = suites.suite_gaussint()
-    elif cfg.suite == "hermite":
-        params = {**phase, "n": cfg.n}
-        checks = suites.suite_hermite(cfg.B, cfg.C, cfg.h, n_res=cfg.n, n_gram=cfg.n)
-    elif cfg.suite == "transform":
-        params = {**phase, "pairs": 20, "points": 10, "seed": cfg.seed}
-        checks = suites.suite_transform(cfg.B, cfg.C, cfg.h, seed=cfg.seed)
-    elif cfg.suite == "ncho":
-        params = {"alpha": cfg.alpha, "h": cfg.h, "n": cfg.n}
-        checks = suites.suite_ncho(cfg.alpha, cfg.h, n_res=cfg.n, n_gram=min(cfg.n, 9))
-    elif cfg.suite == "ellipse":
-        params = {"alpha": cfg.alpha, "beta": cfg.beta, "n": cfg.n}
-        checks = suites.suite_ellipse(
-            cfg.alpha, cfg.beta, n_eig=cfg.n, n_gram=min(cfg.n, 7)
-        )
-    elif cfg.suite == "bridge":
-        params = {"alpha": cfg.alpha, "beta": cfg.beta, "n": cfg.n}
-        checks = suites.suite_bridge(cfg.alpha, cfg.beta, n_max=cfg.n)
-    else:  # toeplitz
-        params = {"R": cfg.R, "n": cfg.n}
-        checks = suites.suite_toeplitz(cfg.R, n_max=cfg.n, n_matrix=min(cfg.n, 7))
+    params, checks = _SUITES[cfg.suite](cfg)
     report = {"suite": cfg.suite, "params": params, "checks": checks}
     rows = [(c["name"], c["measured"], c["tolerance"], c["pass"]) for c in checks]
     return report, ("name", "measured", "tolerance", "pass"), rows
 
 
-_COMMANDS: dict[str, Callable[[RunConfig], tuple]] = {
-    "gram": _cmd_gram,
-    "eigres": _cmd_eigres,
-    "transform": _cmd_transform,
-    "ncho": _cmd_ncho,
-    "ellipse": _cmd_ellipse,
-    "toeplitz": _cmd_toeplitz,
-    "certify": _cmd_certify,
+# Each flag once: its argparse keywords.  A flag that is not given stays out
+# of the namespace (argparse.SUPPRESS), so its default is RunConfig's.
+_FLAGS: dict[str, dict] = {
+    "--suite": {"choices": tuple(_SUITES), "help": "certification suite"},
+    "--B": {"type": parse_complex, "help": "phase parameter B (a+bi, nonzero)"},
+    "--C": {"type": parse_complex, "help": "phase parameter C (a+bi, Im C > 0)"},
+    "--h": {"type": float, "help": "scale parameter h > 0"},
+    "--alpha": {"type": float, "help": "ellipse parameter alpha > 0 (ncho: coupling > 1)"},
+    "--beta": {"type": float, "help": "ellipse parameter beta"},
+    "--R": {"type": float, "help": "disk series parameter R > 0"},
+    "--n": {"type": int, "help": f"number of indices, 1..{DEGREE_CAP}"},
+    "--rho": {"type": float, "help": "boundary level |zeta| = rho"},
+    "--samples": {"type": int, "help": "trace sample count"},
+    "--seed": {"type": int, "help": "random seed >= 0"},
+    "--method": {"choices": ("exact", "quadrature", "both"), "help": "Gram matrix route"},
+}
+_FLAGS["--disk"] = {**_FLAGS["--R"], "dest": "R", "metavar": "R"}
+
+
+class _Command(NamedTuple):
+    help: str
+    render: Callable[[RunConfig], tuple]
+    flags: str  # after --system (if there are systems), before -o and --format
+    systems: tuple[str, ...] = ()  # the --system choices
+    csv: bool = False  # tabular data: CSV unless --format says otherwise
+    defaults: dict | None = None  # where they differ from RunConfig's
+
+
+_PHASE = "--B --C --h"
+_COMMANDS: dict[str, _Command] = {
+    "gram": _Command("Gram matrix with deviation checks", _cmd_gram,
+                     f"{_PHASE} --alpha --beta --n --method", ("hermite", "ellipse", "ncho")),
+    "eigres": _Command("eigen-residual report", _cmd_eigres,
+                       f"{_PHASE} --alpha --beta --n", ("hermite", "ellipse")),
+    "transform": _Command("transform of the ground state on its grid", _cmd_transform,
+                          _PHASE, csv=True),
+    "ncho": _Command("two-component spectrum report", _cmd_ncho, "--alpha --h --n"),
+    "ellipse": _Command("derived constants / boundary trace", _cmd_ellipse,
+                        "--alpha --beta --rho --samples --n", defaults={"n": 6}),
+    "toeplitz": _Command("localization eigenvalues of a disk symbol", _cmd_toeplitz,
+                         "--disk --n", csv=True),
+    "certify": _Command("run a named certification suite", _cmd_certify,
+                        f"--suite {_PHASE} --alpha --beta --R --n --seed"),
 }
 
-# Commands whose natural artifact is tabular data.
-_CSV_DEFAULT = {"transform", "toeplitz"}
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="bargmann-lab", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help, argument_default=argparse.SUPPRESS)
+        if cmd.systems:
+            p.add_argument("--system", choices=cmd.systems, help="function family")
+        for flag in cmd.flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+        p.add_argument("-o", "--output", help="output file (default: stdout)")
+        p.add_argument("--format", choices=("json", "csv"), help="output format")
+        p.set_defaults(**(cmd.defaults or {}))
+    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +374,9 @@ def _render_csv(header: tuple, rows: list[tuple]) -> str:
 
 def run(cfg: RunConfig) -> int:
     """Execute one configuration; write the artifact; return the exit status."""
-    report, header, rows = _COMMANDS[cfg.command](cfg)
-    fmt = cfg.format or ("csv" if cfg.command in _CSV_DEFAULT else "json")
+    cmd = _COMMANDS[cfg.command]
+    report, header, rows = cmd.render(cfg)
+    fmt = cfg.format or ("csv" if cmd.csv else "json")
     if fmt == "json":
         text = json.dumps(report, indent=2) + "\n"
     else:
@@ -527,8 +407,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # on --help (status 0); surface the status to embedders as a return
         return int(exc.code or 0)
     try:
-        cfg = _config_from_namespace(ns)
-        return run(cfg)
+        return run(RunConfig(**vars(ns)))
     except (DomainError, OSError) as exc:
         # DegenerateEllipseError lands here too, message carrying the
         # classic-parameter hint.

@@ -149,6 +149,8 @@ def derived_constants(alpha: float, beta: float) -> EllipseParams:
         raise DomainError(f"alpha = {alpha} must be positive")
     if alpha == 1.0 and beta == 0.0:
         raise DegenerateEllipseError()
+    if not alpha * alpha + beta * beta < math.inf:
+        raise DomainError(f"alpha = {alpha}, beta = {beta}: alpha**2 + beta**2 overflows")
     s = alpha**2 + beta**2
     a = complex(s - 1, 2 * beta) / (s + 1)
     lam = 2 * alpha**2 / ((s + 1) * complex(s - 1, -2 * beta))

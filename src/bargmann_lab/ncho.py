@@ -63,6 +63,8 @@ class NchoParams:
             raise DomainError(
                 f"alpha = {self.alpha} must be > 1 (elliptic regime)"
             )
+        if not self.alpha * self.alpha < math.inf:
+            raise DomainError(f"alpha = {self.alpha}: alpha**2 overflows")
         if not self.h > 0:
             raise DomainError(f"h = {self.h} must be positive")
 

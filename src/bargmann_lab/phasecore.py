@@ -47,6 +47,10 @@ class PhaseParams:
             raise DomainError(f"Im(C) = {self.C.imag} must be positive")
         if not self.h > 0:
             raise DomainError(f"h = {self.h} must be positive")
+        if not 0 < abs(self.B) * abs(self.B) < math.inf:
+            raise DomainError(f"B = {self.B}: |B|**2 overflows or underflows")
+        if not abs(self.C) * abs(self.C) < math.inf:
+            raise DomainError(f"C = {self.C}: |C|**2 overflows")
 
     @property
     def C_phi(self) -> float:

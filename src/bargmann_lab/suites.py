@@ -11,6 +11,7 @@ Rodrigues formulas) so a pass certifies both routes at the stated tolerance.
 
 ``suite_all`` runs the whole certification battery on the reference parameter
 sets, one suite after another, and prefixes each check name with its suite.
+The ``*_checks`` functions are check groups that a suite and a CLI command share.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .bargmann import (
 from .hermite import HermiteSystem, gram_deviation
 from .ncho import NchoParams, combined_gram, spectrum_check
 from .ellipse import (
+    EllipseParams,
     Psi_n,
     Psi_n_ladder,
     bridge_params,
@@ -70,7 +72,13 @@ __all__ = [
     "suite_bridge",
     "suite_toeplitz",
     "suite_all",
+    "hermite_eigen_checks",
+    "hermite_gram_checks",
+    "ncho_residual_checks",
     "ellipse_gram",
+    "ellipse_route_checks",
+    "ellipse_eigen_checks",
+    "toeplitz_series_checks",
     "HERMITE_PARAM_SETS",
     "NCHO_ALPHAS",
     "NCHO_PLANCKS",
@@ -137,6 +145,12 @@ def _fmt_c(z: complex) -> str:
     return num(z.real) + sign + im
 
 
+def _eigen_checks(entries: list[dict], label: str) -> tuple[list[dict], list[dict]]:
+    """Entries ``{n, eigenvalue, residual}`` and one ``label[n=k]`` check each."""
+    checks = [check(f"{label}[n={e['n']}]", e["residual"], TOL_ALGEBRA) for e in entries]
+    return entries, checks
+
+
 # ---------------------------------------------------------------------------
 # rotated Gaussian integral
 # ---------------------------------------------------------------------------
@@ -175,6 +189,34 @@ def suite_gaussint(
 # ---------------------------------------------------------------------------
 
 
+def hermite_eigen_checks(sys_: HermiteSystem, n: int) -> tuple[list[dict], list[dict]]:
+    """Eigen-entries of phi_0..phi_{n-1} and their ``eig_residual[n=k]`` checks."""
+    entries = [
+        {"n": k, "eigenvalue": sys_.eigenvalue(k), "residual": sys_.eigen_residual(k)}
+        for k in range(n)
+    ]
+    return _eigen_checks(entries, "eig_residual")
+
+
+_GRAM_CHECKS = {
+    "exact": ("gram_exact_dev", TOL_ALGEBRA), "quadrature": ("gram_quad_dev", TOL_GRAM_QUAD)
+}
+
+
+def hermite_gram_checks(
+    sys_: HermiteSystem, n: int, methods: Sequence[str], suffix: str = ""
+) -> tuple[np.ndarray, list[dict]]:
+    """The first method's Gram matrix of phi_0..phi_{n-1}, and one deviation
+    check per method, named ``gram_{exact,quad}_dev`` + ``suffix``."""
+    checks, matrices = [], []
+    for method in methods:
+        G = sys_.gram_matrix(n, method=method)
+        name, tol = _GRAM_CHECKS[method]
+        checks.append(check(name + suffix, gram_deviation(G), tol))
+        matrices.append(G)
+    return matrices[0], checks
+
+
 def suite_hermite(
     B: complex, C: complex, h: float, n_res: int = 12, n_gram: int | None = None
 ) -> list[dict]:
@@ -182,21 +224,12 @@ def suite_hermite(
     if n_gram is None:
         n_gram = n_res
     sys_ = HermiteSystem.from_bch(B, C, h)
-    checks = []
-    for n in range(n_res):
-        checks.append(check(f"eig_residual[n={n}]", sys_.eigen_residual(n), TOL_ALGEBRA))
+    entries, checks = hermite_eigen_checks(sys_, n_res)
     if complex(B) == -1j and complex(C) == 1j:
-        dev = max(abs(sys_.eigenvalue(n) - (2 * n + 1) * h) for n in range(n_res))
+        dev = max(abs(e["eigenvalue"] - (2 * e["n"] + 1) * h) for e in entries)
         checks.append(check("classic_eigenvalue_dev", dev, TOL_ALGEBRA))
-    g_exact = sys_.gram_matrix(n_gram, method="exact")
-    checks.append(
-        check(f"gram_exact_dev[n<{n_gram}]", gram_deviation(g_exact), TOL_ALGEBRA)
-    )
-    g_quad = sys_.gram_matrix(n_gram, method="quadrature")
-    checks.append(
-        check(f"gram_quad_dev[n<{n_gram}]", gram_deviation(g_quad), TOL_GRAM_QUAD)
-    )
-    return checks
+    _, gram = hermite_gram_checks(sys_, n_gram, ("exact", "quadrature"), f"[n<{n_gram}]")
+    return checks + gram
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +296,20 @@ def suite_transform(
 # ---------------------------------------------------------------------------
 
 
+def ncho_residual_checks(p: NchoParams, n: int) -> tuple[list[dict], list[dict]]:
+    """Spectrum entries for n' < n, both signs, and their residual checks."""
+    entries = spectrum_check(p, n)
+    checks = [
+        check(f"residual[sign={e['sign']},n={e['n']}]", e["residual"], TOL_ALGEBRA)
+        for e in entries
+    ]
+    return entries, checks
+
+
 def suite_ncho(alpha: float, h: float, n_res: int = 11, n_gram: int = 9) -> list[dict]:
     """Vector eigen-residuals plus the combined (both signs) Gram deviation."""
     p = NchoParams(alpha, h)
-    checks = []
-    for row in spectrum_check(p, n_res):
-        checks.append(
-            check(f"residual[sign={row['sign']},n={row['n']}]", row["residual"], TOL_ALGEBRA)
-        )
+    _, checks = ncho_residual_checks(p, n_res)
     _, dev = combined_gram(p, n_gram)
     checks.append(check(f"combined_gram_dev[n<{n_gram}]", dev, TOL_ALGEBRA))
     return checks
@@ -306,25 +345,34 @@ def ellipse_gram(alpha: float, beta: float, n: int):
     return G, diag, dev
 
 
+def ellipse_route_checks(p: EllipseParams, n: int, suffix: str = "") -> list[dict]:
+    """The constants identity, and psi_0..psi_{n-1} by the Rodrigues vs. the
+    ladder route (named ``psi_routes_dev`` + ``suffix``)."""
+    identity = abs(p.a + 2 * p.lam - 1 / p.a.conjugate())
+    dev = max(coeff_deviation(psi_n(p, k).poly, psi_n_ladder(p, k).poly) for k in range(n))
+    return [
+        check("constants_identity_dev", identity, TOL_IDENTITY),
+        check(f"psi_routes_dev{suffix}", dev, TOL_IDENTITY),
+    ]
+
+
+def ellipse_eigen_checks(p: EllipseParams, n: int, label: str) -> tuple[list[dict], list[dict]]:
+    """Eigen-entries of H_ab Psi_k for k < n and their ``label[n=k]`` checks."""
+    _, _, H = ladder_diffops(p)
+    entries = []
+    for k in range(n):
+        mu = p.eigen_gap * (2 * k + 1)
+        res = relative_residual(H, Psi_n(p, k), mu)
+        entries.append({"n": k, "eigenvalue": mu, "residual": res})
+    return _eigen_checks(entries, label)
+
+
 def suite_ellipse(
     alpha: float, beta: float, n_eig: int = 11, n_gram: int = 7
 ) -> list[dict]:
     """Route agreement, quadrature norms, and oscillator residuals."""
     p = derived_constants(alpha, beta)
-    checks = []
-
-    checks.append(
-        check(
-            "constants_identity_dev",
-            abs(p.a + 2 * p.lam - 1 / p.a.conjugate()),
-            TOL_IDENTITY,
-        )
-    )
-
-    dev = max(
-        coeff_deviation(psi_n(p, n).poly, psi_n_ladder(p, n).poly) for n in range(n_eig)
-    )
-    checks.append(check(f"psi_routes_dev[n<{n_eig}]", dev, TOL_IDENTITY))
+    checks = ellipse_route_checks(p, n_eig, f"[n<{n_eig}]")
     dev = max(
         coeff_deviation(Psi_n(p, n).poly, Psi_n_ladder(p, n).poly) for n in range(n_eig)
     )
@@ -337,14 +385,11 @@ def suite_ellipse(
     )
     checks.append(check(f"psi_gram_rel_dev[n<{n_gram}]", dev, TOL_NORM_REL))
 
-    _, _, H = ladder_diffops(p)
-    for n in range(n_eig):
-        mu = p.eigen_gap * (2 * n + 1)
-        res = relative_residual(H, Psi_n(p, n), mu)
-        checks.append(check(f"H_residual[n={n}]", res, TOL_ALGEBRA))
+    checks += ellipse_eigen_checks(p, n_eig, "H_residual")[1]
 
     if (alpha, beta) == (2.0, 0.0):
         target = DiffOp({(0, 2): 1.0, (2, 0): 16.0}, h=1.0)
+        _, _, H = ladder_diffops(p)
         checks.append(
             check("operator_identity_dev", H.max_coeff_diff(target), TOL_IDENTITY)
         )
@@ -381,14 +426,20 @@ def suite_bridge(alpha: float, beta: float, n_max: int = 11) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+def toeplitz_series_checks(R: float, n: int) -> tuple[list[dict], list[dict]]:
+    """Series vs. radial disk eigenvalues for n' < n, and the radius round trip."""
+    entries = spectrum_rows(R, n)
+    checks = [
+        check(f"series_vs_radial[n={e['n']}]", e["abs_diff"], TOL_TOEPLITZ_SERIES)
+        for e in entries
+    ]
+    checks.append(check("radius_roundtrip", radius_roundtrip_error(R), TOL_ROUNDTRIP))
+    return entries, checks
+
+
 def suite_toeplitz(R: float, n_max: int = 11, n_matrix: int = 7) -> list[dict]:
     """Series vs. radial integrals, matrix diagonality, radius round-trip."""
-    checks = []
-    for row in spectrum_rows(R, n_max):
-        checks.append(
-            check(f"series_vs_radial[n={row['n']}]", row["abs_diff"], TOL_TOEPLITZ_SERIES)
-        )
-    checks.append(check("radius_roundtrip", radius_roundtrip_error(R), TOL_ROUNDTRIP))
+    _, checks = toeplitz_series_checks(R, n_max)
 
     sym = RadialSymbol.indicator(R)
     G = toeplitz_block_quad(sym, n_matrix)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from bargmann_lab import cli, suites
+from bargmann_lab import HermiteSystem, cli, suites, transform
 
 
 # ------------------------------------------------------------ flag parsing
@@ -117,13 +117,33 @@ def test_domain_error_is_exit_1(capsys):
     (["certify", "--suite", "toeplitz", "--R", "-2"], "--R"),
     (["ellipse", "--rho", "0"], "--rho"),
     (["ellipse", "--rho", "-1"], "--rho"),
+    (["certify", "--suite", "transform", "--seed", "-1"], "--seed"),
+    (["certify", "--suite", "all", "--seed=-5"], "--seed"),
 ], ids=["h", "alpha", "beta", "disk", "R", "rho", "B", "C", "samples-5", "samples0",
-        "h0", "ncho-h-1", "disk0", "R-2", "rho0", "rho-1"])
+        "h0", "ncho-h-1", "disk0", "R-2", "rho0", "rho-1", "seed-1", "seed-5"])
 def test_bad_flag_is_rejected_at_the_boundary(tmp_path, capsys, argv, flag):
     out = tmp_path / "artifact"
     assert cli.main([*argv, "-o", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag} = ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["eigres", "--B=1e300"], "B"),
+    (["eigres", "--C=1e300i"], "C"),
+    (["eigres", "--B=1e-170"], "B"),
+    (["transform", "--B=1e-300"], "B"),
+    (["ellipse", "--alpha", "1e300"], "alpha"),
+    (["gram", "--system", "ellipse", "--beta", "1e300"], "beta"),
+    (["ncho", "--alpha", "1e200"], "alpha"),
+], ids=["B-big", "C-big", "B-small", "transform-B-small", "alpha", "beta", "ncho-alpha"])
+def test_parameter_whose_square_overflows_is_a_domain_error(tmp_path, capsys, argv, name):
+    out = tmp_path / "artifact"
+    assert cli.main([*argv, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{name} = " in err
     assert not out.exists()
 
 
@@ -190,6 +210,64 @@ def test_saturated_disk_roundtrip_is_exit_2(tmp_path, capsys):
     assert "radius_roundtrip" in capsys.readouterr().err
     checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
     assert checks["radius_roundtrip"]["measured"] == math.inf
+
+
+# ------------------------------------------- the CLI renders suite results
+
+
+# (command, the matching suite call, CLI check name -> suite check name)
+@pytest.mark.parametrize("argv,suite_checks,names", [
+    (["eigres", "--B", "3", "--C", "1+2i", "--h", "0.5", "--n", "5"],
+     lambda: suites.suite_hermite(3, 1 + 2j, 0.5, n_res=5, n_gram=1),
+     {f"eig_residual[n={k}]": f"eig_residual[n={k}]" for k in range(5)}),
+    (["eigres", "--system", "ellipse", "--alpha", "0.5", "--beta", "3", "--n", "5"],
+     lambda: suites.suite_ellipse(0.5, 3.0, n_eig=5, n_gram=1),
+     {f"eig_residual[n={k}]": f"H_residual[n={k}]" for k in range(5)}),
+    (["ncho", "--alpha", "3", "--h", "0.5", "--n", "4"],
+     lambda: suites.suite_ncho(3.0, 0.5, n_res=4, n_gram=1),
+     {f"residual[sign={s},n={k}]": f"residual[sign={s},n={k}]"
+      for k in range(4) for s in "+-"}),
+    (["toeplitz", "--disk", "3", "--n", "6", "--format", "json"],
+     lambda: suites.suite_toeplitz(3.0, n_max=6, n_matrix=1),
+     {**{f"series_vs_radial[n={k}]": f"series_vs_radial[n={k}]" for k in range(6)},
+      "radius_roundtrip": "radius_roundtrip"}),
+    (["ellipse", "--alpha", "2", "--beta", "1", "--n", "4", "--format", "json"],
+     lambda: suites.suite_ellipse(2.0, 1.0, n_eig=4, n_gram=1),
+     {"constants_identity_dev": "constants_identity_dev",
+      "psi_routes_dev": "psi_routes_dev[n<4]"}),
+    (["gram", "--B=-0.7+0.2i", "--C", "0.3+0.8i", "--n", "4", "--method", "both"],
+     lambda: suites.suite_hermite(-0.7 + 0.2j, 0.3 + 0.8j, 1.0, n_res=1, n_gram=4),
+     {"gram_exact_dev": "gram_exact_dev[n<4]", "gram_quad_dev": "gram_quad_dev[n<4]"}),
+    (["gram", "--system", "ellipse", "--alpha", "2", "--beta", "1", "--n", "3"],
+     lambda: suites.suite_ellipse(2.0, 1.0, n_eig=1, n_gram=3),
+     {"gram_rel_dev": "psi_gram_rel_dev[n<3]"}),
+    (["gram", "--system", "ncho", "--alpha", "3", "--h", "0.5", "--n", "3"],
+     lambda: suites.suite_ncho(3.0, 0.5, n_res=1, n_gram=3),
+     {"combined_gram_dev": "combined_gram_dev[n<3]"}),
+], ids=["eigres-hermite", "eigres-ellipse", "ncho", "toeplitz", "ellipse",
+        "gram-hermite", "gram-ellipse", "gram-ncho"])
+def test_command_measures_what_its_suite_measures(tmp_path, argv, suite_checks, names):
+    out = tmp_path / "report.json"
+    assert cli.main([*argv, "-o", str(out)]) == 0
+    rendered = {c["name"]: c["measured"] for c in json.loads(out.read_text())["checks"]}
+    computed = {c["name"]: c["measured"] for c in suite_checks()}
+    assert set(rendered) == set(names)
+    for name, suite_name in names.items():
+        assert rendered[name] == computed[suite_name], name
+
+
+def test_transform_renders_the_closed_form_on_its_grid(tmp_path):
+    rows, rep = tmp_path / "t.csv", tmp_path / "t.json"
+    args = ["transform", "--B", "2", "--C", "0.5+1i", "--h", "0.5"]
+    assert cli.main([*args, "-o", str(rows)]) == 0
+    assert cli.main([*args, "--format", "json", "-o", str(rep)]) == 0
+    lines = rows.read_text().splitlines()
+    assert lines[0] == "re(node),im(node),weight,re(value),im(value)"
+    assert len(lines) == 1 + 25_600
+    hs = HermiteSystem.from_bch(2, 0.5 + 1j, 0.5)
+    U = transform(hs.params, hs.hermite_phi(0))
+    poly = json.loads(rep.read_text())["result"]["poly"]
+    assert poly == [[c.real, c.imag] for c in U.poly.coeffs]
 
 
 # -------------------------------------------------------------- determinism
