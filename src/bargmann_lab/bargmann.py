@@ -14,7 +14,10 @@ complex x+iy on the plane) and positive float ``weights``.  Every integrand
 below is one expression on the node array: the ``phasecore`` functions and
 ``ComplexPoly.__call__`` accept arrays, and the exponents of all factors are
 summed before a single ``np.exp``, because a factor alone can overflow where
-the product is negligible.
+the product is negligible.  What does not change between the sums on one grid
+is computed once: the projector takes U itself, not samples of it, and
+evaluates its polynomial and exponent once for all its points; ``gram_HPhi``
+computes one exponential factor for all pairs of functions with one exponent.
 
 Gauss rules are computed once per process: ``_gauss_rule`` fills a private
 cache, keyed by family and node count, on first use and hands out the same
@@ -68,6 +71,7 @@ __all__ = [
     "adjoint_quad",
     "projector_apply",
     "inner_product_HPhi",
+    "gram_HPhi",
     "grid_values",
 ]
 
@@ -319,9 +323,9 @@ def polar_grid(
 # ---------------------------------------------------------------------------
 
 
-def grid_values(fn: Callable[[complex], complex], grid: QuadGrid) -> np.ndarray:
-    """Evaluate a callable on every node (complex nodes for planar grids)."""
-    return np.asarray([fn(z) for z in grid.nodes], dtype=complex)
+def grid_values(fn: Callable[[np.ndarray], np.ndarray], grid: QuadGrid) -> np.ndarray:
+    """Values of ``fn`` (a ``HoloGauss``, say) on the node array, in one call."""
+    return np.asarray(fn(grid.nodes), dtype=complex)
 
 
 def _check_truncation(total_mass, shell_mass) -> None:
@@ -451,22 +455,25 @@ def adjoint_quad(
 
 
 def projector_apply(
-    p: PhaseParams,
-    U_values: Sequence[complex],
-    z: complex,
-    grid: QuadGrid,
-) -> complex:
-    """Projector (C_Phi/h) integral e^{2 Psi(z, conj zeta)/h} U(zeta) e^{-2 Phi/h}.
+    p: PhaseParams, U: HoloGauss, points: Sequence[complex], grid: QuadGrid
+) -> list[complex]:
+    """Projector (C_Phi/h) integral e^{2 Psi(z, conj zeta)/h} U(zeta) e^{-2 Phi/h}
+    at each of ``points``; reproduces U(z) for U in the weighted holomorphic
+    class the grid resolves.  Only ``U.poly``, ``U.c2`` and ``U.c1`` are read.
 
-    ``U_values`` are samples of U on ``grid`` (grid-function representation;
-    no interpolation happens).  Reproduces U(z) when U is a member of the
-    weighted holomorphic class resolved by the grid.
+    ``U.poly`` on the nodes and the exponent ``c2 zeta^2 + c1 zeta - 2 Phi/h``
+    are computed once; each point adds its ``2 Psi/h`` before its one
+    ``np.exp`` and is its own sum, with its own truncation check.
     """
     zs = grid.nodes
-    vals = np.asarray(U_values, dtype=complex) * np.exp(
-        2.0 * kernel_Psi(p, z, zs.conjugate()) / p.h - 2.0 * weight_Phi(p, zs) / p.h
-    )
-    return p.C_Phi / p.h * _quad_sum(grid, vals)
+    poly = U.poly(zs)
+    exponent = U.c2 * zs * zs + U.c1 * zs - 2.0 * weight_Phi(p, zs) / p.h
+    zbar = zs.conjugate()
+    return [
+        p.C_Phi / p.h
+        * _quad_sum(grid, poly * np.exp(exponent + 2.0 * kernel_Psi(p, z, zbar) / p.h))
+        for z in points
+    ]
 
 
 def inner_product_HPhi(
@@ -495,3 +502,29 @@ def inner_product_HPhi(
     )
     return _quad_sum(g, vals)
 
+
+def gram_HPhi(p: PhaseParams, fs: Sequence[HoloGauss], n: int = 160) -> list[list[complex]]:
+    """Gram matrix ``[inner_product_HPhi(p, fs[j], fs[k])]`` of functions
+    sharing one exponent ``(c2, c1)``, else ``DomainError``.
+
+    All pairs then share the grid and the exponential factor, computed once;
+    each entry is the product and sum of :func:`inner_product_HPhi`, equal
+    to it bit for bit.  The lower triangle conjugates the upper one, with
+    ``0.0 - imag`` so that an exactly cancelled entry stays ``+0.0``.
+    """
+    U = fs[0]
+    if any(f.c2 != U.c2 or f.c1 != U.c1 for f in fs):
+        raise DomainError("gram_HPhi needs functions with one exponent")
+    grid = hphi_grid(p, U, U, n)
+    zs = grid.nodes
+    e = U.c2 * zs * zs + U.c1 * zs
+    weighted = np.exp(e + np.conj(e) - 2.0 * weight_Phi(p, zs) / p.h)
+    polys = [f.poly(zs) for f in fs]
+    conjs = [np.conj(v) for v in polys]
+    G = [[0j] * len(fs) for _ in fs]
+    for j, pj in enumerate(polys):
+        for k in range(j, len(fs)):
+            g = _quad_sum(grid, pj * conjs[k] * weighted)
+            G[k][j] = complex(g.real, 0.0 - g.imag)
+            G[j][k] = g
+    return G

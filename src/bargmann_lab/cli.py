@@ -50,7 +50,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .gaussalg import DEGREE_CAP, DomainError
 from .phasecore import params_to_dict
-from .bargmann import grid_values, hphi_grid, inner_product_HPhi, transform, transform_quad
+from .bargmann import grid_values, hphi_grid, inner_product_HPhi, transform
 from .hermite import HermiteSystem
 from .ncho import NchoParams, combined_gram
 from .ellipse import bridge_params, derived_constants, ellipse_trace
@@ -211,10 +211,7 @@ def _cmd_transform(cfg: RunConfig):
     U = transform(p, f0)
     grid = hphi_grid(p, U, U)
     values = grid_values(U, grid)
-
-    dev = max(
-        abs(U(z) - transform_quad(p, f0, z)) for z in (0.3 + 0.1j, -0.8 + 0.5j, 1.1 - 0.9j)
-    )
+    dev = suites.closed_vs_quad_dev(p, f0, U)
     norm_sq = inner_product_HPhi(p, U, U, grid=grid)
     checks = [
         suites.check("closed_vs_quad", dev, suites.TOL_TRANSFORM_QUAD),

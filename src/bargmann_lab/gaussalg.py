@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 #: Hard cap on stored polynomial degree.  High enough for every certified
 #: index range (n <= 20 eigenfunctions, Gram blocks to n = 15, products of
 #: those), low enough to catch runaway recursions immediately.
@@ -312,7 +314,9 @@ class HoloGauss:
     c1: complex = 0j
 
     def __call__(self, z: complex) -> complex:
-        return self.poly(z) * cmath.exp(self.c2 * z * z + self.c1 * z)
+        """Value at ``z``; ``z`` may also be a numpy array of points."""
+        exp = np.exp if isinstance(z, np.ndarray) else cmath.exp
+        return self.poly(z) * exp(self.c2 * z * z + self.c1 * z)
 
     @property
     def is_zero(self) -> bool:
@@ -630,19 +634,19 @@ def apply_diffop(op: DiffOp, f: PolyGauss) -> PolyGauss:
     return PolyGauss(ComplexPoly(tuple(acc)), f.gamma2, f.gamma1)
 
 
-def relative_residual(op: DiffOp, f: PolyGauss, mu: complex) -> float:
-    """Eigen-residual ||op f - mu f|| / ||f||, exact.
-
-    Returns ``inf`` when the residual cannot be evaluated: the norm of f
-    evaluates to zero (past the float64 cancellation floor at high degree),
-    or ``op f`` would exceed :data:`DEGREE_CAP`.  Such a residual must not
-    certify.
-    """
-    denom = norm_line(f)
-    if denom == 0.0:
-        return math.inf
+def _residual_ratio(norm, apply, f, mu: complex) -> float:
+    """``norm(apply(f) - mu f) / norm(f)``, or ``inf`` (which must not certify)
+    where that cannot be evaluated: ``norm(f)`` is zero (past the float64
+    cancellation floor), ``apply(f)`` exceeds :data:`DEGREE_CAP` (a
+    ``ValueError``), or an exact sum meets non-finite terms (``fsum`` raises)."""
     try:
-        image = apply_diffop(op, f)
-    except DegreeCapError:
+        denom = norm(f)
+        return norm(apply(f).add(f.scale(-mu))) / denom if denom else math.inf
+    except (ValueError, OverflowError):
         return math.inf
-    return norm_line(image.add(f.scale(-mu))) / denom
+
+
+def relative_residual(op: DiffOp, f: PolyGauss, mu: complex) -> float:
+    """Eigen-residual ||op f - mu f|| / ||f||, exact, or ``inf`` where it
+    cannot be evaluated (see :func:`_residual_ratio`)."""
+    return _residual_ratio(norm_line, lambda g: apply_diffop(op, g), f, mu)

@@ -28,10 +28,10 @@ import math
 from dataclasses import dataclass
 
 from .gaussalg import (
-    DegreeCapError,
     DiffOp,
     DomainError,
     PolyGauss,
+    _residual_ratio,
     apply_diffop,
     inner_product_line,
 )
@@ -164,8 +164,8 @@ def spectrum_check(p: NchoParams, N: int) -> list[dict]:
     Returns entries ``{"sign", "n", "lambda", "residual"}`` ordered by
     (n, sign), i.e. by increasing eigenvalue with the double multiplicity
     adjacent.  As in :func:`~bargmann_lab.gaussalg.relative_residual`, a
-    residual that cannot be evaluated (||Phi|| evaluates to zero, or
-    ``Q Phi`` would exceed the degree cap) is ``inf``.
+    residual that cannot be evaluated (||Phi|| evaluates to zero, ``Q Phi``
+    would exceed the degree cap, or a sum meets non-finite terms) is ``inf``.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
@@ -186,14 +186,7 @@ def spectrum_check(p: NchoParams, N: int) -> list[dict]:
 
 def _vec_residual(p: NchoParams, F: VecFun2, lam: float) -> float:
     """||Q F - lam F|| / ||F||, or ``inf`` where it cannot be evaluated."""
-    denom = vec_norm(F)
-    if denom == 0.0:
-        return math.inf
-    try:
-        image = apply_Q(p, F)
-    except DegreeCapError:
-        return math.inf
-    return vec_norm(image.add(F.scale(-lam))) / denom
+    return _residual_ratio(vec_norm, lambda G: apply_Q(p, G), F, lam)
 
 
 def combined_gram(p: NchoParams, n: int) -> tuple[list[list[complex]], float]:

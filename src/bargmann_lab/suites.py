@@ -26,6 +26,7 @@ from scipy.integrate import quad as _adaptive_quad
 from .gaussalg import (
     ComplexPoly,
     DiffOp,
+    HoloGauss,
     PolyGauss,
     coeff_deviation,
     gauss_integral,
@@ -34,13 +35,13 @@ from .gaussalg import (
 )
 from .phasecore import PhaseParams, canonical_A
 from .bargmann import (
+    gram_HPhi,
     hphi_grid,
     inner_product_HPhi,
     projector_apply,
     transform,
     transform_quad,
     adjoint_quad,
-    grid_values,
 )
 from .hermite import HermiteSystem, gram_deviation
 from .ncho import NchoParams, combined_gram, spectrum_check
@@ -76,6 +77,7 @@ __all__ = [
     "hermite_gram_checks",
     "ncho_residual_checks",
     "ellipse_gram",
+    "closed_vs_quad_dev",
     "ellipse_route_checks",
     "ellipse_eigen_checks",
     "toeplitz_series_checks",
@@ -248,6 +250,18 @@ def _random_polygauss(rng: np.random.Generator) -> PolyGauss:
     return PolyGauss(ComplexPoly.from_coeffs(coeffs), gamma2, gamma1)
 
 
+def _worst(devs) -> float:
+    """The largest deviation; NaN if any is (``max`` keeps only a first NaN)."""
+    return float(np.max(list(devs)))
+
+
+def closed_vs_quad_dev(p: PhaseParams, f: PolyGauss, U: HoloGauss) -> float:
+    """Largest |U(z) - transform_quad(p, f, z)| at three points; U = T f."""
+    return _worst(
+        abs(U(z) - transform_quad(p, f, z)) for z in (0.3 + 0.1j, -0.8 + 0.5j, 1.1 - 0.9j)
+    )
+
+
 def suite_transform(
     B: complex,
     C: complex,
@@ -261,32 +275,23 @@ def suite_transform(
     rng = np.random.default_rng(seed)
     checks = []
 
-    worst = 0.0
     pairs = [(_random_polygauss(rng), _random_polygauss(rng)) for _ in range(n_pairs)]
-    for f, g in pairs:
-        lhs = inner_product_HPhi(p, transform(p, f), transform(p, g))
-        rhs = inner_product_line(f, g)
-        worst = max(worst, abs(lhs - rhs))
+    worst = _worst(
+        abs(inner_product_HPhi(p, transform(p, f), transform(p, g)) - inner_product_line(f, g))
+        for f, g in pairs
+    )
     checks.append(check(f"unitarity_max_dev[pairs={n_pairs}]", worst, TOL_UNITARITY))
 
     f0 = pairs[0][0]
     U = transform(p, f0)
-    grid = hphi_grid(p, U, U)
-    vals = grid_values(U, grid)
-    worst = 0.0
-    for _ in range(n_points):
-        z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-        worst = max(worst, abs(projector_apply(p, vals, z, grid) - U(z)))
+    points = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(n_points)]
+    reproduced = projector_apply(p, U, points, hphi_grid(p, U, U))
+    worst = _worst(abs(v - U(z)) for v, z in zip(reproduced, points))
     checks.append(check(f"reproducing_max_dev[points={n_points}]", worst, TOL_UNITARITY))
+    dev = closed_vs_quad_dev(p, f0, U)
+    checks.append(check("transform_closed_vs_quad", dev, TOL_TRANSFORM_QUAD))
 
-    worst = 0.0
-    for z in (0.3 + 0.1j, -0.8 + 0.5j, 1.1 - 0.9j):
-        worst = max(worst, abs(transform(p, f0)(z) - transform_quad(p, f0, z)))
-    checks.append(check("transform_closed_vs_quad", worst, TOL_TRANSFORM_QUAD))
-
-    worst = 0.0
-    for x in (-1.2, -0.3, 0.0, 0.7, 1.6):
-        worst = max(worst, abs(adjoint_quad(p, U, x) - f0(x)))
+    worst = _worst(abs(adjoint_quad(p, U, x) - f0(x)) for x in (-1.2, -0.3, 0.0, 0.7, 1.6))
     checks.append(check("adjoint_roundtrip_max", worst, TOL_UNITARITY))
     return checks
 
@@ -325,23 +330,14 @@ def ellipse_gram(alpha: float, beta: float, n: int):
 
     Returns ``(G, diag, dev)``: G as nested lists, the closed-form diagonal
     ``n! (lambda/a)^n ||psi_0||^2``, and the largest deviation from it,
-    relative to ``sqrt(diag_m diag_n)``.  The upper triangle and diagonal
-    are computed; the lower triangle mirrors them as in
-    :meth:`HermiteSystem.gram_matrix`.
+    relative to ``sqrt(diag_m diag_n)``.  The psi_k share one exponent, so
+    :func:`~bargmann_lab.bargmann.gram_HPhi` computes G on one grid.
     """
     p = derived_constants(alpha, beta)
-    pc = PhaseParams.classic()
-    psis = [psi_n(p, k) for k in range(n)]
     diag = [math.factorial(k) * p.lam_over_a**k * p.norm_psi0_sq for k in range(n)]
-    G = [[0j] * n for _ in range(n)]
-    dev = 0.0
-    for m_ in range(n):
-        for n_ in range(m_, n):
-            g = inner_product_HPhi(pc, psis[m_], psis[n_])
-            G[n_][m_] = complex(g.real, 0.0 - g.imag)
-            G[m_][n_] = g
-            closed = diag[n_] if m_ == n_ else 0.0
-            dev = max(dev, abs(g - closed) / math.sqrt(diag[m_] * diag[n_]))
+    G = gram_HPhi(PhaseParams.classic(), [psi_n(p, k) for k in range(n)])
+    dev = _worst(abs(G[j][k] - (diag[k] if j == k else 0.0)) / math.sqrt(diag[j] * diag[k])
+                 for j in range(n) for k in range(j, n))
     return G, diag, dev
 
 

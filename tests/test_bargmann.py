@@ -8,15 +8,17 @@ functions while moving anti-holomorphic impostors.
 
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from bargmann_lab import bargmann
+from bargmann_lab import bargmann, cli, suites
 from bargmann_lab.bargmann import (
     adjoint_quad,
+    gram_HPhi,
     grid_values,
     hphi_grid,
     inner_product_HPhi,
@@ -28,7 +30,7 @@ from bargmann_lab.bargmann import (
     transform_quad,
 )
 from bargmann_lab.ellipse import derived_constants, psi0
-from bargmann_lab.gaussalg import ComplexPoly, PolyGauss, inner_product_line
+from bargmann_lab.gaussalg import ComplexPoly, DomainError, PolyGauss, inner_product_line
 from bargmann_lab.hermite import HermiteSystem
 from bargmann_lab.phasecore import PhaseParams, canonical_A, kernel_Psi, phi_phase, weight_Phi
 from bargmann_lab.toeplitz import RadialSymbol, toeplitz_matrix_quad
@@ -127,9 +129,8 @@ def test_projector_reproduces_basis_element():
     hs = HermiteSystem(CLASSIC)
     v2 = hs.monomial_basis(2)
     grid = hphi_grid(CLASSIC, v2, v2)
-    vals = grid_values(v2, grid)
     z = 0.4 - 0.2j
-    assert abs(projector_apply(CLASSIC, vals, z, grid) - v2(z)) <= 1e-6
+    assert abs(projector_apply(CLASSIC, v2, [z], grid)[0] - v2(z)) <= 1e-6
 
 
 def test_projector_reproduces_transformed_functions():
@@ -137,10 +138,9 @@ def test_projector_reproduces_transformed_functions():
     for p in (CLASSIC, GENERAL):
         U = transform(p, _random_polygauss(rng))
         grid = hphi_grid(p, U, U)
-        vals = grid_values(U, grid)
         for _ in range(10):
             z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-            assert abs(projector_apply(p, vals, z, grid) - U(z)) <= TOL_PLANE
+            assert abs(projector_apply(p, U, [z], grid)[0] - U(z)) <= TOL_PLANE
 
 
 def test_projector_moves_antiholomorphic_function():
@@ -148,9 +148,9 @@ def test_projector_moves_antiholomorphic_function():
     hs = HermiteSystem(CLASSIC)
     v1 = hs.monomial_basis(1)
     grid = hphi_grid(CLASSIC, v1, v1)
-    vals = grid_values(lambda z: complex(z).conjugate(), grid)
+    conj = SimpleNamespace(poly=np.conjugate, c2=0j, c1=0j)
     z = 0.9 + 0.4j
-    residual = abs(projector_apply(CLASSIC, vals, z, grid) - z.conjugate())
+    residual = abs(projector_apply(CLASSIC, conj, [z], grid)[0] - z.conjugate())
     assert residual > 0.1
 
 
@@ -178,8 +178,16 @@ def test_array_path_matches_per_node_reference():
     want = p.C_phi * p.h ** (-0.75) * ref_sum(grid, adjoint_term)
     assert adjoint_quad(p, U, x, grid=grid) == pytest.approx(want, rel=1e-12)
     want = p.C_Phi / p.h * ref_sum(grid, projector_term)
-    got = projector_apply(p, grid_values(U, grid), z, grid)
+    got = projector_apply(p, U, [z], grid)[0]
     assert got == pytest.approx(want, rel=1e-12)
+
+    # several points in one call: each is the sum of its own per-node reference
+    points = [z, -1.1 + 0.7j, 0.05j, 1.4 - 1.3j]
+    for z, got in zip(points, projector_apply(p, U, points, grid)):
+        want = p.C_Phi / p.h * ref_sum(grid, projector_term)
+        assert got == pytest.approx(want, rel=1e-12)
+    per_node = [U(zeta) for zeta in grid.nodes.tolist()]
+    np.testing.assert_allclose(grid_values(U, grid), per_node, rtol=1e-12, atol=0)
 
     sym = RadialSymbol.gaussian(0.5)
     polar = polar_grid(9.0, n_r=40, n_theta=16)
@@ -192,6 +200,12 @@ def test_array_path_matches_per_node_reference():
                        * varphi(n, zeta).conjugate() * math.exp(-abs(zeta) ** 2 / 2))
         got = toeplitz_matrix_quad(sym, m, n, grid=polar)
         assert abs(got - want) <= 1e-12 * max(abs(want), 1e-3)
+
+
+def test_gram_HPhi_needs_one_exponent():
+    p = derived_constants(2.0, 1.0)
+    with pytest.raises(DomainError, match="one exponent"):
+        gram_HPhi(CLASSIC, [psi0(p), HermiteSystem(CLASSIC).monomial_basis(1)])
 
 
 def test_grid_arrays_are_read_only():
@@ -312,3 +326,14 @@ def test_cached_rules_give_the_grids_of_a_fresh_build():
         for grid, (nodes, weights) in grids:
             assert np.array_equal(grid.nodes, nodes)
             assert np.array_equal(grid.weights, weights)
+
+
+def test_transform_oracle_keeps_a_nan_deviation(monkeypatch, tmp_path, capsys):
+    # a NaN quadrature value must fail the check, not vanish in a running max
+    monkeypatch.setattr(suites, "transform_quad", lambda *args, **kwargs: math.nan)
+    checks = {c["name"]: c for c in suites.suite_transform(3.0, 1 + 2j, 0.5, 1, 1)}
+    oracle = checks["transform_closed_vs_quad"]
+    assert math.isnan(oracle["measured"]) and not oracle["pass"]
+    out = tmp_path / "t.json"
+    assert cli.main(["transform", "--format", "json", "-o", str(out)]) == 2
+    assert "closed_vs_quad" in capsys.readouterr().err

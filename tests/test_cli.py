@@ -183,7 +183,8 @@ def test_unevaluable_ellipse_residual_is_exit_2(tmp_path, capsys, args):
     ["ncho", "--n", "40"],
     ["certify", "--suite", "ncho", "--n", "41"],
     ["ncho", "--n", "64"],
-], ids=["ncho-n40", "certify-n41", "ncho-n64-degree-cap"])
+    ["ncho", "--h", "1e300"],
+], ids=["ncho-n40", "certify-n41", "ncho-n64-degree-cap", "ncho-h1e300"])
 def test_unevaluable_ncho_residual_is_exit_2(tmp_path, capsys, args):
     # ||Phi_39|| evaluates to zero, and Q Phi_63 would pass the degree cap
     out = tmp_path / "ncho.json"
@@ -192,6 +193,26 @@ def test_unevaluable_ncho_residual_is_exit_2(tmp_path, capsys, args):
     checks = json.loads(out.read_text())["checks"]
     assert any(c["name"].startswith("residual") and c["measured"] == math.inf
                for c in checks)
+
+
+def test_unevaluable_hermite_residual_is_exit_2(tmp_path, capsys):
+    # at h = 1e300 the exact residual sum meets inf - inf: reported as inf
+    out = tmp_path / "eig.json"
+    assert cli.main(["eigres", "--h", "1e300", "--format", "json", "-o", str(out)]) == 2
+    capsys.readouterr()
+    checks = json.loads(out.read_text())["checks"]
+    assert any(c["name"].startswith("eig_residual") and c["measured"] == math.inf
+               for c in checks)
+
+
+def test_projector_overflow_seed_passes(tmp_path):
+    # U alone overflows on this grid; the projector's integrand does not
+    out = tmp_path / "t.json"
+    argv = ["certify", "--suite", "transform", "--B=-2", "--C=0.5i", "--h=2",
+            "--seed=1834948940", "-o", str(out)]
+    assert cli.main(argv) == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["reproducing_max_dev[points=10]"]["pass"]
 
 
 def test_tiny_disk_radius_roundtrips(tmp_path):

@@ -33,7 +33,7 @@ from bargmann_lab.ellipse import (
 from bargmann_lab.gaussalg import DiffOp, apply_diffop, inner_product_line, norm_line
 from bargmann_lab.hermite import HermiteSystem
 from bargmann_lab.phasecore import PhaseParams
-from bargmann_lab.suites import ellipse_gram
+from bargmann_lab.suites import ELLIPSE_SETS, ellipse_gram
 
 CLASSIC = PhaseParams(0.5j, -1j, 1j, 1.0)
 SETS = [(2.0, 0.0), (2.0, 1.0), (0.5, 3.0)]
@@ -301,3 +301,22 @@ def test_ellipse_gram_diagonal_is_the_direct_evaluation():
             g = inner_product_HPhi(pc, psis[m], psis[n])
             assert repr(G[m][n]) == repr(g)
             assert repr(G[n][m]) == repr(g if m == n else complex(g.real, 0.0 - g.imag))
+
+
+@pytest.mark.parametrize("alpha,beta", ELLIPSE_SETS)
+def test_ellipse_gram_is_the_per_pair_inner_product(alpha, beta):
+    # one shared grid and exponential factor give every entry bit for bit
+    n = 7
+    G, diag, dev = ellipse_gram(alpha, beta, n)
+    p = derived_constants(alpha, beta)
+    pc = PhaseParams.classic()
+    psis = [psi_n(p, k) for k in range(n)]
+    want_dev = 0.0
+    for m in range(n):
+        for k in range(m, n):
+            g = inner_product_HPhi(pc, psis[m], psis[k])
+            assert repr(G[m][k]) == repr(g)
+            assert repr(G[k][m]) == repr(g if m == k else complex(g.real, 0.0 - g.imag))
+            closed = diag[k] if m == k else 0.0
+            want_dev = max(want_dev, abs(g - closed) / math.sqrt(diag[m] * diag[k]))
+    assert repr(dev) == repr(want_dev)
