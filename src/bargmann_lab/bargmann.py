@@ -503,7 +503,7 @@ def inner_product_HPhi(
     return _quad_sum(g, vals)
 
 
-def gram_HPhi(p: PhaseParams, fs: Sequence[HoloGauss], n: int = 160) -> list[list[complex]]:
+def gram_HPhi(p: PhaseParams, fs: Sequence[HoloGauss]) -> list[list[complex]]:
     """Gram matrix ``[inner_product_HPhi(p, fs[j], fs[k])]`` of functions
     sharing one exponent ``(c2, c1)``, else ``DomainError``.
 
@@ -515,7 +515,7 @@ def gram_HPhi(p: PhaseParams, fs: Sequence[HoloGauss], n: int = 160) -> list[lis
     U = fs[0]
     if any(f.c2 != U.c2 or f.c1 != U.c1 for f in fs):
         raise DomainError("gram_HPhi needs functions with one exponent")
-    grid = hphi_grid(p, U, U, n)
+    grid = hphi_grid(p, U, U)
     zs = grid.nodes
     e = U.c2 * zs * zs + U.c1 * zs
     weighted = np.exp(e + np.conj(e) - 2.0 * weight_Phi(p, zs) / p.h)

@@ -637,12 +637,14 @@ def apply_diffop(op: DiffOp, f: PolyGauss) -> PolyGauss:
 def _residual_ratio(norm, apply, f, mu: complex) -> float:
     """``norm(apply(f) - mu f) / norm(f)``, or ``inf`` (which must not certify)
     where that cannot be evaluated: ``norm(f)`` is zero (past the float64
-    cancellation floor), ``apply(f)`` exceeds :data:`DEGREE_CAP` (a
-    ``ValueError``), or an exact sum meets non-finite terms (``fsum`` raises)."""
+    cancellation floor), ``apply(f)`` exceeds :data:`DEGREE_CAP`, or an exact
+    sum meets non-finite terms (``fsum`` raises).  Other DomainErrors propagate."""
     try:
         denom = norm(f)
         return norm(apply(f).add(f.scale(-mu))) / denom if denom else math.inf
-    except (ValueError, OverflowError):
+    except (ValueError, OverflowError) as e:
+        if isinstance(e, DomainError) and not isinstance(e, DegreeCapError):
+            raise
         return math.inf
 
 

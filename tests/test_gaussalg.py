@@ -31,6 +31,7 @@ from bargmann_lab.gaussalg import (
     inner_product_line,
     norm_line,
     _convolve,
+    _residual_ratio,
     _moments,
 )
 
@@ -427,6 +428,20 @@ def test_diffop_compose_associative():
         left = a.compose(b).compose(c)
         right = a.compose(b.compose(c))
         assert left.max_coeff_diff(right) <= 1e-12
+
+
+def test_residual_ratio_is_inf_only_where_it_cannot_be_evaluated():
+    f = PolyGauss(ComplexPoly((1.0 + 0j,)), -0.5 + 0j, 0j)
+
+    def raising(err):
+        def apply(g):
+            raise err
+        return apply
+
+    assert _residual_ratio(norm_line, raising(DegreeCapError("cap")), f, 1.0) == math.inf
+    assert _residual_ratio(norm_line, raising(ValueError("-inf + inf in fsum")), f, 1.0) == math.inf
+    with pytest.raises(DomainError, match="not integrable"):
+        _residual_ratio(norm_line, raising(DomainError("not integrable")), f, 1.0)
 
 
 # ---------------------------------------------------------------- HoloGauss
