@@ -55,6 +55,7 @@ from .gaussalg import (
     DomainError,
     HoloGauss,
     PolyGauss,
+    _hermitian,
     reduced_moment_polys,
 )
 from .phasecore import PhaseParams, phi_phase, kernel_Psi, weight_Phi
@@ -89,15 +90,13 @@ class QuadGrid:
     """Quadrature nodes and positive weights, as read-only arrays.
 
     ``nodes`` is float for 1D grids and complex x+iy for planar grids;
-    ``weights`` is float.  ``kind`` is one of ``gauss-hermite-1d``,
-    ``tensor-2d``, ``trapezoid-truncated``.  ``shell`` is the read-only
-    boolean mask of the outer node shell, ``|node - mean| >= 0.95 max``,
-    on which the truncation check of every sum looks for mass.
+    ``weights`` is float.  ``shell`` is the read-only boolean mask of the
+    outer node shell, ``|node - mean| >= 0.95 max``, on which the truncation
+    check of every sum looks for mass.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
     shell: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -223,7 +222,7 @@ def line_grid(real_exponent: Callable[[float], float], n: int = 200) -> QuadGrid
     t, w = _gauss_rule("hermite", n)
     nodes = center + scale * t
     weights = w * np.exp(t * t) * scale
-    return QuadGrid(nodes, weights, "gauss-hermite-1d")
+    return QuadGrid(nodes, weights)
 
 
 def _fit_quad_2d(fn: Callable[[complex], float]):
@@ -266,22 +265,23 @@ def plane_grid(real_exponent: Callable[[complex], float], n: int = 160) -> QuadG
     x = (center[0] + t1 * evecs[0, 0]) + t2 * evecs[0, 1]
     y = (center[1] + t1 * evecs[1, 0]) + t2 * evecs[1, 1]
     ww = (np.outer(ew, ew) * (s1 * s2)).reshape(-1)
-    return QuadGrid((x + 1j * y).reshape(-1), ww, "tensor-2d")
+    return QuadGrid((x + 1j * y).reshape(-1), ww)
 
 
-def hphi_grid(
-    p: PhaseParams, U: HoloGauss, V: HoloGauss, n: int = 160
-) -> QuadGrid:
+def hphi_grid(p: PhaseParams, U: HoloGauss, V: HoloGauss, n: int = 160) -> QuadGrid:
     """Grid for the weighted inner product of U and V (total-exponent adapted)."""
+    return plane_grid(lambda z: _pair_exponent(p, U, V, z).real, n)
 
-    def real_exponent(z: complex) -> float:
-        return (
-            (U.c2 * z * z + U.c1 * z).real
-            + (V.c2 * z * z + V.c1 * z).real
-            - 2.0 * weight_Phi(p, z) / p.h
-        )
 
-    return plane_grid(real_exponent, n)
+def _pair_exponent(p: PhaseParams, U: HoloGauss, V: HoloGauss, z):
+    """The exponent of ``U conj(V) e^{-2 Phi/h}`` at z (a point or an array):
+    ``c2 z^2 + c1 z`` of U, plus the conjugate of V's, minus ``2 Phi/h``."""
+    return (
+        U.c2 * z * z
+        + U.c1 * z
+        + (V.c2 * z * z + V.c1 * z).conjugate()
+        - 2.0 * weight_Phi(p, z) / p.h
+    )
 
 
 def polar_grid(
@@ -315,7 +315,7 @@ def polar_grid(
     rr, tt = np.meshgrid(r, theta, indexing="ij")
     nodes = (rr * np.cos(tt) + 1j * (rr * np.sin(tt))).reshape(-1)
     ww = np.repeat(wr * wt, n_theta)
-    return QuadGrid(nodes, ww, "trapezoid-truncated")
+    return QuadGrid(nodes, ww)
 
 
 # ---------------------------------------------------------------------------
@@ -399,26 +399,17 @@ def transform(p: PhaseParams, f: PolyGauss) -> HoloGauss:
     return HoloGauss(poly_z.scale(const), c2, c1)
 
 
-def transform_quad(
-    p: PhaseParams, f: PolyGauss, z: complex, grid: QuadGrid | None = None, n: int = 200
-) -> complex:
-    """Quadrature route for T f(z): the oracle for :func:`transform`."""
+def transform_quad(p: PhaseParams, f: PolyGauss, z: complex) -> complex:
+    """Quadrature route for T f(z): the oracle for :func:`transform`, on the
+    line grid fitted to the real part of the integrand's exponent."""
     if f.is_zero:
         return 0j
 
-    def real_exponent(x: float) -> float:
-        return (
-            1j * phi_phase(p, z, x) / p.h
-            + f.gamma2 * x * x
-            + f.gamma1 * x
-        ).real
+    def exponent(x):
+        return 1j * phi_phase(p, z, x) / p.h + f.gamma2 * x * x + f.gamma1 * x
 
-    g = grid if grid is not None else line_grid(real_exponent, n)
-    x = g.nodes
-    vals = f.poly(x) * np.exp(
-        1j * phi_phase(p, z, x) / p.h + f.gamma2 * x * x + f.gamma1 * x
-    )
-    return p.C_phi * p.h ** (-0.75) * _quad_sum(g, vals)
+    g = line_grid(lambda x: exponent(x).real)
+    return p.C_phi * p.h ** (-0.75) * _quad_sum(g, f.poly(g.nodes) * np.exp(exponent(g.nodes)))
 
 
 def adjoint_quad(
@@ -426,7 +417,6 @@ def adjoint_quad(
     U: HoloGauss,
     x: float,
     grid: QuadGrid | None = None,
-    n: int = 160,
 ) -> complex:
     """T* U(x) by 2D quadrature over the plane.
 
@@ -443,7 +433,7 @@ def adjoint_quad(
             - 2.0 * weight_Phi(p, z) / p.h
         )
 
-    g = grid if grid is not None else plane_grid(real_exponent, n)
+    g = grid if grid is not None else plane_grid(real_exponent)
     zs = g.nodes
     vals = U.poly(zs) * np.exp(
         -1j * phi_phase(p, zs, x).conjugate() / p.h
@@ -481,7 +471,6 @@ def inner_product_HPhi(
     U: HoloGauss,
     V: HoloGauss,
     grid: QuadGrid | None = None,
-    n: int = 160,
 ) -> complex:
     """Weighted inner product integral U conj(V) e^{-2 Phi/h} over the plane.
 
@@ -492,14 +481,9 @@ def inner_product_HPhi(
     """
     if U.is_zero or V.is_zero:
         return 0j
-    g = grid if grid is not None else hphi_grid(p, U, V, n)
+    g = grid if grid is not None else hphi_grid(p, U, V)
     zs = g.nodes
-    vals = U.poly(zs) * np.conj(V.poly(zs)) * np.exp(
-        U.c2 * zs * zs
-        + U.c1 * zs
-        + np.conj(V.c2 * zs * zs + V.c1 * zs)
-        - 2.0 * weight_Phi(p, zs) / p.h
-    )
+    vals = U.poly(zs) * np.conj(V.poly(zs)) * np.exp(_pair_exponent(p, U, V, zs))
     return _quad_sum(g, vals)
 
 
@@ -509,22 +493,15 @@ def gram_HPhi(p: PhaseParams, fs: Sequence[HoloGauss]) -> list[list[complex]]:
 
     All pairs then share the grid and the exponential factor, computed once;
     each entry is the product and sum of :func:`inner_product_HPhi`, equal
-    to it bit for bit.  The lower triangle conjugates the upper one, with
-    ``0.0 - imag`` so that an exactly cancelled entry stays ``+0.0``.
+    to it bit for bit.  Only the upper triangle is summed (the matrix is
+    Hermitian, see :func:`~bargmann_lab.gaussalg._hermitian`).
     """
     U = fs[0]
     if any(f.c2 != U.c2 or f.c1 != U.c1 for f in fs):
         raise DomainError("gram_HPhi needs functions with one exponent")
     grid = hphi_grid(p, U, U)
     zs = grid.nodes
-    e = U.c2 * zs * zs + U.c1 * zs
-    weighted = np.exp(e + np.conj(e) - 2.0 * weight_Phi(p, zs) / p.h)
+    weighted = np.exp(_pair_exponent(p, U, U, zs))
     polys = [f.poly(zs) for f in fs]
     conjs = [np.conj(v) for v in polys]
-    G = [[0j] * len(fs) for _ in fs]
-    for j, pj in enumerate(polys):
-        for k in range(j, len(fs)):
-            g = _quad_sum(grid, pj * conjs[k] * weighted)
-            G[k][j] = complex(g.real, 0.0 - g.imag)
-            G[j][k] = g
-    return G
+    return _hermitian(lambda j, k: _quad_sum(grid, polys[j] * conjs[k] * weighted), len(fs))

@@ -46,7 +46,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .gaussalg import DEGREE_CAP, DomainError
 from .phasecore import params_to_dict
@@ -151,7 +151,8 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# command implementations: each returns (report, csv_header, csv_rows)
+# command implementations: each returns (report, csv_header, csv_rows); the
+# rows may be a generator, run only when CSV is written
 # ---------------------------------------------------------------------------
 
 
@@ -210,7 +211,6 @@ def _cmd_transform(cfg: RunConfig):
     f0 = sys_.hermite_phi(0)
     U = transform(p, f0)
     grid = hphi_grid(p, U, U)
-    values = grid_values(U, grid)
     dev = suites.closed_vs_quad_dev(p, f0, U)
     norm_sq = inner_product_HPhi(p, U, U, grid=grid)
     checks = [
@@ -227,11 +227,15 @@ def _cmd_transform(cfg: RunConfig):
         },
         "checks": checks,
     }
-    rows = [
-        (z.real, z.imag, w, v.real, v.imag)
-        for z, w, v in zip(grid.nodes.tolist(), grid.weights.tolist(), values.tolist())
-    ]
-    return report, ("re(node)", "im(node)", "weight", "re(value)", "im(value)"), rows
+    header = ("re(node)", "im(node)", "weight", "re(value)", "im(value)")
+    return report, header, _grid_rows(grid, U)
+
+
+def _grid_rows(grid, U):
+    """U's values on its grid as CSV rows, computed only when they are written."""
+    values = grid_values(U, grid).tolist()
+    for z, w, v in zip(grid.nodes.tolist(), grid.weights.tolist(), values):
+        yield z.real, z.imag, w, v.real, v.imag
 
 
 def _cmd_ncho(cfg: RunConfig):
@@ -345,7 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bargmann-lab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in _COMMANDS.items():
-        p = sub.add_parser(name, help=cmd.help, argument_default=argparse.SUPPRESS)
+        # no prefix matching: ``ellipse --h 1`` must not read ``--h`` as ``--help``
+        p = sub.add_parser(
+            name, help=cmd.help, argument_default=argparse.SUPPRESS, allow_abbrev=False
+        )
         if cmd.systems:
             p.add_argument("--system", choices=cmd.systems, help="function family")
         for flag in cmd.flags.split():
@@ -361,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _render_csv(header: tuple, rows: list[tuple]) -> str:
+def _render_csv(header: tuple, rows: Iterable[tuple]) -> str:
     buf = io.StringIO()
     buf.write(",".join(header) + "\n")
     for row in rows:

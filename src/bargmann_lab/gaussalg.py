@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -39,6 +39,26 @@ class DomainError(ValueError):
 
 class DegreeCapError(DomainError):
     """A polynomial operation tried to exceed :data:`DEGREE_CAP`."""
+
+
+def _worst(devs: Iterable[float]) -> float:
+    """The largest of some deviations: NaN if any is (Python's ``max`` keeps
+    only a first NaN), 0.0 if there are none."""
+    return float(np.max(list(devs), initial=0.0))
+
+
+def _hermitian(entry: Callable[[int, int], complex], n: int) -> list[list[complex]]:
+    """The n x n Hermitian matrix whose upper triangle and diagonal are
+    ``entry(j, k)``, j <= k.  The lower triangle conjugates the upper with
+    ``0.0 - imag``, so an exactly cancelled entry stays ``+0.0``, as
+    evaluating it directly gives."""
+    G = [[0j] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(j, n):
+            g = entry(j, k)
+            G[k][j] = complex(g.real, 0.0 - g.imag)
+            G[j][k] = g
+    return G
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +263,7 @@ def coeff_deviation(u: ComplexPoly, v: ComplexPoly, collinear: bool = False) -> 
     b = v.coeffs + (0j,) * (n - len(v.coeffs))
     k = max(range(n), key=lambda i: abs(a[i]))
     ratio = a[k] / b[k] if collinear else 1.0
-    return max(abs(x - ratio * y) for x, y in zip(a, b)) / max(abs(a[k]), 1e-300)
+    return _worst(abs(x - ratio * y) for x, y in zip(a, b)) / max(abs(a[k]), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +599,7 @@ class DiffOp:
         """Largest coefficient deviation between two operators."""
         self._check_h(other)
         keys = set(self.terms) | set(other.terms)
-        return max(
-            (abs(self.terms.get(k, 0j) - other.terms.get(k, 0j)) for k in keys),
-            default=0.0,
-        )
+        return _worst(abs(self.terms.get(k, 0j) - other.terms.get(k, 0j)) for k in keys)
 
     def _check_h(self, other: "DiffOp") -> None:
         if self.h != other.h:

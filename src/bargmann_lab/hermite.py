@@ -19,6 +19,7 @@ the independent Gram-matrix oracle.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +29,8 @@ from .gaussalg import (
     DomainError,
     HoloGauss,
     PolyGauss,
+    _hermitian,
+    _worst,
     apply_diffop,
     inner_product_line,
     relative_residual,
@@ -41,14 +44,13 @@ __all__ = ["HermiteSystem", "gram_deviation"]
 class HermiteSystem:
     """Phase data with canonical A, plus a cache of phi_n.
 
-    A non-canonical ``A`` in the input is replaced by ``canonical_A(B, C)``
-    (the original is kept in ``original_A``): the general-A system differs
-    only by a z-side phase twist that the line-side family does not see.
+    A non-canonical ``A`` in the input is replaced by ``canonical_A(B, C)``:
+    the general-A system differs only by a z-side phase twist that the
+    line-side family does not see.
     """
 
     def __init__(self, params: PhaseParams):
         a_canon = canonical_A(params.B, params.C)
-        self.original_A = params.A
         self.params = PhaseParams(a_canon, params.B, params.C, params.h)
         self._phi_cache: list[PolyGauss] = [self._phi0()]
 
@@ -172,21 +174,14 @@ class HermiteSystem:
         of phi_m conj(phi_n) is a real Gaussian, so the rule is exact up to
         round-off, with nodes from numpy rather than from our algebra; the
         rule comes from the per-process cache the plane grids share).
-        The exact matrix is Hermitian: its upper triangle and diagonal are
-        computed, and the lower triangle is filled with ``0.0 - imag`` so
-        that an exactly cancelled entry stays ``+0.0``.
+        The exact matrix is Hermitian: only its upper triangle and diagonal
+        are computed (see :func:`~bargmann_lab.gaussalg._hermitian`).
         """
         if method not in ("exact", "quadrature"):
             raise DomainError(f"unknown method {method!r}")
         phis = [self.hermite_phi(n) for n in range(N)]
-        G = np.empty((N, N), dtype=complex)
         if method == "exact":
-            for m in range(N):
-                for n in range(m, N):
-                    v = inner_product_line(phis[m], phis[n])
-                    G[n, m] = complex(v.real, 0.0 - v.imag)
-                    G[m, n] = v
-            return G
+            return np.array(_hermitian(lambda m, n: inner_product_line(phis[m], phis[n]), N))
         p = self.params
         t, w = _gauss_rule("hermite", 200)
         scale = math.sqrt(p.h / p.C.imag)  # combined decay e^{-ImC x^2/h}
@@ -196,6 +191,7 @@ class HermiteSystem:
         # is sampled as a polynomial times a pure phase
         half = p.C.imag / (2 * p.h)
         vals = [f.poly(x) * np.exp((f.gamma2 + half) * x * x + f.gamma1 * x) for f in phis]
+        G = np.empty((N, N), dtype=complex)
         for m in range(N):
             for n in range(N):
                 G[m, n] = np.sum(wx * vals[m] * np.conj(vals[n]))
@@ -209,6 +205,14 @@ def _sqrt_pos(s: float) -> float:
     return math.sqrt(s)
 
 
-def gram_deviation(G: np.ndarray) -> float:
-    """Max-entry deviation from the identity."""
-    return float(np.max(np.abs(G - np.eye(G.shape[0]))))
+def gram_deviation(G, diag: Sequence[float] | None = None) -> float:
+    """Largest deviation of a Gram matrix (array or nested lists) from the
+    diagonal ``diag`` (the identity when None), relative to the norms:
+    ``|G_jk - delta_jk diag_k| / sqrt(diag_j diag_k)``; NaN if any entry is."""
+    rows = np.asarray(G).tolist()
+    d = [1.0] * len(rows) if diag is None else diag
+    return _worst(
+        abs(g - (d[k] if j == k else 0.0)) / math.sqrt(d[j] * d[k])
+        for j, row in enumerate(rows)
+        for k, g in enumerate(row)
+    )

@@ -31,11 +31,12 @@ from .gaussalg import (
     DiffOp,
     DomainError,
     PolyGauss,
+    _hermitian,
     _residual_ratio,
     apply_diffop,
     inner_product_line,
 )
-from .hermite import HermiteSystem
+from .hermite import HermiteSystem, gram_deviation
 
 __all__ = [
     "NchoParams",
@@ -191,22 +192,11 @@ def _vec_residual(p: NchoParams, F: VecFun2, lam: float) -> float:
 
 def combined_gram(p: NchoParams, n: int) -> tuple[list[list[complex]], float]:
     """Gram matrix of Phi_{alpha,sign,k} for k < n, both signs, and its
-    largest deviation from the identity.
+    largest deviation from the identity (NaN if an entry is NaN).
 
     Rows and columns run over (k, sign) with ``+`` first.  The matrix is
-    Hermitian: the upper triangle is computed and conjugated into the lower,
-    with ``0.0 - imag`` so that an exactly cancelled entry stays ``+0.0``, as
-    evaluating it directly gives.
+    Hermitian: only its upper triangle and diagonal are computed.
     """
     vecs = [eigenfunction_vec(p, sign, k) for k in range(n) for sign in (+1, -1)]
-    m = len(vecs)
-    G = [[0j] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            g = vec_inner(vecs[i], vecs[j])
-            G[j][i] = complex(g.real, 0.0 - g.imag)
-            G[i][j] = g
-    dev = max(
-        abs(G[i][j] - (1.0 if i == j else 0.0)) for i in range(m) for j in range(m)
-    )
-    return G, dev
+    G = _hermitian(lambda i, j: vec_inner(vecs[i], vecs[j]), len(vecs))
+    return G, gram_deviation(G)

@@ -28,6 +28,7 @@ from .gaussalg import (
     DiffOp,
     HoloGauss,
     PolyGauss,
+    _worst,
     coeff_deviation,
     gauss_integral,
     inner_product_line,
@@ -228,7 +229,7 @@ def suite_hermite(
     sys_ = HermiteSystem.from_bch(B, C, h)
     entries, checks = hermite_eigen_checks(sys_, n_res)
     if complex(B) == -1j and complex(C) == 1j:
-        dev = max(abs(e["eigenvalue"] - (2 * e["n"] + 1) * h) for e in entries)
+        dev = _worst(abs(e["eigenvalue"] - (2 * e["n"] + 1) * h) for e in entries)
         checks.append(check("classic_eigenvalue_dev", dev, TOL_ALGEBRA))
     _, gram = hermite_gram_checks(sys_, n_gram, ("exact", "quadrature"), f"[n<{n_gram}]")
     return checks + gram
@@ -248,11 +249,6 @@ def _random_polygauss(rng: np.random.Generator) -> PolyGauss:
     gamma2 = complex(-0.4 - rng.uniform(0.0, 1.2), 0.5 * rng.normal())
     gamma1 = complex(0.5 * rng.normal(), 0.5 * rng.normal())
     return PolyGauss(ComplexPoly.from_coeffs(coeffs), gamma2, gamma1)
-
-
-def _worst(devs) -> float:
-    """The largest deviation; NaN if any is (``max`` keeps only a first NaN)."""
-    return float(np.max(list(devs)))
 
 
 def closed_vs_quad_dev(p: PhaseParams, f: PolyGauss, U: HoloGauss) -> float:
@@ -330,22 +326,21 @@ def ellipse_gram(alpha: float, beta: float, n: int):
 
     Returns ``(G, diag, dev)``: G as nested lists, the closed-form diagonal
     ``n! (lambda/a)^n ||psi_0||^2``, and the largest deviation from it,
-    relative to ``sqrt(diag_m diag_n)``.  The psi_k share one exponent, so
-    :func:`~bargmann_lab.bargmann.gram_HPhi` computes G on one grid.
+    relative to ``sqrt(diag_m diag_n)`` (:func:`gram_deviation`).  The psi_k
+    share one exponent, so :func:`~bargmann_lab.bargmann.gram_HPhi` computes
+    G on one grid.
     """
     p = derived_constants(alpha, beta)
     diag = [math.factorial(k) * p.lam_over_a**k * p.norm_psi0_sq for k in range(n)]
     G = gram_HPhi(PhaseParams.classic(), [psi_n(p, k) for k in range(n)])
-    dev = _worst(abs(G[j][k] - (diag[k] if j == k else 0.0)) / math.sqrt(diag[j] * diag[k])
-                 for j in range(n) for k in range(j, n))
-    return G, diag, dev
+    return G, diag, gram_deviation(G, diag)
 
 
 def ellipse_route_checks(p: EllipseParams, n: int, suffix: str = "") -> list[dict]:
     """The constants identity, and psi_0..psi_{n-1} by the Rodrigues vs. the
     ladder route (named ``psi_routes_dev`` + ``suffix``)."""
     identity = abs(p.a + 2 * p.lam - 1 / p.a.conjugate())
-    dev = max(coeff_deviation(psi_n(p, k).poly, psi_n_ladder(p, k).poly) for k in range(n))
+    dev = _worst(coeff_deviation(psi_n(p, k).poly, psi_n_ladder(p, k).poly) for k in range(n))
     return [
         check("constants_identity_dev", identity, TOL_IDENTITY),
         check(f"psi_routes_dev{suffix}", dev, TOL_IDENTITY),
@@ -369,7 +364,7 @@ def suite_ellipse(
     """Route agreement, quadrature norms, and oscillator residuals."""
     p = derived_constants(alpha, beta)
     checks = ellipse_route_checks(p, n_eig, f"[n<{n_eig}]")
-    dev = max(
+    dev = _worst(
         coeff_deviation(Psi_n(p, n).poly, Psi_n_ladder(p, n).poly) for n in range(n_eig)
     )
     checks.append(check(f"Psi_routes_dev[n<{n_eig}]", dev, TOL_IDENTITY))
@@ -389,7 +384,7 @@ def suite_ellipse(
         checks.append(
             check("operator_identity_dev", H.max_coeff_diff(target), TOL_IDENTITY)
         )
-        dev = max(
+        dev = _worst(
             abs(p.eigen_gap * (2 * n + 1) - 4.0 * (2 * n + 1)) for n in range(n_eig)
         )
         checks.append(check("eigenvalue_4(2n+1)_dev", dev, TOL_IDENTITY))
@@ -412,7 +407,7 @@ def suite_bridge(alpha: float, beta: float, n_max: int = 11) -> list[dict]:
         exp_dev = abs(big.gamma2 - phi.gamma2) + abs(big.gamma1 - phi.gamma1)
         coeff_dev = coeff_deviation(big.poly, phi.poly, collinear=True)
         checks.append(
-            check(f"bridge_collinear[n={n}]", max(exp_dev, coeff_dev), TOL_ALGEBRA)
+            check(f"bridge_collinear[n={n}]", _worst((exp_dev, coeff_dev)), TOL_ALGEBRA)
         )
     return checks
 
@@ -440,13 +435,13 @@ def suite_toeplitz(R: float, n_max: int = 11, n_matrix: int = 7) -> list[dict]:
     sym = RadialSymbol.indicator(R)
     G = toeplitz_block_quad(sym, n_matrix)
     idx = range(n_matrix)
-    off = max((abs(G[m_, n_]) for m_ in idx for n_ in idx if m_ != n_), default=0.0)
-    diag = max(abs(G[n_, n_] - radial_eigenvalue(sym, n_)) for n_ in idx)
+    off = _worst(abs(G[m_, n_]) for m_ in idx for n_ in idx if m_ != n_)
+    diag = _worst(abs(G[n_, n_] - radial_eigenvalue(sym, n_)) for n_ in idx)
     checks.append(check(f"matrix_offdiag_max[n<{n_matrix}]", off, TOL_TOEPLITZ_OFFDIAG))
     checks.append(check(f"matrix_diag_dev[n<{n_matrix}]", diag, TOL_TOEPLITZ_DIAG))
 
     G = toeplitz_block_quad(RadialSymbol.gaussian(0.5), n_matrix)
-    dev = max(abs(G[n_, n_] - 2.0 ** (-(n_ + 1))) for n_ in idx)
+    dev = _worst(abs(G[n_, n_] - 2.0 ** (-(n_ + 1))) for n_ in idx)
     checks.append(check(f"gaussian_diag_dev[n<{n_matrix}]", dev, TOL_TOEPLITZ_DIAG))
     return checks
 

@@ -181,13 +181,12 @@ def _classic_coeff(k: int) -> float:
     return 1.0 / math.sqrt(math.pi * 2.0 ** (k + 1) * math.factorial(k))
 
 
-def default_toeplitz_grid(
-    sym: RadialSymbol, max_index: int, n_r: int = 400, n_theta: int = 128
-) -> QuadGrid:
-    """Polar grid sized for matrix elements up to ``max_index``.
+def default_toeplitz_grid(sym: RadialSymbol, max_index: int) -> QuadGrid:
+    """Polar grid sized for matrix elements up to ``max_index``, with
+    :func:`~bargmann_lab.bargmann.polar_grid`'s default node counts.
 
     Radial panels split at an indicator boundary (|z| = sqrt(support));
-    the angular trapezoid rule annihilates e^{i k theta} for 0 < |k| < n_theta,
+    the angular trapezoid rule annihilates e^{i k theta} for 0 < |k| < 128,
     which is what makes radial matrices diagonal at quadrature level.
     """
     r_max = math.sqrt(2.0 * (max_index + 2)) + 8.0
@@ -195,7 +194,7 @@ def default_toeplitz_grid(
     if math.isfinite(sym.support) and sym.support > 0:
         split = math.sqrt(sym.support)
         r_max = max(r_max, split + 6.0)
-    return polar_grid(r_max, n_r=n_r, n_theta=n_theta, split_at=split)
+    return polar_grid(r_max, split_at=split)
 
 
 #: Nodes per pass of the block product.  Bounds the node-by-index work

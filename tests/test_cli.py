@@ -94,6 +94,15 @@ def test_usage_error_is_exit_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["ellipse", "toeplitz"])
+def test_flag_a_command_does_not_take_is_exit_1(tmp_path, capsys, command):
+    # no prefix matching: --h is not read as --help (which would exit 0)
+    out = tmp_path / "report"
+    assert cli.main([command, "--h", "1", "-o", str(out)]) == 1
+    assert "unrecognized arguments: --h 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_domain_error_is_exit_1(capsys):
     assert cli.main(["certify", "--suite", "hermite", "--B", "0", "--C", "i"]) == 1
     err = capsys.readouterr().err
@@ -203,6 +212,21 @@ def test_unevaluable_hermite_residual_is_exit_2(tmp_path, capsys):
     checks = json.loads(out.read_text())["checks"]
     assert any(c["name"].startswith("eig_residual") and c["measured"] == math.inf
                for c in checks)
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["gram", "--system", "ncho"], "combined_gram_dev"),
+    (["certify", "--suite", "ncho"], "combined_gram_dev[n<3]"),
+], ids=["gram", "certify"])
+def test_nan_gram_entry_is_exit_2(tmp_path, capsys, argv, name):
+    # at h = 1e-200 some Gram entries are NaN; the deviation keeps the NaN
+    out = tmp_path / "gram.json"
+    argv = [*argv, "--alpha", "1.5", "--h", "1e-200", "--n", "3", "-o", str(out)]
+    assert cli.main(argv) == 2
+    assert f"FAIL {name}: measured nan" in capsys.readouterr().err
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert math.isnan(checks[name]["measured"])
+    assert not checks[name]["pass"]
 
 
 def test_projector_overflow_seed_passes(tmp_path):

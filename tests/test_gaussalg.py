@@ -33,6 +33,8 @@ from bargmann_lab.gaussalg import (
     _convolve,
     _residual_ratio,
     _moments,
+    _worst,
+    coeff_deviation,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -459,3 +461,40 @@ def test_holo_ladder_annihilates_matching_gaussian():
     f = HoloGauss(ComplexPoly((1.0 + 0j,)), -c / 2, 0j)
     out = holo_add(holo_differentiate(f), holo_scale(holo_multiply_z(f), c))
     assert out.is_zero or all(abs(a) <= TOL_EXACT for a in out.poly.coeffs)
+
+
+# ------------------------------------------------------------ deviation maxima
+
+
+@pytest.mark.parametrize("devs", [
+    [math.nan, 0.1, 0.2], [0.1, math.nan, 0.2], [0.1, 0.2, math.nan],
+], ids=["first", "middle", "last"])
+def test_worst_keeps_a_nan_anywhere(devs):
+    # Python's max keeps a NaN only when it comes first
+    assert math.isnan(_worst(devs))
+    assert math.isnan(_worst(iter(devs)))
+
+
+def test_worst_of_no_deviations_is_zero():
+    assert _worst([]) == 0.0
+    assert _worst(x for x in ()) == 0.0
+
+
+def test_worst_is_the_maximum_without_nan():
+    assert _worst([0.1, 3.0, 2.0]) == 3.0
+    assert _worst([0.1, math.inf]) == math.inf
+
+
+def test_coeff_deviation_keeps_a_nan_coefficient():
+    u = ComplexPoly.from_coeffs([1.0, 2.0, 3.0])
+    v = ComplexPoly.from_coeffs([1.0, complex(math.nan, 0.0), 3.0])
+    assert math.isnan(coeff_deviation(u, v))
+    assert math.isnan(coeff_deviation(v, u))
+    assert math.isnan(coeff_deviation(u, v, collinear=True))
+
+
+def test_max_coeff_diff_keeps_a_nan_coefficient():
+    a = DiffOp({(0, 0): 1.0, (1, 0): 2.0, (0, 1): 3.0}, h=1.0)
+    b = DiffOp({(0, 0): 1.0, (1, 0): complex(math.nan, 0.0), (0, 1): 3.0}, h=1.0)
+    assert math.isnan(a.max_coeff_diff(b))
+    assert math.isnan(b.max_coeff_diff(a))
