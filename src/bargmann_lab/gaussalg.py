@@ -7,11 +7,11 @@ localization eigenvalues) is built on three closed classes:
 * ``PolyGauss``      -- ``x -> poly(x) * exp(gamma2*x**2 + gamma1*x)`` on the line,
 * ``HoloGauss``      -- ``z -> poly(z) * exp(c2*z**2 + c1*z)`` on the plane,
 
-together with first/second-order differential operators (``DiffOp``) acting
-exactly on ``PolyGauss``.  Inner products on the line reduce to the closed-form
-moments of a complex Gaussian (``gaussian_moment``), so orthogonality and
-eigen-relations can be certified to round-off rather than quadrature accuracy.
-Quadrature enters only as an independent oracle in the test suite.
+with ``HermiteGauss``, a line function in Hermite coefficients on its own
+Gaussian, and differential operators (``DiffOp``) acting exactly on both line
+forms.  Inner products on the line reduce to closed-form Gaussian moments
+(``gaussian_moment``) or to diagonal Hermite-coefficient sums, so orthogonality
+and eigen-relations are certified to round-off, not quadrature accuracy.
 
 All values are immutable; all functions are pure.
 """
@@ -19,15 +19,16 @@ All values are immutable; all functions are pure.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-#: Hard cap on stored polynomial degree.  High enough for every certified
-#: index range (n <= 20 eigenfunctions, Gram blocks to n = 15, products of
-#: those), low enough to catch runaway recursions immediately.
+#: Hard cap on a stored polynomial degree and on the index of a stored family
+#: (the CLI's ``--n`` limit).  Transient values are not capped: the image of a
+#: ``HermiteGauss`` under an operator, and a product inside an inner product.
 DEGREE_CAP = 64
 
 _COEFF_TOL = 1e-12  # relative tolerance for "same exponent" checks
@@ -66,14 +67,18 @@ def _hermitian(entry: Callable[[int, int], complex], n: int) -> list[list[comple
 # ---------------------------------------------------------------------------
 
 
-def _fit(out: list[complex]) -> list[complex]:
-    """Strip exactly-zero leading (highest-degree) coefficients in place, then
-    enforce :data:`DEGREE_CAP`."""
+def _trim(out: list[complex]) -> list[complex]:
+    """Strip exactly-zero leading (highest-degree) coefficients in place."""
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     if not out:
         out.append(0j)
-    if len(out) - 1 > DEGREE_CAP:
+    return out
+
+
+def _fit(out: list[complex]) -> list[complex]:
+    """:func:`_trim`, then enforce :data:`DEGREE_CAP`."""
+    if len(_trim(out)) - 1 > DEGREE_CAP:
         raise DegreeCapError(f"degree {len(out) - 1} exceeds cap {DEGREE_CAP}")
     return out
 
@@ -130,9 +135,6 @@ class ComplexPoly:
         b = other.coeffs + (0j,) * (n - len(other.coeffs))
         return ComplexPoly.from_coeffs(x + y for x, y in zip(a, b))
 
-    def __sub__(self, other: "ComplexPoly") -> "ComplexPoly":
-        return self + other.scale(-1)
-
     def scale(self, c: complex) -> "ComplexPoly":
         if c == 0:
             return ComplexPoly.zero()
@@ -167,29 +169,6 @@ class ComplexPoly:
         return acc
 
 
-def _cross_products(
-    a: tuple[complex, ...], b: tuple[complex, ...]
-) -> tuple[list[float], list[float], list[float], list[float]]:
-    """The real cross-product tables ``re*re``, ``-im*im``, ``re*im`` and
-    ``im*re`` of ``a[i] * b[l]``, in row-major ``(i, l)`` order."""
-    ar = [x.real for x in a]
-    ai = [x.imag for x in a]
-    nai = [-x for x in ai]
-    br = [y.real for y in b]
-    bi = [y.imag for y in b]
-    return (
-        [x * y for x in ar for y in br],
-        [x * y for x in nai for y in bi],
-        [x * y for x in ar for y in bi],
-        [x * y for x in ai for y in br],
-    )
-
-
-def _vanishes(x: tuple[complex, ...], y: tuple[complex, ...]) -> bool:
-    """Every product ``x[i] * y[l]`` is a signed zero."""
-    return not any(x) and all(map(cmath.isfinite, y))
-
-
 def _convolve(
     a: tuple[complex, ...], b: tuple[complex, ...], step: int = 1
 ) -> list[complex]:
@@ -201,55 +180,24 @@ def _convolve(
     rounded real cross products; this keeps high-degree cancellation
     (Hermite-type alternating signs) at the rounding error of the individual
     products.  ``fsum`` does not depend on the order of its terms, so the
-    products are formed in bulk in row-major ``(i, l)`` order, where
+    real cross products (``re*re`` and ``-im*im``, then ``re*im`` and
+    ``im*re``) are formed in bulk in row-major ``(i, l)`` order, where
     anti-diagonal ``k`` is a strided slice with stride ``len(b) - 1`` (a
     single entry when ``len(b) == 1``).
-
-    With ``step == 2`` the factors are split by index parity: anti-diagonal
-    ``2K`` is anti-diagonal ``K`` of the even-index half ``a[0::2] * b[0::2]``
-    plus anti-diagonal ``K - 1`` of the odd-index half, summed together, so
-    the odd anti-diagonals are never formed.  A half whose products are all
-    signed zeros (one factor all zero, the other all finite) is skipped:
-    ``fsum`` ignores signed zeros and gives ``+0.0`` for no terms, so the
-    result is unchanged.  On a polynomial of definite parity (every ``phi_n``
-    and its images under the operators) this drops one half or both.
     """
     fsum = math.fsum
-    if step == 1:
-        la, lb = len(a), len(b)
-        rr, ii, ri, ir = _cross_products(a, b)
-        d = lb - 1
-        out: list[complex] = []
-        for k in range(la + d):
-            lo = max(0, k - d)
-            hi = min(k + 1, la)
-            s = slice(lo * d + k, (hi - 1) * d + k + 1, d or 1)
-            out.append(complex(fsum(rr[s] + ii[s]), fsum(ri[s] + ir[s])))
-        return out
-    n = (len(a) + len(b)) // 2  # anti-diagonals 0, 2, ..., len(a) + len(b) - 2
-    halves = []  # per kept half: the real and imaginary terms of each 2K
-    for shift, x, y in ((0, a[0::2], b[0::2]), (1, a[1::2], b[1::2])):
-        if not (x and y) or _vanishes(x, y) or _vanishes(y, x):
-            continue
-        lx = len(x)
-        rr, ii, ri, ir = _cross_products(x, y)
-        d = len(y) - 1
-        re: list[list[float]] = [[]] * shift
-        im: list[list[float]] = [[]] * shift
-        for k in range(lx + d):
-            lo = max(0, k - d)
-            hi = min(k + 1, lx)
-            s = slice(lo * d + k, (hi - 1) * d + k + 1, d or 1)
-            re.append(rr[s] + ii[s])
-            im.append(ri[s] + ir[s])
-        halves.append((re + [[]] * (n - len(re)), im + [[]] * (n - len(im))))
-    if not halves:
-        return [0j] * n
-    re, im = halves[0]
-    if len(halves) == 2:
-        re = [u + v for u, v in zip(re, halves[1][0])]
-        im = [u + v for u, v in zip(im, halves[1][1])]
-    return [complex(fsum(r), fsum(i)) for r, i in zip(re, im)]
+    ar, ai = [x.real for x in a], [x.imag for x in a]
+    br, bi = [y.real for y in b], [y.imag for y in b]
+    la, d = len(a), len(b) - 1
+    diagonals = [
+        slice(max(0, k - d) * d + k, (min(k + 1, la) - 1) * d + k + 1, d or 1)
+        for k in range(0, la + d, step)
+    ]
+    p, q = [x * y for x in ar for y in br], [-x * y for x in ai for y in bi]
+    re = [fsum(p[s] + q[s]) for s in diagonals]
+    del p, q  # the real part's tables go before the imaginary part's are built
+    p, q = [x * y for x in ar for y in bi], [x * y for x in ai for y in br]
+    return [complex(r, fsum(p[s] + q[s])) for r, s in zip(re, diagonals)]
 
 
 def coeff_deviation(u: ComplexPoly, v: ComplexPoly, collinear: bool = False) -> float:
@@ -299,8 +247,10 @@ class PolyGauss:
     def scale(self, c: complex) -> "PolyGauss":
         return PolyGauss(self.poly.scale(c), self.gamma2, self.gamma1)
 
-    def add(self, other: "PolyGauss") -> "PolyGauss":
-        """Sum of two functions *with the same exponent* (else DomainError)."""
+    def add(self, other) -> "PolyGauss":
+        """Sum of two functions *with the same exponent* (else DomainError);
+        a ``HermiteGauss`` summand enters in its monomial form."""
+        other = _monomial(other)
         if other.is_zero:
             return self
         if self.is_zero:
@@ -318,6 +268,80 @@ class PolyGauss:
             self.gamma2.conjugate(),
             self.gamma1.conjugate(),
         )
+
+
+_SQRT_PI = math.sqrt(math.pi)
+
+
+@dataclass(frozen=True)
+class HermiteGauss:
+    """``x -> sum_k coeffs[k] eta_k(x/s) exp(gamma2*x**2)`` on the real line.
+
+    ``eta_k = H_k / sqrt(2**k k!)`` (``eta_0 = 1``) are orthogonal for the
+    weight ``e^{-u^2}``, with squared norm ``sqrt(pi)``; ``x`` and ``d/dx`` act
+    as bidiagonal maps.  On the weight's own Gaussian, ``Re(gamma2) = -1/(2
+    s**2)``, functions sharing ``(gamma2, s)`` add coefficient-wise and have the
+    inner product ``s sqrt(pi) sum_k a_k conj(b_k)``; other uses read ``poly``.
+    """
+
+    coeffs: tuple[complex, ...]
+    gamma2: complex
+    s: float
+    gamma1 = 0j  # a class constant, not a field
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coeffs", tuple(_trim(list(map(complex, self.coeffs)))))
+        if not self.is_zero and not self.gamma2.real < 0:
+            raise DomainError(f"Re(gamma2) = {self.gamma2.real} must be negative")
+
+    @property
+    def is_zero(self) -> bool:
+        return len(self.coeffs) == 1 and self.coeffs[0] == 0
+
+    @functools.cached_property
+    def poly(self) -> ComplexPoly:
+        """The polynomial part in monomials (eta_k by the three-term recurrence)."""
+        out, prev, cur = [0j] * len(self.coeffs), [0.0], [1.0]
+        for k, a in enumerate(self.coeffs):
+            if k:
+                r, q = math.sqrt(2 / k), math.sqrt((k - 1) / k)
+                prev, cur = cur, [r * c - q * b for c, b in zip([0.0] + cur, prev + [0.0, 0.0])]
+            out = [o + a * c for o, c in zip(out, cur)] + out[len(cur):]
+        inv, r = 1 / self.s, 1.0
+        for j, c in enumerate(out):
+            out[j], r = complex(c.real * r, c.imag * r), r * inv
+        return ComplexPoly.from_coeffs(out)
+
+    def __call__(self, x):
+        """Value at x (a number or an array), by the three-term recurrence."""
+        u = np.asarray(x, dtype=float) / self.s
+        prev, cur = np.zeros_like(u), np.ones_like(u)
+        acc = self.coeffs[0] * cur
+        for k, a in enumerate(self.coeffs[1:], 1):
+            prev, cur = cur, math.sqrt(2 / k) * u * cur - math.sqrt((k - 1) / k) * prev
+            acc = acc + a * cur
+        return acc * np.exp(self.gamma2 * np.square(x))
+
+    def scale(self, c: complex) -> "HermiteGauss":
+        return HermiteGauss(_scaled(list(self.coeffs), c), self.gamma2, self.s)
+
+    def add(self, other):
+        """Sum with another line function; see the class docstring."""
+        if other.is_zero or self.is_zero:
+            return self if other.is_zero else other
+        if not self._shares_weight(other):
+            return _monomial(self).add(other)
+        return HermiteGauss(_added(list(self.coeffs), list(other.coeffs)), self.gamma2, self.s)
+
+    def _shares_weight(self, other) -> bool:
+        """Both on one ``(gamma2, s)``, the weight's own Gaussian."""
+        same = isinstance(other, HermiteGauss) and (self.gamma2, self.s) == (other.gamma2, other.s)
+        return same and _close(2 * self.gamma2.real * self.s * self.s, -1.0)
+
+
+def _monomial(f):
+    """A line function as a :class:`PolyGauss`."""
+    return PolyGauss(f.poly, f.gamma2) if isinstance(f, HermiteGauss) else f
 
 
 @dataclass(frozen=True)
@@ -471,7 +495,7 @@ def reduced_moment_polys(gamma2: complex, max_k: int) -> list[ComplexPoly]:
     return out
 
 
-def inner_product_line(f: PolyGauss, g: PolyGauss) -> complex:
+def inner_product_line(f, g) -> complex:
     """L2(R) inner product ``int f(x) * conj(g(x)) dx``, exact.
 
     Conjugating ``g`` on the real line is coefficient-wise.  The value is
@@ -479,6 +503,9 @@ def inner_product_line(f: PolyGauss, g: PolyGauss) -> complex:
     the polynomial product (:func:`_convolve`) and the moments of the
     combined exponent (:func:`_moments`).  Conjugate-symmetric and
     sesquilinear by construction.
+
+    Two :class:`HermiteGauss` sharing their own Gaussian take the diagonal
+    sum instead; any other factor enters in its monomial form.
 
     Raises
     ------
@@ -488,7 +515,10 @@ def inner_product_line(f: PolyGauss, g: PolyGauss) -> complex:
     """
     if f.is_zero or g.is_zero:
         return 0j
-    gc = g.conj()
+    if isinstance(f, HermiteGauss) and f._shares_weight(g):
+        return f.s * _SQRT_PI * sum(a * b.conjugate() for a, b in zip(f.coeffs, g.coeffs))
+    f = _monomial(f)
+    gc = _monomial(g).conj()
     g2 = f.gamma2 + gc.gamma2
     g1 = f.gamma1 + gc.gamma1
     if not g2.real < 0:
@@ -497,7 +527,7 @@ def inner_product_line(f: PolyGauss, g: PolyGauss) -> complex:
         )
     a, b = f.poly.coeffs, gc.poly.coeffs
     # With no linear exponent the odd moments vanish, so only the even
-    # anti-diagonals are formed -- unless one factor is a constant, which
+    # anti-diagonals are summed -- unless one factor is a constant, which
     # would confine a non-finite coefficient to a single anti-diagonal.
     step = 2 if g1 == 0 and min(len(a), len(b)) > 1 else 1
     prod = _convolve(a, b, step)  # no cap: transient value
@@ -510,8 +540,11 @@ def inner_product_line(f: PolyGauss, g: PolyGauss) -> complex:
     )
 
 
-def norm_line(f: PolyGauss) -> float:
-    """L2(R) norm, exact (square root of the self inner product)."""
+def norm_line(f) -> float:
+    """L2(R) norm, exact; for a :class:`HermiteGauss` on its own Gaussian, by
+    ``math.hypot`` of the coefficients, which neither overflows nor underflows."""
+    if isinstance(f, HermiteGauss) and f._shares_weight(f):
+        return math.sqrt(f.s * _SQRT_PI) * math.hypot(*map(abs, f.coeffs))
     return math.sqrt(max(inner_product_line(f, f).real, 0.0))
 
 
@@ -548,10 +581,6 @@ class DiffOp:
     @staticmethod
     def identity(h: float) -> "DiffOp":
         return DiffOp({(0, 0): 1.0}, h)
-
-    @staticmethod
-    def x_mult(h: float) -> "DiffOp":
-        return DiffOp({(1, 0): 1.0}, h)
 
     @staticmethod
     def hD(h: float) -> "DiffOp":
@@ -607,14 +636,14 @@ class DiffOp:
 
 
 def _added(x: list[complex], y: list[complex]) -> list[complex]:
-    """``ComplexPoly.__add__`` on coefficient lists."""
+    """``ComplexPoly.__add__`` on coefficient lists, without the cap."""
     n = max(len(x), len(y))
-    return _fit([u + v for u, v in zip(x + [0j] * (n - len(x)), y + [0j] * (n - len(y)))])
+    return _trim([u + v for u, v in zip(x + [0j] * (n - len(x)), y + [0j] * (n - len(y)))])
 
 
 def _scaled(x: list[complex], c: complex) -> list[complex]:
-    """``ComplexPoly.scale`` on a coefficient list."""
-    return [0j] if c == 0 else _fit([c * u for u in x])
+    """``ComplexPoly.scale`` on a coefficient list, without the cap."""
+    return [0j] if c == 0 else _trim([c * u for u in x])
 
 
 def _shifted(x: list[complex], j: int) -> list[complex]:
@@ -622,50 +651,73 @@ def _shifted(x: list[complex], j: int) -> list[complex]:
     return x if len(x) == 1 and x[0] == 0 else _fit([0j] * j + x)
 
 
-def apply_diffop(op: DiffOp, f: PolyGauss) -> PolyGauss:
+def _band(a: list[complex], lo: complex, hi: complex) -> list[complex]:
+    """``lo L + hi R`` on Hermite coefficients, where ``L eta_k =
+    sqrt(2k) eta_{k-1}`` and ``R eta_k = sqrt(2(k+1)) eta_{k+1}``."""
+    rt = [math.sqrt(2 * k) for k in range(1, len(a) + 1)]
+    up = [0j] + [hi * (r * c) for r, c in zip(rt, a)]
+    down = [lo * (r * c) for r, c in zip(rt, a[1:])] + [0j, 0j]
+    return [u + d for u, d in zip(up, down)]
+
+
+def apply_diffop(op: DiffOp, f):
     """Apply a :class:`DiffOp` exactly; the exponent is preserved.
 
-    ``hD (p e^g) = -i h (p' + g' p) e^g`` with ``g' = 2 gamma2 x + gamma1``,
-    iterated per term, then shifted by ``x**j`` and summed in sorted term
-    order.  The work is done on coefficient lists, with the float operations,
-    trims and :class:`DegreeCapError` of the equivalent :class:`ComplexPoly`
-    expression ``(p.derivative() + p.shift_up().scale(2 gamma2) +
-    p.scale(gamma1)).scale(-i h)``, and one polynomial is built at the end.
+    Each term is ``(hD)^k`` applied by iterated steps, then ``x**j``; the
+    terms are summed in sorted order.  On a :class:`HermiteGauss` both are
+    bidiagonal maps (:func:`_band`): ``x = (s/2)(L + R)`` and ``hD = -i h
+    ((1/s + gamma2 s) L + gamma2 s R)``.  On a :class:`PolyGauss`, ``hD (p
+    e^g) = -i h (p' + g' p) e^g`` with ``g' = 2 gamma2 x + gamma1``, with the
+    float operations, trims and :class:`DegreeCapError` of the equivalent
+    :class:`ComplexPoly` expression ``(p.derivative() +
+    p.shift_up().scale(2 gamma2) + p.scale(gamma1)).scale(-i h)``.
     """
     if f.is_zero:
         return f
-    g2, g1, minus_ih = 2 * f.gamma2, f.gamma1, -1j * op.h
-    hd_powers = [list(f.poly.coeffs)]  # hd_powers[k]: polynomial part of (hD)^k f
+    if isinstance(f, HermiteGauss):
+        s, g2, powers = f.s, f.gamma2, [list(f.coeffs)]  # powers[k]: (hD)^k f
+        hd = functools.partial(_band, lo=-1j * op.h * (1 / s + g2 * s), hi=-1j * op.h * g2 * s)
 
-    def hd_power(k: int) -> list[complex]:
-        while len(hd_powers) <= k:
-            p = hd_powers[-1]
+        def times_x(p: list[complex], j: int) -> list[complex]:
+            for _ in range(j):
+                p = _band(p, s / 2, s / 2)
+            return p
+    else:
+        g2, g1, minus_ih = 2 * f.gamma2, f.gamma1, -1j * op.h
+        powers = [list(f.poly.coeffs)]
+
+        def hd(p: list[complex]) -> list[complex]:
             d = _fit([i * p[i] for i in range(1, len(p))]) if len(p) > 1 else [0j]
-            s = _added(d, _scaled(_shifted(p, 1), g2))
-            hd_powers.append(_scaled(_added(s, _scaled(p, g1)), minus_ih))
-        return hd_powers[k]
+            return _scaled(_added(_added(d, _scaled(_shifted(p, 1), g2)), _scaled(p, g1)), minus_ih)
 
+        times_x = _shifted
     acc = [0j]
     for (j, k), c in sorted(op.terms.items()):
-        acc = _added(acc, _scaled(_shifted(hd_power(k), j), c))
+        while len(powers) <= k:
+            powers.append(hd(powers[-1]))
+        acc = _added(acc, _scaled(times_x(powers[k], j), c))
+    if isinstance(f, HermiteGauss):
+        return HermiteGauss(acc, f.gamma2, f.s)
     return PolyGauss(ComplexPoly(tuple(acc)), f.gamma2, f.gamma1)
 
 
 def _residual_ratio(norm, apply, f, mu: complex) -> float:
     """``norm(apply(f) - mu f) / norm(f)``, or ``inf`` (which must not certify)
     where that cannot be evaluated: ``norm(f)`` is zero (past the float64
-    cancellation floor), ``apply(f)`` exceeds :data:`DEGREE_CAP`, or an exact
-    sum meets non-finite terms (``fsum`` raises).  Other DomainErrors propagate."""
+    cancellation floor), ``apply(f)`` exceeds :data:`DEGREE_CAP`, an exact
+    sum meets non-finite terms (``fsum`` raises), or the ratio is not finite
+    (a NaN or an overflow among the values).  Other DomainErrors propagate."""
     try:
         denom = norm(f)
-        return norm(apply(f).add(f.scale(-mu))) / denom if denom else math.inf
+        ratio = norm(apply(f).add(f.scale(-mu))) / denom if denom else math.inf
     except (ValueError, OverflowError) as e:
         if isinstance(e, DomainError) and not isinstance(e, DegreeCapError):
             raise
         return math.inf
+    return ratio if math.isfinite(ratio) else math.inf
 
 
-def relative_residual(op: DiffOp, f: PolyGauss, mu: complex) -> float:
+def relative_residual(op: DiffOp, f, mu: complex) -> float:
     """Eigen-residual ||op f - mu f|| / ||f||, exact, or ``inf`` where it
     cannot be evaluated (see :func:`_residual_ratio`)."""
     return _residual_ratio(norm_line, lambda g: apply_diffop(op, g), f, mu)

@@ -12,8 +12,9 @@ weighted holomorphic space.  The ``phi_n`` are simultaneously:
   ``P* = -(hD + Cx)/B``,
 * given by a Rodrigues formula (n-fold hD derivative of a plain Gaussian).
 
-Everything here is exact ``PolyGauss`` algebra; quadrature appears only as
-the independent Gram-matrix oracle.
+The phi_n are ``HermiteGauss`` on their own Gaussian, of scale sqrt(h/Im C),
+where the operators are banded and inner products diagonal; quadrature
+appears only as the independent Gram-matrix oracle.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ from typing import Sequence
 import numpy as np
 
 from .gaussalg import (
+    DEGREE_CAP,
     ComplexPoly,
+    DegreeCapError,
     DiffOp,
     DomainError,
+    HermiteGauss,
     HoloGauss,
-    PolyGauss,
     _hermitian,
     _worst,
     apply_diffop,
@@ -52,7 +55,10 @@ class HermiteSystem:
     def __init__(self, params: PhaseParams):
         a_canon = canonical_A(params.B, params.C)
         self.params = PhaseParams(a_canon, params.B, params.C, params.h)
-        self._phi_cache: list[PolyGauss] = [self._phi0()]
+        p = self.params
+        amp = (p.C.imag / (math.pi * p.h)) ** 0.25
+        s = math.sqrt(p.h / p.C.imag)
+        self._phi_cache = [HermiteGauss((complex(amp),), -1j * p.C.conjugate() / (2 * p.h), s)]
 
     @classmethod
     def from_bch(cls, B: complex, C: complex, h: float = 1.0) -> "HermiteSystem":
@@ -60,18 +66,9 @@ class HermiteSystem:
 
     # -- constructions -----------------------------------------------------
 
-    def _phi0(self) -> PolyGauss:
-        p = self.params
-        amp = (p.C.imag / (math.pi * p.h)) ** 0.25
-        return PolyGauss(
-            ComplexPoly((complex(amp),)),
-            -1j * p.C.conjugate() / (2 * p.h),
-        )
-
-    def hermite_phi(self, n: int) -> PolyGauss:
+    def hermite_phi(self, n: int) -> HermiteGauss:
         """n-th generalized Hermite function, by the ladder recursion."""
-        if n < 0:
-            raise DomainError("index must be >= 0")
+        _check_index(n)
         p = self.params
         _, pstar, _ = self.ladder_ops()
         while len(self._phi_cache) <= n:
@@ -81,17 +78,17 @@ class HermiteSystem:
             self._phi_cache.append(up.scale(factor))
         return self._phi_cache[n]
 
-    def rodrigues_phi(self, n: int) -> PolyGauss:
+    def rodrigues_phi(self, n: int) -> HermiteGauss:
         """Same function by the independent Rodrigues route.
 
         ``(Im C/pi h)^{1/4} (1/sqrt n!) (-1/sqrt(2 h Im C))^n
         e^{(Im C - i Re C) x^2 / 2h} (hD)^n e^{-Im C x^2 / h}``
         -- used as the in-package cross-check for :meth:`hermite_phi`.
         """
-        if n < 0:
-            raise DomainError("index must be >= 0")
+        _check_index(n)
         p = self.params
-        core = PolyGauss(ComplexPoly.one(), -p.C.imag / p.h)
+        phi0 = self._phi_cache[0]
+        core = HermiteGauss((1.0,), -p.C.imag / p.h, phi0.s)  # on phi_0's scale
         hd = DiffOp.hD(p.h)
         for _ in range(n):
             core = apply_diffop(hd, core)
@@ -102,10 +99,7 @@ class HermiteSystem:
         )
         # reattach the exponent: e^{(ImC - iReC) x^2/2h} * e^{-ImC x^2/h}
         #                      = e^{-i conj(C) x^2 / 2h}
-        return PolyGauss(
-            core.poly.scale(amp),
-            -1j * p.C.conjugate() / (2 * p.h),
-        )
+        return HermiteGauss(core.scale(amp).coeffs, phi0.gamma2, phi0.s)
 
     def monomial_basis(self, n: int) -> HoloGauss:
         """Orthonormal monomial varphi_n of the weighted holomorphic space."""
@@ -156,9 +150,8 @@ class HermiteSystem:
         return p.h * p.C.imag / abs(p.B) ** 2 * (2 * n + 1)
 
     def eigen_residual(self, n: int) -> float:
-        """Relative residual ||H phi_n - mu_n phi_n|| / ||phi_n||, exact.
-
-        ``inf`` past the float64 cancellation floor (roughly n > 30), see
+        """Relative residual ||H phi_n - mu_n phi_n|| / ||phi_n||, exact, on
+        the Hermite coefficients; ``inf`` where it cannot be evaluated, see
         :func:`~bargmann_lab.gaussalg.relative_residual`.
         """
         _, _, H = self.ladder_ops()
@@ -169,11 +162,11 @@ class HermiteSystem:
     def gram_matrix(self, N: int, method: str = "exact") -> np.ndarray:
         """Gram matrix of (phi_0, ..., phi_{N-1}).
 
-        ``exact`` sums closed-form Gaussian moments; ``quadrature`` is the
+        ``exact`` takes diagonal coefficient sums; ``quadrature`` is the
         independent Gauss-Hermite oracle on the line (the combined exponent
         of phi_m conj(phi_n) is a real Gaussian, so the rule is exact up to
-        round-off, with nodes from numpy rather than from our algebra; the
-        rule comes from the per-process cache the plane grids share).
+        round-off; nodes from numpy, values from the three-term recurrence,
+        the rule from the per-process cache the plane grids share).
         The exact matrix is Hermitian: only its upper triangle and diagonal
         are computed (see :func:`~bargmann_lab.gaussalg._hermitian`).
         """
@@ -184,18 +177,19 @@ class HermiteSystem:
             return np.array(_hermitian(lambda m, n: inner_product_line(phis[m], phis[n]), N))
         p = self.params
         t, w = _gauss_rule("hermite", 200)
-        scale = math.sqrt(p.h / p.C.imag)  # combined decay e^{-ImC x^2/h}
-        x = t * scale
-        wx = w * scale  # e^{+t^2} folded into the sampled Gaussians below
-        # each factor sheds half the combined decay, so f conj(g) e^{t^2}
-        # is sampled as a polynomial times a pure phase
-        half = p.C.imag / (2 * p.h)
-        vals = [f.poly(x) * np.exp((f.gamma2 + half) * x * x + f.gamma1 * x) for f in phis]
-        G = np.empty((N, N), dtype=complex)
-        for m in range(N):
-            for n in range(N):
-                G[m, n] = np.sum(wx * vals[m] * np.conj(vals[n]))
-        return G
+        x = t * phis[0].s  # phi_0's scale sqrt(h/ImC): combined decay e^{-t^2}
+        # each factor sheds its half of that decay, e^{t^2/2}, and carries the
+        # square root of the weight, so every sample stays of order one
+        vals = np.array([f(x) for f in phis])
+        vals *= np.sqrt(w * phis[0].s) * np.exp(p.C.imag / (2 * p.h) * x * x)
+        return np.einsum("mt,nt->mn", vals, vals.conj())  # numpy's loops, no BLAS thread
+
+
+def _check_index(n: int) -> None:
+    if n < 0:
+        raise DomainError("index must be >= 0")
+    if n > DEGREE_CAP:
+        raise DegreeCapError(f"index {n} exceeds cap {DEGREE_CAP}")
 
 
 def _sqrt_pos(s: float) -> float:

@@ -30,11 +30,13 @@ from dataclasses import dataclass
 from .gaussalg import (
     DiffOp,
     DomainError,
+    HermiteGauss,
     PolyGauss,
     _hermitian,
     _residual_ratio,
     apply_diffop,
     inner_product_line,
+    norm_line,
 )
 from .hermite import HermiteSystem, gram_deviation
 
@@ -72,10 +74,10 @@ class NchoParams:
 
 @dataclass(frozen=True)
 class VecFun2:
-    """C^2-valued function on the line; both components PolyGauss."""
+    """C^2-valued function on the line; components PolyGauss or HermiteGauss."""
 
-    upper: PolyGauss
-    lower: PolyGauss
+    upper: PolyGauss | HermiteGauss
+    lower: PolyGauss | HermiteGauss
 
     def scale(self, c: complex) -> "VecFun2":
         return VecFun2(self.upper.scale(c), self.lower.scale(c))
@@ -156,7 +158,7 @@ def vec_inner(F: VecFun2, G: VecFun2) -> complex:
 
 
 def vec_norm(F: VecFun2) -> float:
-    return math.sqrt(max(vec_inner(F, F).real, 0.0))
+    return math.hypot(norm_line(F.upper), norm_line(F.lower))
 
 
 def spectrum_check(p: NchoParams, N: int) -> list[dict]:

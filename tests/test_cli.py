@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from bargmann_lab import HermiteSystem, cli, suites, transform
+from bargmann_lab import HermiteSystem, cli, gaussalg, ncho, suites, transform
+from bargmann_lab.gaussalg import DegreeCapError
 
 
 # ------------------------------------------------------------ flag parsing
@@ -162,9 +163,10 @@ def test_degenerate_ellipse_is_exit_1(capsys):
 
 
 def test_tolerance_violation_is_exit_2(tmp_path, capsys):
-    # past the float64 cancellation floor the residuals blow up honestly
+    # the monomial Psi_n lose digits with degree: past n = 20 the residuals
+    # exceed the tolerance honestly
     out = tmp_path / "deep.json"
-    rc = cli.main(["certify", "--suite", "hermite", "--n", "40", "-o", str(out)])
+    rc = cli.main(["eigres", "--system", "ellipse", "--n", "40", "-o", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert "FAIL" in err
@@ -188,14 +190,24 @@ def test_unevaluable_ellipse_residual_is_exit_2(tmp_path, capsys, args):
                for c in checks)
 
 
-@pytest.mark.parametrize("args", [
-    ["ncho", "--n", "40"],
-    ["certify", "--suite", "ncho", "--n", "41"],
-    ["ncho", "--n", "64"],
-    ["ncho", "--h", "1e300"],
+def _raising(err):
+    def apply_Q(p, F):
+        raise err
+    return apply_Q
+
+
+@pytest.mark.parametrize("args,attr,fault", [
+    (["ncho", "--n", "40"], "vec_norm", lambda F: 0.0),
+    (["certify", "--suite", "ncho", "--n", "41"], "apply_Q", lambda p, F: F.scale(math.nan)),
+    (["ncho", "--n", "64"], "apply_Q", _raising(DegreeCapError("degree 65 exceeds cap 64"))),
+    (["ncho", "--h", "1e300"], "apply_Q", _raising(ValueError("-inf + inf in fsum"))),
 ], ids=["ncho-n40", "certify-n41", "ncho-n64-degree-cap", "ncho-h1e300"])
-def test_unevaluable_ncho_residual_is_exit_2(tmp_path, capsys, args):
-    # ||Phi_39|| evaluates to zero, and Q Phi_63 would pass the degree cap
+def test_unevaluable_ncho_residual_is_exit_2(tmp_path, capsys, monkeypatch, args, attr, fault):
+    # the Hermite-coefficient route evaluates these inputs, so each case
+    # injects one way a residual cannot be evaluated: ||Phi|| is zero, Q Phi
+    # has NaN coefficients, Q Phi would pass the degree cap, an exact sum
+    # meets inf - inf
+    monkeypatch.setattr(ncho, attr, fault)
     out = tmp_path / "ncho.json"
     assert cli.main([*args, "-o", str(out)]) == 2
     capsys.readouterr()
@@ -204,10 +216,11 @@ def test_unevaluable_ncho_residual_is_exit_2(tmp_path, capsys, args):
                for c in checks)
 
 
-def test_unevaluable_hermite_residual_is_exit_2(tmp_path, capsys):
-    # at h = 1e300 the exact residual sum meets inf - inf: reported as inf
+def test_unevaluable_hermite_residual_is_exit_2(tmp_path, capsys, monkeypatch):
+    # an operator image with NaN coefficients cannot be evaluated: inf
+    monkeypatch.setattr(gaussalg, "apply_diffop", lambda op, f: f.scale(math.nan))
     out = tmp_path / "eig.json"
-    assert cli.main(["eigres", "--h", "1e300", "--format", "json", "-o", str(out)]) == 2
+    assert cli.main(["eigres", "--format", "json", "-o", str(out)]) == 2
     capsys.readouterr()
     checks = json.loads(out.read_text())["checks"]
     assert any(c["name"].startswith("eig_residual") and c["measured"] == math.inf
@@ -219,7 +232,8 @@ def test_unevaluable_hermite_residual_is_exit_2(tmp_path, capsys):
     (["certify", "--suite", "ncho"], "combined_gram_dev[n<3]"),
 ], ids=["gram", "certify"])
 def test_nan_gram_entry_is_exit_2(tmp_path, capsys, argv, name):
-    # at h = 1e-200 some Gram entries are NaN; the deviation keeps the NaN
+    # at h = 1e-200 the cross-sign entries, taken through the monomial form
+    # (the signs have different exponents), are NaN; the deviation keeps it
     out = tmp_path / "gram.json"
     argv = [*argv, "--alpha", "1.5", "--h", "1e-200", "--n", "3", "-o", str(out)]
     assert cli.main(argv) == 2

@@ -19,6 +19,7 @@ from bargmann_lab.gaussalg import (
     DegreeCapError,
     DiffOp,
     DomainError,
+    HermiteGauss,
     HoloGauss,
     PolyGauss,
     apply_diffop,
@@ -444,6 +445,104 @@ def test_residual_ratio_is_inf_only_where_it_cannot_be_evaluated():
     assert _residual_ratio(norm_line, raising(ValueError("-inf + inf in fsum")), f, 1.0) == math.inf
     with pytest.raises(DomainError, match="not integrable"):
         _residual_ratio(norm_line, raising(DomainError("not integrable")), f, 1.0)
+
+
+@pytest.mark.parametrize("f", [
+    PolyGauss(ComplexPoly((1.0 + 0j, 0.5j)), -0.5 + 0j, 0j),
+    HermiteGauss((1.0 + 0j, 0.5j), -0.5 + 0j, 1.0),
+], ids=["PolyGauss", "HermiteGauss"])
+def test_residual_ratio_of_nan_coefficients_is_inf(f):
+    # norm(f) is finite, apply(f) has NaN coefficients: the NaN ratio that
+    # fsum and max(nan, 0.0) let through must read as unevaluable
+    assert math.isfinite(norm_line(f))
+    assert _residual_ratio(norm_line, lambda g: g.scale(math.nan), f, 1.0) == math.inf
+
+
+# ------------------------------------------------------------- HermiteGauss
+
+
+def _hermite_form(rng, n, s=0.8, chirp=0.3):
+    """A random HermiteGauss on its own Gaussian, exp(-x^2/(2 s^2) + i chirp x^2)."""
+    return HermiteGauss(_random_coeffs(rng, n), complex(-0.5 / s**2, chirp), s)
+
+
+def test_hermite_form_values_and_monomial_form_agree():
+    # the three-term recurrence at points, against Horner on the monomial form
+    rng = np.random.default_rng(23)
+    x = np.linspace(-3.0, 3.0, 25)
+    for n in (1, 2, 5, 12):
+        f = _hermite_form(rng, n)
+        mono = PolyGauss(f.poly, f.gamma2)
+        want = np.array([mono(t) for t in x])
+        assert np.max(np.abs(f(x) - want)) <= 1e-12 * np.max(np.abs(want))
+        assert f(0.7) == pytest.approx(mono(0.7), rel=1e-12)
+
+
+def test_hermite_form_inner_product_is_the_moment_route():
+    # the diagonal sum against the closed-form moments of the monomial forms
+    rng = np.random.default_rng(29)
+    for la, lb in ((1, 1), (3, 5), (8, 8)):
+        f, g = _hermite_form(rng, la), _hermite_form(rng, lb)
+        want = inner_product_line(PolyGauss(f.poly, f.gamma2), PolyGauss(g.poly, g.gamma2))
+        assert abs(inner_product_line(f, g) - want) <= 1e-12 * norm_line(f) * norm_line(g)
+        assert norm_line(f) == pytest.approx(math.sqrt(inner_product_line(f, f).real), rel=1e-13)
+
+
+def test_hermite_form_operators_are_the_monomial_operators():
+    rng = np.random.default_rng(31)
+    op = DiffOp({(0, 2): 0.5, (2, 0): 1.5 - 0.5j, (1, 1): 0.25j, (0, 0): 2.0, (3, 1): 0.1}, h=0.7)
+    for n in (1, 4, 9):
+        f = _hermite_form(rng, n)
+        got = apply_diffop(op, f)
+        want = apply_diffop(op, PolyGauss(f.poly, f.gamma2))
+        assert isinstance(got, HermiteGauss) and (got.gamma2, got.s) == (f.gamma2, f.s)
+        assert coeff_deviation(want.poly, got.poly) <= 1e-12
+
+
+def test_hermite_form_images_pass_the_cap_but_their_monomial_form_does_not():
+    f = HermiteGauss((0j,) * DEGREE_CAP + (1.0 + 0j,), -0.5 + 0j, 1.0)
+    g = apply_diffop(DiffOp({(2, 0): 1.0}, h=1.0), f)  # index 66: transient
+    assert len(g.coeffs) == DEGREE_CAP + 3
+    assert norm_line(g) > 0
+    with pytest.raises(DegreeCapError):
+        g.poly
+
+
+def test_hermite_form_off_its_own_basis_goes_monomial():
+    rng = np.random.default_rng(37)
+    f, g = _hermite_form(rng, 4), _hermite_form(rng, 3, s=0.6)
+    monos = [PolyGauss(h.poly, h.gamma2) for h in (f, g)]
+    assert inner_product_line(f, g) == inner_product_line(*monos)
+    total = f.add(g.scale(0.0)).add(f)
+    assert isinstance(total, HermiteGauss) and total.coeffs == tuple(2 * c for c in f.coeffs)
+    with pytest.raises(DomainError):
+        f.add(g)  # different exponents do not add in either form
+
+
+@pytest.mark.parametrize("alpha,beta", [(2.0, 0.0), (2.0, 1.0), (0.5, 3.0)])
+def test_mixed_pairs_equal_the_calls_on_the_monomial_form(alpha, beta):
+    # the bridge check's calls, with the Hermite-form phi and with its
+    # monomial PolyGauss: a mixed pair goes through the monomial route
+    from bargmann_lab import bargmann, ellipse, hermite
+
+    p = ellipse.derived_constants(alpha, beta)
+    hs = hermite.HermiteSystem(ellipse.bridge_params(p))
+    for d in (0, 3, 8):
+        big = ellipse.Psi_n(p, d)
+        phi = hs.hermite_phi(d)
+        mono = PolyGauss(phi.poly, phi.gamma2)
+        ip = inner_product_line(big, phi)
+        assert ip == pytest.approx(inner_product_line(big, mono), rel=1e-12)
+        assert inner_product_line(phi, big) == pytest.approx(inner_product_line(mono, big), rel=1e-12)
+        assert norm_line(phi) == pytest.approx(norm_line(mono), rel=1e-12)
+        c = ip / inner_product_line(phi, phi)
+        got, want = big.add(phi.scale(c)), big.add(mono.scale(c))
+        assert coeff_deviation(want.poly, got.poly) <= 1e-12
+        assert norm_line(big.add(phi.scale(-c))) == pytest.approx(
+            norm_line(big.add(mono.scale(-c))), rel=1e-12, abs=1e-12 * norm_line(big))
+        U, V = bargmann.transform(hs.params, phi), bargmann.transform(hs.params, mono)
+        assert (U.c2, U.c1) == (V.c2, V.c1)
+        assert coeff_deviation(V.poly, U.poly) <= 1e-12
 
 
 # ---------------------------------------------------------------- HoloGauss

@@ -23,6 +23,7 @@ from bargmann_lab.gaussalg import (
 )
 from bargmann_lab.hermite import HermiteSystem, gram_deviation
 from bargmann_lab.phasecore import PhaseParams, canonical_A
+from bargmann_lab.suites import HERMITE_PARAM_SETS, TOL_ALGEBRA, TOL_GRAM_QUAD
 
 TOL_EXACT_GRAM = 1e-10
 TOL_QUAD_GRAM = 1e-6
@@ -73,6 +74,54 @@ def test_rodrigues_route_equals_ladder_route():
                 abs(x - y) for x, y in zip(a.poly.coeffs, b.poly.coeffs)
             )
             assert dev <= 1e-12 * scale
+
+
+def _monomial_ladder(hs, N):
+    """phi_0..phi_{N-1} by the ladder on monomial PolyGauss functions."""
+    p = hs.params
+    _, Ps, _ = hs.ladder_ops()
+    f = PolyGauss(
+        ComplexPoly(((p.C.imag / (math.pi * p.h)) ** 0.25 + 0j,)),
+        -1j * p.C.conjugate() / (2 * p.h),
+    )
+    out = [f]
+    for m in range(1, N):
+        f = apply_diffop(Ps, f).scale(p.B / math.sqrt(m * 2 * p.h * p.C.imag))
+        out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("B,C,h", HERMITE_PARAM_SETS)
+def test_hermite_form_matches_the_monomial_ladder_pointwise(B, C, h):
+    hs = _system(B, C, h)
+    x = math.sqrt(h / complex(C).imag) * np.linspace(-6.0, 6.0, 41)
+    for n, mono in enumerate(_monomial_ladder(hs, 13)):
+        phi = hs.hermite_phi(n)
+        want = np.array([mono(t) for t in x])
+        assert np.max(np.abs(phi(x) - want)) <= 1e-12 * np.max(np.abs(want))
+        rod = hs.rodrigues_phi(n)
+        assert norm_line(phi.add(rod.scale(-1))) <= 1e-12 * norm_line(phi)
+
+
+@pytest.mark.parametrize("B,C,h", HERMITE_PARAM_SETS)
+def test_degree_64_certifies(B, C, h):
+    # every index the CLI takes: residuals, exact Gram and the quadrature
+    # oracle (values by the three-term recurrence) at unchanged tolerances
+    hs = _system(B, C, h)
+    assert all(hs.eigen_residual(n) <= TOL_ALGEBRA for n in range(64))
+    assert gram_deviation(hs.gram_matrix(64)) <= TOL_ALGEBRA
+    assert gram_deviation(hs.gram_matrix(64, method="quadrature")) <= TOL_GRAM_QUAD
+    phi, rod = hs.hermite_phi(63), hs.rodrigues_phi(63)
+    assert norm_line(phi.add(rod.scale(-1))) <= TOL_ALGEBRA
+
+
+@pytest.mark.parametrize("h", [1e-200, 1e300])
+def test_residual_is_evaluated_at_extreme_h(h):
+    # coefficients and norms stay in float range: the residual is round-off
+    # times the eigenvalue, not inf from an overflowed norm
+    hs = _system(-1j, 1j, h)
+    for n in range(8):
+        assert hs.eigen_residual(n) <= 1e-13 * hs.eigenvalue(n)
 
 
 def test_degree_cap_enforced():

@@ -26,6 +26,8 @@ from bargmann_lab.ncho import (
     vec_norm,
 )
 
+from bargmann_lab.suites import NCHO_ALPHAS, NCHO_PLANCKS, TOL_ALGEBRA
+
 SQRT3 = math.sqrt(3.0)
 
 
@@ -181,3 +183,12 @@ def test_combined_gram_identity():
             val = vec_inner(F, G)
             worst = max(worst, abs(val - (1.0 if i == j else 0.0)))
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", NCHO_ALPHAS)
+@pytest.mark.parametrize("h", NCHO_PLANCKS)
+def test_spectrum_certifies_to_degree_64(alpha, h):
+    # Q Phi_63 reaches index 65: a transient image, not capped
+    rows = spectrum_check(NchoParams(alpha, h), 64)
+    assert {r["sign"] for r in rows} == {"+", "-"} and len(rows) == 128
+    assert all(r["residual"] <= TOL_ALGEBRA for r in rows)
