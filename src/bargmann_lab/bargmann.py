@@ -114,10 +114,6 @@ class QuadGrid:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "shell", shell)
 
-    def points(self) -> np.ndarray:
-        """The node array: float (1D) or complex x+iy (2D)."""
-        return self.nodes
-
 
 # ---------------------------------------------------------------------------
 # Grid construction

@@ -33,8 +33,9 @@ negative ``--seed`` too) or a parameter whose square overflows.
 
 Complex flag values are written ``a+bi`` (``--C 1+2i``, ``--B=-i``); a lone
 ``-i`` after a flag is accepted too.  JSON output encodes complex scalars as
-``[re, im]`` pairs.  Reports are deterministic: the same invocation produces
-byte-identical output.
+``[re, im]`` pairs, and a non-finite number as the string ``"NaN"``,
+``"Infinity"`` or ``"-Infinity"``.  Reports are deterministic: the same
+invocation produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -382,7 +383,13 @@ def run(cfg: RunConfig) -> int:
     report, header, rows = cmd.render(cfg)
     fmt = cfg.format or ("csv" if cmd.csv else "json")
     if fmt == "json":
-        text = json.dumps(report, indent=2) + "\n"
+        try:
+            text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+        except ValueError:
+            # strict JSON: each non-finite float becomes a string, "NaN",
+            # "Infinity" or "-Infinity", the token json.dumps would write
+            strict = json.loads(json.dumps(report), parse_constant=str)
+            text = json.dumps(strict, indent=2) + "\n"
     else:
         text = _render_csv(header, rows)
     if cfg.output:

@@ -21,7 +21,9 @@ Pulling psi_n back to the line gives the real-side family
 
 eigenfunctions of ``H_ab = P*_ab P_ab + alpha^2/(1+beta^2)`` with eigenvalues
 ``alpha^2 (2n+1)/(1+beta^2)``; a parameter bridge exposes them as generalized
-Hermite functions of a suitable (B, C) system.
+Hermite functions of a suitable (B, C) system.  Like the phi_n, the Psi_n
+are ``HermiteGauss`` on Psi_0's own Gaussian, the bridged phi_0's
+``(gamma2, s)``, so the two families meet in diagonal coefficient sums.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ from .gaussalg import (
     ComplexPoly,
     DiffOp,
     DomainError,
+    HermiteGauss,
     HoloGauss,
-    PolyGauss,
+    _check_index,
+    _rodrigues,
     apply_diffop,
     holo_add,
     holo_differentiate,
@@ -176,8 +180,7 @@ def psi_n(p: EllipseParams, n: int) -> HoloGauss:
     holomorphic algebra and stripped of its exponential), reattached to
     psi_0's own exponent.
     """
-    if n < 0:
-        raise DomainError("index must be >= 0")
+    _check_index(n)
     u = HoloGauss(ComplexPoly.one(), p.lam / 2)
     for _ in range(n):
         u = holo_differentiate(u)
@@ -197,27 +200,27 @@ def psi_n_ladder(p: EllipseParams, n: int) -> HoloGauss:
 # ---------------------------------------------------------------------------
 
 
-def Psi0(p: EllipseParams) -> PolyGauss:
-    return PolyGauss(ComplexPoly((complex(p.A_ab),)), -p.w_exponent / 2)
+def Psi0(p: EllipseParams) -> HermiteGauss:
+    """Psi_0 = A_ab e^{-w x^2/2} on its own Gaussian (scale sqrt(1/eigen_gap))."""
+    return HermiteGauss((complex(p.A_ab),), -p.w_exponent / 2, math.sqrt(1.0 / p.eigen_gap))
 
 
-def Psi_n(p: EllipseParams, n: int) -> PolyGauss:
-    """Psi_n by the Rodrigues route (n-fold d/dx of the wide Gaussian)."""
-    if n < 0:
-        raise DomainError("index must be >= 0")
-    core = PolyGauss(ComplexPoly.one(), -p.eigen_gap)  # e^{-alpha^2 x^2/(1+beta^2)}
-    ddx = DiffOp.d_dx(1.0)
-    for _ in range(n):
-        core = apply_diffop(ddx, core)
+def Psi_n(p: EllipseParams, n: int) -> HermiteGauss:
+    """Psi_n by the Rodrigues route (n-fold d/dx of the wide Gaussian
+    e^{-alpha^2 x^2/(1+beta^2)}, on Psi_0's scale)."""
+    _check_index(n)
+    base = Psi0(p)
     amp = p.A_ab * (-p.C_ab) ** n
-    return PolyGauss(core.poly.scale(amp), -p.w_exponent / 2)
+    return _rodrigues(DiffOp.d_dx(1.0), n, -p.eigen_gap, amp, base.gamma2, base.s)
 
 
-def Psi_n_ladder(p: EllipseParams, n: int) -> PolyGauss:
+def Psi_n_ladder(p: EllipseParams, n: int) -> HermiteGauss:
     """Psi_n as C_ab^n (P*_ab)^n Psi_0: the independent construction."""
+    _check_index(n)
+    _, Pstar, _ = ladder_diffops(p)
     f = Psi0(p)
     for _ in range(n):
-        f = apply_ladder(p, "p_star", f)
+        f = apply_diffop(Pstar, f)
     return f.scale(p.C_ab**n)
 
 
@@ -239,32 +242,21 @@ def ladder_diffops(p: EllipseParams) -> tuple[DiffOp, DiffOp, DiffOp]:
     return P, Pstar, H
 
 
-def apply_ladder(p: EllipseParams, which: str, f):
-    """Apply a named operator.
-
-    ``lambda`` and ``lambda_star`` act on :class:`HoloGauss`;
-    ``p``, ``p_star`` and ``h`` act on :class:`PolyGauss`.
-    """
+def apply_ladder(p: EllipseParams, which: str, f: HoloGauss) -> HoloGauss:
+    """Apply the holomorphic ladder ``lambda`` or ``lambda_star`` (the line
+    ladders are the :func:`ladder_diffops`)."""
+    if not isinstance(f, HoloGauss):
+        raise DomainError(f"{which} acts on HoloGauss")
     if which == "lambda":
-        if not isinstance(f, HoloGauss):
-            raise DomainError("lambda acts on HoloGauss")
         return holo_add(
             holo_scale(holo_differentiate(f), 1 / p.a),
             holo_scale(holo_multiply_z(f), 0.5),
         )
     if which == "lambda_star":
-        if not isinstance(f, HoloGauss):
-            raise DomainError("lambda_star acts on HoloGauss")
         return holo_add(
             holo_differentiate(f),
             holo_scale(holo_multiply_z(f), (p.a + 2 * p.lam) / 2),
         )
-    if which in ("p", "p_star", "h"):
-        if not isinstance(f, PolyGauss):
-            raise DomainError(f"{which} acts on PolyGauss")
-        P, Pstar, H = ladder_diffops(p)
-        op = {"p": P, "p_star": Pstar, "h": H}[which]
-        return apply_diffop(op, f)
     raise DomainError(f"unknown operator {which!r}")
 
 

@@ -200,11 +200,12 @@ def _convolve(
     return [complex(r, fsum(p[s] + q[s])) for r, s in zip(re, diagonals)]
 
 
-def coeff_deviation(u: ComplexPoly, v: ComplexPoly, collinear: bool = False) -> float:
+def coeff_deviation(u, v, collinear: bool = False) -> float:
     """Max coefficient deviation of v from u, relative to u's largest coefficient.
 
-    With ``collinear`` v is first rescaled to agree with u at that largest
-    coefficient, so only the directions of the two polynomials are compared.
+    ``u`` and ``v`` are two :class:`ComplexPoly`, or two :class:`HermiteGauss`
+    on one basis.  With ``collinear`` v is first rescaled to agree with u at
+    that largest coefficient, so only the directions of the two are compared.
     """
     n = max(len(u.coeffs), len(v.coeffs))
     a = u.coeffs + (0j,) * (n - len(u.coeffs))
@@ -579,10 +580,6 @@ class DiffOp:
         object.__setattr__(self, "terms", clean)
 
     @staticmethod
-    def identity(h: float) -> "DiffOp":
-        return DiffOp({(0, 0): 1.0}, h)
-
-    @staticmethod
     def hD(h: float) -> "DiffOp":
         return DiffOp({(0, 1): 1.0}, h)
 
@@ -699,6 +696,23 @@ def apply_diffop(op: DiffOp, f):
     if isinstance(f, HermiteGauss):
         return HermiteGauss(acc, f.gamma2, f.s)
     return PolyGauss(ComplexPoly(tuple(acc)), f.gamma2, f.gamma1)
+
+
+def _check_index(n: int) -> None:
+    """The index of a stored family: ``0 <= n <= DEGREE_CAP``."""
+    if n < 0:
+        raise DomainError("index must be >= 0")
+    if n > DEGREE_CAP:
+        raise DegreeCapError(f"index {n} exceeds cap {DEGREE_CAP}")
+
+
+def _rodrigues(op: DiffOp, n: int, core: complex, amp: complex, gamma2: complex, s: float):
+    """The Rodrigues formula ``amp e^{(gamma2 - core) x^2} op^n e^{core x^2}``,
+    a :class:`HermiteGauss` on the scale ``s`` (``op`` as a banded map)."""
+    f = HermiteGauss((1.0,), core, s)
+    for _ in range(n):
+        f = apply_diffop(op, f)
+    return HermiteGauss(f.scale(amp).coeffs, gamma2, s)
 
 
 def _residual_ratio(norm, apply, f, mu: complex) -> float:

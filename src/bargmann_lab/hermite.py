@@ -25,14 +25,14 @@ from typing import Sequence
 import numpy as np
 
 from .gaussalg import (
-    DEGREE_CAP,
     ComplexPoly,
-    DegreeCapError,
     DiffOp,
     DomainError,
     HermiteGauss,
     HoloGauss,
+    _check_index,
     _hermitian,
+    _rodrigues,
     _worst,
     apply_diffop,
     inner_product_line,
@@ -88,18 +88,14 @@ class HermiteSystem:
         _check_index(n)
         p = self.params
         phi0 = self._phi_cache[0]
-        core = HermiteGauss((1.0,), -p.C.imag / p.h, phi0.s)  # on phi_0's scale
-        hd = DiffOp.hD(p.h)
-        for _ in range(n):
-            core = apply_diffop(hd, core)
         amp = (
             (p.C.imag / (math.pi * p.h)) ** 0.25
             / math.sqrt(math.factorial(n))
             * (-1 / math.sqrt(2 * p.h * p.C.imag)) ** n
         )
-        # reattach the exponent: e^{(ImC - iReC) x^2/2h} * e^{-ImC x^2/h}
-        #                      = e^{-i conj(C) x^2 / 2h}
-        return HermiteGauss(core.scale(amp).coeffs, phi0.gamma2, phi0.s)
+        # the core e^{-ImC x^2/h} on phi_0's scale; the exponent reattached is
+        # e^{(ImC - iReC) x^2/2h} * e^{-ImC x^2/h} = e^{-i conj(C) x^2 / 2h}
+        return _rodrigues(DiffOp.hD(p.h), n, -p.C.imag / p.h, amp, phi0.gamma2, phi0.s)
 
     def monomial_basis(self, n: int) -> HoloGauss:
         """Orthonormal monomial varphi_n of the weighted holomorphic space."""
@@ -183,13 +179,6 @@ class HermiteSystem:
         vals = np.array([f(x) for f in phis])
         vals *= np.sqrt(w * phis[0].s) * np.exp(p.C.imag / (2 * p.h) * x * x)
         return np.einsum("mt,nt->mn", vals, vals.conj())  # numpy's loops, no BLAS thread
-
-
-def _check_index(n: int) -> None:
-    if n < 0:
-        raise DomainError("index must be >= 0")
-    if n > DEGREE_CAP:
-        raise DegreeCapError(f"index {n} exceeds cap {DEGREE_CAP}")
 
 
 def _sqrt_pos(s: float) -> float:

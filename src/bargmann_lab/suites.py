@@ -364,9 +364,7 @@ def suite_ellipse(
     """Route agreement, quadrature norms, and oscillator residuals."""
     p = derived_constants(alpha, beta)
     checks = ellipse_route_checks(p, n_eig, f"[n<{n_eig}]")
-    dev = _worst(
-        coeff_deviation(Psi_n(p, n).poly, Psi_n_ladder(p, n).poly) for n in range(n_eig)
-    )
+    dev = _worst(coeff_deviation(Psi_n(p, n), Psi_n_ladder(p, n)) for n in range(n_eig))
     checks.append(check(f"Psi_routes_dev[n<{n_eig}]", dev, TOL_IDENTITY))
 
     G, _, dev = ellipse_gram(alpha, beta, n_gram)
@@ -397,15 +395,16 @@ def suite_ellipse(
 
 
 def suite_bridge(alpha: float, beta: float, n_max: int = 11) -> list[dict]:
-    """Collinearity of the line family with the bridged Hermite family."""
+    """Collinearity of the line family with the bridged Hermite family: the
+    same exponent and scale, and collinear Hermite coefficients."""
     p = derived_constants(alpha, beta)
     hs = HermiteSystem(bridge_params(p))
     checks = []
     for n in range(n_max):
         big = Psi_n(p, n)
         phi = hs.hermite_phi(n)
-        exp_dev = abs(big.gamma2 - phi.gamma2) + abs(big.gamma1 - phi.gamma1)
-        coeff_dev = coeff_deviation(big.poly, phi.poly, collinear=True)
+        exp_dev = abs(big.gamma2 - phi.gamma2) + abs(big.s - phi.s)
+        coeff_dev = coeff_deviation(big, phi, collinear=True)
         checks.append(
             check(f"bridge_collinear[n={n}]", _worst((exp_dev, coeff_dev)), TOL_ALGEBRA)
         )

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from bargmann_lab import HermiteSystem, cli, gaussalg, ncho, suites, transform
+from bargmann_lab import HermiteSystem, cli, ellipse, gaussalg, ncho, suites, transform
 from bargmann_lab.gaussalg import DegreeCapError
 
 
@@ -162,9 +162,11 @@ def test_degenerate_ellipse_is_exit_1(capsys):
     capsys.readouterr()
 
 
-def test_tolerance_violation_is_exit_2(tmp_path, capsys):
-    # the monomial Psi_n lose digits with degree: past n = 20 the residuals
-    # exceed the tolerance honestly
+def test_tolerance_violation_is_exit_2(tmp_path, capsys, monkeypatch):
+    # the Hermite-coefficient Psi_n meet every residual tolerance to n = 64,
+    # so the family is shifted by one index: H Psi_{k+1} - mu_k Psi_{k+1} =
+    # 2 eigen_gap Psi_{k+1}, a finite residual far above the tolerance
+    monkeypatch.setattr(suites, "Psi_n", lambda p, n: ellipse.Psi_n(p, n + 1))
     out = tmp_path / "deep.json"
     rc = cli.main(["eigres", "--system", "ellipse", "--n", "40", "-o", str(out)])
     assert rc == 2
@@ -176,18 +178,31 @@ def test_tolerance_violation_is_exit_2(tmp_path, capsys):
     assert any(not c["pass"] for c in rep["checks"])
 
 
-@pytest.mark.parametrize("args", [
-    ["--n", "64"],
-    ["--alpha", "0.5", "--beta", "3", "--n", "40"],
+@pytest.mark.parametrize("args,scale", [
+    (["--n", "64"], 0.0),
+    (["--alpha", "0.5", "--beta", "3", "--n", "40"], math.nan),
 ], ids=["n64", "alpha0.5-beta3-n40"])
-def test_unevaluable_ellipse_residual_is_exit_2(tmp_path, capsys, args):
-    # past the cancellation floor the residual cannot be evaluated: reported as inf
+def test_unevaluable_ellipse_residual_is_exit_2(tmp_path, capsys, monkeypatch, args, scale):
+    # the Hermite-coefficient route evaluates these inputs, so each case
+    # injects one way a residual cannot be evaluated: ||Psi_n|| is zero, or
+    # Psi_n has NaN coefficients; either is reported as inf
+    monkeypatch.setattr(suites, "Psi_n", lambda p, n: ellipse.Psi_n(p, n).scale(scale))
     out = tmp_path / "ell.json"
     assert cli.main(["certify", "--suite", "ellipse", *args, "-o", str(out)]) == 2
     capsys.readouterr()
     checks = json.loads(out.read_text())["checks"]
-    assert any(c["name"].startswith("H_residual") and c["measured"] == math.inf
+    assert any(c["name"].startswith("H_residual") and float(c["measured"]) == math.inf
                for c in checks)
+
+
+@pytest.mark.parametrize("alpha,beta", suites.ELLIPSE_SETS)
+def test_ellipse_and_bridge_certify_to_degree_64(tmp_path, capsys, alpha, beta):
+    # Psi_n on Hermite coefficients: every residual, route and collinearity
+    # check holds to the CLI's --n limit at unchanged tolerances
+    for suite in ("ellipse", "bridge"):
+        argv = ["certify", "--suite", suite, f"--alpha={alpha}", f"--beta={beta}", "--n", "64"]
+        assert cli.main([*argv, "-o", str(tmp_path / f"{suite}.json")]) == 0, suite
+    assert "FAIL" not in capsys.readouterr().err
 
 
 def _raising(err):
@@ -212,7 +227,7 @@ def test_unevaluable_ncho_residual_is_exit_2(tmp_path, capsys, monkeypatch, args
     assert cli.main([*args, "-o", str(out)]) == 2
     capsys.readouterr()
     checks = json.loads(out.read_text())["checks"]
-    assert any(c["name"].startswith("residual") and c["measured"] == math.inf
+    assert any(c["name"].startswith("residual") and float(c["measured"]) == math.inf
                for c in checks)
 
 
@@ -223,7 +238,7 @@ def test_unevaluable_hermite_residual_is_exit_2(tmp_path, capsys, monkeypatch):
     assert cli.main(["eigres", "--format", "json", "-o", str(out)]) == 2
     capsys.readouterr()
     checks = json.loads(out.read_text())["checks"]
-    assert any(c["name"].startswith("eig_residual") and c["measured"] == math.inf
+    assert any(c["name"].startswith("eig_residual") and float(c["measured"]) == math.inf
                for c in checks)
 
 
@@ -239,7 +254,7 @@ def test_nan_gram_entry_is_exit_2(tmp_path, capsys, argv, name):
     assert cli.main(argv) == 2
     assert f"FAIL {name}: measured nan" in capsys.readouterr().err
     checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
-    assert math.isnan(checks[name]["measured"])
+    assert math.isnan(float(checks[name]["measured"]))
     assert not checks[name]["pass"]
 
 
@@ -268,7 +283,28 @@ def test_saturated_disk_roundtrip_is_exit_2(tmp_path, capsys):
     assert rc == 2
     assert "radius_roundtrip" in capsys.readouterr().err
     checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
-    assert checks["radius_roundtrip"]["measured"] == math.inf
+    assert float(checks["radius_roundtrip"]["measured"]) == math.inf
+
+
+def _reject_constant(token):
+    raise ValueError(f"bare {token} is not JSON")
+
+
+@pytest.mark.parametrize("argv,name,value", [
+    (["gram", "--system", "ncho", "--alpha", "1.5", "--h", "1e-200", "--n", "3"],
+     "combined_gram_dev", "NaN"),
+    (["toeplitz", "--disk", "800", "--format", "json"], "radius_roundtrip", "Infinity"),
+], ids=["nan", "infinity"])
+def test_non_finite_values_are_strict_json_strings(tmp_path, capsys, argv, name, value):
+    # a strict parser reads the artifact; each non-finite float is a string
+    # that float() reads back
+    out = tmp_path / "strict.json"
+    assert cli.main([*argv, "-o", str(out)]) == 2
+    capsys.readouterr()
+    rep = json.loads(out.read_text(), parse_constant=_reject_constant)
+    checks = {c["name"]: c for c in rep["checks"]}
+    assert checks[name]["measured"] == value
+    assert not math.isfinite(float(checks[name]["measured"]))
 
 
 # ------------------------------------------- the CLI renders suite results

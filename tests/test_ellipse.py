@@ -30,7 +30,18 @@ from bargmann_lab.ellipse import (
     zeta_inverse,
     zeta_map,
 )
-from bargmann_lab.gaussalg import DiffOp, apply_diffop, inner_product_line, norm_line
+from bargmann_lab.gaussalg import (
+    DEGREE_CAP,
+    ComplexPoly,
+    DegreeCapError,
+    DiffOp,
+    DomainError,
+    HermiteGauss,
+    PolyGauss,
+    apply_diffop,
+    inner_product_line,
+    norm_line,
+)
 from bargmann_lab.hermite import HermiteSystem
 from bargmann_lab.phasecore import PhaseParams
 from bargmann_lab.suites import ELLIPSE_SETS, ellipse_gram
@@ -173,6 +184,51 @@ def test_Psi0_axis_aligned_explicit():
     assert abs(f.poly.coeffs[0] - math.pi**0.25 * math.sqrt(5)) <= 1e-13
     assert abs(f.gamma2 - (-2.0)) <= 1e-14
     assert f.gamma1 == 0
+
+
+# the three reference sets and four more from the benchmark's range
+# alpha in [0.3, 3], beta in [-3, 3]
+BASIS_SETS = [*ELLIPSE_SETS, (0.3, -3.0), (3.0, 3.0), (1.2, -0.4), (0.7, 2.2)]
+
+
+@pytest.mark.parametrize("alpha,beta", BASIS_SETS)
+def test_Psi_n_are_on_the_bridged_phi_basis(alpha, beta):
+    # both routes build Psi_n on Psi_0's Gaussian, which is the bridged
+    # phi_0's (gamma2, s) bit for bit, so their inner products are diagonal
+    p = derived_constants(alpha, beta)
+    hs = HermiteSystem(bridge_params(p))
+    for n in (0, 1, 5, 12, 64):
+        phi = hs.hermite_phi(n)
+        for f in (Psi_n(p, n), Psi_n_ladder(p, n)):
+            assert isinstance(f, HermiteGauss)
+            assert repr((f.gamma2, f.s)) == repr((phi.gamma2, phi.s))
+
+
+def _monomial_rodrigues(p, n):
+    # Psi_n by the monomial route: n-fold d/dx of the wide Gaussian as a PolyGauss
+    core = PolyGauss(ComplexPoly.one(), -p.eigen_gap)
+    for _ in range(n):
+        core = apply_diffop(DiffOp.d_dx(1.0), core)
+    return PolyGauss(core.poly.scale(p.A_ab * (-p.C_ab) ** n), -p.w_exponent / 2)
+
+
+@pytest.mark.parametrize("alpha,beta", ELLIPSE_SETS)
+def test_Psi_n_is_the_monomial_rodrigues_formula_pointwise(alpha, beta):
+    p = derived_constants(alpha, beta)
+    for n in range(13):
+        f, ref = Psi_n(p, n), _monomial_rodrigues(p, n)
+        x = f.s * np.linspace(-math.sqrt(2 * n + 1) - 3, math.sqrt(2 * n + 1) + 3, 41)
+        want = np.array([ref(t) for t in x])
+        assert np.max(np.abs(f(x) - want)) <= 1e-12 * np.max(np.abs(want)), n
+
+
+def test_Psi_n_index_is_capped():
+    p = derived_constants(2.0, 1.0)
+    for build in (Psi_n, Psi_n_ladder):
+        with pytest.raises(DegreeCapError):
+            build(p, DEGREE_CAP + 1)
+        with pytest.raises(DomainError):
+            build(p, -1)
 
 
 def test_Psi_generation_routes_agree():

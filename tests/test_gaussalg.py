@@ -521,8 +521,9 @@ def test_hermite_form_off_its_own_basis_goes_monomial():
 
 @pytest.mark.parametrize("alpha,beta", [(2.0, 0.0), (2.0, 1.0), (0.5, 3.0)])
 def test_mixed_pairs_equal_the_calls_on_the_monomial_form(alpha, beta):
-    # the bridge check's calls, with the Hermite-form phi and with its
-    # monomial PolyGauss: a mixed pair goes through the monomial route
+    # the bridge check's calls, diagonal sums (Psi_n and phi share their
+    # Gaussian), against the same calls with phi's monomial PolyGauss, a mixed
+    # pair, which goes through the moment route
     from bargmann_lab import bargmann, ellipse, hermite
 
     p = ellipse.derived_constants(alpha, beta)

@@ -101,7 +101,7 @@ def test_matrix_diagonal_matches_radial_route(sym):
 def test_smoothing_preserves_constants():
     sym = RadialSymbol.smooth(lambda u: 1.0)
     grid = default_toeplitz_grid(sym, 2)
-    ones = [1.0] * len(grid.points())
+    ones = [1.0] * len(grid.nodes)
     for x, xi in ((0.0, 0.0), (0.5, -0.3), (1.0, 1.0)):
         assert symbol_convolve(ones, x, xi, grid) == pytest.approx(1.0, abs=1e-8)
 
