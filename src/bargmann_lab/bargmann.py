@@ -28,6 +28,11 @@ grid also computes its outer truncation shell once, at construction.
 The program's BLAS/LAPACK calls (those eigenvalue solves and the Toeplitz
 block products) run inside ``_serial_blas``, on the calling thread only.
 
+The one-dimensional oracles on intervals and half-lines (the rotated
+Gaussian integral, the radial eigenvalues) go through ``_adaptive_quad``, a
+double-exponential rule on node arrays, so that importing the package loads
+no scipy module.
+
 Planar grids are tensor Gauss-Hermite grids rescaled to the total real
 exponent of the integrand (weight plus the Gaussian factors of the integrand
 itself, including the induced center shift).  Rescaling to the weight alone
@@ -194,6 +199,75 @@ def _gauss_rule(family: str, n: int) -> tuple[np.ndarray, np.ndarray]:
         w.flags.writeable = False
         rule = _RULES[key] = (t, w)
     return rule
+
+
+#: The double-exponential rules below are trapezoid sums over |t| <= 4.
+#: Past that, a finite interval's weights are below e^{-85} of their peak
+#: and an infinite end's nodes lie beyond e^{42} (or within e^{-42} of a).
+_DE_T_MAX = 4.0
+#: Step halvings before the rule gives up: 8 * 2**12 + 1 nodes at the last.
+_DE_LEVELS = 12
+
+
+def _de_map(a: float, b: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x(t) and Jacobians x'(t) of the double-exponential map of
+    t in (-inf, inf) onto [a, b], with u = (pi/2) sinh t.
+
+    Sinh-sinh ``x = sinh u`` when a = -inf and b = inf, exp-sinh
+    ``x = a + e^u`` when only b = inf, and tanh-sinh otherwise.  A tanh-sinh
+    node is its nearer end moved in by ``(b - a)/2 (1 - tanh|u|)``, which is
+    computed as ``(b - a) q/(1 + q)`` with ``q = e^{-2|u|}``: near a = 0 the
+    nodes keep their relative accuracy.  Nodes whose step underflows to 0
+    (on intervals shorter than about 1e-286) are dropped, so none lands on 0.
+    """
+    u = 0.5 * math.pi * np.sinh(t)
+    du = 0.5 * math.pi * np.cosh(t)
+    if math.isinf(a):
+        return np.sinh(u), np.cosh(u) * du
+    if math.isinf(b):
+        e = np.exp(u)
+        return a + e, e * du
+    half = 0.5 * (b - a)
+    q = np.exp(-2.0 * np.abs(u))
+    step = half * (2.0 * q / (1.0 + q))
+    on = step > 0
+    x = np.where(t < 0, a + step, b - step)
+    return x[on], (half * du * (4.0 * q / (1.0 + q) ** 2))[on]
+
+
+def _adaptive_quad(
+    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, epsrel: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(integral of f over [a, b], error estimate) by a double-exponential rule.
+
+    The rules are Takahasi & Mori's (Publ. RIMS 9, 721 (1974)), mapped by
+    :func:`_de_map`: tanh-sinh on a finite [a, b], exp-sinh on [a, inf),
+    sinh-sinh on (-inf, inf).  ``f`` takes a node array and returns real
+    values on it, or a stack of such rows (one per integrand, integrated
+    together); it is called once per level, on the nodes that level adds.
+    The step starts at 1 and halves until two successive levels agree to
+    ``epsrel`` relative in every row, and the error estimate is their
+    difference.  The test is relative only, so a small integral is resolved
+    to its own digits.  The estimate is ``inf`` when no two levels agree or
+    as soon as a sum is not finite; ``f``'s overflow and invalid-value
+    warnings are silenced because a non-finite sum reports them.
+    """
+    h, total, previous = 1.0, 0.0, math.nan
+    t = np.arange(-_DE_T_MAX, _DE_T_MAX + h / 2, h)
+    for _ in range(_DE_LEVELS + 1):
+        x, dx = _de_map(a, b, t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = total + (f(x) * dx).sum(axis=-1)
+        value = h * total
+        if not np.isfinite(value).all():
+            break
+        error = abs(value - previous)
+        if (error <= epsrel * abs(value)).all():
+            return value, error
+        previous = value
+        h /= 2
+        t = np.arange(-_DE_T_MAX + h, _DE_T_MAX, 2 * h)
+    return value, np.full(np.shape(value), math.inf)
 
 
 def _fit_quad_1d(fn: Callable[[float], float]) -> tuple[float, float, float]:

@@ -20,7 +20,8 @@ is *not* the geometric radius; the package treats the scaling purely through
 this documented convention.
 
 Three independent routes are kept deliberately separate: the Poisson series,
-adaptive radial quadrature, and full 2D quadrature of the matrix elements.
+radial quadrature by a double-exponential (tanh-sinh / exp-sinh) rule, and
+full 2D quadrature of the matrix elements.
 The 2D route computes a whole N x N block in one pass over the polar nodes:
 |z|^2, the symbol, the Gaussian and the monomial powers are evaluated once
 per node, and the block is one weighted product of the monomial columns.
@@ -33,10 +34,16 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .gaussalg import DomainError
-from .bargmann import QuadGrid, polar_grid, _check_truncation, _quad_sum, _serial_blas
+from .bargmann import (
+    QuadGrid,
+    polar_grid,
+    _adaptive_quad,
+    _check_truncation,
+    _quad_sum,
+    _serial_blas,
+)
 
 __all__ = [
     "RadialSymbol",
@@ -58,8 +65,7 @@ class RadialSymbol:
 
     ``support`` bounds the profile argument (``inf`` for global profiles);
     it doubles as the quadrature split/truncation hint.  ``c`` is called
-    with a float by :func:`radial_eigenvalue` and with arrays of node values
-    by the 2D-quadrature route; the built-in profiles take both.
+    with arrays of node values by both quadrature routes.
     """
 
     c: Callable[[float], float]
@@ -86,36 +92,41 @@ class RadialSymbol:
 
 
 def radial_eigenvalue(sym: RadialSymbol, n: int) -> float:
-    """lambda_n = (1/n!) integral_0^inf c(2s) s^n e^{-s} ds, adaptively.
+    """lambda_n = (1/n!) integral_0^inf c(2s) s^n e^{-s} ds, by quadrature.
 
-    This is the quadrature route, independent of any series identity.
+    The double-exponential rule of :func:`~bargmann_lab.bargmann._adaptive_quad`
+    (tanh-sinh on [0, support/2], exp-sinh on [0, inf)) halves its step
+    until two levels agree to 1e-12 relative.  The test is relative because
+    lambda_n is as small as 1e-217 (the indicator with R = 0.01 at n = 63),
+    and an absolute floor would accept any answer below it.  This is the
+    quadrature route, independent of any series identity.
     """
-    if n < 0:
+    return float(_radial_eigenvalues(sym, [n])[0])
+
+
+def _radial_eigenvalues(sym: RadialSymbol, ns: Sequence[int]) -> np.ndarray:
+    """:func:`radial_eigenvalue` for every n in ``ns``, from one quadrature:
+    each level evaluates the profile once and integrates one row per n."""
+    n = np.array(ns, dtype=float).reshape(-1, 1)
+    if (n < 0).any():
         raise DomainError("index must be >= 0")
-    lognf = math.lgamma(n + 1)
+    lognf = np.array([math.lgamma(k + 1.0) for k in n.ravel()]).reshape(n.shape)
 
-    def integrand(s: float) -> float:
-        # s^n e^{-s} / n! in log space: stable for every n in range
-        if s <= 0:
-            return 0.0
-        return sym.c(2 * s) * math.exp(n * math.log(s) - s - lognf)
+    def integrand(s: np.ndarray) -> np.ndarray:
+        # s^n e^{-s} / n! in log space: stable for every n in range; the
+        # rule puts no node on s = 0
+        return sym.c(2 * s) * np.exp(n * np.log(s) - s - lognf)
 
-    if math.isfinite(sym.support):
-        upper = sym.support / 2
-        val, err = quad(integrand, 0, upper, epsabs=1e-13, epsrel=1e-12, limit=200)
-    else:
-        out = quad(
-            integrand, 0, math.inf, epsabs=1e-13, epsrel=1e-12, limit=200,
-            full_output=1,
+    val, err = _adaptive_quad(integrand, 0.0, sym.support / 2, 1e-12)
+    finite = np.isfinite(val)
+    if not finite.all():
+        raise DomainError(
+            f"radial integral did not converge (profile unbounded?): {val[~finite][0]}"
         )
-        val, err = out[0], out[1]
-        if len(out) > 3 or not math.isfinite(val):
-            raise DomainError(
-                f"radial integral did not converge (profile unbounded?): {out[-1]}"
-            )
-    if err > 1e-10 * max(1.0, abs(val)):
-        raise DomainError(f"radial integral error estimate {err} too large")
-    return float(val)
+    bad = err > 1e-10 * np.maximum(1.0, abs(val))
+    if bad.any():
+        raise DomainError(f"radial integral error estimate {err[bad][0]} too large")
+    return val
 
 
 def disk_eigenvalue(R: float, n: int) -> float:
@@ -280,11 +291,11 @@ def toeplitz_matrix_quad(
 
 def spectrum_rows(R: float, N: int) -> list[dict]:
     """Rows n, lambda_formula (series), lambda_quadrature (radial), abs_diff."""
-    sym = RadialSymbol.indicator(R)
+    radial = _radial_eigenvalues(RadialSymbol.indicator(R), range(N))
     rows = []
     for n in range(N):
         lf = disk_eigenvalue(R, n)
-        lq = radial_eigenvalue(sym, n)
+        lq = float(radial[n])
         rows.append(
             {
                 "n": n,

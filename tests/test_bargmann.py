@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
 
 from bargmann_lab import bargmann, cli, suites
 from bargmann_lab.bargmann import (
@@ -336,3 +337,31 @@ def test_transform_oracle_keeps_a_nan_deviation(monkeypatch, tmp_path, capsys):
     out = tmp_path / "t.json"
     assert cli.main(["transform", "--format", "json", "-o", str(out)]) == 2
     assert "closed_vs_quad" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("theta", suites.ROT_THETAS)
+@pytest.mark.parametrize("rho", suites.ROT_RHOS)
+def test_double_exponential_rule_matches_scipy_quad(rho, theta):
+    # the rot_gauss integrands of suite_gaussint, each part on the line
+    c = rho * rho * cmath.exp(2j * theta)
+    size = abs(cmath.sqrt(math.pi / c))
+    for part in (np.real, np.imag):
+        value, error = bargmann._adaptive_quad(
+            lambda t: part(np.exp(-c * t * t)), -math.inf, math.inf, 1e-12
+        )
+        want, _ = quad(lambda t: float(part(cmath.exp(-c * t * t))), -np.inf, np.inf,
+                       epsabs=1e-13, epsrel=1e-12, limit=400)
+        assert abs(value - want) <= 1e-11 * size
+        assert error <= 1e-12 * abs(value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("f,a,b,want", [
+    (np.exp, 0.0, 1.0, math.e - 1.0),                   # tanh-sinh
+    (lambda x: np.exp(-x), 2.0, math.inf, math.exp(-2.0)),  # exp-sinh
+])
+def test_double_exponential_rule_on_interval_and_half_line(f, a, b, want):
+    value, error = bargmann._adaptive_quad(f, a, b, 1e-12)
+    assert value == pytest.approx(want, rel=1e-14)
+    assert error <= 1e-12 * value

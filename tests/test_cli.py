@@ -397,6 +397,17 @@ def test_console_script_runs_end_to_end(tmp_path):
     assert all(c["pass"] for c in rep["checks"])
 
 
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy's import costs most of a process's start-up; tests alone use it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bargmann_lab.cli; sys.exit(any("
+         "m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # ------------------------------------------------------------------ formats
 
 

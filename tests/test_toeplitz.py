@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from bargmann_lab.bargmann import TruncationError, grid_values, polar_grid
 from bargmann_lab.gaussalg import DomainError
@@ -35,6 +36,44 @@ def test_exponential_profile_halves():
     sym = RadialSymbol.gaussian(0.5)
     for n in range(9):
         assert radial_eigenvalue(sym, n) == pytest.approx(2.0 ** -(n + 1), rel=1e-10)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rate", [0.1, 0.5, 2.0])
+def test_small_gaussian_eigenvalues_keep_relative_accuracy(rate):
+    # c(u) = e^{-rate u} gives (1 + 2 rate)^{-(n+1)}, down to 5^{-64}
+    sym = RadialSymbol.gaussian(rate)
+    for n in range(64):
+        want = (1.0 + 2.0 * rate) ** -(n + 1)
+        assert abs(radial_eigenvalue(sym, n) - want) <= 1e-10 * want
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("R", [0.01, 0.5, 3.0, 10.3827, 34.6515, 100.0])
+def test_small_disk_eigenvalues_keep_relative_accuracy(R):
+    # the disk eigenvalue is the regularized lower incomplete gamma P(n+1, R)
+    sym = RadialSymbol.indicator(R)
+    rows = spectrum_rows(R, 64)  # all n from one quadrature
+    for n in range(64):
+        want = gammainc(n + 1, R)
+        assert abs(radial_eigenvalue(sym, n) - want) <= 1e-10 * want
+        assert abs(rows[n]["lambda_quadrature"] - want) <= 1e-10 * want
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [0, 3])
+def test_unbounded_profile_does_not_converge(n):
+    with pytest.raises(DomainError, match="did not converge"):
+        radial_eigenvalue(RadialSymbol.smooth(lambda u: np.exp(u)), n)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_unannounced_jump_fails_the_error_estimate():
+    # a jump at u = 3 that ``support`` does not mark: the rule's levels
+    # never agree to 1e-12, and the eigenvalue is refused
+    sym = RadialSymbol.smooth(lambda u: (u <= 3.0) * 1.0)
+    with pytest.raises(DomainError, match="error estimate inf too large"):
+        radial_eigenvalue(sym, 2)
 
 
 def test_deep_tail_underflows_to_zero():
