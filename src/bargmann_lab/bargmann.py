@@ -245,24 +245,32 @@ def _adaptive_quad(
     sinh-sinh on (-inf, inf).  ``f`` takes a node array and returns real
     values on it, or a stack of such rows (one per integrand, integrated
     together); it is called once per level, on the nodes that level adds.
-    The step starts at 1 and halves until two successive levels agree to
-    ``epsrel`` relative in every row, and the error estimate is their
-    difference.  The test is relative only, so a small integral is resolved
-    to its own digits.  The estimate is ``inf`` when no two levels agree or
-    as soon as a sum is not finite; ``f``'s overflow and invalid-value
-    warnings are silenced because a non-finite sum reports them.
+    The step starts at 1 and halves until two successive levels agree in
+    every row to ``epsrel`` times the integral of |f|, and the error
+    estimate is their difference.  The test is relative only, so a small
+    integral is resolved to its own digits, and one that cancels to 0 is
+    resolved to the digits of its parts.  The one absolute floor is the
+    smallest normal float (about 2.2e-308): below it every sum is rounded
+    to a fixed quantum, two levels need not agree bit for bit, and a row
+    is resolved to that float, not to its own digits.  The estimate is
+    ``inf`` when no two levels agree or as soon as a sum is not finite;
+    ``f``'s overflow and invalid-value warnings are silenced because a
+    non-finite sum reports them.
     """
-    h, total, previous = 1.0, 0.0, math.nan
+    h, total, mass, previous = 1.0, 0.0, 0.0, math.nan
+    floor = np.finfo(float).tiny
     t = np.arange(-_DE_T_MAX, _DE_T_MAX + h / 2, h)
     for _ in range(_DE_LEVELS + 1):
         x, dx = _de_map(a, b, t)
         with np.errstate(over="ignore", invalid="ignore"):
-            total = total + (f(x) * dx).sum(axis=-1)
+            terms = f(x) * dx
+            total = total + terms.sum(axis=-1)
+            mass = mass + abs(terms).sum(axis=-1)
         value = h * total
         if not np.isfinite(value).all():
             break
         error = abs(value - previous)
-        if (error <= epsrel * abs(value)).all():
+        if (error <= np.maximum(epsrel * h * mass, floor)).all():
             return value, error
         previous = value
         h /= 2

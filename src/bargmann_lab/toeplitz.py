@@ -65,10 +65,11 @@ class RadialSymbol:
 
     ``support`` bounds the profile argument (``inf`` for global profiles);
     it doubles as the quadrature split/truncation hint.  ``c`` is called
-    with arrays of node values by both quadrature routes.
+    with arrays of node values by both quadrature routes, so it must be
+    written with numpy (``np.exp``, not ``math.exp``).
     """
 
-    c: Callable[[float], float]
+    c: Callable[[np.ndarray], np.ndarray]
     kind: str
     support: float
 
@@ -80,7 +81,9 @@ class RadialSymbol:
         return RadialSymbol(lambda u: (u <= 2 * R) * 1.0, "indicator", 2 * R)
 
     @staticmethod
-    def smooth(c: Callable[[float], float], support: float = math.inf) -> "RadialSymbol":
+    def smooth(
+        c: Callable[[np.ndarray], np.ndarray], support: float = math.inf
+    ) -> "RadialSymbol":
         return RadialSymbol(c, "smooth", support)
 
     @staticmethod
@@ -96,10 +99,13 @@ def radial_eigenvalue(sym: RadialSymbol, n: int) -> float:
 
     The double-exponential rule of :func:`~bargmann_lab.bargmann._adaptive_quad`
     (tanh-sinh on [0, support/2], exp-sinh on [0, inf)) halves its step
-    until two levels agree to 1e-12 relative.  The test is relative because
-    lambda_n is as small as 1e-217 (the indicator with R = 0.01 at n = 63),
-    and an absolute floor would accept any answer below it.  This is the
-    quadrature route, independent of any series identity.
+    until two levels agree to 1e-12 of the integral of the integrand's
+    absolute value.  The test is relative because lambda_n is as small as
+    1e-217 (the indicator with R = 0.01 at n = 63), and an absolute floor
+    such as 1e-13 would accept any answer below it; only values under the
+    smallest normal float are resolved to that float.  A sign-changing
+    profile may give lambda_n = 0, to round-off.  This is the quadrature
+    route, independent of any series identity.
     """
     return float(_radial_eigenvalues(sym, [n])[0])
 

@@ -365,3 +365,20 @@ def test_double_exponential_rule_on_interval_and_half_line(f, a, b, want):
     value, error = bargmann._adaptive_quad(f, a, b, 1e-12)
     assert value == pytest.approx(want, rel=1e-14)
     assert error <= 1e-12 * value
+
+
+_SUBNORMAL_ROWS = np.geomspace(1e-320, 1e-309, 64).reshape(-1, 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("f,moment", [
+    (lambda x: _SUBNORMAL_ROWS * np.exp(-x), 1.0),
+    (lambda x: _SUBNORMAL_ROWS * np.exp(-x) * x**3.3, math.gamma(4.3)),
+])
+def test_double_exponential_rule_on_subnormal_rows(f, moment):
+    # 64 rows between 1e-320 and 1e-309 converge together, each to within
+    # the smallest normal float
+    tiny = np.finfo(float).tiny
+    value, error = bargmann._adaptive_quad(f, 0.0, math.inf, 1e-12)
+    assert (error <= tiny).all()
+    assert (abs(value - moment * _SUBNORMAL_ROWS.ravel()) <= tiny).all()

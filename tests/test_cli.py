@@ -275,6 +275,14 @@ def test_tiny_disk_radius_roundtrips(tmp_path):
     assert checks["radius_roundtrip"]["measured"] == 0.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["toeplitz", "--disk", "1e-5", "--n", "64"],     # lambda_49 is about 3e-315
+    ["certify", "--suite", "toeplitz", "--R", "1e-158"],  # lambda_1 = R^2/2
+])
+def test_subnormal_disk_eigenvalues_converge(argv, tmp_path):
+    assert cli.main(argv + ["-o", str(tmp_path / "out")]) == 0
+
+
 def test_saturated_disk_roundtrip_is_exit_2(tmp_path, capsys):
     # lambda_0 rounds to 1 for R = 800: R is unrecoverable, so the check fails
     out = tmp_path / "big.json"

@@ -68,6 +68,24 @@ def test_unbounded_profile_does_not_converge(n):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_subnormal_eigenvalue_converges():
+    # below the smallest normal float the levels' sums are rounded to a fixed
+    # quantum; at this scale no two levels agreed bit for bit
+    scale = 3.20661711422e-312
+    sym = RadialSymbol.smooth(lambda u: scale * np.exp(-u))
+    want = scale / 3.0**6
+    assert abs(radial_eigenvalue(sym, 5) - want) <= np.finfo(float).tiny
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sign_changing_profile_with_zero_eigenvalue():
+    # c(u) = u/2 - 1 gives lambda_0 = integral (s - 1) e^{-s} ds = 0
+    sym = RadialSymbol.smooth(lambda u: u / 2 - 1)
+    assert abs(radial_eigenvalue(sym, 0)) <= 1e-15
+    assert radial_eigenvalue(sym, 1) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_unannounced_jump_fails_the_error_estimate():
     # a jump at u = 3 that ``support`` does not mark: the rule's levels
     # never agree to 1e-12, and the eigenvalue is refused
