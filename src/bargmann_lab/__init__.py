@@ -2,8 +2,9 @@
 
 Subpackages by theme:
 
-* :mod:`bargmann_lab.gaussalg`  -- the exact function algebra and closed-form
-  Gaussian integrals everything else reduces to;
+* :mod:`bargmann_lab.gaussalg`  -- the exact function algebra (Hermite
+  coefficients on the line, polynomials on the plane) everything else
+  reduces to;
 * :mod:`bargmann_lab.phasecore` -- quadratic phase data, weights, kernels,
   canonical maps;
 * :mod:`bargmann_lab.bargmann`  -- the transform, adjoint, projector, and the
@@ -25,11 +26,10 @@ from .gaussalg import (
     DegreeCapError,
     DiffOp,
     DomainError,
+    HermiteGauss,
     HoloGauss,
-    PolyGauss,
     apply_diffop,
     gauss_integral,
-    gaussian_moment,
     inner_product_line,
 )
 from .phasecore import PhaseParams, canonical_A, kappa_map, kernel_Psi, weight_Phi
@@ -49,15 +49,14 @@ __all__ = [
     "DegreeCapError",
     "DiffOp",
     "DomainError",
+    "HermiteGauss",
     "HoloGauss",
-    "PolyGauss",
     "PhaseParams",
     "QuadGrid",
     "TruncationError",
     "HermiteSystem",
     "apply_diffop",
     "gauss_integral",
-    "gaussian_moment",
     "inner_product_line",
     "canonical_A",
     "kappa_map",

@@ -4,10 +4,11 @@ The transform
 
     T f(z) = C_phi * h**(-3/4) * integral exp(i phi(z,x)/h) f(x) dx
 
-maps ``PolyGauss`` functions on the line to ``HoloGauss`` functions on the
-plane in closed form (completing the square reduces the integral to Gaussian
-moments).  The adjoint and the projector are kept quadrature-only on purpose:
-they are the *independent* route against which the closed forms are certified.
+maps ``HermiteGauss`` functions on the line to ``HoloGauss`` functions on the
+plane in closed form (the Gaussian integral of each Hermite polynomial is a
+scaled Hermite polynomial of the output variable).  The adjoint and the
+projector are kept quadrature-only on purpose: they are the *independent*
+route against which the closed forms are certified.
 
 A quadrature grid holds two read-only arrays: ``nodes`` (float on the line,
 complex x+iy on the plane) and positive float ``weights``.  Every integrand
@@ -55,14 +56,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from .gaussalg import (
-    ComplexPoly,
-    DomainError,
-    HoloGauss,
-    PolyGauss,
-    _hermitian,
-    reduced_moment_polys,
-)
+from .gaussalg import ComplexPoly, DomainError, HermiteGauss, HoloGauss, _hermitian
 from .phasecore import PhaseParams, phi_phase, kernel_Psi, weight_Phi
 
 __all__ = [
@@ -437,21 +431,29 @@ def _quad_sum(grid: QuadGrid, values: np.ndarray) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def transform(p: PhaseParams, f: PolyGauss) -> HoloGauss:
-    """Closed form of T f for a polynomial-times-Gaussian input.
+def transform(p: PhaseParams, f: HermiteGauss) -> HoloGauss:
+    """Closed form of T f for a line function in Hermite coefficients.
 
-    Completing the square in
+    With ``f = sum_k a_k eta_k(x/s) e^{gamma2 x^2 + gamma1 x}``,
 
         T f(z) = C_phi h^{-3/4} e^{iAz^2/2h}
-                 * integral poly(x) exp(g2 x^2 + u(z) x) dx,
+                 * sum_k a_k integral eta_k(x/s) exp(g2 x^2 + u(z) x) dx,
         g2 = gamma2 + iC/(2h),      u(z) = gamma1 + iBz/h,
 
-    gives a ``HoloGauss`` with
+    and each integral is the Gaussian integral of a Hermite polynomial
+    (Gradshteyn & Ryzhik 7.374), ``sqrt(pi/-g2) e^{-u^2/(4 g2)} p_k(y)`` with
+    ``y = -u/(2 g2 s)``, ``p_k = rho^k eta_k(y/rho)`` and ``rho^2 = 1 + 1/(g2
+    s^2)``.  The ``p_k`` follow the three-term recurrence
+
+        p_{k+1} = sqrt(2/(k+1)) y p_k - rho^2 sqrt(k/(k+1)) p_{k-1},
+
+    run on coefficient lists in z, where y is affine in z.  The result is a
+    ``HoloGauss`` with
 
         c2 = iA/(2h) + B^2/(4 h^2 g2),    c1 = -i B gamma1 / (2 h g2),
 
-    and polynomial part ``sum_k poly_k Q_k(u(z))`` rescaled by
-    ``C_phi h^{-3/4} exp(-gamma1^2/(4 g2))``.
+    and polynomial part ``sum_k a_k p_k(y(z))`` rescaled by
+    ``C_phi h^{-3/4} sqrt(pi/-g2) exp(-gamma1^2/(4 g2))``.
     """
     if f.is_zero:
         return HoloGauss(ComplexPoly.zero())
@@ -460,26 +462,30 @@ def transform(p: PhaseParams, f: PolyGauss) -> HoloGauss:
         raise DomainError(
             f"x-integral diverges: Re(gamma2 + iC/2h) = {g2.real}"
         )
-    b_over_h = 1j * p.B / p.h
-    q = reduced_moment_polys(g2, f.poly.degree)
-    r_of_u = ComplexPoly.zero()
-    for k, ck in enumerate(f.poly.coeffs):
-        if ck != 0:
-            r_of_u = r_of_u + q[k].scale(ck)
-    poly_z = r_of_u.compose_affine(f.gamma1, b_over_h)
+    y0 = -f.gamma1 / (2 * g2 * f.s)  # y = y0 + y1 z
+    y1 = -1j * p.B / (2 * p.h * g2 * f.s)
+    rho2 = 1 + 1 / (g2 * f.s * f.s)
+    prev, cur, acc = [0j], [1 + 0j], [f.coeffs[0]]  # p_{k-1}, p_k, partial sum
+    for k, a in enumerate(f.coeffs[1:], 1):
+        r, q = math.sqrt(2 / k), rho2 * math.sqrt((k - 1) / k)
+        y_cur = [y0 * u + y1 * v for u, v in zip(cur + [0j], [0j] + cur)]
+        prev, cur = cur, [r * u - q * v for u, v in zip(y_cur, prev + [0j, 0j])]
+        acc = [x + a * c for x, c in zip(acc + [0j], cur)]
     const = (
         p.C_phi
         * p.h ** (-0.75)
+        * cmath.sqrt(math.pi / -g2)
         * cmath.exp(-f.gamma1 * f.gamma1 / (4 * g2))
     )
     c2 = 1j * p.A / (2 * p.h) + p.B * p.B / (4 * p.h * p.h * g2)
     c1 = -1j * p.B * f.gamma1 / (2 * p.h * g2)
-    return HoloGauss(poly_z.scale(const), c2, c1)
+    return HoloGauss(ComplexPoly.from_coeffs(acc).scale(const), c2, c1)
 
 
-def transform_quad(p: PhaseParams, f: PolyGauss, z: complex) -> complex:
+def transform_quad(p: PhaseParams, f: HermiteGauss, z: complex) -> complex:
     """Quadrature route for T f(z): the oracle for :func:`transform`, on the
-    line grid fitted to the real part of the integrand's exponent."""
+    line grid fitted to the real part of the integrand's exponent, with f's
+    Hermite sum by its three-term recurrence."""
     if f.is_zero:
         return 0j
 
@@ -487,7 +493,8 @@ def transform_quad(p: PhaseParams, f: PolyGauss, z: complex) -> complex:
         return 1j * phi_phase(p, z, x) / p.h + f.gamma2 * x * x + f.gamma1 * x
 
     g = line_grid(lambda x: exponent(x).real)
-    return p.C_phi * p.h ** (-0.75) * _quad_sum(g, f.poly(g.nodes) * np.exp(exponent(g.nodes)))
+    values = f.hermite_sum(g.nodes) * np.exp(exponent(g.nodes))
+    return p.C_phi * p.h ** (-0.75) * _quad_sum(g, values)
 
 
 def adjoint_quad(

@@ -1,17 +1,19 @@
 """Exact algebra of complex polynomial-times-Gaussian functions.
 
 Everything downstream (transforms, Hermite systems, oscillator spectra,
-localization eigenvalues) is built on three closed classes:
+localization eigenvalues) is built on two function classes:
 
-* ``ComplexPoly``    -- polynomials with complex coefficients,
-* ``PolyGauss``      -- ``x -> poly(x) * exp(gamma2*x**2 + gamma1*x)`` on the line,
-* ``HoloGauss``      -- ``z -> poly(z) * exp(c2*z**2 + c1*z)`` on the plane,
+* ``HermiteGauss`` -- ``x -> sum_k a_k eta_k(x/s) exp(gamma2*x**2 + gamma1*x)``
+  on the line, in Hermite coefficients (``HermiteGauss.from_poly`` converts
+  a polynomial times a Gaussian),
+* ``HoloGauss``    -- ``z -> poly(z) * exp(c2*z**2 + c1*z)`` on the plane,
+  with its polynomial part a ``ComplexPoly`` (complex coefficients),
 
-with ``HermiteGauss``, a line function in Hermite coefficients on its own
-Gaussian, and differential operators (``DiffOp``) acting exactly on both line
-forms.  Inner products on the line reduce to closed-form Gaussian moments
-(``gaussian_moment``) or to diagonal Hermite-coefficient sums, so orthogonality
-and eigen-relations are certified to round-off, not quadrature accuracy.
+and differential operators (``DiffOp``) acting on the line class as banded
+maps.  Inner products on the line are diagonal coefficient sums on a shared
+own Gaussian, and otherwise sums over the Franck-Condon overlap recurrence
+(``_overlaps``), so orthogonality and eigen-relations are certified to
+round-off, not quadrature accuracy.
 
 All values are immutable; all functions are pure.
 """
@@ -19,7 +21,7 @@ All values are immutable; all functions are pure.
 from __future__ import annotations
 
 import cmath
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -141,7 +143,7 @@ class ComplexPoly:
         return ComplexPoly.from_coeffs(c * a for a in self.coeffs)
 
     def __mul__(self, other: "ComplexPoly") -> "ComplexPoly":
-        return ComplexPoly.from_coeffs(_convolve(self.coeffs, other.coeffs))
+        return ComplexPoly.from_coeffs(np.convolve(self.coeffs, other.coeffs).tolist())
 
     def shift_up(self, n: int = 1) -> "ComplexPoly":
         """Multiply by ``x**n``."""
@@ -155,49 +157,6 @@ class ComplexPoly:
         return ComplexPoly.from_coeffs(
             k * c for k, c in enumerate(self.coeffs) if k > 0
         )
-
-    def conjugate(self) -> "ComplexPoly":
-        """Coefficient-wise conjugate; equals conj(p(x)) for real x."""
-        return ComplexPoly(tuple(c.conjugate() for c in self.coeffs))
-
-    def compose_affine(self, b0: complex, b1: complex) -> "ComplexPoly":
-        """Return ``p(b0 + b1*x)`` (Horner in the affine argument)."""
-        acc = ComplexPoly.zero()
-        lin = ComplexPoly.from_coeffs((b0, b1))
-        for c in reversed(self.coeffs):
-            acc = acc * lin + ComplexPoly((complex(c),))
-        return acc
-
-
-def _convolve(
-    a: tuple[complex, ...], b: tuple[complex, ...], step: int = 1
-) -> list[complex]:
-    """Coefficient convolution with compensated (exact) accumulation.
-
-    Returns the anti-diagonal sums ``k = 0, step, 2*step, ...`` of the
-    product table ``a[i] * b[l]`` (``step`` is 1 or 2).  Each is a correctly
-    rounded sum (one ``math.fsum`` per real and imaginary part) of the
-    rounded real cross products; this keeps high-degree cancellation
-    (Hermite-type alternating signs) at the rounding error of the individual
-    products.  ``fsum`` does not depend on the order of its terms, so the
-    real cross products (``re*re`` and ``-im*im``, then ``re*im`` and
-    ``im*re``) are formed in bulk in row-major ``(i, l)`` order, where
-    anti-diagonal ``k`` is a strided slice with stride ``len(b) - 1`` (a
-    single entry when ``len(b) == 1``).
-    """
-    fsum = math.fsum
-    ar, ai = [x.real for x in a], [x.imag for x in a]
-    br, bi = [y.real for y in b], [y.imag for y in b]
-    la, d = len(a), len(b) - 1
-    diagonals = [
-        slice(max(0, k - d) * d + k, (min(k + 1, la) - 1) * d + k + 1, d or 1)
-        for k in range(0, la + d, step)
-    ]
-    p, q = [x * y for x in ar for y in br], [-x * y for x in ai for y in bi]
-    re = [fsum(p[s] + q[s]) for s in diagonals]
-    del p, q  # the real part's tables go before the imaginary part's are built
-    p, q = [x * y for x in ar for y in bi], [x * y for x in ai for y in br]
-    return [complex(r, fsum(p[s] + q[s])) for r, s in zip(re, diagonals)]
 
 
 def coeff_deviation(u, v, collinear: bool = False) -> float:
@@ -216,59 +175,8 @@ def coeff_deviation(u, v, collinear: bool = False) -> float:
 
 
 # ---------------------------------------------------------------------------
-# PolyGauss / HoloGauss
+# HermiteGauss / HoloGauss
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PolyGauss:
-    """``x -> poly(x) * exp(gamma2*x**2 + gamma1*x)`` on the real line.
-
-    ``Re(gamma2) < 0`` is enforced (square-integrability), except for the
-    identically-zero function, which is accepted with any exponent.
-    """
-
-    poly: ComplexPoly
-    gamma2: complex
-    gamma1: complex = 0j
-
-    def __post_init__(self) -> None:
-        if not self.poly.is_zero and not self.gamma2.real < 0:
-            raise DomainError(
-                f"Re(gamma2) = {self.gamma2.real} must be negative"
-            )
-
-    def __call__(self, x: float) -> complex:
-        return self.poly(x) * cmath.exp(self.gamma2 * x * x + self.gamma1 * x)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.poly.is_zero
-
-    def scale(self, c: complex) -> "PolyGauss":
-        return PolyGauss(self.poly.scale(c), self.gamma2, self.gamma1)
-
-    def add(self, other) -> "PolyGauss":
-        """Sum of two functions *with the same exponent* (else DomainError);
-        a ``HermiteGauss`` summand enters in its monomial form."""
-        other = _monomial(other)
-        if other.is_zero:
-            return self
-        if self.is_zero:
-            return other
-        if not (
-            _close(self.gamma2, other.gamma2) and _close(self.gamma1, other.gamma1)
-        ):
-            raise DomainError("cannot add PolyGauss with different exponents")
-        return PolyGauss(self.poly + other.poly, self.gamma2, self.gamma1)
-
-    def conj(self) -> "PolyGauss":
-        """The function ``x -> conj(self(x))`` for real x, as a PolyGauss."""
-        return PolyGauss(
-            self.poly.conjugate(),
-            self.gamma2.conjugate(),
-            self.gamma1.conjugate(),
-        )
 
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -276,73 +184,83 @@ _SQRT_PI = math.sqrt(math.pi)
 
 @dataclass(frozen=True)
 class HermiteGauss:
-    """``x -> sum_k coeffs[k] eta_k(x/s) exp(gamma2*x**2)`` on the real line.
+    """``x -> sum_k coeffs[k] eta_k(x/s) exp(gamma2*x**2 + gamma1*x)`` on the line.
 
     ``eta_k = H_k / sqrt(2**k k!)`` (``eta_0 = 1``) are orthogonal for the
     weight ``e^{-u^2}``, with squared norm ``sqrt(pi)``; ``x`` and ``d/dx`` act
-    as bidiagonal maps.  On the weight's own Gaussian, ``Re(gamma2) = -1/(2
-    s**2)``, functions sharing ``(gamma2, s)`` add coefficient-wise and have the
-    inner product ``s sqrt(pi) sum_k a_k conj(b_k)``; other uses read ``poly``.
+    as bidiagonal maps.  Functions on one ``(gamma2, gamma1, s)`` add
+    coefficient-wise.  On the weight's own Gaussian, ``Re(gamma2) = -1/(2
+    s**2)`` with ``gamma1 = 0``, two functions have the inner product ``s
+    sqrt(pi) sum_k a_k conj(b_k)``.
+
+    ``Re(gamma2) < 0`` is enforced (square-integrability), except for the
+    identically-zero function, which is accepted with any exponent.
     """
 
     coeffs: tuple[complex, ...]
     gamma2: complex
     s: float
-    gamma1 = 0j  # a class constant, not a field
+    gamma1: complex = 0j
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(_trim(list(map(complex, self.coeffs)))))
         if not self.is_zero and not self.gamma2.real < 0:
             raise DomainError(f"Re(gamma2) = {self.gamma2.real} must be negative")
 
+    @staticmethod
+    def from_poly(poly: ComplexPoly, gamma2: complex, gamma1: complex = 0j) -> "HermiteGauss":
+        """``poly(x) exp(gamma2 x^2 + gamma1 x)`` on its own Gaussian, ``s = 1/sqrt(-2
+        Re gamma2)``: Horner with ``x = (s/2)(L + R)`` (:func:`_band`).  A
+        monomial has non-negative Hermite coefficients, so nothing cancels."""
+        gamma2 = complex(gamma2)
+        s = 1 / math.sqrt(-2 * gamma2.real) if gamma2.real < 0 else 1.0
+        acc = [0j]
+        for c in reversed(poly.coeffs):
+            acc = _band(acc, s / 2, s / 2)
+            acc[0] += c
+        return HermiteGauss(acc, gamma2, s, complex(gamma1))
+
     @property
     def is_zero(self) -> bool:
         return len(self.coeffs) == 1 and self.coeffs[0] == 0
 
-    @functools.cached_property
-    def poly(self) -> ComplexPoly:
-        """The polynomial part in monomials (eta_k by the three-term recurrence)."""
-        out, prev, cur = [0j] * len(self.coeffs), [0.0], [1.0]
-        for k, a in enumerate(self.coeffs):
-            if k:
-                r, q = math.sqrt(2 / k), math.sqrt((k - 1) / k)
-                prev, cur = cur, [r * c - q * b for c, b in zip([0.0] + cur, prev + [0.0, 0.0])]
-            out = [o + a * c for o, c in zip(out, cur)] + out[len(cur):]
-        inv, r = 1 / self.s, 1.0
-        for j, c in enumerate(out):
-            out[j], r = complex(c.real * r, c.imag * r), r * inv
-        return ComplexPoly.from_coeffs(out)
-
-    def __call__(self, x):
-        """Value at x (a number or an array), by the three-term recurrence."""
+    def hermite_sum(self, x):
+        """``sum_k coeffs[k] eta_k(x/s)`` at x (a number or an array), by the
+        three-term recurrence."""
         u = np.asarray(x, dtype=float) / self.s
         prev, cur = np.zeros_like(u), np.ones_like(u)
         acc = self.coeffs[0] * cur
         for k, a in enumerate(self.coeffs[1:], 1):
             prev, cur = cur, math.sqrt(2 / k) * u * cur - math.sqrt((k - 1) / k) * prev
             acc = acc + a * cur
-        return acc * np.exp(self.gamma2 * np.square(x))
+        return acc
+
+    def __call__(self, x):
+        """Value at x (a number or an array)."""
+        exponent = self.gamma2 * np.square(x)
+        if self.gamma1:
+            exponent = exponent + self.gamma1 * np.asarray(x, dtype=float)
+        return self.hermite_sum(x) * np.exp(exponent)
 
     def scale(self, c: complex) -> "HermiteGauss":
-        return HermiteGauss(_scaled(list(self.coeffs), c), self.gamma2, self.s)
+        return HermiteGauss(_scaled(list(self.coeffs), c), self.gamma2, self.s, self.gamma1)
 
-    def add(self, other):
-        """Sum with another line function; see the class docstring."""
+    def add(self, other: "HermiteGauss") -> "HermiteGauss":
+        """Coefficient-wise sum of two functions on one ``(gamma2, gamma1, s)``;
+        DomainError otherwise, unless one of them is zero."""
         if other.is_zero or self.is_zero:
             return self if other.is_zero else other
-        if not self._shares_weight(other):
-            return _monomial(self).add(other)
-        return HermiteGauss(_added(list(self.coeffs), list(other.coeffs)), self.gamma2, self.s)
+        if (self.gamma2, self.gamma1, self.s) != (other.gamma2, other.gamma1, other.s):
+            raise DomainError("cannot add HermiteGauss with different exponents or scales")
+        return HermiteGauss(
+            _added(list(self.coeffs), list(other.coeffs)), self.gamma2, self.s, self.gamma1
+        )
 
-    def _shares_weight(self, other) -> bool:
-        """Both on one ``(gamma2, s)``, the weight's own Gaussian."""
-        same = isinstance(other, HermiteGauss) and (self.gamma2, self.s) == (other.gamma2, other.s)
+    def _shares_weight(self, other: "HermiteGauss") -> bool:
+        """Both on one ``(gamma2, s)``, the weight's own Gaussian, with no
+        linear exponent."""
+        same = (self.gamma2, self.s, self.gamma1, other.gamma1) == (other.gamma2, other.s, 0, 0)
         return same and _close(2 * self.gamma2.real * self.s * self.s, -1.0)
-
-
-def _monomial(f):
-    """A line function as a :class:`PolyGauss`."""
-    return PolyGauss(f.poly, f.gamma2) if isinstance(f, HermiteGauss) else f
 
 
 @dataclass(frozen=True)
@@ -424,89 +342,50 @@ def gauss_integral(rho: float, theta: float) -> complex:
     return math.sqrt(math.pi) / (rho * cmath.exp(1j * theta))
 
 
-def gaussian_moment(gamma2: complex, gamma1: complex, k: int) -> complex:
-    """Closed form of ``integral of x**k * exp(gamma2 x**2 + gamma1 x) dx`` on R.
+def _overlaps(
+    g: complex, g1: complex, s1: float, s2: float, J: int, K: int
+) -> list[list[complex]]:
+    """``M[j][k] = int eta_j(x/s1) eta_k(x/s2) exp(g x^2 + g1 x) dx`` for
+    ``j < J``, ``k < K``: the Franck-Condon overlap recurrence (Sharp &
+    Rosenstock, J. Chem. Phys. 41, 3453 (1964)).
 
-    Completing the square shifts to centered moments
-    ``E_{2m} = Gamma(m + 1/2) * (-gamma2)**(-m-1/2)`` (odd ones vanish), then
-    the binomial theorem restores the shift (see :func:`_moments`).
-    Requires ``Re(gamma2) < 0``.
+    ``M_00 = sqrt(pi/-g) e^{-g1^2/4g}``.  Integrating ``x eta_j eta_k e^{...}``
+    by parts gives
+
+        sqrt(j+1) M_{j+1,k} = c1 M_jk + A1 sqrt(j) M_{j-1,k} + D sqrt(k) M_{j,k-1},
+
+    ``c_i = -g1/(sqrt(2) s_i g)``, ``A_i = -(1 + 1/(s_i^2 g))``, ``D =
+    -1/(s1 s2 g)``, and row 0 by the mirror recurrence along k (``c2``,
+    ``A2``).  On a shared own Gaussian with ``g1 = 0``, ``A_i = c_i = 0``:
+    M is diagonal.
     """
-    if not gamma2.real < 0:
-        raise DomainError(f"Re(gamma2) = {gamma2.real} must be negative")
-    if k < 0:
-        raise DomainError("moment order must be >= 0")
-    prefac = cmath.exp(-gamma1 * gamma1 / (4 * gamma2))
-    return prefac * _moments(gamma2, gamma1, k)[k]
+    if not g.real < 0:
+        raise DomainError(f"combined exponent Re = {g.real} not integrable")
+    rt = [math.sqrt(k) for k in range(max(J, K))]
+    D = -1 / (s1 * s2 * g)
+    (c1, A1), (c2, A2) = ((-g1 / (math.sqrt(2) * s * g), -(1 + 1 / (s * s * g))) for s in (s1, s2))
+    row, before = [cmath.sqrt(math.pi / -g) * cmath.exp(-g1 * g1 / (4 * g))], 0j
+    for k in range(1, K):
+        row.append((c2 * row[-1] + A2 * rt[k - 1] * before) / rt[k])
+        before = row[-2]
+    M, before = [row], [0j] * K
+    for j in range(1, J):
+        row, a, r = M[-1], A1 * rt[j - 1], rt[j]
+        diag = [0j] + row[:-1]  # M_{j-1,k-1}
+        M.append([(c1 * m + a * b + D * q * d) / r for m, b, q, d in zip(row, before, rt, diag)])
+        before = row
+    return M
 
 
-def _centered_even_moments(gamma2: complex, k: int) -> list[complex]:
-    """``[E_0, E_2, ..., E_{2m}]`` with ``E_{2m} = int t^{2m} e^{gamma2 t^2} dt``."""
-    e = [cmath.sqrt(math.pi / -gamma2)]
-    for m in range(1, k // 2 + 1):
-        e.append(e[-1] * (2 * m - 1) / (-2 * gamma2))
-    return e
-
-
-def _moments(gamma2: complex, gamma1: complex, K: int) -> list[complex]:
-    """``[M_0, ..., M_K]``: the moments of :func:`gaussian_moment` without
-    their common prefactor ``exp(-gamma1**2 / (4 gamma2))``.
-
-    With ``x = t + shift``, ``shift = -gamma1 / (2 gamma2)``,
-    ``M_k = sum_{j even} C(k,j) shift**(k-j) E_j``, one correctly rounded
-    sum per k.  With no linear exponent ``M_k`` is ``E_k``: zero for odd k.
-    """
-    even = _centered_even_moments(gamma2, K)
-    if gamma1 == 0:
-        out = [0j] * (K + 1)
-        out[::2] = even
-        return out
-    shift = -gamma1 / (2 * gamma2)
-    out = []
-    for k in range(K + 1):
-        terms = [
-            math.comb(k, j) * shift ** (k - j) * even[j // 2]
-            for j in range(0, k + 1, 2)
-        ]
-        out.append(
-            complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-        )
-    return out
-
-
-def reduced_moment_polys(gamma2: complex, max_k: int) -> list[ComplexPoly]:
-    """Polynomials ``Q_k(u)`` with ``int x^k e^{gamma2 x^2 + u x} dx = e^{-u^2/(4 gamma2)} Q_k(u)``.
-
-    Used by the transform's closed-form path, where the linear exponent ``u``
-    is itself an affine function of the output variable.  From the same
-    completion of the square as :func:`gaussian_moment`:
-
-        Q_k(u) = sum_{j even, j<=k} C(k,j) * E_j * (-u/(2 gamma2))**(k-j).
-    """
-    if not gamma2.real < 0:
-        raise DomainError(f"Re(gamma2) = {gamma2.real} must be negative")
-    even = _centered_even_moments(gamma2, max_k)
-    s = -1 / (2 * gamma2)  # shift = s*u
-    out = []
-    for k in range(max_k + 1):
-        coeffs = [0j] * (k + 1)
-        for j in range(0, k + 1, 2):
-            coeffs[k - j] = math.comb(k, j) * even[j // 2] * s ** (k - j)
-        out.append(ComplexPoly.from_coeffs(coeffs))
-    return out
-
-
-def inner_product_line(f, g) -> complex:
+def inner_product_line(f: HermiteGauss, g: HermiteGauss) -> complex:
     """L2(R) inner product ``int f(x) * conj(g(x)) dx``, exact.
 
-    Conjugating ``g`` on the real line is coefficient-wise.  The value is
-    one correctly rounded sum of ``prod_k * M_k`` over the coefficients of
-    the polynomial product (:func:`_convolve`) and the moments of the
-    combined exponent (:func:`_moments`).  Conjugate-symmetric and
-    sesquilinear by construction.
-
-    Two :class:`HermiteGauss` sharing their own Gaussian take the diagonal
-    sum instead; any other factor enters in its monomial form.
+    Two functions on one own Gaussian with no linear exponent take the
+    diagonal sum ``s sqrt(pi) sum_k a_k conj(b_k)`` (a coefficient past the
+    shorter list still enters, so a non-finite one is not dropped).  Any
+    other pair sums ``a_j conj(b_k) M_jk`` with the overlaps of
+    :func:`_overlaps` under the combined exponent ``f.gamma2 + conj(g.gamma2)``,
+    ``f.gamma1 + conj(g.gamma1)``.
 
     Raises
     ------
@@ -516,35 +395,21 @@ def inner_product_line(f, g) -> complex:
     """
     if f.is_zero or g.is_zero:
         return 0j
-    if isinstance(f, HermiteGauss) and f._shares_weight(g):
-        return f.s * _SQRT_PI * sum(a * b.conjugate() for a, b in zip(f.coeffs, g.coeffs))
-    f = _monomial(f)
-    gc = _monomial(g).conj()
-    g2 = f.gamma2 + gc.gamma2
-    g1 = f.gamma1 + gc.gamma1
-    if not g2.real < 0:
-        raise DomainError(
-            f"combined exponent Re = {g2.real} not integrable"
-        )
-    a, b = f.poly.coeffs, gc.poly.coeffs
-    # With no linear exponent the odd moments vanish, so only the even
-    # anti-diagonals are summed -- unless one factor is a constant, which
-    # would confine a non-finite coefficient to a single anti-diagonal.
-    step = 2 if g1 == 0 and min(len(a), len(b)) > 1 else 1
-    prod = _convolve(a, b, step)  # no cap: transient value
-    moments = _moments(g2, g1, len(a) + len(b) - 2)[::step]
-    # a vanishing coefficient adds nothing, even against an overflowed moment
-    terms = [c * m for c, m in zip(prod, moments) if c != 0]
-    prefac = cmath.exp(-g1 * g1 / (4 * g2))
-    return prefac * complex(
-        math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
+    if f._shares_weight(g):
+        pairs = itertools.zip_longest(f.coeffs, g.coeffs, fillvalue=0j)
+        return f.s * _SQRT_PI * sum(a * b.conjugate() for a, b in pairs)
+    M = _overlaps(
+        f.gamma2 + g.gamma2.conjugate(), f.gamma1 + g.gamma1.conjugate(),
+        f.s, g.s, len(f.coeffs), len(g.coeffs),
     )
+    b = [c.conjugate() for c in g.coeffs]
+    return sum(a * sum(m * c for m, c in zip(row, b)) for a, row in zip(f.coeffs, M))
 
 
-def norm_line(f) -> float:
-    """L2(R) norm, exact; for a :class:`HermiteGauss` on its own Gaussian, by
-    ``math.hypot`` of the coefficients, which neither overflows nor underflows."""
-    if isinstance(f, HermiteGauss) and f._shares_weight(f):
+def norm_line(f: HermiteGauss) -> float:
+    """L2(R) norm, exact; on the function's own Gaussian, by ``math.hypot`` of
+    the coefficients, which neither overflows nor underflows."""
+    if f._shares_weight(f):
         return math.sqrt(f.s * _SQRT_PI) * math.hypot(*map(abs, f.coeffs))
     return math.sqrt(max(inner_product_line(f, f).real, 0.0))
 
@@ -643,11 +508,6 @@ def _scaled(x: list[complex], c: complex) -> list[complex]:
     return [0j] if c == 0 else _trim([c * u for u in x])
 
 
-def _shifted(x: list[complex], j: int) -> list[complex]:
-    """``ComplexPoly.shift_up`` on a coefficient list."""
-    return x if len(x) == 1 and x[0] == 0 else _fit([0j] * j + x)
-
-
 def _band(a: list[complex], lo: complex, hi: complex) -> list[complex]:
     """``lo L + hi R`` on Hermite coefficients, where ``L eta_k =
     sqrt(2k) eta_{k-1}`` and ``R eta_k = sqrt(2(k+1)) eta_{k+1}``."""
@@ -657,45 +517,36 @@ def _band(a: list[complex], lo: complex, hi: complex) -> list[complex]:
     return [u + d for u, d in zip(up, down)]
 
 
-def apply_diffop(op: DiffOp, f):
-    """Apply a :class:`DiffOp` exactly; the exponent is preserved.
+def apply_diffop(op: DiffOp, f: HermiteGauss) -> HermiteGauss:
+    """Apply a :class:`DiffOp` exactly; the exponent and scale are preserved.
 
     Each term is ``(hD)^k`` applied by iterated steps, then ``x**j``; the
-    terms are summed in sorted order.  On a :class:`HermiteGauss` both are
-    bidiagonal maps (:func:`_band`): ``x = (s/2)(L + R)`` and ``hD = -i h
-    ((1/s + gamma2 s) L + gamma2 s R)``.  On a :class:`PolyGauss`, ``hD (p
-    e^g) = -i h (p' + g' p) e^g`` with ``g' = 2 gamma2 x + gamma1``, with the
-    float operations, trims and :class:`DegreeCapError` of the equivalent
-    :class:`ComplexPoly` expression ``(p.derivative() +
-    p.shift_up().scale(2 gamma2) + p.scale(gamma1)).scale(-i h)``.
+    terms are summed in sorted order.  Both are bidiagonal maps
+    (:func:`_band`): ``x = (s/2)(L + R)`` and ``hD = -i h ((1/s + gamma2 s) L +
+    gamma2 s R + gamma1)``, the last term on the diagonal.
     """
     if f.is_zero:
         return f
-    if isinstance(f, HermiteGauss):
-        s, g2, powers = f.s, f.gamma2, [list(f.coeffs)]  # powers[k]: (hD)^k f
-        hd = functools.partial(_band, lo=-1j * op.h * (1 / s + g2 * s), hi=-1j * op.h * g2 * s)
+    s, g2, minus_ih = f.s, f.gamma2, -1j * op.h
+    powers = [list(f.coeffs)]  # powers[k]: (hD)^k f
 
-        def times_x(p: list[complex], j: int) -> list[complex]:
-            for _ in range(j):
-                p = _band(p, s / 2, s / 2)
-            return p
-    else:
-        g2, g1, minus_ih = 2 * f.gamma2, f.gamma1, -1j * op.h
-        powers = [list(f.poly.coeffs)]
+    def hd(p: list[complex]) -> list[complex]:
+        out = _band(p, minus_ih * (1 / s + g2 * s), minus_ih * g2 * s)
+        if f.gamma1:
+            out = _added(out, _scaled(p, minus_ih * f.gamma1))
+        return out
 
-        def hd(p: list[complex]) -> list[complex]:
-            d = _fit([i * p[i] for i in range(1, len(p))]) if len(p) > 1 else [0j]
-            return _scaled(_added(_added(d, _scaled(_shifted(p, 1), g2)), _scaled(p, g1)), minus_ih)
+    def times_x(p: list[complex], j: int) -> list[complex]:
+        for _ in range(j):
+            p = _band(p, s / 2, s / 2)
+        return p
 
-        times_x = _shifted
     acc = [0j]
     for (j, k), c in sorted(op.terms.items()):
         while len(powers) <= k:
             powers.append(hd(powers[-1]))
         acc = _added(acc, _scaled(times_x(powers[k], j), c))
-    if isinstance(f, HermiteGauss):
-        return HermiteGauss(acc, f.gamma2, f.s)
-    return PolyGauss(ComplexPoly(tuple(acc)), f.gamma2, f.gamma1)
+    return HermiteGauss(acc, f.gamma2, f.s, f.gamma1)
 
 
 def _check_index(n: int) -> None:

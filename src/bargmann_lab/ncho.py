@@ -31,7 +31,6 @@ from .gaussalg import (
     DiffOp,
     DomainError,
     HermiteGauss,
-    PolyGauss,
     _hermitian,
     _residual_ratio,
     apply_diffop,
@@ -74,10 +73,10 @@ class NchoParams:
 
 @dataclass(frozen=True)
 class VecFun2:
-    """C^2-valued function on the line; components PolyGauss or HermiteGauss."""
+    """C^2-valued function on the line, by its two components."""
 
-    upper: PolyGauss | HermiteGauss
-    lower: PolyGauss | HermiteGauss
+    upper: HermiteGauss
+    lower: HermiteGauss
 
     def scale(self, c: complex) -> "VecFun2":
         return VecFun2(self.upper.scale(c), self.lower.scale(c))

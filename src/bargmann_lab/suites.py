@@ -26,8 +26,8 @@ import numpy as np
 from .gaussalg import (
     ComplexPoly,
     DiffOp,
+    HermiteGauss,
     HoloGauss,
-    PolyGauss,
     _worst,
     coeff_deviation,
     gauss_integral,
@@ -241,7 +241,7 @@ def suite_hermite(
 # ---------------------------------------------------------------------------
 
 
-def _random_polygauss(rng: np.random.Generator) -> PolyGauss:
+def _random_line_function(rng: np.random.Generator) -> HermiteGauss:
     deg = int(rng.integers(0, 4))
     coeffs = tuple(
         complex(a, b)
@@ -249,10 +249,10 @@ def _random_polygauss(rng: np.random.Generator) -> PolyGauss:
     )
     gamma2 = complex(-0.4 - rng.uniform(0.0, 1.2), 0.5 * rng.normal())
     gamma1 = complex(0.5 * rng.normal(), 0.5 * rng.normal())
-    return PolyGauss(ComplexPoly.from_coeffs(coeffs), gamma2, gamma1)
+    return HermiteGauss.from_poly(ComplexPoly.from_coeffs(coeffs), gamma2, gamma1)
 
 
-def closed_vs_quad_dev(p: PhaseParams, f: PolyGauss, U: HoloGauss) -> float:
+def closed_vs_quad_dev(p: PhaseParams, f: HermiteGauss, U: HoloGauss) -> float:
     """Largest |U(z) - transform_quad(p, f, z)| at three points; U = T f."""
     return _worst(
         abs(U(z) - transform_quad(p, f, z)) for z in (0.3 + 0.1j, -0.8 + 0.5j, 1.1 - 0.9j)
@@ -272,7 +272,7 @@ def suite_transform(
     rng = np.random.default_rng(seed)
     checks = []
 
-    pairs = [(_random_polygauss(rng), _random_polygauss(rng)) for _ in range(n_pairs)]
+    pairs = [(_random_line_function(rng), _random_line_function(rng)) for _ in range(n_pairs)]
     worst = _worst(
         abs(inner_product_HPhi(p, transform(p, f), transform(p, g)) - inner_product_line(f, g))
         for f, g in pairs

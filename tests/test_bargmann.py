@@ -31,10 +31,11 @@ from bargmann_lab.bargmann import (
     transform_quad,
 )
 from bargmann_lab.ellipse import derived_constants, psi0
-from bargmann_lab.gaussalg import ComplexPoly, DomainError, PolyGauss, inner_product_line
+from bargmann_lab.gaussalg import ComplexPoly, DomainError, HermiteGauss, inner_product_line
 from bargmann_lab.hermite import HermiteSystem
 from bargmann_lab.phasecore import PhaseParams, canonical_A, kernel_Psi, phi_phase, weight_Phi
 from bargmann_lab.toeplitz import RadialSymbol, toeplitz_matrix_quad
+from moment_reference import gaussian_moment
 
 CLASSIC = PhaseParams(0.5j, -1j, 1j, 1.0)
 GENERAL = PhaseParams(canonical_A(3.0, 1 + 2j), 3.0, 1 + 2j, 0.5)
@@ -43,12 +44,12 @@ REL_CLOSED_VS_QUAD = 1e-8
 TOL_PLANE = 1e-6
 
 
-def _random_polygauss(rng):
+def _random_line_function(rng):
     deg = int(rng.integers(0, 4))
     coeffs = tuple(complex(*rng.normal(size=2)) for _ in range(deg + 1))
     g2 = complex(-0.4 - rng.uniform(0, 1.2), 0.5 * rng.normal())
     g1 = 0.5 * complex(*rng.normal(size=2))
-    return PolyGauss(ComplexPoly(coeffs), g2, g1)
+    return HermiteGauss.from_poly(ComplexPoly(coeffs), g2, g1)
 
 
 def test_transform_ground_state_is_constant():
@@ -63,20 +64,69 @@ def test_transform_ground_state_is_constant():
 
 
 def test_transform_of_zero_is_zero():
-    z = PolyGauss(ComplexPoly((0j,)), -0.5 + 0j, 0j)
+    z = HermiteGauss.from_poly(ComplexPoly((0j,)), -0.5 + 0j)
     assert transform(CLASSIC, z).is_zero
 
 
 def test_transform_closed_form_vs_quadrature():
     rng = np.random.default_rng(21)
     for p in (CLASSIC, GENERAL):
-        f = _random_polygauss(rng)
+        f = _random_line_function(rng)
         U = transform(p, f)
         for _ in range(10):
             z = complex(*rng.normal(scale=1.0, size=2))
             closed = U(z)
             quadr = transform_quad(p, f, z)
             assert abs(closed - quadr) <= REL_CLOSED_VS_QUAD * max(abs(closed), 1e-6)
+
+
+def _circle(p, d, k=8):
+    # |varphi_d|^2 e^{-2 Phi/h} peaks near |Bz|^2 = 2 h Im C (d + 1)
+    r = math.sqrt(2 * p.h * p.C.imag * (d + 1)) / abs(p.B)
+    return [cmath.rect(r, 2 * math.pi * (j + 0.25) / k) for j in range(k)]
+
+
+def _circle_rel_dev(U, V, points):
+    return max(abs(U(z) - V(z)) for z in points) / max(abs(V(z)) for z in points)
+
+
+@pytest.mark.parametrize("d", [32, 40, 63])
+@pytest.mark.parametrize("B,C,h", suites.HERMITE_PARAM_SETS)
+def test_transform_of_phi_is_the_normalized_monomial_at_high_degree(B, C, h, d):
+    hs = HermiteSystem.from_bch(B, C, h)
+    p = hs.params
+    U, V = transform(p, hs.hermite_phi(d)), hs.monomial_basis(d)
+    assert _circle_rel_dev(U, V, _circle(p, d)) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [40, 64])
+@pytest.mark.parametrize("B,C,h", suites.HERMITE_PARAM_SETS)
+def test_transform_matches_its_quadrature_at_high_degree(B, C, h, d):
+    hs = HermiteSystem.from_bch(B, C, h)
+    p, f = hs.params, hs.hermite_phi(d)
+    U = transform(p, f)
+    points = _circle(p, d)
+    dev = max(abs(U(z) - transform_quad(p, f, z)) for z in points)
+    assert dev <= 1e-12 * max(abs(U(z)) for z in points)
+
+
+def test_transform_matches_the_moment_reference_off_the_matched_gaussian():
+    # random inputs with a linear exponent, against T f computed term by
+    # term from monomial moments (completing the square in the x-integral)
+    rng = np.random.default_rng(41)
+    for p in (CLASSIC, GENERAL):
+        for _ in range(5):
+            deg = int(rng.integers(0, 6))
+            poly = ComplexPoly(tuple(complex(*rng.normal(size=2)) for _ in range(deg + 1)))
+            g2 = complex(-0.4 - rng.uniform(0, 1.2), 0.5 * rng.normal())
+            g1 = 0.5 * complex(*rng.normal(size=2))
+            U = transform(p, HermiteGauss.from_poly(poly, g2, g1))
+            for z in (0.3 - 0.2j, -1.1 + 0.4j):
+                a2 = g2 + 1j * p.C / (2 * p.h)
+                a1 = g1 + 1j * p.B * z / p.h
+                want = sum(c * gaussian_moment(a2, a1, k) for k, c in enumerate(poly.coeffs))
+                want *= p.C_phi * p.h ** -0.75 * cmath.exp(1j * p.A * z * z / (2 * p.h))
+                assert abs(U(z) - want) <= 1e-12 * abs(want)
 
 
 def test_adjoint_inverts_transform_pointwise():
@@ -119,7 +169,7 @@ def test_unitarity_on_random_pairs():
     for p in (CLASSIC, GENERAL):
         worst = 0.0
         for _ in range(20):
-            f, g = _random_polygauss(rng), _random_polygauss(rng)
+            f, g = _random_line_function(rng), _random_line_function(rng)
             lhs = inner_product_HPhi(p, transform(p, f), transform(p, g))
             rhs = inner_product_line(f, g)
             worst = max(worst, abs(lhs - rhs))
@@ -137,7 +187,7 @@ def test_projector_reproduces_basis_element():
 def test_projector_reproduces_transformed_functions():
     rng = np.random.default_rng(55)
     for p in (CLASSIC, GENERAL):
-        U = transform(p, _random_polygauss(rng))
+        U = transform(p, _random_line_function(rng))
         grid = hphi_grid(p, U, U)
         for _ in range(10):
             z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))

@@ -55,7 +55,8 @@ def test_toeplitz_disk_csv(tmp_path):
     out = tmp_path / "disk.csv"
     rc = cli.main(["toeplitz", "--disk", "1.0", "--n", "5", "-o", str(out)])
     assert rc == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 5
     assert float(rows[0]["lambda_formula"]) == pytest.approx(0.6321206, abs=5e-8)
     assert all(float(r["abs_diff"]) <= 1e-10 for r in rows)
@@ -242,20 +243,51 @@ def test_unevaluable_hermite_residual_is_exit_2(tmp_path, capsys, monkeypatch):
                for c in checks)
 
 
-@pytest.mark.parametrize("argv,name", [
+def _nan_cross_sign_entries(monkeypatch):
+    """Make every ncho component pair on different exponents (the cross-sign
+    entries of the combined Gram) a NaN."""
+    inner = ncho.inner_product_line
+    monkeypatch.setattr(
+        ncho, "inner_product_line",
+        lambda f, g: inner(f, g) if f.gamma2 == g.gamma2 else complex(math.nan, 0.0),
+    )
+
+
+_NCHO_GRAM_ARGV = [
     (["gram", "--system", "ncho"], "combined_gram_dev"),
     (["certify", "--suite", "ncho"], "combined_gram_dev[n<3]"),
-], ids=["gram", "certify"])
-def test_nan_gram_entry_is_exit_2(tmp_path, capsys, argv, name):
-    # at h = 1e-200 the cross-sign entries, taken through the monomial form
-    # (the signs have different exponents), are NaN; the deviation keeps it
+]
+
+
+@pytest.mark.parametrize("argv,name", _NCHO_GRAM_ARGV, ids=["gram", "certify"])
+def test_nan_gram_entry_is_exit_2(tmp_path, capsys, monkeypatch, argv, name):
+    # a NaN among the Gram entries: the deviation keeps it and the check fails
+    _nan_cross_sign_entries(monkeypatch)
     out = tmp_path / "gram.json"
-    argv = [*argv, "--alpha", "1.5", "--h", "1e-200", "--n", "3", "-o", str(out)]
+    argv = [*argv, "--alpha", "1.5", "--n", "3", "-o", str(out)]
     assert cli.main(argv) == 2
     assert f"FAIL {name}: measured nan" in capsys.readouterr().err
     checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
     assert math.isnan(float(checks[name]["measured"]))
     assert not checks[name]["pass"]
+
+
+@pytest.mark.parametrize("argv,name", _NCHO_GRAM_ARGV, ids=["gram", "certify"])
+def test_tiny_h_ncho_gram_cross_sign_entries_are_zero(tmp_path, argv, name):
+    # at h = 1e-200 (Gaussian scale 1e-100) the cross-sign entries pair
+    # components on different exponents; the overlap recurrence keeps them
+    # exactly 0 by the (1, i)/(1, -i) pairing
+    out = tmp_path / "gram.json"
+    argv = [*argv, "--alpha", "1.5", "--h", "1e-200", "--n", "3", "-o", str(out)]
+    assert cli.main(argv) == 0
+    rep = json.loads(out.read_text())
+    checks = {c["name"]: c for c in rep["checks"]}
+    assert checks[name]["measured"] <= suites.TOL_ALGEBRA
+    G, _ = ncho.combined_gram(ncho.NchoParams(1.5, 1e-200), 3)
+    cross = [G[i][j] for i in range(6) for j in range(6) if i % 2 != j % 2]
+    assert all(z == 0 for z in cross)
+    if "matrix" in rep:
+        assert rep["matrix"] == [[[z.real, z.imag] for z in row] for row in G]
 
 
 def test_projector_overflow_seed_passes(tmp_path):
@@ -299,13 +331,14 @@ def _reject_constant(token):
 
 
 @pytest.mark.parametrize("argv,name,value", [
-    (["gram", "--system", "ncho", "--alpha", "1.5", "--h", "1e-200", "--n", "3"],
-     "combined_gram_dev", "NaN"),
+    (["gram", "--system", "ncho", "--alpha", "1.5", "--n", "3"], "combined_gram_dev", "NaN"),
     (["toeplitz", "--disk", "800", "--format", "json"], "radius_roundtrip", "Infinity"),
 ], ids=["nan", "infinity"])
-def test_non_finite_values_are_strict_json_strings(tmp_path, capsys, argv, name, value):
+def test_non_finite_values_are_strict_json_strings(tmp_path, capsys, monkeypatch, argv, name,
+                                                   value):
     # a strict parser reads the artifact; each non-finite float is a string
-    # that float() reads back
+    # that float() reads back (the NaN is injected into the ncho Gram)
+    _nan_cross_sign_entries(monkeypatch)
     out = tmp_path / "strict.json"
     assert cli.main([*argv, "-o", str(out)]) == 2
     capsys.readouterr()

@@ -1,7 +1,8 @@
-"""Exact Gaussian algebra: integrals, moments, line inner products, operators.
+"""Exact Gaussian algebra: integrals, line inner products, operators.
 
-Closed forms are cross-checked against adaptive quadrature (scipy) and
-200-node Gauss-Hermite oracles; algebraic identities are exercised with
+Closed forms are cross-checked against adaptive quadrature (scipy), dense
+trapezoid sums, 200-node Gauss-Hermite oracles and the monomial moment
+reference of ``moment_reference``; algebraic identities are exercised with
 hypothesis on bounded random inputs.
 """
 
@@ -21,22 +22,23 @@ from bargmann_lab.gaussalg import (
     DomainError,
     HermiteGauss,
     HoloGauss,
-    PolyGauss,
     apply_diffop,
     gauss_integral,
-    gaussian_moment,
     holo_differentiate,
     holo_multiply_z,
     holo_scale,
     holo_add,
     inner_product_line,
     norm_line,
-    _convolve,
+    _overlaps,
     _residual_ratio,
-    _moments,
     _worst,
     coeff_deviation,
 )
+from bargmann_lab.bargmann import transform
+from bargmann_lab.hermite import HermiteSystem
+from bargmann_lab.phasecore import PhaseParams
+from moment_reference import gaussian_moment, inner_reference
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -79,14 +81,14 @@ def test_gauss_integral_domain():
         gauss_integral(1.0, math.pi / 4)
 
 
-# ------------------------------------------------------------------- moments
+# ------------------------------------------- the monomial moment reference
 
 
 def test_gaussian_moment_pure_gaussian():
-    assert gaussian_moment(-1.0, 0.0, 0) == pytest.approx(SQRT_PI, rel=1e-15)
-    assert gaussian_moment(-1.0, 0.0, 2) == pytest.approx(SQRT_PI / 2, rel=1e-15)
+    assert gaussian_moment(-1.0 + 0j, 0j, 0) == pytest.approx(SQRT_PI, rel=1e-15)
+    assert gaussian_moment(-1.0 + 0j, 0j, 2) == pytest.approx(SQRT_PI / 2, rel=1e-15)
     # odd moments of a centered Gaussian vanish identically
-    assert gaussian_moment(-1.0, 0.0, 3) == 0
+    assert gaussian_moment(-1.0 + 0j, 0j, 3) == 0
 
 
 def test_gaussian_moment_complex_shifted():
@@ -109,17 +111,18 @@ def test_gaussian_moment_vs_quadrature_all_orders(k):
     assert abs(got - complex(re, im)) <= REL_QUAD * max(abs(got), 1e-3)
 
 
-def test_gaussian_moment_rejects_nonintegrable():
-    with pytest.raises(DomainError):
-        gaussian_moment(0.5, 0.0, 2)
-
-
 # ------------------------------------------------------------ inner products
+
+
+def _line(coeffs, g2, g1=0j):
+    """``poly(x) exp(g2 x^2 + g1 x)`` in Hermite coefficients on its own Gaussian."""
+    poly = ComplexPoly(tuple(map(complex, coeffs)))
+    return HermiteGauss.from_poly(poly, complex(g2), complex(g1))
 
 
 def _ground_state():
     # unit-norm Gaussian exp(-x^2/2) / pi^{1/4}
-    return PolyGauss(ComplexPoly((math.pi ** -0.25,)), -0.5 + 0j, 0j)
+    return _line((math.pi ** -0.25,), -0.5)
 
 
 def test_ground_state_normalized():
@@ -129,15 +132,15 @@ def test_ground_state_normalized():
 
 def test_inner_product_zero_absorbs():
     f = _ground_state()
-    z = PolyGauss(ComplexPoly((0j,)), -0.5 + 0j, 0j)
+    z = _line((0j,), -0.5)
     assert inner_product_line(f, z) == 0
     assert inner_product_line(z, f) == 0
 
 
 def test_inner_product_vs_gauss_hermite_oracle():
     # fixed pair; oracle below is a 200-node Gauss-Hermite evaluation
-    f = PolyGauss(ComplexPoly((0.3 + 0.2j, 1.1 - 0.4j, 0.25j)), -0.8 + 0.3j, 0.2 - 0.1j)
-    g = PolyGauss(ComplexPoly((1.0 + 0j, -0.6j)), -0.5 - 0.2j, -0.3 + 0.4j)
+    f = _line((0.3 + 0.2j, 1.1 - 0.4j, 0.25j), -0.8 + 0.3j, 0.2 - 0.1j)
+    g = _line((1.0 + 0j, -0.6j), -0.5 - 0.2j, -0.3 + 0.4j)
     oracle = 0.24948108103044242 + 0.550323687209984j
     got = inner_product_line(f, g)
     assert abs(got - oracle) <= REL_LINE * abs(oracle)
@@ -145,7 +148,7 @@ def test_inner_product_vs_gauss_hermite_oracle():
 
 def test_nonintegrable_exponent_rejected_at_construction():
     with pytest.raises(DomainError):
-        PolyGauss(ComplexPoly((1.0 + 0j,)), 0.25 + 0j, 0j)
+        _line((1.0,), 0.25)
 
 
 coeff = st.complex_numbers(min_magnitude=0, max_magnitude=3, allow_nan=False,
@@ -153,7 +156,7 @@ coeff = st.complex_numbers(min_magnitude=0, max_magnitude=3, allow_nan=False,
 
 
 def _pg(c0, c1, g2im, g1):
-    return PolyGauss(ComplexPoly((c0, c1)), complex(-0.7, g2im), g1)
+    return _line((c0, c1), complex(-0.7, g2im), g1)
 
 
 @seed(1)
@@ -181,220 +184,79 @@ def test_inner_product_conjugate_symmetry(c0, c1, g):
     assert abs(inner_product_line(f, w) - inner_product_line(w, f).conjugate()) <= 1e-12
 
 
-@seed(1)
-@given(c0=coeff, c1=coeff, g=st.floats(-0.4, 0.4))
-def test_conjugation_involution(c0, c1, g):
-    f = _pg(c0, c1, g, 0.2 - 0.3j)
-    back = f.conj().conj()
-    assert back.gamma2 == f.gamma2 and back.gamma1 == f.gamma1
-    assert all(abs(a - b) <= TOL_EXACT for a, b in zip(back.poly.coeffs, f.poly.coeffs))
-
-
 def test_norm_line_matches_self_inner_product():
-    f = PolyGauss(ComplexPoly((0.7 - 0.1j, 0.4j, 1.2)), -0.9 + 0.2j, 0.3 - 0.2j)
+    f = _line((0.7 - 0.1j, 0.4j, 1.2), -0.9 + 0.2j, 0.3 - 0.2j)
     assert norm_line(f) == pytest.approx(
         math.sqrt(inner_product_line(f, f).real), rel=1e-13)
 
 
-# ------------------------------------- bulk kernel against per-term reference
+def _random_coeffs(rng, n):
+    return tuple(complex(re, im) for re, im in zip(rng.normal(size=n), rng.normal(size=n)))
 
 
-def _convolve_reference(a, b):
-    """The per-term convolution: one fsum per part over each anti-diagonal."""
-    la, lb = len(a), len(b)
-    out = []
-    for k in range(la + lb - 1):
-        re, im = [], []
-        for i in range(max(0, k - lb + 1), min(k + 1, la)):
-            ai, bj = a[i], b[k - i]
-            re += [ai.real * bj.real, -ai.imag * bj.imag]
-            im += [ai.real * bj.imag, ai.imag * bj.real]
-        out.append(complex(math.fsum(re), math.fsum(im)))
-    return out
-
-
-def _inner_reference(f, g):
-    """Per-term moment expansion: every binomial term in one fsum."""
-    gc = g.conj()
-    g2, g1 = f.gamma2 + gc.gamma2, f.gamma1 + gc.gamma1
-    prod = _convolve_reference(f.poly.coeffs, gc.poly.coeffs)
-    even = [cmath.sqrt(math.pi / -g2)]
-    for m in range(1, (len(prod) - 1) // 2 + 1):
-        even.append(even[-1] * (2 * m - 1) / (-2 * g2))
-    shift = -g1 / (2 * g2)
-    re, im = [], []
-    for k, ck in enumerate(prod):
-        if ck == 0:
-            continue
-        for j in range(0, k + 1, 2):
-            t = ck * (math.comb(k, j) * shift ** (k - j) * even[j // 2])
-            re.append(t.real)
-            im.append(t.imag)
-    return cmath.exp(-g1 * g1 / (4 * g2)) * complex(math.fsum(re), math.fsum(im))
-
-
-def _random_coeffs(rng, n, spread=False):
-    mag = 10.0 ** rng.uniform(-5, 15, size=n) if spread else np.ones(n)
-    return tuple(
-        complex(re, im) for re, im in zip(mag * rng.normal(size=n), mag * rng.normal(size=n))
-    )
-
-
-@pytest.mark.parametrize("spread", [False, True])
-def test_convolve_bit_identical_to_per_term_reference(spread):
-    rng = np.random.default_rng(7)
-    shapes = [(1, 1), (1, 9), (9, 1), (2, 17), (17, 2), (12, 12), (41, 30)]
-    shapes += [tuple(int(v) for v in rng.integers(1, 42, size=2)) for _ in range(200)]
-    for la, lb in shapes:
-        a = _random_coeffs(rng, la, spread)
-        b = _random_coeffs(rng, lb, spread)
-        want = _convolve_reference(a, b)
-        assert _convolve(a, b) == want
-        assert _convolve(a, b, 2) == want[::2]
-
-
-_SIGNED_ZEROS = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
-
-
-def _parity_coeffs(rng, n, parity, spread=False):
-    """Random coefficients at indices of one parity, signed zeros elsewhere."""
-    c = _random_coeffs(rng, n, spread)
-    return tuple(
-        x if i % 2 == parity else _SIGNED_ZEROS[int(rng.integers(4))]
-        for i, x in enumerate(c)
-    )
-
-
-@pytest.mark.parametrize("spread", [False, True])
-def test_convolve_parity_split_bit_identical_to_reference(spread):
-    # definite and opposite parity (halves skipped), lengths 1 and 2, and
-    # dense factors; repr also tells signed zeros apart
-    rng = np.random.default_rng(17)
-    shapes = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 9), (2, 17), (41, 41)]
-    shapes += [tuple(int(v) for v in rng.integers(1, 42, size=2)) for _ in range(100)]
-    for la, lb in shapes:
-        for pa, pb in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            a = _parity_coeffs(rng, la, pa, spread)
-            b = _parity_coeffs(rng, lb, pb, spread)
-            dense = _random_coeffs(rng, lb, spread)
-            assert repr(_convolve(a, b, 2)) == repr(_convolve_reference(a, b)[::2])
-            assert repr(_convolve(a, dense, 2)) == repr(_convolve_reference(a, dense)[::2])
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("at", [0, 1, 2])
-def test_convolve_keeps_non_finite_against_an_all_zero_half(bad, at):
-    # the half holding the bad coefficient faces exact zeros: 0 * inf is NaN,
-    # so that half must not be skipped
-    a = [0.5 + 1j, -0.25j, 2.0 + 0j, 1.5 - 0.5j, 0.75 + 0j]
-    a[at] = complex(bad, 1.0)
-    a = tuple(a)
-    for b in [(0j, 1 + 1j, 0j, -2j), (1 - 1j, 0j, 0.5j, 0j, 3.0 + 0j), (0j, 0j), (0j,), (2j,)]:
-        for x, y in [(a, b), (b, a)]:
-            assert repr(_convolve(x, y, 2)) == repr(_convolve_reference(x, y)[::2])
-
-
-def _apply_diffop_reference(op, f):
-    """The object-based apply_diffop: ComplexPoly arithmetic per step and term."""
-    if f.is_zero:
-        return f
-    hd_powers = [f.poly]
-
-    def hd_power(k):
-        while len(hd_powers) <= k:
-            p = hd_powers[-1]
-            hd_powers.append(
-                (
-                    p.derivative()
-                    + p.shift_up().scale(2 * f.gamma2)
-                    + p.scale(f.gamma1)
-                ).scale(-1j * op.h)
-            )
-        return hd_powers[k]
-
-    acc = ComplexPoly.zero()
-    for (j, k), c in sorted(op.terms.items()):
-        acc = acc + hd_power(k).shift_up(j).scale(c)
-    return PolyGauss(acc, f.gamma2, f.gamma1)
-
-
-def _outcome(fn, op, f):
-    try:
-        g = fn(op, f)
-    except DegreeCapError as exc:
-        return f"DegreeCapError: {exc}"
-    return repr((g.poly.coeffs, g.gamma2, g.gamma1))
-
-
-def test_apply_diffop_bit_identical_to_object_reference():
-    rng = np.random.default_rng(19)
-    caps = 0
-    for trial in range(1200):
-        n = int(rng.integers(1, DEGREE_CAP + 2))
-        coeffs = (
-            _parity_coeffs(rng, n, int(rng.integers(2)), spread=bool(trial % 2))
-            if trial % 3
-            else _random_coeffs(rng, n, spread=bool(trial % 2))
+def _random_pair(rng, max_len, g1):
+    """Two random monomial forms (poly, gamma2, gamma1), degree < max_len."""
+    return [
+        (
+            ComplexPoly.from_coeffs(_random_coeffs(rng, int(rng.integers(1, max_len + 1)))),
+            complex(-rng.uniform(0.2, 1.0), rng.uniform(-1, 1)),
+            complex(*rng.uniform(-0.5, 0.5, size=2)) if g1 else 0j,
         )
-        g1 = 0j if trial % 4 < 2 else complex(*rng.uniform(-1, 1, size=2))
-        f = PolyGauss(
-            ComplexPoly.from_coeffs(coeffs), complex(-rng.uniform(0.1, 2), rng.uniform(-2, 2)), g1
-        )
-        terms = {
-            (int(rng.integers(4)), int(rng.integers(4))): complex(*rng.normal(size=2))
-            for _ in range(int(rng.integers(1, 6)))
-        }
-        op = DiffOp(terms, float(10 ** rng.uniform(-2, 1)))
-        want = _outcome(_apply_diffop_reference, op, f)
-        assert _outcome(apply_diffop, op, f) == want
-        caps += want.startswith("DegreeCapError")
-    assert caps >= 50
+        for _ in range(2)
+    ]
 
 
-def _random_pg(rng, n, g1):
-    return PolyGauss(
-        ComplexPoly.from_coeffs(_random_coeffs(rng, n)),
-        complex(-rng.uniform(0.2, 1.0), rng.uniform(-1, 1)),
-        g1,
-    )
-
-
-def test_inner_product_bit_identical_without_linear_exponent():
-    rng = np.random.default_rng(3)
+def _assert_matches_moment_reference(rng, g1):
     for _ in range(300):
-        la, lb = (int(v) for v in rng.integers(1, 30, size=2))
-        f, g = _random_pg(rng, la, 0j), _random_pg(rng, lb, 0j)
-        assert inner_product_line(f, g) == _inner_reference(f, g)
+        pair = _random_pair(rng, 6, g1)
+        f, g = (HermiteGauss.from_poly(*m) for m in pair)
+        got, want = inner_product_line(f, g), inner_reference(*pair)
+        assert abs(got - want) <= 1e-13 * norm_line(f) * norm_line(g)
+
+
+def test_inner_product_close_without_linear_exponent():
+    _assert_matches_moment_reference(np.random.default_rng(3), g1=False)
 
 
 def test_inner_product_close_with_linear_exponent():
-    rng = np.random.default_rng(5)
-    for _ in range(300):
-        la, lb = (int(v) for v in rng.integers(1, 12, size=2))
-        f = _random_pg(rng, la, complex(*rng.uniform(-0.5, 0.5, size=2)))
-        g = _random_pg(rng, lb, complex(*rng.uniform(-0.5, 0.5, size=2)))
-        got, want = inner_product_line(f, g), _inner_reference(f, g)
-        assert abs(got - want) <= 1e-13 * abs(want)
+    _assert_matches_moment_reference(np.random.default_rng(5), g1=True)
 
 
 @pytest.mark.parametrize("bad", [math.nan, complex(math.inf, 0.0)])
 @pytest.mark.parametrize("other", [(1.0,), (0.5, -0.2j, 1.0)])
 def test_non_finite_coefficient_gives_non_finite_inner_product(bad, other):
-    # the bad coefficient sits at an odd power, whose moment vanishes
-    f = PolyGauss(ComplexPoly((1.0 + 0j, complex(bad))), -0.5 + 0j)
-    g = PolyGauss(ComplexPoly(tuple(map(complex, other))), -0.5 + 0j)
+    # the bad coefficient sits at an odd index, past the end of (1.0,)
+    f = _line((1.0 + 0j, complex(bad)), -0.5)
+    g = _line(other, -0.5)
     assert not cmath.isfinite(inner_product_line(f, g))
     assert not cmath.isfinite(inner_product_line(g, f))
 
 
-@pytest.mark.parametrize("g1", [0j, 0.4 - 0.3j])
-def test_gaussian_moment_agrees_with_moments(g1):
-    g2 = -0.8 + 0.25j
-    m = _moments(g2, g1, 12)
-    prefac = cmath.exp(-g1 * g1 / (4 * g2))
-    assert [gaussian_moment(g2, g1, k) for k in range(13)] == [prefac * v for v in m]
-    if g1 == 0:
-        assert m[1::2] == [0j] * 6
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_inner_product_keeps_non_finite_against_zero_coefficients(bad, at):
+    # the bad coefficient meets zero coefficients and vanishing overlaps of
+    # the other factor: 0 * inf is NaN, so no term may be skipped
+    a = [0.5 + 1j, -0.25j, 2.0 + 0j, 1.5 - 0.5j, 0.75 + 0j]
+    a[at] = complex(bad, 1.0)
+    f = HermiteGauss(a, -0.5 + 0j, 1.0)
+    for b in [(0j, 1 + 1j, 0j, -2j), (1 - 1j, 0j, 0.5j, 0j, 3.0 + 0j), (0j, 0j, 1.0), (2j,)]:
+        for g in (HermiteGauss(b, -0.5 + 0j, 1.0), HermiteGauss(b, -0.8 + 0.3j, 0.7, 0.2j)):
+            assert not cmath.isfinite(inner_product_line(f, g))
+            assert not cmath.isfinite(inner_product_line(g, f))
+
+
+@pytest.mark.parametrize("j,k", [(40, 40), (64, 64)])
+def test_mismatched_overlaps_match_a_dense_trapezoid(j, k):
+    # phi_j and phi_k of two Hermite systems: different Gaussians, so the
+    # overlap recurrence; the trapezoid rule is spectrally accurate here
+    f = HermiteSystem.from_bch(-1j, 1j, 1.0).hermite_phi(j)
+    g = HermiteSystem.from_bch(1.3, 0.4 + 0.9j, 0.8).hermite_phi(k)
+    x, dx = np.linspace(-30.0, 30.0, 400_001), 60.0 / 400_000
+    values = f(x) * np.conj(g(x))
+    want = complex(math.fsum(values.real), math.fsum(values.imag)) * dx
+    got = inner_product_line(f, g)
+    assert abs(got - want) <= 1e-11 * norm_line(f) * norm_line(g)
 
 
 # -------------------------------------------------------------------- DiffOp
@@ -402,19 +264,18 @@ def test_gaussian_moment_agrees_with_moments(g1):
 
 def test_diffop_identity_fixes_everything():
     ident = DiffOp({(0, 0): 1.0 + 0j}, h=1.0)
-    f = PolyGauss(ComplexPoly((0.3, 1.0 - 2j)), -0.6 + 0.1j, 0.2j)
+    f = _line((0.3, 1.0 - 2j), -0.6 + 0.1j, 0.2j)
     g = apply_diffop(ident, f)
-    assert g.gamma2 == f.gamma2 and g.gamma1 == f.gamma1
-    assert all(abs(a - b) <= TOL_EXACT for a, b in zip(g.poly.coeffs, f.poly.coeffs))
+    assert (g.gamma2, g.gamma1, g.s) == (f.gamma2, f.gamma1, f.s)
+    assert all(abs(a - b) <= TOL_EXACT for a, b in zip(g.coeffs, f.coeffs))
 
 
 def test_diffop_hD_on_gaussian():
     # hD = -ih d/dx sends exp(-x^2/2) to i x exp(-x^2/2) at h = 1
-    f = PolyGauss(ComplexPoly((1.0 + 0j,)), -0.5 + 0j, 0j)
+    f = _line((1.0,), -0.5)
     g = apply_diffop(DiffOp({(0, 1): 1.0 + 0j}, h=1.0), f)
     assert g.gamma2 == f.gamma2
-    assert abs(g.poly.coeffs[0]) <= TOL_EXACT
-    assert abs(g.poly.coeffs[1] - 1j) <= TOL_EXACT
+    assert coeff_deviation(_line((0j, 1j), -0.5), g) <= TOL_EXACT
 
 
 def test_diffop_compose_associative():
@@ -434,7 +295,7 @@ def test_diffop_compose_associative():
 
 
 def test_residual_ratio_is_inf_only_where_it_cannot_be_evaluated():
-    f = PolyGauss(ComplexPoly((1.0 + 0j,)), -0.5 + 0j, 0j)
+    f = _line((1.0,), -0.5)
 
     def raising(err):
         def apply(g):
@@ -448,12 +309,12 @@ def test_residual_ratio_is_inf_only_where_it_cannot_be_evaluated():
 
 
 @pytest.mark.parametrize("f", [
-    PolyGauss(ComplexPoly((1.0 + 0j, 0.5j)), -0.5 + 0j, 0j),
+    _line((1.0 + 0j, 0.5j), -0.5, 0.3j),
     HermiteGauss((1.0 + 0j, 0.5j), -0.5 + 0j, 1.0),
-], ids=["PolyGauss", "HermiteGauss"])
+], ids=["with_gamma1", "HermiteGauss"])
 def test_residual_ratio_of_nan_coefficients_is_inf(f):
     # norm(f) is finite, apply(f) has NaN coefficients: the NaN ratio that
-    # fsum and max(nan, 0.0) let through must read as unevaluable
+    # a sum and max(nan, 0.0) let through must read as unevaluable
     assert math.isfinite(norm_line(f))
     assert _residual_ratio(norm_line, lambda g: g.scale(math.nan), f, 1.0) == math.inf
 
@@ -461,29 +322,41 @@ def test_residual_ratio_of_nan_coefficients_is_inf(f):
 # ------------------------------------------------------------- HermiteGauss
 
 
-def _hermite_form(rng, n, s=0.8, chirp=0.3):
-    """A random HermiteGauss on its own Gaussian, exp(-x^2/(2 s^2) + i chirp x^2)."""
-    return HermiteGauss(_random_coeffs(rng, n), complex(-0.5 / s**2, chirp), s)
+def _apply_diffop_reference(op, poly, g2, g1):
+    """The monomial route: ``hD (p e^g) = -ih (p' + (2 g2 x + g1) p) e^g``
+    per step, then ``x**j``, in ComplexPoly arithmetic."""
+    hd_powers = [poly]
+    acc = ComplexPoly.zero()
+    for (j, k), c in sorted(op.terms.items()):
+        while len(hd_powers) <= k:
+            p = hd_powers[-1]
+            step = p.derivative() + p.shift_up().scale(2 * g2) + p.scale(g1)
+            hd_powers.append(step.scale(-1j * op.h))
+        acc = acc + hd_powers[k].shift_up(j).scale(c)
+    return acc
 
 
 def test_hermite_form_values_and_monomial_form_agree():
     # the three-term recurrence at points, against Horner on the monomial form
     rng = np.random.default_rng(23)
     x = np.linspace(-3.0, 3.0, 25)
+    g2, g1 = complex(-0.5 / 0.8**2, 0.3), 0.2 - 0.1j
     for n in (1, 2, 5, 12):
-        f = _hermite_form(rng, n)
-        mono = PolyGauss(f.poly, f.gamma2)
-        want = np.array([mono(t) for t in x])
+        poly = ComplexPoly.from_coeffs(_random_coeffs(rng, n))
+        f = HermiteGauss.from_poly(poly, g2, g1)
+        want = np.array([poly(t) * cmath.exp(g2 * t * t + g1 * t) for t in x])
         assert np.max(np.abs(f(x) - want)) <= 1e-12 * np.max(np.abs(want))
-        assert f(0.7) == pytest.approx(mono(0.7), rel=1e-12)
+        assert f(0.7) == pytest.approx(poly(0.7) * cmath.exp(g2 * 0.49 + g1 * 0.7), rel=1e-12)
 
 
 def test_hermite_form_inner_product_is_the_moment_route():
-    # the diagonal sum against the closed-form moments of the monomial forms
+    # the diagonal sum on a shared own Gaussian against the moment reference
     rng = np.random.default_rng(29)
+    g2 = complex(-0.5 / 0.8**2, 0.3)
     for la, lb in ((1, 1), (3, 5), (8, 8)):
-        f, g = _hermite_form(rng, la), _hermite_form(rng, lb)
-        want = inner_product_line(PolyGauss(f.poly, f.gamma2), PolyGauss(g.poly, g.gamma2))
+        p, q = (ComplexPoly.from_coeffs(_random_coeffs(rng, n)) for n in (la, lb))
+        f, g = HermiteGauss.from_poly(p, g2), HermiteGauss.from_poly(q, g2)
+        want = inner_reference((p, g2, 0j), (q, g2, 0j))
         assert abs(inner_product_line(f, g) - want) <= 1e-12 * norm_line(f) * norm_line(g)
         assert norm_line(f) == pytest.approx(math.sqrt(inner_product_line(f, f).real), rel=1e-13)
 
@@ -491,12 +364,15 @@ def test_hermite_form_inner_product_is_the_moment_route():
 def test_hermite_form_operators_are_the_monomial_operators():
     rng = np.random.default_rng(31)
     op = DiffOp({(0, 2): 0.5, (2, 0): 1.5 - 0.5j, (1, 1): 0.25j, (0, 0): 2.0, (3, 1): 0.1}, h=0.7)
+    g2 = complex(-0.5 / 0.8**2, 0.3)
     for n in (1, 4, 9):
-        f = _hermite_form(rng, n)
-        got = apply_diffop(op, f)
-        want = apply_diffop(op, PolyGauss(f.poly, f.gamma2))
-        assert isinstance(got, HermiteGauss) and (got.gamma2, got.s) == (f.gamma2, f.s)
-        assert coeff_deviation(want.poly, got.poly) <= 1e-12
+        for g1 in (0j, 0.4 - 0.2j):
+            poly = ComplexPoly.from_coeffs(_random_coeffs(rng, n))
+            f = HermiteGauss.from_poly(poly, g2, g1)
+            got = apply_diffop(op, f)
+            want = HermiteGauss.from_poly(_apply_diffop_reference(op, poly, g2, g1), g2, g1)
+            assert (got.gamma2, got.gamma1, got.s) == (f.gamma2, f.gamma1, f.s)
+            assert coeff_deviation(want, got) <= 1e-12
 
 
 def test_hermite_form_images_pass_the_cap_but_their_monomial_form_does_not():
@@ -505,45 +381,40 @@ def test_hermite_form_images_pass_the_cap_but_their_monomial_form_does_not():
     assert len(g.coeffs) == DEGREE_CAP + 3
     assert norm_line(g) > 0
     with pytest.raises(DegreeCapError):
-        g.poly
+        transform(PhaseParams.classic(), g)  # a monomial HoloGauss
 
 
-def test_hermite_form_off_its_own_basis_goes_monomial():
+def test_hermite_form_off_its_own_basis_takes_the_overlap_recurrence():
     rng = np.random.default_rng(37)
-    f, g = _hermite_form(rng, 4), _hermite_form(rng, 3, s=0.6)
-    monos = [PolyGauss(h.poly, h.gamma2) for h in (f, g)]
-    assert inner_product_line(f, g) == inner_product_line(*monos)
+    p, q = (ComplexPoly.from_coeffs(_random_coeffs(rng, n)) for n in (4, 3))
+    f = HermiteGauss.from_poly(p, complex(-0.5 / 0.8**2, 0.3))
+    g = HermiteGauss.from_poly(q, complex(-0.5 / 0.6**2, 0.3))
+    want = inner_reference((p, f.gamma2, 0j), (q, g.gamma2, 0j))
+    assert abs(inner_product_line(f, g) - want) <= 1e-13 * norm_line(f) * norm_line(g)
     total = f.add(g.scale(0.0)).add(f)
     assert isinstance(total, HermiteGauss) and total.coeffs == tuple(2 * c for c in f.coeffs)
     with pytest.raises(DomainError):
-        f.add(g)  # different exponents do not add in either form
+        f.add(g)  # different exponents and scales do not add
 
 
 @pytest.mark.parametrize("alpha,beta", [(2.0, 0.0), (2.0, 1.0), (0.5, 3.0)])
-def test_mixed_pairs_equal_the_calls_on_the_monomial_form(alpha, beta):
-    # the bridge check's calls, diagonal sums (Psi_n and phi share their
-    # Gaussian), against the same calls with phi's monomial PolyGauss, a mixed
-    # pair, which goes through the moment route
-    from bargmann_lab import bargmann, ellipse, hermite
+def test_overlap_recurrence_is_the_diagonal_sum_on_bridge_pairs(alpha, beta):
+    # the bridge check's pairs share their own Gaussian (diagonal sums); the
+    # overlap recurrence on the same pairs must give the same values
+    from bargmann_lab import ellipse
 
     p = ellipse.derived_constants(alpha, beta)
-    hs = hermite.HermiteSystem(ellipse.bridge_params(p))
-    for d in (0, 3, 8):
-        big = ellipse.Psi_n(p, d)
-        phi = hs.hermite_phi(d)
-        mono = PolyGauss(phi.poly, phi.gamma2)
+    hs = HermiteSystem(ellipse.bridge_params(p))
+    for d in (0, 3, 8, 40):
+        big, phi = ellipse.Psi_n(p, d), hs.hermite_phi(d)
+        M = _overlaps(big.gamma2 + phi.gamma2.conjugate(), 0j, big.s, phi.s, d + 1, d + 1)
+        via_M = sum(
+            a * M[j][k] * b.conjugate()
+            for j, a in enumerate(big.coeffs)
+            for k, b in enumerate(phi.coeffs)
+        )
         ip = inner_product_line(big, phi)
-        assert ip == pytest.approx(inner_product_line(big, mono), rel=1e-12)
-        assert inner_product_line(phi, big) == pytest.approx(inner_product_line(mono, big), rel=1e-12)
-        assert norm_line(phi) == pytest.approx(norm_line(mono), rel=1e-12)
-        c = ip / inner_product_line(phi, phi)
-        got, want = big.add(phi.scale(c)), big.add(mono.scale(c))
-        assert coeff_deviation(want.poly, got.poly) <= 1e-12
-        assert norm_line(big.add(phi.scale(-c))) == pytest.approx(
-            norm_line(big.add(mono.scale(-c))), rel=1e-12, abs=1e-12 * norm_line(big))
-        U, V = bargmann.transform(hs.params, phi), bargmann.transform(hs.params, mono)
-        assert (U.c2, U.c1) == (V.c2, V.c1)
-        assert coeff_deviation(V.poly, U.poly) <= 1e-12
+        assert abs(ip - via_M) <= 1e-12 * norm_line(big) * norm_line(phi)
 
 
 # ---------------------------------------------------------------- HoloGauss

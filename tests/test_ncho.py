@@ -9,7 +9,7 @@ from bargmann_lab.gaussalg import (
     ComplexPoly,
     DiffOp,
     DomainError,
-    PolyGauss,
+    HermiteGauss,
     apply_diffop,
 )
 from bargmann_lab.ncho import (
@@ -55,10 +55,10 @@ def test_nu_on_unit_circle_upper_half(alpha):
 def test_ground_eigenvector_explicit():
     # upper component is (1/sqrt2) (sqrt3/(2 pi))^{1/4} e^{-sqrt3 x^2/4 - i x^2/4}
     F = eigenfunction_vec(NchoParams(2.0, 1.0), +1, 0)
-    assert abs(F.upper.poly.coeffs[0] - (SQRT3 / (2 * math.pi)) ** 0.25 / math.sqrt(2)) <= 1e-14
+    assert abs(F.upper.coeffs[0] - (SQRT3 / (2 * math.pi)) ** 0.25 / math.sqrt(2)) <= 1e-14
     assert abs(F.upper.gamma2 - (-SQRT3 / 4 - 0.25j)) <= 1e-14
     # lower component sits at exactly +i times the upper
-    assert F.lower.poly.coeffs[0] / F.upper.poly.coeffs[0] == 1j
+    assert F.lower.coeffs[0] / F.upper.coeffs[0] == 1j
 
 
 def test_eigenvectors_normalized():
@@ -90,15 +90,15 @@ def test_apply_Q_scales_ground_state():
     G = apply_Q(p, F)
     want = F.scale(SQRT3 / 2)
     for a, b in (
-        (G.upper.poly.coeffs, want.upper.poly.coeffs),
-        (G.lower.poly.coeffs, want.lower.poly.coeffs),
+        (G.upper.coeffs, want.upper.coeffs),
+        (G.lower.coeffs, want.lower.coeffs),
     ):
         assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-12
 
 
 def test_apply_Q_zero():
     p = NchoParams(2.0, 1.0)
-    z = PolyGauss(ComplexPoly((0j,)), -0.5 + 0j, 0j)
+    z = HermiteGauss.from_poly(ComplexPoly((0j,)), -0.5 + 0j, 0j)
     G = apply_Q(p, VecFun2(z, z))
     assert G.upper.is_zero and G.lower.is_zero
 
@@ -109,14 +109,14 @@ def test_apply_Q_matches_operator_matrix_oracle():
     p = NchoParams(2.0, 1.0)
     S = DiffOp({(0, 2): p.alpha / 2, (2, 0): p.alpha / 2}, h=p.h)
     T = DiffOp({(1, 1): 1j, (0, 0): p.h / 2}, h=p.h)
-    f = PolyGauss(ComplexPoly((0.7 + 0.2j, -0.3j, 1.1)), -0.6 + 0.1j, 0.2 - 0.1j)
-    zero = PolyGauss(ComplexPoly((0j,)), f.gamma2, f.gamma1)
+    f = HermiteGauss.from_poly(ComplexPoly((0.7 + 0.2j, -0.3j, 1.1)), -0.6 + 0.1j, 0.2 - 0.1j)
+    zero = HermiteGauss.from_poly(ComplexPoly((0j,)), f.gamma2, f.gamma1)
     G = apply_Q(p, VecFun2(f, zero))
     up = apply_diffop(S, f)
     lo = apply_diffop(T, f)
     devs = [
-        max(abs(x - y) for x, y in zip(G.upper.poly.coeffs, up.poly.coeffs)),
-        max(abs(x - y) for x, y in zip(G.lower.poly.coeffs, lo.poly.coeffs)),
+        max(abs(x - y) for x, y in zip(G.upper.coeffs, up.coeffs)),
+        max(abs(x - y) for x, y in zip(G.lower.coeffs, lo.coeffs)),
     ]
     assert max(devs) <= 1e-12
 
@@ -128,20 +128,20 @@ def test_conjugated_action_stays_block_diagonal():
     p = NchoParams(1.5, 1.0)
     Hplus = block_ops(p, +1)
     for _ in range(5):
-        f = PolyGauss(
+        f = HermiteGauss.from_poly(
             ComplexPoly(tuple(complex(*rng.normal(size=2)) for _ in range(3))),
             complex(-0.5 - rng.uniform(0, 0.8), 0.3 * rng.normal()),
             0.2 * complex(*rng.normal(size=2)),
         )
         G = apply_Q(p, VecFun2(f.scale(1 / math.sqrt(2)), f.scale(1j / math.sqrt(2))))
-        scale = max(abs(c) for c in G.upper.poly.coeffs)
+        scale = max(abs(c) for c in G.upper.coeffs)
         off = max(
             abs(lo - 1j * up)
-            for up, lo in zip(G.upper.poly.coeffs, G.lower.poly.coeffs)
+            for up, lo in zip(G.upper.coeffs, G.lower.coeffs)
         )
         assert off <= 1e-12 * max(scale, 1.0)
         want = apply_diffop(Hplus, f).scale(1 / math.sqrt(2))
-        dev = max(abs(x - y) for x, y in zip(G.upper.poly.coeffs, want.poly.coeffs))
+        dev = max(abs(x - y) for x, y in zip(G.upper.coeffs, want.coeffs))
         assert dev <= 1e-12 * max(scale, 1.0)
 
 
