@@ -3,8 +3,7 @@
 Subpackages by theme:
 
 * :mod:`bargmann_lab.gaussalg`  -- the exact function algebra (Hermite
-  coefficients on the line, polynomials on the plane) everything else
-  reduces to;
+  coefficients, on the line and on the plane) everything else reduces to;
 * :mod:`bargmann_lab.phasecore` -- quadratic phase data, weights, kernels,
   canonical maps;
 * :mod:`bargmann_lab.bargmann`  -- the transform, adjoint, projector, and the

@@ -13,11 +13,11 @@ route against which the closed forms are certified.
 A quadrature grid holds two read-only arrays: ``nodes`` (float on the line,
 complex x+iy on the plane) and positive float ``weights``.  Every integrand
 below is one expression on the node array: the ``phasecore`` functions and
-``ComplexPoly.__call__`` accept arrays, and the exponents of all factors are
+``HoloGauss.hermite_sum`` accept arrays, and the exponents of all factors are
 summed before a single ``np.exp``, because a factor alone can overflow where
 the product is negligible.  What does not change between the sums on one grid
 is computed once: the projector takes U itself, not samples of it, and
-evaluates its polynomial and exponent once for all its points; ``gram_HPhi``
+evaluates its Hermite sum and exponent once for all its points; ``gram_HPhi``
 computes one exponential factor for all pairs of functions with one exponent.
 
 Gauss rules are computed once per process: ``_gauss_rule`` fills a private
@@ -56,7 +56,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from .gaussalg import ComplexPoly, DomainError, HermiteGauss, HoloGauss, _hermitian
+from .gaussalg import DomainError, HermiteGauss, HoloGauss, _hermitian, _scaled
 from .phasecore import PhaseParams, phi_phase, kernel_Psi, weight_Phi
 
 __all__ = [
@@ -443,20 +443,14 @@ def transform(p: PhaseParams, f: HermiteGauss) -> HoloGauss:
     and each integral is the Gaussian integral of a Hermite polynomial
     (Gradshteyn & Ryzhik 7.374), ``sqrt(pi/-g2) e^{-u^2/(4 g2)} p_k(y)`` with
     ``y = -u/(2 g2 s)``, ``p_k = rho^k eta_k(y/rho)`` and ``rho^2 = 1 + 1/(g2
-    s^2)``.  The ``p_k`` follow the three-term recurrence
+    s^2)``.  Since y is affine in z, the result is the ``HoloGauss`` on the
+    basis ``p_k(y0 + y1 z)`` (``rho2 = rho^2``) with the coefficients ``a_k``
+    times ``C_phi h^{-3/4} sqrt(pi/-g2) exp(-gamma1^2/(4 g2))``, and
 
-        p_{k+1} = sqrt(2/(k+1)) y p_k - rho^2 sqrt(k/(k+1)) p_{k-1},
-
-    run on coefficient lists in z, where y is affine in z.  The result is a
-    ``HoloGauss`` with
-
-        c2 = iA/(2h) + B^2/(4 h^2 g2),    c1 = -i B gamma1 / (2 h g2),
-
-    and polynomial part ``sum_k a_k p_k(y(z))`` rescaled by
-    ``C_phi h^{-3/4} sqrt(pi/-g2) exp(-gamma1^2/(4 g2))``.
+        c2 = iA/(2h) + B^2/(4 h^2 g2),    c1 = -i B gamma1 / (2 h g2).
     """
     if f.is_zero:
-        return HoloGauss(ComplexPoly.zero())
+        return HoloGauss((0j,))
     g2 = f.gamma2 + 1j * p.C / (2 * p.h)
     if not g2.real < 0:
         raise DomainError(
@@ -465,12 +459,6 @@ def transform(p: PhaseParams, f: HermiteGauss) -> HoloGauss:
     y0 = -f.gamma1 / (2 * g2 * f.s)  # y = y0 + y1 z
     y1 = -1j * p.B / (2 * p.h * g2 * f.s)
     rho2 = 1 + 1 / (g2 * f.s * f.s)
-    prev, cur, acc = [0j], [1 + 0j], [f.coeffs[0]]  # p_{k-1}, p_k, partial sum
-    for k, a in enumerate(f.coeffs[1:], 1):
-        r, q = math.sqrt(2 / k), rho2 * math.sqrt((k - 1) / k)
-        y_cur = [y0 * u + y1 * v for u, v in zip(cur + [0j], [0j] + cur)]
-        prev, cur = cur, [r * u - q * v for u, v in zip(y_cur, prev + [0j, 0j])]
-        acc = [x + a * c for x, c in zip(acc + [0j], cur)]
     const = (
         p.C_phi
         * p.h ** (-0.75)
@@ -479,7 +467,7 @@ def transform(p: PhaseParams, f: HermiteGauss) -> HoloGauss:
     )
     c2 = 1j * p.A / (2 * p.h) + p.B * p.B / (4 * p.h * p.h * g2)
     c1 = -1j * p.B * f.gamma1 / (2 * p.h * g2)
-    return HoloGauss(ComplexPoly.from_coeffs(acc).scale(const), c2, c1)
+    return HoloGauss(_scaled(list(f.coeffs), const), c2, c1, y0, y1, rho2)
 
 
 def transform_quad(p: PhaseParams, f: HermiteGauss, z: complex) -> complex:
@@ -520,7 +508,7 @@ def adjoint_quad(
 
     g = grid if grid is not None else plane_grid(real_exponent)
     zs = g.nodes
-    vals = U.poly(zs) * np.exp(
+    vals = U.hermite_sum(zs) * np.exp(
         -1j * phi_phase(p, zs, x).conjugate() / p.h
         + U.c2 * zs * zs
         + U.c1 * zs
@@ -534,19 +522,20 @@ def projector_apply(
 ) -> list[complex]:
     """Projector (C_Phi/h) integral e^{2 Psi(z, conj zeta)/h} U(zeta) e^{-2 Phi/h}
     at each of ``points``; reproduces U(z) for U in the weighted holomorphic
-    class the grid resolves.  Only ``U.poly``, ``U.c2`` and ``U.c1`` are read.
+    class the grid resolves.  Only ``U.hermite_sum``, ``U.c2`` and ``U.c1`` are
+    read.
 
-    ``U.poly`` on the nodes and the exponent ``c2 zeta^2 + c1 zeta - 2 Phi/h``
+    ``U.hermite_sum`` on the nodes and the exponent ``c2 zeta^2 + c1 zeta - 2 Phi/h``
     are computed once; each point adds its ``2 Psi/h`` before its one
     ``np.exp`` and is its own sum, with its own truncation check.
     """
     zs = grid.nodes
-    poly = U.poly(zs)
+    values = U.hermite_sum(zs)
     exponent = U.c2 * zs * zs + U.c1 * zs - 2.0 * weight_Phi(p, zs) / p.h
     zbar = zs.conjugate()
     return [
         p.C_Phi / p.h
-        * _quad_sum(grid, poly * np.exp(exponent + 2.0 * kernel_Psi(p, z, zbar) / p.h))
+        * _quad_sum(grid, values * np.exp(exponent + 2.0 * kernel_Psi(p, z, zbar) / p.h))
         for z in points
     ]
 
@@ -568,7 +557,7 @@ def inner_product_HPhi(
         return 0j
     g = grid if grid is not None else hphi_grid(p, U, V)
     zs = g.nodes
-    vals = U.poly(zs) * np.conj(V.poly(zs)) * np.exp(_pair_exponent(p, U, V, zs))
+    vals = U.hermite_sum(zs) * np.conj(V.hermite_sum(zs)) * np.exp(_pair_exponent(p, U, V, zs))
     return _quad_sum(g, vals)
 
 
@@ -587,6 +576,6 @@ def gram_HPhi(p: PhaseParams, fs: Sequence[HoloGauss]) -> list[list[complex]]:
     grid = hphi_grid(p, U, U)
     zs = grid.nodes
     weighted = np.exp(_pair_exponent(p, U, U, zs))
-    polys = [f.poly(zs) for f in fs]
-    conjs = [np.conj(v) for v in polys]
-    return _hermitian(lambda j, k: _quad_sum(grid, polys[j] * conjs[k] * weighted), len(fs))
+    sums = [f.hermite_sum(zs) for f in fs]
+    conjs = [np.conj(v) for v in sums]
+    return _hermitian(lambda j, k: _quad_sum(grid, sums[j] * conjs[k] * weighted), len(fs))

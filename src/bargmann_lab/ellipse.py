@@ -13,6 +13,8 @@ Bargmann space:
 with ``0 < |a| < 1``, ``a + 2 lambda = 1/conj(a)``, ladders
 ``Lambda = (1/a) d/dz + z/2`` and ``Lambda* = d/dz + (a + 2 lambda) z / 2``,
 and norms ``(psi_m, psi_n) = delta_mn n! (lambda/a)^n ||psi_0||^2``.
+The psi_n are ``HoloGauss`` in the Hermite basis ``p_k(y1 z)``, ``y1^2 =
+-lambda/2``, where psi_n is one coefficient and the ladders are banded.
 
 Pulling psi_n back to the line gives the real-side family
 
@@ -33,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 from .gaussalg import (
-    ComplexPoly,
     DiffOp,
     DomainError,
     HermiteGauss,
@@ -41,10 +42,6 @@ from .gaussalg import (
     _check_index,
     _rodrigues,
     apply_diffop,
-    holo_add,
-    holo_differentiate,
-    holo_multiply_z,
-    holo_scale,
 )
 from .phasecore import PhaseParams
 
@@ -169,26 +166,27 @@ def derived_constants(alpha: float, beta: float) -> EllipseParams:
 
 
 def psi0(p: EllipseParams) -> HoloGauss:
-    return HoloGauss(ComplexPoly.one(), -p.a / 4)
+    return psi_n(p, 0)
 
 
 def psi_n(p: EllipseParams, n: int) -> HoloGauss:
-    """psi_n by the Rodrigues route.
+    """psi_n by the Rodrigues formula, in closed form.
 
-    The polynomial factor is ``e^{-lambda z^2/2} (d/dz)^n e^{lambda z^2/2}``
-    (n-fold derivative of the bare auxiliary Gaussian, computed in the exact
-    holomorphic algebra and stripped of its exponential), reattached to
-    psi_0's own exponent.
+    The polynomial factor ``P_n = e^{-lambda z^2/2} (d/dz)^n e^{lambda z^2/2}``
+    obeys ``P_{k+1} = lambda z P_k + k lambda P_{k-1}``, the Hermite
+    recurrence: ``P_n = (-y1)^n sqrt(2^n n!) p_n(y1 z)`` with ``y1^2 =
+    -lambda/2`` and ``rho2 = 1`` (either root), one coefficient on psi_0's
+    exponent ``-a z^2/4``.
     """
     _check_index(n)
-    u = HoloGauss(ComplexPoly.one(), p.lam / 2)
-    for _ in range(n):
-        u = holo_differentiate(u)
-    return HoloGauss(u.poly, -p.a / 4)
+    y1 = cmath.sqrt(-p.lam / 2)
+    amp = (-y1) ** n * math.sqrt(2**n * math.factorial(n))
+    return HoloGauss((0j,) * n + (amp,), -p.a / 4, 0j, 0j, y1, 1.0)
 
 
 def psi_n_ladder(p: EllipseParams, n: int) -> HoloGauss:
-    """psi_n as (Lambda*)^n psi_0: the independent construction."""
+    """psi_n as (Lambda*)^n psi_0, n banded maps: the independent construction."""
+    _check_index(n)
     u = psi0(p)
     for _ in range(n):
         u = apply_ladder(p, "lambda_star", u)
@@ -248,15 +246,9 @@ def apply_ladder(p: EllipseParams, which: str, f: HoloGauss) -> HoloGauss:
     if not isinstance(f, HoloGauss):
         raise DomainError(f"{which} acts on HoloGauss")
     if which == "lambda":
-        return holo_add(
-            holo_scale(holo_differentiate(f), 1 / p.a),
-            holo_scale(holo_multiply_z(f), 0.5),
-        )
+        return f.ladder(1 / p.a, 0.5)
     if which == "lambda_star":
-        return holo_add(
-            holo_differentiate(f),
-            holo_scale(holo_multiply_z(f), (p.a + 2 * p.lam) / 2),
-        )
+        return f.ladder(1.0, (p.a + 2 * p.lam) / 2)
     raise DomainError(f"unknown operator {which!r}")
 
 

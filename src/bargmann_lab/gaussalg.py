@@ -1,13 +1,15 @@
 """Exact algebra of complex polynomial-times-Gaussian functions.
 
 Everything downstream (transforms, Hermite systems, oscillator spectra,
-localization eigenvalues) is built on two function classes:
+localization eigenvalues) is built on two function classes, both in Hermite
+coefficients, with one evaluation (``_hermite_sum``, the three-term
+recurrence) and one banded map (``_band``):
 
 * ``HermiteGauss`` -- ``x -> sum_k a_k eta_k(x/s) exp(gamma2*x**2 + gamma1*x)``
-  on the line, in Hermite coefficients (``HermiteGauss.from_poly`` converts
-  a polynomial times a Gaussian),
-* ``HoloGauss``    -- ``z -> poly(z) * exp(c2*z**2 + c1*z)`` on the plane,
-  with its polynomial part a ``ComplexPoly`` (complex coefficients),
+  on the line (``HermiteGauss.from_poly`` converts a polynomial times a
+  Gaussian),
+* ``HoloGauss``    -- ``z -> sum_k a_k p_k(y0 + y1 z) exp(c2*z**2 + c1*z)`` on
+  the plane, with ``p_k = rho^k eta_k(y/rho)``,
 
 and differential operators (``DiffOp``) acting on the line class as banded
 maps.  Inner products on the line are diagonal coefficient sums on a shared
@@ -24,13 +26,14 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-#: Hard cap on a stored polynomial degree and on the index of a stored family
-#: (the CLI's ``--n`` limit).  Transient values are not capped: the image of a
-#: ``HermiteGauss`` under an operator, and a product inside an inner product.
+#: Hard cap on the index of a stored family (the CLI's ``--n`` limit) and on
+#: the degree of a monomial form (``ComplexPoly``, ``HoloGauss.poly``).
+#: Coefficient lists are not capped: the image of a ``HermiteGauss`` under
+#: an operator, or its transform, may pass it.
 DEGREE_CAP = 64
 
 _COEFF_TOL = 1e-12  # relative tolerance for "same exponent" checks
@@ -87,13 +90,13 @@ def _fit(out: list[complex]) -> list[complex]:
 
 @dataclass(frozen=True)
 class ComplexPoly:
-    """Polynomial with complex coefficients, stored degree-ascending.
+    """Polynomial with complex coefficients, stored degree-ascending: the
+    monomial form that :meth:`HermiteGauss.from_poly` converts and that
+    :attr:`HoloGauss.poly` renders.
 
     The zero polynomial is ``(0j,)``.  Otherwise the leading (last)
-    coefficient is nonzero and ``degree == len(coeffs) - 1``.
-
-    Construct via :meth:`from_coeffs` for automatic trimming; the raw
-    constructor trusts its input.
+    coefficient is nonzero.  Construct via :meth:`from_coeffs` for trimming
+    and the :data:`DEGREE_CAP` check; the raw constructor trusts its input.
     """
 
     coeffs: tuple[complex, ...]
@@ -102,69 +105,17 @@ class ComplexPoly:
     def from_coeffs(coeffs: Iterable[complex]) -> "ComplexPoly":
         return ComplexPoly(tuple(_fit(list(map(complex, coeffs)))))
 
-    @staticmethod
-    def zero() -> "ComplexPoly":
-        return ComplexPoly((0j,))
-
-    @staticmethod
-    def one() -> "ComplexPoly":
-        return ComplexPoly((1 + 0j,))
-
-    @staticmethod
-    def monomial(n: int, coeff: complex = 1.0) -> "ComplexPoly":
-        if n > DEGREE_CAP:
-            raise DegreeCapError(f"degree {n} exceeds cap {DEGREE_CAP}")
-        return ComplexPoly.from_coeffs((0j,) * n + (complex(coeff),))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 0
-
-    def __call__(self, x: complex) -> complex:
-        """Horner evaluation; ``x`` may also be a numpy array of points."""
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "ComplexPoly") -> "ComplexPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0j,) * (n - len(self.coeffs))
-        b = other.coeffs + (0j,) * (n - len(other.coeffs))
-        return ComplexPoly.from_coeffs(x + y for x, y in zip(a, b))
-
-    def scale(self, c: complex) -> "ComplexPoly":
-        if c == 0:
-            return ComplexPoly.zero()
-        return ComplexPoly.from_coeffs(c * a for a in self.coeffs)
-
     def __mul__(self, other: "ComplexPoly") -> "ComplexPoly":
         return ComplexPoly.from_coeffs(np.convolve(self.coeffs, other.coeffs).tolist())
-
-    def shift_up(self, n: int = 1) -> "ComplexPoly":
-        """Multiply by ``x**n``."""
-        if self.is_zero:
-            return self
-        return ComplexPoly.from_coeffs((0j,) * n + self.coeffs)
-
-    def derivative(self) -> "ComplexPoly":
-        if len(self.coeffs) == 1:
-            return ComplexPoly.zero()
-        return ComplexPoly.from_coeffs(
-            k * c for k, c in enumerate(self.coeffs) if k > 0
-        )
 
 
 def coeff_deviation(u, v, collinear: bool = False) -> float:
     """Max coefficient deviation of v from u, relative to u's largest coefficient.
 
     ``u`` and ``v`` are two :class:`ComplexPoly`, or two :class:`HermiteGauss`
-    on one basis.  With ``collinear`` v is first rescaled to agree with u at
-    that largest coefficient, so only the directions of the two are compared.
+    or two :class:`HoloGauss` on one basis.  With ``collinear`` v is first
+    rescaled to agree with u at that largest coefficient, so only the
+    directions of the two are compared.
     """
     n = max(len(u.coeffs), len(v.coeffs))
     a = u.coeffs + (0j,) * (n - len(u.coeffs))
@@ -225,15 +176,9 @@ class HermiteGauss:
         return len(self.coeffs) == 1 and self.coeffs[0] == 0
 
     def hermite_sum(self, x):
-        """``sum_k coeffs[k] eta_k(x/s)`` at x (a number or an array), by the
-        three-term recurrence."""
-        u = np.asarray(x, dtype=float) / self.s
-        prev, cur = np.zeros_like(u), np.ones_like(u)
-        acc = self.coeffs[0] * cur
-        for k, a in enumerate(self.coeffs[1:], 1):
-            prev, cur = cur, math.sqrt(2 / k) * u * cur - math.sqrt((k - 1) / k) * prev
-            acc = acc + a * cur
-        return acc
+        """``sum_k coeffs[k] eta_k(x/s)`` at x (a number or an array):
+        :func:`_hermite_sum` at ``y = x/s``, ``rho2 = 1``."""
+        return _hermite_sum(self.coeffs, np.asarray(x, dtype=float) / self.s, 1.0)
 
     def __call__(self, x):
         """Value at x (a number or an array)."""
@@ -265,58 +210,103 @@ class HermiteGauss:
 
 @dataclass(frozen=True)
 class HoloGauss:
-    """Entire function ``z -> poly(z) * exp(c2*z**2 + c1*z)``.
+    """Entire function ``z -> sum_k coeffs[k] p_k(y0 + y1 z) exp(c2 z^2 + c1 z)``.
+
+    ``p_k = rho^k eta_k(y/rho)`` with ``rho^2 = rho2`` (:func:`_hermite_sum`):
+    ``rho2 = 1`` gives the ``eta_k`` of :class:`HermiteGauss`, ``rho2 = 0``
+    the monomials ``(sqrt(2) y)^k / sqrt(k!)``.  In this basis ``d/dz`` and
+    ``z`` are bidiagonal maps (:meth:`ladder`); :attr:`poly` renders the
+    polynomial part in monomials of z.
 
     Membership in the weighted Bargmann space with weight ``exp(-|z|**2/2h)``
     requires ``|c2| < 1/(4h)``; this is *not* enforced at construction (the
     algebra is useful on the whole class).
     """
 
-    poly: ComplexPoly
+    coeffs: tuple[complex, ...]
     c2: complex = 0j
     c1: complex = 0j
+    y0: complex = 0j
+    y1: complex = 1 + 0j
+    rho2: complex = 0j
 
-    def __call__(self, z: complex) -> complex:
-        """Value at ``z``; ``z`` may also be a numpy array of points."""
-        exp = np.exp if isinstance(z, np.ndarray) else cmath.exp
-        return self.poly(z) * exp(self.c2 * z * z + self.c1 * z)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coeffs", tuple(_trim(list(map(complex, self.coeffs)))))
+        for name in ("y0", "y1", "rho2"):  # complex, so y0 + y1 z is, on any z
+            object.__setattr__(self, name, complex(getattr(self, name)))
+        if self.y1 == 0:
+            raise DomainError("y1 = 0: the basis p_k(y0 + y1 z) does not depend on z")
 
     @property
     def is_zero(self) -> bool:
-        return self.poly.is_zero
+        return len(self.coeffs) == 1 and self.coeffs[0] == 0
+
+    def hermite_sum(self, z):
+        """``sum_k coeffs[k] p_k(y0 + y1 z)`` at z (a number or an array)."""
+        return _hermite_sum(self.coeffs, self.y0 + self.y1 * z, self.rho2)
+
+    def __call__(self, z):
+        """Value at ``z``; ``z`` may also be a numpy array of points."""
+        exp = np.exp if isinstance(z, np.ndarray) else cmath.exp
+        return self.hermite_sum(z) * exp(self.c2 * z * z + self.c1 * z)
+
+    @property
+    def poly(self) -> ComplexPoly:
+        """The polynomial part in monomials of z, for rendering only (capped
+        at :data:`DEGREE_CAP`; at high degree its coefficients cancel where
+        the Hermite sum does not): the recurrence of :func:`_hermite_sum` run
+        on coefficient lists in z, where ``y = y0 + y1 z`` is affine."""
+        y0, y1 = self.y0, self.y1
+        prev, cur, acc = [0j], [1 + 0j], [self.coeffs[0]]  # p_{k-1}, p_k, partial sum
+        for k, a in enumerate(self.coeffs[1:], 1):
+            r, q = math.sqrt(2 / k), self.rho2 * math.sqrt((k - 1) / k)
+            y_cur = [y0 * u + y1 * v for u, v in zip(cur + [0j], [0j] + cur)]
+            prev, cur = cur, [r * u - q * v for u, v in zip(y_cur, prev + [0j, 0j])]
+            acc = [x + a * c for x, c in zip(acc + [0j], cur)]
+        return ComplexPoly.from_coeffs(acc)
+
+    def ladder(self, d: complex, m: complex) -> "HoloGauss":
+        """``d f' + m z f``, exact, on the same exponent and basis.
+
+        ``f' = (P' + (2 c2 z + c1) P) e^{c2 z^2 + c1 z}``.  In the ``p_k``,
+        ``d/dy = L`` and ``y = (rho2/2) L + R/2`` (:func:`_band`); with ``P'
+        = y1 dP/dy`` and ``z = (y - y0)/y1`` the map is one bidiagonal
+        ``_band`` call plus a diagonal.
+        """
+        zc = 2 * d * self.c2 + m  # the coefficient of z P
+        lo = d * self.y1 + zc * self.rho2 / (2 * self.y1)
+        diag = d * self.c1 - zc * self.y0 / self.y1
+        a = list(self.coeffs)
+        out = _band(a, lo, zc / (2 * self.y1))
+        if diag:
+            out = _added(out, _scaled(a, diag))
+        return HoloGauss(out, self.c2, self.c1, self.y0, self.y1, self.rho2)
+
+
+def _hermite_sum(coeffs: Sequence[complex], y, rho2: complex):
+    """``sum_k coeffs[k] p_k(y)`` at y (a number or an array), where ``p_k =
+    rho^k eta_k(y/rho)``, ``rho^2 = rho2``, by the three-term recurrence
+
+        p_{k+1} = sqrt(2/(k+1)) y p_k - rho2 sqrt(k/(k+1)) p_{k-1},  p_0 = 1.
+
+    The line's ``eta_k(x/s)`` are ``y = x/s``, ``rho2 = 1``.  With one
+    coefficient the sum is a number, which broadcasts against y.  The
+    updates run in place where they can: on a plane grid every array
+    allocated costs a few hundred kilobytes."""
+    prev, cur = 0.0, 1.0
+    acc = coeffs[0] * cur
+    for k, a in enumerate(coeffs[1:], 1):
+        nxt = math.sqrt(2 / k) * y
+        nxt *= cur
+        prev *= rho2 * math.sqrt((k - 1) / k)
+        nxt -= prev
+        prev, cur = cur, nxt
+        acc += a * cur
+    return acc
 
 
 def _close(a: complex, b: complex) -> bool:
     return abs(a - b) <= _COEFF_TOL * max(1.0, abs(a), abs(b))
-
-
-# ---------------------------------------------------------------------------
-# Holomorphic algebra (exact operations on HoloGauss)
-# ---------------------------------------------------------------------------
-
-
-def holo_differentiate(f: HoloGauss) -> HoloGauss:
-    """d/dz, exact: (p e^{c2 z^2+c1 z})' = (p' + (2 c2 z + c1) p) e^{...}."""
-    p = f.poly.derivative() + (f.poly.shift_up().scale(2 * f.c2) + f.poly.scale(f.c1))
-    return HoloGauss(p, f.c2, f.c1)
-
-
-def holo_multiply_z(f: HoloGauss) -> HoloGauss:
-    return HoloGauss(f.poly.shift_up(), f.c2, f.c1)
-
-
-def holo_scale(f: HoloGauss, c: complex) -> HoloGauss:
-    return HoloGauss(f.poly.scale(c), f.c2, f.c1)
-
-
-def holo_add(f: HoloGauss, g: HoloGauss) -> HoloGauss:
-    if g.is_zero:
-        return f
-    if f.is_zero:
-        return g
-    if not (_close(f.c2, g.c2) and _close(f.c1, g.c1)):
-        raise DomainError("cannot add HoloGauss with different exponents")
-    return HoloGauss(f.poly + g.poly, f.c2, f.c1)
 
 
 # ---------------------------------------------------------------------------
@@ -498,13 +488,13 @@ class DiffOp:
 
 
 def _added(x: list[complex], y: list[complex]) -> list[complex]:
-    """``ComplexPoly.__add__`` on coefficient lists, without the cap."""
+    """The sum of two coefficient lists, trimmed."""
     n = max(len(x), len(y))
     return _trim([u + v for u, v in zip(x + [0j] * (n - len(x)), y + [0j] * (n - len(y)))])
 
 
 def _scaled(x: list[complex], c: complex) -> list[complex]:
-    """``ComplexPoly.scale`` on a coefficient list, without the cap."""
+    """A coefficient list times c, trimmed."""
     return [0j] if c == 0 else _trim([c * u for u in x])
 
 

@@ -25,7 +25,6 @@ from typing import Sequence
 import numpy as np
 
 from .gaussalg import (
-    ComplexPoly,
     DiffOp,
     DomainError,
     HermiteGauss,
@@ -98,18 +97,14 @@ class HermiteSystem:
         return _rodrigues(DiffOp.hD(p.h), n, -p.C.imag / p.h, amp, phi0.gamma2, phi0.s)
 
     def monomial_basis(self, n: int) -> HoloGauss:
-        """Orthonormal monomial varphi_n of the weighted holomorphic space."""
-        if n < 0:
-            raise DomainError("index must be >= 0")
+        """Orthonormal monomial varphi_n of the weighted holomorphic space,
+        ``|B|/sqrt(2 pi h Im C) (B z/sqrt(2 h Im C))^n / sqrt(n!)``: one
+        coefficient on the monomials ``p_n(y1 z)`` (``rho2 = 0``) with ``y1 =
+        B/(2 sqrt(h Im C))``."""
+        _check_index(n)
         p = self.params
-        s = 2 * p.h * p.C.imag
-        amp = (
-            abs(p.B)
-            / math.sqrt(2 * math.pi * p.h * p.C.imag)
-            / math.sqrt(math.factorial(n))
-        )
-        coeff = amp * (p.B / _sqrt_pos(s)) ** n
-        return HoloGauss(ComplexPoly.monomial(n, coeff))
+        amp = abs(p.B) / math.sqrt(2 * math.pi * p.h * p.C.imag)
+        return HoloGauss((0j,) * n + (amp,), y1=p.B / (2 * _sqrt_pos(p.h * p.C.imag)))
 
     # -- operators ----------------------------------------------------------
 

@@ -341,7 +341,7 @@ def ellipse_route_checks(p: EllipseParams, n: int, suffix: str = "") -> list[dic
     """The constants identity, and psi_0..psi_{n-1} by the Rodrigues vs. the
     ladder route (named ``psi_routes_dev`` + ``suffix``)."""
     identity = abs(p.a + 2 * p.lam - 1 / p.a.conjugate())
-    dev = _worst(coeff_deviation(psi_n(p, k).poly, psi_n_ladder(p, k).poly) for k in range(n))
+    dev = _worst(coeff_deviation(psi_n(p, k), psi_n_ladder(p, k)) for k in range(n))
     return [
         check("constants_identity_dev", identity, TOL_IDENTITY),
         check(f"psi_routes_dev{suffix}", dev, TOL_IDENTITY),

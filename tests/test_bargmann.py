@@ -58,7 +58,7 @@ def test_transform_ground_state_is_constant():
         hs = HermiteSystem(p)
         U = transform(p, hs.hermite_phi(0))
         V = hs.monomial_basis(0)
-        assert U.poly.degree == 0
+        assert len(U.poly.coeffs) == 1
         assert U.c2 == 0 and U.c1 == 0
         assert abs(U.poly.coeffs[0] - V.poly.coeffs[0]) <= 1e-14
 
@@ -199,7 +199,7 @@ def test_projector_moves_antiholomorphic_function():
     hs = HermiteSystem(CLASSIC)
     v1 = hs.monomial_basis(1)
     grid = hphi_grid(CLASSIC, v1, v1)
-    conj = SimpleNamespace(poly=np.conjugate, c2=0j, c1=0j)
+    conj = SimpleNamespace(hermite_sum=np.conjugate, c2=0j, c1=0j)
     z = 0.9 + 0.4j
     residual = abs(projector_apply(CLASSIC, conj, [z], grid)[0] - z.conjugate())
     assert residual > 0.1

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from bargmann_lab.bargmann import hphi_grid, inner_product_HPhi
 from bargmann_lab.ellipse import (
@@ -32,7 +33,6 @@ from bargmann_lab.ellipse import (
 )
 from bargmann_lab.gaussalg import (
     DEGREE_CAP,
-    ComplexPoly,
     DegreeCapError,
     DiffOp,
     DomainError,
@@ -43,7 +43,7 @@ from bargmann_lab.gaussalg import (
 )
 from bargmann_lab.hermite import HermiteSystem
 from bargmann_lab.phasecore import PhaseParams
-from bargmann_lab.suites import ELLIPSE_SETS, ellipse_gram
+from bargmann_lab.suites import ELLIPSE_SETS, TOL_IDENTITY, ellipse_gram
 
 CLASSIC = PhaseParams(0.5j, -1j, 1j, 1.0)
 SETS = [(2.0, 0.0), (2.0, 1.0), (0.5, 3.0)]
@@ -101,7 +101,7 @@ def test_constant_identities_random_parameters():
 def test_psi0_is_bare_gaussian():
     p = derived_constants(2.0, 0.0)
     f = psi0(p)
-    assert f.poly.degree == 0 and f.poly.coeffs[0] == 1
+    assert f.coeffs == (1,) and f.poly.coeffs == (1,)
     assert abs(f.c2 - (-p.a / 4)) <= 1e-15
     assert f.c1 == 0
 
@@ -129,6 +129,17 @@ def test_generation_routes_agree():
             scale = max(abs(c) for c in a.poly.coeffs)
             dev = max(abs(x - y) for x, y in zip(a.poly.coeffs, b.poly.coeffs))
             assert dev <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("d", [32, 40, 64])
+@pytest.mark.parametrize("alpha,beta", [*ELLIPSE_SETS, (1.3, 0.62)])
+def test_psi_routes_agree_pointwise_at_high_degree(alpha, beta, d):
+    # the closed form against d banded ladder steps, on the circle where
+    # |psi_d|^2 e^{-|z|^2/2} carries its weight
+    p = derived_constants(alpha, beta)
+    a, b = psi_n(p, d), psi_n_ladder(p, d)
+    z = math.sqrt(2 * (d + 1)) * np.exp(2j * math.pi * (np.arange(8) + 0.25) / 8)
+    assert np.max(np.abs(b(z) - a(z))) <= TOL_IDENTITY * np.max(np.abs(a(z)))
 
 
 def test_ladder_commutator_on_psi3():
@@ -204,12 +215,12 @@ def test_Psi_n_are_on_the_bridged_phi_basis(alpha, beta):
 
 
 def _monomial_rodrigues(p, n):
-    # Psi_n by the monomial route: n-fold d/dx of the wide Gaussian,
-    # (q e^{-gap x^2})' = (q' - 2 gap x q) e^{-gap x^2}
-    q = ComplexPoly.one()
+    # Psi_n by the monomial route on a numpy Polynomial: n-fold d/dx of the
+    # wide Gaussian, (q e^{-gap x^2})' = (q' - 2 gap x q) e^{-gap x^2}
+    q, x = Polynomial([1.0]), Polynomial([0, 1])
     for _ in range(n):
-        q = q.derivative() + q.shift_up().scale(-2 * p.eigen_gap)
-    q, g2 = q.scale(p.A_ab * (-p.C_ab) ** n), -p.w_exponent / 2
+        q = q.deriv() - 2 * p.eigen_gap * x * q
+    q, g2 = q * (p.A_ab * (-p.C_ab) ** n), -p.w_exponent / 2
     return lambda t: q(t) * cmath.exp(g2 * t * t)
 
 
@@ -223,13 +234,16 @@ def test_Psi_n_is_the_monomial_rodrigues_formula_pointwise(alpha, beta):
         assert np.max(np.abs(f(x) - want)) <= 1e-12 * np.max(np.abs(want)), n
 
 
-def test_Psi_n_index_is_capped():
+@pytest.mark.parametrize("build", [
+    Psi_n, Psi_n_ladder, psi_n, psi_n_ladder,
+    lambda p, n: HermiteSystem(bridge_params(p)).monomial_basis(n),
+], ids=["Psi_n", "Psi_n_ladder", "psi_n", "psi_n_ladder", "monomial_basis"])
+def test_Psi_n_index_is_capped(build):
     p = derived_constants(2.0, 1.0)
-    for build in (Psi_n, Psi_n_ladder):
-        with pytest.raises(DegreeCapError):
-            build(p, DEGREE_CAP + 1)
-        with pytest.raises(DomainError):
-            build(p, -1)
+    with pytest.raises(DegreeCapError):
+        build(p, DEGREE_CAP + 1)
+    with pytest.raises(DomainError):
+        build(p, -1)
 
 
 def test_Psi_generation_routes_agree():

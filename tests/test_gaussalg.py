@@ -12,6 +12,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, seed, strategies as st
+from numpy.polynomial import Polynomial
+from numpy.polynomial.hermite import hermval
 from scipy.integrate import quad
 
 from bargmann_lab.gaussalg import (
@@ -24,10 +26,6 @@ from bargmann_lab.gaussalg import (
     HoloGauss,
     apply_diffop,
     gauss_integral,
-    holo_differentiate,
-    holo_multiply_z,
-    holo_scale,
-    holo_add,
     inner_product_line,
     norm_line,
     _overlaps,
@@ -322,17 +320,23 @@ def test_residual_ratio_of_nan_coefficients_is_inf(f):
 # ------------------------------------------------------------- HermiteGauss
 
 
+X = Polynomial([0, 1])  # the monomial x (or z) of the numpy references
+
+
+def _from_numpy(poly: Polynomial, g2, g1=0j) -> HermiteGauss:
+    return HermiteGauss.from_poly(ComplexPoly(tuple(map(complex, poly.coef))), g2, g1)
+
+
 def _apply_diffop_reference(op, poly, g2, g1):
-    """The monomial route: ``hD (p e^g) = -ih (p' + (2 g2 x + g1) p) e^g``
-    per step, then ``x**j``, in ComplexPoly arithmetic."""
+    """The monomial route on a numpy ``Polynomial``: ``hD (p e^g) = -ih (p' +
+    (2 g2 x + g1) p) e^g`` per step, then ``x**j``."""
     hd_powers = [poly]
-    acc = ComplexPoly.zero()
+    acc = Polynomial([0j])
     for (j, k), c in sorted(op.terms.items()):
         while len(hd_powers) <= k:
             p = hd_powers[-1]
-            step = p.derivative() + p.shift_up().scale(2 * g2) + p.scale(g1)
-            hd_powers.append(step.scale(-1j * op.h))
-        acc = acc + hd_powers[k].shift_up(j).scale(c)
+            hd_powers.append(-1j * op.h * (p.deriv() + (2 * g2 * X + g1) * p))
+        acc = acc + c * X**j * hd_powers[k]
     return acc
 
 
@@ -342,8 +346,8 @@ def test_hermite_form_values_and_monomial_form_agree():
     x = np.linspace(-3.0, 3.0, 25)
     g2, g1 = complex(-0.5 / 0.8**2, 0.3), 0.2 - 0.1j
     for n in (1, 2, 5, 12):
-        poly = ComplexPoly.from_coeffs(_random_coeffs(rng, n))
-        f = HermiteGauss.from_poly(poly, g2, g1)
+        poly = Polynomial(_random_coeffs(rng, n))
+        f = _from_numpy(poly, g2, g1)
         want = np.array([poly(t) * cmath.exp(g2 * t * t + g1 * t) for t in x])
         assert np.max(np.abs(f(x) - want)) <= 1e-12 * np.max(np.abs(want))
         assert f(0.7) == pytest.approx(poly(0.7) * cmath.exp(g2 * 0.49 + g1 * 0.7), rel=1e-12)
@@ -367,10 +371,10 @@ def test_hermite_form_operators_are_the_monomial_operators():
     g2 = complex(-0.5 / 0.8**2, 0.3)
     for n in (1, 4, 9):
         for g1 in (0j, 0.4 - 0.2j):
-            poly = ComplexPoly.from_coeffs(_random_coeffs(rng, n))
-            f = HermiteGauss.from_poly(poly, g2, g1)
+            poly = Polynomial(_random_coeffs(rng, n))
+            f = _from_numpy(poly, g2, g1)
             got = apply_diffop(op, f)
-            want = HermiteGauss.from_poly(_apply_diffop_reference(op, poly, g2, g1), g2, g1)
+            want = _from_numpy(_apply_diffop_reference(op, poly, g2, g1), g2, g1)
             assert (got.gamma2, got.gamma1, got.s) == (f.gamma2, f.gamma1, f.s)
             assert coeff_deviation(want, got) <= 1e-12
 
@@ -380,8 +384,10 @@ def test_hermite_form_images_pass_the_cap_but_their_monomial_form_does_not():
     g = apply_diffop(DiffOp({(2, 0): 1.0}, h=1.0), f)  # index 66: transient
     assert len(g.coeffs) == DEGREE_CAP + 3
     assert norm_line(g) > 0
+    U = transform(PhaseParams.classic(), g)  # Hermite coefficients: no cap
+    assert len(U.coeffs) == DEGREE_CAP + 3 and np.isfinite(U(0.3 - 0.2j))
     with pytest.raises(DegreeCapError):
-        transform(PhaseParams.classic(), g)  # a monomial HoloGauss
+        U.poly  # its monomial form
 
 
 def test_hermite_form_off_its_own_basis_takes_the_overlap_recurrence():
@@ -421,17 +427,66 @@ def test_overlap_recurrence_is_the_diagonal_sum_on_bridge_pairs(alpha, beta):
 
 
 def test_holo_differentiate_square():
-    f = HoloGauss(ComplexPoly((0j, 0j, 1.0 + 0j)), 0j, 0j)  # z^2
-    df = holo_differentiate(f)
-    assert df.poly.coeffs == (0j, 2.0 + 0j)
+    # p_2(z/sqrt(2)) = z^2/sqrt(2) on the monomials (rho2 = 0)
+    f = HoloGauss((0j, 0j, math.sqrt(2)), y1=1 / math.sqrt(2))
+    df = f.ladder(1.0, 0.0)
+    np.testing.assert_allclose(df.poly.coeffs, (0, 2), rtol=0, atol=1e-15)
 
 
 def test_holo_ladder_annihilates_matching_gaussian():
     # (d/dz + cz) applied to exp(-c z^2 / 2) vanishes identically
     c = 0.3 + 0.1j
-    f = HoloGauss(ComplexPoly((1.0 + 0j,)), -c / 2, 0j)
-    out = holo_add(holo_differentiate(f), holo_scale(holo_multiply_z(f), c))
-    assert out.is_zero or all(abs(a) <= TOL_EXACT for a in out.poly.coeffs)
+    for y0, y1, rho2 in ((0j, 1 + 0j, 0j), (0.4 - 0.2j, 0.7 + 0.5j, 1.3 - 0.6j)):
+        out = HoloGauss((1.0 + 0j,), -c / 2, 0j, y0, y1, rho2).ladder(1.0, c)
+        assert out.is_zero or all(abs(a) <= TOL_EXACT for a in out.coeffs)
+
+
+def test_holo_basis_must_depend_on_z():
+    with pytest.raises(DomainError, match="y1 = 0"):
+        HoloGauss((1.0,), y1=0)
+
+
+@pytest.mark.parametrize("y0,y1,rho2", [
+    (0j, 1 + 0j, 0j), (0j, 0.6 - 0.8j, 1 + 0j), (0.4 - 0.2j, 0.7 + 0.5j, 1.3 - 0.6j),
+])
+def test_holo_ladder_is_the_monomial_operator(y0, y1, rho2):
+    # d f' + m z f on Hermite coefficients against the numpy monomial route,
+    # (P e^{c2 z^2 + c1 z})' = (P' + (2 c2 z + c1) P) e^{...}, at points
+    rng = np.random.default_rng(43)
+    c2, c1, d, m = 0.1 - 0.2j, 0.3 + 0.1j, 0.8 + 0.3j, -0.4 + 0.9j
+    z = np.array([0.3 - 0.2j, -1.1 + 0.4j, 0.9 + 1.2j])
+    for n in (1, 4, 9):
+        f = HoloGauss(_random_coeffs(rng, n), c2, c1, y0, y1, rho2)
+        P = Polynomial(f.poly.coeffs)
+        want = d * (P.deriv() + (2 * c2 * X + c1) * P) + m * X * P
+        got = f.ladder(d, m).hermite_sum(z)
+        assert np.max(np.abs(got - want(z))) <= 1e-12 * np.max(np.abs(want(z)))
+
+
+@pytest.mark.parametrize("y0,y1,rho2", [
+    (0j, 0.6 - 0.8j, 0j), (0j, 0.6 - 0.8j, 1 + 0j), (0.4 - 0.2j, 0.7 + 0.5j, 1.3 - 0.6j),
+])
+def test_holo_hermite_sum_is_numpys_series(y0, y1, rho2):
+    # p_k(y) = rho^k H_k(y/rho) / sqrt(2^k k!), numpy's physicists' Hermite
+    # series at y/rho; at rho2 = 0 the monomials (sqrt(2) y)^k / sqrt(k!).
+    # The monomial form .poly, by Horner, agrees too.
+    rng = np.random.default_rng(47)
+    z = np.linspace(-2.0, 2.0, 9) + 0.5j
+    y, gauss = y0 + y1 * z, np.exp(0.2j * z * z - 0.1 * z)
+    rho = cmath.sqrt(rho2)
+    for n in (1, 2, 7):
+        a = _random_coeffs(rng, n)
+        f = HoloGauss(a, 0.2j, -0.1, y0, y1, rho2)
+        if rho2:
+            c = [ak * rho**k / math.sqrt(2**k * math.factorial(k)) for k, ak in enumerate(a)]
+            want = hermval(y / rho, c) * gauss
+        else:
+            c = [ak * math.sqrt(2**k / math.factorial(k)) for k, ak in enumerate(a)]
+            want = Polynomial(c)(y) * gauss
+        assert np.max(np.abs(f(z) - want)) <= 1e-12 * np.max(np.abs(want))
+        assert f(complex(z[3])) == pytest.approx(want[3], rel=1e-12)
+        horner = Polynomial(f.poly.coeffs)(z) * gauss
+        assert np.max(np.abs(horner - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ------------------------------------------------------------ deviation maxima

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from bargmann_lab.bargmann import hphi_grid, inner_product_HPhi
 from bargmann_lab.gaussalg import (
@@ -80,14 +81,16 @@ def test_rodrigues_route_equals_ladder_route():
 def _monomial_ladder(hs, N):
     """phi_0..phi_{N-1} by the ladder in monomial form: the polynomial parts
     of phi_m = -(hD + Cx) phi_{m-1} / sqrt(2 m h Im C) on e^{gamma2 x^2}, with
-    hD (p e^{gamma2 x^2}) = -ih (p' + 2 gamma2 x p) e^{gamma2 x^2}."""
+    hD (p e^{gamma2 x^2}) = -ih (p' + 2 gamma2 x p) e^{gamma2 x^2}, on numpy
+    ``Polynomial``s."""
     p = hs.params
     g2 = -1j * p.C.conjugate() / (2 * p.h)
-    poly = ComplexPoly(((p.C.imag / (math.pi * p.h)) ** 0.25 + 0j,))
+    x = Polynomial([0, 1])
+    poly = Polynomial([(p.C.imag / (math.pi * p.h)) ** 0.25 + 0j])
     out = [poly]
     for m in range(1, N):
-        hd = (poly.derivative() + poly.shift_up().scale(2 * g2)).scale(-1j * p.h)
-        poly = (hd + poly.shift_up().scale(p.C)).scale(-1 / math.sqrt(m * 2 * p.h * p.C.imag))
+        hd = -1j * p.h * (poly.deriv() + 2 * g2 * x * poly)
+        poly = (hd + p.C * x * poly) * (-1 / math.sqrt(m * 2 * p.h * p.C.imag))
         out.append(poly)
     return [lambda t, q=q: q(t) * cmath.exp(g2 * t * t) for q in out]
 
@@ -102,6 +105,20 @@ def test_hermite_form_matches_the_monomial_ladder_pointwise(B, C, h):
         assert np.max(np.abs(phi(x) - want)) <= 1e-12 * np.max(np.abs(want))
         rod = hs.rodrigues_phi(n)
         assert norm_line(phi.add(rod.scale(-1))) <= 1e-12 * norm_line(phi)
+
+
+@pytest.mark.parametrize("B,C,h", HERMITE_PARAM_SETS)
+def test_monomial_basis_is_the_normalized_monomial(B, C, h):
+    # one coefficient on p_n(y1 z), rho2 = 0, against amp (B z/sqrt(2 h Im C))^n / sqrt(n!)
+    hs = _system(B, C, h)
+    p = hs.params
+    s = 2 * p.h * p.C.imag
+    amp = abs(p.B) / math.sqrt(math.pi * s)
+    for n in range(65):
+        r = math.sqrt(s * (n + 1)) / abs(p.B)  # where varphi_n carries its weight
+        for z in (r * cmath.exp(0.7j), 0.3 - 0.4j):
+            want = amp * (p.B * z / math.sqrt(s)) ** n / math.sqrt(math.factorial(n))
+            assert abs(hs.monomial_basis(n)(z) - want) <= 1e-13 * abs(want), (n, z)
 
 
 @pytest.mark.parametrize("B,C,h", HERMITE_PARAM_SETS)
