@@ -11,14 +11,17 @@ projector are kept quadrature-only on purpose: they are the *independent*
 route against which the closed forms are certified.
 
 A quadrature grid holds two read-only arrays: ``nodes`` (float on the line,
-complex x+iy on the plane) and positive float ``weights``.  Every integrand
-below is one expression on the node array: the ``phasecore`` functions and
+complex x+iy on the plane) and positive float ``weights``.  Every quadrature
+sum of the package is a block of ``_quad_block``: the sums ``sum_n w_n
+r_j(z_n) c_k(z_n)`` of row functions against column functions, evaluated
+on chunks of nodes, each with its own truncation check.  Every integrand is
+one expression on a chunk of the node array: the ``phasecore`` functions and
 ``HoloGauss.hermite_sum`` accept arrays, and the exponents of all factors are
 summed before a single ``np.exp``, because a factor alone can overflow where
 the product is negligible.  What does not change between the sums on one grid
-is computed once: the projector takes U itself, not samples of it, and
-evaluates its Hermite sum and exponent once for all its points; ``gram_HPhi``
-computes one exponential factor for all pairs of functions with one exponent.
+is computed once per chunk: the projector takes U itself, not samples of it,
+and is one row (U's Hermite sum) against one column per point; ``gram_HPhi``
+is one block whose rows share one exponential factor.
 
 Gauss rules are computed once per process: ``_gauss_rule`` fills a private
 cache, keyed by family and node count, on first use and hands out the same
@@ -26,8 +29,9 @@ read-only (nodes, weights) arrays afterwards, so the hundreds of grids a
 certification battery builds share a handful of eigenvalue solves.  Each
 grid also computes its outer truncation shell once, at construction.
 
-The program's BLAS/LAPACK calls (those eigenvalue solves and the Toeplitz
-block products) run inside ``_serial_blas``, on the calling thread only.
+Those eigenvalue solves, the program's only sizeable LAPACK calls, run
+inside ``_serial_blas``, on the calling thread only; the quadrature sums run
+in numpy's own ``einsum`` loops and call no BLAS.
 
 The one-dimensional oracles on intervals and half-lines (the rotated
 Gaussian integral, the radial eigenvalues) go through ``_adaptive_quad``, a
@@ -152,14 +156,14 @@ def _serial_blas():
     """Run the enclosed BLAS/LAPACK calls on the calling thread only.
 
     The program's matrices are small (the eigenvalue solve of a Gauss rule
-    of a few hundred nodes, Toeplitz block sums of a few dozen rows), so a
-    second OpenBLAS thread does not speed them up, but each threaded call
-    has to wake it.  On a shared machine that wake-up can stall one call
-    for up to a second: on a 2-vCPU virtual machine, in fresh processes
-    with two OpenBLAS threads, 1 of 40 ``leggauss(400)`` calls took 0.53 s
-    instead of 0.02 s, and one ``certify --suite all`` in 14 spent 1.17 s
-    in it.  Results do not depend on the thread count; the previous count
-    is restored on exit.  Without OpenBLAS this does nothing.
+    of a few hundred nodes), so a second OpenBLAS thread does not speed
+    them up, but each threaded call has to wake it.  On a shared machine
+    that wake-up can stall one call for up to a second: on a 2-vCPU
+    virtual machine, in fresh processes with two OpenBLAS threads, 1 of 40
+    ``leggauss(400)`` calls took 0.53 s instead of 0.02 s, and one
+    ``certify --suite all`` in 14 spent 1.17 s in it.  Results do not
+    depend on the thread count; the previous count is restored on exit.
+    Without OpenBLAS this does nothing.
     """
     if _OPENBLAS_THREADS is None:
         yield
@@ -418,12 +422,44 @@ def _check_truncation(total_mass, shell_mass) -> None:
         )
 
 
-def _quad_sum(grid: QuadGrid, values: np.ndarray) -> complex:
-    """Weighted sum with a truncation-error check on the outer node shell."""
-    w = grid.weights
-    mass = np.abs(values) * w
-    _check_truncation(mass.sum(), mass[grid.shell].sum())
-    return complex((values * w).sum())
+#: Nodes per pass of :func:`_quad_block`.  Bounds its node-by-function work
+#: arrays (about 1 MB each at 7 functions) whatever the grid size: one array
+#: over all 102,400 nodes of a default polar grid costs tens of MB of peak
+#: memory, and a chunk's temporaries are reused from the allocator's cache.
+_CHUNK = 8192
+
+
+def _quad_block(grid: QuadGrid, rows, cols=None) -> np.ndarray:
+    """The quadrature sums ``sum_n w_n r_j(z_n) c_k(z_n)`` as a J x K array,
+    or ``sum_n w_n r_j(z_n)`` as a J-vector when ``cols`` is None.
+
+    ``rows`` and ``cols`` map a chunk of nodes (at most :data:`_CHUNK`) to
+    the values of their J (or K) functions on it: an array with one row per
+    function, or a list with an array or a number per function (a one-term
+    Hermite sum is a number).  Each sum is checked for truncation as if it
+    stood alone: its total and outer-shell masses are the same sums of
+    ``|w r_j| |c_k|``, over all nodes and over ``grid.shell``.  The products
+    run in ``np.einsum``, numpy's own loops: no BLAS thread, and each sum is
+    the same, bit for bit, whichever other sums run with it.
+    """
+    sums = total = shell = 0.0
+    for start in range(0, grid.nodes.size, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        z, on = grid.nodes[part], grid.shell[part]
+        r = grid.weights[part] * _on_chunk(rows, z)
+        c = np.ones((1, z.size)) if cols is None else _on_chunk(cols, z)
+        sums = sums + np.einsum("jn,kn->jk", r, c)
+        r, c = np.abs(r), np.abs(c)
+        total = total + np.einsum("jn,kn->jk", r, c)
+        shell = shell + np.einsum("jn,kn->jk", r[:, on], c[:, on])
+    _check_truncation(total, shell)
+    return sums[:, 0] if cols is None else sums
+
+
+def _on_chunk(functions, z: np.ndarray) -> np.ndarray:
+    """The values ``functions(z)`` as a complex array, one row per function."""
+    values = np.broadcast_arrays(z, *functions(z))[1:]
+    return np.array(values, dtype=complex).reshape(-1, z.size)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +501,7 @@ def transform(p: PhaseParams, f: HermiteGauss) -> HoloGauss:
         * cmath.sqrt(math.pi / -g2)
         * cmath.exp(-f.gamma1 * f.gamma1 / (4 * g2))
     )
-    c2 = 1j * p.A / (2 * p.h) + p.B * p.B / (4 * p.h * p.h * g2)
+    c2 = 1j * p.A / (2 * p.h) + p.B / (2 * p.h) * p.B / (2 * p.h * g2)  # no h*h: it may underflow
     c1 = -1j * p.B * f.gamma1 / (2 * p.h * g2)
     return HoloGauss(_scaled(list(f.coeffs), const), c2, c1, y0, y1, rho2)
 
@@ -481,8 +517,8 @@ def transform_quad(p: PhaseParams, f: HermiteGauss, z: complex) -> complex:
         return 1j * phi_phase(p, z, x) / p.h + f.gamma2 * x * x + f.gamma1 * x
 
     g = line_grid(lambda x: exponent(x).real)
-    values = f.hermite_sum(g.nodes) * np.exp(exponent(g.nodes))
-    return p.C_phi * p.h ** (-0.75) * _quad_sum(g, values)
+    total = _quad_block(g, lambda x: [f.hermite_sum(x) * np.exp(exponent(x))])[0]
+    return p.C_phi * p.h ** (-0.75) * complex(total)
 
 
 def adjoint_quad(
@@ -499,22 +535,17 @@ def adjoint_quad(
     if U.is_zero:
         return 0j
 
-    def real_exponent(z: complex) -> float:
+    def exponent(z):
         return (
-            (-1j * phi_phase(p, z, x).conjugate() / p.h).real
-            + (U.c2 * z * z + U.c1 * z).real
+            -1j * phi_phase(p, z, x).conjugate() / p.h
+            + U.c2 * z * z
+            + U.c1 * z
             - 2.0 * weight_Phi(p, z) / p.h
         )
 
-    g = grid if grid is not None else plane_grid(real_exponent)
-    zs = g.nodes
-    vals = U.hermite_sum(zs) * np.exp(
-        -1j * phi_phase(p, zs, x).conjugate() / p.h
-        + U.c2 * zs * zs
-        + U.c1 * zs
-        - 2.0 * weight_Phi(p, zs) / p.h
-    )
-    return p.C_phi * p.h ** (-0.75) * _quad_sum(g, vals)
+    g = grid if grid is not None else plane_grid(lambda z: exponent(z).real)
+    total = _quad_block(g, lambda z: [U.hermite_sum(z) * np.exp(exponent(z))])[0]
+    return p.C_phi * p.h ** (-0.75) * complex(total)
 
 
 def projector_apply(
@@ -525,19 +556,31 @@ def projector_apply(
     class the grid resolves.  Only ``U.hermite_sum``, ``U.c2`` and ``U.c1`` are
     read.
 
-    ``U.hermite_sum`` on the nodes and the exponent ``c2 zeta^2 + c1 zeta - 2 Phi/h``
-    are computed once; each point adds its ``2 Psi/h`` before its one
-    ``np.exp`` and is its own sum, with its own truncation check.
+    One 1 x P block of :func:`_quad_block`: ``U.hermite_sum`` against one
+    column per point, ``exp(c2 zeta^2 + c1 zeta - 2 Phi/h + 2 Psi(z, conj
+    zeta)/h)``, whose exponent is summed before its one ``np.exp``.  Each
+    point is its own sum, with its own truncation check.
     """
-    zs = grid.nodes
-    values = U.hermite_sum(zs)
-    exponent = U.c2 * zs * zs + U.c1 * zs - 2.0 * weight_Phi(p, zs) / p.h
-    zbar = zs.conjugate()
-    return [
-        p.C_Phi / p.h
-        * _quad_sum(grid, values * np.exp(exponent + 2.0 * kernel_Psi(p, z, zbar) / p.h))
-        for z in points
-    ]
+
+    def kernels(zs):
+        exponent = U.c2 * zs * zs + U.c1 * zs - 2.0 * weight_Phi(p, zs) / p.h
+        zbar = zs.conjugate()
+        return [np.exp(exponent + 2.0 * kernel_Psi(p, z, zbar) / p.h) for z in points]
+
+    sums = _quad_block(grid, lambda zs: [U.hermite_sum(zs)], kernels)[0]
+    return [p.C_Phi / p.h * complex(v) for v in sums]
+
+
+def _pair_block(p: PhaseParams, fs, gs, grid: QuadGrid) -> np.ndarray:
+    """``[sum w f_j conj(g_k) e^{pair exponent}]`` for functions fs sharing
+    one exponent and gs sharing another: each row is a Hermite sum times
+    the one exponential factor, each column a conjugated Hermite sum."""
+
+    def rows(zs):
+        weighted = np.exp(_pair_exponent(p, fs[0], gs[0], zs))
+        return [f.hermite_sum(zs) * weighted for f in fs]
+
+    return _quad_block(grid, rows, lambda zs: [np.conj(g.hermite_sum(zs)) for g in gs])
 
 
 def inner_product_HPhi(
@@ -556,26 +599,20 @@ def inner_product_HPhi(
     if U.is_zero or V.is_zero:
         return 0j
     g = grid if grid is not None else hphi_grid(p, U, V)
-    zs = g.nodes
-    vals = U.hermite_sum(zs) * np.conj(V.hermite_sum(zs)) * np.exp(_pair_exponent(p, U, V, zs))
-    return _quad_sum(g, vals)
+    return complex(_pair_block(p, [U], [V], g)[0, 0])
 
 
 def gram_HPhi(p: PhaseParams, fs: Sequence[HoloGauss]) -> list[list[complex]]:
     """Gram matrix ``[inner_product_HPhi(p, fs[j], fs[k])]`` of functions
     sharing one exponent ``(c2, c1)``, else ``DomainError``.
 
-    All pairs then share the grid and the exponential factor, computed once;
-    each entry is the product and sum of :func:`inner_product_HPhi`, equal
-    to it bit for bit.  Only the upper triangle is summed (the matrix is
-    Hermitian, see :func:`~bargmann_lab.gaussalg._hermitian`).
+    All pairs then share the grid and the exponential factor: the matrix is
+    one K x K block of :func:`_quad_block`, whose every entry is the sum of
+    :func:`inner_product_HPhi`, equal to it bit for bit.  The lower triangle
+    mirrors the upper (see :func:`~bargmann_lab.gaussalg._hermitian`).
     """
     U = fs[0]
     if any(f.c2 != U.c2 or f.c1 != U.c1 for f in fs):
         raise DomainError("gram_HPhi needs functions with one exponent")
-    grid = hphi_grid(p, U, U)
-    zs = grid.nodes
-    weighted = np.exp(_pair_exponent(p, U, U, zs))
-    sums = [f.hermite_sum(zs) for f in fs]
-    conjs = [np.conj(v) for v in sums]
-    return _hermitian(lambda j, k: _quad_sum(grid, sums[j] * conjs[k] * weighted), len(fs))
+    block = _pair_block(p, fs, fs, hphi_grid(p, U, U))
+    return _hermitian(lambda j, k: complex(block[j, k]), len(fs))

@@ -247,8 +247,7 @@ class HoloGauss:
 
     def __call__(self, z):
         """Value at ``z``; ``z`` may also be a numpy array of points."""
-        exp = np.exp if isinstance(z, np.ndarray) else cmath.exp
-        return self.hermite_sum(z) * exp(self.c2 * z * z + self.c1 * z)
+        return self.hermite_sum(z) * np.exp(self.c2 * z * z + self.c1 * z)
 
     @property
     def poly(self) -> ComplexPoly:

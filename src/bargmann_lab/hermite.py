@@ -38,7 +38,7 @@ from .gaussalg import (
     relative_residual,
 )
 from .phasecore import PhaseParams, canonical_A
-from .bargmann import _gauss_rule
+from .bargmann import _quad_block, line_grid
 
 __all__ = ["HermiteSystem", "gram_deviation"]
 
@@ -154,10 +154,12 @@ class HermiteSystem:
         """Gram matrix of (phi_0, ..., phi_{N-1}).
 
         ``exact`` takes diagonal coefficient sums; ``quadrature`` is the
-        independent Gauss-Hermite oracle on the line (the combined exponent
-        of phi_m conj(phi_n) is a real Gaussian, so the rule is exact up to
-        round-off; nodes from numpy, values from the three-term recurrence,
-        the rule from the per-process cache the plane grids share).
+        independent Gauss-Hermite oracle on the line: one block of
+        :func:`~bargmann_lab.bargmann._quad_block` on the line grid of the
+        combined exponent of phi_m conj(phi_n), the real Gaussian
+        ``-x^2/s^2`` (s = sqrt(h/Im C)), where the rule is exact up to
+        round-off; values from the three-term recurrence, the rule from the
+        per-process cache the plane grids share.
         The exact matrix is Hermitian: only its upper triangle and diagonal
         are computed (see :func:`~bargmann_lab.gaussalg._hermitian`).
         """
@@ -166,14 +168,9 @@ class HermiteSystem:
         phis = [self.hermite_phi(n) for n in range(N)]
         if method == "exact":
             return np.array(_hermitian(lambda m, n: inner_product_line(phis[m], phis[n]), N))
-        p = self.params
-        t, w = _gauss_rule("hermite", 200)
-        x = t * phis[0].s  # phi_0's scale sqrt(h/ImC): combined decay e^{-t^2}
-        # each factor sheds its half of that decay, e^{t^2/2}, and carries the
-        # square root of the weight, so every sample stays of order one
-        vals = np.array([f(x) for f in phis])
-        vals *= np.sqrt(w * phis[0].s) * np.exp(p.C.imag / (2 * p.h) * x * x)
-        return np.einsum("mt,nt->mn", vals, vals.conj())  # numpy's loops, no BLAS thread
+        s = phis[0].s
+        grid = line_grid(lambda x: -x * x / s**2)
+        return _quad_block(grid, lambda x: [f(x) for f in phis], lambda x: np.conj([f(x) for f in phis]))
 
 
 def _sqrt_pos(s: float) -> float:

@@ -22,9 +22,10 @@ this documented convention.
 Three independent routes are kept deliberately separate: the Poisson series,
 radial quadrature by a double-exponential (tanh-sinh / exp-sinh) rule, and
 full 2D quadrature of the matrix elements.
-The 2D route computes a whole N x N block in one pass over the polar nodes:
-|z|^2, the symbol, the Gaussian and the monomial powers are evaluated once
-per node, and the block is one weighted product of the monomial columns.
+The 2D route computes a whole N x N block as one block of the package's
+quadrature sum, ``bargmann._quad_block``: the symbol, the Gaussian and the
+normalized monomials are evaluated once per chunk of polar nodes, and each
+entry is checked for truncation as a single sum would be.
 """
 
 from __future__ import annotations
@@ -36,18 +37,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gaussalg import DomainError
-from .bargmann import (
-    QuadGrid,
-    polar_grid,
-    _adaptive_quad,
-    _check_truncation,
-    _quad_sum,
-    _serial_blas,
-)
+from .bargmann import QuadGrid, polar_grid, _adaptive_quad, _quad_block
 
 __all__ = [
     "RadialSymbol",
-    "symbol_convolve",
     "radial_eigenvalue",
     "disk_eigenvalue",
     "radius_from_groundstate",
@@ -61,7 +54,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RadialSymbol:
-    """Radial profile c(u) with u = x^2 + xi^2, tagged by kind.
+    """Radial profile c(u) with u = x^2 + xi^2.
 
     ``support`` bounds the profile argument (``inf`` for global profiles);
     it doubles as the quadrature split/truncation hint.  ``c`` is called
@@ -70,7 +63,6 @@ class RadialSymbol:
     """
 
     c: Callable[[np.ndarray], np.ndarray]
-    kind: str
     support: float
 
     @staticmethod
@@ -78,20 +70,20 @@ class RadialSymbol:
         """Indicator profile c(u) = 1_{u <= 2R} (series parameter R)."""
         if not R > 0:
             raise DomainError(f"R = {R} must be positive")
-        return RadialSymbol(lambda u: (u <= 2 * R) * 1.0, "indicator", 2 * R)
+        return RadialSymbol(lambda u: (u <= 2 * R) * 1.0, 2 * R)
 
     @staticmethod
     def smooth(
         c: Callable[[np.ndarray], np.ndarray], support: float = math.inf
     ) -> "RadialSymbol":
-        return RadialSymbol(c, "smooth", support)
+        return RadialSymbol(c, support)
 
     @staticmethod
     def gaussian(rate: float) -> "RadialSymbol":
         """c(u) = exp(-rate * u)."""
         if not rate > 0:
             raise DomainError(f"rate = {rate} must be positive")
-        return RadialSymbol(lambda u: np.exp(-rate * u), "smooth", math.inf)
+        return RadialSymbol(lambda u: np.exp(-rate * u), math.inf)
 
 
 def radial_eigenvalue(sym: RadialSymbol, n: int) -> float:
@@ -175,29 +167,6 @@ def radius_roundtrip_error(R: float) -> float:
     return abs(radius_from_groundstate(lambda0) - R)
 
 
-def symbol_convolve(
-    b_values: Sequence[float],
-    x: float,
-    xi: float,
-    grid: QuadGrid,
-) -> float:
-    """Gaussian smoothing (1/pi) int e^{-(x-y)^2-(xi-eta)^2} b(y - i eta).
-
-    ``b_values`` are samples of b on the (planar) grid.  Returns the smoothed
-    symbol at (x, xi); constants are preserved and sup|a| <= sup|b|.
-    """
-    dy = grid.nodes.real - x
-    de = grid.nodes.imag - xi
-    kern = np.exp(-(dy * dy) - (de * de))
-    vals = kern * np.asarray(b_values, dtype=complex)
-    return float(_quad_sum(grid, vals).real / math.pi)
-
-
-def _classic_coeff(k: int) -> float:
-    """Coefficient of the classic normalized monomial z^k / sqrt(pi 2^{k+1} k!) (h = 1)."""
-    return 1.0 / math.sqrt(math.pi * 2.0 ** (k + 1) * math.factorial(k))
-
-
 def default_toeplitz_grid(sym: RadialSymbol, max_index: int) -> QuadGrid:
     """Polar grid sized for matrix elements up to ``max_index``, with
     :func:`~bargmann_lab.bargmann.polar_grid`'s default node counts.
@@ -214,55 +183,35 @@ def default_toeplitz_grid(sym: RadialSymbol, max_index: int) -> QuadGrid:
     return polar_grid(r_max, split_at=split)
 
 
-#: Nodes per pass of the block product.  Bounds the node-by-index work
-#: arrays (about 1 MB each at 7 indices) whatever the grid size: one array
-#: over all 102,400 nodes of a default grid costs tens of MB of peak memory.
-_CHUNK = 8192
-
-
 def _toeplitz_entries(
     sym: RadialSymbol, rows: Sequence[int], cols: Sequence[int], g: QuadGrid
 ) -> np.ndarray:
-    """Matrix elements for m in ``rows`` and n in ``cols``, in one pass.
-
-    With K the largest index plus one, each chunk of nodes evaluates |z|^2,
-    the weight ``w c(|z|^2) e^{-|z|^2/2}`` and the powers z^k, |z|^k (k < K,
-    each from the previous one) once, and adds ``Z diag(weight) Z^H`` to a
-    K x K sum.  The truncation test of a single quadrature sum then runs on
-    every requested entry: its total and outer-shell absolute masses are the
-    same product of ``|Z|`` and ``|weight|``, over all nodes and over the
-    shell.  The monomial normalizations scale the K x K sums at the end.
-    The products run under :func:`~bargmann_lab.bargmann._serial_blas`.
+    """Matrix elements for m in ``rows`` and n in ``cols``: one block of
+    :func:`~bargmann_lab.bargmann._quad_block`, whose rows are the classic
+    normalized monomials times ``c(|z|^2) e^{-|z|^2/2}`` and whose columns
+    are their conjugates.  Each entry is checked for truncation as a single
+    sum would be.
     """
     rows, cols = list(rows), list(cols)
     if min(rows + cols) < 0:
         raise DomainError("index must be >= 0")
     K = max(rows + cols) + 1
-    block = np.zeros((K, K), dtype=complex)
-    total = np.zeros((K, K))
-    shell = np.zeros((K, K))
-    with _serial_blas():
-        for start in range(0, len(g.nodes), _CHUNK):
-            z = g.nodes[start:start + _CHUNK]
-            r = np.abs(z)
-            u = r * r
-            weight = g.weights[start:start + _CHUNK] * sym.c(u) * np.exp(-u / 2.0)
-            powers = np.empty((K, len(z)), dtype=complex)
-            moduli = np.empty((K, len(z)))
-            powers[0], moduli[0] = 1.0, 1.0
-            for k in range(1, K):
-                powers[k] = powers[k - 1] * z
-                moduli[k] = moduli[k - 1] * r
-            block += (powers * weight) @ np.conj(powers).T
-            mass = np.abs(weight)
-            total += (moduli * mass) @ moduli.T
-            on = g.shell[start:start + _CHUNK]
-            shell += (moduli[:, on] * mass[on]) @ moduli[:, on].T
-    coeffs = np.array([_classic_coeff(k) for k in range(K)])
-    norm = np.outer(coeffs, coeffs)
-    pick = np.ix_(rows, cols)
-    _check_truncation((norm * total)[pick], (norm * shell)[pick])
-    return (norm * block)[pick]
+    steps = 1 / np.sqrt(2.0 * np.arange(1, K))
+
+    def monomials(z, ks):
+        # z^k / sqrt(pi 2^{k+1} k!), each from the previous one
+        out = np.empty((K, z.size), dtype=complex)
+        out[0] = 1 / math.sqrt(2 * math.pi)
+        np.multiply(steps[:, None], z, out=out[1:])
+        for k in range(1, K):
+            out[k] *= out[k - 1]
+        return out[ks]
+
+    def weighted(z):
+        u = np.abs(z) ** 2
+        return monomials(z, rows) * (sym.c(u) * np.exp(-u / 2.0))
+
+    return _quad_block(g, weighted, lambda z: np.conj(monomials(z, cols)))
 
 
 def toeplitz_block_quad(

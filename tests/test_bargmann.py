@@ -253,6 +253,52 @@ def test_array_path_matches_per_node_reference():
         assert abs(got - want) <= 1e-12 * max(abs(want), 1e-3)
 
 
+def test_quad_block_matches_per_node_reference():
+    # 25,600 nodes (as many as a 160 x 160 plane grid): three full chunks and
+    # 1,024 more.  Spread uniformly over a disk of radius 6, so that the mass
+    # of the Gaussian integrands sits in every chunk and a chunk boundary that
+    # dropped or doubled a node would show; it is negligible on the rim
+    rng = np.random.default_rng(7)
+    n = 25_600
+    nodes = 6 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * math.pi * rng.uniform(size=n))
+    grid = bargmann.QuadGrid(nodes, rng.uniform(0.5, 1.5, size=n))
+    assert grid.nodes.size // bargmann._CHUNK == 3
+    assert grid.nodes.size % bargmann._CHUNK == 1024
+    rows = [
+        lambda z: np.exp(-2 * abs(z) ** 2),
+        lambda z: (1 + z.real**2) * np.exp(-1.5 * abs(z) ** 2 + 1j * z.imag),
+    ]
+    cols = [
+        lambda z: 2.5,  # a number stands for a constant function
+        lambda z: np.exp(-0.2 * abs(z) ** 2 - 0.5j * z.real),
+        lambda z: (2 - 1j * z.imag) * np.exp(-0.1 * abs(z) ** 2),
+    ]
+    nodes, weights = grid.nodes.tolist(), grid.weights.tolist()
+
+    def reference(term):
+        return sum(w * term(z) for z, w in zip(nodes, weights))
+
+    got = bargmann._quad_block(grid, lambda z: [r(z) for r in rows])
+    want = [reference(r) for r in rows]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    got = bargmann._quad_block(grid, lambda z: [r(z) for r in rows], lambda z: [c(z) for c in cols])
+    want = [[reference(lambda z: r(z) * c(z)) for c in cols] for r in rows]
+    assert got.shape == (2, 3)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_projector_points_are_independent_sums():
+    # each point's sum is the same, bit for bit, whichever points share a call
+    p = GENERAL
+    U = transform(p, HermiteSystem(p).hermite_phi(3))
+    grid = hphi_grid(p, U, U)
+    points = [0.3 - 0.1j, -1.2 + 0.4j, 0.7j, 1.5 + 1.1j]
+    together = projector_apply(p, U, points, grid)
+    for i, z in enumerate(points):
+        assert repr(together[i]) == repr(projector_apply(p, U, [z], grid)[0])
+    assert projector_apply(p, U, [], grid) == []
+
+
 def test_gram_HPhi_needs_one_exponent():
     p = derived_constants(2.0, 1.0)
     with pytest.raises(DomainError, match="one exponent"):

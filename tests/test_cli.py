@@ -158,6 +158,24 @@ def test_parameter_whose_square_overflows_is_a_domain_error(tmp_path, capsys, ar
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,status,message", [
+    (["transform", "--h", "1e-300"], 2, "FAIL closed_vs_quad: measured nan"),
+    (["certify", "--suite", "transform", "--h", "1e-300"], 1, "error: integrand does not decay"),
+    (["certify", "--suite", "transform", "--B=1e150"], 1, "error: integrand does not decay"),
+], ids=["transform-h-tiny", "certify-h-tiny", "certify-B-big"])
+def test_extreme_scale_is_a_status_not_a_traceback(tmp_path, argv, status, message):
+    # h*h underflows to 0 and e^{c2 z^2} overflows at a point here: a check
+    # that cannot be evaluated fails (exit 2), a grid that cannot be fitted is
+    # a domain error (exit 1), and neither is an uncaught exception
+    proc = subprocess.run(
+        [sys.executable, "-m", "bargmann_lab.cli", *argv, "-o", str(tmp_path / "artifact")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == status, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_degenerate_ellipse_is_exit_1(capsys):
     assert cli.main(["ellipse", "--alpha", "1", "--beta", "0"]) == 1
     capsys.readouterr()

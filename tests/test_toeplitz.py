@@ -15,7 +15,6 @@ from bargmann_lab.toeplitz import (
     radial_eigenvalue,
     radius_from_groundstate,
     spectrum_rows,
-    symbol_convolve,
     toeplitz_block_quad,
     toeplitz_matrix_quad,
 )
@@ -153,14 +152,6 @@ def test_matrix_diagonal_matches_radial_route(sym):
     for n in range(7):
         diag = toeplitz_matrix_quad(sym, n, n, grid=grid)
         assert abs(diag - radial_eigenvalue(sym, n)) <= 1e-5
-
-
-def test_smoothing_preserves_constants():
-    sym = RadialSymbol.smooth(lambda u: 1.0)
-    grid = default_toeplitz_grid(sym, 2)
-    ones = [1.0] * len(grid.nodes)
-    for x, xi in ((0.0, 0.0), (0.5, -0.3), (1.0, 1.0)):
-        assert symbol_convolve(ones, x, xi, grid) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_indicator_requires_positive_radius():
