@@ -18,10 +18,15 @@ on chunks of nodes, each with its own truncation check.  Every integrand is
 one expression on a chunk of the node array: the ``phasecore`` functions and
 ``HoloGauss.hermite_sum`` accept arrays, and the exponents of all factors are
 summed before a single ``np.exp``, because a factor alone can overflow where
-the product is negligible.  What does not change between the sums on one grid
-is computed once per chunk: the projector takes U itself, not samples of it,
-and is one row (U's Hermite sum) against one column per point; ``gram_HPhi``
-is one block whose rows share one exponential factor.
+the product is negligible.  The rows and columns are Hermite sums; the
+exponential factor ``e^E`` of the integrand is handed to ``_quad_block`` as
+its exponent.  Every grid is a tensor product, and on a plane grid fitted to
+E (below) the exponent has no cross term between the two axes, so ``e^E =
+a_i b_j`` is evaluated once per axis, 2n calls of ``exp`` instead of n^2
+(sum factorization; Orszag, J. Comput. Phys. 37, 70 (1980)).  On any other
+grid it is evaluated per node.  The projector fits its own grid to its
+column exponent, whose every point then factors per axis too; the Toeplitz
+blocks on a polar grid are radial sums times angular sums.
 
 Gauss rules are computed once per process: ``_gauss_rule`` fills a private
 cache, keyed by family and node count, on first use and hands out the same
@@ -38,13 +43,16 @@ Gaussian integral, the radial eigenvalues) go through ``_adaptive_quad``, a
 double-exponential rule on node arrays, so that importing the package loads
 no scipy module.
 
-Planar grids are tensor Gauss-Hermite grids rescaled to the total real
-exponent of the integrand (weight plus the Gaussian factors of the integrand
-itself, including the induced center shift).  Rescaling to the weight alone
-looks sufficient but loses every digit on near-degenerate inputs whose own
-Gaussian factor is much wider or narrower than the weight; fitting the total
-exponent makes polynomial-times-Gaussian integrands exact up to the
-oscillatory phase, which the node count then resolves spectrally.
+Planar grids are tensor Gauss-Hermite grids fitted to the whole complex
+quadratic exponent E of the integrand (weight plus the Gaussian factors of
+the integrand itself, including the induced center shift).  The real part
+fixes the center and the scales: fitting the weight alone looks sufficient
+but loses every digit on near-degenerate inputs whose own Gaussian factor is
+much wider or narrower than the weight, while fitting the total makes
+polynomial-times-Gaussian integrands exact up to the oscillatory phase, which
+the node count then resolves spectrally.  The imaginary part fixes the
+rotation of the axes within that frame: on the axes that diagonalize it, E
+is a sum of one quadratic per axis.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ import contextlib
 import ctypes
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -65,6 +73,8 @@ from .phasecore import PhaseParams, phi_phase, kernel_Psi, weight_Phi
 
 __all__ = [
     "QuadGrid",
+    "PlaneAxes",
+    "PolarAxes",
     "TruncationError",
     "line_grid",
     "plane_grid",
@@ -88,18 +98,43 @@ class TruncationError(RuntimeError):
     """The grid does not extend far enough for the requested integrand."""
 
 
+class PlaneAxes(NamedTuple):
+    """How a plane grid was fitted: its exponent's values at
+    :data:`_FIT_POINTS`, its center zc, and its nodes along each axis through
+    zc, ``zc + t_i l_1`` and ``zc + t_j l_2``.  Node ``i n + j`` of the grid
+    is ``zc + t_i l_1 + t_j l_2``."""
+
+    samples: tuple[complex, ...]
+    center: complex
+    along1: np.ndarray
+    along2: np.ndarray
+
+
+class PolarAxes(NamedTuple):
+    """A polar grid's radii ``r``, the weight of each node at each radius,
+    and the angles ``theta``.  Node ``k n_theta + l`` of the grid is ``r_k
+    e^{i theta_l}``."""
+
+    r: np.ndarray
+    weights: np.ndarray
+    theta: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class QuadGrid:
     """Quadrature nodes and positive weights, as read-only arrays.
 
     ``nodes`` is float for 1D grids and complex x+iy for planar grids;
-    ``weights`` is float.  ``shell`` is the read-only boolean mask of the
-    outer node shell, ``|node - mean| >= 0.95 max``, on which the truncation
-    check of every sum looks for mass.
+    ``weights`` is float.  ``axes`` records how a plane or polar grid's
+    tensor product was built (its arrays are read-only too), and is None on
+    other grids.  ``shell`` is the read-only boolean mask of the outer node
+    shell, ``|node - mean| >= 0.95 max``, on which the truncation check of
+    every sum looks for mass.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
+    axes: PlaneAxes | PolarAxes | None = None
     shell: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -111,7 +146,8 @@ class QuadGrid:
             raise DomainError("weights must be positive")
         r = np.abs(nodes - nodes.mean())
         shell = r >= 0.95 * r.max()
-        for arr in (nodes, weights, shell):
+        arrays = [a for a in self.axes or () if isinstance(a, np.ndarray)]
+        for arr in (nodes, weights, shell, *arrays):
             arr.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
@@ -301,12 +337,19 @@ def line_grid(real_exponent: Callable[[float], float], n: int = 200) -> QuadGrid
     return QuadGrid(nodes, weights)
 
 
-def _fit_quad_2d(fn: Callable[[complex], float]):
-    """Exact quadratic-form fit fn(x+iy) = c + L.v + v.M.v, returned as (M, L, c)."""
-    c = fn(0j)
-    f10, fm10 = fn(1 + 0j), fn(-1 + 0j)
-    f01, f0m1 = fn(1j), fn(-1j)
-    f11 = fn(1 + 1j)
+#: The points at which a plane grid samples its exponent (:func:`_fit_quad_2d`).
+_FIT_POINTS = (0j, 1 + 0j, -1 + 0j, 1j, -1j, 1 + 1j)
+
+
+def _samples(exponent: Callable[[complex], complex]) -> tuple[complex, ...]:
+    """The exponent at :data:`_FIT_POINTS`, each point a Python complex."""
+    return tuple(complex(exponent(z)) for z in _FIT_POINTS)
+
+
+def _fit_quad_2d(samples: Sequence[float]):
+    """Exact quadratic-form fit f(x+iy) = c + L.v + v.M.v from the real
+    values of f at :data:`_FIT_POINTS`, returned as (M, L, c)."""
+    c, f10, fm10, f01, f0m1, f11 = samples
     m11 = (f10 + fm10) / 2.0 - c
     m22 = (f01 + f0m1) / 2.0 - c
     l1 = (f10 - fm10) / 2.0
@@ -317,15 +360,21 @@ def _fit_quad_2d(fn: Callable[[complex], float]):
     return M, L, c
 
 
-def plane_grid(real_exponent: Callable[[complex], float], n: int = 160) -> QuadGrid:
-    """Tensor Gauss-Hermite grid over the plane, on the principal axes of
-    the (negative-definite) quadratic real exponent.
+def plane_grid(exponent: Callable[[complex], complex], n: int = 160) -> QuadGrid:
+    """Tensor Gauss-Hermite grid over the plane, fitted to the complex
+    quadratic ``exponent`` of the integrand.
 
-    Nodes are centered on the exponent's maximum and scaled per axis by its
-    decay rates, so polynomial-times-Gaussian integrands are integrated to
-    round-off and oscillatory phases converge spectrally in ``n``.
+    With ``-M_re = V Lambda V^T`` the (negative-definite) quadratic form of
+    the real part, centered on its maximum zc, the axes are ``L = V
+    Lambda^{-1/2} O``, where O diagonalizes the imaginary quadratic form in
+    the frame ``V Lambda^{-1/2}``: nodes ``zc + t_i l_1 + t_j l_2`` and
+    weights ``|det L| ew_i ew_j``.  Polynomial-times-Gaussian integrands are
+    integrated to round-off and oscillatory phases converge spectrally in
+    ``n``, and on these axes the exponent has no cross term, so ``e^E``
+    factors per axis (:class:`PlaneAxes`).  A real exponent gives O = 1.
     """
-    M, L, _ = _fit_quad_2d(real_exponent)
+    samples = _samples(exponent)
+    M, L, _ = _fit_quad_2d([v.real for v in samples])
     evals, evecs = np.linalg.eigh(M)
     if not (evals < 0).all():
         raise DomainError(
@@ -336,17 +385,32 @@ def plane_grid(real_exponent: Callable[[complex], float], n: int = 160) -> QuadG
     ew = w * np.exp(t * t)
     s1 = 1.0 / math.sqrt(-evals[0])
     s2 = 1.0 / math.sqrt(-evals[1])
-    t1 = (t * s1)[:, None]
-    t2 = (t * s2)[None, :]
-    x = (center[0] + t1 * evecs[0, 0]) + t2 * evecs[0, 1]
-    y = (center[1] + t1 * evecs[1, 0]) + t2 * evecs[1, 1]
+    scale, dirs = (s1, s2), evecs
+    M_im = _fit_quad_2d([v.imag for v in samples])[0]
+    if M_im.any():
+        if not np.isfinite(M_im).all():
+            raise DomainError(
+                f"integrand does not decay in all directions: phase {M_im.tolist()}"
+            )
+        frame = evecs * [s1, s2]
+        scale, dirs = (1.0, 1.0), frame @ np.linalg.eigh(frame.T @ M_im @ frame)[1]
+    t1 = (t * scale[0])[:, None]
+    t2 = (t * scale[1])[None, :]
+    x1, y1 = center[0] + t1 * dirs[0, 0], center[1] + t1 * dirs[1, 0]
+    x = x1 + t2 * dirs[0, 1]
+    y = y1 + t2 * dirs[1, 1]
     ww = (np.outer(ew, ew) * (s1 * s2)).reshape(-1)
-    return QuadGrid((x + 1j * y).reshape(-1), ww)
+    along2 = (center[0] + t2 * dirs[0, 1]) + 1j * (center[1] + t2 * dirs[1, 1])
+    axes = PlaneAxes(
+        samples, complex(*center), (x1 + 1j * y1).reshape(-1), along2.reshape(-1)
+    )
+    return QuadGrid((x + 1j * y).reshape(-1), ww, axes)
 
 
 def hphi_grid(p: PhaseParams, U: HoloGauss, V: HoloGauss, n: int = 160) -> QuadGrid:
-    """Grid for the weighted inner product of U and V (total-exponent adapted)."""
-    return plane_grid(lambda z: _pair_exponent(p, U, V, z).real, n)
+    """Grid for the weighted inner product of U and V (fitted to their pair
+    exponent)."""
+    return plane_grid(lambda z: _pair_exponent(p, U, V, z), n)
 
 
 def _pair_exponent(p: PhaseParams, U: HoloGauss, V: HoloGauss, z):
@@ -390,8 +454,8 @@ def polar_grid(
     wt = 2.0 * math.pi / n_theta
     rr, tt = np.meshgrid(r, theta, indexing="ij")
     nodes = (rr * np.cos(tt) + 1j * (rr * np.sin(tt))).reshape(-1)
-    ww = np.repeat(wr * wt, n_theta)
-    return QuadGrid(nodes, ww)
+    radial = wr * wt
+    return QuadGrid(nodes, np.repeat(radial, n_theta), PolarAxes(r, radial, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -429,25 +493,44 @@ def _check_truncation(total_mass, shell_mass) -> None:
 _CHUNK = 8192
 
 
-def _quad_block(grid: QuadGrid, rows, cols=None) -> np.ndarray:
+def _quad_block(grid: QuadGrid, rows, cols=None, exponent=None) -> np.ndarray:
     """The quadrature sums ``sum_n w_n r_j(z_n) c_k(z_n)`` as a J x K array,
     or ``sum_n w_n r_j(z_n)`` as a J-vector when ``cols`` is None.
 
     ``rows`` and ``cols`` map a chunk of nodes (at most :data:`_CHUNK`) to
     the values of their J (or K) functions on it: an array with one row per
     function, or a list with an array or a number per function (a one-term
-    Hermite sum is a number).  Each sum is checked for truncation as if it
-    stood alone: its total and outer-shell masses are the same sums of
-    ``|w r_j| |c_k|``, over all nodes and over ``grid.shell``.  The products
-    run in ``np.einsum``, numpy's own loops: no BLAS thread, and each sum is
-    the same, bit for bit, whichever other sums run with it.
+    Hermite sum is a number).  ``cols`` may instead be a pair ``(a, b)`` of
+    per-axis factors of a plane grid (:func:`_axis_factors`), one row per
+    column function.  ``exponent``, if given, maps nodes to the exponent E
+    of a factor ``e^E`` of every row: per axis on a plane grid fitted to E
+    (the same samples at :data:`_FIT_POINTS`, bit for bit), per node on any
+    other grid.  The factors are multiplied in chunk by chunk; no array
+    spans all nodes.
+
+    Each sum is checked for truncation as if it stood alone: its total and
+    outer-shell masses are the same sums of ``|w r_j| |c_k|``, over all
+    nodes and over ``grid.shell``.  The products run in ``np.einsum``,
+    numpy's own loops: no BLAS thread, and each sum is the same, bit for
+    bit, whichever other sums run with it.
     """
+    factors = None if exponent is None else _fitted_factors(grid, exponent)
     sums = total = shell = 0.0
     for start in range(0, grid.nodes.size, _CHUNK):
         part = slice(start, start + _CHUNK)
         z, on = grid.nodes[part], grid.shell[part]
-        r = grid.weights[part] * _on_chunk(rows, z)
-        c = np.ones((1, z.size)) if cols is None else _on_chunk(cols, z)
+        r = _on_chunk(rows, z)
+        if factors is not None:
+            r = r * _on_axes(factors, start, z.size)
+        elif exponent is not None:
+            r = r * np.exp(exponent(z))
+        r = grid.weights[part] * r
+        if cols is None:
+            c = np.ones((1, z.size))
+        elif isinstance(cols, tuple):
+            c = _on_axes(cols, start, z.size)
+        else:
+            c = _on_chunk(cols, z)
         sums = sums + np.einsum("jn,kn->jk", r, c)
         r, c = np.abs(r), np.abs(c)
         total = total + np.einsum("jn,kn->jk", r, c)
@@ -460,6 +543,39 @@ def _on_chunk(functions, z: np.ndarray) -> np.ndarray:
     """The values ``functions(z)`` as a complex array, one row per function."""
     values = np.broadcast_arrays(z, *functions(z))[1:]
     return np.array(values, dtype=complex).reshape(-1, z.size)
+
+
+def _axis_factors(e1, e2, ec):
+    """Per-axis factors ``(a, b)`` with ``a_i b_j = exp(e1_i + e2_j - ec)``:
+    the exponents along the two axes of a plane grid through its center,
+    and at the center, of an exponent with no cross term.  Each exponent is
+    summed before its one ``np.exp``; b is shifted so that its largest
+    modulus is 1, so no factor exceeds the largest product.  The arrays may
+    carry one leading row per function (with ``ec`` a column)."""
+    e2 = e2 - ec
+    shift = e2.real.max(axis=-1, keepdims=True)
+    return np.exp(e1 + shift), np.exp(e2 - shift)
+
+
+def _fitted_factors(grid: QuadGrid, exponent):
+    """:func:`_axis_factors` of ``exponent`` on a plane grid fitted to it,
+    else None."""
+    axes = grid.axes
+    if not isinstance(axes, PlaneAxes) or _samples(exponent) != axes.samples:
+        return None
+    return _axis_factors(exponent(axes.along1), exponent(axes.along2), exponent(axes.center))
+
+
+def _on_axes(factors, start: int, size: int) -> np.ndarray:
+    """``a_i b_j`` at nodes ``start .. start + size - 1`` (node ``i n + j``):
+    the whole rows i that hold them, by broadcasting, then the slice."""
+    a, b = factors
+    n = b.shape[-1]
+    first = start // n
+    rows = a[..., first : -(-(start + size) // n), None] * b[..., None, :]
+    offset = start - first * n
+    rows = rows.reshape(*rows.shape[:-2], rows.shape[-2] * n)
+    return rows[..., offset : offset + size]
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +633,7 @@ def transform_quad(p: PhaseParams, f: HermiteGauss, z: complex) -> complex:
         return 1j * phi_phase(p, z, x) / p.h + f.gamma2 * x * x + f.gamma1 * x
 
     g = line_grid(lambda x: exponent(x).real)
-    total = _quad_block(g, lambda x: [f.hermite_sum(x) * np.exp(exponent(x))])[0]
+    total = _quad_block(g, lambda x: [f.hermite_sum(x)], exponent=exponent)[0]
     return p.C_phi * p.h ** (-0.75) * complex(total)
 
 
@@ -530,7 +646,10 @@ def adjoint_quad(
     """T* U(x) by 2D quadrature over the plane.
 
     Kept quadrature-only by design: it is the independent route that certifies
-    the closed-form transform (T* T = identity on the line class).
+    the closed-form transform (T* T = identity on the line class).  With no
+    ``grid`` the sum runs on the plane grid fitted to its whole exponent,
+    where the exponential factors per axis; on a grid passed in it is
+    evaluated per node.
     """
     if U.is_zero:
         return 0j
@@ -543,13 +662,16 @@ def adjoint_quad(
             - 2.0 * weight_Phi(p, z) / p.h
         )
 
-    g = grid if grid is not None else plane_grid(lambda z: exponent(z).real)
-    total = _quad_block(g, lambda z: [U.hermite_sum(z) * np.exp(exponent(z))])[0]
+    g = grid if grid is not None else plane_grid(exponent)
+    total = _quad_block(g, lambda z: [U.hermite_sum(z)], exponent=exponent)[0]
     return p.C_phi * p.h ** (-0.75) * complex(total)
 
 
 def projector_apply(
-    p: PhaseParams, U: HoloGauss, points: Sequence[complex], grid: QuadGrid
+    p: PhaseParams,
+    U: HoloGauss,
+    points: Sequence[complex],
+    grid: QuadGrid | None = None,
 ) -> list[complex]:
     """Projector (C_Phi/h) integral e^{2 Psi(z, conj zeta)/h} U(zeta) e^{-2 Phi/h}
     at each of ``points``; reproduces U(z) for U in the weighted holomorphic
@@ -559,28 +681,46 @@ def projector_apply(
     One 1 x P block of :func:`_quad_block`: ``U.hermite_sum`` against one
     column per point, ``exp(c2 zeta^2 + c1 zeta - 2 Phi/h + 2 Psi(z, conj
     zeta)/h)``, whose exponent is summed before its one ``np.exp``.  Each
-    point is its own sum, with its own truncation check.
+    point is its own sum, with its own truncation check.  With no ``grid``
+    the sums run on the plane grid fitted to the column exponent at z = 0.
+    ``Psi(z, conj zeta)`` is a term bilinear in z and conj zeta plus
+    quadratics in each alone, so every point's column exponent is that
+    grid's quadratic plus a linear term and a constant: it has no cross
+    term either, and each column factors per axis.  On a grid passed in the
+    columns are evaluated per node.
     """
 
-    def kernels(zs):
-        exponent = U.c2 * zs * zs + U.c1 * zs - 2.0 * weight_Phi(p, zs) / p.h
-        zbar = zs.conjugate()
-        return [np.exp(exponent + 2.0 * kernel_Psi(p, z, zbar) / p.h) for z in points]
+    def exponent(z, zs):
+        weighted = U.c2 * zs * zs + U.c1 * zs - 2.0 * weight_Phi(p, zs) / p.h
+        return weighted + 2.0 * kernel_Psi(p, z, zs.conjugate()) / p.h
 
-    sums = _quad_block(grid, lambda zs: [U.hermite_sum(zs)], kernels)[0]
+    if grid is None:
+        grid = plane_grid(lambda zs: exponent(0j, zs))
+        axes = grid.axes
+        zs = np.array(points, dtype=complex).reshape(-1, 1)
+        cols = _axis_factors(
+            exponent(zs, axes.along1), exponent(zs, axes.along2), exponent(zs, axes.center)
+        )
+    else:
+
+        def cols(zs):
+            return [np.exp(exponent(z, zs)) for z in points]
+
+    sums = _quad_block(grid, lambda zs: [U.hermite_sum(zs)], cols)[0]
     return [p.C_Phi / p.h * complex(v) for v in sums]
 
 
 def _pair_block(p: PhaseParams, fs, gs, grid: QuadGrid) -> np.ndarray:
     """``[sum w f_j conj(g_k) e^{pair exponent}]`` for functions fs sharing
-    one exponent and gs sharing another: each row is a Hermite sum times
-    the one exponential factor, each column a conjugated Hermite sum."""
-
-    def rows(zs):
-        weighted = np.exp(_pair_exponent(p, fs[0], gs[0], zs))
-        return [f.hermite_sum(zs) * weighted for f in fs]
-
-    return _quad_block(grid, rows, lambda zs: [np.conj(g.hermite_sum(zs)) for g in gs])
+    one exponent and gs sharing another: the rows are Hermite sums, the
+    columns conjugated Hermite sums, and the pair exponent is the factor
+    that :func:`_quad_block` multiplies in."""
+    return _quad_block(
+        grid,
+        lambda zs: [f.hermite_sum(zs) for f in fs],
+        lambda zs: [np.conj(g.hermite_sum(zs)) for g in gs],
+        lambda zs: _pair_exponent(p, fs[0], gs[0], zs),
+    )
 
 
 def inner_product_HPhi(
@@ -594,7 +734,10 @@ def inner_product_HPhi(
     Membership of the pair in the weighted space is enforced by the grid fit:
     a combined exponent that fails to decay in some direction raises
     ``DomainError`` (for the classic weight this is exactly the
-    ``|c2| < 1/(4h)`` growth-class bound on each factor).
+    ``|c2| < 1/(4h)`` growth-class bound on each factor).  With no ``grid``
+    the sum runs on :func:`hphi_grid`; on any grid fitted to the pair's
+    exponent (``hphi_grid`` of another pair with the same ``c2`` and ``c1``)
+    the exponential factors per axis, on other grids per node.
     """
     if U.is_zero or V.is_zero:
         return 0j

@@ -176,15 +176,16 @@ class HermiteGauss:
         return len(self.coeffs) == 1 and self.coeffs[0] == 0
 
     def hermite_sum(self, x):
-        """``sum_k coeffs[k] eta_k(x/s)`` at x (a number or an array):
-        :func:`_hermite_sum` at ``y = x/s``, ``rho2 = 1``."""
-        return _hermite_sum(self.coeffs, np.asarray(x, dtype=float) / self.s, 1.0)
+        """``sum_k coeffs[k] eta_k(x/s)`` at x (a number or an array, real or
+        complex): :func:`_hermite_sum` at ``y = x/s``, ``rho2 = 1``."""
+        return _hermite_sum(self.coeffs, np.asarray(x) / self.s, 1.0)
 
     def __call__(self, x):
-        """Value at x (a number or an array)."""
+        """Value at x (a number or an array, real or complex: the function
+        is entire)."""
         exponent = self.gamma2 * np.square(x)
         if self.gamma1:
-            exponent = exponent + self.gamma1 * np.asarray(x, dtype=float)
+            exponent = exponent + self.gamma1 * np.asarray(x)
         return self.hermite_sum(x) * np.exp(exponent)
 
     def scale(self, c: complex) -> "HermiteGauss":

@@ -38,7 +38,6 @@ from .phasecore import PhaseParams, canonical_A
 from .bargmann import (
     _adaptive_quad,
     gram_HPhi,
-    hphi_grid,
     inner_product_HPhi,
     projector_apply,
     transform,
@@ -282,7 +281,7 @@ def suite_transform(
     f0 = pairs[0][0]
     U = transform(p, f0)
     points = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(n_points)]
-    reproduced = projector_apply(p, U, points, hphi_grid(p, U, U))
+    reproduced = projector_apply(p, U, points)
     worst = _worst(abs(v - U(z)) for v, z in zip(reproduced, points))
     checks.append(check(f"reproducing_max_dev[points={n_points}]", worst, TOL_UNITARITY))
     dev = closed_vs_quad_dev(p, f0, U)

@@ -22,10 +22,15 @@ this documented convention.
 Three independent routes are kept deliberately separate: the Poisson series,
 radial quadrature by a double-exponential (tanh-sinh / exp-sinh) rule, and
 full 2D quadrature of the matrix elements.
-The 2D route computes a whole N x N block as one block of the package's
-quadrature sum, ``bargmann._quad_block``: the symbol, the Gaussian and the
-normalized monomials are evaluated once per chunk of polar nodes, and each
-entry is checked for truncation as a single sum would be.
+The 2D route computes a whole N x N block at once.  On a polar grid the
+integrand of entry (m, n) is a radial factor times ``e^{i(m-n) theta}``, so
+the block is a radial sum times an angular sum: the symbol, the Gaussian and
+the normalized radial powers are evaluated once per radius, and the angular
+sums are computed (not set to 0 or n_theta), so the off-diagonal entries
+still measure the trapezoid rule.  On any other grid the block is one block
+of the package's quadrature sum, ``bargmann._quad_block``, evaluated per
+node.  Either way each entry is checked for truncation as a single sum would
+be, on the same outer-shell nodes.
 """
 
 from __future__ import annotations
@@ -37,7 +42,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gaussalg import DomainError
-from .bargmann import QuadGrid, polar_grid, _adaptive_quad, _quad_block
+from .bargmann import (
+    PolarAxes,
+    QuadGrid,
+    polar_grid,
+    _adaptive_quad,
+    _check_truncation,
+    _quad_block,
+)
 
 __all__ = [
     "RadialSymbol",
@@ -186,11 +198,17 @@ def default_toeplitz_grid(sym: RadialSymbol, max_index: int) -> QuadGrid:
 def _toeplitz_entries(
     sym: RadialSymbol, rows: Sequence[int], cols: Sequence[int], g: QuadGrid
 ) -> np.ndarray:
-    """Matrix elements for m in ``rows`` and n in ``cols``: one block of
-    :func:`~bargmann_lab.bargmann._quad_block`, whose rows are the classic
-    normalized monomials times ``c(|z|^2) e^{-|z|^2/2}`` and whose columns
-    are their conjugates.  Each entry is checked for truncation as a single
-    sum would be.
+    """Matrix elements for m in ``rows`` and n in ``cols``, the sums of
+    ``c(|z|^2) e^{-|z|^2/2} varphi_m(z) conj(varphi_n(z))`` over the nodes,
+    with ``varphi_k(z) = z^k / sqrt(pi 2^{k+1} k!)``.
+
+    On a polar grid, ``T_mn = sum_k w_k c(r_k^2) e^{-r_k^2/2} P_m(r_k)
+    P_n(r_k) * sum_l e^{i(m-n) theta_l}`` with ``P_k = |varphi_k|``; the
+    masses of the truncation check factor the same way, the shell's
+    counting each radius's nodes in ``g.shell``.  On any other grid, one
+    block of :func:`~bargmann_lab.bargmann._quad_block`, whose rows are the
+    varphi_m times ``c(|z|^2) e^{-|z|^2/2}`` and whose columns the conjugated
+    varphi_n.  Each entry is checked for truncation as a single sum would be.
     """
     rows, cols = list(rows), list(cols)
     if min(rows + cols) < 0:
@@ -198,20 +216,36 @@ def _toeplitz_entries(
     K = max(rows + cols) + 1
     steps = 1 / np.sqrt(2.0 * np.arange(1, K))
 
-    def monomials(z, ks):
-        # z^k / sqrt(pi 2^{k+1} k!), each from the previous one
-        out = np.empty((K, z.size), dtype=complex)
+    def powers(z):
+        # z^k / sqrt(pi 2^{k+1} k!) for k < K, each from the previous one
+        out = np.empty((K, z.size), dtype=z.dtype)
         out[0] = 1 / math.sqrt(2 * math.pi)
         np.multiply(steps[:, None], z, out=out[1:])
         for k in range(1, K):
             out[k] *= out[k - 1]
-        return out[ks]
+        return out
 
-    def weighted(z):
-        u = np.abs(z) ** 2
-        return monomials(z, rows) * (sym.c(u) * np.exp(-u / 2.0))
+    if not isinstance(g.axes, PolarAxes):
 
-    return _quad_block(g, weighted, lambda z: np.conj(monomials(z, cols)))
+        def weighted(z):
+            u = np.abs(z) ** 2
+            return powers(z)[rows] * (sym.c(u) * np.exp(-u / 2.0))
+
+        return _quad_block(g, weighted, lambda z: np.conj(powers(z)[cols]))
+
+    r, w, theta = g.axes
+    u = r * r
+    radial = w * (sym.c(u) * np.exp(-u / 2.0))
+    P = powers(r)
+    Pr, Pc = P[rows], P[cols]
+    counts = g.shell.reshape(r.size, theta.size).sum(axis=1)
+    mass = np.abs(radial)
+    _check_truncation(
+        np.einsum("jk,nk->jn", Pr * (mass * theta.size), Pc),
+        np.einsum("jk,nk->jn", Pr * (mass * counts), Pc),
+    )
+    angular = np.exp(1j * np.subtract.outer(rows, cols)[..., None] * theta).sum(axis=-1)
+    return np.einsum("jk,nk->jn", Pr * radial, Pc) * angular
 
 
 def toeplitz_block_quad(

@@ -299,6 +299,94 @@ def test_projector_points_are_independent_sums():
     assert projector_apply(p, U, [], grid) == []
 
 
+def _per_node_sum(grid, term):
+    # one plain sum over the grid's nodes and weights, scalar arithmetic throughout
+    return sum(w * term(z) for z, w in zip(grid.nodes.tolist(), grid.weights.tolist()))
+
+
+def test_plane_grid_axes_cancel_an_imaginary_cross_term():
+    def exponent(z):
+        x, y = z.real, z.imag
+        real = -0.8 * x * x + 0.3 * x * y - 0.4 * y * y + 0.2 * x
+        return real + 1j * (0.9 * x * y + 0.5 * x * x - 0.3 * y * y + 0.7 * y)
+
+    n = 24
+    grid = plane_grid(exponent, n=n)
+    axes = grid.axes
+    t = hermgauss(n)[0]
+    l1 = (axes.along1[-1] - axes.center) / t[-1]
+    l2 = (axes.along2[-1] - axes.center) / t[-1]
+    zc = axes.center
+    cross = exponent(zc + l1 + l2) - exponent(zc + l1) - exponent(zc + l2) + exponent(zc)
+    assert abs(cross) <= 1e-14
+    # node i n + j is zc + t_i l1 + t_j l2
+    i, j = 5, 17
+    assert abs(grid.nodes[i * n + j] - (zc + t[i] * l1 + t[j] * l2)) <= 1e-13
+
+    def poly(z):
+        return 1 + z * z - 0.5j * z
+
+    got = bargmann._quad_block(grid, lambda z: [poly(z)], exponent=exponent)[0]
+    want = _per_node_sum(grid, lambda z: poly(z) * cmath.exp(exponent(z)))
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_inner_product_of_functions_with_different_exponents_factors_per_axis():
+    rng = np.random.default_rng(91)
+    p = GENERAL
+    U = transform(p, _random_line_function(rng))
+    V = transform(p, _random_line_function(rng))
+    assert U.c2 != V.c2
+    grid = hphi_grid(p, U, V)
+    assert any(v.imag for v in grid.axes.samples)
+
+    def term(z):
+        pair = U.c2 * z * z + U.c1 * z + (V.c2 * z * z + V.c1 * z).conjugate()
+        weight = cmath.exp(pair - 2 * weight_Phi(p, z) / p.h)
+        return complex(U.hermite_sum(z)) * complex(V.hermite_sum(z)).conjugate() * weight
+
+    want = _per_node_sum(grid, term)
+    assert inner_product_HPhi(p, U, V) == pytest.approx(want, rel=1e-12)
+
+
+def test_adjoint_on_its_own_grid_matches_per_node_reference():
+    p = GENERAL
+    U = transform(p, HermiteSystem(p).hermite_phi(2))
+    x = 0.4
+
+    def exponent(z):
+        phase = -1j * phi_phase(p, z, x).conjugate() / p.h
+        return phase + U.c2 * z * z + U.c1 * z - 2.0 * weight_Phi(p, z) / p.h
+
+    grid = plane_grid(exponent)
+    want = _per_node_sum(grid, lambda z: complex(U.hermite_sum(z)) * cmath.exp(exponent(z)))
+    want *= p.C_phi * p.h ** (-0.75)
+    assert adjoint_quad(p, U, x) == pytest.approx(want, rel=1e-12)
+
+
+def test_projector_on_its_own_grid_matches_per_node_reference():
+    p = GENERAL
+    U = transform(p, HermiteSystem(p).hermite_phi(3))
+
+    def exponent(z, zeta):
+        weighted = U.c2 * zeta * zeta + U.c1 * zeta - 2.0 * weight_Phi(p, zeta) / p.h
+        return weighted + 2.0 * kernel_Psi(p, z, zeta.conjugate()) / p.h
+
+    grid = plane_grid(lambda zeta: exponent(0j, zeta))
+    points = [0.3 - 0.1j, -1.2 + 0.4j, 0.7j, 1.5 + 1.1j]
+    together = projector_apply(p, U, points)
+    for z, got in zip(points, together):
+        want = _per_node_sum(
+            grid, lambda zeta: complex(U.hermite_sum(zeta)) * cmath.exp(exponent(z, zeta))
+        )
+        assert got == pytest.approx(p.C_Phi / p.h * want, rel=1e-12)
+        assert got == pytest.approx(U(z), rel=1e-10)
+    # each point's sum is the same, bit for bit, whichever points share a call
+    for i, z in enumerate(points):
+        assert repr(together[i]) == repr(projector_apply(p, U, [z])[0])
+    assert projector_apply(p, U, []) == []
+
+
 def test_gram_HPhi_needs_one_exponent():
     p = derived_constants(2.0, 1.0)
     with pytest.raises(DomainError, match="one exponent"):
@@ -308,7 +396,8 @@ def test_gram_HPhi_needs_one_exponent():
 def test_grid_arrays_are_read_only():
     grid = polar_grid(2.0, n_r=4, n_theta=4)
     assert grid.nodes.dtype == complex and grid.weights.dtype == float
-    for arr in (grid.nodes, grid.weights):
+    plane = plane_grid(lambda z: -abs(z) ** 2 + 0.5j * z.real * z.imag, n=8)
+    for arr in (grid.nodes, grid.weights, *grid.axes, plane.axes.along1, plane.axes.along2):
         with pytest.raises(ValueError):
             arr[0] = 0
 

@@ -524,3 +524,27 @@ def test_max_coeff_diff_keeps_a_nan_coefficient():
     b = DiffOp({(0, 0): 1.0, (1, 0): complex(math.nan, 0.0), (0, 1): 3.0}, h=1.0)
     assert math.isnan(a.max_coeff_diff(b))
     assert math.isnan(b.max_coeff_diff(a))
+
+
+def _hermite_gauss_at(f, x):
+    """``f(x)`` by the scalar three-term recurrence in Python complex arithmetic."""
+    y = x / f.s
+    prev, cur, acc = 0j, 1 + 0j, f.coeffs[0]
+    for k, a in enumerate(f.coeffs[1:], 1):
+        prev, cur = cur, math.sqrt(2 / k) * y * cur - math.sqrt((k - 1) / k) * prev
+        acc += a * cur
+    return acc * cmath.exp(f.gamma2 * x * x + f.gamma1 * x)
+
+
+def test_hermite_gauss_is_evaluated_at_complex_points():
+    # the function is entire: a complex x enters the polynomial as well as
+    # the exponential, for arrays and for Python scalars alike
+    hs = HermiteSystem(PhaseParams.classic())
+    shifted = HermiteGauss.from_poly(ComplexPoly((0.5, -1j, 2.0)), -0.6 + 0.2j, 0.3 - 0.4j)
+    points = [0.3 + 0.4j, -1.1 + 0.2j, 0.7 - 0.9j, 1.5 + 0j]
+    for f in (hs.hermite_phi(1), hs.hermite_phi(4), shifted):
+        want = [_hermite_gauss_at(f, x) for x in points]
+        np.testing.assert_allclose(f(np.array(points)), want, rtol=1e-13, atol=0)
+        for x, w in zip(points, want):
+            assert complex(f(x)) == pytest.approx(w, rel=1e-13)
+    assert complex(hs.hermite_phi(1)(0.3 + 0.4j)) == pytest.approx(0.3974 - 0.3803j, abs=1e-4)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from bargmann_lab.bargmann import TruncationError, grid_values, polar_grid
+from bargmann_lab.bargmann import QuadGrid, TruncationError, grid_values, polar_grid
 from bargmann_lab.gaussalg import DomainError
 from bargmann_lab.toeplitz import (
     RadialSymbol,
@@ -183,6 +183,24 @@ def test_block_matches_per_node_reference():
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * abs(want).max())
     for m, n in ((0, 3), (6, 0), (2, 2)):
         assert toeplitz_matrix_quad(sym, m, n, grid=grid) == pytest.approx(got[m, n], rel=1e-12)
+
+
+def test_polar_block_is_the_per_node_block():
+    # radial sums times angular sums against the per-node block on the same
+    # nodes and weights; three angles alias e^{3ik theta} to 1, so entries
+    # with |m - n| in {3, 6} are nonzero
+    sym = RadialSymbol.gaussian(0.5)
+    for grid in (polar_grid(12.0, n_r=40, n_theta=3), default_toeplitz_grid(sym, 6)):
+        plain = QuadGrid(grid.nodes, grid.weights)
+        got = toeplitz_block_quad(sym, 7, grid=grid)
+        want = toeplitz_block_quad(sym, 7, grid=plain)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * abs(want).max())
+    # both routes see the same outer-shell nodes
+    grid = polar_grid(6.0, n_r=60, n_theta=16)
+    for g in (grid, QuadGrid(grid.nodes, grid.weights)):
+        toeplitz_block_quad(sym, 2, grid=g)
+        with pytest.raises(TruncationError):
+            toeplitz_block_quad(sym, 7, grid=g)
 
 
 def test_block_and_entry_raise_truncation_where_a_single_sum_would():
