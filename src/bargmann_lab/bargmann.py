@@ -68,7 +68,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from .gaussalg import DomainError, HermiteGauss, HoloGauss, _hermitian, _scaled
+from .gaussalg import DomainError, HermiteGauss, HoloGauss, _hermitian
 from .phasecore import PhaseParams, phi_phase, kernel_Psi, weight_Phi
 
 __all__ = [
@@ -493,6 +493,10 @@ def _check_truncation(total_mass, shell_mass) -> None:
 _CHUNK = 8192
 
 
+#: The ``cols`` of :func:`_quad_block` that are the conjugated rows.
+_CONJ_ROWS = object()
+
+
 def _quad_block(grid: QuadGrid, rows, cols=None, exponent=None) -> np.ndarray:
     """The quadrature sums ``sum_n w_n r_j(z_n) c_k(z_n)`` as a J x K array,
     or ``sum_n w_n r_j(z_n)`` as a J-vector when ``cols`` is None.
@@ -502,10 +506,11 @@ def _quad_block(grid: QuadGrid, rows, cols=None, exponent=None) -> np.ndarray:
     function, or a list with an array or a number per function (a one-term
     Hermite sum is a number).  ``cols`` may instead be a pair ``(a, b)`` of
     per-axis factors of a plane grid (:func:`_axis_factors`), one row per
-    column function.  ``exponent``, if given, maps nodes to the exponent E
-    of a factor ``e^E`` of every row: per axis on a plane grid fitted to E
-    (the same samples at :data:`_FIT_POINTS`, bit for bit), per node on any
-    other grid.  The factors are multiplied in chunk by chunk; no array
+    column function, or :data:`_CONJ_ROWS` for the conjugates of the rows'
+    values, evaluated once per chunk for both.  ``exponent``, if given, maps
+    nodes to the exponent E of a factor ``e^E`` of every row: per axis on a
+    plane grid fitted to E (the same samples at :data:`_FIT_POINTS`, bit for
+    bit), per node on any other grid.  The factors are multiplied in chunk by chunk; no array
     spans all nodes.
 
     Each sum is checked for truncation as if it stood alone: its total and
@@ -520,17 +525,19 @@ def _quad_block(grid: QuadGrid, rows, cols=None, exponent=None) -> np.ndarray:
         part = slice(start, start + _CHUNK)
         z, on = grid.nodes[part], grid.shell[part]
         r = _on_chunk(rows, z)
+        if cols is None:
+            c = np.ones((1, z.size))
+        elif cols is _CONJ_ROWS:
+            c = np.conj(r)
+        elif isinstance(cols, tuple):
+            c = _on_axes(cols, start, z.size)
+        else:
+            c = _on_chunk(cols, z)
         if factors is not None:
             r = r * _on_axes(factors, start, z.size)
         elif exponent is not None:
             r = r * np.exp(exponent(z))
         r = grid.weights[part] * r
-        if cols is None:
-            c = np.ones((1, z.size))
-        elif isinstance(cols, tuple):
-            c = _on_axes(cols, start, z.size)
-        else:
-            c = _on_chunk(cols, z)
         sums = sums + np.einsum("jn,kn->jk", r, c)
         r, c = np.abs(r), np.abs(c)
         total = total + np.einsum("jn,kn->jk", r, c)
@@ -619,7 +626,7 @@ def transform(p: PhaseParams, f: HermiteGauss) -> HoloGauss:
     )
     c2 = 1j * p.A / (2 * p.h) + p.B / (2 * p.h) * p.B / (2 * p.h * g2)  # no h*h: it may underflow
     c1 = -1j * p.B * f.gamma1 / (2 * p.h * g2)
-    return HoloGauss(_scaled(list(f.coeffs), const), c2, c1, y0, y1, rho2)
+    return HoloGauss([const * a for a in f.coeffs], c2, c1, y0, y1, rho2)
 
 
 def transform_quad(p: PhaseParams, f: HermiteGauss, z: complex) -> complex:
@@ -713,12 +720,12 @@ def projector_apply(
 def _pair_block(p: PhaseParams, fs, gs, grid: QuadGrid) -> np.ndarray:
     """``[sum w f_j conj(g_k) e^{pair exponent}]`` for functions fs sharing
     one exponent and gs sharing another: the rows are Hermite sums, the
-    columns conjugated Hermite sums, and the pair exponent is the factor
-    that :func:`_quad_block` multiplies in."""
+    columns conjugated Hermite sums (the rows' own, when gs is fs), and the
+    pair exponent is the factor that :func:`_quad_block` multiplies in."""
     return _quad_block(
         grid,
         lambda zs: [f.hermite_sum(zs) for f in fs],
-        lambda zs: [np.conj(g.hermite_sum(zs)) for g in gs],
+        _CONJ_ROWS if gs is fs else lambda zs: [np.conj(g.hermite_sum(zs)) for g in gs],
         lambda zs: _pair_exponent(p, fs[0], gs[0], zs),
     )
 
@@ -751,11 +758,11 @@ def gram_HPhi(p: PhaseParams, fs: Sequence[HoloGauss]) -> list[list[complex]]:
 
     All pairs then share the grid and the exponential factor: the matrix is
     one K x K block of :func:`_quad_block`, whose every entry is the sum of
-    :func:`inner_product_HPhi`, equal to it bit for bit.  The lower triangle
-    mirrors the upper (see :func:`~bargmann_lab.gaussalg._hermitian`).
+    :func:`inner_product_HPhi`, equal to it bit for bit; each Hermite sum is
+    evaluated once per chunk, for its row and its column.  The lower
+    triangle mirrors the upper (see :func:`~bargmann_lab.gaussalg._hermitian`).
     """
     U = fs[0]
     if any(f.c2 != U.c2 or f.c1 != U.c1 for f in fs):
         raise DomainError("gram_HPhi needs functions with one exponent")
-    block = _pair_block(p, fs, fs, hphi_grid(p, U, U))
-    return _hermitian(lambda j, k: complex(block[j, k]), len(fs))
+    return _hermitian(_pair_block(p, fs, fs, hphi_grid(p, U, U))).tolist()

@@ -134,7 +134,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= DEGREE_CAP:
-            raise DomainError(f"n = {self.n} must be in 1..{DEGREE_CAP}")
+            raise DomainError(f"--n = {self.n} must be in 1..{DEGREE_CAP}")
         r_flag = "--disk" if self.command == "toeplitz" else "--R"
         for flag, value in (
             ("--B", self.B), ("--C", self.C), ("--h", self.h), ("--alpha", self.alpha),

@@ -31,8 +31,10 @@ are ``HermiteGauss`` on Psi_0's own Gaussian, the bridged phi_0's
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .gaussalg import (
     DiffOp,
@@ -40,6 +42,8 @@ from .gaussalg import (
     HermiteGauss,
     HoloGauss,
     _check_index,
+    _nth,
+    _reattach,
     _rodrigues,
     apply_diffop,
 )
@@ -51,8 +55,11 @@ __all__ = [
     "derived_constants",
     "psi_n",
     "psi_n_ladder",
+    "psi_family_ladder",
     "Psi_n",
     "Psi_n_ladder",
+    "Psi_family",
+    "Psi_family_ladder",
     "apply_ladder",
     "ladder_diffops",
     "bridge_params",
@@ -187,10 +194,28 @@ def psi_n(p: EllipseParams, n: int) -> HoloGauss:
 def psi_n_ladder(p: EllipseParams, n: int) -> HoloGauss:
     """psi_n as (Lambda*)^n psi_0, n banded maps: the independent construction."""
     _check_index(n)
+    return _nth(_psi_ladder_chain(p), n)
+
+
+def psi_family_ladder(p: EllipseParams, n: int) -> list[HoloGauss]:
+    """psi_0, ..., psi_{n-1} by one ladder chain; member k is
+    ``psi_n_ladder(p, k)``, bit for bit."""
+    _check_count(n)
+    return list(itertools.islice(_psi_ladder_chain(p), n))
+
+
+def _psi_ladder_chain(p: EllipseParams) -> Iterator[HoloGauss]:
+    """(Lambda*)^k psi_0, k = 0, 1, ..."""
     u = psi0(p)
-    for _ in range(n):
+    while True:
+        yield u
         u = apply_ladder(p, "lambda_star", u)
-    return u
+
+
+def _check_count(n: int) -> None:
+    """A family of n members: indices 0..n-1 within the index range."""
+    if n:
+        _check_index(n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -207,19 +232,47 @@ def Psi_n(p: EllipseParams, n: int) -> HermiteGauss:
     """Psi_n by the Rodrigues route (n-fold d/dx of the wide Gaussian
     e^{-alpha^2 x^2/(1+beta^2)}, on Psi_0's scale)."""
     _check_index(n)
-    base = Psi0(p)
-    amp = p.A_ab * (-p.C_ab) ** n
-    return _rodrigues(DiffOp.d_dx(1.0), n, -p.eigen_gap, amp, base.gamma2, base.s)
+    return _Psi_amp(p, n, _nth(_Psi_chain(p), n))
+
+
+def Psi_family(p: EllipseParams, n: int) -> list[HermiteGauss]:
+    """Psi_0, ..., Psi_{n-1} by one Rodrigues chain; member k is
+    ``Psi_n(p, k)``, bit for bit."""
+    _check_count(n)
+    return [_Psi_amp(p, k, f) for k, f in zip(range(n), _Psi_chain(p))]
 
 
 def Psi_n_ladder(p: EllipseParams, n: int) -> HermiteGauss:
     """Psi_n as C_ab^n (P*_ab)^n Psi_0: the independent construction."""
     _check_index(n)
+    return _nth(_Psi_ladder_chain(p), n).scale(p.C_ab**n)
+
+
+def Psi_family_ladder(p: EllipseParams, n: int) -> list[HermiteGauss]:
+    """Psi_0, ..., Psi_{n-1} by one ladder chain; member k is
+    ``Psi_n_ladder(p, k)``, bit for bit."""
+    _check_count(n)
+    return [f.scale(p.C_ab**k) for k, f in zip(range(n), _Psi_ladder_chain(p))]
+
+
+def _Psi_chain(p: EllipseParams) -> Iterator[HermiteGauss]:
+    """The Rodrigues chain of the Psi_n: (d/dx)^k of the wide Gaussian, on
+    Psi_0's scale."""
+    return _rodrigues(DiffOp.d_dx(1.0), -p.eigen_gap, Psi0(p).s)
+
+
+def _Psi_amp(p: EllipseParams, n: int, f: HermiteGauss) -> HermiteGauss:
+    """Psi_n from the n-th member f of its Rodrigues chain."""
+    return _reattach(f, p.A_ab * (-p.C_ab) ** n, Psi0(p).gamma2)
+
+
+def _Psi_ladder_chain(p: EllipseParams) -> Iterator[HermiteGauss]:
+    """(P*_ab)^k Psi_0, k = 0, 1, ..."""
     _, Pstar, _ = ladder_diffops(p)
     f = Psi0(p)
-    for _ in range(n):
+    while True:
+        yield f
         f = apply_diffop(Pstar, f)
-    return f.scale(p.C_ab**n)
 
 
 # ---------------------------------------------------------------------------

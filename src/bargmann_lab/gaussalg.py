@@ -17,16 +17,28 @@ own Gaussian, and otherwise sums over the Franck-Condon overlap recurrence
 (``_overlaps``), so orthogonality and eigen-relations are certified to
 round-off, not quadrature accuracy.
 
+The coefficient algebra runs on numpy blocks (``HermiteBlock``): a family on
+one ``(gamma2, s, gamma1)``, one function per column.  ``_band`` and
+``apply_diffop`` map all columns at once, ``norm_line`` and the eigen-residual
+ratio give one value per column, and a Gram matrix takes one matrix of
+overlaps per pair of exponents and two ``np.einsum`` contractions.  A single
+``HermiteGauss`` goes the same way as a one-column block.  Products are
+elementwise or ``np.einsum`` (default ``optimize=False``), never BLAS, so no
+BLAS thread runs and every value is the same from run to run.  A column's
+values do not depend on the other columns, except that a Gram entry's sum
+may round differently in another block shape.
+
 All values are immutable; all functions are pure.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -53,18 +65,16 @@ def _worst(devs: Iterable[float]) -> float:
     return float(np.max(list(devs), initial=0.0))
 
 
-def _hermitian(entry: Callable[[int, int], complex], n: int) -> list[list[complex]]:
-    """The n x n Hermitian matrix whose upper triangle and diagonal are
-    ``entry(j, k)``, j <= k.  The lower triangle conjugates the upper with
-    ``0.0 - imag``, so an exactly cancelled entry stays ``+0.0``, as
-    evaluating it directly gives."""
-    G = [[0j] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(j, n):
-            g = entry(j, k)
-            G[k][j] = complex(g.real, 0.0 - g.imag)
-            G[j][k] = g
-    return G
+def _hermitian(G: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix whose upper triangle and diagonal are those of
+    the square array G.  The lower triangle conjugates the upper with ``0.0
+    - imag``, so an exactly cancelled entry stays ``+0.0``, as evaluating it
+    directly gives."""
+    H = np.array(G, dtype=complex)
+    j, k = np.tril_indices(len(H), -1)
+    H.real[j, k] = H.real[k, j]
+    H.imag[j, k] = 0.0 - H.imag[k, j]
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +175,12 @@ class HermiteGauss:
         monomial has non-negative Hermite coefficients, so nothing cancels."""
         gamma2 = complex(gamma2)
         s = 1 / math.sqrt(-2 * gamma2.real) if gamma2.real < 0 else 1.0
-        acc = [0j]
-        for c in reversed(poly.coeffs):
-            acc = _band(acc, s / 2, s / 2)
-            acc[0] += c
-        return HermiteGauss(acc, gamma2, s, complex(gamma1))
+        acc = np.zeros((1, 1), complex)
+        with np.errstate(all="ignore"):
+            for c in reversed(poly.coeffs):
+                acc = _band(acc, s / 2, s / 2)
+                acc[0] += c
+        return HermiteGauss(acc[:, 0].tolist(), gamma2, s, complex(gamma1))
 
     @property
     def is_zero(self) -> bool:
@@ -188,25 +199,79 @@ class HermiteGauss:
             exponent = exponent + self.gamma1 * np.asarray(x)
         return self.hermite_sum(x) * np.exp(exponent)
 
+    def block(self) -> "HermiteBlock":
+        """The function as a one-column :class:`HermiteBlock`."""
+        return HermiteBlock(np.array(self.coeffs).reshape(-1, 1), self.gamma2, self.s, self.gamma1)
+
     def scale(self, c: complex) -> "HermiteGauss":
-        return HermiteGauss(_scaled(list(self.coeffs), c), self.gamma2, self.s, self.gamma1)
+        return self.block().scale(c).column(0)
 
     def add(self, other: "HermiteGauss") -> "HermiteGauss":
         """Coefficient-wise sum of two functions on one ``(gamma2, gamma1, s)``;
         DomainError otherwise, unless one of them is zero."""
         if other.is_zero or self.is_zero:
             return self if other.is_zero else other
+        return self.block().add(other.block()).column(0)
+
+
+@dataclass(frozen=True, eq=False)
+class HermiteBlock:
+    """Functions on one ``(gamma2, s, gamma1)``, one per column of the K x m
+    complex array ``coeffs``: column j is ``x -> sum_k coeffs[k, j]
+    eta_k(x/s) exp(gamma2*x**2 + gamma1*x)``.
+
+    :func:`apply_diffop`, :func:`norm_line` and the eigen-residual ratio act
+    on all columns at once; :meth:`HermiteGauss.block` is the one-column
+    case.  Columns are not trimmed: a shorter member is padded with zeros.
+    """
+
+    coeffs: np.ndarray
+    gamma2: complex
+    s: float
+    gamma1: complex = 0j
+
+    @staticmethod
+    def stack(fs: Sequence[HermiteGauss]) -> "HermiteBlock":
+        """The functions fs, which share one ``(gamma2, s, gamma1)``, as the
+        columns of one block; DomainError otherwise."""
+        f = fs[0]
+        if not _one_basis(fs):
+            raise DomainError("a block needs functions with one exponent and scale")
+        A = np.zeros((max(len(g.coeffs) for g in fs), len(fs)), complex)
+        for j, g in enumerate(fs):
+            A[: len(g.coeffs), j] = g.coeffs
+        return HermiteBlock(A, f.gamma2, f.s, f.gamma1)
+
+    def column(self, j: int) -> HermiteGauss:
+        return HermiteGauss(self.coeffs[:, j].tolist(), self.gamma2, self.s, self.gamma1)
+
+    def scale(self, c) -> "HermiteBlock":
+        """Every column times c: a number, or one number per column."""
+        with np.errstate(all="ignore"):
+            return HermiteBlock(self.coeffs * np.asarray(c), self.gamma2, self.s, self.gamma1)
+
+    def add(self, other: "HermiteBlock") -> "HermiteBlock":
+        """Column-wise sum of two blocks on one ``(gamma2, gamma1, s)`` with one
+        number of columns; DomainError otherwise."""
         if (self.gamma2, self.gamma1, self.s) != (other.gamma2, other.gamma1, other.s):
             raise DomainError("cannot add HermiteGauss with different exponents or scales")
-        return HermiteGauss(
-            _added(list(self.coeffs), list(other.coeffs)), self.gamma2, self.s, self.gamma1
-        )
+        a, b = sorted((self.coeffs, other.coeffs), key=len)
+        out = b.copy()
+        with np.errstate(all="ignore"):
+            out[: len(a)] += a
+        return HermiteBlock(out, self.gamma2, self.s, self.gamma1)
 
-    def _shares_weight(self, other: "HermiteGauss") -> bool:
-        """Both on one ``(gamma2, s)``, the weight's own Gaussian, with no
-        linear exponent."""
-        same = (self.gamma2, self.s, self.gamma1, other.gamma1) == (other.gamma2, other.s, 0, 0)
-        return same and _close(2 * self.gamma2.real * self.s * self.s, -1.0)
+
+def _one_basis(fs) -> bool:
+    """All of the functions or blocks fs on one ``(gamma2, s, gamma1)``."""
+    return len({(f.gamma2, f.s, f.gamma1) for f in fs}) == 1
+
+
+def _shares_weight(f, g) -> bool:
+    """Two functions or blocks both on one ``(gamma2, s)``, the weight's own
+    Gaussian, with no linear exponent."""
+    same = (f.gamma2, f.s, f.gamma1, g.gamma1) == (g.gamma2, g.s, 0, 0)
+    return same and _close(2 * f.gamma2.real * f.s * f.s, -1.0)
 
 
 @dataclass(frozen=True)
@@ -276,11 +341,12 @@ class HoloGauss:
         zc = 2 * d * self.c2 + m  # the coefficient of z P
         lo = d * self.y1 + zc * self.rho2 / (2 * self.y1)
         diag = d * self.c1 - zc * self.y0 / self.y1
-        a = list(self.coeffs)
-        out = _band(a, lo, zc / (2 * self.y1))
-        if diag:
-            out = _added(out, _scaled(a, diag))
-        return HoloGauss(out, self.c2, self.c1, self.y0, self.y1, self.rho2)
+        a = np.array(self.coeffs).reshape(-1, 1)
+        with np.errstate(all="ignore"):
+            out = _band(a, lo, zc / (2 * self.y1))
+            if diag:
+                out[:-1] += diag * a
+        return HoloGauss(out[:, 0].tolist(), self.c2, self.c1, self.y0, self.y1, self.rho2)
 
 
 def _hermite_sum(coeffs: Sequence[complex], y, rho2: complex):
@@ -367,15 +433,41 @@ def _overlaps(
     return M
 
 
-def inner_product_line(f: HermiteGauss, g: HermiteGauss) -> complex:
-    """L2(R) inner product ``int f(x) * conj(g(x)) dx``, exact.
+def _gram(fs: Sequence[HermiteBlock], gs: Sequence[HermiteBlock]) -> np.ndarray:
+    """``G[j, k] = sum_c <column j of fs[c], column k of gs[c]>``: the Gram
+    matrix of vector functions with components c, every ``fs[c]`` on one
+    ``(gamma2, s, gamma1)`` and every ``gs[c]`` on another (DomainError
+    otherwise).
 
-    Two functions on one own Gaussian with no linear exponent take the
-    diagonal sum ``s sqrt(pi) sum_k a_k conj(b_k)`` (a coefficient past the
-    shorter list still enters, so a non-finite one is not dropped).  Any
-    other pair sums ``a_j conj(b_k) M_jk`` with the overlaps of
-    :func:`_overlaps` under the combined exponent ``f.gamma2 + conj(g.gamma2)``,
-    ``f.gamma1 + conj(g.gamma1)``.
+    One matrix of weights serves every entry: on a shared own Gaussian the
+    diagonal ``s sqrt(pi)`` (a coefficient past a shorter block still
+    enters, so a non-finite one is not dropped), otherwise the overlaps of
+    :func:`_overlaps` under the combined exponent ``f.gamma2 +
+    conj(g.gamma2)``, ``f.gamma1 + conj(g.gamma1)``, contracted first with
+    the coefficients of fs, then with the conjugated coefficients of gs.
+    """
+    f, g = fs[0], gs[0]
+    if not (_one_basis(fs) and _one_basis(gs)):
+        raise DomainError("Gram components need one exponent and scale per side")
+    shared = _shares_weight(f, g)
+    ka, kb = (max(len(x.coeffs) for x in xs) for xs in (fs, gs))
+    if shared:
+        ka = kb = max(ka, kb)
+    A = np.stack([_padded(x.coeffs, ka) for x in fs])
+    B = np.stack([_padded(x.coeffs, kb) for x in gs])
+    with np.errstate(all="ignore"):
+        if shared:
+            return f.s * _SQRT_PI * np.einsum("caj,cak->jk", A, B.conj())
+        M = _overlaps(
+            f.gamma2 + g.gamma2.conjugate(), f.gamma1 + g.gamma1.conjugate(),
+            f.s, g.s, A.shape[1], B.shape[1],
+        )
+        return np.einsum("cjb,cbk->jk", np.einsum("caj,ab->cjb", A, np.array(M)), B.conj())
+
+
+def inner_product_line(f: HermiteGauss, g: HermiteGauss) -> complex:
+    """L2(R) inner product ``int f(x) * conj(g(x)) dx``, exact: the 1 x 1
+    :func:`_gram` of the two functions (0 if either is zero).
 
     Raises
     ------
@@ -385,23 +477,26 @@ def inner_product_line(f: HermiteGauss, g: HermiteGauss) -> complex:
     """
     if f.is_zero or g.is_zero:
         return 0j
-    if f._shares_weight(g):
-        pairs = itertools.zip_longest(f.coeffs, g.coeffs, fillvalue=0j)
-        return f.s * _SQRT_PI * sum(a * b.conjugate() for a, b in pairs)
-    M = _overlaps(
-        f.gamma2 + g.gamma2.conjugate(), f.gamma1 + g.gamma1.conjugate(),
-        f.s, g.s, len(f.coeffs), len(g.coeffs),
-    )
-    b = [c.conjugate() for c in g.coeffs]
-    return sum(a * sum(m * c for m, c in zip(row, b)) for a, row in zip(f.coeffs, M))
+    return complex(_gram([f.block()], [g.block()])[0, 0])
 
 
-def norm_line(f: HermiteGauss) -> float:
-    """L2(R) norm, exact; on the function's own Gaussian, by ``math.hypot`` of
-    the coefficients, which neither overflows nor underflows."""
-    if f._shares_weight(f):
-        return math.sqrt(f.s * _SQRT_PI) * math.hypot(*map(abs, f.coeffs))
-    return math.sqrt(max(inner_product_line(f, f).real, 0.0))
+def norm_line(f):
+    """L2(R) norm, exact, of a :class:`HermiteGauss`, or one per column of a
+    :class:`HermiteBlock` (a float array).  On the function's own Gaussian
+    it is ``math.hypot`` of the coefficients' moduli, which neither
+    overflows nor underflows; otherwise the square root of the diagonal of
+    :func:`_gram`."""
+    if isinstance(f, HermiteGauss):
+        return 0.0 if f.is_zero else float(_norms(f.block())[0])
+    return _norms(f)
+
+
+def _norms(f: HermiteBlock) -> np.ndarray:
+    """:func:`norm_line` of each column of a block."""
+    if _shares_weight(f, f):
+        root = math.sqrt(f.s * _SQRT_PI)
+        return np.array([root * math.hypot(*col) for col in np.abs(f.coeffs).T.tolist()])
+    return np.sqrt(np.maximum(np.diag(_gram([f], [f])).real, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -487,56 +582,66 @@ class DiffOp:
             raise DomainError(f"mismatched h: {self.h} != {other.h}")
 
 
-def _added(x: list[complex], y: list[complex]) -> list[complex]:
-    """The sum of two coefficient lists, trimmed."""
-    n = max(len(x), len(y))
-    return _trim([u + v for u, v in zip(x + [0j] * (n - len(x)), y + [0j] * (n - len(y)))])
+def _padded(A: np.ndarray, rows: int) -> np.ndarray:
+    """A block's coefficient array with zero rows appended up to ``rows``."""
+    out = np.zeros((rows, A.shape[1]), complex)
+    out[: len(A)] = A
+    return out
 
 
-def _scaled(x: list[complex], c: complex) -> list[complex]:
-    """A coefficient list times c, trimmed."""
-    return [0j] if c == 0 else _trim([c * u for u in x])
+@functools.lru_cache(maxsize=None)
+def _sqrt_2k(n: int) -> np.ndarray:
+    """The read-only column ``sqrt(2k)``, k = 0..n-1, made once per length."""
+    rt = np.sqrt(2.0 * np.arange(n)).reshape(-1, 1)
+    rt.setflags(write=False)
+    return rt
 
 
-def _band(a: list[complex], lo: complex, hi: complex) -> list[complex]:
-    """``lo L + hi R`` on Hermite coefficients, where ``L eta_k =
-    sqrt(2k) eta_{k-1}`` and ``R eta_k = sqrt(2(k+1)) eta_{k+1}``."""
-    rt = [math.sqrt(2 * k) for k in range(1, len(a) + 1)]
-    up = [0j] + [hi * (r * c) for r, c in zip(rt, a)]
-    down = [lo * (r * c) for r, c in zip(rt, a[1:])] + [0j, 0j]
-    return [u + d for u, d in zip(up, down)]
+def _band(A: np.ndarray, lo: complex, hi: complex) -> np.ndarray:
+    """``lo L + hi R`` on a K x m block of Hermite coefficients, one function
+    per column (K + 1 rows out), where ``L eta_k = sqrt(2k) eta_{k-1}`` and
+    ``R eta_k = sqrt(2(k+1)) eta_{k+1}``."""
+    rt = _sqrt_2k(len(A) + 1)
+    out = np.zeros((len(A) + 1, A.shape[1]), complex)
+    out[1:] = hi * (rt[1:] * A)
+    out[:-2] += lo * (rt[1:-1] * A[1:])
+    return out
 
 
-def apply_diffop(op: DiffOp, f: HermiteGauss) -> HermiteGauss:
-    """Apply a :class:`DiffOp` exactly; the exponent and scale are preserved.
+def apply_diffop(op: DiffOp, f):
+    """Apply a :class:`DiffOp` exactly to a :class:`HermiteGauss` or to every
+    column of a :class:`HermiteBlock`; the exponent and scale are preserved.
 
     Each term is ``(hD)^k`` applied by iterated steps, then ``x**j``; the
     terms are summed in sorted order.  Both are bidiagonal maps
     (:func:`_band`): ``x = (s/2)(L + R)`` and ``hD = -i h ((1/s + gamma2 s) L +
     gamma2 s R + gamma1)``, the last term on the diagonal.
     """
-    if f.is_zero:
-        return f
+    if isinstance(f, HermiteGauss):
+        return f if f.is_zero else _apply_block(op, f.block()).column(0)
+    return _apply_block(op, f)
+
+
+def _apply_block(op: DiffOp, f: HermiteBlock) -> HermiteBlock:
+    """:func:`apply_diffop` on a block."""
     s, g2, minus_ih = f.s, f.gamma2, -1j * op.h
-    powers = [list(f.coeffs)]  # powers[k]: (hD)^k f
-
-    def hd(p: list[complex]) -> list[complex]:
-        out = _band(p, minus_ih * (1 / s + g2 * s), minus_ih * g2 * s)
-        if f.gamma1:
-            out = _added(out, _scaled(p, minus_ih * f.gamma1))
-        return out
-
-    def times_x(p: list[complex], j: int) -> list[complex]:
-        for _ in range(j):
-            p = _band(p, s / 2, s / 2)
-        return p
-
-    acc = [0j]
-    for (j, k), c in sorted(op.terms.items()):
-        while len(powers) <= k:
-            powers.append(hd(powers[-1]))
-        acc = _added(acc, _scaled(times_x(powers[k], j), c))
-    return HermiteGauss(acc, f.gamma2, f.s, f.gamma1)
+    lo, hi, diag = minus_ih * (1 / s + g2 * s), minus_ih * g2 * s, minus_ih * f.gamma1
+    terms = sorted(op.terms.items())
+    powers = [f.coeffs]  # powers[k]: (hD)^k f
+    acc = np.zeros((len(f.coeffs) + max((j + k for (j, k), _ in terms), default=0),
+                    f.coeffs.shape[1]), complex)
+    with np.errstate(all="ignore"):
+        for (j, k), c in terms:
+            while len(powers) <= k:
+                p = powers[-1]
+                powers.append(_band(p, lo, hi))
+                if diag:
+                    powers[-1][:-1] += diag * p
+            term = powers[k]
+            for _ in range(j):
+                term = _band(term, s / 2, s / 2)
+            acc[: len(term)] += c * term
+    return HermiteBlock(acc, f.gamma2, f.s, f.gamma1)
 
 
 def _check_index(n: int) -> None:
@@ -547,32 +652,55 @@ def _check_index(n: int) -> None:
         raise DegreeCapError(f"index {n} exceeds cap {DEGREE_CAP}")
 
 
-def _rodrigues(op: DiffOp, n: int, core: complex, amp: complex, gamma2: complex, s: float):
-    """The Rodrigues formula ``amp e^{(gamma2 - core) x^2} op^n e^{core x^2}``,
-    a :class:`HermiteGauss` on the scale ``s`` (``op`` as a banded map)."""
+def _rodrigues(op: DiffOp, core: complex, s: float) -> Iterator[HermiteGauss]:
+    """The Rodrigues chain ``op^k e^{core x^2}``, k = 0, 1, ..., on the scale
+    ``s`` (``op`` as a banded map): one banded step per index, so a family
+    of n members costs n - 1 steps, and its k-th member is the function the
+    chain gives alone, bit for bit (:func:`_nth`).  Member k of a family is
+    ``_reattach(f_k, amp_k, gamma2)``."""
     f = HermiteGauss((1.0,), core, s)
-    for _ in range(n):
+    while True:
+        yield f
         f = apply_diffop(op, f)
-    return HermiteGauss(f.scale(amp).coeffs, gamma2, s)
 
 
-def _residual_ratio(norm, apply, f, mu: complex) -> float:
+def _reattach(f: HermiteGauss, amp: complex, gamma2: complex) -> HermiteGauss:
+    """``amp e^{(gamma2 - core) x^2} f`` for f on the exponent ``core``: the
+    coefficients of ``amp f`` on the exponent gamma2."""
+    return HermiteGauss(f.scale(amp).coeffs, gamma2, f.s)
+
+
+def _nth(chain: Iterator, n: int):
+    """The n-th item of a chain (counting from 0)."""
+    return next(itertools.islice(chain, n, None))
+
+
+def _residual_ratio(norm, apply, f, mu):
     """``norm(apply(f) - mu f) / norm(f)``, or ``inf`` (which must not certify)
     where that cannot be evaluated: ``norm(f)`` is zero (past the float64
     cancellation floor), ``apply(f)`` exceeds :data:`DEGREE_CAP`, an exact
-    sum meets non-finite terms (``fsum`` raises), or the ratio is not finite
-    (a NaN or an overflow among the values).  Other DomainErrors propagate."""
+    sum meets non-finite terms, or the ratio is not finite (a NaN or an
+    overflow among the values).  Other DomainErrors propagate.
+
+    For a block f (columns of :class:`HermiteBlock`) ``mu`` holds one value
+    per column and the result is a list of one ratio per column: a column
+    that cannot be evaluated reads inf in its own entry, and an error raised
+    for the whole block reads inf in every entry."""
     try:
         denom = norm(f)
-        ratio = norm(apply(f).add(f.scale(-mu))) / denom if denom else math.inf
+        num = norm(apply(f).add(f.scale(-np.asarray(mu))))
     except (ValueError, OverflowError) as e:
         if isinstance(e, DomainError) and not isinstance(e, DegreeCapError):
             raise
-        return math.inf
-    return ratio if math.isfinite(ratio) else math.inf
+        num, denom = math.inf, 1.0
+    num, denom, _ = np.broadcast_arrays(num, denom, mu)
+    with np.errstate(all="ignore"):
+        ratio = np.where(denom != 0, num / denom, math.inf)
+    return np.where(np.isfinite(ratio), ratio, math.inf).tolist()
 
 
-def relative_residual(op: DiffOp, f, mu: complex) -> float:
+def relative_residual(op: DiffOp, f, mu):
     """Eigen-residual ||op f - mu f|| / ||f||, exact, or ``inf`` where it
-    cannot be evaluated (see :func:`_residual_ratio`)."""
+    cannot be evaluated (see :func:`_residual_ratio`); for a
+    :class:`HermiteBlock` and one mu per column, a list of one per column."""
     return _residual_ratio(norm_line, lambda g: apply_diffop(op, g), f, mu)

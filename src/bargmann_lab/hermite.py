@@ -27,14 +27,17 @@ import numpy as np
 from .gaussalg import (
     DiffOp,
     DomainError,
+    HermiteBlock,
     HermiteGauss,
     HoloGauss,
     _check_index,
+    _gram,
     _hermitian,
+    _nth,
+    _reattach,
     _rodrigues,
     _worst,
     apply_diffop,
-    inner_product_line,
     relative_residual,
 )
 from .phasecore import PhaseParams, canonical_A
@@ -68,14 +71,14 @@ class HermiteSystem:
     def hermite_phi(self, n: int) -> HermiteGauss:
         """n-th generalized Hermite function, by the ladder recursion."""
         _check_index(n)
-        p = self.params
-        _, pstar, _ = self.ladder_ops()
-        while len(self._phi_cache) <= n:
-            m = len(self._phi_cache)  # building phi_m from phi_{m-1}
-            up = apply_diffop(pstar, self._phi_cache[-1])
-            factor = p.B / _sqrt_pos(m * 2 * p.h * p.C.imag)
-            self._phi_cache.append(up.scale(factor))
-        return self._phi_cache[n]
+        cache = self._phi_cache
+        if len(cache) <= n:
+            p = self.params
+            _, pstar, _ = self.ladder_ops()
+            for m in range(len(cache), n + 1):  # building phi_m from phi_{m-1}
+                up = apply_diffop(pstar, cache[-1])
+                cache.append(up.scale(p.B / _sqrt_pos(m * 2 * p.h * p.C.imag)))
+        return cache[n]
 
     def rodrigues_phi(self, n: int) -> HermiteGauss:
         """Same function by the independent Rodrigues route.
@@ -94,7 +97,8 @@ class HermiteSystem:
         )
         # the core e^{-ImC x^2/h} on phi_0's scale; the exponent reattached is
         # e^{(ImC - iReC) x^2/2h} * e^{-ImC x^2/h} = e^{-i conj(C) x^2 / 2h}
-        return _rodrigues(DiffOp.hD(p.h), n, -p.C.imag / p.h, amp, phi0.gamma2, phi0.s)
+        f = _nth(_rodrigues(DiffOp.hD(p.h), -p.C.imag / p.h, phi0.s), n)
+        return _reattach(f, amp, phi0.gamma2)
 
     def monomial_basis(self, n: int) -> HoloGauss:
         """Orthonormal monomial varphi_n of the weighted holomorphic space,
@@ -148,26 +152,40 @@ class HermiteSystem:
         _, _, H = self.ladder_ops()
         return relative_residual(H, self.hermite_phi(n), self.eigenvalue(n))
 
+    def eigen_residuals(self, N: int) -> list[float]:
+        """:meth:`eigen_residual` of phi_0, ..., phi_{N-1}, with H applied
+        once to the block of all N; a member that cannot be evaluated reads
+        ``inf`` in its own entry only."""
+        _, _, H = self.ladder_ops()
+        mus = [self.eigenvalue(n) for n in range(N)]
+        return relative_residual(H, self.phi_block(N), mus)
+
+    def phi_block(self, N: int) -> HermiteBlock:
+        """phi_0, ..., phi_{N-1} as the columns of one block."""
+        return HermiteBlock.stack([self.hermite_phi(n) for n in range(N)])
+
     # -- Gram matrices -------------------------------------------------------
 
     def gram_matrix(self, N: int, method: str = "exact") -> np.ndarray:
         """Gram matrix of (phi_0, ..., phi_{N-1}).
 
-        ``exact`` takes diagonal coefficient sums; ``quadrature`` is the
-        independent Gauss-Hermite oracle on the line: one block of
-        :func:`~bargmann_lab.bargmann._quad_block` on the line grid of the
-        combined exponent of phi_m conj(phi_n), the real Gaussian
+        ``exact`` takes the diagonal coefficient sums of the block of all N
+        in one ``np.einsum`` (:func:`~bargmann_lab.gaussalg._gram`);
+        ``quadrature`` is the independent Gauss-Hermite oracle on the line:
+        one block of :func:`~bargmann_lab.bargmann._quad_block` on the line
+        grid of the combined exponent of phi_m conj(phi_n), the real Gaussian
         ``-x^2/s^2`` (s = sqrt(h/Im C)), where the rule is exact up to
         round-off; values from the three-term recurrence, the rule from the
         per-process cache the plane grids share.
-        The exact matrix is Hermitian: only its upper triangle and diagonal
-        are computed (see :func:`~bargmann_lab.gaussalg._hermitian`).
+        The exact matrix is Hermitian: its lower triangle mirrors the upper
+        (see :func:`~bargmann_lab.gaussalg._hermitian`).
         """
         if method not in ("exact", "quadrature"):
             raise DomainError(f"unknown method {method!r}")
-        phis = [self.hermite_phi(n) for n in range(N)]
         if method == "exact":
-            return np.array(_hermitian(lambda m, n: inner_product_line(phis[m], phis[n]), N))
+            block = self.phi_block(N)
+            return _hermitian(_gram([block], [block]))
+        phis = [self.hermite_phi(n) for n in range(N)]
         s = phis[0].s
         grid = line_grid(lambda x: -x * x / s**2)
         return _quad_block(grid, lambda x: [f(x) for f in phis], lambda x: np.conj([f(x) for f in phis]))

@@ -27,10 +27,14 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gaussalg import (
     DiffOp,
     DomainError,
+    HermiteBlock,
     HermiteGauss,
+    _gram,
     _hermitian,
     _residual_ratio,
     apply_diffop,
@@ -73,10 +77,11 @@ class NchoParams:
 
 @dataclass(frozen=True)
 class VecFun2:
-    """C^2-valued function on the line, by its two components."""
+    """C^2-valued function on the line, by its two components; or a family
+    of them, one per column of two :class:`~bargmann_lab.gaussalg.HermiteBlock`."""
 
-    upper: HermiteGauss
-    lower: HermiteGauss
+    upper: HermiteGauss | HermiteBlock
+    lower: HermiteGauss | HermiteBlock
 
     def scale(self, c: complex) -> "VecFun2":
         return VecFun2(self.upper.scale(c), self.lower.scale(c))
@@ -113,7 +118,16 @@ def eigenfunction_vec(p: NchoParams, sign: int, n: int) -> VecFun2:
     bridged Hermite system (its Gaussian factor already carries the
     ``exp(-+ i x^2 / 2 alpha h)`` phase).
     """
-    phi = _bridge_system(p, sign).hermite_phi(n)
+    return _scaled_pair(_bridge_system(p, sign).hermite_phi(n), sign)
+
+
+def _eigen_block(p: NchoParams, sign: int, N: int) -> VecFun2:
+    """Phi_{alpha,sign,n} for n < N, as one VecFun2 of blocks (column n)."""
+    return _scaled_pair(_bridge_system(p, sign).phi_block(N), sign)
+
+
+def _scaled_pair(phi, sign: int) -> VecFun2:
+    """``phi / sqrt 2 * (1, sign*i)``, for a function or a block."""
     s = 1 / math.sqrt(2)
     return VecFun2(phi.scale(s), phi.scale(sign * 1j * s))
 
@@ -156,8 +170,9 @@ def vec_inner(F: VecFun2, G: VecFun2) -> complex:
     )
 
 
-def vec_norm(F: VecFun2) -> float:
-    return math.hypot(norm_line(F.upper), norm_line(F.lower))
+def vec_norm(F: VecFun2):
+    """The L2 + L2 norm; one per column for a VecFun2 of blocks."""
+    return np.hypot(norm_line(F.upper), norm_line(F.lower))
 
 
 def spectrum_check(p: NchoParams, N: int) -> list[dict]:
@@ -165,29 +180,29 @@ def spectrum_check(p: NchoParams, N: int) -> list[dict]:
 
     Returns entries ``{"sign", "n", "lambda", "residual"}`` ordered by
     (n, sign), i.e. by increasing eigenvalue with the double multiplicity
-    adjacent.  As in :func:`~bargmann_lab.gaussalg.relative_residual`, a
+    adjacent.  Per sign, Q is applied once to the block of all N
+    eigenfunctions.  As in :func:`~bargmann_lab.gaussalg.relative_residual`, a
     residual that cannot be evaluated (||Phi|| evaluates to zero, ``Q Phi``
-    would exceed the degree cap, or a sum meets non-finite terms) is ``inf``.
+    would exceed the degree cap, or a sum meets non-finite terms) is ``inf``,
+    in that member's entry only.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
-    out = []
-    for n in range(N):
-        for sign, tag in ((+1, "+"), (-1, "-")):
-            lam = eigenvalue(p, n)
-            out.append(
-                {
-                    "sign": tag,
-                    "n": n,
-                    "lambda": lam,
-                    "residual": _vec_residual(p, eigenfunction_vec(p, sign, n), lam),
-                }
-            )
-    return out
+    lams = [eigenvalue(p, n) for n in range(N)]
+    residuals = {
+        tag: _vec_residual(p, _eigen_block(p, sign, N), lams)
+        for sign, tag in ((+1, "+"), (-1, "-"))
+    }
+    return [
+        {"sign": tag, "n": n, "lambda": lams[n], "residual": residuals[tag][n]}
+        for n in range(N)
+        for tag in "+-"
+    ]
 
 
-def _vec_residual(p: NchoParams, F: VecFun2, lam: float) -> float:
-    """||Q F - lam F|| / ||F||, or ``inf`` where it cannot be evaluated."""
+def _vec_residual(p: NchoParams, F: VecFun2, lam):
+    """||Q F - lam F|| / ||F||, or ``inf`` where it cannot be evaluated; for a
+    VecFun2 of blocks and one lam per column, a list of one per column."""
     return _residual_ratio(vec_norm, lambda G: apply_Q(p, G), F, lam)
 
 
@@ -195,9 +210,16 @@ def combined_gram(p: NchoParams, n: int) -> tuple[list[list[complex]], float]:
     """Gram matrix of Phi_{alpha,sign,k} for k < n, both signs, and its
     largest deviation from the identity (NaN if an entry is NaN).
 
-    Rows and columns run over (k, sign) with ``+`` first.  The matrix is
-    Hermitian: only its upper triangle and diagonal are computed.
+    Rows and columns run over (k, sign) with ``+`` first.  Each pair of
+    signs is one :func:`~bargmann_lab.gaussalg._gram` of the two blocks of
+    eigenfunctions, their components stacked: one overlap matrix per pair of
+    exponents.  The matrix is Hermitian: its lower triangle mirrors the
+    upper.
     """
-    vecs = [eigenfunction_vec(p, sign, k) for k in range(n) for sign in (+1, -1)]
-    G = _hermitian(lambda i, j: vec_inner(vecs[i], vecs[j]), len(vecs))
-    return G, gram_deviation(G)
+    blocks = [_eigen_block(p, sign, n) for sign in (+1, -1)]
+    G = np.empty((2 * n, 2 * n), complex)
+    for a, F in enumerate(blocks):
+        for b, H in enumerate(blocks):
+            G[a::2, b::2] = _gram((F.upper, F.lower), (H.upper, H.lower))
+    G = _hermitian(G)
+    return G.tolist(), gram_deviation(G)

@@ -26,6 +26,7 @@ import numpy as np
 from .gaussalg import (
     ComplexPoly,
     DiffOp,
+    HermiteBlock,
     HermiteGauss,
     HoloGauss,
     _worst,
@@ -48,13 +49,13 @@ from .hermite import HermiteSystem, gram_deviation
 from .ncho import NchoParams, combined_gram, spectrum_check
 from .ellipse import (
     EllipseParams,
-    Psi_n,
-    Psi_n_ladder,
+    Psi_family,
+    Psi_family_ladder,
     bridge_params,
     derived_constants,
     ladder_diffops,
+    psi_family_ladder,
     psi_n,
-    psi_n_ladder,
 )
 from .toeplitz import (
     RadialSymbol,
@@ -195,8 +196,8 @@ def suite_gaussint(
 def hermite_eigen_checks(sys_: HermiteSystem, n: int) -> tuple[list[dict], list[dict]]:
     """Eigen-entries of phi_0..phi_{n-1} and their ``eig_residual[n=k]`` checks."""
     entries = [
-        {"n": k, "eigenvalue": sys_.eigenvalue(k), "residual": sys_.eigen_residual(k)}
-        for k in range(n)
+        {"n": k, "eigenvalue": sys_.eigenvalue(k), "residual": res}
+        for k, res in enumerate(sys_.eigen_residuals(n))
     ]
     return _eigen_checks(entries, "eig_residual")
 
@@ -340,7 +341,9 @@ def ellipse_route_checks(p: EllipseParams, n: int, suffix: str = "") -> list[dic
     """The constants identity, and psi_0..psi_{n-1} by the Rodrigues vs. the
     ladder route (named ``psi_routes_dev`` + ``suffix``)."""
     identity = abs(p.a + 2 * p.lam - 1 / p.a.conjugate())
-    dev = _worst(coeff_deviation(psi_n(p, k), psi_n_ladder(p, k)) for k in range(n))
+    dev = _worst(
+        coeff_deviation(psi_n(p, k), u) for k, u in enumerate(psi_family_ladder(p, n))
+    )
     return [
         check("constants_identity_dev", identity, TOL_IDENTITY),
         check(f"psi_routes_dev{suffix}", dev, TOL_IDENTITY),
@@ -348,13 +351,15 @@ def ellipse_route_checks(p: EllipseParams, n: int, suffix: str = "") -> list[dic
 
 
 def ellipse_eigen_checks(p: EllipseParams, n: int, label: str) -> tuple[list[dict], list[dict]]:
-    """Eigen-entries of H_ab Psi_k for k < n and their ``label[n=k]`` checks."""
+    """Eigen-entries of H_ab Psi_k for k < n and their ``label[n=k]`` checks:
+    H_ab applied once to the block of Psi_0..Psi_{n-1}."""
     _, _, H = ladder_diffops(p)
-    entries = []
-    for k in range(n):
-        mu = p.eigen_gap * (2 * k + 1)
-        res = relative_residual(H, Psi_n(p, k), mu)
-        entries.append({"n": k, "eigenvalue": mu, "residual": res})
+    mus = [p.eigen_gap * (2 * k + 1) for k in range(n)]
+    residuals = relative_residual(H, HermiteBlock.stack(Psi_family(p, n)), mus)
+    entries = [
+        {"n": k, "eigenvalue": mu, "residual": res}
+        for k, (mu, res) in enumerate(zip(mus, residuals))
+    ]
     return _eigen_checks(entries, label)
 
 
@@ -364,7 +369,7 @@ def suite_ellipse(
     """Route agreement, quadrature norms, and oscillator residuals."""
     p = derived_constants(alpha, beta)
     checks = ellipse_route_checks(p, n_eig, f"[n<{n_eig}]")
-    dev = _worst(coeff_deviation(Psi_n(p, n), Psi_n_ladder(p, n)) for n in range(n_eig))
+    dev = _worst(map(coeff_deviation, Psi_family(p, n_eig), Psi_family_ladder(p, n_eig)))
     checks.append(check(f"Psi_routes_dev[n<{n_eig}]", dev, TOL_IDENTITY))
 
     G, _, dev = ellipse_gram(alpha, beta, n_gram)
@@ -400,8 +405,7 @@ def suite_bridge(alpha: float, beta: float, n_max: int = 11) -> list[dict]:
     p = derived_constants(alpha, beta)
     hs = HermiteSystem(bridge_params(p))
     checks = []
-    for n in range(n_max):
-        big = Psi_n(p, n)
+    for n, big in enumerate(Psi_family(p, n_max)):
         phi = hs.hermite_phi(n)
         exp_dev = abs(big.gamma2 - phi.gamma2) + abs(big.s - phi.s)
         coeff_dev = coeff_deviation(big, phi, collinear=True)

@@ -130,8 +130,10 @@ def test_domain_error_is_exit_1(capsys):
     (["ellipse", "--rho", "-1"], "--rho"),
     (["certify", "--suite", "transform", "--seed", "-1"], "--seed"),
     (["certify", "--suite", "all", "--seed=-5"], "--seed"),
+    (["ncho", "--n", "0"], "--n"),
+    (["ncho", "--n", "65"], "--n"),
 ], ids=["h", "alpha", "beta", "disk", "R", "rho", "B", "C", "samples-5", "samples0",
-        "h0", "ncho-h-1", "disk0", "R-2", "rho0", "rho-1", "seed-1", "seed-5"])
+        "h0", "ncho-h-1", "disk0", "R-2", "rho0", "rho-1", "seed-1", "seed-5", "n0", "n65"])
 def test_bad_flag_is_rejected_at_the_boundary(tmp_path, capsys, argv, flag):
     out = tmp_path / "artifact"
     assert cli.main([*argv, "-o", str(out)]) == 1
@@ -185,7 +187,7 @@ def test_tolerance_violation_is_exit_2(tmp_path, capsys, monkeypatch):
     # the Hermite-coefficient Psi_n meet every residual tolerance to n = 64,
     # so the family is shifted by one index: H Psi_{k+1} - mu_k Psi_{k+1} =
     # 2 eigen_gap Psi_{k+1}, a finite residual far above the tolerance
-    monkeypatch.setattr(suites, "Psi_n", lambda p, n: ellipse.Psi_n(p, n + 1))
+    monkeypatch.setattr(suites, "Psi_family", lambda p, n: ellipse.Psi_family(p, n + 1)[1:])
     out = tmp_path / "deep.json"
     rc = cli.main(["eigres", "--system", "ellipse", "--n", "40", "-o", str(out)])
     assert rc == 2
@@ -205,7 +207,9 @@ def test_unevaluable_ellipse_residual_is_exit_2(tmp_path, capsys, monkeypatch, a
     # the Hermite-coefficient route evaluates these inputs, so each case
     # injects one way a residual cannot be evaluated: ||Psi_n|| is zero, or
     # Psi_n has NaN coefficients; either is reported as inf
-    monkeypatch.setattr(suites, "Psi_n", lambda p, n: ellipse.Psi_n(p, n).scale(scale))
+    monkeypatch.setattr(
+        suites, "Psi_family", lambda p, n: [f.scale(scale) for f in ellipse.Psi_family(p, n)]
+    )
     out = tmp_path / "ell.json"
     assert cli.main(["certify", "--suite", "ellipse", *args, "-o", str(out)]) == 2
     capsys.readouterr()
@@ -262,12 +266,11 @@ def test_unevaluable_hermite_residual_is_exit_2(tmp_path, capsys, monkeypatch):
 
 
 def _nan_cross_sign_entries(monkeypatch):
-    """Make every ncho component pair on different exponents (the cross-sign
-    entries of the combined Gram) a NaN."""
-    inner = ncho.inner_product_line
+    """Make every overlap of ncho components on different exponents (the
+    cross-sign entries of the combined Gram) a NaN."""
     monkeypatch.setattr(
-        ncho, "inner_product_line",
-        lambda f, g: inner(f, g) if f.gamma2 == g.gamma2 else complex(math.nan, 0.0),
+        gaussalg, "_overlaps",
+        lambda g, g1, s1, s2, J, K: [[complex(math.nan, 0.0)] * K for _ in range(J)],
     )
 
 

@@ -40,10 +40,11 @@ from bargmann_lab.gaussalg import (
     apply_diffop,
     inner_product_line,
     norm_line,
+    relative_residual,
 )
 from bargmann_lab.hermite import HermiteSystem
 from bargmann_lab.phasecore import PhaseParams
-from bargmann_lab.suites import ELLIPSE_SETS, TOL_IDENTITY, ellipse_gram
+from bargmann_lab.suites import ELLIPSE_SETS, TOL_IDENTITY, ellipse_eigen_checks, ellipse_gram
 
 CLASSIC = PhaseParams(0.5j, -1j, 1j, 1.0)
 SETS = [(2.0, 0.0), (2.0, 1.0), (0.5, 3.0)]
@@ -391,3 +392,15 @@ def test_ellipse_gram_is_the_per_pair_inner_product(alpha, beta):
             closed = diag[k] if m == k else 0.0
             want_dev = max(want_dev, abs(g - closed) / math.sqrt(diag[m] * diag[k]))
     assert repr(dev) == repr(want_dev)
+
+
+@pytest.mark.parametrize("alpha,beta", ELLIPSE_SETS)
+def test_H_residual_checks_are_the_single_function_residuals(alpha, beta):
+    # H_ab is applied once to the block of Psi_0..Psi_40; each entry is the
+    # residual of its member alone, to round-off
+    p = derived_constants(alpha, beta)
+    _, _, H = ladder_diffops(p)
+    entries, _ = ellipse_eigen_checks(p, 41, "H_residual")
+    for e in entries:
+        want = relative_residual(H, Psi_n(p, e["n"]), e["eigenvalue"])
+        assert abs(e["residual"] - want) <= 1e-14 * want, e["n"]

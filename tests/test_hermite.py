@@ -25,7 +25,12 @@ from bargmann_lab.gaussalg import (
 )
 from bargmann_lab.hermite import HermiteSystem, gram_deviation
 from bargmann_lab.phasecore import PhaseParams, canonical_A
-from bargmann_lab.suites import HERMITE_PARAM_SETS, TOL_ALGEBRA, TOL_GRAM_QUAD
+from bargmann_lab.suites import (
+    HERMITE_PARAM_SETS,
+    TOL_ALGEBRA,
+    TOL_GRAM_QUAD,
+    hermite_eigen_checks,
+)
 
 TOL_EXACT_GRAM = 1e-10
 TOL_QUAD_GRAM = 1e-6
@@ -327,3 +332,29 @@ def test_truncated_expansion_converges_monotonically():
             defects.append(total - running)
         assert all(b <= a + 1e-15 for a, b in zip(defects, defects[1:]))
         assert abs(defects[-1]) < 1e-4
+
+
+@pytest.mark.parametrize("B,C,h", PARAM_SETS)
+def test_eigen_residual_checks_are_the_single_function_residuals(B, C, h):
+    # H is applied once to the block of phi_0..phi_40; each entry is the
+    # residual of its member alone, to round-off
+    hs = _system(B, C, h)
+    entries, _ = hermite_eigen_checks(hs, 41)
+    for e in entries:
+        want = hs.eigen_residual(e["n"])
+        assert abs(e["residual"] - want) <= 1e-14 * want, e["n"]
+
+
+def test_nan_member_eigen_residual_is_inf_in_its_own_entry_only(monkeypatch):
+    hs = _system(3.0, 1 + 2j, 0.5)
+    want = [hs.eigen_residual(n) for n in range(9)]
+    phi = HermiteSystem.hermite_phi
+
+    def nan_at_4(self, n):
+        return phi(self, n).scale(math.nan) if n == 4 else phi(self, n)
+
+    monkeypatch.setattr(HermiteSystem, "hermite_phi", nan_at_4)
+    entries, _ = hermite_eigen_checks(hs, 9)
+    got = [e["residual"] for e in entries]
+    assert got[4] == math.inf
+    assert all(abs(g - w) <= 1e-14 * w for n, (g, w) in enumerate(zip(got, want)) if n != 4)

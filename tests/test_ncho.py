@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bargmann_lab import ncho
 from bargmann_lab.gaussalg import (
     ComplexPoly,
     DiffOp,
@@ -12,11 +13,13 @@ from bargmann_lab.gaussalg import (
     HermiteGauss,
     apply_diffop,
 )
+from bargmann_lab.hermite import HermiteSystem
 from bargmann_lab.ncho import (
     NchoParams,
     VecFun2,
     apply_Q,
     block_ops,
+    combined_gram,
     eigenfunction_vec,
     eigenvalue,
     hermite_bridge,
@@ -192,3 +195,54 @@ def test_spectrum_certifies_to_degree_64(alpha, h):
     rows = spectrum_check(NchoParams(alpha, h), 64)
     assert {r["sign"] for r in rows} == {"+", "-"} and len(rows) == 128
     assert all(r["residual"] <= TOL_ALGEBRA for r in rows)
+
+
+def _single_residuals(p, N):
+    """The residual of each Phi_{alpha,sign,n} alone, by (n, sign)."""
+    return {
+        (tag, n): ncho._vec_residual(p, eigenfunction_vec(p, sign, n), eigenvalue(p, n))
+        for n in range(N)
+        for sign, tag in ((+1, "+"), (-1, "-"))
+    }
+
+
+@pytest.mark.parametrize("alpha,h", [(1.5, 1.0), (5.0, 0.5)])
+def test_spectrum_residuals_are_the_single_function_residuals(alpha, h):
+    # the spectrum applies Q once per sign to all members; each entry is
+    # the residual of its member alone, to round-off
+    p = NchoParams(alpha, h)
+    single = _single_residuals(p, 41)
+    rows = spectrum_check(p, 41)
+    assert len(rows) == 82 and {r["sign"] for r in rows} == {"+", "-"}
+    for r in rows:
+        want = single[(r["sign"], r["n"])]
+        assert abs(r["residual"] - want) <= 1e-14 * want, (r["sign"], r["n"])
+
+
+def test_nan_member_is_inf_in_its_own_entry_only(monkeypatch):
+    p = NchoParams(2.0, 1.0)
+    want = _single_residuals(p, 9)
+    phi = HermiteSystem.hermite_phi
+
+    def nan_at_5(self, n):
+        return phi(self, n).scale(math.nan) if n == 5 else phi(self, n)
+
+    monkeypatch.setattr(HermiteSystem, "hermite_phi", nan_at_5)
+    for r in spectrum_check(p, 9):
+        single = want[(r["sign"], r["n"])]
+        if r["n"] == 5:
+            assert r["residual"] == math.inf
+        else:
+            assert abs(r["residual"] - single) <= 1e-14 * single
+
+
+@pytest.mark.parametrize("alpha,h", [(1.5, 1.0), (2.0, 1e-200)])
+def test_combined_gram_is_the_per_pair_vec_inner(alpha, h):
+    p = NchoParams(alpha, h)
+    n = 12
+    G, dev = combined_gram(p, n)
+    vecs = [eigenfunction_vec(p, sign, k) for k in range(n) for sign in (+1, -1)]
+    for i, F in enumerate(vecs):
+        for j, H in enumerate(vecs):
+            assert abs(G[i][j] - vec_inner(F, H)) <= 1e-14, (i, j)
+    assert dev <= 1e-14
