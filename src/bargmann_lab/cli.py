@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import io
 import json
 import re
@@ -346,7 +347,11 @@ _COMMANDS: dict[str, _Command] = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it holds no state
+    between parses, and :func:`run` looks each command up in ``_COMMANDS``
+    when it runs."""
     parser = _Parser(prog="bargmann-lab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in _COMMANDS.items():

@@ -39,6 +39,7 @@ from typing import Iterator
 from .gaussalg import (
     DiffOp,
     DomainError,
+    HermiteBlock,
     HermiteGauss,
     HoloGauss,
     _check_index,
@@ -245,34 +246,37 @@ def Psi_family(p: EllipseParams, n: int) -> list[HermiteGauss]:
 def Psi_n_ladder(p: EllipseParams, n: int) -> HermiteGauss:
     """Psi_n as C_ab^n (P*_ab)^n Psi_0: the independent construction."""
     _check_index(n)
-    return _nth(_Psi_ladder_chain(p), n).scale(p.C_ab**n)
+    return _nth(_Psi_ladder_chain(p), n).scale(p.C_ab**n).column(0)
 
 
 def Psi_family_ladder(p: EllipseParams, n: int) -> list[HermiteGauss]:
     """Psi_0, ..., Psi_{n-1} by one ladder chain; member k is
     ``Psi_n_ladder(p, k)``, bit for bit."""
     _check_count(n)
-    return [f.scale(p.C_ab**k) for k, f in zip(range(n), _Psi_ladder_chain(p))]
+    return [f.scale(p.C_ab**k).column(0) for k, f in zip(range(n), _Psi_ladder_chain(p))]
 
 
-def _Psi_chain(p: EllipseParams) -> Iterator[HermiteGauss]:
+def _Psi_chain(p: EllipseParams) -> Iterator[HermiteBlock]:
     """The Rodrigues chain of the Psi_n: (d/dx)^k of the wide Gaussian, on
     Psi_0's scale."""
     return _rodrigues(DiffOp.d_dx(1.0), -p.eigen_gap, Psi0(p).s)
 
 
-def _Psi_amp(p: EllipseParams, n: int, f: HermiteGauss) -> HermiteGauss:
+def _Psi_amp(p: EllipseParams, n: int, f: HermiteBlock) -> HermiteGauss:
     """Psi_n from the n-th member f of its Rodrigues chain."""
     return _reattach(f, p.A_ab * (-p.C_ab) ** n, Psi0(p).gamma2)
 
 
-def _Psi_ladder_chain(p: EllipseParams) -> Iterator[HermiteGauss]:
-    """(P*_ab)^k Psi_0, k = 0, 1, ..."""
+def _Psi_ladder_chain(p: EllipseParams) -> Iterator[HermiteBlock]:
+    """(P*_ab)^k Psi_0, k = 0, 1, ..., as one-column blocks: one
+    :func:`apply_diffop` per index, each image trimmed
+    (:meth:`~bargmann_lab.gaussalg.HermiteBlock.trimmed`), so a member is,
+    bit for bit, what a chain of single functions gives."""
     _, Pstar, _ = ladder_diffops(p)
-    f = Psi0(p)
+    f = Psi0(p).block()
     while True:
         yield f
-        f = apply_diffop(Pstar, f)
+        f = apply_diffop(Pstar, f).trimmed()
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ one ``(gamma2, s, gamma1)``, one function per column.  ``_band`` and
 ``apply_diffop`` map all columns at once, ``norm_line`` and the eigen-residual
 ratio give one value per column, and a Gram matrix takes one matrix of
 overlaps per pair of exponents and two ``np.einsum`` contractions.  A single
-``HermiteGauss`` goes the same way as a one-column block.  Products are
+``HermiteGauss`` goes the same way as a one-column block, and the ladder and
+Rodrigues chains step on one-column blocks (:meth:`HermiteBlock.trimmed`),
+building a ``HermiteGauss`` only for the members they hand out.  Products are
 elementwise or ``np.einsum`` (default ``optimize=False``), never BLAS, so no
 BLAS thread runs and every value is the same from run to run.  A column's
 values do not depend on the other columns, except that a Gram entry's sum
@@ -37,7 +39,7 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -242,13 +244,29 @@ class HermiteBlock:
             A[: len(g.coeffs), j] = g.coeffs
         return HermiteBlock(A, f.gamma2, f.s, f.gamma1)
 
+    @property
+    def is_zero(self) -> bool:
+        """One row of zeros: every column is the zero function."""
+        return len(self.coeffs) == 1 and not np.count_nonzero(self.coeffs)
+
+    def trimmed(self) -> "HermiteBlock":
+        """The block without its top rows that are zero in every column (one
+        row is kept): of one column, the coefficients the column's
+        :class:`HermiteGauss` holds, so a chain of one-column blocks steps
+        on what a chain of functions would, bit for bit."""
+        A = self.coeffs
+        k = len(A)
+        while k > 1 and not np.count_nonzero(A[k - 1]):
+            k -= 1
+        return self if k == len(A) else HermiteBlock(A[:k], self.gamma2, self.s, self.gamma1)
+
     def column(self, j: int) -> HermiteGauss:
         return HermiteGauss(self.coeffs[:, j].tolist(), self.gamma2, self.s, self.gamma1)
 
+    @np.errstate(all="ignore")
     def scale(self, c) -> "HermiteBlock":
         """Every column times c: a number, or one number per column."""
-        with np.errstate(all="ignore"):
-            return HermiteBlock(self.coeffs * np.asarray(c), self.gamma2, self.s, self.gamma1)
+        return HermiteBlock(self.coeffs * np.asarray(c), self.gamma2, self.s, self.gamma1)
 
     def add(self, other: "HermiteBlock") -> "HermiteBlock":
         """Column-wise sum of two blocks on one ``(gamma2, gamma1, s)`` with one
@@ -512,11 +530,15 @@ class DiffOp:
     ``f -> coeff * x**j * (hD)**k f`` (differentiate first, then multiply).
     The named operators of the artifact all have ``j + k <= 2``, but
     composition is supported for arbitrary orders (needed to verify
-    operator identities like ``H = P*P + const``).
+    operator identities like ``H = P*P + const``).  The terms in the order
+    :func:`apply_diffop` sums them (``sorted_terms``) and the largest ``j +
+    k`` (``order``, 0 for no terms) are fixed at construction.
     """
 
     terms: Mapping[tuple[int, int], complex]
     h: float
+    sorted_terms: tuple = field(init=False, repr=False, compare=False)
+    order: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.h > 0:
@@ -528,6 +550,8 @@ class DiffOp:
             if c != 0:
                 clean[(int(j), int(k))] = complex(c)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "sorted_terms", tuple(sorted(clean.items())))
+        object.__setattr__(self, "order", max((j + k for j, k in clean), default=0))
 
     @staticmethod
     def hD(h: float) -> "DiffOp":
@@ -589,10 +613,18 @@ def _padded(A: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
 def _sqrt_2k(n: int) -> np.ndarray:
-    """The read-only column ``sqrt(2k)``, k = 0..n-1, made once per length."""
-    rt = np.sqrt(2.0 * np.arange(n)).reshape(-1, 1)
+    """The read-only column ``sqrt(2k)``, k = 0..n-1: the head of one table
+    per power-of-two length (:func:`_sqrt_2k_table`)."""
+    return _sqrt_2k_table(1 << (n - 1).bit_length())[:n]
+
+
+@functools.lru_cache(maxsize=None)
+def _sqrt_2k_table(n: int) -> np.ndarray:
+    """The read-only column ``sqrt(2k)``, k = 0..n-1, stored as the complex
+    numbers a real column would be cast to in a product with a complex
+    block, so the product takes no cast."""
+    rt = np.sqrt(2.0 * np.arange(n)).astype(complex).reshape(-1, 1)
     rt.setflags(write=False)
     return rt
 
@@ -603,44 +635,45 @@ def _band(A: np.ndarray, lo: complex, hi: complex) -> np.ndarray:
     ``R eta_k = sqrt(2(k+1)) eta_{k+1}``."""
     rt = _sqrt_2k(len(A) + 1)
     out = np.zeros((len(A) + 1, A.shape[1]), complex)
-    out[1:] = hi * (rt[1:] * A)
+    np.multiply(hi, rt[1:] * A, out=out[1:])
     out[:-2] += lo * (rt[1:-1] * A[1:])
     return out
 
 
 def apply_diffop(op: DiffOp, f):
     """Apply a :class:`DiffOp` exactly to a :class:`HermiteGauss` or to every
-    column of a :class:`HermiteBlock`; the exponent and scale are preserved.
+    column of a :class:`HermiteBlock`; the exponent and scale are preserved,
+    and the zero function (``is_zero``) is returned as it is.
 
     Each term is ``(hD)^k`` applied by iterated steps, then ``x**j``; the
     terms are summed in sorted order.  Both are bidiagonal maps
     (:func:`_band`): ``x = (s/2)(L + R)`` and ``hD = -i h ((1/s + gamma2 s) L +
     gamma2 s R + gamma1)``, the last term on the diagonal.
     """
+    if f.is_zero:
+        return f
     if isinstance(f, HermiteGauss):
-        return f if f.is_zero else _apply_block(op, f.block()).column(0)
+        return _apply_block(op, f.block()).column(0)
     return _apply_block(op, f)
 
 
+@np.errstate(all="ignore")
 def _apply_block(op: DiffOp, f: HermiteBlock) -> HermiteBlock:
     """:func:`apply_diffop` on a block."""
-    s, g2, minus_ih = f.s, f.gamma2, -1j * op.h
-    lo, hi, diag = minus_ih * (1 / s + g2 * s), minus_ih * g2 * s, minus_ih * f.gamma1
-    terms = sorted(op.terms.items())
-    powers = [f.coeffs]  # powers[k]: (hD)^k f
-    acc = np.zeros((len(f.coeffs) + max((j + k for (j, k), _ in terms), default=0),
-                    f.coeffs.shape[1]), complex)
-    with np.errstate(all="ignore"):
-        for (j, k), c in terms:
-            while len(powers) <= k:
-                p = powers[-1]
-                powers.append(_band(p, lo, hi))
-                if diag:
-                    powers[-1][:-1] += diag * p
-            term = powers[k]
-            for _ in range(j):
-                term = _band(term, s / 2, s / 2)
-            acc[: len(term)] += c * term
+    A, s, minus_ih = f.coeffs, f.s, -1j * op.h
+    lo, hi, diag = minus_ih * (1 / s + f.gamma2 * s), minus_ih * f.gamma2 * s, minus_ih * f.gamma1
+    acc = np.zeros((len(A) + op.order, A.shape[1]), complex)
+    powers = [A]  # powers[k]: (hD)^k f
+    for (j, k), c in op.sorted_terms:
+        while len(powers) <= k:
+            p = _band(powers[-1], lo, hi)
+            if diag:
+                p[:-1] += diag * powers[-1]
+            powers.append(p)
+        term = powers[k]
+        for _ in range(j):
+            term = _band(term, s / 2, s / 2)
+        acc[: len(term)] += c * term
     return HermiteBlock(acc, f.gamma2, f.s, f.gamma1)
 
 
@@ -652,22 +685,22 @@ def _check_index(n: int) -> None:
         raise DegreeCapError(f"index {n} exceeds cap {DEGREE_CAP}")
 
 
-def _rodrigues(op: DiffOp, core: complex, s: float) -> Iterator[HermiteGauss]:
+def _rodrigues(op: DiffOp, core: complex, s: float) -> Iterator[HermiteBlock]:
     """The Rodrigues chain ``op^k e^{core x^2}``, k = 0, 1, ..., on the scale
-    ``s`` (``op`` as a banded map): one banded step per index, so a family
-    of n members costs n - 1 steps, and its k-th member is the function the
-    chain gives alone, bit for bit (:func:`_nth`).  Member k of a family is
-    ``_reattach(f_k, amp_k, gamma2)``."""
-    f = HermiteGauss((1.0,), core, s)
+    ``s``, as one-column blocks: one :func:`apply_diffop` per index, each
+    image trimmed (:meth:`HermiteBlock.trimmed`), so a family of n members
+    costs n - 1 steps and is, bit for bit, the chain of single functions.
+    Member k of a family is ``_reattach(f_k, amp_k, gamma2)``."""
+    f = HermiteGauss((1.0,), core, s).block()
     while True:
         yield f
-        f = apply_diffop(op, f)
+        f = apply_diffop(op, f).trimmed()
 
 
-def _reattach(f: HermiteGauss, amp: complex, gamma2: complex) -> HermiteGauss:
-    """``amp e^{(gamma2 - core) x^2} f`` for f on the exponent ``core``: the
-    coefficients of ``amp f`` on the exponent gamma2."""
-    return HermiteGauss(f.scale(amp).coeffs, gamma2, f.s)
+def _reattach(f: HermiteBlock, amp: complex, gamma2: complex) -> HermiteGauss:
+    """``amp e^{(gamma2 - core) x^2} f`` for a one-column f on the exponent
+    ``core``: the coefficients of ``amp f`` on the exponent gamma2."""
+    return HermiteBlock(f.scale(amp).coeffs, gamma2, f.s).column(0)
 
 
 def _nth(chain: Iterator, n: int):

@@ -19,6 +19,7 @@ appears only as the independent Gram-matrix oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -69,15 +70,23 @@ class HermiteSystem:
     # -- constructions -----------------------------------------------------
 
     def hermite_phi(self, n: int) -> HermiteGauss:
-        """n-th generalized Hermite function, by the ladder recursion."""
+        """n-th generalized Hermite function, by the ladder recursion.
+
+        The ladder steps on one-column blocks (:func:`apply_diffop`, then the
+        scale), each trimmed as a :class:`HermiteGauss` is
+        (:meth:`~bargmann_lab.gaussalg.HermiteBlock.trimmed`), and caches
+        every member it passes as a function.
+        """
         _check_index(n)
         cache = self._phi_cache
         if len(cache) <= n:
             p = self.params
             _, pstar, _ = self.ladder_ops()
+            f = cache[-1].block()
             for m in range(len(cache), n + 1):  # building phi_m from phi_{m-1}
-                up = apply_diffop(pstar, cache[-1])
-                cache.append(up.scale(p.B / _sqrt_pos(m * 2 * p.h * p.C.imag)))
+                up = apply_diffop(pstar, f).trimmed()
+                f = up.scale(p.B / _sqrt_pos(m * 2 * p.h * p.C.imag)).trimmed()
+                cache.append(f.column(0))
         return cache[n]
 
     def rodrigues_phi(self, n: int) -> HermiteGauss:
@@ -113,7 +122,13 @@ class HermiteSystem:
     # -- operators ----------------------------------------------------------
 
     def ladder_ops(self) -> tuple[DiffOp, DiffOp, DiffOp]:
-        """(P, P*, H): annihilation, creation, modified oscillator.
+        """(P, P*, H): annihilation, creation, modified oscillator, built
+        once per system (:attr:`_ladder_ops`)."""
+        return self._ladder_ops
+
+    @functools.cached_property
+    def _ladder_ops(self) -> tuple[DiffOp, DiffOp, DiffOp]:
+        """(P, P*, H) of :meth:`ladder_ops`:
 
         P  = -(hD + conj(C) x)/conj(B)
         P* = -(hD + C x)/B
@@ -161,7 +176,8 @@ class HermiteSystem:
         return relative_residual(H, self.phi_block(N), mus)
 
     def phi_block(self, N: int) -> HermiteBlock:
-        """phi_0, ..., phi_{N-1} as the columns of one block."""
+        """phi_0, ..., phi_{N-1} as the columns of one block (N >= 1)."""
+        _check_nonempty(N)
         return HermiteBlock.stack([self.hermite_phi(n) for n in range(N)])
 
     # -- Gram matrices -------------------------------------------------------
@@ -182,6 +198,7 @@ class HermiteSystem:
         """
         if method not in ("exact", "quadrature"):
             raise DomainError(f"unknown method {method!r}")
+        _check_nonempty(N)
         if method == "exact":
             block = self.phi_block(N)
             return _hermitian(_gram([block], [block]))
@@ -189,6 +206,12 @@ class HermiteSystem:
         s = phis[0].s
         grid = line_grid(lambda x: -x * x / s**2)
         return _quad_block(grid, lambda x: [f(x) for f in phis], lambda x: np.conj([f(x) for f in phis]))
+
+
+def _check_nonempty(N: int) -> None:
+    """A family of N >= 1 members: an empty one has no block or Gram matrix."""
+    if N < 1:
+        raise DomainError(f"N = {N} must be >= 1")
 
 
 def _sqrt_pos(s: float) -> float:

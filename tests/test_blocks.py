@@ -27,6 +27,7 @@ from bargmann_lab.gaussalg import (
     apply_diffop,
     norm_line,
 )
+from bargmann_lab.hermite import HermiteSystem
 from bargmann_lab.ncho import NchoParams, combined_gram
 from bargmann_lab.suites import ELLIPSE_SETS
 
@@ -122,3 +123,18 @@ def test_combined_gram_takes_one_overlap_matrix_per_exponent_pair(monkeypatch, n
     assert 1 <= sum(calls.values()) <= 3
     assert set(calls.values()) == {1}
 
+
+
+_EMPTY_FAMILY_CALLS = {
+    "phi_block": lambda hs: hs.phi_block(0),
+    "gram_exact": lambda hs: hs.gram_matrix(0),
+    "gram_quadrature": lambda hs: hs.gram_matrix(0, method="quadrature"),
+    "eigen_residuals": lambda hs: hs.eigen_residuals(0),
+    "combined_gram": lambda hs: combined_gram(NchoParams(2.0, 1.0), 0),
+}
+
+
+@pytest.mark.parametrize("call", _EMPTY_FAMILY_CALLS.values(), ids=_EMPTY_FAMILY_CALLS)
+def test_an_empty_family_is_a_domain_error_naming_N(call):
+    with pytest.raises(DomainError, match="N = 0"):
+        call(HermiteSystem.from_bch(3.0, 1 + 2j, 0.5))

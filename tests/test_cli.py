@@ -96,6 +96,21 @@ def test_usage_error_is_exit_1(capsys):
     capsys.readouterr()
 
 
+def test_parser_is_built_once_and_reused_across_calls(tmp_path, capsys):
+    # a usage error between two runs of one command leaves no trace in the
+    # shared parser: both runs write the same bytes
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["ncho", "--alpha", "2", "--n", "3"]
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert cli.main([*argv, "-o", str(first)]) == 0
+    assert cli.main(["ncho", "--alpha", "2", "--n", "three"]) == 1
+    assert cli.main([*argv, "-o", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+    assert cli.main(["--help"]) == 0
+    assert cli.main(["gram", "--help"]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command", ["ellipse", "toeplitz"])
 def test_flag_a_command_does_not_take_is_exit_1(tmp_path, capsys, command):
     # no prefix matching: --h is not read as --help (which would exit 0)
