@@ -28,15 +28,13 @@ grid it is evaluated per node.  The projector fits its own grid to its
 column exponent, whose every point then factors per axis too; the Toeplitz
 blocks on a polar grid are radial sums times angular sums.
 
-Gauss rules are computed once per process: ``_gauss_rule`` fills a private
-cache, keyed by family and node count, on first use and hands out the same
-read-only (nodes, weights) arrays afterwards, so the hundreds of grids a
-certification battery builds share a handful of eigenvalue solves.  Each
-grid also computes its outer truncation shell once, at construction.
-
-Those eigenvalue solves, the program's only sizeable LAPACK calls, run
-inside ``_serial_blas``, on the calling thread only; the quadrature sums run
-in numpy's own ``einsum`` loops and call no BLAS.
+Gauss rules are built by Newton's method on their three-term recurrences,
+from asymptotic starts (Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29, 1420
+(2007); Hale & Townsend, ibid. 35, A652 (2013)), with no eigenvalue solve,
+and once per process: ``_gauss_rule`` caches them by family and node count,
+so the hundreds of grids of a certification battery share a handful of
+builds.  Each grid computes its outer truncation shell once, at
+construction.
 
 The one-dimensional oracles on intervals and half-lines (the rotated
 Gaussian integral, the radial eigenvalues) go through ``_adaptive_quad``, a
@@ -58,15 +56,11 @@ is a sum of one quadratic per axis.
 from __future__ import annotations
 
 import cmath
-import contextlib
-import ctypes
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
-from numpy.polynomial.legendre import leggauss
 
 from .gaussalg import DomainError, HermiteGauss, HoloGauss, _hermitian
 from .phasecore import PhaseParams, phi_phase, kernel_Psi, weight_Phi
@@ -158,81 +152,77 @@ class QuadGrid:
 # Grid construction
 # ---------------------------------------------------------------------------
 
-#: OpenBLAS's thread-count functions under the names its builds export:
-#: plain, with the ILP64 suffix ``64_``, and with the ``scipy_`` prefix of
-#: the builds that numpy wheels bundle.
-_OPENBLAS_THREAD_FUNCS = [
-    (f"{pre}openblas_get_num_threads{suf}", f"{pre}openblas_set_num_threads{suf}")
-    for pre in ("", "scipy_")
-    for suf in ("", "64_")
-]
-
-
-def _find_openblas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS that numpy's
-    linear algebra links, or None when numpy uses another BLAS."""
-    try:
-        from numpy.linalg import _umath_linalg
-
-        lib = ctypes.CDLL(_umath_linalg.__file__)  # its symbols and its BLAS's
-    except (ImportError, OSError):
-        return None
-    for get, set_ in _OPENBLAS_THREAD_FUNCS:
-        if hasattr(lib, get) and hasattr(lib, set_):
-            return getattr(lib, get), getattr(lib, set_)
-    return None
-
-
-#: Found once at import (numpy has loaded both libraries by then).
-_OPENBLAS_THREADS = _find_openblas_threads()
-
-
-@contextlib.contextmanager
-def _serial_blas():
-    """Run the enclosed BLAS/LAPACK calls on the calling thread only.
-
-    The program's matrices are small (the eigenvalue solve of a Gauss rule
-    of a few hundred nodes), so a second OpenBLAS thread does not speed
-    them up, but each threaded call has to wake it.  On a shared machine
-    that wake-up can stall one call for up to a second: on a 2-vCPU
-    virtual machine, in fresh processes with two OpenBLAS threads, 1 of 40
-    ``leggauss(400)`` calls took 0.53 s instead of 0.02 s, and one
-    ``certify --suite all`` in 14 spent 1.17 s in it.  Results do not
-    depend on the thread count; the previous count is restored on exit.
-    Without OpenBLAS this does nothing.
-    """
-    if _OPENBLAS_THREADS is None:
-        yield
-        return
-    get, set_ = _OPENBLAS_THREADS
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
 _RULES: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _gauss_rule(family: str, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (nodes, weights) of the n-point Gauss rule of ``family``.
-
-    ``family`` is ``"hermite"`` (weight e^{-t^2}) or ``"legendre"`` (on
-    [-1, 1]).  Each rule is computed on first use, by the module-level
-    ``hermgauss``/``leggauss`` under :func:`_serial_blas`, and then served
-    from a per-process cache; the arrays are shared, hence read-only.
+    """Read-only (nodes, weights) of the n-point Gauss rule of ``family``,
+    ``"hermite"`` or ``"legendre"`` (on [-1, 1]), built on first use and
+    served from a per-process cache.  The Hermite weights come times
+    e^{t^2}: ``sum w_i f(t_i)`` integrates ``e^{-t^2} poly(t)`` over the line.
     """
     key = (family, n)
     rule = _RULES.get(key)
     if rule is None:
-        with _serial_blas():
-            t, w = (hermgauss if family == "hermite" else leggauss)(n)
+        t, w = (_hermite_rule if family == "hermite" else _legendre_rule)(n)
         t.flags.writeable = False
         w.flags.writeable = False
         rule = _RULES[key] = (t, w)
     return rule
+
+
+def _newton_rule(n: int, starts: np.ndarray, step: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and weights of an n-point rule symmetric about 0, by
+    Newton's method from ``starts`` (the positive nodes, largest first) and,
+    for odd n, from 0, where the odd polynomial stays exactly 0.  ``step(x)``
+    returns the Newton step and the weight at x.  After a step below 1e-12
+    the next is below round-off, so the weights are taken where it lands.
+    """
+    x = np.append(starts, [0.0] * (n % 2))
+    for _ in range(10):
+        dx = step(x)[0]
+        x = x - dx
+        if np.abs(dx).max(initial=0.0) <= 1e-12:
+            w, m = step(x)[1], n // 2
+            return np.concatenate((-x[:m], x[::-1])), np.concatenate((w[:m], w[::-1]))
+    raise ArithmeticError(f"Newton's method did not converge on the {n}-point rule")
+
+
+def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Newton on the orthonormal Hermite function psi_n, which never
+    overflows (nor underflows, for n up to about 700), from the WKB starts
+    ``sqrt(2n+1) cos phi``, ``phi - sin phi cos phi = pi (k - 1/4)/(n + 1/2)``;
+    the weights times e^{t^2} are ``2/psi_n'^2``."""
+    c = math.pi * (np.arange(1, n // 2 + 1) - 0.25) / (n + 0.5)
+    phi = np.cbrt(1.5 * c)  # phi - sin phi cos phi = 2 phi^3/3 + O(phi^5)
+    for _ in range(8):
+        phi = phi - (phi - np.sin(phi) * np.cos(phi) - c) / (2.0 * np.sin(phi) ** 2)
+
+    def step(t):
+        prev, psi = 0.0, np.exp(-0.5 * t * t) * math.pi**-0.25
+        for k in range(n):
+            prev, psi = psi, math.sqrt(2.0 / (k + 1)) * t * psi - math.sqrt(k / (k + 1)) * prev
+        dpsi = math.sqrt(2.0 * n) * prev - t * psi
+        return psi / dpsi, 2.0 / (dpsi * dpsi)
+
+    return _newton_rule(n, math.sqrt(2.0 * n + 1) * np.cos(phi), step)
+
+
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Newton on P_n from Tricomi's starts; the weights are ``2/((1 - x^2)
+    P_n'^2)``, with 1 - x^2 as (1 - x)(1 + x)."""
+    theta = math.pi * (4.0 * np.arange(1, n // 2 + 1) - 1.0) / (4.0 * n + 2.0)
+    shrink = 1.0 - (n - 1) / (8.0 * n**3) - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4)
+
+    def step(x):
+        prev, p = 0.0, 1.0
+        for k in range(n):
+            prev, p = p, ((2 * k + 1) * x * p - k * prev) / (k + 1)
+        one_minus_x2 = (1.0 - x) * (1.0 + x)
+        dp = n * (prev - x * p) / one_minus_x2
+        return p / dp, 2.0 / (one_minus_x2 * dp * dp)
+
+    return _newton_rule(n, shrink * np.cos(theta), step)
 
 
 #: The double-exponential rules below are trapezoid sums over |t| <= 4.
@@ -312,6 +302,12 @@ def _adaptive_quad(
     return value, np.full(np.shape(value), math.inf)
 
 
+def _check_count(name: str, value: int) -> None:
+    """A node count below 1 is a DomainError that names it."""
+    if not value >= 1:
+        raise DomainError(f"{name} = {value} must be >= 1")
+
+
 def _fit_quad_1d(fn: Callable[[float], float]) -> tuple[float, float, float]:
     """Exact (c, m1, m2) with fn(x) = c + m1*x + m2*x**2 for quadratic fn."""
     c = fn(0.0)
@@ -326,15 +322,14 @@ def line_grid(real_exponent: Callable[[float], float], n: int = 200) -> QuadGrid
     exponent; the grid then integrates ``poly * exp(exponent)`` essentially
     exactly.
     """
+    _check_count("n", n)
     _, m1, m2 = _fit_quad_1d(real_exponent)
     if not m2 < 0:
         raise DomainError(f"integrand does not decay: quadratic coeff {m2}")
     center = -m1 / (2.0 * m2)
     scale = 1.0 / math.sqrt(-m2)
     t, w = _gauss_rule("hermite", n)
-    nodes = center + scale * t
-    weights = w * np.exp(t * t) * scale
-    return QuadGrid(nodes, weights)
+    return QuadGrid(center + scale * t, w * scale)
 
 
 #: The points at which a plane grid samples its exponent (:func:`_fit_quad_2d`).
@@ -373,6 +368,7 @@ def plane_grid(exponent: Callable[[complex], complex], n: int = 160) -> QuadGrid
     ``n``, and on these axes the exponent has no cross term, so ``e^E``
     factors per axis (:class:`PlaneAxes`).  A real exponent gives O = 1.
     """
+    _check_count("n", n)
     samples = _samples(exponent)
     M, L, _ = _fit_quad_2d([v.real for v in samples])
     evals, evecs = np.linalg.eigh(M)
@@ -381,8 +377,7 @@ def plane_grid(exponent: Callable[[complex], complex], n: int = 160) -> QuadGrid
             f"integrand does not decay in all directions: eigenvalues {evals}"
         )
     center = np.linalg.solve(2.0 * M, -L)
-    t, w = _gauss_rule("hermite", n)
-    ew = w * np.exp(t * t)
+    t, ew = _gauss_rule("hermite", n)
     s1 = 1.0 / math.sqrt(-evals[0])
     s2 = 1.0 / math.sqrt(-evals[1])
     scale, dirs = (s1, s2), evecs
@@ -437,8 +432,10 @@ def polar_grid(
     diagonal at quadrature level.  ``split_at`` places a radial panel break
     on a known discontinuity (e.g. an indicator boundary).
     """
-    if not r_max > 0:
-        raise DomainError("r_max must be positive")
+    if not 0 < r_max < math.inf:
+        raise DomainError(f"r_max = {r_max} must be positive and finite")
+    _check_count("n_r", n_r)
+    _check_count("n_theta", n_theta)
     breaks = [0.0]
     if split_at is not None and 0.0 < split_at < r_max:
         breaks.append(float(split_at))

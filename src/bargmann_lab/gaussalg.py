@@ -61,10 +61,10 @@ class DegreeCapError(DomainError):
     """A polynomial operation tried to exceed :data:`DEGREE_CAP`."""
 
 
-def _worst(devs: Iterable[float]) -> float:
-    """The largest of some deviations: NaN if any is (Python's ``max`` keeps
-    only a first NaN), 0.0 if there are none."""
-    return float(np.max(list(devs), initial=0.0))
+def _worst(devs: Iterable[float] | np.ndarray) -> float:
+    """The largest of some deviations (an iterable or a 1D array): NaN if any
+    is (Python's ``max`` keeps only a first NaN), 0.0 if there are none."""
+    return float(np.max(devs if isinstance(devs, np.ndarray) else list(devs), initial=0.0))
 
 
 def _hermitian(G: np.ndarray) -> np.ndarray:

@@ -224,11 +224,10 @@ def _sqrt_pos(s: float) -> float:
 def gram_deviation(G, diag: Sequence[float] | None = None) -> float:
     """Largest deviation of a Gram matrix (array or nested lists) from the
     diagonal ``diag`` (the identity when None), relative to the norms:
-    ``|G_jk - delta_jk diag_k| / sqrt(diag_j diag_k)``; NaN if any entry is."""
-    rows = np.asarray(G).tolist()
-    d = [1.0] * len(rows) if diag is None else diag
-    return _worst(
-        abs(g - (d[k] if j == k else 0.0)) / math.sqrt(d[j] * d[k])
-        for j, row in enumerate(rows)
-        for k, g in enumerate(row)
-    )
+    ``|G_jk - delta_jk diag_k| / sqrt(diag_j diag_k)``; NaN if any entry is.
+    The modulus is ``np.hypot``, which is Python's ``abs`` of a complex."""
+    G = np.asarray(G, dtype=complex)
+    d = np.ones(len(G)) if diag is None else np.asarray(diag, dtype=float)
+    D = G - np.diag(d)
+    with np.errstate(all="ignore"):
+        return _worst((np.hypot(D.real, D.imag) / np.sqrt(np.outer(d, d))).ravel())

@@ -12,8 +12,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from numpy.polynomial.hermite import hermgauss
-from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from bargmann_lab import bargmann, cli, suites
@@ -313,7 +311,7 @@ def test_plane_grid_axes_cancel_an_imaginary_cross_term():
     n = 24
     grid = plane_grid(exponent, n=n)
     axes = grid.axes
-    t = hermgauss(n)[0]
+    t = bargmann._gauss_rule("hermite", n)[0]
     l1 = (axes.along1[-1] - axes.center) / t[-1]
     l2 = (axes.along2[-1] - axes.center) / t[-1]
     zc = axes.center
@@ -411,62 +409,32 @@ def test_rule_and_shell_arrays_are_read_only():
             arr[0] = 0
 
 
-def test_grids_of_one_size_share_one_hermgauss_call(monkeypatch):
-    calls = []
+def test_grids_of_one_size_share_one_rule_build(monkeypatch):
+    builds = []
 
-    def counting_hermgauss(n):
-        calls.append(n)
-        return hermgauss(n)
+    def counting(family, builder):
+        def build(n):
+            builds.append((family, n))
+            return builder(n)
+
+        return build
 
     monkeypatch.setattr(bargmann, "_RULES", {})
-    monkeypatch.setattr(bargmann, "hermgauss", counting_hermgauss)
+    monkeypatch.setattr(bargmann, "_hermite_rule", counting("hermite", bargmann._hermite_rule))
+    monkeypatch.setattr(bargmann, "_legendre_rule", counting("legendre", bargmann._legendre_rule))
     line_grid(lambda x: -x * x, n=24)
     plane_grid(lambda z: -abs(z) ** 2, n=24)
     plane_grid(lambda z: -(z.real**2) - 3.0 * z.imag**2 + z.real, n=24)
-    assert calls == [24]
-
-
-def _openblas_thread_count():
-    threads = bargmann._OPENBLAS_THREADS
-    if threads is None:
-        pytest.skip("numpy's linear algebra does not link OpenBLAS")
-    return threads[0]
-
-
-def test_serial_blas_runs_one_thread_and_restores_the_count():
-    get = _openblas_thread_count()
-    before = get()
-    with bargmann._serial_blas():
-        assert get() == 1
-    assert get() == before
-    with pytest.raises(RuntimeError):
-        with bargmann._serial_blas():
-            raise RuntimeError
-    assert get() == before
-
-
-def test_gauss_rules_are_computed_on_one_thread_with_numpys_values(monkeypatch):
-    get = _openblas_thread_count()
-    seen = []
-
-    def recording_leggauss(n):
-        seen.append(get())
-        return leggauss(n)
-
-    monkeypatch.setattr(bargmann, "_RULES", {})
-    monkeypatch.setattr(bargmann, "leggauss", recording_leggauss)
-    t, w = bargmann._gauss_rule("legendre", 400)
-    assert seen == [1]
-    t_ref, w_ref = leggauss(400)
-    assert t.tobytes() == t_ref.tobytes() and w.tobytes() == w_ref.tobytes()
+    polar_grid(2.0, n_r=24, n_theta=4)
+    polar_grid(3.0, n_r=24, n_theta=8, split_at=1.0)
+    assert builds == [("hermite", 24), ("legendre", 24)]
 
 
 def _reference_plane_grid(M, L, n):
-    # the grid built from numpy's rule directly, as before the rule cache
+    # the grid built from the uncached rule directly
     evals, evecs = np.linalg.eigh(M)
     center = np.linalg.solve(2.0 * M, -L)
-    t, w = hermgauss(n)
-    ew = w * np.exp(t * t)
+    t, ew = bargmann._hermite_rule(n)
     s1, s2 = 1.0 / math.sqrt(-evals[0]), 1.0 / math.sqrt(-evals[1])
     t1, t2 = np.meshgrid(t * s1, t * s2, indexing="ij")
     xy = (
@@ -478,7 +446,7 @@ def _reference_plane_grid(M, L, n):
 
 
 def _reference_polar_grid(r_max, split, n_r, n_theta):
-    t, w = leggauss(n_r)
+    t, w = bargmann._legendre_rule(n_r)
     breaks = [0.0, split, r_max]
     r = np.concatenate([(b - a) / 2.0 * t + (b + a) / 2.0 for a, b in zip(breaks, breaks[1:])])
     wr = np.concatenate([(b - a) / 2.0 * w for a, b in zip(breaks, breaks[1:])]) * r
@@ -490,9 +458,9 @@ def _reference_polar_grid(r_max, split, n_r, n_theta):
 
 def test_cached_rules_give_the_grids_of_a_fresh_build():
     # dyadic coefficients: the exponent fits recover M and L exactly
-    t, w = hermgauss(40)
+    t, ew = bargmann._hermite_rule(40)
     scale = 1.0 / math.sqrt(0.5)
-    want_line = (0.25 + scale * t, w * np.exp(t * t) * scale)
+    want_line = (0.25 + scale * t, ew * scale)
     M = np.array([[-0.5, 0.125], [0.125, -0.25]])
     L = np.array([0.5, -0.25])
     want_plane = _reference_plane_grid(M, L, 40)
@@ -511,6 +479,19 @@ def test_cached_rules_give_the_grids_of_a_fresh_build():
         for grid, (nodes, weights) in grids:
             assert np.array_equal(grid.nodes, nodes)
             assert np.array_equal(grid.weights, weights)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("build,name", [
+    (lambda: line_grid(lambda x: -x * x, n=0), "n"),
+    (lambda: plane_grid(lambda z: -abs(z) ** 2, n=0), "n"),
+    (lambda: polar_grid(2.0, n_r=0), "n_r"),
+    (lambda: polar_grid(2.0, n_theta=0), "n_theta"),
+    (lambda: polar_grid(math.inf), "r_max"),
+])
+def test_grid_builders_reject_bad_sizes_by_name(build, name):
+    with pytest.raises(DomainError, match=f"^{name} = "):
+        build()
 
 
 def test_transform_oracle_keeps_a_nan_deviation(monkeypatch, tmp_path, capsys):

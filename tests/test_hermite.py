@@ -265,6 +265,36 @@ def test_gram_trivial():
     assert abs(G[0, 0] - 1) <= 1e-14
 
 
+def _gram_deviation_per_entry(G, diag=None):
+    # the deviation entry by entry, in Python scalars
+    rows = np.asarray(G).tolist()
+    d = [1.0] * len(rows) if diag is None else diag
+    devs = [
+        abs(g - (d[k] if j == k else 0.0)) / math.sqrt(d[j] * d[k])
+        for j, row in enumerate(rows)
+        for k, g in enumerate(row)
+    ]
+    return math.nan if any(map(math.isnan, devs)) else max(devs)
+
+
+def test_gram_deviation_is_the_per_entry_deviation_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        n = int(rng.integers(1, 13))
+        noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        G = np.eye(n) + noise * 10.0 ** rng.integers(-16, 1, size=(n, n))
+        diag = None
+        if trial % 2:
+            diag = (10.0 ** rng.uniform(-3, 3, size=n)).tolist()
+            G = G * np.sqrt(np.outer(diag, diag))
+        if trial % 5 == 3:
+            G[rng.integers(n), rng.integers(n)] = complex(math.nan, 1.0)
+        if trial % 7 == 4:
+            G[rng.integers(n), rng.integers(n)] = complex(math.inf, -math.inf)
+        for matrix in (G, G.tolist()):
+            assert repr(gram_deviation(matrix, diag)) == repr(_gram_deviation_per_entry(G, diag)), trial
+
+
 @pytest.mark.parametrize("B,C,h", PARAM_SETS)
 def test_gram_exact_is_identity(B, C, h):
     G = _system(B, C, h).gram_matrix(12, method="exact")
