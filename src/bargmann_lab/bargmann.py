@@ -33,8 +33,10 @@ from asymptotic starts (Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29, 1420
 (2007); Hale & Townsend, ibid. 35, A652 (2013)), with no eigenvalue solve,
 and once per process: ``_gauss_rule`` caches them by family and node count,
 so the hundreds of grids of a certification battery share a handful of
-builds.  Each grid computes its outer truncation shell once, at
-construction.
+builds.  A plane or polar grid keeps its weights and its per-axis arrays
+only: each chunk of a sum forms its nodes and its outer truncation shell
+from the axes, by broadcasting, so no array of the grid's nodes is built
+unless it is asked for (:class:`QuadGrid`).
 
 The one-dimensional oracles on intervals and half-lines (the rotated
 Gaussian integral, the radial eigenvalues) go through ``_adaptive_quad``, a
@@ -56,13 +58,13 @@ is a sum of one quadratic per axis.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .gaussalg import DomainError, HermiteGauss, HoloGauss, _hermitian
+from .gaussalg import DomainError, HermiteGauss, HoloGauss, _family_sums, _hermitian
 from .phasecore import PhaseParams, phi_phase, kernel_Psi, weight_Phi
 
 __all__ = [
@@ -114,7 +116,11 @@ class PolarAxes(NamedTuple):
     theta: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+#: The outer shell of a grid: the nodes whose distance from its centre is at
+#: least this fraction of the largest (:class:`QuadGrid`).
+_SHELL = 0.95
+
+
 class QuadGrid:
     """Quadrature nodes and positive weights, as read-only arrays.
 
@@ -124,28 +130,92 @@ class QuadGrid:
     other grids.  ``shell`` is the read-only boolean mask of the outer node
     shell, ``|node - mean| >= 0.95 max``, on which the truncation check of
     every sum looks for mass.
+
+    A grid made from its nodes, ``QuadGrid(nodes, weights)``, holds copies
+    of them and its shell.  A plane or polar grid (:func:`plane_grid`,
+    :func:`polar_grid`) holds its weights and its per-axis arrays only: each
+    chunk of a sum forms its nodes and shell from the axes, by broadcasting
+    (:meth:`_chunk`), and ``nodes`` and ``shell`` are formed over the whole
+    grid on first access.  On these grids the mean is known exactly, the
+    plane grid's center or the origin, and the largest distance from it
+    lies at a corner of the plane grid and on the outer radius of the polar
+    grid, whose shell is the nodes at its outer radii.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    axes: PlaneAxes | PolarAxes | None = None
-    shell: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        nodes = np.array(self.nodes)
-        weights = np.array(self.weights, dtype=float)
+    def __init__(self, nodes, weights, axes: PlaneAxes | PolarAxes | None = None):
+        nodes = np.array(nodes)
+        weights = np.array(weights, dtype=float)
         if nodes.shape != weights.shape:
             raise DomainError("nodes and weights must have equal length")
         if not (weights > 0).all():
             raise DomainError("weights must be positive")
         r = np.abs(nodes - nodes.mean())
-        shell = r >= 0.95 * r.max()
-        arrays = [a for a in self.axes or () if isinstance(a, np.ndarray)]
-        for arr in (nodes, weights, shell, *arrays):
-            arr.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "shell", shell)
+        _read_only(nodes, weights, *(axes or ()))
+        self.__dict__.update(
+            weights=weights, axes=axes, _rows=None,
+            _arrays=_read_only(nodes, r >= _SHELL * r.max()),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a QuadGrid is read-only: cannot set {name!r}")
+
+    @classmethod
+    def _tensor(cls, weights: np.ndarray, axes, width: int, rows) -> "QuadGrid":
+        """A plane or polar grid of nodes ``i width + j``: ``rows(span)``
+        gives the nodes and shell mask of the rows i in the slice ``span``,
+        each as a (rows, width) array."""
+        if not weights.min() > 0:
+            raise DomainError("weights must be positive")
+        grid = cls.__new__(cls)
+        _read_only(weights, *axes)
+        grid.__dict__.update(weights=weights, axes=axes, _rows=(width, rows))
+        return grid
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self._arrays[0]
+
+    @property
+    def shell(self) -> np.ndarray:
+        return self._arrays[1]
+
+    @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(nodes, shell) of a tensor grid, formed on first access."""
+        return _read_only(*self._chunk(0, self.weights.size))
+
+    def _chunk(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The nodes ``start .. stop - 1`` and their shell mask."""
+        if self._rows is None:
+            nodes, shell = self._arrays
+            return nodes[start:stop], shell[start:stop]
+        width, rows = self._rows
+        span, part = _row_span(start, stop - start, width)
+        z, on = rows(span)
+        return _flat(z, part), _flat(on, part)
+
+
+def _read_only(*arrays):
+    """The numpy arrays among ``arrays`` made read-only; returns ``arrays``."""
+    for a in arrays:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return arrays
+
+
+def _row_span(start: int, size: int, width: int) -> tuple[slice, slice]:
+    """Entries ``start .. start + size - 1`` of a tensor product whose entry
+    ``i width + j`` is on row i: the rows that hold them, and their slice of
+    those rows laid end to end (:func:`_flat`)."""
+    first = start // width
+    offset = start - first * width
+    return slice(first, -(-(start + size) // width)), slice(offset, offset + size)
+
+
+def _flat(rows: np.ndarray, part: slice) -> np.ndarray:
+    """The entries ``part`` of the last two axes of ``rows``, end to end."""
+    *lead, m, n = rows.shape
+    return rows.reshape(*lead, m * n)[..., part]
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +258,21 @@ def _newton_rule(n: int, starts: np.ndarray, step: Callable) -> tuple[np.ndarray
     raise ArithmeticError(f"Newton's method did not converge on the {n}-point rule")
 
 
+#: The largest Gauss-Hermite rule :func:`_hermite_rule` builds.  Its
+#: recurrence starts from psi_0 at the nodes, about 4e-296 at the largest
+#: node of 700; from 730 nodes that is subnormal, the outer weights lose
+#: their digits, and from about 770 Newton's method fails.
+_HERMITE_MAX = 700
+
+
 def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Newton on the orthonormal Hermite function psi_n, which never
-    overflows (nor underflows, for n up to about 700), from the WKB starts
-    ``sqrt(2n+1) cos phi``, ``phi - sin phi cos phi = pi (k - 1/4)/(n + 1/2)``;
-    the weights times e^{t^2} are ``2/psi_n'^2``."""
+    overflows (nor underflows, for n up to :data:`_HERMITE_MAX`, above which
+    it is a DomainError), from the WKB starts ``sqrt(2n+1) cos phi``, ``phi -
+    sin phi cos phi = pi (k - 1/4)/(n + 1/2)``; the weights times e^{t^2} are
+    ``2/psi_n'^2``."""
+    if n > _HERMITE_MAX:
+        raise DomainError(f"n = {n} exceeds {_HERMITE_MAX}, the largest Gauss-Hermite rule")
     c = math.pi * (np.arange(1, n // 2 + 1) - 0.25) / (n + 0.5)
     phi = np.cbrt(1.5 * c)  # phi - sin phi cos phi = 2 phi^3/3 + O(phi^5)
     for _ in range(8):
@@ -389,17 +469,26 @@ def plane_grid(exponent: Callable[[complex], complex], n: int = 160) -> QuadGrid
             )
         frame = evecs * [s1, s2]
         scale, dirs = (1.0, 1.0), frame @ np.linalg.eigh(frame.T @ M_im @ frame)[1]
-    t1 = (t * scale[0])[:, None]
-    t2 = (t * scale[1])[None, :]
+    t1, t2 = t * scale[0], t * scale[1]
     x1, y1 = center[0] + t1 * dirs[0, 0], center[1] + t1 * dirs[1, 0]
-    x = x1 + t2 * dirs[0, 1]
-    y = y1 + t2 * dirs[1, 1]
-    ww = (np.outer(ew, ew) * (s1 * s2)).reshape(-1)
-    along2 = (center[0] + t2 * dirs[0, 1]) + 1j * (center[1] + t2 * dirs[1, 1])
-    axes = PlaneAxes(
-        samples, complex(*center), (x1 + 1j * y1).reshape(-1), along2.reshape(-1)
-    )
-    return QuadGrid((x + 1j * y).reshape(-1), ww, axes)
+    dx, dy = t2 * dirs[0, 1], t2 * dirs[1, 1]
+    zc = complex(*center)
+
+    def nodes(i):  # x + iy as 1j y + x: the same bits, without a buffered cast
+        z = 1j * (y1[i, None] + dy)
+        z += x1[i, None] + dx
+        return z
+
+    reach = _SHELL * np.abs(nodes([0, -1])[:, [0, -1]] - zc).max()
+
+    def rows(span):
+        z = nodes(span)
+        return z, np.abs(z - zc) >= reach
+
+    ww = np.einsum("i,j->ij", ew, ew)  # np.outer would take a 128 KB buffer as well
+    ww *= s1 * s2
+    axes = PlaneAxes(samples, zc, x1 + 1j * y1, (center[0] + dx) + 1j * (center[1] + dy))
+    return QuadGrid._tensor(ww.reshape(-1), axes, n, rows)
 
 
 def hphi_grid(p: PhaseParams, U: HoloGauss, V: HoloGauss, n: int = 160) -> QuadGrid:
@@ -449,10 +538,25 @@ def polar_grid(
     wr = np.concatenate(rw) * r  # Jacobian r dr dtheta
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     wt = 2.0 * math.pi / n_theta
-    rr, tt = np.meshgrid(r, theta, indexing="ij")
-    nodes = (rr * np.cos(tt) + 1j * (rr * np.sin(tt))).reshape(-1)
+    cos, sin = np.cos(theta), np.sin(theta)
+    outer = _polar_shell(r)
+
+    def rows(span):
+        rr = r[span, None]
+        z = 1j * (rr * sin)  # as in plane_grid
+        z += rr * cos
+        return z, np.broadcast_to(outer[span, None], z.shape)
+
     radial = wr * wt
-    return QuadGrid(nodes, np.repeat(radial, n_theta), PolarAxes(r, radial, theta))
+    axes = PolarAxes(r, radial, theta)
+    return QuadGrid._tensor(np.repeat(radial, n_theta), axes, n_theta, rows)
+
+
+def _polar_shell(r: np.ndarray) -> np.ndarray:
+    """Which radii of a polar grid carry its outer shell: those at least
+    0.95 of the largest.  With two or more angles the grid's mean is the
+    origin and ``|node|`` is its radius, to round-off."""
+    return r >= _SHELL * r.max()
 
 
 # ---------------------------------------------------------------------------
@@ -507,20 +611,22 @@ def _quad_block(grid: QuadGrid, rows, cols=None, exponent=None) -> np.ndarray:
     values, evaluated once per chunk for both.  ``exponent``, if given, maps
     nodes to the exponent E of a factor ``e^E`` of every row: per axis on a
     plane grid fitted to E (the same samples at :data:`_FIT_POINTS`, bit for
-    bit), per node on any other grid.  The factors are multiplied in chunk by chunk; no array
-    spans all nodes.
+    bit), per node on any other grid.  The chunk's nodes, its shell mask
+    and the factors are formed chunk by chunk (:meth:`QuadGrid._chunk`);
+    no array spans all nodes.
 
     Each sum is checked for truncation as if it stood alone: its total and
     outer-shell masses are the same sums of ``|w r_j| |c_k|``, over all
-    nodes and over ``grid.shell``.  The products run in ``np.einsum``,
+    nodes and over the grid's shell.  The products run in ``np.einsum``,
     numpy's own loops: no BLAS thread, and each sum is the same, bit for
     bit, whichever other sums run with it.
     """
     factors = None if exponent is None else _fitted_factors(grid, exponent)
     sums = total = shell = 0.0
-    for start in range(0, grid.nodes.size, _CHUNK):
-        part = slice(start, start + _CHUNK)
-        z, on = grid.nodes[part], grid.shell[part]
+    size = grid.weights.size
+    for start in range(0, size, _CHUNK):
+        stop = min(start + _CHUNK, size)
+        z, on = grid._chunk(start, stop)
         r = _on_chunk(rows, z)
         if cols is None:
             c = np.ones((1, z.size))
@@ -534,7 +640,7 @@ def _quad_block(grid: QuadGrid, rows, cols=None, exponent=None) -> np.ndarray:
             r = r * _on_axes(factors, start, z.size)
         elif exponent is not None:
             r = r * np.exp(exponent(z))
-        r = grid.weights[part] * r
+        r = grid.weights[start:stop] * r
         sums = sums + np.einsum("jn,kn->jk", r, c)
         r, c = np.abs(r), np.abs(c)
         total = total + np.einsum("jn,kn->jk", r, c)
@@ -574,12 +680,8 @@ def _on_axes(factors, start: int, size: int) -> np.ndarray:
     """``a_i b_j`` at nodes ``start .. start + size - 1`` (node ``i n + j``):
     the whole rows i that hold them, by broadcasting, then the slice."""
     a, b = factors
-    n = b.shape[-1]
-    first = start // n
-    rows = a[..., first : -(-(start + size) // n), None] * b[..., None, :]
-    offset = start - first * n
-    rows = rows.reshape(*rows.shape[:-2], rows.shape[-2] * n)
-    return rows[..., offset : offset + size]
+    span, part = _row_span(start, size, b.shape[-1])
+    return _flat(a[..., span, None] * b[..., None, :], part)
 
 
 # ---------------------------------------------------------------------------
@@ -717,12 +819,13 @@ def projector_apply(
 def _pair_block(p: PhaseParams, fs, gs, grid: QuadGrid) -> np.ndarray:
     """``[sum w f_j conj(g_k) e^{pair exponent}]`` for functions fs sharing
     one exponent and gs sharing another: the rows are Hermite sums, the
-    columns conjugated Hermite sums (the rows' own, when gs is fs), and the
-    pair exponent is the factor that :func:`_quad_block` multiplies in."""
+    columns conjugated Hermite sums (the rows' own, when gs is fs), each
+    family on one recurrence pass per chunk where it shares one basis, and
+    the pair exponent is the factor that :func:`_quad_block` multiplies in."""
     return _quad_block(
         grid,
-        lambda zs: [f.hermite_sum(zs) for f in fs],
-        _CONJ_ROWS if gs is fs else lambda zs: [np.conj(g.hermite_sum(zs)) for g in gs],
+        lambda zs: _family_sums(fs, zs),
+        _CONJ_ROWS if gs is fs else lambda zs: [np.conj(v) for v in _family_sums(gs, zs)],
         lambda zs: _pair_exponent(p, fs[0], gs[0], zs),
     )
 

@@ -36,6 +36,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .gaussalg import (
     DiffOp,
     DomainError,
@@ -43,6 +45,7 @@ from .gaussalg import (
     HermiteGauss,
     HoloGauss,
     _check_index,
+    _kept_rows,
     _nth,
     _reattach,
     _rodrigues,
@@ -195,22 +198,29 @@ def psi_n(p: EllipseParams, n: int) -> HoloGauss:
 def psi_n_ladder(p: EllipseParams, n: int) -> HoloGauss:
     """psi_n as (Lambda*)^n psi_0, n banded maps: the independent construction."""
     _check_index(n)
-    return _nth(_psi_ladder_chain(p), n)
+    return psi0(p).on_basis(_nth(_psi_ladder_chain(p), n)[:, 0].tolist())
 
 
 def psi_family_ladder(p: EllipseParams, n: int) -> list[HoloGauss]:
     """psi_0, ..., psi_{n-1} by one ladder chain; member k is
     ``psi_n_ladder(p, k)``, bit for bit."""
     _check_count(n)
-    return list(itertools.islice(_psi_ladder_chain(p), n))
-
-
-def _psi_ladder_chain(p: EllipseParams) -> Iterator[HoloGauss]:
-    """(Lambda*)^k psi_0, k = 0, 1, ..."""
     u = psi0(p)
+    return [u.on_basis(a[:, 0].tolist()) for a in itertools.islice(_psi_ladder_chain(p), n)]
+
+
+def _psi_ladder_chain(p: EllipseParams) -> Iterator[np.ndarray]:
+    """(Lambda*)^k psi_0, k = 0, 1, ..., as coefficient columns on psi_0's
+    exponent and basis: Lambda*'s :meth:`~bargmann_lab.gaussalg.HoloGauss.ladder_map`,
+    built once, each image trimmed as a ``HoloGauss`` is, so a member is,
+    bit for bit, what a chain of ``apply_ladder`` steps gives."""
+    u = psi0(p)
+    step = u.ladder_map(*_LADDERS["lambda_star"](p))
+    a = np.array(u.coeffs).reshape(-1, 1)
     while True:
-        yield u
-        u = apply_ladder(p, "lambda_star", u)
+        yield a
+        a = step(a)
+        a = a[: _kept_rows(a)]
 
 
 def _check_count(n: int) -> None:
@@ -302,11 +312,16 @@ def apply_ladder(p: EllipseParams, which: str, f: HoloGauss) -> HoloGauss:
     ladders are the :func:`ladder_diffops`)."""
     if not isinstance(f, HoloGauss):
         raise DomainError(f"{which} acts on HoloGauss")
-    if which == "lambda":
-        return f.ladder(1 / p.a, 0.5)
-    if which == "lambda_star":
-        return f.ladder(1.0, (p.a + 2 * p.lam) / 2)
-    raise DomainError(f"unknown operator {which!r}")
+    if which not in _LADDERS:
+        raise DomainError(f"unknown operator {which!r}")
+    return f.ladder(*_LADDERS[which](p))
+
+
+#: The holomorphic ladders as ``d f' + m z f``: their (d, m).
+_LADDERS = {
+    "lambda": lambda p: (1 / p.a, 0.5),
+    "lambda_star": lambda p: (1.0, (p.a + 2 * p.lam) / 2),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -255,9 +255,7 @@ class HermiteBlock:
         :class:`HermiteGauss` holds, so a chain of one-column blocks steps
         on what a chain of functions would, bit for bit."""
         A = self.coeffs
-        k = len(A)
-        while k > 1 and not np.count_nonzero(A[k - 1]):
-            k -= 1
+        k = _kept_rows(A)
         return self if k == len(A) else HermiteBlock(A[:k], self.gamma2, self.s, self.gamma1)
 
     def column(self, j: int) -> HermiteGauss:
@@ -278,6 +276,15 @@ class HermiteBlock:
         with np.errstate(all="ignore"):
             out[: len(a)] += a
         return HermiteBlock(out, self.gamma2, self.s, self.gamma1)
+
+
+def _kept_rows(A: np.ndarray) -> int:
+    """The rows of a coefficient array up to its last row with a nonzero
+    entry, at least one: what :func:`_trim` keeps of a single column."""
+    k = len(A)
+    while k > 1 and not np.count_nonzero(A[k - 1]):
+        k -= 1
+    return k
 
 
 def _one_basis(fs) -> bool:
@@ -349,7 +356,15 @@ class HoloGauss:
         return ComplexPoly.from_coeffs(acc)
 
     def ladder(self, d: complex, m: complex) -> "HoloGauss":
-        """``d f' + m z f``, exact, on the same exponent and basis.
+        """``d f' + m z f``, exact, on the same exponent and basis
+        (:meth:`ladder_map` on the coefficients)."""
+        out = self.ladder_map(d, m)(np.array(self.coeffs).reshape(-1, 1))
+        return self.on_basis(out[:, 0].tolist())
+
+    def ladder_map(self, d: complex, m: complex) -> Callable[[np.ndarray], np.ndarray]:
+        """The map of :meth:`ladder` on K x 1 coefficient columns on this
+        function's exponent and basis (K + 1 rows out, not trimmed), with its
+        constants computed once, for chains of steps.
 
         ``f' = (P' + (2 c2 z + c1) P) e^{c2 z^2 + c1 z}``.  In the ``p_k``,
         ``d/dy = L`` and ``y = (rho2/2) L + R/2`` (:func:`_band`); with ``P'
@@ -358,13 +373,31 @@ class HoloGauss:
         """
         zc = 2 * d * self.c2 + m  # the coefficient of z P
         lo = d * self.y1 + zc * self.rho2 / (2 * self.y1)
+        hi = zc / (2 * self.y1)
         diag = d * self.c1 - zc * self.y0 / self.y1
-        a = np.array(self.coeffs).reshape(-1, 1)
-        with np.errstate(all="ignore"):
-            out = _band(a, lo, zc / (2 * self.y1))
+
+        @np.errstate(all="ignore")
+        def step(a: np.ndarray) -> np.ndarray:
+            out = _band(a, lo, hi)
             if diag:
                 out[:-1] += diag * a
-        return HoloGauss(out[:, 0].tolist(), self.c2, self.c1, self.y0, self.y1, self.rho2)
+            return out
+
+        return step
+
+    def on_basis(self, coeffs: Sequence[complex]) -> "HoloGauss":
+        """The function with ``coeffs`` on this one's exponent and basis."""
+        return HoloGauss(coeffs, self.c2, self.c1, self.y0, self.y1, self.rho2)
+
+
+def _family_sums(fs: Sequence[HoloGauss], z) -> list:
+    """``[f.hermite_sum(z) for f in fs]``, bit for bit; functions on one
+    basis ``(y0, y1, rho2)`` share one pass of the recurrence
+    (:func:`_hermite_sums`)."""
+    f = fs[0]
+    if any((g.y0, g.y1, g.rho2) != (f.y0, f.y1, f.rho2) for g in fs):
+        return [g.hermite_sum(z) for g in fs]
+    return _hermite_sums([g.coeffs for g in fs], f.y0 + f.y1 * z, f.rho2)
 
 
 def _hermite_sum(coeffs: Sequence[complex], y, rho2: complex):
@@ -374,9 +407,11 @@ def _hermite_sum(coeffs: Sequence[complex], y, rho2: complex):
         p_{k+1} = sqrt(2/(k+1)) y p_k - rho2 sqrt(k/(k+1)) p_{k-1},  p_0 = 1.
 
     The line's ``eta_k(x/s)`` are ``y = x/s``, ``rho2 = 1``.  With one
-    coefficient the sum is a number, which broadcasts against y.  The
-    updates run in place where they can: on a plane grid every array
-    allocated costs a few hundred kilobytes."""
+    coefficient the sum is a number, which broadcasts against y.  A zero
+    coefficient adds no term (its ``0 p_k`` is a zero, or NaN where ``p_k``
+    has overflowed), as in :func:`_hermite_sums`.  The updates run in place
+    where they can: on a plane grid every array allocated costs a few
+    hundred kilobytes."""
     prev, cur = 0.0, 1.0
     acc = coeffs[0] * cur
     for k, a in enumerate(coeffs[1:], 1):
@@ -385,8 +420,30 @@ def _hermite_sum(coeffs: Sequence[complex], y, rho2: complex):
         prev *= rho2 * math.sqrt((k - 1) / k)
         nxt -= prev
         prev, cur = cur, nxt
-        acc += a * cur
+        if a:
+            acc += a * cur
     return acc
+
+
+def _hermite_sums(rows: Sequence[Sequence[complex]], y, rho2: complex) -> list:
+    """:func:`_hermite_sum` of each coefficient sequence of ``rows``, on one
+    pass of its recurrence: each ``p_k`` is added to the sums whose
+    coefficient k is nonzero, so every sum is its own :func:`_hermite_sum`,
+    bit for bit.  (The single sum keeps its own loop: for a number y, the
+    loop over the rows would double its time.)"""
+    prev, cur = 0.0, 1.0
+    columns = itertools.zip_longest(*rows, fillvalue=0)  # a shorter row's zeros add nothing
+    sums = [a * cur for a in next(columns)]
+    for k, column in enumerate(columns, 1):
+        nxt = math.sqrt(2 / k) * y
+        nxt *= cur
+        prev *= rho2 * math.sqrt((k - 1) / k)
+        nxt -= prev
+        prev, cur = cur, nxt
+        for j, a in enumerate(column):
+            if a:
+                sums[j] += a * cur
+    return sums
 
 
 def _close(a: complex, b: complex) -> bool:

@@ -42,7 +42,7 @@ from .gaussalg import (
     relative_residual,
 )
 from .phasecore import PhaseParams, canonical_A
-from .bargmann import _quad_block, line_grid
+from .bargmann import _CONJ_ROWS, _quad_block, line_grid
 
 __all__ = ["HermiteSystem", "gram_deviation"]
 
@@ -191,8 +191,9 @@ class HermiteSystem:
         one block of :func:`~bargmann_lab.bargmann._quad_block` on the line
         grid of the combined exponent of phi_m conj(phi_n), the real Gaussian
         ``-x^2/s^2`` (s = sqrt(h/Im C)), where the rule is exact up to
-        round-off; values from the three-term recurrence, the rule from the
-        per-process cache the plane grids share.
+        round-off; values from the three-term recurrence, once per chunk for
+        their row and their conjugated column, the rule from the per-process
+        cache the plane grids share.
         The exact matrix is Hermitian: its lower triangle mirrors the upper
         (see :func:`~bargmann_lab.gaussalg._hermitian`).
         """
@@ -205,7 +206,7 @@ class HermiteSystem:
         phis = [self.hermite_phi(n) for n in range(N)]
         s = phis[0].s
         grid = line_grid(lambda x: -x * x / s**2)
-        return _quad_block(grid, lambda x: [f(x) for f in phis], lambda x: np.conj([f(x) for f in phis]))
+        return _quad_block(grid, lambda x: [f(x) for f in phis], _CONJ_ROWS)
 
 
 def _check_nonempty(N: int) -> None:

@@ -48,6 +48,7 @@ from .bargmann import (
     polar_grid,
     _adaptive_quad,
     _check_truncation,
+    _polar_shell,
     _quad_block,
 )
 
@@ -205,7 +206,8 @@ def _toeplitz_entries(
     On a polar grid, ``T_mn = sum_k w_k c(r_k^2) e^{-r_k^2/2} P_m(r_k)
     P_n(r_k) * sum_l e^{i(m-n) theta_l}`` with ``P_k = |varphi_k|``; the
     masses of the truncation check factor the same way, the shell's
-    counting each radius's nodes in ``g.shell``.  On any other grid, one
+    counting the nodes of each radius on the grid's outer shell, all
+    ``n_theta`` or none.  On any other grid, one
     block of :func:`~bargmann_lab.bargmann._quad_block`, whose rows are the
     varphi_m times ``c(|z|^2) e^{-|z|^2/2}`` and whose columns the conjugated
     varphi_n.  Each entry is checked for truncation as a single sum would be.
@@ -238,7 +240,7 @@ def _toeplitz_entries(
     radial = w * (sym.c(u) * np.exp(-u / 2.0))
     P = powers(r)
     Pr, Pc = P[rows], P[cols]
-    counts = g.shell.reshape(r.size, theta.size).sum(axis=1)
+    counts = theta.size * _polar_shell(r)
     mass = np.abs(radial)
     _check_truncation(
         np.einsum("jk,nk->jn", Pr * (mass * theta.size), Pc),

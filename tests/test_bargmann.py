@@ -28,7 +28,7 @@ from bargmann_lab.bargmann import (
     transform,
     transform_quad,
 )
-from bargmann_lab.ellipse import derived_constants, psi0
+from bargmann_lab.ellipse import derived_constants, psi0, psi_n
 from bargmann_lab.gaussalg import ComplexPoly, DomainError, HermiteGauss, inner_product_line
 from bargmann_lab.hermite import HermiteSystem
 from bargmann_lab.phasecore import PhaseParams, canonical_A, kernel_Psi, phi_phase, weight_Phi
@@ -391,6 +391,29 @@ def test_gram_HPhi_needs_one_exponent():
         gram_HPhi(CLASSIC, [psi0(p), HermiteSystem(CLASSIC).monomial_basis(1)])
 
 
+def test_gram_HPhi_entries_are_the_inner_products_bit_for_bit():
+    # the psi_k share one basis: one recurrence pass per chunk yields every row
+    p = derived_constants(2.0, 1.0)
+    fs = [psi_n(p, k) for k in range(10)]
+    G = gram_HPhi(CLASSIC, fs)
+    grid = hphi_grid(CLASSIC, fs[0], fs[0])
+    for j in range(len(fs)):
+        for k in range(j, len(fs)):
+            assert repr(G[j][k]) == repr(inner_product_HPhi(CLASSIC, fs[j], fs[k], grid))
+
+
+def test_quadrature_gram_conjugates_its_rows_for_its_columns():
+    # one evaluation of each phi_n per chunk, for its row and its column
+    hs = HermiteSystem(GENERAL)
+    phis = [hs.hermite_phi(n) for n in range(12)]
+    grid = line_grid(lambda x: -x * x / phis[0].s ** 2)
+    want = bargmann._quad_block(
+        grid, lambda x: [f(x) for f in phis], lambda x: np.conj([f(x) for f in phis])
+    )
+    got = hs.gram_matrix(12, method="quadrature")
+    assert got.tobytes() == want.tobytes()
+
+
 def test_grid_arrays_are_read_only():
     grid = polar_grid(2.0, n_r=4, n_theta=4)
     assert grid.nodes.dtype == complex and grid.weights.dtype == float
@@ -488,6 +511,8 @@ def test_cached_rules_give_the_grids_of_a_fresh_build():
     (lambda: polar_grid(2.0, n_r=0), "n_r"),
     (lambda: polar_grid(2.0, n_theta=0), "n_theta"),
     (lambda: polar_grid(math.inf), "r_max"),
+    (lambda: line_grid(lambda x: -x * x, n=701), "n"),
+    (lambda: plane_grid(lambda z: -abs(z) ** 2, n=701), "n"),
 ])
 def test_grid_builders_reject_bad_sizes_by_name(build, name):
     with pytest.raises(DomainError, match=f"^{name} = "):

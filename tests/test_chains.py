@@ -16,9 +16,11 @@ from bargmann_lab.ellipse import (
     Psi0,
     Psi_n,
     Psi_n_ladder,
+    apply_ladder,
     derived_constants,
     ladder_diffops,
     psi0,
+    psi_family_ladder,
     psi_n_ladder,
 )
 from bargmann_lab.gaussalg import DiffOp, HermiteBlock, HermiteGauss, HoloGauss, apply_diffop
@@ -232,3 +234,24 @@ def test_ellipse_chains_are_chains_of_functions_bit_for_bit(alpha, beta):
         for _ in range(n):
             u = _holo_ladder_reference(u, 1.0, (p.a + 2 * p.lam) / 2)
         _assert_same_bits(psi_n_ladder(p, n).coeffs, u.coeffs)
+
+
+@pytest.mark.parametrize("alpha,beta", ELLIPSE_SETS)
+def test_the_psi_ladder_chain_steps_on_arrays_as_on_functions_bit_for_bit(alpha, beta):
+    # the chain steps on coefficient columns; each member, and each ladder
+    # applied to it, is what one HoloGauss per step gives
+    p = derived_constants(alpha, beta)
+    n = max(INDICES) + 1
+    u = psi0(p)
+    for k, got in enumerate(psi_family_ladder(p, n)):
+        assert (got.c2, got.c1, got.y0, got.y1, got.rho2) == (u.c2, u.c1, u.y0, u.y1, u.rho2)
+        _assert_same_bits(got.coeffs, u.coeffs)
+        if k in INDICES:
+            _assert_same_bits(psi_n_ladder(p, k).coeffs, u.coeffs)
+            for which, d, m in (
+                ("lambda", 1 / p.a, 0.5),
+                ("lambda_star", 1.0, (p.a + 2 * p.lam) / 2),
+            ):
+                want = _holo_ladder_reference(u, d, m)
+                _assert_same_bits(apply_ladder(p, which, got).coeffs, want.coeffs)
+        u = _holo_ladder_reference(u, 1.0, (p.a + 2 * p.lam) / 2)

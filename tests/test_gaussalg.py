@@ -16,6 +16,7 @@ from numpy.polynomial import Polynomial
 from numpy.polynomial.hermite import hermval
 from scipy.integrate import quad
 
+from bargmann_lab import gaussalg
 from bargmann_lab.gaussalg import (
     DEGREE_CAP,
     ComplexPoly,
@@ -548,3 +549,34 @@ def test_hermite_gauss_is_evaluated_at_complex_points():
         for x, w in zip(points, want):
             assert complex(f(x)) == pytest.approx(w, rel=1e-13)
     assert complex(hs.hermite_phi(1)(0.3 + 0.4j)) == pytest.approx(0.3974 - 0.3803j, abs=1e-4)
+
+
+def _hermite_sum_every_term(coeffs, y, rho2):
+    """sum_k coeffs[k] p_k(y) by the three-term recurrence, every term added
+    in the order of k, zero coefficients too."""
+    prev, cur = 0.0, 1.0
+    acc = coeffs[0] * cur
+    for k, a in enumerate(coeffs[1:], 1):
+        prev, cur = cur, math.sqrt(2 / k) * y * cur - prev * (rho2 * math.sqrt((k - 1) / k))
+        acc = acc + a * cur
+    return acc
+
+
+@pytest.mark.parametrize("rho2", [0j, 1 + 0j, 1.3 - 0.6j])
+def test_one_pass_of_a_family_gives_each_members_hermite_sum(rho2):
+    # members of several lengths, with zero coefficients inside and in front
+    # (psi_n is one coefficient after n zeros), and a constant
+    rng = np.random.default_rng(53)
+    z = rng.normal(size=500) * 2 + 1j * rng.normal(size=500) * 2
+    family = [list(_random_coeffs(rng, n)) for n in (1, 3, 8, 20)]
+    family[2][3] = family[2][5] = 0j
+    family += [(0j,) * 12 + (0.7 - 0.2j,), (0j,) * 4 + (1.5j,)]
+    fs = [HoloGauss(a, 0.1j, 0.2, 0.4 - 0.2j, 0.7 + 0.5j, rho2) for a in family]
+    got = gaussalg._family_sums(fs, z)
+    for g, f in zip(got, fs):
+        assert np.array_equal(g, f.hermite_sum(z))
+        assert np.all(g == _hermite_sum_every_term(f.coeffs, f.y0 + f.y1 * z, rho2))
+    # functions on different bases are summed one by one
+    mixed = [fs[1], HoloGauss(family[1], y1=0.3 + 0j, rho2=rho2)]
+    for g, f in zip(gaussalg._family_sums(mixed, z), mixed):
+        assert np.array_equal(g, f.hermite_sum(z))
