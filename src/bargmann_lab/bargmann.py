@@ -135,7 +135,7 @@ class QuadGrid:
     of them and its shell.  A plane or polar grid (:func:`plane_grid`,
     :func:`polar_grid`) holds its weights and its per-axis arrays only: each
     chunk of a sum forms its nodes and shell from the axes, by broadcasting
-    (:meth:`_chunk`), and ``nodes`` and ``shell`` are formed over the whole
+    (:meth:`chunks`), and ``nodes`` and ``shell`` are formed over the whole
     grid on first access.  On these grids the mean is known exactly, the
     plane grid's center or the origin, and the largest distance from it
     lies at a corner of the plane grid and on the outer radius of the polar
@@ -183,6 +183,15 @@ class QuadGrid:
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(nodes, shell) of a tensor grid, formed on first access."""
         return _read_only(*self._chunk(0, self.weights.size))
+
+    def chunks(self):
+        """Yield ``(part, nodes, shell)`` for consecutive slices ``part`` of
+        at most :data:`_CHUNK` nodes: the nodes in ``part`` and their shell
+        mask, formed one chunk at a time on a plane or polar grid."""
+        size = self.weights.size
+        for start in range(0, size, _CHUNK):
+            stop = min(start + _CHUNK, size)
+            yield (slice(start, stop), *self._chunk(start, stop))
 
     def _chunk(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """The nodes ``start .. stop - 1`` and their shell mask."""
@@ -587,10 +596,11 @@ def _check_truncation(total_mass, shell_mass) -> None:
         )
 
 
-#: Nodes per pass of :func:`_quad_block`.  Bounds its node-by-function work
-#: arrays (about 1 MB each at 7 functions) whatever the grid size: one array
-#: over all 102,400 nodes of a default polar grid costs tens of MB of peak
-#: memory, and a chunk's temporaries are reused from the allocator's cache.
+#: Nodes per chunk of :meth:`QuadGrid.chunks`, one pass of :func:`_quad_block`.
+#: Bounds its node-by-function work arrays (about 1 MB each at 7 functions)
+#: whatever the grid size: one array over all 102,400 nodes of a default
+#: polar grid costs tens of MB of peak memory, and a chunk's temporaries are
+#: reused from the allocator's cache.
 _CHUNK = 8192
 
 
@@ -612,7 +622,7 @@ def _quad_block(grid: QuadGrid, rows, cols=None, exponent=None) -> np.ndarray:
     nodes to the exponent E of a factor ``e^E`` of every row: per axis on a
     plane grid fitted to E (the same samples at :data:`_FIT_POINTS`, bit for
     bit), per node on any other grid.  The chunk's nodes, its shell mask
-    and the factors are formed chunk by chunk (:meth:`QuadGrid._chunk`);
+    and the factors are formed chunk by chunk (:meth:`QuadGrid.chunks`);
     no array spans all nodes.
 
     Each sum is checked for truncation as if it stood alone: its total and
@@ -623,24 +633,21 @@ def _quad_block(grid: QuadGrid, rows, cols=None, exponent=None) -> np.ndarray:
     """
     factors = None if exponent is None else _fitted_factors(grid, exponent)
     sums = total = shell = 0.0
-    size = grid.weights.size
-    for start in range(0, size, _CHUNK):
-        stop = min(start + _CHUNK, size)
-        z, on = grid._chunk(start, stop)
+    for part, z, on in grid.chunks():
         r = _on_chunk(rows, z)
         if cols is None:
             c = np.ones((1, z.size))
         elif cols is _CONJ_ROWS:
             c = np.conj(r)
         elif isinstance(cols, tuple):
-            c = _on_axes(cols, start, z.size)
+            c = _on_axes(cols, part.start, z.size)
         else:
             c = _on_chunk(cols, z)
         if factors is not None:
-            r = r * _on_axes(factors, start, z.size)
+            r = r * _on_axes(factors, part.start, z.size)
         elif exponent is not None:
             r = r * np.exp(exponent(z))
-        r = grid.weights[start:stop] * r
+        r = grid.weights[part] * r
         sums = sums + np.einsum("jn,kn->jk", r, c)
         r, c = np.abs(r), np.abs(c)
         total = total + np.einsum("jn,kn->jk", r, c)

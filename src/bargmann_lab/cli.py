@@ -36,23 +36,32 @@ Complex flag values are written ``a+bi`` (``--C 1+2i``, ``--B=-i``); a lone
 ``[re, im]`` pairs, and a non-finite number as the string ``"NaN"``,
 ``"Infinity"`` or ``"-Infinity"``.  Reports are deterministic: the same
 invocation produces byte-identical output.
+
+A CSV artifact is written as its rows are computed, in batches of at most
+``_CSV_BATCH`` rows, so no artifact is held in memory whole; ``transform``
+computes its rows one chunk of grid nodes at a time.  A command that fails
+while writing its artifact to ``-o`` removes the partly written file: a
+failed command leaves no artifact.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import functools
-import io
+import itertools
 import json
+import os
 import re
+import stat
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .gaussalg import DEGREE_CAP, DomainError
 from .phasecore import params_to_dict
-from .bargmann import grid_values, hphi_grid, inner_product_HPhi, transform
+from .bargmann import hphi_grid, inner_product_HPhi, transform
 from .hermite import HermiteSystem
 from .ncho import NchoParams, combined_gram
 from .ellipse import bridge_params, derived_constants, ellipse_trace
@@ -161,7 +170,7 @@ class RunConfig:
 def _entries_report(command: str, head: dict, entries: list[dict], checks: list[dict]):
     """Report of a command whose CSV rows are its (same-keyed) entries."""
     report = {"command": command, **head, "entries": entries, "checks": checks}
-    return report, tuple(entries[0]), [tuple(e.values()) for e in entries]
+    return report, tuple(entries[0]), (tuple(e.values()) for e in entries)
 
 
 def _cmd_gram(cfg: RunConfig):
@@ -191,7 +200,7 @@ def _cmd_gram(cfg: RunConfig):
         **extra,
         "checks": checks,
     }
-    rows = [(i, j, z.real, z.imag) for i, row in enumerate(matrix) for j, z in enumerate(row)]
+    rows = ((i, j, z.real, z.imag) for i, row in enumerate(matrix) for j, z in enumerate(row))
     return report, ("m", "n", "re", "im"), rows
 
 
@@ -234,10 +243,16 @@ def _cmd_transform(cfg: RunConfig):
 
 
 def _grid_rows(grid, U):
-    """U's values on its grid as CSV rows, computed only when they are written."""
-    values = grid_values(U, grid).tolist()
-    for z, w, v in zip(grid.nodes.tolist(), grid.weights.tolist(), values):
-        yield z.real, z.imag, w, v.real, v.imag
+    """U's values on its grid as CSV rows, one chunk of nodes at a time."""
+    for part, nodes, _ in grid.chunks():
+        values = U(nodes).tolist()
+        for z, w, v in zip(nodes.tolist(), grid.weights[part].tolist(), values):
+            yield z.real, z.imag, w, v.real, v.imag
+
+
+def _lazy(fn, *args):
+    """The rows ``fn(*args)``, computed when they are first iterated."""
+    yield from fn(*args)
 
 
 def _cmd_ncho(cfg: RunConfig):
@@ -262,7 +277,7 @@ def _cmd_ellipse(cfg: RunConfig):
         "bridge": params_to_dict(bridge_params(p)),
         "checks": suites.ellipse_route_checks(p, cfg.n),
     }
-    return report, ("x", "xi"), ellipse_trace(p, cfg.rho, cfg.samples)
+    return report, ("x", "xi"), _lazy(ellipse_trace, p, cfg.rho, cfg.samples)
 
 
 def _cmd_toeplitz(cfg: RunConfig):
@@ -297,7 +312,7 @@ _SUITES: dict[str, Callable[[RunConfig], tuple[dict, list[dict]]]] = {
 def _cmd_certify(cfg: RunConfig):
     params, checks = _SUITES[cfg.suite](cfg)
     report = {"suite": cfg.suite, "params": params, "checks": checks}
-    rows = [(c["name"], c["measured"], c["tolerance"], c["pass"]) for c in checks]
+    rows = ((c["name"], c["measured"], c["tolerance"], c["pass"]) for c in checks)
     return report, ("name", "measured", "tolerance", "pass"), rows
 
 
@@ -374,34 +389,58 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _render_csv(header: tuple, rows: Iterable[tuple]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(str(x) for x in row) + "\n")
-    return buf.getvalue()
+#: Rows per write of a CSV artifact: bounds the text held at once.
+_CSV_BATCH = 4096
+
+
+def _write_csv(out, header: tuple, rows: Iterable[tuple]) -> None:
+    """Write ``header`` and the ``rows`` (tuples), each field as ``str``
+    gives it, in batches of at most :data:`_CSV_BATCH` rows."""
+    out.write(",".join(header) + "\n")
+    line = ",".join(["%s"] * len(header)) + "\n"
+    rows = iter(rows)
+    while text := "".join(map(line.__mod__, itertools.islice(rows, _CSV_BATCH))):
+        out.write(text)
+
+
+def _json_text(report: dict) -> str:
+    """The report as indented JSON text."""
+    try:
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        # strict JSON: each non-finite float becomes a string, "NaN",
+        # "Infinity" or "-Infinity", the token json.dumps would write
+        strict = json.loads(json.dumps(report), parse_constant=str)
+        return json.dumps(strict, indent=2) + "\n"
+
+
+@contextlib.contextmanager
+def _artifact(path: str | None):
+    """The output stream: ``path`` opened for writing, or stdout.  If an
+    exception leaves the artifact incomplete, a regular file at ``path`` is
+    removed (``-o /dev/null`` is left alone) before the exception goes on."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as fh:
+        try:
+            yield fh
+        except BaseException:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.close()
+                os.remove(path)
+            raise
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one configuration; write the artifact; return the exit status."""
     cmd = _COMMANDS[cfg.command]
     report, header, rows = cmd.render(cfg)
-    fmt = cfg.format or ("csv" if cmd.csv else "json")
-    if fmt == "json":
-        try:
-            text = json.dumps(report, indent=2, allow_nan=False) + "\n"
-        except ValueError:
-            # strict JSON: each non-finite float becomes a string, "NaN",
-            # "Infinity" or "-Infinity", the token json.dumps would write
-            strict = json.loads(json.dumps(report), parse_constant=str)
-            text = json.dumps(strict, indent=2) + "\n"
-    else:
-        text = _render_csv(header, rows)
-    if cfg.output:
-        with open(cfg.output, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _artifact(cfg.output) as out:
+        if (cfg.format or ("csv" if cmd.csv else "json")) == "csv":
+            _write_csv(out, header, rows)
+        else:
+            out.write(_json_text(report))
 
     failures = [c for c in report["checks"] if not c["pass"]]
     for c in failures:

@@ -1,14 +1,20 @@
 """Command-line surface: flag parsing, artifacts, exit statuses, determinism."""
 
 import csv
+import itertools
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from bargmann_lab import HermiteSystem, cli, ellipse, gaussalg, ncho, suites, transform
+from bargmann_lab.bargmann import grid_values
 from bargmann_lab.gaussalg import DegreeCapError
 
 
@@ -513,3 +519,124 @@ def test_ncho_report_shape(tmp_path):
     entry = rep["entries"][0]
     assert set(entry) >= {"sign", "n", "lambda", "residual"}
     assert entry["lambda"] == pytest.approx(math.sqrt(3) / 2, rel=1e-12)
+
+
+# --------------------------------------------------------- streamed CSV
+
+
+def _whole_grid_rows(grid, U):
+    """The transform rows as they were once formed: over the whole grid."""
+    values = grid_values(U, grid).tolist()
+    for z, w, v in zip(grid.nodes.tolist(), grid.weights.tolist(), values):
+        yield z.real, z.imag, w, v.real, v.imag
+
+
+def _reference_csv(argv, monkeypatch) -> bytes:
+    """The artifact of ``argv`` rendered in one string, row by row with
+    ``str``, from the whole-grid transform rows: the reference the streamed
+    CSV must match byte for byte."""
+    ns = cli.build_parser().parse_args(cli._merge_negative_values(argv))
+    cfg = cli.RunConfig(**vars(ns))
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_grid_rows", _whole_grid_rows)
+        _, header, rows = cli._COMMANDS[cfg.command].render(cfg)
+        lines = [",".join(header)] + [",".join(str(x) for x in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("argv,status", [
+    (["transform", "--B=3", "--C=1+2i", "--h", "0.5"], 0),
+    (["transform", "--h", "1e-300"], 2),  # its check measures NaN
+    (["gram", "--system", "hermite", "--B=3", "--C=1+2i", "--h", "0.5", "--n", "5",
+      "--format", "csv"], 0),
+    (["gram", "--system", "ellipse", "--alpha", "2", "--beta", "1", "--n", "3",
+      "--format", "csv"], 0),
+    (["gram", "--system", "ncho", "--alpha", "2", "--h", "1", "--n", "4", "--format", "csv"], 0),
+    (["gram", "--system", "ncho", "--alpha", "1.5", "--h", "5e-324", "--n", "3",
+      "--format", "csv"], 2),  # every entry NaN
+    (["eigres", "--system", "hermite", "--n", "8", "--format", "csv"], 0),
+    (["eigres", "--system", "ellipse", "--alpha", "2", "--beta", "1", "--n", "8",
+      "--format", "csv"], 0),
+    (["ncho", "--alpha", "2", "--h", "1", "--n", "6", "--format", "csv"], 0),
+    (["ellipse", "--alpha", "2", "--beta", "1", "--rho", "0.5", "--samples", "9000",
+      "--format", "csv"], 0),  # three batches, the last one short
+    (["toeplitz", "--disk", "1", "--n", "8"], 0),
+    (["certify", "--suite", "ncho", "--format", "csv"], 0),
+], ids=["transform", "transform-h-tiny", "gram-hermite", "gram-ellipse", "gram-ncho",
+        "gram-ncho-nan", "eigres-hermite", "eigres-ellipse", "ncho", "ellipse", "toeplitz",
+        "certify"])
+def test_streamed_csv_is_the_one_string_rendering_byte_for_byte(
+        tmp_path, capsys, monkeypatch, argv, status):
+    out = tmp_path / "rows.csv"
+    with np.errstate(all="ignore"):
+        assert cli.main([*argv, "-o", str(out)]) == status
+        expected = _reference_csv(argv, monkeypatch)
+    capsys.readouterr()
+    assert out.read_bytes() == expected
+
+
+def test_json_reports_build_no_csv_rows(tmp_path, monkeypatch):
+    args = ["ellipse", "--alpha", "2", "--beta", "1", "--samples", "4096", "--format", "json"]
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    assert cli.main([*args, "-o", str(before)]) == 0
+    def trace(*args):
+        raise AssertionError("trace computed")
+
+    monkeypatch.setattr(cli, "ellipse_trace", trace)
+    assert cli.main([*args, "-o", str(after)]) == 0
+    assert after.read_bytes() == before.read_bytes()
+    # the other commands hand over their rows unbuilt too
+    for argv in (["gram", "--n", "3"], ["eigres", "--n", "3"], ["ncho", "--n", "3"],
+                 ["toeplitz", "--n", "3"], ["certify", "--suite", "gaussint"]):
+        cfg = cli.RunConfig(**vars(cli.build_parser().parse_args(argv)))
+        rows = cli._COMMANDS[cfg.command].render(cfg)[2]
+        assert iter(rows) is rows, argv
+
+
+def _failing_after_one_batch(monkeypatch):
+    rows_of = cli._grid_rows
+
+    def failing(grid, U):
+        yield from itertools.islice(rows_of(grid, U), cli._CSV_BATCH)
+        raise gaussalg.DomainError("row source failed")
+
+    monkeypatch.setattr(cli, "_grid_rows", failing)
+
+
+TRANSFORM_CSV = ["transform", "--B=3", "--C=1+2i", "--h", "0.5", "--format", "csv"]
+
+
+def test_a_row_source_failing_after_a_batch_leaves_no_file(tmp_path, capsys, monkeypatch):
+    _failing_after_one_batch(monkeypatch)
+    out = tmp_path / "rows.csv"
+    assert cli.main([*TRANSFORM_CSV, "-o", str(out)]) == 1
+    assert "error: row source failed" in capsys.readouterr().err
+    assert not out.exists()
+    # the same run to stdout: the first batch was written before the error
+    assert cli.main(TRANSFORM_CSV) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + cli._CSV_BATCH
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull) or os.devnull != "/dev/null",
+                    reason="needs a POSIX /dev/null")
+def test_a_failing_command_leaves_dev_null_in_place(capsys, monkeypatch):
+    assert cli.main([*TRANSFORM_CSV, "-o", os.devnull]) == 0
+    _failing_after_one_batch(monkeypatch)
+    assert cli.main([*TRANSFORM_CSV, "-o", os.devnull]) == 1
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    capsys.readouterr()
+
+
+def test_transform_csv_is_written_without_the_whole_artifact_in_memory(tmp_path):
+    # the 25,600-row artifact is ~2.5 MB; held whole, with its rows, the
+    # peak of the traced allocations was above 7 MB
+    argv = [*TRANSFORM_CSV, "-o", str(tmp_path / "rows.csv")]
+    assert cli.main(argv) == 0  # warm-up: Gauss rules, imports
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6, peak

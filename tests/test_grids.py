@@ -118,6 +118,24 @@ def test_tensor_grids_form_the_nodes_of_the_whole_grid_formulas_bit_for_bit(buil
         assert _same_bits(on, grid.shell[start:stop])
 
 
+@pytest.mark.parametrize("build", [
+    *(build for build, _ in CASES.values()),
+    lambda: line_grid(lambda x: -x * x, 300),
+    lambda: QuadGrid(np.linspace(-3, 3, 20_000) * (1 + 0.5j), np.full(20_000, 1e-3)),
+], ids=[*CASES, "line", "hand-built"])
+def test_chunks_cover_the_nodes_in_order_bit_for_bit(build):
+    grid = build()
+    parts = []
+    for part, z, on in grid.chunks():
+        assert part.stop - part.start <= bargmann._CHUNK
+        assert _same_bits(z, grid.nodes[part])
+        assert _same_bits(on, grid.shell[part])
+        parts.append(part)
+    starts = [0, *(part.stop for part in parts)]
+    assert [part.start for part in parts] == starts[:-1]
+    assert starts[-1] == grid.weights.size
+
+
 def test_shells_are_their_definition_on_every_grid_of_the_battery(monkeypatch):
     grids = []
     tensor = QuadGrid._tensor.__func__
