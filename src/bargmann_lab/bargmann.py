@@ -26,7 +26,9 @@ a_i b_j`` is evaluated once per axis, 2n calls of ``exp`` instead of n^2
 (sum factorization; Orszag, J. Comput. Phys. 37, 70 (1980)).  On any other
 grid it is evaluated per node.  The projector fits its own grid to its
 column exponent, whose every point then factors per axis too; the Toeplitz
-blocks on a polar grid are radial sums times angular sums.
+blocks on a polar grid are radial sums times angular sums.  A sum of degree
+at most 6 on a grid its caller fitted runs on per-axis moments, forming no
+node, where they certify its truncation check (:func:`_moment_sum`).
 
 Gauss rules are built by Newton's method on their three-term recurrences,
 from asymptotic starts (Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29, 1420
@@ -96,14 +98,17 @@ class TruncationError(RuntimeError):
 
 class PlaneAxes(NamedTuple):
     """How a plane grid was fitted: its exponent's values at
-    :data:`_FIT_POINTS`, its center zc, and its nodes along each axis through
-    zc, ``zc + t_i l_1`` and ``zc + t_j l_2``.  Node ``i n + j`` of the grid
-    is ``zc + t_i l_1 + t_j l_2``."""
+    :data:`_FIT_POINTS`, its center zc, its nodes along each axis through
+    zc, ``zc + t_i l_1`` and ``zc + t_j l_2``, its ``steps`` (l_1, l_2) and
+    the radius ``reach`` of its outer shell about zc.  Node ``i n + j`` of
+    the grid is ``zc + t_i l_1 + t_j l_2`` (t of the n-point Hermite rule)."""
 
     samples: tuple[complex, ...]
     center: complex
     along1: np.ndarray
     along2: np.ndarray
+    steps: tuple[complex, complex]
+    reach: float
 
 
 class PolarAxes(NamedTuple):
@@ -496,7 +501,9 @@ def plane_grid(exponent: Callable[[complex], complex], n: int = 160) -> QuadGrid
 
     ww = np.einsum("i,j->ij", ew, ew)  # np.outer would take a 128 KB buffer as well
     ww *= s1 * s2
-    axes = PlaneAxes(samples, zc, x1 + 1j * y1, (center[0] + dx) + 1j * (center[1] + dy))
+    along2 = (center[0] + dx) + 1j * (center[1] + dy)
+    steps = tuple(complex(*dirs[:, k]) * scale[k] for k in (0, 1))
+    axes = PlaneAxes(samples, zc, x1 + 1j * y1, along2, steps, reach)
     return QuadGrid._tensor(ww.reshape(-1), axes, n, rows)
 
 
@@ -615,10 +622,9 @@ def _quad_block(grid: QuadGrid, rows, cols=None, exponent=None) -> np.ndarray:
     ``rows`` and ``cols`` map a chunk of nodes (at most :data:`_CHUNK`) to
     the values of their J (or K) functions on it: an array with one row per
     function, or a list with an array or a number per function (a one-term
-    Hermite sum is a number).  ``cols`` may instead be a pair ``(a, b)`` of
-    per-axis factors of a plane grid (:func:`_axis_factors`), one row per
-    column function, or :data:`_CONJ_ROWS` for the conjugates of the rows'
-    values, evaluated once per chunk for both.  ``exponent``, if given, maps
+    Hermite sum is a number).  ``cols`` may instead be :data:`_CONJ_ROWS`
+    for the conjugates of the rows' values, evaluated once per chunk for
+    both.  ``exponent``, if given, maps
     nodes to the exponent E of a factor ``e^E`` of every row: per axis on a
     plane grid fitted to E (the same samples at :data:`_FIT_POINTS`, bit for
     bit), per node on any other grid.  The chunk's nodes, its shell mask
@@ -629,7 +635,8 @@ def _quad_block(grid: QuadGrid, rows, cols=None, exponent=None) -> np.ndarray:
     outer-shell masses are the same sums of ``|w r_j| |c_k|``, over all
     nodes and over the grid's shell.  The products run in ``np.einsum``,
     numpy's own loops: no BLAS thread, and each sum is the same, bit for
-    bit, whichever other sums run with it.
+    bit, whichever other sums run with it.  Sums on grids their callers fit
+    come here only where :func:`_moment_sum` does not certify them.
     """
     factors = None if exponent is None else _fitted_factors(grid, exponent)
     sums = total = shell = 0.0
@@ -639,8 +646,6 @@ def _quad_block(grid: QuadGrid, rows, cols=None, exponent=None) -> np.ndarray:
             c = np.ones((1, z.size))
         elif cols is _CONJ_ROWS:
             c = np.conj(r)
-        elif isinstance(cols, tuple):
-            c = _on_axes(cols, part.start, z.size)
         else:
             c = _on_chunk(cols, z)
         if factors is not None:
@@ -689,6 +694,66 @@ def _on_axes(factors, start: int, size: int) -> np.ndarray:
     a, b = factors
     span, part = _row_span(start, size, b.shape[-1])
     return _flat(a[..., span, None] * b[..., None, :], part)
+
+
+#: The highest degree in (t_1, t_2) of a sum by per-axis moments.
+_MOMENT_DEGREE = 6
+
+
+def _t_poly(f: HoloGauss, axes: PlaneAxes) -> np.ndarray:
+    """``f.hermite_sum(zc + t_1 l_1 + t_2 l_2)`` as coefficients ``R[m, l]`` of
+    ``t_1^m t_2^l``: ``R_ml = c_{m+l} C(m + l, m) l_1^m l_2^l``, with ``c_k``
+    those of ``HoloGauss.poly`` on the basis shifted to ``w = z - zc``."""
+    c = HoloGauss(f.coeffs, 0, 0, f.y0 + f.y1 * axes.center, f.y1, f.rho2).poly.coeffs
+    m, l = np.indices((len(c), len(c)))
+    l1, l2 = axes.steps
+    binomials = np.frompyfunc(math.comb, 2, 1)(m + l, m).astype(float)
+    return np.append(c, 0)[np.minimum(m + l, len(c))] * binomials * l1**m * l2**l
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of two polynomials in (t_1, t_2) as coefficient arrays."""
+    out = np.zeros(np.add(a.shape, b.shape) - 1, complex)
+    for (m, l), c in np.ndenumerate(a):
+        out[m : m + b.shape[0], l : l + b.shape[1]] += c * b
+    return out
+
+
+def _moment_sum(grid: QuadGrid, factors, U, V: HoloGauss | None = None):
+    """``sum_ij w_ij a_i b_j R(t_i, t_j)``, ``(a, b) = factors``, on a plane
+    grid (``w_ij = |det L| ew_i ew_j``, node ``zc + t_i l_1 + t_j l_2``),
+    where R is ``U.hermite_sum`` (times ``conj V.hermite_sum``): ``|det L|
+    sum_ml R_ml A_m B_l``, ``A_m = sum_i ew_i a_i t_i^m`` (B likewise).  None
+    if U is not a ``HoloGauss``, R's degree exceeds :data:`_MOMENT_DEGREE`, a
+    moment is not finite, or the truncation check is not certified.  A shell
+    node, ``|t_i l_1 + t_j l_2| >= reach``, has ``max(|t_i|, |t_j|) >= c =
+    reach/(|l_1| + |l_2|)`` (less a round-off margin).  With ``P_m = sum_i
+    |ew_i a_i| |t_i|^m``, ``Pc_m`` its part at ``|t_i| >= c`` and ``S_m =
+    sum_i |ew_i a_i| t_i^m`` (Q, Qc, T of b), the shell mass is at most
+    ``sum |R_ml| (Pc_m Q_l + P_m Qc_l)`` and the total mass at least ``|sum
+    R_ml S_m T_l|``: the check is certified where the first is at most
+    ``TRUNCATION_TOL`` of the second."""
+    fs = (U,) if V is None else (U, V)
+    if not isinstance(U, HoloGauss) or sum(len(f.coeffs) - 1 for f in fs) > _MOMENT_DEGREE:
+        return None
+    axes = grid.axes
+    R = _t_poly(U, axes) if V is None else _times(_t_poly(U, axes), _t_poly(V, axes).conj())
+    l1, l2 = axes.steps
+    t, ew = _gauss_rule("hermite", axes.along1.size)
+    c = (axes.reach - 1e-14 * (abs(axes.center) + axes.reach)) / (abs(l1) + abs(l2))
+    powers = t ** np.arange(R.shape[0])[:, None]
+    bounds = np.stack([powers, np.abs(powers), np.abs(powers) * (np.abs(t) >= c)])
+
+    def moments(f):
+        return np.einsum("mi,i->m", powers, ew * f), np.einsum("kmi,i->km", bounds, abs(ew * f))
+
+    with np.errstate(over="ignore", invalid="ignore"):  # not finite: the node sum reports it
+        (A, (S, P, Pc)), (B, (T, Q, Qc)) = map(moments, factors)
+        shell = np.einsum("ml,m,l->", abs(R), Pc, Q) + np.einsum("ml,m,l->", abs(R), P, Qc)
+        total = abs(np.einsum("ml,m,l->", R, S, T))
+        value = abs((l1.conjugate() * l2).imag) * np.einsum("ml,m,l->", R, A, B)
+    finite = np.isfinite(np.concatenate([A, B, P, Q, [value, shell]])).all()
+    return value if finite and shell <= TRUNCATION_TOL * total else None
 
 
 # ---------------------------------------------------------------------------
@@ -761,8 +826,8 @@ def adjoint_quad(
     Kept quadrature-only by design: it is the independent route that certifies
     the closed-form transform (T* T = identity on the line class).  With no
     ``grid`` the sum runs on the plane grid fitted to its whole exponent,
-    where the exponential factors per axis; on a grid passed in it is
-    evaluated per node.
+    where the exponential factors per axis (by :func:`_moment_sum` where it
+    certifies the sum); on a grid passed in it is evaluated per node.
     """
     if U.is_zero:
         return 0j
@@ -775,8 +840,12 @@ def adjoint_quad(
             - 2.0 * weight_Phi(p, z) / p.h
         )
 
-    g = grid if grid is not None else plane_grid(exponent)
-    total = _quad_block(g, lambda z: [U.hermite_sum(z)], exponent=exponent)[0]
+    total = None
+    if grid is None:
+        grid = plane_grid(exponent)
+        total = _moment_sum(grid, _fitted_factors(grid, exponent), U)
+    if total is None:
+        total = _quad_block(grid, lambda z: [U.hermite_sum(z)], exponent=exponent)[0]
     return p.C_phi * p.h ** (-0.75) * complex(total)
 
 
@@ -789,7 +858,7 @@ def projector_apply(
     """Projector (C_Phi/h) integral e^{2 Psi(z, conj zeta)/h} U(zeta) e^{-2 Phi/h}
     at each of ``points``; reproduces U(z) for U in the weighted holomorphic
     class the grid resolves.  Only ``U.hermite_sum``, ``U.c2`` and ``U.c1`` are
-    read.
+    read, unless U is a ``HoloGauss`` and no ``grid`` is passed.
 
     One 1 x P block of :func:`_quad_block`: ``U.hermite_sum`` against one
     column per point, ``exp(c2 zeta^2 + c1 zeta - 2 Phi/h + 2 Psi(z, conj
@@ -799,28 +868,31 @@ def projector_apply(
     ``Psi(z, conj zeta)`` is a term bilinear in z and conj zeta plus
     quadratics in each alone, so every point's column exponent is that
     grid's quadratic plus a linear term and a constant: it has no cross
-    term either, and each column factors per axis.  On a grid passed in the
-    columns are evaluated per node.
+    term either: each column factors per axis, and the sum runs by
+    :func:`_moment_sum` where it certifies it.  Elsewhere, and on a grid
+    passed in, the columns are evaluated per node.
     """
 
     def exponent(z, zs):
         weighted = U.c2 * zs * zs + U.c1 * zs - 2.0 * weight_Phi(p, zs) / p.h
         return weighted + 2.0 * kernel_Psi(p, z, zs.conjugate()) / p.h
 
+    sums = [None] * len(points)
     if grid is None:
         grid = plane_grid(lambda zs: exponent(0j, zs))
         axes = grid.axes
         zs = np.array(points, dtype=complex).reshape(-1, 1)
-        cols = _axis_factors(
+        a, b = _axis_factors(
             exponent(zs, axes.along1), exponent(zs, axes.along2), exponent(zs, axes.center)
         )
-    else:
+        sums = [_moment_sum(grid, factors, U) for factors in zip(a, b)]
+    rest = [z for z, v in zip(points, sums) if v is None]
 
-        def cols(zs):
-            return [np.exp(exponent(z, zs)) for z in points]
+    def cols(zs):
+        return [np.exp(exponent(z, zs)) for z in rest]
 
-    sums = _quad_block(grid, lambda zs: [U.hermite_sum(zs)], cols)[0]
-    return [p.C_Phi / p.h * complex(v) for v in sums]
+    node = iter(_quad_block(grid, lambda zs: [U.hermite_sum(zs)], cols)[0] if rest else ())
+    return [p.C_Phi / p.h * complex(next(node) if v is None else v) for v in sums]
 
 
 def _pair_block(p: PhaseParams, fs, gs, grid: QuadGrid) -> np.ndarray:
@@ -849,14 +921,21 @@ def inner_product_HPhi(
     a combined exponent that fails to decay in some direction raises
     ``DomainError`` (for the classic weight this is exactly the
     ``|c2| < 1/(4h)`` growth-class bound on each factor).  With no ``grid``
-    the sum runs on :func:`hphi_grid`; on any grid fitted to the pair's
-    exponent (``hphi_grid`` of another pair with the same ``c2`` and ``c1``)
-    the exponential factors per axis, on other grids per node.
+    the sum runs on :func:`hphi_grid` (by :func:`_moment_sum` where it
+    certifies it); on any grid fitted to the pair's exponent (``hphi_grid``
+    of another pair with the same ``c2`` and ``c1``) the exponential factors
+    per axis, on other grids per node.
     """
     if U.is_zero or V.is_zero:
         return 0j
-    g = grid if grid is not None else hphi_grid(p, U, V)
-    return complex(_pair_block(p, [U], [V], g)[0, 0])
+    total = None
+    if grid is None:
+        grid = hphi_grid(p, U, V)
+        exponent = functools.partial(_pair_exponent, p, U, V)
+        total = _moment_sum(grid, _fitted_factors(grid, exponent), U, V)
+    if total is None:
+        total = _pair_block(p, [U], [V], grid)[0, 0]
+    return complex(total)
 
 
 def gram_HPhi(p: PhaseParams, fs: Sequence[HoloGauss]) -> list[list[complex]]:

@@ -254,9 +254,10 @@ def _random_line_function(rng: np.random.Generator) -> HermiteGauss:
 
 def closed_vs_quad_dev(p: PhaseParams, f: HermiteGauss, U: HoloGauss) -> float:
     """Largest |U(z) - transform_quad(p, f, z)| at three points; U = T f."""
-    return _worst(
-        abs(U(z) - transform_quad(p, f, z)) for z in (0.3 + 0.1j, -0.8 + 0.5j, 1.1 - 0.9j)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a value not finite fails the check
+        return _worst(
+            abs(U(z) - transform_quad(p, f, z)) for z in (0.3 + 0.1j, -0.8 + 0.5j, 1.1 - 0.9j)
+        )
 
 
 def suite_transform(

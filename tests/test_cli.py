@@ -199,6 +199,19 @@ def test_extreme_scale_is_a_status_not_a_traceback(tmp_path, argv, status, messa
     assert "Traceback" not in proc.stderr
 
 
+def test_unevaluable_transform_check_fails_without_a_runtime_warning(tmp_path):
+    # at h = 1e-300 the closed form and the oracle overflow: the NaN deviation
+    # fails its check (exit 2), and no numpy warning is printed ahead of it
+    proc = subprocess.run(
+        [sys.executable, "-m", "bargmann_lab.cli", "transform", "--h", "1e-300",
+         "-o", str(tmp_path / "artifact")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "FAIL closed_vs_quad: measured nan" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def test_degenerate_ellipse_is_exit_1(capsys):
     assert cli.main(["ellipse", "--alpha", "1", "--beta", "0"]) == 1
     capsys.readouterr()

@@ -368,10 +368,13 @@ def test_ellipse_gram_diagonal_is_the_direct_evaluation():
     p = derived_constants(2.0, 1.0)
     pc = PhaseParams.classic()
     psis = [psi_n(p, k) for k in range(3)]
+    grid = hphi_grid(pc, psis[0], psis[0])  # the psi_k share one exponent, so one grid
     for m in range(3):
         for n in range(m, 3):
-            g = inner_product_HPhi(pc, psis[m], psis[n])
+            g = inner_product_HPhi(pc, psis[m], psis[n], grid)
             assert repr(G[m][n]) == repr(g)
+            # on its own grid the sum runs by per-axis moments, equal at round-off
+            assert inner_product_HPhi(pc, psis[m], psis[n]) == pytest.approx(g, rel=1e-13)
             assert repr(G[n][m]) == repr(g if m == n else complex(g.real, 0.0 - g.imag))
 
 
@@ -383,10 +386,11 @@ def test_ellipse_gram_is_the_per_pair_inner_product(alpha, beta):
     p = derived_constants(alpha, beta)
     pc = PhaseParams.classic()
     psis = [psi_n(p, k) for k in range(n)]
+    grid = hphi_grid(pc, psis[0], psis[0])
     want_dev = 0.0
     for m in range(n):
         for k in range(m, n):
-            g = inner_product_HPhi(pc, psis[m], psis[k])
+            g = inner_product_HPhi(pc, psis[m], psis[k], grid)
             assert repr(G[m][k]) == repr(g)
             assert repr(G[k][m]) == repr(g if m == k else complex(g.real, 0.0 - g.imag))
             closed = diag[k] if m == k else 0.0
