@@ -624,12 +624,11 @@ def _quad_block(grid: QuadGrid, rows, cols=None, exponent=None) -> np.ndarray:
     function, or a list with an array or a number per function (a one-term
     Hermite sum is a number).  ``cols`` may instead be :data:`_CONJ_ROWS`
     for the conjugates of the rows' values, evaluated once per chunk for
-    both.  ``exponent``, if given, maps
-    nodes to the exponent E of a factor ``e^E`` of every row: per axis on a
-    plane grid fitted to E (the same samples at :data:`_FIT_POINTS`, bit for
-    bit), per node on any other grid.  The chunk's nodes, its shell mask
-    and the factors are formed chunk by chunk (:meth:`QuadGrid.chunks`);
-    no array spans all nodes.
+    both.  ``exponent``, if given, maps nodes to the exponent E of a factor
+    ``e^E`` of every row: per axis on a plane grid fitted to E (the same
+    samples at :data:`_FIT_POINTS`, bit for bit), per node on any other
+    grid.  The chunk's nodes, its shell mask and the factors are formed
+    chunk by chunk (:meth:`QuadGrid.chunks`); no array spans all nodes.
 
     Each sum is checked for truncation as if it stood alone: its total and
     outer-shell masses are the same sums of ``|w r_j| |c_k|``, over all
@@ -649,14 +648,16 @@ def _quad_block(grid: QuadGrid, rows, cols=None, exponent=None) -> np.ndarray:
         else:
             c = _on_chunk(cols, z)
         if factors is not None:
-            r = r * _on_axes(factors, part.start, z.size)
+            r *= _on_axes(factors, part.start, z.size)
         elif exponent is not None:
-            r = r * np.exp(exponent(z))
-        r = grid.weights[part] * r
+            r *= np.exp(exponent(z))
+        np.multiply(grid.weights[part], r, out=r)
         sums = sums + np.einsum("jn,kn->jk", r, c)
-        r, c = np.abs(r), np.abs(c)
+        r = np.abs(r)
+        c = np.abs(c)
         total = total + np.einsum("jn,kn->jk", r, c)
         shell = shell + np.einsum("jn,kn->jk", r[:, on], c[:, on])
+        del r, c  # the next chunk's rows take their memory
     _check_truncation(total, shell)
     return sums[:, 0] if cols is None else sums
 
@@ -721,25 +722,23 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _moment_sum(grid: QuadGrid, factors, U, V: HoloGauss | None = None):
     """``sum_ij w_ij a_i b_j R(t_i, t_j)``, ``(a, b) = factors``, on a plane
-    grid (``w_ij = |det L| ew_i ew_j``, node ``zc + t_i l_1 + t_j l_2``),
-    where R is ``U.hermite_sum`` (times ``conj V.hermite_sum``): ``|det L|
-    sum_ml R_ml A_m B_l``, ``A_m = sum_i ew_i a_i t_i^m`` (B likewise).  None
-    if U is not a ``HoloGauss``, R's degree exceeds :data:`_MOMENT_DEGREE`, a
-    moment is not finite, or the truncation check is not certified.  A shell
-    node, ``|t_i l_1 + t_j l_2| >= reach``, has ``max(|t_i|, |t_j|) >= c =
-    reach/(|l_1| + |l_2|)`` (less a round-off margin).  With ``P_m = sum_i
-    |ew_i a_i| |t_i|^m``, ``Pc_m`` its part at ``|t_i| >= c`` and ``S_m =
-    sum_i |ew_i a_i| t_i^m`` (Q, Qc, T of b), the shell mass is at most
-    ``sum |R_ml| (Pc_m Q_l + P_m Qc_l)`` and the total mass at least ``|sum
-    R_ml S_m T_l|``: the check is certified where the first is at most
-    ``TRUNCATION_TOL`` of the second."""
+    grid (``w_ij = |det L| ew_i ew_j``, node ``zc + t_i l_1 + t_j l_2``) for
+    R = ``U.hermite_sum`` (times ``conj V.hermite_sum``), as ``|det L| sum_ml
+    R_ml A_m B_l``, ``A_m = sum_i ew_i a_i t_i^m`` (B likewise); None if U is
+    not a ``HoloGauss``, R's degree exceeds :data:`_MOMENT_DEGREE`, a moment
+    or the sum is not finite, or the truncation check is not certified.  A
+    shell node has ``max(|t_i|, |t_j|) >= c = reach/(|l_1| + |l_2|)`` (less a
+    round-off margin).  With ``P_m = sum_i |ew_i a_i| |t_i|^m``, ``Pc_m`` its
+    part at ``|t_i| >= c`` and ``S_m = sum_i |ew_i a_i| t_i^m`` (Q, Qc, T of
+    b), the shell mass is at most ``sum |R_ml| (Pc_m Q_l + P_m Qc_l)`` and
+    the total mass at least ``|sum R_ml S_m T_l|``: certified where the
+    first is at most ``TRUNCATION_TOL`` of the second."""
     fs = (U,) if V is None else (U, V)
     if not isinstance(U, HoloGauss) or sum(len(f.coeffs) - 1 for f in fs) > _MOMENT_DEGREE:
         return None
     axes = grid.axes
     R = _t_poly(U, axes) if V is None else _times(_t_poly(U, axes), _t_poly(V, axes).conj())
-    l1, l2 = axes.steps
-    t, ew = _gauss_rule("hermite", axes.along1.size)
+    (l1, l2), (t, ew) = axes.steps, _gauss_rule("hermite", axes.along1.size)
     c = (axes.reach - 1e-14 * (abs(axes.center) + axes.reach)) / (abs(l1) + abs(l2))
     powers = t ** np.arange(R.shape[0])[:, None]
     bounds = np.stack([powers, np.abs(powers), np.abs(powers) * (np.abs(t) >= c)])
@@ -867,10 +866,9 @@ def projector_apply(
     the sums run on the plane grid fitted to the column exponent at z = 0.
     ``Psi(z, conj zeta)`` is a term bilinear in z and conj zeta plus
     quadratics in each alone, so every point's column exponent is that
-    grid's quadratic plus a linear term and a constant: it has no cross
-    term either: each column factors per axis, and the sum runs by
-    :func:`_moment_sum` where it certifies it.  Elsewhere, and on a grid
-    passed in, the columns are evaluated per node.
+    grid's quadratic plus a linear term and a constant, with no cross term:
+    each column factors per axis, summed by :func:`_moment_sum` where it
+    certifies the sum.  Elsewhere, and on a grid passed in, per node.
     """
 
     def exponent(z, zs):
@@ -943,10 +941,11 @@ def gram_HPhi(p: PhaseParams, fs: Sequence[HoloGauss]) -> list[list[complex]]:
     sharing one exponent ``(c2, c1)``, else ``DomainError``.
 
     All pairs then share the grid and the exponential factor: the matrix is
-    one K x K block of :func:`_quad_block`, whose every entry is the sum of
-    :func:`inner_product_HPhi`, equal to it bit for bit; each Hermite sum is
-    evaluated once per chunk, for its row and its column.  The lower
-    triangle mirrors the upper (see :func:`~bargmann_lab.gaussalg._hermitian`).
+    one K x K block of :func:`_quad_block`, each entry bit for bit the sum
+    of :func:`inner_product_HPhi` on that grid (with no grid passed, equal
+    above degree 6, to round-off below); each Hermite sum is evaluated once
+    per chunk, for its row and its column.  The lower triangle mirrors the
+    upper (see :func:`~bargmann_lab.gaussalg._hermitian`).
     """
     U = fs[0]
     if any(f.c2 != U.c2 or f.c1 != U.c1 for f in fs):

@@ -22,6 +22,7 @@ from bargmann_lab.bargmann import (
     polar_grid,
     transform,
 )
+from bargmann_lab.ellipse import derived_constants, psi_n
 from bargmann_lab.gaussalg import DomainError
 from bargmann_lab.hermite import HermiteSystem
 from bargmann_lab.phasecore import PhaseParams, canonical_A
@@ -166,6 +167,24 @@ def test_grids_allocate_nothing_per_node_but_their_weights(build):
         tracemalloc.stop()
     # one bool per node is the smallest array with one entry per node
     assert peak - grid.weights.nbytes < grid.weights.size
+
+
+def test_a_node_sum_holds_few_chunk_arrays_at_once():
+    # the exponential factor and the weights multiply the rows in place, and
+    # a chunk's moduli are freed before the next chunk's rows are formed: a
+    # 7 x 7 Gram block peaks under 3 complex arrays of 7 rows by one chunk
+    # (2.66; 3.31 when each product was a new array)
+    fs = [psi_n(derived_constants(2.0, 0.0), k) for k in range(7)]
+    p = PhaseParams.classic()
+    grid = hphi_grid(p, fs[0], fs[0])
+    bargmann.gram_HPhi(p, fs)  # the first sum of a size fills the Gauss rule cache
+    tracemalloc.start()
+    try:
+        bargmann._pair_block(p, fs, fs, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(fs) * bargmann._CHUNK * 16, peak
 
 
 @pytest.mark.parametrize("build", [
