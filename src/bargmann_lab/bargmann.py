@@ -10,18 +10,20 @@ scaled Hermite polynomial of the output variable).  The adjoint and the
 projector are kept quadrature-only on purpose: they are the *independent*
 route against which the closed forms are certified.
 
-A quadrature grid holds two read-only arrays: ``nodes`` (float on the line,
-complex x+iy on the plane) and positive float ``weights``.  Every quadrature
-sum of the package is a block of ``_quad_block``: the sums ``sum_n w_n
-r_j(z_n) c_k(z_n)`` of row functions against column functions, evaluated
-on chunks of nodes, each with its own truncation check.  Every integrand is
-one expression on a chunk of the node array: the ``phasecore`` functions and
-``HoloGauss.hermite_sum`` accept arrays, and the exponents of all factors are
-summed before a single ``np.exp``, because a factor alone can overflow where
-the product is negligible.  The rows and columns are Hermite sums; the
-exponential factor ``e^E`` of the integrand is handed to ``_quad_block`` as
-its exponent.  Every grid is a tensor product, and on a plane grid fitted to
-E (below) the exponent has no cross term between the two axes, so ``e^E =
+A quadrature grid is the tensor product of two axes: node ``i m + j`` (float
+on the line, complex x+iy on the plane) joins ``first[i]`` and ``second[j]``,
+by a sum on plane grids, as ``r_i e^{i theta_j}`` on polar grids, and as
+``first[i]`` alone on one-axis grids, and its positive weight is ``w1[i]
+w2[j] scale``.  Every quadrature sum of the package is a block of
+``_quad_block``: the sums ``sum_n w_n r_j(z_n) c_k(z_n)`` of row functions
+against column functions, evaluated on chunks of nodes, each with its own
+truncation check.  Every integrand is one expression on a chunk of nodes:
+the ``phasecore`` functions and ``HoloGauss.hermite_sum`` accept arrays, and
+the exponents of all factors are summed before a single ``np.exp``, because
+a factor alone can overflow where the product is negligible.  The rows and
+columns are Hermite sums; the exponential factor ``e^E`` of the integrand is
+handed to ``_quad_block`` as its exponent.  On a plane grid fitted to E
+(below) the exponent has no cross term between the two axes, so ``e^E =
 a_i b_j`` is evaluated once per axis, 2n calls of ``exp`` instead of n^2
 (sum factorization; Orszag, J. Comput. Phys. 37, 70 (1980)).  On any other
 grid it is evaluated per node.  The projector fits its own grid to its
@@ -35,10 +37,10 @@ from asymptotic starts (Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29, 1420
 (2007); Hale & Townsend, ibid. 35, A652 (2013)), with no eigenvalue solve,
 and once per process: ``_gauss_rule`` caches them by family and node count,
 so the hundreds of grids of a certification battery share a handful of
-builds.  A plane or polar grid keeps its weights and its per-axis arrays
-only: each chunk of a sum forms its nodes and its outer truncation shell
-from the axes, by broadcasting, so no array of the grid's nodes is built
-unless it is asked for (:class:`QuadGrid`).
+builds.  Nothing per node is built with a grid: each chunk of a sum forms
+its nodes, weights and outer truncation shell from the axes by one
+broadcast, so no whole-grid array is built unless it is asked for
+(:class:`QuadGrid`).
 
 The one-dimensional oracles on intervals and half-lines (the rotated
 Gaussian integral, the radial eigenvalues) go through ``_adaptive_quad``, a
@@ -127,109 +129,116 @@ _SHELL = 0.95
 
 
 class QuadGrid:
-    """Quadrature nodes and positive weights, as read-only arrays.
+    """Quadrature nodes and positive weights, kept as the tensor product of
+    two axes.
 
-    ``nodes`` is float for 1D grids and complex x+iy for planar grids;
-    ``weights`` is float.  ``axes`` records how a plane or polar grid's
-    tensor product was built (its arrays are read-only too), and is None on
-    other grids.  ``shell`` is the read-only boolean mask of the outer node
-    shell, ``|node - mean| >= 0.95 max``, on which the truncation check of
-    every sum looks for mass.
+    Node ``i m + j`` (m = ``second.size``) is ``join(first[i], second[j])``
+    and its weight ``w1[i] w2[j] scale``.  A plane grid (:func:`plane_grid`)
+    joins ``first[i] + second[j]``, a polar grid (:func:`polar_grid`) ``r_i
+    e^{i theta_j}``, and a one-axis grid, :func:`line_grid` or one made from
+    its nodes, ``QuadGrid(nodes, weights)`` (which holds copies of them), has
+    one node per entry of ``first``.  Nodes are float on the line and complex
+    x+iy on the plane; weights are float.  ``axes`` records how a plane or
+    polar grid was fitted (:class:`PlaneAxes`, :class:`PolarAxes`), and is
+    None on a one-axis grid.  Every array the grid holds is read-only.
 
-    A grid made from its nodes, ``QuadGrid(nodes, weights)``, holds copies
-    of them and its shell.  A plane or polar grid (:func:`plane_grid`,
-    :func:`polar_grid`) holds its weights and its per-axis arrays only: each
-    chunk of a sum forms its nodes and shell from the axes, by broadcasting
-    (:meth:`chunks`), and ``nodes`` and ``shell`` are formed over the whole
-    grid on first access.  On these grids the mean is known exactly, the
-    plane grid's center or the origin, and the largest distance from it
-    lies at a corner of the plane grid and on the outer radius of the polar
-    grid, whose shell is the nodes at its outer radii.
+    The outer shell, on which the truncation check of every sum looks for
+    mass, is the nodes with ``|node - center| >= reach``.  A grid made from
+    its nodes centres it on their mean, with ``reach`` 0.95 of their largest
+    distance from it; a plane grid on its centre, with 0.95 of the distance
+    to its farthest corner; a polar grid on the origin, with 0.95 of its
+    largest radius.
+
+    Nothing per node is built with a grid: each chunk of a sum forms its
+    nodes, weights and shell from the axes by broadcasting (:meth:`chunks`),
+    and the whole-grid ``nodes``, ``weights`` and ``shell`` are formed on
+    first access, the weights on their own.
     """
 
-    def __init__(self, nodes, weights, axes: PlaneAxes | PolarAxes | None = None):
+    def __init__(self, nodes, weights):
         nodes = np.array(nodes)
         weights = np.array(weights, dtype=float)
         if nodes.shape != weights.shape:
             raise DomainError("nodes and weights must have equal length")
-        if not (weights > 0).all():
+        center = nodes.mean()
+        reach = _SHELL * np.abs(nodes - center).max()
+        self._set(nodes, -np.zeros(1, nodes.dtype), weights, _ONE, 1.0, center, reach)
+
+    @classmethod
+    def _of(cls, *form, **options) -> "QuadGrid":
+        """The grid of the given axes, weights and shell (:meth:`_set`)."""
+        grid = cls.__new__(cls)
+        grid._set(*form, **options)
+        return grid
+
+    def _set(self, first, second, w1, w2, scale, center, reach, join=np.add, axes=None):
+        # the smallest weight is w1.min() w2.min() scale: rounding is monotone
+        if not w1.min() * w2.min() * scale > 0:
             raise DomainError("weights must be positive")
-        r = np.abs(nodes - nodes.mean())
-        _read_only(nodes, weights, *(axes or ()))
+        for a in (first, second, w1, w2, *(axes or ())):
+            _read_only(a)
         self.__dict__.update(
-            weights=weights, axes=axes, _rows=None,
-            _arrays=_read_only(nodes, r >= _SHELL * r.max()),
+            first=first, second=second, w1=w1, w2=w2, scale=scale,
+            center=center, reach=reach, join=join, axes=axes,
         )
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a QuadGrid is read-only: cannot set {name!r}")
 
-    @classmethod
-    def _tensor(cls, weights: np.ndarray, axes, width: int, rows) -> "QuadGrid":
-        """A plane or polar grid of nodes ``i width + j``: ``rows(span)``
-        gives the nodes and shell mask of the rows i in the slice ``span``,
-        each as a (rows, width) array."""
-        if not weights.min() > 0:
-            raise DomainError("weights must be positive")
-        grid = cls.__new__(cls)
-        _read_only(weights, *axes)
-        grid.__dict__.update(weights=weights, axes=axes, _rows=(width, rows))
-        return grid
-
     @property
-    def nodes(self) -> np.ndarray:
-        return self._arrays[0]
-
-    @property
-    def shell(self) -> np.ndarray:
-        return self._arrays[1]
+    def size(self) -> int:
+        return self.first.size * self.second.size
 
     @functools.cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(nodes, shell) of a tensor grid, formed on first access."""
-        return _read_only(*self._chunk(0, self.weights.size))
+    def nodes(self) -> np.ndarray:
+        return _read_only(self._nodes(0, self.size))
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        return _read_only(self._weights(0, self.size))
+
+    @functools.cached_property
+    def shell(self) -> np.ndarray:
+        return _read_only(np.abs(self.nodes - self.center) >= self.reach)
+
+    def _nodes(self, start: int, size: int) -> np.ndarray:
+        return _outer(self.join, self.first, self.second, start, size)
+
+    def _weights(self, start: int, size: int) -> np.ndarray:
+        w = _outer(np.multiply, self.w1, self.w2, start, size)
+        w *= self.scale
+        return w
 
     def chunks(self):
-        """Yield ``(part, nodes, shell)`` for consecutive slices ``part`` of
-        at most :data:`_CHUNK` nodes: the nodes in ``part`` and their shell
-        mask, formed one chunk at a time on a plane or polar grid."""
-        size = self.weights.size
-        for start in range(0, size, _CHUNK):
-            stop = min(start + _CHUNK, size)
-            yield (slice(start, stop), *self._chunk(start, stop))
-
-    def _chunk(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """The nodes ``start .. stop - 1`` and their shell mask."""
-        if self._rows is None:
-            nodes, shell = self._arrays
-            return nodes[start:stop], shell[start:stop]
-        width, rows = self._rows
-        span, part = _row_span(start, stop - start, width)
-        z, on = rows(span)
-        return _flat(z, part), _flat(on, part)
+        """Yield ``(part, nodes, weights, shell)`` for consecutive slices
+        ``part`` of at most :data:`_CHUNK` nodes: the nodes in ``part``,
+        their weights and their shell mask, formed from the axes."""
+        for start in range(0, self.size, _CHUNK):
+            size = min(_CHUNK, self.size - start)
+            z = self._nodes(start, size)
+            on = np.abs(z - self.center) >= self.reach
+            yield slice(start, start + size), z, self._weights(start, size), on
 
 
-def _read_only(*arrays):
-    """The numpy arrays among ``arrays`` made read-only; returns ``arrays``."""
-    for a in arrays:
-        if isinstance(a, np.ndarray):
-            a.flags.writeable = False
-    return arrays
+#: The second axis of a one-axis grid's weights.
+_ONE = np.ones(1)
 
 
-def _row_span(start: int, size: int, width: int) -> tuple[slice, slice]:
-    """Entries ``start .. start + size - 1`` of a tensor product whose entry
-    ``i width + j`` is on row i: the rows that hold them, and their slice of
-    those rows laid end to end (:func:`_flat`)."""
-    first = start // width
-    offset = start - first * width
-    return slice(first, -(-(start + size) // width)), slice(offset, offset + size)
+def _read_only(a):
+    """``a`` made read-only if it is a numpy array; returns ``a``."""
+    if isinstance(a, np.ndarray):
+        a.flags.writeable = False
+    return a
 
 
-def _flat(rows: np.ndarray, part: slice) -> np.ndarray:
-    """The entries ``part`` of the last two axes of ``rows``, end to end."""
-    *lead, m, n = rows.shape
-    return rows.reshape(*lead, m * n)[..., part]
+def _outer(join, u: np.ndarray, v: np.ndarray, start: int, size: int) -> np.ndarray:
+    """``join(u_i, v_j)`` at entries ``start .. start + size - 1`` of the
+    tensor product whose entry ``i m + j`` (m = ``v.size``) is on row i: the
+    whole rows that hold them, by one broadcast, then the slice."""
+    first = start // v.size
+    offset = start - first * v.size
+    rows = join.outer(u[first : -(-(start + size) // v.size)], v)
+    return rows.reshape(-1)[offset : offset + size]
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +432,11 @@ def line_grid(real_exponent: Callable[[float], float], n: int = 200) -> QuadGrid
     center = -m1 / (2.0 * m2)
     scale = 1.0 / math.sqrt(-m2)
     t, w = _gauss_rule("hermite", n)
-    return QuadGrid(center + scale * t, w * scale)
+    x = scale * t
+    x += center
+    mean = x.mean()  # the nodes ascend: the farthest from it is an end
+    reach = _SHELL * np.abs(x[[0, -1]] - mean).max()
+    return QuadGrid._of(x, -np.zeros(1), w, _ONE, scale, mean, reach)
 
 
 #: The points at which a plane grid samples its exponent (:func:`_fit_quad_2d`).
@@ -484,27 +497,14 @@ def plane_grid(exponent: Callable[[complex], complex], n: int = 160) -> QuadGrid
         frame = evecs * [s1, s2]
         scale, dirs = (1.0, 1.0), frame @ np.linalg.eigh(frame.T @ M_im @ frame)[1]
     t1, t2 = t * scale[0], t * scale[1]
-    x1, y1 = center[0] + t1 * dirs[0, 0], center[1] + t1 * dirs[1, 0]
-    dx, dy = t2 * dirs[0, 1], t2 * dirs[1, 1]
+    along1 = (center[0] + t1 * dirs[0, 0]) + 1j * (center[1] + t1 * dirs[1, 0])
+    second = t2 * dirs[0, 1] + 1j * (t2 * dirs[1, 1])
     zc = complex(*center)
-
-    def nodes(i):  # x + iy as 1j y + x: the same bits, without a buffered cast
-        z = 1j * (y1[i, None] + dy)
-        z += x1[i, None] + dx
-        return z
-
-    reach = _SHELL * np.abs(nodes([0, -1])[:, [0, -1]] - zc).max()
-
-    def rows(span):
-        z = nodes(span)
-        return z, np.abs(z - zc) >= reach
-
-    ww = np.einsum("i,j->ij", ew, ew)  # np.outer would take a 128 KB buffer as well
-    ww *= s1 * s2
-    along2 = (center[0] + dx) + 1j * (center[1] + dy)
+    reach = _SHELL * np.abs(np.add.outer(along1[[0, -1]], second[[0, -1]]) - zc).max()
+    along2 = (center[0] + t2 * dirs[0, 1]) + 1j * (center[1] + t2 * dirs[1, 1])
     steps = tuple(complex(*dirs[:, k]) * scale[k] for k in (0, 1))
-    axes = PlaneAxes(samples, zc, x1 + 1j * y1, along2, steps, reach)
-    return QuadGrid._tensor(ww.reshape(-1), axes, n, rows)
+    axes = PlaneAxes(samples, zc, along1, along2, steps, reach)
+    return QuadGrid._of(along1, second, ew, ew, s1 * s2, zc, reach, axes=axes)
 
 
 def hphi_grid(p: PhaseParams, U: HoloGauss, V: HoloGauss, n: int = 160) -> QuadGrid:
@@ -553,26 +553,12 @@ def polar_grid(
     r = np.concatenate(rs)
     wr = np.concatenate(rw) * r  # Jacobian r dr dtheta
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    wt = 2.0 * math.pi / n_theta
-    cos, sin = np.cos(theta), np.sin(theta)
-    outer = _polar_shell(r)
-
-    def rows(span):
-        rr = r[span, None]
-        z = 1j * (rr * sin)  # as in plane_grid
-        z += rr * cos
-        return z, np.broadcast_to(outer[span, None], z.shape)
-
-    radial = wr * wt
-    axes = PolarAxes(r, radial, theta)
-    return QuadGrid._tensor(np.repeat(radial, n_theta), axes, n_theta, rows)
-
-
-def _polar_shell(r: np.ndarray) -> np.ndarray:
-    """Which radii of a polar grid carry its outer shell: those at least
-    0.95 of the largest.  With two or more angles the grid's mean is the
-    origin and ``|node|`` is its radius, to round-off."""
-    return r >= _SHELL * r.max()
+    radial = wr * (2.0 * math.pi / n_theta)
+    turns = np.cos(theta) + 1j * np.sin(theta)
+    return QuadGrid._of(
+        r, turns, radial, np.ones(n_theta), 1.0, 0.0, _SHELL * r.max(),
+        join=np.multiply, axes=PolarAxes(r, radial, theta),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -611,24 +597,21 @@ def _check_truncation(total_mass, shell_mass) -> None:
 _CHUNK = 8192
 
 
-#: The ``cols`` of :func:`_quad_block` that are the conjugated rows.
-_CONJ_ROWS = object()
-
-
-def _quad_block(grid: QuadGrid, rows, cols=None, exponent=None) -> np.ndarray:
-    """The quadrature sums ``sum_n w_n r_j(z_n) c_k(z_n)`` as a J x K array,
-    or ``sum_n w_n r_j(z_n)`` as a J-vector when ``cols`` is None.
+def _quad_block(grid: QuadGrid, rows, cols, exponent=None) -> np.ndarray:
+    """The quadrature sums ``sum_n w_n r_j(z_n) c_k(z_n)`` as a J x K array.
 
     ``rows`` and ``cols`` map a chunk of nodes (at most :data:`_CHUNK`) to
     the values of their J (or K) functions on it: an array with one row per
     function, or a list with an array or a number per function (a one-term
-    Hermite sum is a number).  ``cols`` may instead be :data:`_CONJ_ROWS`
-    for the conjugates of the rows' values, evaluated once per chunk for
-    both.  ``exponent``, if given, maps nodes to the exponent E of a factor
-    ``e^E`` of every row: per axis on a plane grid fitted to E (the same
-    samples at :data:`_FIT_POINTS`, bit for bit), per node on any other
-    grid.  The chunk's nodes, its shell mask and the factors are formed
-    chunk by chunk (:meth:`QuadGrid.chunks`); no array spans all nodes.
+    Hermite sum is a number).  ``cols`` is None for the conjugates of the
+    rows' values, evaluated once per chunk for both; a plain sum passes the
+    one column ``lambda z: [1.0]`` and reads entry ``[0, 0]``.
+    ``exponent``, if given, maps nodes to the exponent E of a factor ``e^E``
+    of every row: per axis on a plane grid fitted to E (the same samples at
+    :data:`_FIT_POINTS`, bit for bit), per node on any other grid.  The
+    chunk's nodes, weights and shell mask and the factors ``a_i b_j`` are
+    formed chunk by chunk from the grid's axes (:meth:`QuadGrid.chunks`); no
+    array spans all nodes.
 
     Each sum is checked for truncation as if it stood alone: its total and
     outer-shell masses are the same sums of ``|w r_j| |c_k|``, over all
@@ -639,27 +622,22 @@ def _quad_block(grid: QuadGrid, rows, cols=None, exponent=None) -> np.ndarray:
     """
     factors = None if exponent is None else _fitted_factors(grid, exponent)
     sums = total = shell = 0.0
-    for part, z, on in grid.chunks():
+    for part, z, w, on in grid.chunks():
         r = _on_chunk(rows, z)
-        if cols is None:
-            c = np.ones((1, z.size))
-        elif cols is _CONJ_ROWS:
-            c = np.conj(r)
-        else:
-            c = _on_chunk(cols, z)
+        c = np.conj(r) if cols is None else _on_chunk(cols, z)
         if factors is not None:
-            r *= _on_axes(factors, part.start, z.size)
+            r *= _outer(np.multiply, *factors, part.start, z.size)
         elif exponent is not None:
             r *= np.exp(exponent(z))
-        np.multiply(grid.weights[part], r, out=r)
+        np.multiply(w, r, out=r)
         sums = sums + np.einsum("jn,kn->jk", r, c)
         r = np.abs(r)
         c = np.abs(c)
         total = total + np.einsum("jn,kn->jk", r, c)
         shell = shell + np.einsum("jn,kn->jk", r[:, on], c[:, on])
-        del r, c  # the next chunk's rows take their memory
+        del r, c, w  # the next chunk's rows take their memory
     _check_truncation(total, shell)
-    return sums[:, 0] if cols is None else sums
+    return sums
 
 
 def _on_chunk(functions, z: np.ndarray) -> np.ndarray:
@@ -687,14 +665,6 @@ def _fitted_factors(grid: QuadGrid, exponent):
     if not isinstance(axes, PlaneAxes) or _samples(exponent) != axes.samples:
         return None
     return _axis_factors(exponent(axes.along1), exponent(axes.along2), exponent(axes.center))
-
-
-def _on_axes(factors, start: int, size: int) -> np.ndarray:
-    """``a_i b_j`` at nodes ``start .. start + size - 1`` (node ``i n + j``):
-    the whole rows i that hold them, by broadcasting, then the slice."""
-    a, b = factors
-    span, part = _row_span(start, size, b.shape[-1])
-    return _flat(a[..., span, None] * b[..., None, :], part)
 
 
 #: The highest degree in (t_1, t_2) of a sum by per-axis moments.
@@ -737,16 +707,16 @@ def _moment_sum(grid: QuadGrid, factors, U, V: HoloGauss | None = None):
     if not isinstance(U, HoloGauss) or sum(len(f.coeffs) - 1 for f in fs) > _MOMENT_DEGREE:
         return None
     axes = grid.axes
-    R = _t_poly(U, axes) if V is None else _times(_t_poly(U, axes), _t_poly(V, axes).conj())
     (l1, l2), (t, ew) = axes.steps, _gauss_rule("hermite", axes.along1.size)
     c = (axes.reach - 1e-14 * (abs(axes.center) + axes.reach)) / (abs(l1) + abs(l2))
-    powers = t ** np.arange(R.shape[0])[:, None]
-    bounds = np.stack([powers, np.abs(powers), np.abs(powers) * (np.abs(t) >= c)])
 
     def moments(f):
         return np.einsum("mi,i->m", powers, ew * f), np.einsum("kmi,i->km", bounds, abs(ew * f))
 
     with np.errstate(over="ignore", invalid="ignore"):  # not finite: the node sum reports it
+        R = _t_poly(U, axes) if V is None else _times(_t_poly(U, axes), _t_poly(V, axes).conj())
+        powers = t ** np.arange(R.shape[0])[:, None]
+        bounds = np.stack([powers, np.abs(powers), np.abs(powers) * (np.abs(t) >= c)])
         (A, (S, P, Pc)), (B, (T, Q, Qc)) = map(moments, factors)
         shell = np.einsum("ml,m,l->", abs(R), Pc, Q) + np.einsum("ml,m,l->", abs(R), P, Qc)
         total = abs(np.einsum("ml,m,l->", R, S, T))
@@ -810,7 +780,7 @@ def transform_quad(p: PhaseParams, f: HermiteGauss, z: complex) -> complex:
         return 1j * phi_phase(p, z, x) / p.h + f.gamma2 * x * x + f.gamma1 * x
 
     g = line_grid(lambda x: exponent(x).real)
-    total = _quad_block(g, lambda x: [f.hermite_sum(x)], exponent=exponent)[0]
+    total = _quad_block(g, lambda x: [f.hermite_sum(x)], lambda x: [1.0], exponent)[0, 0]
     return p.C_phi * p.h ** (-0.75) * complex(total)
 
 
@@ -844,7 +814,7 @@ def adjoint_quad(
         grid = plane_grid(exponent)
         total = _moment_sum(grid, _fitted_factors(grid, exponent), U)
     if total is None:
-        total = _quad_block(grid, lambda z: [U.hermite_sum(z)], exponent=exponent)[0]
+        total = _quad_block(grid, lambda z: [U.hermite_sum(z)], lambda z: [1.0], exponent)[0, 0]
     return p.C_phi * p.h ** (-0.75) * complex(total)
 
 
@@ -902,7 +872,7 @@ def _pair_block(p: PhaseParams, fs, gs, grid: QuadGrid) -> np.ndarray:
     return _quad_block(
         grid,
         lambda zs: _family_sums(fs, zs),
-        _CONJ_ROWS if gs is fs else lambda zs: [np.conj(v) for v in _family_sums(gs, zs)],
+        None if gs is fs else lambda zs: [np.conj(v) for v in _family_sums(gs, zs)],
         lambda zs: _pair_exponent(p, fs[0], gs[0], zs),
     )
 

@@ -244,9 +244,9 @@ def _cmd_transform(cfg: RunConfig):
 
 def _grid_rows(grid, U):
     """U's values on its grid as CSV rows, one chunk of nodes at a time."""
-    for part, nodes, _ in grid.chunks():
+    for _, nodes, weights, _ in grid.chunks():
         values = U(nodes).tolist()
-        for z, w, v in zip(nodes.tolist(), grid.weights[part].tolist(), values):
+        for z, w, v in zip(nodes.tolist(), weights.tolist(), values):
             yield z.real, z.imag, w, v.real, v.imag
 
 

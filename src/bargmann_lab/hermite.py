@@ -42,7 +42,7 @@ from .gaussalg import (
     relative_residual,
 )
 from .phasecore import PhaseParams, canonical_A
-from .bargmann import _CONJ_ROWS, _quad_block, line_grid
+from .bargmann import _quad_block, line_grid
 
 __all__ = ["HermiteSystem", "gram_deviation"]
 
@@ -206,7 +206,7 @@ class HermiteSystem:
         phis = [self.hermite_phi(n) for n in range(N)]
         s = phis[0].s
         grid = line_grid(lambda x: -x * x / s**2)
-        return _quad_block(grid, lambda x: [f(x) for f in phis], _CONJ_ROWS)
+        return _quad_block(grid, lambda x: [f(x) for f in phis], None)
 
 
 def _check_nonempty(N: int) -> None:

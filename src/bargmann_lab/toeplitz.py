@@ -27,10 +27,8 @@ integrand of entry (m, n) is a radial factor times ``e^{i(m-n) theta}``, so
 the block is a radial sum times an angular sum: the symbol, the Gaussian and
 the normalized radial powers are evaluated once per radius, and the angular
 sums are computed (not set to 0 or n_theta), so the off-diagonal entries
-still measure the trapezoid rule.  On any other grid the block is one block
-of the package's quadrature sum, ``bargmann._quad_block``, evaluated per
-node.  Either way each entry is checked for truncation as a single sum would
-be, on the same outer-shell nodes.
+still measure the trapezoid rule.  Each entry is checked for truncation as a
+single sum would be, on the grid's outer-shell nodes.
 """
 
 from __future__ import annotations
@@ -48,8 +46,6 @@ from .bargmann import (
     polar_grid,
     _adaptive_quad,
     _check_truncation,
-    _polar_shell,
-    _quad_block,
 )
 
 __all__ = [
@@ -200,47 +196,32 @@ def _toeplitz_entries(
     sym: RadialSymbol, rows: Sequence[int], cols: Sequence[int], g: QuadGrid
 ) -> np.ndarray:
     """Matrix elements for m in ``rows`` and n in ``cols``, the sums of
-    ``c(|z|^2) e^{-|z|^2/2} varphi_m(z) conj(varphi_n(z))`` over the nodes,
-    with ``varphi_k(z) = z^k / sqrt(pi 2^{k+1} k!)``.
+    ``c(|z|^2) e^{-|z|^2/2} varphi_m(z) conj(varphi_n(z))`` over the nodes
+    of a polar grid (any other grid is a DomainError), with ``varphi_k(z) =
+    z^k / sqrt(pi 2^{k+1} k!)``.
 
-    On a polar grid, ``T_mn = sum_k w_k c(r_k^2) e^{-r_k^2/2} P_m(r_k)
-    P_n(r_k) * sum_l e^{i(m-n) theta_l}`` with ``P_k = |varphi_k|``; the
-    masses of the truncation check factor the same way, the shell's
-    counting the nodes of each radius on the grid's outer shell, all
-    ``n_theta`` or none.  On any other grid, one
-    block of :func:`~bargmann_lab.bargmann._quad_block`, whose rows are the
-    varphi_m times ``c(|z|^2) e^{-|z|^2/2}`` and whose columns the conjugated
-    varphi_n.  Each entry is checked for truncation as a single sum would be.
+    ``T_mn = sum_k w_k c(r_k^2) e^{-r_k^2/2} P_m(r_k) P_n(r_k) * sum_l
+    e^{i(m-n) theta_l}`` with ``P_k = |varphi_k|``; the masses of the
+    truncation check factor the same way, the shell's counting the
+    ``n_theta`` nodes of each radius ``r_k >= reach`` of the grid's outer
+    shell.  Each entry is checked for truncation as a single sum would be.
     """
     rows, cols = list(rows), list(cols)
     if min(rows + cols) < 0:
         raise DomainError("index must be >= 0")
-    K = max(rows + cols) + 1
-    steps = 1 / np.sqrt(2.0 * np.arange(1, K))
-
-    def powers(z):
-        # z^k / sqrt(pi 2^{k+1} k!) for k < K, each from the previous one
-        out = np.empty((K, z.size), dtype=z.dtype)
-        out[0] = 1 / math.sqrt(2 * math.pi)
-        np.multiply(steps[:, None], z, out=out[1:])
-        for k in range(1, K):
-            out[k] *= out[k - 1]
-        return out
-
     if not isinstance(g.axes, PolarAxes):
-
-        def weighted(z):
-            u = np.abs(z) ** 2
-            return powers(z)[rows] * (sym.c(u) * np.exp(-u / 2.0))
-
-        return _quad_block(g, weighted, lambda z: np.conj(powers(z)[cols]))
-
+        raise DomainError(f"the Toeplitz blocks need a polar_grid, not this {g.size}-node grid")
+    K = max(rows + cols) + 1
     r, w, theta = g.axes
     u = r * r
     radial = w * (sym.c(u) * np.exp(-u / 2.0))
-    P = powers(r)
+    P = np.empty((K, r.size))  # r^k / sqrt(pi 2^{k+1} k!), each from the previous one
+    P[0] = 1 / math.sqrt(2 * math.pi)
+    np.multiply((1 / np.sqrt(2.0 * np.arange(1, K)))[:, None], r, out=P[1:])
+    for k in range(1, K):
+        P[k] *= P[k - 1]
     Pr, Pc = P[rows], P[cols]
-    counts = theta.size * _polar_shell(r)
+    counts = theta.size * (r >= g.reach)
     mass = np.abs(radial)
     _check_truncation(
         np.einsum("jk,nk->jn", Pr * (mass * theta.size), Pc),
@@ -255,7 +236,8 @@ def toeplitz_block_quad(
 ) -> np.ndarray:
     """The N x N matrix of :func:`toeplitz_matrix_quad` elements, m, n < N.
 
-    All entries come from one pass over the nodes instead of one pass per
+    All entries come from one pass over the radii of the polar grid
+    (``grid``, or :func:`default_toeplitz_grid`) instead of one pass per
     entry; each entry is checked for truncation as a single sum would be.
     """
     if N < 1:

@@ -276,7 +276,7 @@ def test_quad_block_matches_per_node_reference():
     def reference(term):
         return sum(w * term(z) for z, w in zip(nodes, weights))
 
-    got = bargmann._quad_block(grid, lambda z: [r(z) for r in rows])
+    got = bargmann._quad_block(grid, lambda z: [r(z) for r in rows], lambda z: [1.0])[:, 0]
     want = [reference(r) for r in rows]
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
     got = bargmann._quad_block(grid, lambda z: [r(z) for r in rows], lambda z: [c(z) for c in cols])
@@ -324,7 +324,7 @@ def test_plane_grid_axes_cancel_an_imaginary_cross_term():
     def poly(z):
         return 1 + z * z - 0.5j * z
 
-    got = bargmann._quad_block(grid, lambda z: [poly(z)], exponent=exponent)[0]
+    got = bargmann._quad_block(grid, lambda z: [poly(z)], lambda z: [1.0], exponent)[0, 0]
     want = _per_node_sum(grid, lambda z: poly(z) * cmath.exp(exponent(z)))
     assert got == pytest.approx(want, rel=1e-12)
 

@@ -212,6 +212,20 @@ def test_unevaluable_transform_check_fails_without_a_runtime_warning(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_an_unfittable_transform_suite_is_exit_1_without_a_runtime_warning(tmp_path):
+    # at |B| = 1e150 the projector's per-axis factors and the closed form
+    # overflow before the line grid cannot be fitted: the domain error is
+    # reported (exit 1), and no numpy warning is printed ahead of it
+    proc = subprocess.run(
+        [sys.executable, "-m", "bargmann_lab.cli", "certify", "--suite", "transform",
+         "--B=1e150", "-o", str(tmp_path / "artifact")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "error: integrand does not decay" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def test_degenerate_ellipse_is_exit_1(capsys):
     assert cli.main(["ellipse", "--alpha", "1", "--beta", "0"]) == 1
     capsys.readouterr()

@@ -103,20 +103,25 @@ CASES = {
 }
 
 
+def _unformed(grid):
+    """Whether none of the grid's whole-grid arrays has been formed."""
+    return not {"nodes", "weights", "shell"} & set(vars(grid))
+
+
 @pytest.mark.parametrize("build,eager", CASES.values(), ids=CASES)
 def test_tensor_grids_form_the_nodes_of_the_whole_grid_formulas_bit_for_bit(build, eager):
     grid = build()
     nodes, weights = eager()
-    assert "_arrays" not in vars(grid)  # nothing per node until asked for
+    assert _unformed(grid)  # nothing per node until asked for
     assert _same_bits(grid.weights, weights)
+    assert "nodes" not in vars(grid)  # the weights are formed on their own
     assert _same_bits(grid.nodes, nodes)
     assert _same_bits(grid.shell, _defined_shell(nodes))
     # and chunk by chunk, as the sums form them, across rows cut by a chunk
-    for start in range(0, nodes.size, bargmann._CHUNK):
-        stop = min(start + bargmann._CHUNK, nodes.size)
-        z, on = grid._chunk(start, stop)
-        assert _same_bits(z, nodes[start:stop])
-        assert _same_bits(on, grid.shell[start:stop])
+    for part, z, w, on in grid.chunks():
+        assert _same_bits(z, nodes[part])
+        assert _same_bits(w, weights[part])
+        assert _same_bits(on, grid.shell[part])
 
 
 @pytest.mark.parametrize("build", [
@@ -127,46 +132,76 @@ def test_tensor_grids_form_the_nodes_of_the_whole_grid_formulas_bit_for_bit(buil
 def test_chunks_cover_the_nodes_in_order_bit_for_bit(build):
     grid = build()
     parts = []
-    for part, z, on in grid.chunks():
+    for part, z, w, on in grid.chunks():
         assert part.stop - part.start <= bargmann._CHUNK
         assert _same_bits(z, grid.nodes[part])
+        assert _same_bits(w, grid.weights[part])
         assert _same_bits(on, grid.shell[part])
         parts.append(part)
     starts = [0, *(part.stop for part in parts)]
     assert [part.start for part in parts] == starts[:-1]
-    assert starts[-1] == grid.weights.size
+    assert starts[-1] == grid.size == grid.weights.size
+
+
+def _recording_grids(monkeypatch) -> list:
+    """The grids built from now on, in order."""
+    grids = []
+    of = QuadGrid._of.__func__
+
+    def recording(cls, *form, **options):
+        grids.append(of(cls, *form, **options))
+        return grids[-1]
+
+    monkeypatch.setattr(QuadGrid, "_of", classmethod(recording))
+    return grids
 
 
 def test_shells_are_their_definition_on_every_grid_of_the_battery(monkeypatch):
-    grids = []
-    tensor = QuadGrid._tensor.__func__
-
-    def recording(cls, *args):
-        grids.append(tensor(cls, *args))
-        return grids[-1]
-
-    monkeypatch.setattr(QuadGrid, "_tensor", classmethod(recording))
+    grids = _recording_grids(monkeypatch)
     assert all(c["pass"] for c in suites.suite_all())
     kinds = [type(g.axes).__name__ for g in grids]
     assert (kinds.count("PlaneAxes"), kinds.count("PolarAxes")) == (133, 6)
+    assert kinds.count("NoneType") == len(grids) - 139 > 0  # the line grids
     for grid in grids:
         assert np.array_equal(grid.shell, _defined_shell(grid.nodes))
+
+
+def _built(build):
+    """A grid from ``build()`` and the peak of the memory its build traced."""
+    build()  # the first build of a size fills the Gauss rule cache
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("build", [
     lambda: polar_grid(9.0, split_at=3.0),
     lambda: plane_grid(_complex_exponent),
 ], ids=["polar", "plane"])
-def test_grids_allocate_nothing_per_node_but_their_weights(build):
-    build()  # the first build of a size fills the Gauss rule cache
-    tracemalloc.start()
-    try:
-        grid = build()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_grids_allocate_nothing_per_node(build):
+    grid, peak = _built(build)
     # one bool per node is the smallest array with one entry per node
-    assert peak - grid.weights.nbytes < grid.weights.size
+    assert peak < grid.size, peak
+    assert _unformed(grid)
+
+
+def test_a_line_grid_allocates_nothing_per_node_but_its_one_axis():
+    # its one axis is its nodes; beside it, less than one byte more per node
+    (small, low), (large, high) = (_built(lambda: line_grid(lambda x: -x * x, n)) for n in (100, 700))
+    assert high - low - (large.first.nbytes - small.first.nbytes) < large.size - small.size
+    assert _unformed(large)
+
+
+def test_sums_leave_the_whole_grid_arrays_unformed(monkeypatch):
+    p = PhaseParams.classic()
+    fs = [psi_n(derived_constants(2.0, 1.0), k) for k in range(8)]
+    grids = _recording_grids(monkeypatch)
+    bargmann.gram_HPhi(p, fs)
+    grid = plane_grid(_complex_exponent)
+    bargmann._quad_block(grid, lambda z: [np.exp(-abs(z) ** 2)], lambda z: [1.0])
+    assert len(grids) == 2 and all(map(_unformed, grids))
 
 
 def test_a_node_sum_holds_few_chunk_arrays_at_once():
@@ -201,9 +236,13 @@ def test_sums_on_a_tensor_grid_are_the_sums_on_its_nodes_bit_for_bit(build):
     def cols(z):
         return [1.5, np.exp(-0.2 * abs(z) ** 2 + 0.5j * z.real)]
 
+    def one(z):
+        return [1.0]
+
     for got, want in (
-        (bargmann._quad_block(grid, rows), bargmann._quad_block(copy, rows)),
+        (bargmann._quad_block(grid, rows, one), bargmann._quad_block(copy, rows, one)),
         (bargmann._quad_block(grid, rows, cols), bargmann._quad_block(copy, rows, cols)),
+        (bargmann._quad_block(grid, rows, None), bargmann._quad_block(copy, rows, None)),
     ):
         assert _same_bits(got, want)
 
@@ -229,7 +268,7 @@ def test_hand_built_grids_hold_copies_of_their_nodes():
     with pytest.raises(DomainError, match="positive"):
         QuadGrid(nodes, -weights)
     # a hand-built grid's sums are the plain per-node sums
-    got = bargmann._quad_block(grid, lambda x: [np.exp(-8 * x * x)])[0]
+    got = bargmann._quad_block(grid, lambda x: [np.exp(-8 * x * x)], lambda x: [1.0])[0, 0]
     want = sum(w * math.exp(-8 * x * x) for x, w in zip(grid.nodes.tolist(), grid.weights.tolist()))
     assert got == pytest.approx(want, rel=1e-15)
 

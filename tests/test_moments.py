@@ -98,8 +98,8 @@ def test_moment_sums_are_the_node_sums_on_the_same_grid(p, draw):
     grid = plane_grid(exponent)
     assert bargmann._moment_sum(grid, bargmann._fitted_factors(grid, exponent), U) is not None
     node = p.C_phi * p.h ** (-0.75) * bargmann._quad_block(
-        grid, lambda z: [U.hermite_sum(z)], exponent=exponent
-    )[0]
+        grid, lambda z: [U.hermite_sum(z)], lambda z: [1.0], exponent
+    )[0, 0]
     assert abs(adjoint_quad(p, U, x) - node) <= TOL * abs(node)
 
     # the projector at four points, on the grid fitted to its exponent at 0
@@ -141,7 +141,7 @@ def test_an_uncertified_sum_raises_the_node_sums_truncation_error(monkeypatch):
     grid = bargmann.plane_grid(exponent)
     assert bargmann._moment_sum(grid, bargmann._fitted_factors(grid, exponent), U) is None
     with pytest.raises(TruncationError) as node:
-        bargmann._quad_block(grid, lambda z: [U.hermite_sum(z)], exponent=exponent)
+        bargmann._quad_block(grid, lambda z: [U.hermite_sum(z)], lambda z: [1.0], exponent)
     with pytest.raises(TruncationError) as public:
         adjoint_quad(p, U, 0.3)
     assert str(public.value) == str(node.value)
@@ -180,7 +180,7 @@ def test_a_moment_that_is_not_finite_falls_back_to_the_node_sum(monkeypatch):
     blocks = []
     quad_block = bargmann._quad_block
 
-    def recording(grid, rows, cols=None, exponent=None):
+    def recording(grid, rows, cols, exponent=None):
         blocks.append(len(cols(grid.nodes[:1])))
         return quad_block(grid, rows, cols, exponent)
 

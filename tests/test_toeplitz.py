@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from bargmann_lab.bargmann import QuadGrid, TruncationError, grid_values, polar_grid
+from bargmann_lab.bargmann import (
+    TRUNCATION_TOL,
+    QuadGrid,
+    TruncationError,
+    grid_values,
+    line_grid,
+    polar_grid,
+)
 from bargmann_lab.gaussalg import DomainError
 from bargmann_lab.toeplitz import (
     RadialSymbol,
@@ -185,22 +192,52 @@ def test_block_matches_per_node_reference():
         assert toeplitz_matrix_quad(sym, m, n, grid=grid) == pytest.approx(got[m, n], rel=1e-12)
 
 
+def _per_node_block(sym, N, grid):
+    """The N x N block and its total and outer-shell masses as sums over the
+    grid's nodes, weights and shell: ``w c(|z|^2) e^{-|z|^2/2} varphi_m
+    conj(varphi_n)`` with the varphi_k from their closed form."""
+    z, w = grid.nodes, grid.weights
+    u = abs(z) ** 2
+    k = np.arange(N)[:, None]
+    factorials = np.array([math.factorial(j) for j in range(N)], dtype=float)[:, None]
+    varphi = z**k / np.sqrt(math.pi * 2.0 ** (k + 1) * factorials)
+    rows = varphi * (w * sym.c(u) * np.exp(-u / 2))
+    block = np.einsum("jn,kn->jk", rows, varphi.conj())
+    mass = np.einsum("jn,kn->jk", abs(rows), abs(varphi))
+    shell = np.einsum("jn,kn->jk", abs(rows[:, grid.shell]), abs(varphi[:, grid.shell]))
+    return block, mass, shell
+
+
 def test_polar_block_is_the_per_node_block():
     # radial sums times angular sums against the per-node block on the same
     # nodes and weights; three angles alias e^{3ik theta} to 1, so entries
     # with |m - n| in {3, 6} are nonzero
     sym = RadialSymbol.gaussian(0.5)
     for grid in (polar_grid(12.0, n_r=40, n_theta=3), default_toeplitz_grid(sym, 6)):
-        plain = QuadGrid(grid.nodes, grid.weights)
         got = toeplitz_block_quad(sym, 7, grid=grid)
-        want = toeplitz_block_quad(sym, 7, grid=plain)
+        want = _per_node_block(sym, 7, grid)[0]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * abs(want).max())
-    # both routes see the same outer-shell nodes
+    # both routes see the same outer-shell nodes: the radial route raises
+    # exactly where the per-node shell mass exceeds the tolerance
     grid = polar_grid(6.0, n_r=60, n_theta=16)
-    for g in (grid, QuadGrid(grid.nodes, grid.weights)):
-        toeplitz_block_quad(sym, 2, grid=g)
-        with pytest.raises(TruncationError):
-            toeplitz_block_quad(sym, 7, grid=g)
+    for N, raises in ((2, False), (7, True)):
+        _, mass, shell = _per_node_block(sym, N, grid)
+        assert (shell > TRUNCATION_TOL * mass).any() == raises
+        if raises:
+            with pytest.raises(TruncationError):
+                toeplitz_block_quad(sym, N, grid=grid)
+        else:
+            toeplitz_block_quad(sym, N, grid=grid)
+
+
+def test_the_blocks_need_a_polar_grid():
+    grid = polar_grid(9.0, n_r=40, n_theta=16)
+    sym = RadialSymbol.gaussian(0.5)
+    for plain in (QuadGrid(grid.nodes, grid.weights), line_grid(lambda x: -x * x)):
+        with pytest.raises(DomainError, match="polar_grid"):
+            toeplitz_block_quad(sym, 3, grid=plain)
+        with pytest.raises(DomainError, match="polar_grid"):
+            toeplitz_matrix_quad(sym, 0, 1, grid=plain)
 
 
 def test_block_and_entry_raise_truncation_where_a_single_sum_would():
