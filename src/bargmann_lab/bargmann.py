@@ -235,9 +235,9 @@ def _outer(join, u: np.ndarray, v: np.ndarray, start: int, size: int) -> np.ndar
     """``join(u_i, v_j)`` at entries ``start .. start + size - 1`` of the
     tensor product whose entry ``i m + j`` (m = ``v.size``) is on row i: the
     whole rows that hold them, by one broadcast, then the slice."""
-    first = start // v.size
-    offset = start - first * v.size
-    rows = join.outer(u[first : -(-(start + size) // v.size)], v)
+    row = start // v.size
+    offset = start - row * v.size
+    rows = join.outer(u[row : -(-(start + size) // v.size)], v)
     return rows.reshape(-1)[offset : offset + size]
 
 

@@ -10,7 +10,6 @@ from bargmann_lab.bargmann import (
     TRUNCATION_TOL,
     QuadGrid,
     TruncationError,
-    grid_values,
     line_grid,
     polar_grid,
 )
