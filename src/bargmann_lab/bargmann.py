@@ -21,16 +21,16 @@ truncation check.  Every integrand is one expression on a chunk of nodes:
 the ``phasecore`` functions and ``HoloGauss.hermite_sum`` accept arrays, and
 the exponents of all factors are summed before a single ``np.exp``, because
 a factor alone can overflow where the product is negligible.  The rows and
-columns are Hermite sums; the exponential factor ``e^E`` of the integrand is
-handed to ``_quad_block`` as its exponent.  On a plane grid fitted to E
-(below) the exponent has no cross term between the two axes, so ``e^E =
-a_i b_j`` is evaluated once per axis, 2n calls of ``exp`` instead of n^2
-(sum factorization; Orszag, J. Comput. Phys. 37, 70 (1980)).  On any other
-grid it is evaluated per node.  The projector fits its own grid to its
-column exponent, whose every point then factors per axis too; the Toeplitz
-blocks on a polar grid are radial sums times angular sums.  A sum of degree
-at most 6 on a grid its caller fitted runs on per-axis moments, forming no
-node, where they certify its truncation check (:func:`_moment_sum`).
+columns are Hermite sums.  Every plane kernel sums on the grid fitted to the
+exponent E of its integrand's exponential factor ``e^E`` (below), where E
+has no cross term between the two axes, so ``e^E = a_i b_j`` is evaluated
+once per axis, 2n calls of ``exp`` instead of n^2 (sum factorization;
+Orszag, J. Comput. Phys. 37, 70 (1980)), and handed to ``_quad_block`` as
+that pair.  The projector fits its grid to its column exponent at 0, whose
+every point then factors per axis too; the Toeplitz blocks on a polar grid
+are radial sums times angular sums.  A plane sum of degree at most 6 runs on
+per-axis moments, forming no node, where they certify its truncation check
+(:func:`_moment_sum`).
 
 Gauss rules are built by Newton's method on their three-term recurrences,
 from asymptotic starts (Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29, 1420
@@ -64,7 +64,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -73,8 +73,6 @@ from .phasecore import PhaseParams, phi_phase, kernel_Psi, weight_Phi
 
 __all__ = [
     "QuadGrid",
-    "PlaneAxes",
-    "PolarAxes",
     "TruncationError",
     "line_grid",
     "plane_grid",
@@ -98,31 +96,6 @@ class TruncationError(RuntimeError):
     """The grid does not extend far enough for the requested integrand."""
 
 
-class PlaneAxes(NamedTuple):
-    """How a plane grid was fitted: its exponent's values at
-    :data:`_FIT_POINTS`, its center zc, its nodes along each axis through
-    zc, ``zc + t_i l_1`` and ``zc + t_j l_2``, its ``steps`` (l_1, l_2) and
-    the radius ``reach`` of its outer shell about zc.  Node ``i n + j`` of
-    the grid is ``zc + t_i l_1 + t_j l_2`` (t of the n-point Hermite rule)."""
-
-    samples: tuple[complex, ...]
-    center: complex
-    along1: np.ndarray
-    along2: np.ndarray
-    steps: tuple[complex, complex]
-    reach: float
-
-
-class PolarAxes(NamedTuple):
-    """A polar grid's radii ``r``, the weight of each node at each radius,
-    and the angles ``theta``.  Node ``k n_theta + l`` of the grid is ``r_k
-    e^{i theta_l}``."""
-
-    r: np.ndarray
-    weights: np.ndarray
-    theta: np.ndarray
-
-
 #: The outer shell of a grid: the nodes whose distance from its centre is at
 #: least this fraction of the largest (:class:`QuadGrid`).
 _SHELL = 0.95
@@ -138,9 +111,10 @@ class QuadGrid:
     e^{i theta_j}``, and a one-axis grid, :func:`line_grid` or one made from
     its nodes, ``QuadGrid(nodes, weights)`` (which holds copies of them), has
     one node per entry of ``first``.  Nodes are float on the line and complex
-    x+iy on the plane; weights are float.  ``axes`` records how a plane or
-    polar grid was fitted (:class:`PlaneAxes`, :class:`PolarAxes`), and is
-    None on a one-axis grid.  Every array the grid holds is read-only.
+    x+iy on the plane; weights are float.  A plane grid's node ``i m + j`` is
+    also ``center + t_i l_1 + t_j l_2``, with t the Hermite rule's nodes and
+    ``steps`` the pair (l_1, l_2); ``steps`` is None on other grids.  Every
+    array the grid holds is read-only.
 
     The outer shell, on which the truncation check of every sum looks for
     mass, is the nodes with ``|node - center| >= reach``.  A grid made from
@@ -160,6 +134,8 @@ class QuadGrid:
         weights = np.array(weights, dtype=float)
         if nodes.shape != weights.shape:
             raise DomainError("nodes and weights must have equal length")
+        if not nodes.size:
+            raise DomainError("a grid needs one node or more: nodes is empty")
         center = nodes.mean()
         reach = _SHELL * np.abs(nodes - center).max()
         self._set(nodes, -np.zeros(1, nodes.dtype), weights, _ONE, 1.0, center, reach)
@@ -171,15 +147,15 @@ class QuadGrid:
         grid._set(*form, **options)
         return grid
 
-    def _set(self, first, second, w1, w2, scale, center, reach, join=np.add, axes=None):
+    def _set(self, first, second, w1, w2, scale, center, reach, join=np.add, steps=None):
         # the smallest weight is w1.min() w2.min() scale: rounding is monotone
         if not w1.min() * w2.min() * scale > 0:
             raise DomainError("weights must be positive")
-        for a in (first, second, w1, w2, *(axes or ())):
+        for a in (first, second, w1, w2):
             _read_only(a)
         self.__dict__.update(
             first=first, second=second, w1=w1, w2=w2, scale=scale,
-            center=center, reach=reach, join=join, axes=axes,
+            center=center, reach=reach, join=join, steps=steps,
         )
 
     def __setattr__(self, name, value):
@@ -473,7 +449,7 @@ def plane_grid(exponent: Callable[[complex], complex], n: int = 160) -> QuadGrid
     weights ``|det L| ew_i ew_j``.  Polynomial-times-Gaussian integrands are
     integrated to round-off and oscillatory phases converge spectrally in
     ``n``, and on these axes the exponent has no cross term, so ``e^E``
-    factors per axis (:class:`PlaneAxes`).  A real exponent gives O = 1.
+    factors per axis (:func:`_fitted_factors`).  A real exponent gives O = 1.
     """
     _check_count("n", n)
     samples = _samples(exponent)
@@ -497,14 +473,12 @@ def plane_grid(exponent: Callable[[complex], complex], n: int = 160) -> QuadGrid
         frame = evecs * [s1, s2]
         scale, dirs = (1.0, 1.0), frame @ np.linalg.eigh(frame.T @ M_im @ frame)[1]
     t1, t2 = t * scale[0], t * scale[1]
-    along1 = (center[0] + t1 * dirs[0, 0]) + 1j * (center[1] + t1 * dirs[1, 0])
+    first = (center[0] + t1 * dirs[0, 0]) + 1j * (center[1] + t1 * dirs[1, 0])
     second = t2 * dirs[0, 1] + 1j * (t2 * dirs[1, 1])
     zc = complex(*center)
-    reach = _SHELL * np.abs(np.add.outer(along1[[0, -1]], second[[0, -1]]) - zc).max()
-    along2 = (center[0] + t2 * dirs[0, 1]) + 1j * (center[1] + t2 * dirs[1, 1])
+    reach = _SHELL * np.abs(np.add.outer(first[[0, -1]], second[[0, -1]]) - zc).max()
     steps = tuple(complex(*dirs[:, k]) * scale[k] for k in (0, 1))
-    axes = PlaneAxes(samples, zc, along1, along2, steps, reach)
-    return QuadGrid._of(along1, second, ew, ew, s1 * s2, zc, reach, axes=axes)
+    return QuadGrid._of(first, second, ew, ew, s1 * s2, zc, reach, steps=steps)
 
 
 def hphi_grid(p: PhaseParams, U: HoloGauss, V: HoloGauss, n: int = 160) -> QuadGrid:
@@ -552,13 +526,17 @@ def polar_grid(
         rw.append((b - a) / 2.0 * w)
     r = np.concatenate(rs)
     wr = np.concatenate(rw) * r  # Jacobian r dr dtheta
-    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    theta = _angles(n_theta)
     radial = wr * (2.0 * math.pi / n_theta)
     turns = np.cos(theta) + 1j * np.sin(theta)
     return QuadGrid._of(
-        r, turns, radial, np.ones(n_theta), 1.0, 0.0, _SHELL * r.max(),
-        join=np.multiply, axes=PolarAxes(r, radial, theta),
+        r, turns, radial, np.ones(n_theta), 1.0, 0.0, _SHELL * r.max(), join=np.multiply
     )
+
+
+def _angles(n_theta: int) -> np.ndarray:
+    """The angles ``2 pi l/n_theta`` of a polar grid's ``n_theta`` turns."""
+    return 2.0 * math.pi * np.arange(n_theta) / n_theta
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +575,7 @@ def _check_truncation(total_mass, shell_mass) -> None:
 _CHUNK = 8192
 
 
-def _quad_block(grid: QuadGrid, rows, cols, exponent=None) -> np.ndarray:
+def _quad_block(grid: QuadGrid, rows, cols, factors=None) -> np.ndarray:
     """The quadrature sums ``sum_n w_n r_j(z_n) c_k(z_n)`` as a J x K array.
 
     ``rows`` and ``cols`` map a chunk of nodes (at most :data:`_CHUNK`) to
@@ -606,29 +584,25 @@ def _quad_block(grid: QuadGrid, rows, cols, exponent=None) -> np.ndarray:
     Hermite sum is a number).  ``cols`` is None for the conjugates of the
     rows' values, evaluated once per chunk for both; a plain sum passes the
     one column ``lambda z: [1.0]`` and reads entry ``[0, 0]``.
-    ``exponent``, if given, maps nodes to the exponent E of a factor ``e^E``
-    of every row: per axis on a plane grid fitted to E (the same samples at
-    :data:`_FIT_POINTS`, bit for bit), per node on any other grid.  The
-    chunk's nodes, weights and shell mask and the factors ``a_i b_j`` are
-    formed chunk by chunk from the grid's axes (:meth:`QuadGrid.chunks`); no
-    array spans all nodes.
+    ``factors``, if given, is the per-axis pair ``(a, b)`` of a factor
+    ``e^E = a_i b_j`` of every row, on a plane grid fitted to E
+    (:func:`_fitted_factors`).  The chunk's nodes, weights and shell mask
+    and the factors ``a_i b_j`` are formed chunk by chunk from the grid's
+    axes (:meth:`QuadGrid.chunks`); no array spans all nodes.
 
     Each sum is checked for truncation as if it stood alone: its total and
     outer-shell masses are the same sums of ``|w r_j| |c_k|``, over all
     nodes and over the grid's shell.  The products run in ``np.einsum``,
     numpy's own loops: no BLAS thread, and each sum is the same, bit for
-    bit, whichever other sums run with it.  Sums on grids their callers fit
-    come here only where :func:`_moment_sum` does not certify them.
+    bit, whichever other sums run with it.  The plane kernels' sums come
+    here only where :func:`_moment_sum` does not certify them.
     """
-    factors = None if exponent is None else _fitted_factors(grid, exponent)
     sums = total = shell = 0.0
     for part, z, w, on in grid.chunks():
         r = _on_chunk(rows, z)
         c = np.conj(r) if cols is None else _on_chunk(cols, z)
         if factors is not None:
             r *= _outer(np.multiply, *factors, part.start, z.size)
-        elif exponent is not None:
-            r *= np.exp(exponent(z))
         np.multiply(w, r, out=r)
         sums = sums + np.einsum("jn,kn->jk", r, c)
         r = np.abs(r)
@@ -646,38 +620,32 @@ def _on_chunk(functions, z: np.ndarray) -> np.ndarray:
     return np.array(values, dtype=complex).reshape(-1, z.size)
 
 
-def _axis_factors(e1, e2, ec):
-    """Per-axis factors ``(a, b)`` with ``a_i b_j = exp(e1_i + e2_j - ec)``:
-    the exponents along the two axes of a plane grid through its center,
-    and at the center, of an exponent with no cross term.  Each exponent is
-    summed before its one ``np.exp``; b is shifted so that its largest
-    modulus is 1, so no factor exceeds the largest product.  The arrays may
-    carry one leading row per function (with ``ec`` a column)."""
-    e2 = e2 - ec
-    shift = e2.real.max(axis=-1, keepdims=True)
-    return np.exp(e1 + shift), np.exp(e2 - shift)
-
-
 def _fitted_factors(grid: QuadGrid, exponent):
-    """:func:`_axis_factors` of ``exponent`` on a plane grid fitted to it,
-    else None."""
-    axes = grid.axes
-    if not isinstance(axes, PlaneAxes) or _samples(exponent) != axes.samples:
-        return None
-    return _axis_factors(exponent(axes.along1), exponent(axes.along2), exponent(axes.center))
+    """Per-axis factors ``(a, b)`` with ``a_i b_j = e^E`` at node ``zc + t_i
+    l_1 + t_j l_2`` of a plane grid fitted to the exponent E, which has no
+    cross term on its axes: E along the two axes through the center zc, less
+    E at zc.  Each exponent is summed before its one ``np.exp``; b is shifted
+    so that its largest modulus is 1, so no factor exceeds the largest
+    product.  ``exponent`` may return one leading row per function (E at zc
+    then a column)."""
+    zc = grid.center
+    e2 = exponent(zc + grid.second) - exponent(zc)
+    shift = e2.real.max(axis=-1, keepdims=True)
+    return np.exp(exponent(grid.first) + shift), np.exp(e2 - shift)
 
 
 #: The highest degree in (t_1, t_2) of a sum by per-axis moments.
 _MOMENT_DEGREE = 6
 
 
-def _t_poly(f: HoloGauss, axes: PlaneAxes) -> np.ndarray:
+def _t_poly(f: HoloGauss, grid: QuadGrid) -> np.ndarray:
     """``f.hermite_sum(zc + t_1 l_1 + t_2 l_2)`` as coefficients ``R[m, l]`` of
-    ``t_1^m t_2^l``: ``R_ml = c_{m+l} C(m + l, m) l_1^m l_2^l``, with ``c_k``
-    those of ``HoloGauss.poly`` on the basis shifted to ``w = z - zc``."""
-    c = HoloGauss(f.coeffs, 0, 0, f.y0 + f.y1 * axes.center, f.y1, f.rho2).poly.coeffs
+    ``t_1^m t_2^l`` on a plane grid: ``R_ml = c_{m+l} C(m + l, m) l_1^m
+    l_2^l``, with ``c_k`` those of ``HoloGauss.poly`` on the basis shifted to
+    ``w = z - zc``."""
+    c = HoloGauss(f.coeffs, 0, 0, f.y0 + f.y1 * grid.center, f.y1, f.rho2).poly.coeffs
     m, l = np.indices((len(c), len(c)))
-    l1, l2 = axes.steps
+    l1, l2 = grid.steps
     binomials = np.frompyfunc(math.comb, 2, 1)(m + l, m).astype(float)
     return np.append(c, 0)[np.minimum(m + l, len(c))] * binomials * l1**m * l2**l
 
@@ -706,15 +674,14 @@ def _moment_sum(grid: QuadGrid, factors, U, V: HoloGauss | None = None):
     fs = (U,) if V is None else (U, V)
     if not isinstance(U, HoloGauss) or sum(len(f.coeffs) - 1 for f in fs) > _MOMENT_DEGREE:
         return None
-    axes = grid.axes
-    (l1, l2), (t, ew) = axes.steps, _gauss_rule("hermite", axes.along1.size)
-    c = (axes.reach - 1e-14 * (abs(axes.center) + axes.reach)) / (abs(l1) + abs(l2))
+    (l1, l2), (t, ew) = grid.steps, _gauss_rule("hermite", grid.first.size)
+    c = (grid.reach - 1e-14 * (abs(grid.center) + grid.reach)) / (abs(l1) + abs(l2))
 
     def moments(f):
         return np.einsum("mi,i->m", powers, ew * f), np.einsum("kmi,i->km", bounds, abs(ew * f))
 
     with np.errstate(over="ignore", invalid="ignore"):  # not finite: the node sum reports it
-        R = _t_poly(U, axes) if V is None else _times(_t_poly(U, axes), _t_poly(V, axes).conj())
+        R = _t_poly(U, grid) if V is None else _times(_t_poly(U, grid), _t_poly(V, grid).conj())
         powers = t ** np.arange(R.shape[0])[:, None]
         bounds = np.stack([powers, np.abs(powers), np.abs(powers) * (np.abs(t) >= c)])
         (A, (S, P, Pc)), (B, (T, Q, Qc)) = map(moments, factors)
@@ -772,7 +739,7 @@ def transform(p: PhaseParams, f: HermiteGauss) -> HoloGauss:
 def transform_quad(p: PhaseParams, f: HermiteGauss, z: complex) -> complex:
     """Quadrature route for T f(z): the oracle for :func:`transform`, on the
     line grid fitted to the real part of the integrand's exponent, with f's
-    Hermite sum by its three-term recurrence."""
+    Hermite sum by its three-term recurrence times ``e^E`` per node."""
     if f.is_zero:
         return 0j
 
@@ -780,23 +747,20 @@ def transform_quad(p: PhaseParams, f: HermiteGauss, z: complex) -> complex:
         return 1j * phi_phase(p, z, x) / p.h + f.gamma2 * x * x + f.gamma1 * x
 
     g = line_grid(lambda x: exponent(x).real)
-    total = _quad_block(g, lambda x: [f.hermite_sum(x)], lambda x: [1.0], exponent)[0, 0]
+    total = _quad_block(
+        g, lambda x: [f.hermite_sum(x) * np.exp(exponent(x))], lambda x: [1.0]
+    )[0, 0]
     return p.C_phi * p.h ** (-0.75) * complex(total)
 
 
-def adjoint_quad(
-    p: PhaseParams,
-    U: HoloGauss,
-    x: float,
-    grid: QuadGrid | None = None,
-) -> complex:
+def adjoint_quad(p: PhaseParams, U: HoloGauss, x: float) -> complex:
     """T* U(x) by 2D quadrature over the plane.
 
     Kept quadrature-only by design: it is the independent route that certifies
-    the closed-form transform (T* T = identity on the line class).  With no
-    ``grid`` the sum runs on the plane grid fitted to its whole exponent,
-    where the exponential factors per axis (by :func:`_moment_sum` where it
-    certifies the sum); on a grid passed in it is evaluated per node.
+    the closed-form transform (T* T = identity on the line class).  The sum
+    runs on the plane grid fitted to its whole exponent, where the
+    exponential factors per axis, by :func:`_moment_sum` where it certifies
+    the sum.
     """
     if U.is_zero:
         return 0j
@@ -809,51 +773,40 @@ def adjoint_quad(
             - 2.0 * weight_Phi(p, z) / p.h
         )
 
-    total = None
-    if grid is None:
-        grid = plane_grid(exponent)
-        total = _moment_sum(grid, _fitted_factors(grid, exponent), U)
+    grid = plane_grid(exponent)
+    factors = _fitted_factors(grid, exponent)
+    total = _moment_sum(grid, factors, U)
     if total is None:
-        total = _quad_block(grid, lambda z: [U.hermite_sum(z)], lambda z: [1.0], exponent)[0, 0]
+        total = _quad_block(grid, lambda z: [U.hermite_sum(z)], lambda z: [1.0], factors)[0, 0]
     return p.C_phi * p.h ** (-0.75) * complex(total)
 
 
-def projector_apply(
-    p: PhaseParams,
-    U: HoloGauss,
-    points: Sequence[complex],
-    grid: QuadGrid | None = None,
-) -> list[complex]:
+def projector_apply(p: PhaseParams, U: HoloGauss, points: Sequence[complex]) -> list[complex]:
     """Projector (C_Phi/h) integral e^{2 Psi(z, conj zeta)/h} U(zeta) e^{-2 Phi/h}
     at each of ``points``; reproduces U(z) for U in the weighted holomorphic
     class the grid resolves.  Only ``U.hermite_sum``, ``U.c2`` and ``U.c1`` are
-    read, unless U is a ``HoloGauss`` and no ``grid`` is passed.
+    read, unless U is a ``HoloGauss``.
 
-    One 1 x P block of :func:`_quad_block`: ``U.hermite_sum`` against one
-    column per point, ``exp(c2 zeta^2 + c1 zeta - 2 Phi/h + 2 Psi(z, conj
-    zeta)/h)``, whose exponent is summed before its one ``np.exp``.  Each
-    point is its own sum, with its own truncation check.  With no ``grid``
-    the sums run on the plane grid fitted to the column exponent at z = 0.
-    ``Psi(z, conj zeta)`` is a term bilinear in z and conj zeta plus
-    quadratics in each alone, so every point's column exponent is that
-    grid's quadratic plus a linear term and a constant, with no cross term:
-    each column factors per axis, summed by :func:`_moment_sum` where it
-    certifies the sum.  Elsewhere, and on a grid passed in, per node.
+    The sums run on the plane grid fitted to the column exponent at z = 0,
+    ``c2 zeta^2 + c1 zeta - 2 Phi/h + 2 Psi(z, conj zeta)/h``.  ``Psi(z, conj
+    zeta)`` is a term bilinear in z and conj zeta plus quadratics in each
+    alone, so every point's column exponent is that grid's quadratic plus a
+    linear term and a constant, with no cross term: each column factors per
+    axis, summed by :func:`_moment_sum` where it certifies the sum.  The
+    other points are one 1 x P block of :func:`_quad_block`: ``U.hermite_sum``
+    against one column per point, whose exponent is summed before its one
+    ``np.exp`` per node.  Each point is its own sum, with its own truncation
+    check.
     """
 
     def exponent(z, zs):
         weighted = U.c2 * zs * zs + U.c1 * zs - 2.0 * weight_Phi(p, zs) / p.h
         return weighted + 2.0 * kernel_Psi(p, z, zs.conjugate()) / p.h
 
-    sums = [None] * len(points)
-    if grid is None:
-        grid = plane_grid(lambda zs: exponent(0j, zs))
-        axes = grid.axes
-        zs = np.array(points, dtype=complex).reshape(-1, 1)
-        a, b = _axis_factors(
-            exponent(zs, axes.along1), exponent(zs, axes.along2), exponent(zs, axes.center)
-        )
-        sums = [_moment_sum(grid, factors, U) for factors in zip(a, b)]
+    grid = plane_grid(lambda zs: exponent(0j, zs))
+    zs = np.array(points, dtype=complex).reshape(-1, 1)
+    a, b = _fitted_factors(grid, functools.partial(exponent, zs))
+    sums = [_moment_sum(grid, factors, U) for factors in zip(a, b)]
     rest = [z for z, v in zip(points, sums) if v is None]
 
     def cols(zs):
@@ -865,58 +818,53 @@ def projector_apply(
 
 def _pair_block(p: PhaseParams, fs, gs, grid: QuadGrid) -> np.ndarray:
     """``[sum w f_j conj(g_k) e^{pair exponent}]`` for functions fs sharing
-    one exponent and gs sharing another: the rows are Hermite sums, the
-    columns conjugated Hermite sums (the rows' own, when gs is fs), each
-    family on one recurrence pass per chunk where it shares one basis, and
-    the pair exponent is the factor that :func:`_quad_block` multiplies in."""
+    one exponent and gs sharing another, on a grid fitted to the pair
+    exponent: the rows are Hermite sums, the columns conjugated Hermite sums
+    (the rows' own, when gs is fs), each family on one recurrence pass per
+    chunk where it shares one basis, and the pair exponent's per-axis
+    factors are what :func:`_quad_block` multiplies in."""
     return _quad_block(
         grid,
         lambda zs: _family_sums(fs, zs),
         None if gs is fs else lambda zs: [np.conj(v) for v in _family_sums(gs, zs)],
-        lambda zs: _pair_exponent(p, fs[0], gs[0], zs),
+        _fitted_factors(grid, functools.partial(_pair_exponent, p, fs[0], gs[0])),
     )
 
 
-def inner_product_HPhi(
-    p: PhaseParams,
-    U: HoloGauss,
-    V: HoloGauss,
-    grid: QuadGrid | None = None,
-) -> complex:
+def inner_product_HPhi(p: PhaseParams, U: HoloGauss, V: HoloGauss) -> complex:
     """Weighted inner product integral U conj(V) e^{-2 Phi/h} over the plane.
 
     Membership of the pair in the weighted space is enforced by the grid fit:
     a combined exponent that fails to decay in some direction raises
     ``DomainError`` (for the classic weight this is exactly the
-    ``|c2| < 1/(4h)`` growth-class bound on each factor).  With no ``grid``
-    the sum runs on :func:`hphi_grid` (by :func:`_moment_sum` where it
-    certifies it); on any grid fitted to the pair's exponent (``hphi_grid``
-    of another pair with the same ``c2`` and ``c1``) the exponential factors
-    per axis, on other grids per node.
+    ``|c2| < 1/(4h)`` growth-class bound on each factor).  The sum runs on
+    :func:`hphi_grid`, where the exponential factors per axis, by
+    :func:`_moment_sum` where it certifies it.
     """
     if U.is_zero or V.is_zero:
         return 0j
-    total = None
-    if grid is None:
-        grid = hphi_grid(p, U, V)
-        exponent = functools.partial(_pair_exponent, p, U, V)
-        total = _moment_sum(grid, _fitted_factors(grid, exponent), U, V)
+    grid = hphi_grid(p, U, V)
+    exponent = functools.partial(_pair_exponent, p, U, V)
+    total = _moment_sum(grid, _fitted_factors(grid, exponent), U, V)
     if total is None:
         total = _pair_block(p, [U], [V], grid)[0, 0]
     return complex(total)
 
 
 def gram_HPhi(p: PhaseParams, fs: Sequence[HoloGauss]) -> list[list[complex]]:
-    """Gram matrix ``[inner_product_HPhi(p, fs[j], fs[k])]`` of functions
-    sharing one exponent ``(c2, c1)``, else ``DomainError``.
+    """Gram matrix ``[inner_product_HPhi(p, fs[j], fs[k])]`` of one function
+    or more sharing one exponent ``(c2, c1)``, else ``DomainError``.
 
     All pairs then share the grid and the exponential factor: the matrix is
-    one K x K block of :func:`_quad_block`, each entry bit for bit the sum
-    of :func:`inner_product_HPhi` on that grid (with no grid passed, equal
-    above degree 6, to round-off below); each Hermite sum is evaluated once
-    per chunk, for its row and its column.  The lower triangle mirrors the
-    upper (see :func:`~bargmann_lab.gaussalg._hermitian`).
+    one K x K block of :func:`_quad_block`, each entry the node sum of its
+    pair on that grid, which :func:`inner_product_HPhi` gives bit for bit
+    above degree 6 and to round-off below, where the moments serve it; each
+    Hermite sum is evaluated once per chunk, for its row and its column.  The
+    lower triangle mirrors the upper (see
+    :func:`~bargmann_lab.gaussalg._hermitian`).
     """
+    if not len(fs):
+        raise DomainError("gram_HPhi needs one function or more: fs is empty")
     U = fs[0]
     if any(f.c2 != U.c2 or f.c1 != U.c1 for f in fs):
         raise DomainError("gram_HPhi needs functions with one exponent")

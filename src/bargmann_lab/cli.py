@@ -221,9 +221,8 @@ def _cmd_transform(cfg: RunConfig):
     p = sys_.params
     f0 = sys_.hermite_phi(0)
     U = transform(p, f0)
-    grid = hphi_grid(p, U, U)
     dev = suites.closed_vs_quad_dev(p, f0, U)
-    norm_sq = inner_product_HPhi(p, U, U, grid=grid)
+    norm_sq = inner_product_HPhi(p, U, U)
     checks = [
         suites.check("closed_vs_quad", dev, suites.TOL_TRANSFORM_QUAD),
         suites.check("unitarity_ground_state", abs(norm_sq - 1.0), suites.TOL_UNITARITY),
@@ -239,12 +238,14 @@ def _cmd_transform(cfg: RunConfig):
         "checks": checks,
     }
     header = ("re(node)", "im(node)", "weight", "re(value)", "im(value)")
-    return report, header, _grid_rows(grid, U)
+    return report, header, _grid_rows(p, U)
 
 
-def _grid_rows(grid, U):
-    """U's values on its grid as CSV rows, one chunk of nodes at a time."""
-    for _, nodes, weights, _ in grid.chunks():
+def _grid_rows(p, U):
+    """U's values on its grid (:func:`~bargmann_lab.bargmann.hphi_grid`) as
+    CSV rows, one chunk of nodes at a time; the grid is fitted when the rows
+    are first iterated."""
+    for _, nodes, weights, _ in hphi_grid(p, U, U).chunks():
         values = U(nodes).tolist()
         for z, w, v in zip(nodes.tolist(), weights.tolist(), values):
             yield z.real, z.imag, w, v.real, v.imag

@@ -235,7 +235,9 @@ class HermiteBlock:
     @staticmethod
     def stack(fs: Sequence[HermiteGauss]) -> "HermiteBlock":
         """The functions fs, which share one ``(gamma2, s, gamma1)``, as the
-        columns of one block; DomainError otherwise."""
+        columns of one block; DomainError otherwise, or if fs is empty."""
+        if not len(fs):
+            raise DomainError("a block needs one function or more: fs is empty")
         f = fs[0]
         if not _one_basis(fs):
             raise DomainError("a block needs functions with one exponent and scale")

@@ -41,10 +41,10 @@ import numpy as np
 
 from .gaussalg import DomainError
 from .bargmann import (
-    PolarAxes,
     QuadGrid,
     polar_grid,
     _adaptive_quad,
+    _angles,
     _check_truncation,
 )
 
@@ -209,10 +209,10 @@ def _toeplitz_entries(
     rows, cols = list(rows), list(cols)
     if min(rows + cols) < 0:
         raise DomainError("index must be >= 0")
-    if not isinstance(g.axes, PolarAxes):
+    if g.join is not np.multiply:
         raise DomainError(f"the Toeplitz blocks need a polar_grid, not this {g.size}-node grid")
     K = max(rows + cols) + 1
-    r, w, theta = g.axes
+    r, w, theta = g.first, g.w1, _angles(g.second.size)
     u = r * r
     radial = w * (sym.c(u) * np.exp(-u / 2.0))
     P = np.empty((K, r.size))  # r^k / sqrt(pi 2^{k+1} k!), each from the previous one

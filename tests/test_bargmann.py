@@ -7,6 +7,7 @@ functions while moving anti-holomorphic impostors.
 """
 
 import cmath
+import functools
 import math
 from types import SimpleNamespace
 
@@ -177,37 +178,33 @@ def test_unitarity_on_random_pairs():
 def test_projector_reproduces_basis_element():
     hs = HermiteSystem(CLASSIC)
     v2 = hs.monomial_basis(2)
-    grid = hphi_grid(CLASSIC, v2, v2)
     z = 0.4 - 0.2j
-    assert abs(projector_apply(CLASSIC, v2, [z], grid)[0] - v2(z)) <= 1e-6
+    assert abs(projector_apply(CLASSIC, v2, [z])[0] - v2(z)) <= 1e-6
 
 
 def test_projector_reproduces_transformed_functions():
     rng = np.random.default_rng(55)
     for p in (CLASSIC, GENERAL):
         U = transform(p, _random_line_function(rng))
-        grid = hphi_grid(p, U, U)
         for _ in range(10):
             z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-            assert abs(projector_apply(p, U, [z], grid)[0] - U(z)) <= TOL_PLANE
+            assert abs(projector_apply(p, U, [z])[0] - U(z)) <= TOL_PLANE
 
 
 def test_projector_moves_antiholomorphic_function():
     # z -> conj(z) is not in the holomorphic range; the projector must not fix it
-    hs = HermiteSystem(CLASSIC)
-    v1 = hs.monomial_basis(1)
-    grid = hphi_grid(CLASSIC, v1, v1)
     conj = SimpleNamespace(hermite_sum=np.conjugate, c2=0j, c1=0j)
     z = 0.9 + 0.4j
-    residual = abs(projector_apply(CLASSIC, conj, [z], grid)[0] - z.conjugate())
+    residual = abs(projector_apply(CLASSIC, conj, [z])[0] - z.conjugate())
     assert residual > 0.1
 
 
 def test_array_path_matches_per_node_reference():
-    # the array integrands against a plain loop over scalar phasecore calls
+    # the array integrands, summed by _quad_block as the kernels' node sums
+    # are, against a plain loop over scalar phasecore calls, on small grids
+    # fitted to the adjoint's and the projector's exponents
     p = GENERAL
     U = transform(p, HermiteSystem(p).hermite_phi(2))
-    grid = hphi_grid(p, U, U, n=24)
     x, z = 0.3, 0.4 - 0.2j
 
     def ref_sum(grid, term):
@@ -224,15 +221,31 @@ def test_array_path_matches_per_node_reference():
             2 * kernel_Psi(p, z, zeta.conjugate()) / p.h - 2 * weight_Phi(p, zeta) / p.h
         )
 
-    want = p.C_phi * p.h ** (-0.75) * ref_sum(grid, adjoint_term)
-    assert adjoint_quad(p, U, x, grid=grid) == pytest.approx(want, rel=1e-12)
-    want = p.C_Phi / p.h * ref_sum(grid, projector_term)
-    got = projector_apply(p, U, [z], grid)[0]
-    assert got == pytest.approx(want, rel=1e-12)
+    def adjoint_exponent(zs):
+        phase = -1j * phi_phase(p, zs, x).conjugate() / p.h
+        return phase + U.c2 * zs * zs + U.c1 * zs - 2.0 * weight_Phi(p, zs) / p.h
 
-    # several points in one call: each is the sum of its own per-node reference
+    def projector_exponent(z, zs):
+        weighted = U.c2 * zs * zs + U.c1 * zs - 2.0 * weight_Phi(p, zs) / p.h
+        return weighted + 2.0 * kernel_Psi(p, z, zs.conjugate()) / p.h
+
+    def rows(zs):
+        return [U.hermite_sum(zs)]
+
+    grid = plane_grid(adjoint_exponent, n=24)
+    factors = bargmann._fitted_factors(grid, adjoint_exponent)
+    got = p.C_phi * p.h ** (-0.75) * bargmann._quad_block(grid, rows, lambda zs: [1.0], factors)
+    want = p.C_phi * p.h ** (-0.75) * ref_sum(grid, adjoint_term)
+    assert got[0, 0] == pytest.approx(want, rel=1e-12)
+
+    # several points in one block: each is the sum of its own per-node reference
+    grid = plane_grid(lambda zs: projector_exponent(0j, zs), n=24)
     points = [z, -1.1 + 0.7j, 0.05j, 1.4 - 1.3j]
-    for z, got in zip(points, projector_apply(p, U, points, grid)):
+
+    def cols(zs):
+        return [np.exp(projector_exponent(z, zs)) for z in points]
+
+    for z, got in zip(points, p.C_Phi / p.h * bargmann._quad_block(grid, rows, cols)[0]):
         want = p.C_Phi / p.h * ref_sum(grid, projector_term)
         assert got == pytest.approx(want, rel=1e-12)
     per_node = [U(zeta) for zeta in grid.nodes.tolist()]
@@ -286,15 +299,16 @@ def test_quad_block_matches_per_node_reference():
 
 
 def test_projector_points_are_independent_sums():
-    # each point's sum is the same, bit for bit, whichever points share a call
+    # each point's sum is the same, bit for bit, whichever points share a
+    # call; at degree 7 every point is a node sum, all in one block
     p = GENERAL
-    U = transform(p, HermiteSystem(p).hermite_phi(3))
-    grid = hphi_grid(p, U, U)
+    U = transform(p, HermiteSystem(p).hermite_phi(7))
+    assert len(U.coeffs) - 1 > bargmann._MOMENT_DEGREE
     points = [0.3 - 0.1j, -1.2 + 0.4j, 0.7j, 1.5 + 1.1j]
-    together = projector_apply(p, U, points, grid)
+    together = projector_apply(p, U, points)
     for i, z in enumerate(points):
-        assert repr(together[i]) == repr(projector_apply(p, U, [z], grid)[0])
-    assert projector_apply(p, U, [], grid) == []
+        assert repr(together[i]) == repr(projector_apply(p, U, [z])[0])
+    assert projector_apply(p, U, []) == []
 
 
 def _per_node_sum(grid, term):
@@ -310,11 +324,11 @@ def test_plane_grid_axes_cancel_an_imaginary_cross_term():
 
     n = 24
     grid = plane_grid(exponent, n=n)
-    axes = grid.axes
     t = bargmann._gauss_rule("hermite", n)[0]
-    l1 = (axes.along1[-1] - axes.center) / t[-1]
-    l2 = (axes.along2[-1] - axes.center) / t[-1]
-    zc = axes.center
+    zc = grid.center
+    l1, l2 = grid.steps
+    assert abs((grid.first[-1] - zc) / t[-1] - l1) <= 1e-14
+    assert abs(grid.second[-1] / t[-1] - l2) <= 1e-14
     cross = exponent(zc + l1 + l2) - exponent(zc + l1) - exponent(zc + l2) + exponent(zc)
     assert abs(cross) <= 1e-14
     # node i n + j is zc + t_i l1 + t_j l2
@@ -324,7 +338,8 @@ def test_plane_grid_axes_cancel_an_imaginary_cross_term():
     def poly(z):
         return 1 + z * z - 0.5j * z
 
-    got = bargmann._quad_block(grid, lambda z: [poly(z)], lambda z: [1.0], exponent)[0, 0]
+    factors = bargmann._fitted_factors(grid, exponent)
+    got = bargmann._quad_block(grid, lambda z: [poly(z)], lambda z: [1.0], factors)[0, 0]
     want = _per_node_sum(grid, lambda z: poly(z) * cmath.exp(exponent(z)))
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -336,7 +351,8 @@ def test_inner_product_of_functions_with_different_exponents_factors_per_axis():
     V = transform(p, _random_line_function(rng))
     assert U.c2 != V.c2
     grid = hphi_grid(p, U, V)
-    assert any(v.imag for v in grid.axes.samples)
+    pair = functools.partial(bargmann._pair_exponent, p, U, V)
+    assert any(v.imag for v in bargmann._samples(pair))
 
     def term(z):
         pair = U.c2 * z * z + U.c1 * z + (V.c2 * z * z + V.c1 * z).conjugate()
@@ -399,7 +415,8 @@ def test_gram_HPhi_entries_are_the_inner_products_bit_for_bit():
     grid = hphi_grid(CLASSIC, fs[0], fs[0])
     for j in range(len(fs)):
         for k in range(j, len(fs)):
-            assert repr(G[j][k]) == repr(inner_product_HPhi(CLASSIC, fs[j], fs[k], grid))
+            pair = complex(bargmann._pair_block(CLASSIC, [fs[j]], [fs[k]], grid)[0, 0])
+            assert repr(G[j][k]) == repr(pair)
 
 
 def test_quadrature_gram_conjugates_its_rows_for_its_columns():
@@ -418,7 +435,8 @@ def test_grid_arrays_are_read_only():
     grid = polar_grid(2.0, n_r=4, n_theta=4)
     assert grid.nodes.dtype == complex and grid.weights.dtype == float
     plane = plane_grid(lambda z: -abs(z) ** 2 + 0.5j * z.real * z.imag, n=8)
-    for arr in (grid.nodes, grid.weights, *grid.axes, plane.axes.along1, plane.axes.along2):
+    for arr in (grid.nodes, grid.weights, grid.first, grid.second, grid.w1, grid.w2,
+                plane.first, plane.second, plane.w1):
         with pytest.raises(ValueError):
             arr[0] = 0
 

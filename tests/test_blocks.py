@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bargmann_lab import gaussalg
+from bargmann_lab.bargmann import QuadGrid, gram_HPhi
 from bargmann_lab.ellipse import (
     Psi_family,
     Psi_family_ladder,
@@ -126,15 +127,19 @@ def test_combined_gram_takes_one_overlap_matrix_per_exponent_pair(monkeypatch, n
 
 
 _EMPTY_FAMILY_CALLS = {
-    "phi_block": lambda hs: hs.phi_block(0),
-    "gram_exact": lambda hs: hs.gram_matrix(0),
-    "gram_quadrature": lambda hs: hs.gram_matrix(0, method="quadrature"),
-    "eigen_residuals": lambda hs: hs.eigen_residuals(0),
-    "combined_gram": lambda hs: combined_gram(NchoParams(2.0, 1.0), 0),
+    "phi_block": (lambda hs: hs.phi_block(0), "N = 0"),
+    "gram_exact": (lambda hs: hs.gram_matrix(0), "N = 0"),
+    "gram_quadrature": (lambda hs: hs.gram_matrix(0, method="quadrature"), "N = 0"),
+    "eigen_residuals": (lambda hs: hs.eigen_residuals(0), "N = 0"),
+    "combined_gram": (lambda hs: combined_gram(NchoParams(2.0, 1.0), 0), "N = 0"),
+    "gram_HPhi": (lambda hs: gram_HPhi(hs.params, []), "fs is empty"),
+    "stack": (lambda hs: HermiteBlock.stack([]), "fs is empty"),
+    "QuadGrid": (lambda hs: QuadGrid([], []), "nodes is empty"),
 }
 
 
-@pytest.mark.parametrize("call", _EMPTY_FAMILY_CALLS.values(), ids=_EMPTY_FAMILY_CALLS)
-def test_an_empty_family_is_a_domain_error_naming_N(call):
-    with pytest.raises(DomainError, match="N = 0"):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call,name", _EMPTY_FAMILY_CALLS.values(), ids=_EMPTY_FAMILY_CALLS)
+def test_an_empty_family_is_a_domain_error_naming_it(call, name):
+    with pytest.raises(DomainError, match=name):
         call(HermiteSystem.from_bch(3.0, 1 + 2j, 0.5))

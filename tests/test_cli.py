@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bargmann_lab import HermiteSystem, cli, ellipse, gaussalg, ncho, suites, transform
-from bargmann_lab.bargmann import grid_values
+from bargmann_lab.bargmann import grid_values, hphi_grid
 from bargmann_lab.gaussalg import DegreeCapError
 
 
@@ -551,8 +551,9 @@ def test_ncho_report_shape(tmp_path):
 # --------------------------------------------------------- streamed CSV
 
 
-def _whole_grid_rows(grid, U):
+def _whole_grid_rows(p, U):
     """The transform rows as they were once formed: over the whole grid."""
+    grid = hphi_grid(p, U, U)
     values = grid_values(U, grid).tolist()
     for z, w, v in zip(grid.nodes.tolist(), grid.weights.tolist(), values):
         yield z.real, z.imag, w, v.real, v.imag
@@ -618,13 +619,16 @@ def test_json_reports_build_no_csv_rows(tmp_path, monkeypatch):
         cfg = cli.RunConfig(**vars(cli.build_parser().parse_args(argv)))
         rows = cli._COMMANDS[cfg.command].render(cfg)[2]
         assert iter(rows) is rows, argv
+    # transform fits the grid of its CSV rows only when they are written
+    monkeypatch.setattr(cli, "hphi_grid", trace)
+    assert cli.main(["transform", "--format", "json", "-o", str(tmp_path / "t.json")]) == 0
 
 
 def _failing_after_one_batch(monkeypatch):
     rows_of = cli._grid_rows
 
-    def failing(grid, U):
-        yield from itertools.islice(rows_of(grid, U), cli._CSV_BATCH)
+    def failing(p, U):
+        yield from itertools.islice(rows_of(p, U), cli._CSV_BATCH)
         raise gaussalg.DomainError("row source failed")
 
     monkeypatch.setattr(cli, "_grid_rows", failing)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from bargmann_lab.bargmann import _MOMENT_DEGREE, hphi_grid, inner_product_HPhi
+from bargmann_lab.bargmann import _MOMENT_DEGREE, _pair_block, hphi_grid, inner_product_HPhi
 from bargmann_lab.ellipse import (
     DegenerateEllipseError,
     EllipseParams,
@@ -161,24 +161,20 @@ def test_psi_norms_match_closed_form_by_plane_quadrature():
         p = derived_constants(alpha, beta)
         base = p.norm_psi0_sq
         assert base == pytest.approx((alpha**2 + beta**2 + 1) * math.pi / alpha, rel=1e-13)
-        heavy = psi_n(p, 6)
-        grid = hphi_grid(CLASSIC, heavy, heavy)
-        got0 = inner_product_HPhi(CLASSIC, psi0(p), psi0(p), grid=grid)
+        got0 = inner_product_HPhi(CLASSIC, psi0(p), psi0(p))
         assert abs(got0 - base) <= 1e-4 * base
         for n in range(1, 7):
             f = psi_n(p, n)
             want = math.factorial(n) * p.lam_over_a**n * base
-            got = inner_product_HPhi(CLASSIC, f, f, grid=grid)
+            got = inner_product_HPhi(CLASSIC, f, f)
             assert abs(got - want) <= 1e-4 * want
 
 
 def test_psi_cross_terms_vanish_by_plane_quadrature():
     p = derived_constants(2.0, 1.0)
-    heavy = psi_n(p, 5)
-    grid = hphi_grid(CLASSIC, heavy, heavy)
     for m in range(5):
         for n in range(m + 1, 6):
-            got = inner_product_HPhi(CLASSIC, psi_n(p, m), psi_n(p, n), grid=grid)
+            got = inner_product_HPhi(CLASSIC, psi_n(p, m), psi_n(p, n))
             norm = math.sqrt(
                 (math.factorial(m) * p.lam_over_a**m)
                 * (math.factorial(n) * p.lam_over_a**n)
@@ -363,9 +359,15 @@ def test_trace_lies_on_level_set():
         assert abs(abs(zeta_map(p, complex(x, -xi))) - 1.7) <= 1e-10
 
 
+def _pair_sum(pc, U, V, grid):
+    """The node sum of ``U conj(V) e^{-2 Phi/h}`` on ``grid``, fitted to the
+    pair's exponent, as a Python complex."""
+    return complex(_pair_block(pc, [U], [V], grid)[0, 0])
+
+
 def _assert_own_grid_inner_product(pc, U, V, g, mass):
-    """``inner_product_HPhi(pc, U, V)`` with no grid against g, its sum on
-    the gram's grid (the same grid: the functions share one exponent).  Above
+    """``inner_product_HPhi(pc, U, V)`` against g, its node sum on the
+    gram's grid (the same grid: the functions share one exponent).  Above
     degree 6 it is the same node sum, bit for bit; below, a sum of per-axis
     moments, equal to round-off of the entry's mass, which Cauchy-Schwarz
     bounds by ``sqrt(G_mm G_kk)``."""
@@ -384,7 +386,7 @@ def test_ellipse_gram_diagonal_is_the_direct_evaluation():
     grid = hphi_grid(pc, psis[0], psis[0])  # the psi_k share one exponent, so one grid
     for m in range(3):
         for n in range(m, 3):
-            g = inner_product_HPhi(pc, psis[m], psis[n], grid)
+            g = _pair_sum(pc, psis[m], psis[n], grid)
             assert repr(G[m][n]) == repr(g)
             mass = math.sqrt(G[m][m].real * G[n][n].real)
             _assert_own_grid_inner_product(pc, psis[m], psis[n], g, mass)
@@ -403,7 +405,7 @@ def test_ellipse_gram_is_the_per_pair_inner_product(alpha, beta):
     want_dev = 0.0
     for m in range(n):
         for k in range(m, n):
-            g = inner_product_HPhi(pc, psis[m], psis[k], grid)
+            g = _pair_sum(pc, psis[m], psis[k], grid)
             assert repr(G[m][k]) == repr(g)
             assert repr(G[k][m]) == repr(g if m == k else complex(g.real, 0.0 - g.imag))
             mass = math.sqrt(G[m][m].real * G[k][k].real)

@@ -159,11 +159,41 @@ def _recording_grids(monkeypatch) -> list:
 def test_shells_are_their_definition_on_every_grid_of_the_battery(monkeypatch):
     grids = _recording_grids(monkeypatch)
     assert all(c["pass"] for c in suites.suite_all())
-    kinds = [type(g.axes).__name__ for g in grids]
-    assert (kinds.count("PlaneAxes"), kinds.count("PolarAxes")) == (133, 6)
-    assert kinds.count("NoneType") == len(grids) - 139 > 0  # the line grids
+    plane = [g.steps is not None for g in grids]
+    polar = [g.join is np.multiply for g in grids]
+    assert (sum(plane), sum(polar)) == (133, 6)
+    assert len(grids) - 139 > 0  # the line grids
     for grid in grids:
         assert np.array_equal(grid.shell, _defined_shell(grid.nodes))
+
+
+def test_per_axis_factors_are_the_exponential_on_every_node(monkeypatch):
+    # the kernels hand _fitted_factors, unchecked, the exponent they fitted
+    # its grid to: on every grid of the five transform suites and an
+    # ellipse Gram, a_i b_j is e^E node by node, to
+    # 1e-13 relative times 1 + |E| (each side rounds an exponent of size |E|;
+    # E reaches about 620 in magnitude on these grids) and to 1e-13 of the
+    # grid's largest e^E
+    calls = []
+    fitted = bargmann._fitted_factors
+
+    def recording(grid, exponent):
+        calls.append((grid, exponent, fitted(grid, exponent)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(bargmann, "_fitted_factors", recording)
+    for B, C, h in suites.HERMITE_PARAM_SETS:
+        suites.suite_transform(B, C, h)
+    suites.ellipse_gram(2.0, 1.0, 7)
+    assert len(calls) == 131
+    for grid, exponent, (a, b) in calls:
+        E = np.atleast_2d(exponent(grid.nodes))  # the projector's: one row per point
+        want = np.exp(E)
+        pairs = zip(np.atleast_2d(a), np.atleast_2d(b))
+        got = np.array([bargmann._outer(np.multiply, *ab, 0, grid.size) for ab in pairs])
+        error = np.abs(got - want)
+        assert (error <= 1e-13 * (1 + np.abs(E)) * np.abs(want)).all()
+        assert (error <= 1e-13 * np.abs(want).max(axis=-1, keepdims=True)).all()
 
 
 def _built(build):
@@ -257,7 +287,7 @@ def test_hand_built_grids_hold_copies_of_their_nodes():
     assert grid.shell.tolist() == _defined_shell(grid.nodes).tolist() == [
         False, False, False, True, False,
     ]
-    assert grid.axes is None
+    assert grid.steps is None and grid.join is np.add
     for arr in (grid.nodes, grid.weights, grid.shell):
         with pytest.raises(ValueError):
             arr[0] = 0

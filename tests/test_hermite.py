@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from bargmann_lab.bargmann import hphi_grid, inner_product_HPhi
+from bargmann_lab.bargmann import inner_product_HPhi
 from bargmann_lab.gaussalg import (
     ComplexPoly,
     DegreeCapError,
@@ -324,16 +324,15 @@ def test_gram_quadrature_route_agrees():
 
 def test_transformed_basis_gram_by_plane_quadrature():
     """The monomial-side basis is orthonormal under the weighted plane
-    product; one shared grid (adapted to the heaviest pair) serves all
-    entries."""
+    product; the basis shares one exponent, so every pair sums on the one
+    grid its exponent fits."""
     p = PhaseParams(canonical_A(-1j, 1j), -1j, 1j, 1.0)
     hs = HermiteSystem(p)
     basis = [hs.monomial_basis(n) for n in range(11)]
-    grid = hphi_grid(p, basis[10], basis[10])
     worst = 0.0
     for m in range(11):
         for n in range(m, 11):
-            val = inner_product_HPhi(p, basis[m], basis[n], grid=grid)
+            val = inner_product_HPhi(p, basis[m], basis[n])
             worst = max(worst, abs(val - (1.0 if m == n else 0.0)))
     assert worst <= TOL_QUAD_GRAM
 

@@ -58,13 +58,6 @@ def _projector_grid(p, U):
     return plane_grid(_projector_exponent(p, U, 0j))
 
 
-def _projector_factors(grid, exponent):
-    axes = grid.axes
-    return bargmann._axis_factors(
-        exponent(axes.along1), exponent(axes.along2), exponent(axes.center)
-    )
-
-
 def _projector_node_sums(grid, U, exponents):
     def cols(zs):
         return [np.exp(e(zs)) for e in exponents]
@@ -96,10 +89,11 @@ def test_moment_sums_are_the_node_sums_on_the_same_grid(p, draw):
     x = rng.uniform(-2, 2)
     exponent = _adjoint_exponent(p, U, x)
     grid = plane_grid(exponent)
-    assert bargmann._moment_sum(grid, bargmann._fitted_factors(grid, exponent), U) is not None
+    factors = bargmann._fitted_factors(grid, exponent)
     node = p.C_phi * p.h ** (-0.75) * bargmann._quad_block(
-        grid, lambda z: [U.hermite_sum(z)], lambda z: [1.0], exponent
+        grid, lambda z: [U.hermite_sum(z)], lambda z: [1.0], factors
     )[0, 0]
+    assert bargmann._moment_sum(grid, factors, U) is not None
     assert abs(adjoint_quad(p, U, x) - node) <= TOL * abs(node)
 
     # the projector at four points, on the grid fitted to its exponent at 0
@@ -108,7 +102,7 @@ def test_moment_sums_are_the_node_sums_on_the_same_grid(p, draw):
     grid = _projector_grid(p, U)
     nodes = _projector_node_sums(grid, U, exponents)
     for z, e, got, node in zip(points, exponents, projector_apply(p, U, points), nodes):
-        assert bargmann._moment_sum(grid, _projector_factors(grid, e), U) is not None
+        assert bargmann._moment_sum(grid, bargmann._fitted_factors(grid, e), U) is not None
         mass = _mass(grid, lambda zs: U.hermite_sum(zs) * np.exp(e(zs)))
         assert abs(got - p.C_Phi / p.h * node) <= TOL * p.C_Phi / p.h * mass
 
@@ -139,9 +133,10 @@ def test_an_uncertified_sum_raises_the_node_sums_truncation_error(monkeypatch):
 
     exponent = _adjoint_exponent(p, U, 0.3)
     grid = bargmann.plane_grid(exponent)
-    assert bargmann._moment_sum(grid, bargmann._fitted_factors(grid, exponent), U) is None
+    factors = bargmann._fitted_factors(grid, exponent)
+    assert bargmann._moment_sum(grid, factors, U) is None
     with pytest.raises(TruncationError) as node:
-        bargmann._quad_block(grid, lambda z: [U.hermite_sum(z)], lambda z: [1.0], exponent)
+        bargmann._quad_block(grid, lambda z: [U.hermite_sum(z)], lambda z: [1.0], factors)
     with pytest.raises(TruncationError) as public:
         adjoint_quad(p, U, 0.3)
     assert str(public.value) == str(node.value)
@@ -149,7 +144,7 @@ def test_an_uncertified_sum_raises_the_node_sums_truncation_error(monkeypatch):
     z = 0.2 + 0.1j
     grid = bargmann.plane_grid(_projector_exponent(p, U, 0j))
     exponent = _projector_exponent(p, U, z)
-    assert bargmann._moment_sum(grid, _projector_factors(grid, exponent), U) is None
+    assert bargmann._moment_sum(grid, bargmann._fitted_factors(grid, exponent), U) is None
     with pytest.raises(TruncationError) as node:
         _projector_node_sums(grid, U, [exponent])
     with pytest.raises(TruncationError) as public:
@@ -162,7 +157,7 @@ def test_a_moment_that_is_not_finite_falls_back_to_the_node_sum(monkeypatch):
     hs = HermiteSystem(p)
     U = transform(p, hs.hermite_phi(2))
     grid = _projector_grid(p, U)
-    a, b = _projector_factors(grid, _projector_exponent(p, U, 0.1))
+    a, b = bargmann._fitted_factors(grid, _projector_exponent(p, U, 0.1))
     for f in (U, transform(p, hs.hermite_phi(0))):
         assert bargmann._moment_sum(grid, (a, b), f) is not None
         for bad in (np.inf, np.nan):
@@ -180,14 +175,14 @@ def test_a_moment_that_is_not_finite_falls_back_to_the_node_sum(monkeypatch):
     blocks = []
     quad_block = bargmann._quad_block
 
-    def recording(grid, rows, cols, exponent=None):
+    def recording(grid, rows, cols, factors=None):
         blocks.append(len(cols(grid.nodes[:1])))
-        return quad_block(grid, rows, cols, exponent)
+        return quad_block(grid, rows, cols, factors)
 
     monkeypatch.setattr(bargmann, "_quad_block", recording)
     far, near = 40.0, 0.1
     with np.errstate(over="ignore", invalid="ignore"):
-        a, b = _projector_factors(grid, _projector_exponent(p, U, far))
+        a, b = bargmann._fitted_factors(grid, _projector_exponent(p, U, far))
         assert not np.isfinite(a).all()
         got = projector_apply(p, U, [far, near])
         want = _projector_node_sums(grid, U, [_projector_exponent(p, U, far)])[0]
@@ -203,7 +198,7 @@ def test_high_degree_and_foreign_functions_take_the_node_sum():
     hs = HermiteSystem(p)
     U0 = transform(p, hs.hermite_phi(0))
     grid = _projector_grid(p, U0)
-    factors = _projector_factors(grid, _projector_exponent(p, U0, 0.1))
+    factors = bargmann._fitted_factors(grid, _projector_exponent(p, U0, 0.1))
     U, V = transform(p, hs.hermite_phi(3)), transform(p, hs.hermite_phi(4))
     assert bargmann._moment_sum(grid, factors, U) is not None
     assert bargmann._moment_sum(grid, factors, U, transform(p, hs.hermite_phi(3))) is not None

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
+from bargmann_lab import toeplitz
 from bargmann_lab.bargmann import (
     TRUNCATION_TOL,
     QuadGrid,
@@ -237,6 +238,21 @@ def test_the_blocks_need_a_polar_grid():
             toeplitz_block_quad(sym, 3, grid=plain)
         with pytest.raises(DomainError, match="polar_grid"):
             toeplitz_matrix_quad(sym, 0, 1, grid=plain)
+
+
+def test_the_blocks_read_the_angles_of_their_polar_grid_bit_for_bit(monkeypatch):
+    # the angles are not kept with the grid: the blocks take them from the
+    # helper polar_grid forms its turns e^{i theta} with
+    sym = RadialSymbol.gaussian(0.5)
+    seen = []
+    angles = toeplitz._angles
+    monkeypatch.setattr(toeplitz, "_angles", lambda n: seen.append(angles(n)) or seen[-1])
+    for grid in (polar_grid(12.0, n_r=40, n_theta=3), default_toeplitz_grid(sym, 6)):
+        toeplitz_block_quad(sym, 7, grid=grid)
+        theta = seen[-1]
+        n = grid.second.size
+        assert theta.tobytes() == (2.0 * math.pi * np.arange(n) / n).tobytes()
+        assert (np.cos(theta) + 1j * np.sin(theta)).tobytes() == grid.second.tobytes()
 
 
 def test_block_and_entry_raise_truncation_where_a_single_sum_would():
