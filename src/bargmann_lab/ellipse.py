@@ -31,25 +31,21 @@ are ``HermiteGauss`` on Psi_0's own Gaussian, the bridged phi_0's
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .gaussalg import (
     DiffOp,
     DomainError,
-    HermiteBlock,
     HermiteGauss,
     HoloGauss,
+    _chain,
     _check_index,
-    _kept_rows,
-    _nth,
+    _holo_band,
+    _line_band,
     _reattach,
-    _rodrigues,
-    apply_diffop,
 )
 from .phasecore import PhaseParams
 
@@ -198,7 +194,8 @@ def psi_n(p: EllipseParams, n: int) -> HoloGauss:
 def psi_n_ladder(p: EllipseParams, n: int) -> HoloGauss:
     """psi_n as (Lambda*)^n psi_0, n banded maps: the independent construction."""
     _check_index(n)
-    return psi0(p).on_basis(_nth(_psi_ladder_chain(p), n)[:, 0].tolist())
+    u = psi0(p)
+    return u.on_basis(_psi_ladder(u, p, n)[-1].tolist())
 
 
 def psi_family_ladder(p: EllipseParams, n: int) -> list[HoloGauss]:
@@ -206,21 +203,15 @@ def psi_family_ladder(p: EllipseParams, n: int) -> list[HoloGauss]:
     ``psi_n_ladder(p, k)``, bit for bit."""
     _check_count(n)
     u = psi0(p)
-    return [u.on_basis(a[:, 0].tolist()) for a in itertools.islice(_psi_ladder_chain(p), n)]
+    return [u.on_basis(a.tolist()) for a in _psi_ladder(u, p, n - 1)[:n]]
 
 
-def _psi_ladder_chain(p: EllipseParams) -> Iterator[np.ndarray]:
-    """(Lambda*)^k psi_0, k = 0, 1, ..., as coefficient columns on psi_0's
-    exponent and basis: Lambda*'s :meth:`~bargmann_lab.gaussalg.HoloGauss.ladder_map`,
-    built once, each image trimmed as a ``HoloGauss`` is, so a member is,
-    bit for bit, what a chain of ``apply_ladder`` steps gives."""
-    u = psi0(p)
-    step = u.ladder_map(*_LADDERS["lambda_star"](p))
-    a = np.array(u.coeffs).reshape(-1, 1)
-    while True:
-        yield a
-        a = step(a)
-        a = a[: _kept_rows(a)]
+def _psi_ladder(u: HoloGauss, p: EllipseParams, n: int) -> list[np.ndarray]:
+    """(Lambda*)^k psi_0, k = 0..n, for u = psi_0: coefficient arrays on
+    u's exponent and basis, one :func:`~bargmann_lab.gaussalg._chain` of
+    Lambda*'s band, so a member is, bit for bit, what a chain of
+    ``apply_ladder`` steps gives."""
+    return _chain(np.array(u.coeffs), [_holo_band(u, *_LADDERS["lambda_star"](p))] * n)
 
 
 def _check_count(n: int) -> None:
@@ -243,50 +234,44 @@ def Psi_n(p: EllipseParams, n: int) -> HermiteGauss:
     """Psi_n by the Rodrigues route (n-fold d/dx of the wide Gaussian
     e^{-alpha^2 x^2/(1+beta^2)}, on Psi_0's scale)."""
     _check_index(n)
-    return _Psi_amp(p, n, _nth(_Psi_chain(p), n))
+    return _reattach(_Psi_rodrigues(p, n)[-1], p.A_ab * (-p.C_ab) ** n, Psi0(p))
 
 
 def Psi_family(p: EllipseParams, n: int) -> list[HermiteGauss]:
     """Psi_0, ..., Psi_{n-1} by one Rodrigues chain; member k is
     ``Psi_n(p, k)``, bit for bit."""
     _check_count(n)
-    return [_Psi_amp(p, k, f) for k, f in zip(range(n), _Psi_chain(p))]
+    base, chain = Psi0(p), _Psi_rodrigues(p, n - 1)[:n]
+    return [_reattach(a, p.A_ab * (-p.C_ab) ** k, base) for k, a in enumerate(chain)]
 
 
 def Psi_n_ladder(p: EllipseParams, n: int) -> HermiteGauss:
     """Psi_n as C_ab^n (P*_ab)^n Psi_0: the independent construction."""
     _check_index(n)
-    return _nth(_Psi_ladder_chain(p), n).scale(p.C_ab**n).column(0)
+    return _reattach(_Psi_ladder(p, n)[-1], p.C_ab**n, Psi0(p))
 
 
 def Psi_family_ladder(p: EllipseParams, n: int) -> list[HermiteGauss]:
     """Psi_0, ..., Psi_{n-1} by one ladder chain; member k is
     ``Psi_n_ladder(p, k)``, bit for bit."""
     _check_count(n)
-    return [f.scale(p.C_ab**k).column(0) for k, f in zip(range(n), _Psi_ladder_chain(p))]
+    base, chain = Psi0(p), _Psi_ladder(p, n - 1)[:n]
+    return [_reattach(a, p.C_ab**k, base) for k, a in enumerate(chain)]
 
 
-def _Psi_chain(p: EllipseParams) -> Iterator[HermiteBlock]:
-    """The Rodrigues chain of the Psi_n: (d/dx)^k of the wide Gaussian, on
-    Psi_0's scale."""
-    return _rodrigues(DiffOp.d_dx(1.0), -p.eigen_gap, Psi0(p).s)
+def _Psi_rodrigues(p: EllipseParams, n: int) -> list[np.ndarray]:
+    """The Rodrigues chain of the Psi_k, k = 0..n: (d/dx)^k of the wide
+    Gaussian, on Psi_0's scale, as coefficient arrays."""
+    band = _line_band(DiffOp.d_dx(1.0), -p.eigen_gap, Psi0(p).s)
+    return _chain(np.ones(1, complex), [band] * n)
 
 
-def _Psi_amp(p: EllipseParams, n: int, f: HermiteBlock) -> HermiteGauss:
-    """Psi_n from the n-th member f of its Rodrigues chain."""
-    return _reattach(f, p.A_ab * (-p.C_ab) ** n, Psi0(p).gamma2)
-
-
-def _Psi_ladder_chain(p: EllipseParams) -> Iterator[HermiteBlock]:
-    """(P*_ab)^k Psi_0, k = 0, 1, ..., as one-column blocks: one
-    :func:`apply_diffop` per index, each image trimmed
-    (:meth:`~bargmann_lab.gaussalg.HermiteBlock.trimmed`), so a member is,
-    bit for bit, what a chain of single functions gives."""
-    _, Pstar, _ = ladder_diffops(p)
-    f = Psi0(p).block()
-    while True:
-        yield f
-        f = apply_diffop(Pstar, f).trimmed()
+def _Psi_ladder(p: EllipseParams, n: int) -> list[np.ndarray]:
+    """(P*_ab)^k Psi_0, k = 0..n, as coefficient arrays on Psi_0's
+    exponent: one :func:`~bargmann_lab.gaussalg._chain` of P*_ab's band."""
+    base = Psi0(p)
+    band = _line_band(ladder_diffops(p)[1], base.gamma2, base.s)
+    return _chain(np.array(base.coeffs), [band] * n)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,11 @@ one ``(gamma2, s, gamma1)``, one function per column.  ``_band`` and
 ``apply_diffop`` map all columns at once, ``norm_line`` and the eigen-residual
 ratio give one value per column, and a Gram matrix takes one matrix of
 overlaps per pair of exponents and two ``np.einsum`` contractions.  A single
-``HermiteGauss`` goes the same way as a one-column block, and the ladder and
-Rodrigues chains step on one-column blocks (:meth:`HermiteBlock.trimmed`),
-building a ``HermiteGauss`` only for the members they hand out.  Products are
+``HermiteGauss`` goes the same way as a one-column block.  A first-order
+operator is one tridiagonal map ``lo L + hi R + diag`` (:func:`_line_band`,
+:func:`_holo_band`), and every ladder and Rodrigues chain steps it on plain
+coefficient arrays (:func:`_chain`), building a ``HermiteGauss`` or
+``HoloGauss`` only for the members it hands out.  Products are
 elementwise or ``np.einsum`` (default ``optimize=False``), never BLAS, so no
 BLAS thread runs and every value is the same from run to run.  A column's
 values do not depend on the other columns, except that a Gram entry's sum
@@ -40,7 +42,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -254,8 +256,7 @@ class HermiteBlock:
     def trimmed(self) -> "HermiteBlock":
         """The block without its top rows that are zero in every column (one
         row is kept): of one column, the coefficients the column's
-        :class:`HermiteGauss` holds, so a chain of one-column blocks steps
-        on what a chain of functions would, bit for bit."""
+        :class:`HermiteGauss` holds."""
         A = self.coeffs
         k = _kept_rows(A)
         return self if k == len(A) else HermiteBlock(A[:k], self.gamma2, self.s, self.gamma1)
@@ -359,34 +360,10 @@ class HoloGauss:
         return ComplexPoly.from_coeffs(acc)
 
     def ladder(self, d: complex, m: complex) -> "HoloGauss":
-        """``d f' + m z f``, exact, on the same exponent and basis
-        (:meth:`ladder_map` on the coefficients)."""
-        out = self.ladder_map(d, m)(np.array(self.coeffs).reshape(-1, 1))
-        return self.on_basis(out[:, 0].tolist())
-
-    def ladder_map(self, d: complex, m: complex) -> Callable[[np.ndarray], np.ndarray]:
-        """The map of :meth:`ladder` on K x 1 coefficient columns on this
-        function's exponent and basis (K + 1 rows out, not trimmed), with its
-        constants computed once, for chains of steps.
-
-        ``f' = (P' + (2 c2 z + c1) P) e^{c2 z^2 + c1 z}``.  In the ``p_k``,
-        ``d/dy = L`` and ``y = (rho2/2) L + R/2`` (:func:`_band`); with ``P'
-        = y1 dP/dy`` and ``z = (y - y0)/y1`` the map is one bidiagonal
-        ``_band`` call plus a diagonal.
-        """
-        zc = 2 * d * self.c2 + m  # the coefficient of z P
-        lo = d * self.y1 + zc * self.rho2 / (2 * self.y1)
-        hi = zc / (2 * self.y1)
-        diag = d * self.c1 - zc * self.y0 / self.y1
-
-        @np.errstate(all="ignore")
-        def step(a: np.ndarray) -> np.ndarray:
-            out = _band(a, lo, hi)
-            if diag:
-                out[:-1] += diag * a
-            return out
-
-        return step
+        """``d f' + m z f``, exact, on the same exponent and basis: one step
+        of :func:`_chain` on the map of :func:`_holo_band`."""
+        out = _chain(np.array(self.coeffs), [_holo_band(self, d, m)])[-1]
+        return self.on_basis(out.tolist())
 
     def on_basis(self, coeffs: Sequence[complex]) -> "HoloGauss":
         """The function with ``coeffs`` on this one's exponent and basis."""
@@ -745,27 +722,56 @@ def _check_index(n: int) -> None:
         raise DegreeCapError(f"index {n} exceeds cap {DEGREE_CAP}")
 
 
-def _rodrigues(op: DiffOp, core: complex, s: float) -> Iterator[HermiteBlock]:
-    """The Rodrigues chain ``op^k e^{core x^2}``, k = 0, 1, ..., on the scale
-    ``s``, as one-column blocks: one :func:`apply_diffop` per index, each
-    image trimmed (:meth:`HermiteBlock.trimmed`), so a family of n members
-    costs n - 1 steps and is, bit for bit, the chain of single functions.
-    Member k of a family is ``_reattach(f_k, amp_k, gamma2)``."""
-    f = HermiteGauss((1.0,), core, s).block()
-    while True:
-        yield f
-        f = apply_diffop(op, f).trimmed()
+def _line_band(op: DiffOp, gamma2: complex, s: float) -> tuple:
+    """``(lo, hi, diag)`` of a first-order operator ``c01 hD + c10 x`` on the
+    exponent ``gamma2 x^2`` and the scale s: the map ``lo L + hi R + diag`` of
+    :func:`_chain`, with hD and x banded as in :func:`apply_diffop` (no
+    linear exponent, so no diagonal)."""
+    c01, c10, minus_ih = op.terms.get((0, 1), 0j), op.terms.get((1, 0), 0j), -1j * op.h
+    lo = c01 * (minus_ih * (1 / s + gamma2 * s)) + c10 * (s / 2)
+    return lo, c01 * (minus_ih * gamma2 * s) + c10 * (s / 2), 0j
 
 
-def _reattach(f: HermiteBlock, amp: complex, gamma2: complex) -> HermiteGauss:
-    """``amp e^{(gamma2 - core) x^2} f`` for a one-column f on the exponent
-    ``core``: the coefficients of ``amp f`` on the exponent gamma2."""
-    return HermiteBlock(f.scale(amp).coeffs, gamma2, f.s).column(0)
+def _holo_band(f: HoloGauss, d: complex, m: complex) -> tuple:
+    """``(lo, hi, diag)`` of ``d f' + m z f`` on f's exponent and basis.
+
+    ``f' = (P' + (2 c2 z + c1) P) e^{c2 z^2 + c1 z}``.  In the ``p_k``,
+    ``d/dy = L`` and ``y = (rho2/2) L + R/2`` (:func:`_band`); with ``P' =
+    y1 dP/dy`` and ``z = (y - y0)/y1`` the map is one band plus a diagonal.
+    """
+    zc = 2 * d * f.c2 + m  # the coefficient of z P
+    lo = d * f.y1 + zc * f.rho2 / (2 * f.y1)
+    return lo, zc / (2 * f.y1), d * f.c1 - zc * f.y0 / f.y1
 
 
-def _nth(chain: Iterator, n: int):
-    """The n-th item of a chain (counting from 0)."""
-    return next(itertools.islice(chain, n, None))
+@np.errstate(all="ignore")
+def _chain(a: np.ndarray, bands: Sequence[tuple]) -> list:
+    """``a, M_1 a, M_2 M_1 a, ...`` for the maps ``M_k = lo L + hi R + diag``
+    of ``bands[k - 1] = (lo, hi, diag)`` (L and R as in :func:`_band`) on a 1D
+    array of Hermite coefficients, each image trimmed as a
+    :class:`HermiteGauss` or :class:`HoloGauss` is (:func:`_kept_rows`).  A
+    step keeps :func:`_band`'s products, ``hi (sqrt(2k) a)``, and its order
+    of additions: the R part, then the L part, then the diagonal."""
+    rt = _sqrt_2k(len(a) + len(bands) + 1)[:, 0]
+    out = [a]
+    for lo, hi, diag in bands:
+        K = len(a)
+        b = np.zeros(K + 1, complex)
+        np.multiply(hi, rt[1 : K + 1] * a, out=b[1:])
+        b[:-2] += lo * (rt[1:K] * a[1:])
+        if diag:
+            b[:-1] += diag * a
+        a = b[: _kept_rows(b)]
+        out.append(a)
+    return out
+
+
+@np.errstate(all="ignore")
+def _reattach(a: np.ndarray, amp: complex, like: HermiteGauss) -> HermiteGauss:
+    """``amp f`` for f with the coefficients a, on the exponent and scale of
+    ``like``: a Rodrigues or ladder member with its amplitude, on the
+    exponent of its family."""
+    return HermiteGauss((a * amp).tolist(), like.gamma2, like.s)
 
 
 def _residual_ratio(norm, apply, f, mu):

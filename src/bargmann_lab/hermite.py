@@ -31,14 +31,13 @@ from .gaussalg import (
     HermiteBlock,
     HermiteGauss,
     HoloGauss,
+    _chain,
     _check_index,
     _gram,
     _hermitian,
-    _nth,
+    _line_band,
     _reattach,
-    _rodrigues,
     _worst,
-    apply_diffop,
     relative_residual,
 )
 from .phasecore import PhaseParams, canonical_A
@@ -70,23 +69,19 @@ class HermiteSystem:
     # -- constructions -----------------------------------------------------
 
     def hermite_phi(self, n: int) -> HermiteGauss:
-        """n-th generalized Hermite function, by the ladder recursion.
-
-        The ladder steps on one-column blocks (:func:`apply_diffop`, then the
-        scale), each trimmed as a :class:`HermiteGauss` is
-        (:meth:`~bargmann_lab.gaussalg.HermiteBlock.trimmed`), and caches
-        every member it passes as a function.
-        """
+        """n-th generalized Hermite function, by the ladder recursion: the
+        cache is extended in one :func:`~bargmann_lab.gaussalg._chain`, from
+        its last member on, of P*'s band on phi_0's Gaussian, step m times
+        ``B / sqrt(2 m h Im C)``, and every member it passes is cached."""
         _check_index(n)
         cache = self._phi_cache
         if len(cache) <= n:
-            p = self.params
-            _, pstar, _ = self.ladder_ops()
-            f = cache[-1].block()
-            for m in range(len(cache), n + 1):  # building phi_m from phi_{m-1}
-                up = apply_diffop(pstar, f).trimmed()
-                f = up.scale(p.B / _sqrt_pos(m * 2 * p.h * p.C.imag)).trimmed()
-                cache.append(f.column(0))
+            p, f = self.params, cache[0]
+            lo, hi, diag = _line_band(self.ladder_ops()[1], f.gamma2, f.s)
+            scales = (p.B / _sqrt_pos(m * 2 * p.h * p.C.imag) for m in range(len(cache), n + 1))
+            bands = [(lo * c, hi * c, diag * c) for c in scales]
+            chain = _chain(np.array(cache[-1].coeffs), bands)
+            cache.extend(HermiteGauss(a.tolist(), f.gamma2, f.s) for a in chain[1:])
         return cache[n]
 
     def rodrigues_phi(self, n: int) -> HermiteGauss:
@@ -106,8 +101,8 @@ class HermiteSystem:
         )
         # the core e^{-ImC x^2/h} on phi_0's scale; the exponent reattached is
         # e^{(ImC - iReC) x^2/2h} * e^{-ImC x^2/h} = e^{-i conj(C) x^2 / 2h}
-        f = _nth(_rodrigues(DiffOp.hD(p.h), -p.C.imag / p.h, phi0.s), n)
-        return _reattach(f, amp, phi0.gamma2)
+        band = _line_band(DiffOp.hD(p.h), -p.C.imag / p.h, phi0.s)
+        return _reattach(_chain(np.ones(1, complex), [band] * n)[-1], amp, phi0)
 
     def monomial_basis(self, n: int) -> HoloGauss:
         """Orthonormal monomial varphi_n of the weighted holomorphic space,
@@ -177,8 +172,14 @@ class HermiteSystem:
 
     def phi_block(self, N: int) -> HermiteBlock:
         """phi_0, ..., phi_{N-1} as the columns of one block (N >= 1)."""
+        return HermiteBlock.stack(self.phi_family(N))
+
+    def phi_family(self, N: int) -> list[HermiteGauss]:
+        """phi_0, ..., phi_{N-1} (N >= 1), the cache extended once, to
+        phi_{N-1}."""
         _check_nonempty(N)
-        return HermiteBlock.stack([self.hermite_phi(n) for n in range(N)])
+        self.hermite_phi(N - 1)
+        return [self.hermite_phi(n) for n in range(N)]
 
     # -- Gram matrices -------------------------------------------------------
 
@@ -203,7 +204,7 @@ class HermiteSystem:
         if method == "exact":
             block = self.phi_block(N)
             return _hermitian(_gram([block], [block]))
-        phis = [self.hermite_phi(n) for n in range(N)]
+        phis = self.phi_family(N)
         s = phis[0].s
         grid = line_grid(lambda x: -x * x / s**2)
         return _quad_block(grid, lambda x: [f(x) for f in phis], None)

@@ -404,8 +404,7 @@ def suite_bridge(alpha: float, beta: float, n_max: int = 11) -> list[dict]:
     p = derived_constants(alpha, beta)
     hs = HermiteSystem(bridge_params(p))
     checks = []
-    for n, big in enumerate(Psi_family(p, n_max)):
-        phi = hs.hermite_phi(n)
+    for n, (big, phi) in enumerate(zip(Psi_family(p, n_max), hs.phi_family(n_max))):
         exp_dev = abs(big.gamma2 - phi.gamma2) + abs(big.s - phi.s)
         coeff_dev = coeff_deviation(big, phi, collinear=True)
         checks.append(

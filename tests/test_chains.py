@@ -4,11 +4,14 @@ term-by-term algorithm and against chains of single functions.
 The references here are written out in full: ``_apply_reference`` is the
 term-by-term algorithm with its own real sqrt(2k) column, and each
 reference chain steps on :class:`HermiteGauss` / :class:`HoloGauss` values,
-one object per step.
+one object per step.  A first-order line operator ``c01 hD + c10 x`` steps
+as one fused band (``_fused_band``): its L and R coefficients formed once
+per chain from hD's and x's, then one ``_band_reference`` per step.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -70,13 +73,6 @@ def _apply_reference(op, f):
                 term = _band_reference(term, s / 2, s / 2)
             acc[: len(term)] += c * term
     return acc
-
-
-def _apply_function(op, f):
-    """``op f`` for a single function, one object per step."""
-    if f.is_zero:
-        return f
-    return HermiteGauss(_apply_reference(op, f.block())[:, 0].tolist(), f.gamma2, f.s, f.gamma1)
 
 
 def _assert_same_bits(got, want):
@@ -159,22 +155,46 @@ def test_a_zero_function_maps_to_itself():
 # ------------------------------------------------------------- the chains
 
 
+def _fused_band(op, f):
+    """``(lo, hi)`` of a first-order operator ``c01 hD + c10 x`` on the
+    exponent and scale of f (no linear exponent, so no diagonal): hD's band
+    times c01 plus x's band ``(s/2)(L + R)`` times c10."""
+    assert f.gamma1 == 0 and op.order == 1 and set(op.terms) <= {(0, 1), (1, 0)}
+    s, minus_ih = f.s, -1j * op.h
+    c01, c10 = op.terms.get((0, 1), 0j), op.terms.get((1, 0), 0j)
+    lo = c01 * (minus_ih * (1 / s + f.gamma2 * s)) + c10 * (s / 2)
+    hi = c01 * (minus_ih * f.gamma2 * s) + c10 * (s / 2)
+    return lo, hi
+
+
+def _fused_step(f, lo, hi):
+    """``lo L + hi R`` applied to a HermiteGauss: a new HermiteGauss."""
+    a = np.array(f.coeffs).reshape(-1, 1)
+    with np.errstate(all="ignore"):
+        out = _band_reference(a, lo, hi)
+    return HermiteGauss(out[:, 0].tolist(), f.gamma2, f.s, f.gamma1)
+
+
 def _hermite_reference(params, n):
-    """phi_n by the ladder, one HermiteGauss per step."""
+    """phi_n by the ladder, one HermiteGauss per step: P*'s fused band, step
+    m times ``B / sqrt(2 m h Im C)``."""
     p = PhaseParams(canonical_A(params.B, params.C), params.B, params.C, params.h)
     amp = (p.C.imag / (math.pi * p.h)) ** 0.25
     f = HermiteGauss((complex(amp),), -1j * p.C.conjugate() / (2 * p.h), math.sqrt(p.h / p.C.imag))
-    pstar = DiffOp({(0, 1): -1 / p.B, (1, 0): -p.C / p.B}, p.h)
+    lo, hi = _fused_band(DiffOp({(0, 1): -1 / p.B, (1, 0): -p.C / p.B}, p.h), f)
     for m in range(1, n + 1):
-        f = _apply_function(pstar, f).scale(p.B / math.sqrt(m * 2 * p.h * p.C.imag))
+        c = p.B / math.sqrt(m * 2 * p.h * p.C.imag)
+        f = _fused_step(f, lo * c, hi * c)
     return f
 
 
 def _rodrigues_reference(op, core, s, n, amp, gamma2):
-    """``amp e^{(gamma2 - core) x^2} op^n e^{core x^2}``, one HermiteGauss per step."""
+    """``amp e^{(gamma2 - core) x^2} op^n e^{core x^2}``, one HermiteGauss per
+    step of op's fused band."""
     f = HermiteGauss((1.0,), core, s)
+    lo, hi = _fused_band(op, f)
     for _ in range(n):
-        f = _apply_function(op, f)
+        f = _fused_step(f, lo, hi)
     return HermiteGauss(f.scale(amp).coeffs, gamma2, f.s)
 
 
@@ -222,9 +242,9 @@ def test_ellipse_chains_are_chains_of_functions_bit_for_bit(alpha, beta):
         want = _rodrigues_reference(DiffOp.d_dx(1.0), -p.eigen_gap, base.s, n, amp, base.gamma2)
         _assert_same_bits(Psi_n(p, n).coeffs, want.coeffs)
 
-        f = base
+        f, (lo, hi) = base, _fused_band(Pstar, base)
         for _ in range(n):
-            f = _apply_function(Pstar, f)
+            f = _fused_step(f, lo, hi)
         want = f.scale(p.C_ab**n)
         got = Psi_n_ladder(p, n)
         assert (got.gamma2, got.s) == (want.gamma2, want.s)
@@ -255,3 +275,49 @@ def test_the_psi_ladder_chain_steps_on_arrays_as_on_functions_bit_for_bit(alpha,
                 want = _holo_ladder_reference(u, d, m)
                 _assert_same_bits(apply_ladder(p, which, got).coeffs, want.coeffs)
         u = _holo_ladder_reference(u, 1.0, (p.a + 2 * p.lam) / 2)
+
+
+# ------------------------------------------------- accuracy against 50 digits
+#
+# In exact arithmetic each of the four line chains lands on one coefficient:
+# P* has no L part on phi_0's own Gaussian, P*_ab none on Psi_0's, and hD
+# and d/dx none on the Rodrigues cores e^{-x^2/s^2} at their scale s.  So
+# phi_n = (-i)^n (Im C/pi h)^{1/4} eta_n and Psi_n = A_ab (C_ab/s)^n
+# sqrt(2^n n!) eta_n with s = sqrt((1 + beta^2)/alpha^2), on both routes.
+# The references take the same double parameters, in 50 digits; the error
+# is the largest coefficient deviation relative to the one coefficient of
+# the reference, and grows with the chain length.
+
+ACCURACY_INDICES = (16, 32, 64)
+
+
+def _relative_error(coeffs, n, ref):
+    worst = max(abs(mp.mpc(c) - (ref if k == n else 0)) for k, c in enumerate(coeffs))
+    assert len(coeffs) == n + 1
+    return float(worst / abs(ref))
+
+
+@pytest.mark.parametrize("B,C,h", PHASE_SETS)
+def test_phi_chains_are_within_round_off_of_the_50_digit_coefficient(B, C, h):
+    hs = HermiteSystem(PhaseParams(canonical_A(B, C), B, C, h))
+    with mp.workdps(50):
+        amp = (mp.mpf(C.imag) / (mp.pi * mp.mpf(h))) ** mp.mpf(0.25)
+        for n in ACCURACY_INDICES:
+            ref = (-1j) ** n * amp
+            for f in (hs.hermite_phi(n), hs.rodrigues_phi(n)):
+                assert _relative_error(f.coeffs, n, ref) <= 1e-14 * n
+
+
+@pytest.mark.parametrize("alpha,beta", ELLIPSE_SETS)
+def test_Psi_chains_are_within_round_off_of_the_50_digit_coefficient(alpha, beta):
+    p = derived_constants(alpha, beta)
+    with mp.workdps(50):
+        a, b = mp.mpf(alpha), mp.mpf(beta)
+        conj_a = mp.mpc(a * a + b * b - 1, -2 * b) / (a * a + b * b + 1)
+        C_ab = (1 - conj_a) / (2 * conj_a)
+        A_ab = mp.pi ** mp.mpf(0.25) * mp.sqrt((a * a + b * b + 1) / mp.mpc(1, -b))
+        s = mp.sqrt((1 + b * b) / (a * a))
+        for n in ACCURACY_INDICES:
+            ref = A_ab * (C_ab / s) ** n * mp.sqrt(2**n * mp.factorial(n))
+            for f in (Psi_n(p, n), Psi_n_ladder(p, n)):
+                assert _relative_error(f.coeffs, n, ref) <= 1e-14 * n
