@@ -68,7 +68,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gaussalg import DomainError, HermiteGauss, HoloGauss, _family_sums, _hermitian
+from .gaussalg import DomainError, HermiteGauss, HoloGauss, _hermite_sums, _hermitian, _stacked
 from .phasecore import PhaseParams, phi_phase, kernel_Psi, weight_Phi
 
 __all__ = [
@@ -108,17 +108,17 @@ class QuadGrid:
     Node ``i m + j`` (m = ``second.size``) is ``join(first[i], second[j])``
     and its weight ``w1[i] w2[j] scale``.  A plane grid (:func:`plane_grid`)
     joins ``first[i] + second[j]``, a polar grid (:func:`polar_grid`) ``r_i
-    e^{i theta_j}``, and a one-axis grid, :func:`line_grid` or one made from
-    its nodes, ``QuadGrid(nodes, weights)`` (which holds copies of them), has
-    one node per entry of ``first``.  Nodes are float on the line and complex
-    x+iy on the plane; weights are float.  A plane grid's node ``i m + j`` is
-    also ``center + t_i l_1 + t_j l_2``, with t the Hermite rule's nodes and
-    ``steps`` the pair (l_1, l_2); ``steps`` is None on other grids.  Every
-    array the grid holds is read-only.
+    e^{i theta_j}``, and a line grid (:func:`line_grid`) has one node per
+    entry of ``first`` (``second`` is ``[-0.0]``, ``w2`` is ``[1.0]``).
+    Nodes are float on the line and complex x+iy on the plane; weights are
+    float.  A plane grid's node ``i m + j`` is also ``center + t_i l_1 + t_j
+    l_2``, with t the Hermite rule's nodes and ``steps`` the pair (l_1,
+    l_2); ``steps`` is None on other grids.  Every array the grid holds is
+    read-only.
 
     The outer shell, on which the truncation check of every sum looks for
-    mass, is the nodes with ``|node - center| >= reach``.  A grid made from
-    its nodes centres it on their mean, with ``reach`` 0.95 of their largest
+    mass, is the nodes with ``|node - center| >= reach``.  A line grid
+    centres it on its nodes' mean, with ``reach`` 0.95 of their largest
     distance from it; a plane grid on its centre, with 0.95 of the distance
     to its farthest corner; a polar grid on the origin, with 0.95 of its
     largest radius.
@@ -129,28 +129,10 @@ class QuadGrid:
     first access, the weights on their own.
     """
 
-    def __init__(self, nodes, weights):
-        nodes = np.array(nodes)
-        weights = np.array(weights, dtype=float)
-        if nodes.shape != weights.shape:
-            raise DomainError("nodes and weights must have equal length")
-        if not nodes.size:
-            raise DomainError("a grid needs one node or more: nodes is empty")
-        center = nodes.mean()
-        reach = _SHELL * np.abs(nodes - center).max()
-        self._set(nodes, -np.zeros(1, nodes.dtype), weights, _ONE, 1.0, center, reach)
-
-    @classmethod
-    def _of(cls, *form, **options) -> "QuadGrid":
-        """The grid of the given axes, weights and shell (:meth:`_set`)."""
-        grid = cls.__new__(cls)
-        grid._set(*form, **options)
-        return grid
-
-    def _set(self, first, second, w1, w2, scale, center, reach, join=np.add, steps=None):
+    def __init__(self, first, second, w1, w2, scale, center, reach, join=np.add, steps=None):
         # the smallest weight is w1.min() w2.min() scale: rounding is monotone
-        if not w1.min() * w2.min() * scale > 0:
-            raise DomainError("weights must be positive")
+        if not (w1.size * w2.size and w1.min() * w2.min() * scale > 0):
+            raise DomainError("a grid needs one node or more, with positive weights")
         for a in (first, second, w1, w2):
             _read_only(a)
         self.__dict__.update(
@@ -194,10 +176,6 @@ class QuadGrid:
             z = self._nodes(start, size)
             on = np.abs(z - self.center) >= self.reach
             yield slice(start, start + size), z, self._weights(start, size), on
-
-
-#: The second axis of a one-axis grid's weights.
-_ONE = np.ones(1)
 
 
 def _read_only(a):
@@ -412,7 +390,7 @@ def line_grid(real_exponent: Callable[[float], float], n: int = 200) -> QuadGrid
     x += center
     mean = x.mean()  # the nodes ascend: the farthest from it is an end
     reach = _SHELL * np.abs(x[[0, -1]] - mean).max()
-    return QuadGrid._of(x, -np.zeros(1), w, _ONE, scale, mean, reach)
+    return QuadGrid(x, -np.zeros(1), w, np.ones(1), scale, mean, reach)
 
 
 #: The points at which a plane grid samples its exponent (:func:`_fit_quad_2d`).
@@ -478,7 +456,7 @@ def plane_grid(exponent: Callable[[complex], complex], n: int = 160) -> QuadGrid
     zc = complex(*center)
     reach = _SHELL * np.abs(np.add.outer(first[[0, -1]], second[[0, -1]]) - zc).max()
     steps = tuple(complex(*dirs[:, k]) * scale[k] for k in (0, 1))
-    return QuadGrid._of(first, second, ew, ew, s1 * s2, zc, reach, steps=steps)
+    return QuadGrid(first, second, ew, ew, s1 * s2, zc, reach, steps=steps)
 
 
 def hphi_grid(p: PhaseParams, U: HoloGauss, V: HoloGauss, n: int = 160) -> QuadGrid:
@@ -529,7 +507,7 @@ def polar_grid(
     theta = _angles(n_theta)
     radial = wr * (2.0 * math.pi / n_theta)
     turns = np.cos(theta) + 1j * np.sin(theta)
-    return QuadGrid._of(
+    return QuadGrid(
         r, turns, radial, np.ones(n_theta), 1.0, 0.0, _SHELL * r.max(), join=np.multiply
     )
 
@@ -575,6 +553,7 @@ def _check_truncation(total_mass, shell_mass) -> None:
 _CHUNK = 8192
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a sum not finite fails the check it reaches
 def _quad_block(grid: QuadGrid, rows, cols, factors=None) -> np.ndarray:
     """The quadrature sums ``sum_n w_n r_j(z_n) c_k(z_n)`` as a J x K array.
 
@@ -818,16 +797,18 @@ def projector_apply(p: PhaseParams, U: HoloGauss, points: Sequence[complex]) -> 
 
 def _pair_block(p: PhaseParams, fs, gs, grid: QuadGrid) -> np.ndarray:
     """``[sum w f_j conj(g_k) e^{pair exponent}]`` for functions fs sharing
-    one exponent and gs sharing another, on a grid fitted to the pair
-    exponent: the rows are Hermite sums, the columns conjugated Hermite sums
-    (the rows' own, when gs is fs), each family on one recurrence pass per
-    chunk where it shares one basis, and the pair exponent's per-axis
-    factors are what :func:`_quad_block` multiplies in."""
+    one exponent and basis and gs sharing another, on a grid fitted to the
+    pair exponent: each side is stacked into one coefficient array once, its
+    Hermite sums are one recurrence pass per chunk (:func:`_hermite_sums`),
+    the rows the fs, the columns the conjugated gs (the rows' own, when gs
+    is fs), and the pair exponent's per-axis factors are what
+    :func:`_quad_block` multiplies in."""
+    (f, A), (g, B) = (fs[0], _stacked(fs)), (gs[0], _stacked(gs))
     return _quad_block(
         grid,
-        lambda zs: _family_sums(fs, zs),
-        None if gs is fs else lambda zs: [np.conj(v) for v in _family_sums(gs, zs)],
-        _fitted_factors(grid, functools.partial(_pair_exponent, p, fs[0], gs[0])),
+        lambda zs: _hermite_sums(A, f.y0 + f.y1 * zs, f.rho2),
+        None if gs is fs else lambda zs: np.conj(_hermite_sums(B, g.y0 + g.y1 * zs, g.rho2)),
+        _fitted_factors(grid, functools.partial(_pair_exponent, p, f, g)),
     )
 
 
@@ -853,7 +834,8 @@ def inner_product_HPhi(p: PhaseParams, U: HoloGauss, V: HoloGauss) -> complex:
 
 def gram_HPhi(p: PhaseParams, fs: Sequence[HoloGauss]) -> list[list[complex]]:
     """Gram matrix ``[inner_product_HPhi(p, fs[j], fs[k])]`` of one function
-    or more sharing one exponent ``(c2, c1)``, else ``DomainError``.
+    or more sharing one exponent ``(c2, c1)`` and one basis ``(y0, y1,
+    rho2)``, else ``DomainError``.
 
     All pairs then share the grid and the exponential factor: the matrix is
     one K x K block of :func:`_quad_block`, each entry the node sum of its
@@ -866,6 +848,6 @@ def gram_HPhi(p: PhaseParams, fs: Sequence[HoloGauss]) -> list[list[complex]]:
     if not len(fs):
         raise DomainError("gram_HPhi needs one function or more: fs is empty")
     U = fs[0]
-    if any(f.c2 != U.c2 or f.c1 != U.c1 for f in fs):
-        raise DomainError("gram_HPhi needs functions with one exponent")
+    if len({(f.c2, f.c1, f.y0, f.y1, f.rho2) for f in fs}) > 1:
+        raise DomainError("gram_HPhi needs functions with one exponent and one basis")
     return _hermitian(_pair_block(p, fs, fs, hphi_grid(p, U, U))).tolist()

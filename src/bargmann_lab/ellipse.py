@@ -93,7 +93,9 @@ class EllipseParams:
     """Ellipse data (alpha, beta) plus the derived constants.
 
     Build via :func:`derived_constants`; the constructor re-checks the
-    defining identities rather than trusting its caller.
+    defining identities, each relative to the size of its terms, rather than
+    trusting its caller.  lambda/a and C_ab grow without bound near the
+    degenerate circle: where one is not finite, that is a DomainError.
     """
 
     alpha: float
@@ -110,11 +112,14 @@ class EllipseParams:
             raise DegenerateEllipseError()
         if not 0 < abs(self.a) < 1:
             raise DomainError(f"|a| = {abs(self.a)} must lie in (0, 1)")
-        ac = self.a.conjugate()
-        if abs(self.a + 2 * self.lam - 1 / ac) > _IDENTITY_TOL:
-            raise DomainError("identity a + 2 lambda = 1/conj(a) violated")
         ratio = self.lam / self.a
-        if abs(ratio.imag) > _IDENTITY_TOL or not ratio.real > 0:
+        if not all(map(cmath.isfinite, (ratio, self.C_ab, self.A_ab))):
+            raise DomainError(f"alpha = {self.alpha}, beta = {self.beta}: lambda/a, C_ab or A_ab "
+                              "is not finite (too near the degenerate circle (1, 0))")
+        terms = (self.a, 2 * self.lam, -1 / self.a.conjugate())
+        if abs(sum(terms)) > _IDENTITY_TOL * max(map(abs, terms)):
+            raise DomainError("identity a + 2 lambda = 1/conj(a) violated")
+        if abs(ratio.imag) > _IDENTITY_TOL * abs(ratio) or not ratio.real > 0:
             raise DomainError(f"lambda/a = {ratio} must be real positive")
         expected = (
             2
@@ -187,7 +192,7 @@ def psi_n(p: EllipseParams, n: int) -> HoloGauss:
     """
     _check_index(n)
     y1 = cmath.sqrt(-p.lam / 2)
-    amp = (-y1) ** n * math.sqrt(2**n * math.factorial(n))
+    amp = _power(-y1, n) * math.sqrt(2**n * math.factorial(n))
     return HoloGauss((0j,) * n + (amp,), -p.a / 4, 0j, 0j, y1, 1.0)
 
 
@@ -214,6 +219,15 @@ def _psi_ladder(u: HoloGauss, p: EllipseParams, n: int) -> list[np.ndarray]:
     return _chain(np.array(u.coeffs), [_holo_band(u, *_LADDERS["lambda_star"](p))] * n)
 
 
+def _power(c, n: int):
+    """``c**n``, or NaN where that overflows: an amplitude that overflows
+    makes NaN of the values it reaches, which fails their checks."""
+    try:
+        return c**n
+    except OverflowError:
+        return math.nan
+
+
 def _check_count(n: int) -> None:
     """A family of n members: indices 0..n-1 within the index range."""
     if n:
@@ -234,7 +248,7 @@ def Psi_n(p: EllipseParams, n: int) -> HermiteGauss:
     """Psi_n by the Rodrigues route (n-fold d/dx of the wide Gaussian
     e^{-alpha^2 x^2/(1+beta^2)}, on Psi_0's scale)."""
     _check_index(n)
-    return _reattach(_Psi_rodrigues(p, n)[-1], p.A_ab * (-p.C_ab) ** n, Psi0(p))
+    return _reattach(_Psi_rodrigues(p, n)[-1], p.A_ab * _power(-p.C_ab, n), Psi0(p))
 
 
 def Psi_family(p: EllipseParams, n: int) -> list[HermiteGauss]:
@@ -242,13 +256,13 @@ def Psi_family(p: EllipseParams, n: int) -> list[HermiteGauss]:
     ``Psi_n(p, k)``, bit for bit."""
     _check_count(n)
     base, chain = Psi0(p), _Psi_rodrigues(p, n - 1)[:n]
-    return [_reattach(a, p.A_ab * (-p.C_ab) ** k, base) for k, a in enumerate(chain)]
+    return [_reattach(a, p.A_ab * _power(-p.C_ab, k), base) for k, a in enumerate(chain)]
 
 
 def Psi_n_ladder(p: EllipseParams, n: int) -> HermiteGauss:
     """Psi_n as C_ab^n (P*_ab)^n Psi_0: the independent construction."""
     _check_index(n)
-    return _reattach(_Psi_ladder(p, n)[-1], p.C_ab**n, Psi0(p))
+    return _reattach(_Psi_ladder(p, n)[-1], _power(p.C_ab, n), Psi0(p))
 
 
 def Psi_family_ladder(p: EllipseParams, n: int) -> list[HermiteGauss]:
@@ -256,7 +270,7 @@ def Psi_family_ladder(p: EllipseParams, n: int) -> list[HermiteGauss]:
     ``Psi_n_ladder(p, k)``, bit for bit."""
     _check_count(n)
     base, chain = Psi0(p), _Psi_ladder(p, n - 1)[:n]
-    return [_reattach(a, p.C_ab**k, base) for k, a in enumerate(chain)]
+    return [_reattach(a, _power(p.C_ab, k), base) for k, a in enumerate(chain)]
 
 
 def _Psi_rodrigues(p: EllipseParams, n: int) -> list[np.ndarray]:

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -134,9 +133,14 @@ def coeff_deviation(u, v, collinear: bool = False) -> float:
     n = max(len(u.coeffs), len(v.coeffs))
     a = u.coeffs + (0j,) * (n - len(u.coeffs))
     b = v.coeffs + (0j,) * (n - len(v.coeffs))
-    k = max(range(n), key=lambda i: abs(a[i]))
-    ratio = a[k] / b[k] if collinear else 1.0
-    return _worst(abs(x - ratio * y) for x, y in zip(a, b)) / max(abs(a[k]), 1e-300)
+    try:  # a modulus above the largest float is an infinite deviation
+        k = max(range(n), key=lambda i: abs(a[i]))
+        ratio = 1.0
+        if collinear:  # no ratio takes a zero onto a nonzero: NaN fails the check
+            ratio = a[k] / b[k] if b[k] else math.nan
+        return _worst(abs(x - ratio * y) for x, y in zip(a, b)) / max(abs(a[k]), 1e-300)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -243,23 +247,12 @@ class HermiteBlock:
         f = fs[0]
         if not _one_basis(fs):
             raise DomainError("a block needs functions with one exponent and scale")
-        A = np.zeros((max(len(g.coeffs) for g in fs), len(fs)), complex)
-        for j, g in enumerate(fs):
-            A[: len(g.coeffs), j] = g.coeffs
-        return HermiteBlock(A, f.gamma2, f.s, f.gamma1)
+        return HermiteBlock(_stacked(fs), f.gamma2, f.s, f.gamma1)
 
     @property
     def is_zero(self) -> bool:
         """One row of zeros: every column is the zero function."""
         return len(self.coeffs) == 1 and not np.count_nonzero(self.coeffs)
-
-    def trimmed(self) -> "HermiteBlock":
-        """The block without its top rows that are zero in every column (one
-        row is kept): of one column, the coefficients the column's
-        :class:`HermiteGauss` holds."""
-        A = self.coeffs
-        k = _kept_rows(A)
-        return self if k == len(A) else HermiteBlock(A[:k], self.gamma2, self.s, self.gamma1)
 
     def column(self, j: int) -> HermiteGauss:
         return HermiteGauss(self.coeffs[:, j].tolist(), self.gamma2, self.s, self.gamma1)
@@ -281,13 +274,13 @@ class HermiteBlock:
         return HermiteBlock(out, self.gamma2, self.s, self.gamma1)
 
 
-def _kept_rows(A: np.ndarray) -> int:
-    """The rows of a coefficient array up to its last row with a nonzero
-    entry, at least one: what :func:`_trim` keeps of a single column."""
-    k = len(A)
-    while k > 1 and not np.count_nonzero(A[k - 1]):
-        k -= 1
-    return k
+def _stacked(fs) -> np.ndarray:
+    """The coefficients of the functions fs as the columns of one K x m
+    array, a shorter column padded with zeros."""
+    A = np.zeros((max(len(f.coeffs) for f in fs), len(fs)), complex)
+    for j, f in enumerate(fs):
+        A[: len(f.coeffs), j] = f.coeffs
+    return A
 
 
 def _one_basis(fs) -> bool:
@@ -370,16 +363,6 @@ class HoloGauss:
         return HoloGauss(coeffs, self.c2, self.c1, self.y0, self.y1, self.rho2)
 
 
-def _family_sums(fs: Sequence[HoloGauss], z) -> list:
-    """``[f.hermite_sum(z) for f in fs]``, bit for bit; functions on one
-    basis ``(y0, y1, rho2)`` share one pass of the recurrence
-    (:func:`_hermite_sums`)."""
-    f = fs[0]
-    if any((g.y0, g.y1, g.rho2) != (f.y0, f.y1, f.rho2) for g in fs):
-        return [g.hermite_sum(z) for g in fs]
-    return _hermite_sums([g.coeffs for g in fs], f.y0 + f.y1 * z, f.rho2)
-
-
 def _hermite_sum(coeffs: Sequence[complex], y, rho2: complex):
     """``sum_k coeffs[k] p_k(y)`` at y (a number or an array), where ``p_k =
     rho^k eta_k(y/rho)``, ``rho^2 = rho2``, by the three-term recurrence
@@ -405,24 +388,24 @@ def _hermite_sum(coeffs: Sequence[complex], y, rho2: complex):
     return acc
 
 
-def _hermite_sums(rows: Sequence[Sequence[complex]], y, rho2: complex) -> list:
-    """:func:`_hermite_sum` of each coefficient sequence of ``rows``, on one
-    pass of its recurrence: each ``p_k`` is added to the sums whose
-    coefficient k is nonzero, so every sum is its own :func:`_hermite_sum`,
-    bit for bit.  (The single sum keeps its own loop: for a number y, the
-    loop over the rows would double its time.)"""
+def _hermite_sums(A: np.ndarray, y, rho2: complex) -> np.ndarray:
+    """:func:`_hermite_sum` of each column of the K x m coefficient array A
+    at y, as the m rows of one array, on one pass of the recurrence: each
+    ``p_k`` is added only to the rows whose coefficient k is nonzero, so
+    every row is its column's :func:`_hermite_sum`, bit for bit.  (The
+    single sum keeps its own loop: for a number y, the loop over the rows
+    would double its time.)"""
     prev, cur = 0.0, 1.0
-    columns = itertools.zip_longest(*rows, fillvalue=0)  # a shorter row's zeros add nothing
-    sums = [a * cur for a in next(columns)]
-    for k, column in enumerate(columns, 1):
+    sums = np.empty((A.shape[1],) + np.shape(y), complex)
+    sums.T[...] = A[0] * cur
+    for k in range(1, len(A)):
         nxt = math.sqrt(2 / k) * y
         nxt *= cur
         prev *= rho2 * math.sqrt((k - 1) / k)
         nxt -= prev
         prev, cur = cur, nxt
-        for j, a in enumerate(column):
-            if a:
-                sums[j] += a * cur
+        for j in np.flatnonzero(A[k]):
+            sums[j] += A[k, j] * cur
     return sums
 
 
@@ -749,7 +732,7 @@ def _chain(a: np.ndarray, bands: Sequence[tuple]) -> list:
     """``a, M_1 a, M_2 M_1 a, ...`` for the maps ``M_k = lo L + hi R + diag``
     of ``bands[k - 1] = (lo, hi, diag)`` (L and R as in :func:`_band`) on a 1D
     array of Hermite coefficients, each image trimmed as a
-    :class:`HermiteGauss` or :class:`HoloGauss` is (:func:`_kept_rows`).  A
+    :class:`HermiteGauss` or :class:`HoloGauss` is (:func:`_trim`).  A
     step keeps :func:`_band`'s products, ``hi (sqrt(2k) a)``, and its order
     of additions: the R part, then the L part, then the diagonal."""
     rt = _sqrt_2k(len(a) + len(bands) + 1)[:, 0]
@@ -761,7 +744,10 @@ def _chain(a: np.ndarray, bands: Sequence[tuple]) -> list:
         b[:-2] += lo * (rt[1:K] * a[1:])
         if diag:
             b[:-1] += diag * a
-        a = b[: _kept_rows(b)]
+        k = len(b)
+        while k > 1 and not b[k - 1]:
+            k -= 1
+        a = b[:k]
         out.append(a)
     return out
 

@@ -34,6 +34,7 @@ from .gaussalg import (
     _chain,
     _check_index,
     _gram,
+    _hermite_sums,
     _hermitian,
     _line_band,
     _reattach,
@@ -171,15 +172,11 @@ class HermiteSystem:
         return relative_residual(H, self.phi_block(N), mus)
 
     def phi_block(self, N: int) -> HermiteBlock:
-        """phi_0, ..., phi_{N-1} as the columns of one block (N >= 1)."""
-        return HermiteBlock.stack(self.phi_family(N))
-
-    def phi_family(self, N: int) -> list[HermiteGauss]:
-        """phi_0, ..., phi_{N-1} (N >= 1), the cache extended once, to
-        phi_{N-1}."""
+        """phi_0, ..., phi_{N-1} as the columns of one block (N >= 1), the
+        cache extended once, to phi_{N-1}."""
         _check_nonempty(N)
         self.hermite_phi(N - 1)
-        return [self.hermite_phi(n) for n in range(N)]
+        return HermiteBlock.stack([self.hermite_phi(n) for n in range(N)])
 
     # -- Gram matrices -------------------------------------------------------
 
@@ -192,22 +189,23 @@ class HermiteSystem:
         one block of :func:`~bargmann_lab.bargmann._quad_block` on the line
         grid of the combined exponent of phi_m conj(phi_n), the real Gaussian
         ``-x^2/s^2`` (s = sqrt(h/Im C)), where the rule is exact up to
-        round-off; values from the three-term recurrence, once per chunk for
-        their row and their conjugated column, the rule from the per-process
-        cache the plane grids share.
+        round-off; values from one pass of the three-term recurrence per
+        chunk (:func:`~bargmann_lab.gaussalg._hermite_sums`), for their row
+        and their conjugated column, the rule from the per-process cache the
+        plane grids share.
         The exact matrix is Hermitian: its lower triangle mirrors the upper
         (see :func:`~bargmann_lab.gaussalg._hermitian`).
         """
         if method not in ("exact", "quadrature"):
             raise DomainError(f"unknown method {method!r}")
-        _check_nonempty(N)
+        phis = self.phi_block(N)
         if method == "exact":
-            block = self.phi_block(N)
-            return _hermitian(_gram([block], [block]))
-        phis = self.phi_family(N)
-        s = phis[0].s
-        grid = line_grid(lambda x: -x * x / s**2)
-        return _quad_block(grid, lambda x: [f(x) for f in phis], None)
+            return _hermitian(_gram([phis], [phis]))
+
+        def rows(x):
+            return _hermite_sums(phis.coeffs, x / phis.s, 1.0) * np.exp(phis.gamma2 * np.square(x))
+
+        return _quad_block(line_grid(lambda x: -x * x / phis.s**2), rows, None)
 
 
 def _check_nonempty(N: int) -> None:
@@ -230,6 +228,6 @@ def gram_deviation(G, diag: Sequence[float] | None = None) -> float:
     The modulus is ``np.hypot``, which is Python's ``abs`` of a complex."""
     G = np.asarray(G, dtype=complex)
     d = np.ones(len(G)) if diag is None else np.asarray(diag, dtype=float)
-    D = G - np.diag(d)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # a value not finite makes NaN, which fails the check
+        D = G - np.diag(d)
         return _worst((np.hypot(D.real, D.imag) / np.sqrt(np.outer(d, d))).ravel())

@@ -51,6 +51,7 @@ from .ellipse import (
     EllipseParams,
     Psi_family,
     Psi_family_ladder,
+    _power,
     bridge_params,
     derived_constants,
     ladder_diffops,
@@ -331,7 +332,7 @@ def ellipse_gram(alpha: float, beta: float, n: int):
     G on one grid.
     """
     p = derived_constants(alpha, beta)
-    diag = [math.factorial(k) * p.lam_over_a**k * p.norm_psi0_sq for k in range(n)]
+    diag = [math.factorial(k) * _power(p.lam_over_a, k) * p.norm_psi0_sq for k in range(n)]
     G = gram_HPhi(PhaseParams.classic(), [psi_n(p, k) for k in range(n)])
     return G, diag, gram_deviation(G, diag)
 
@@ -404,7 +405,9 @@ def suite_bridge(alpha: float, beta: float, n_max: int = 11) -> list[dict]:
     p = derived_constants(alpha, beta)
     hs = HermiteSystem(bridge_params(p))
     checks = []
-    for n, (big, phi) in enumerate(zip(Psi_family(p, n_max), hs.phi_family(n_max))):
+    phis = hs.phi_block(n_max)
+    for n, big in enumerate(Psi_family(p, n_max)):
+        phi = phis.column(n)
         exp_dev = abs(big.gamma2 - phi.gamma2) + abs(big.s - phi.s)
         coeff_dev = coeff_deviation(big, phi, collinear=True)
         checks.append(

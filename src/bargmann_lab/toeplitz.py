@@ -197,8 +197,7 @@ def _toeplitz_entries(
 ) -> np.ndarray:
     """Matrix elements for m in ``rows`` and n in ``cols``, the sums of
     ``c(|z|^2) e^{-|z|^2/2} varphi_m(z) conj(varphi_n(z))`` over the nodes
-    of a polar grid (any other grid is a DomainError), with ``varphi_k(z) =
-    z^k / sqrt(pi 2^{k+1} k!)``.
+    of a polar grid, with ``varphi_k(z) = z^k / sqrt(pi 2^{k+1} k!)``.
 
     ``T_mn = sum_k w_k c(r_k^2) e^{-r_k^2/2} P_m(r_k) P_n(r_k) * sum_l
     e^{i(m-n) theta_l}`` with ``P_k = |varphi_k|``; the masses of the
@@ -209,8 +208,6 @@ def _toeplitz_entries(
     rows, cols = list(rows), list(cols)
     if min(rows + cols) < 0:
         raise DomainError("index must be >= 0")
-    if g.join is not np.multiply:
-        raise DomainError(f"the Toeplitz blocks need a polar_grid, not this {g.size}-node grid")
     K = max(rows + cols) + 1
     r, w, theta = g.first, g.w1, _angles(g.second.size)
     u = r * r
@@ -231,34 +228,27 @@ def _toeplitz_entries(
     return np.einsum("jk,nk->jn", Pr * radial, Pc) * angular
 
 
-def toeplitz_block_quad(
-    sym: RadialSymbol, N: int, grid: QuadGrid | None = None
-) -> np.ndarray:
+def toeplitz_block_quad(sym: RadialSymbol, N: int) -> np.ndarray:
     """The N x N matrix of :func:`toeplitz_matrix_quad` elements, m, n < N.
 
-    All entries come from one pass over the radii of the polar grid
-    (``grid``, or :func:`default_toeplitz_grid`) instead of one pass per
-    entry; each entry is checked for truncation as a single sum would be.
+    All entries come from one pass over the radii of
+    :func:`default_toeplitz_grid` instead of one pass per entry; each entry
+    is checked for truncation as a single sum would be.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
-    g = grid if grid is not None else default_toeplitz_grid(sym, N - 1)
-    return _toeplitz_entries(sym, range(N), range(N), g)
+    return _toeplitz_entries(sym, range(N), range(N), default_toeplitz_grid(sym, N - 1))
 
 
-def toeplitz_matrix_quad(
-    sym: RadialSymbol,
-    m: int,
-    n: int,
-    grid: QuadGrid | None = None,
-) -> complex:
+def toeplitz_matrix_quad(sym: RadialSymbol, m: int, n: int) -> complex:
     """Matrix element int b(z) varphi_m(z) conj(varphi_n(z)) e^{-|z|^2/2} L(dz).
 
-    2D-quadrature route in the classic basis (h = 1).  For radial b the
-    result is diagonal; the diagonal reproduces :func:`radial_eigenvalue`.
-    Computed as the 1 x 1 block of :func:`toeplitz_block_quad`'s pass.
+    2D-quadrature route in the classic basis (h = 1), on
+    :func:`default_toeplitz_grid`.  For radial b the result is diagonal; the
+    diagonal reproduces :func:`radial_eigenvalue`.  Computed as the 1 x 1
+    block of :func:`toeplitz_block_quad`'s pass.
     """
-    g = grid if grid is not None else default_toeplitz_grid(sym, max(m, n))
+    g = default_toeplitz_grid(sym, max(m, n))
     return complex(_toeplitz_entries(sym, [m], [n], g)[0, 0])
 
 

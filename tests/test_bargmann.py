@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bargmann_lab import bargmann, cli, suites
+from bargmann_lab import bargmann, cli, suites, toeplitz
 from bargmann_lab.bargmann import (
     adjoint_quad,
     gram_HPhi,
@@ -30,7 +30,7 @@ from bargmann_lab.bargmann import (
     transform_quad,
 )
 from bargmann_lab.ellipse import derived_constants, psi0, psi_n
-from bargmann_lab.gaussalg import ComplexPoly, DomainError, HermiteGauss, inner_product_line
+from bargmann_lab.gaussalg import ComplexPoly, DomainError, HermiteGauss, HoloGauss, inner_product_line
 from bargmann_lab.hermite import HermiteSystem
 from bargmann_lab.phasecore import PhaseParams, canonical_A, kernel_Psi, phi_phase, weight_Phi
 from bargmann_lab.toeplitz import RadialSymbol, toeplitz_matrix_quad
@@ -199,7 +199,7 @@ def test_projector_moves_antiholomorphic_function():
     assert residual > 0.1
 
 
-def test_array_path_matches_per_node_reference():
+def test_array_path_matches_per_node_reference(monkeypatch):
     # the array integrands, summed by _quad_block as the kernels' node sums
     # are, against a plain loop over scalar phasecore calls, on small grids
     # fitted to the adjoint's and the projector's exponents
@@ -253,6 +253,7 @@ def test_array_path_matches_per_node_reference():
 
     sym = RadialSymbol.gaussian(0.5)
     polar = polar_grid(9.0, n_r=40, n_theta=16)
+    monkeypatch.setattr(toeplitz, "default_toeplitz_grid", lambda sym, max_index: polar)
 
     def varphi(k, zeta):  # classic normalized monomial
         return zeta**k / math.sqrt(math.pi * 2.0 ** (k + 1) * math.factorial(k))
@@ -260,7 +261,7 @@ def test_array_path_matches_per_node_reference():
     for m, n in ((0, 0), (2, 2), (1, 3)):
         want = ref_sum(polar, lambda zeta: sym.c(abs(zeta) ** 2) * varphi(m, zeta)
                        * varphi(n, zeta).conjugate() * math.exp(-abs(zeta) ** 2 / 2))
-        got = toeplitz_matrix_quad(sym, m, n, grid=polar)
+        got = toeplitz_matrix_quad(sym, m, n)
         assert abs(got - want) <= 1e-12 * max(abs(want), 1e-3)
 
 
@@ -272,7 +273,9 @@ def test_quad_block_matches_per_node_reference():
     rng = np.random.default_rng(7)
     n = 25_600
     nodes = 6 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * math.pi * rng.uniform(size=n))
-    grid = bargmann.QuadGrid(nodes, rng.uniform(0.5, 1.5, size=n))
+    # one axis of nodes; the shell is the rim, |z| >= 0.95 * 6
+    grid = bargmann.QuadGrid(nodes, -np.zeros(1, complex), rng.uniform(0.5, 1.5, size=n),
+                             np.ones(1), 1.0, 0j, 5.7)
     assert grid.nodes.size // bargmann._CHUNK == 3
     assert grid.nodes.size % bargmann._CHUNK == 1024
     rows = [
@@ -405,6 +408,10 @@ def test_gram_HPhi_needs_one_exponent():
     p = derived_constants(2.0, 1.0)
     with pytest.raises(DomainError, match="one exponent"):
         gram_HPhi(CLASSIC, [psi0(p), HermiteSystem(CLASSIC).monomial_basis(1)])
+    # one exponent on two bases is a family of mixed bases
+    u = psi0(p)
+    with pytest.raises(DomainError, match="one exponent"):
+        gram_HPhi(CLASSIC, [u, HoloGauss(u.coeffs, u.c2, u.c1, u.y0, 0.3, u.rho2)])
 
 
 def test_gram_HPhi_entries_are_the_inner_products_bit_for_bit():

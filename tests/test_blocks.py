@@ -134,7 +134,8 @@ _EMPTY_FAMILY_CALLS = {
     "combined_gram": (lambda hs: combined_gram(NchoParams(2.0, 1.0), 0), "N = 0"),
     "gram_HPhi": (lambda hs: gram_HPhi(hs.params, []), "fs is empty"),
     "stack": (lambda hs: HermiteBlock.stack([]), "fs is empty"),
-    "QuadGrid": (lambda hs: QuadGrid([], []), "nodes is empty"),
+    "QuadGrid": (lambda hs: QuadGrid(np.array([]), -np.zeros(1), np.array([]), np.ones(1), 1.0, 0.0, 0.0),
+                 "one node or more"),
 }
 
 

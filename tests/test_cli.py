@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,42 @@ def test_an_unfittable_transform_suite_is_exit_1_without_a_runtime_warning(tmp_p
 def test_degenerate_ellipse_is_exit_1(capsys):
     assert cli.main(["ellipse", "--alpha", "1", "--beta", "0"]) == 1
     capsys.readouterr()
+
+
+_TOO_NEAR = "error: alpha = 1.0, beta = {}: lambda/a, C_ab or A_ab is not finite"
+
+
+@pytest.mark.parametrize("argv,status,message", [
+    # lambda/a ~ 1/beta^2 is inf from beta = 1e-155 on: a domain error naming alpha and beta
+    *((["ellipse", "--beta", beta, "--n", "3"], 1, _TOO_NEAR.format(beta))
+      for beta in ("1e-162", "1e-170", "1e-200", "1e-300")),
+    (["certify", "--suite", "ellipse", "--beta", "1e-162"], 1, _TOO_NEAR.format("1e-162")),
+    (["gram", "--system", "ellipse", "--beta", "1e-300", "--n", "3"], 1, _TOO_NEAR.format("1e-300")),
+    (["gram", "--system", "ellipse", "--beta", "1e-155", "--n", "3"], 1, _TOO_NEAR.format("1e-155")),
+    # C_ab^k and (lambda/a)^k overflow: the checks they reach fail
+    *((["certify", "--suite", "ellipse", "--beta", beta, "--n", "11"], 2,
+       "FAIL psi_gram_rel_dev[n<7]: measured nan") for beta in ("1e-40", "1e-60", "1e-80")),
+    (["gram", "--system", "ellipse", "--beta", "1e-100", "--n", "3"], 2,
+     "FAIL gram_rel_dev: measured nan"),
+    (["certify", "--suite", "bridge", "--beta", "1e-40", "--n", "64"], 2,
+     "FAIL bridge_collinear[n=63]: measured nan"),
+    (["ellipse", "--beta", "1e-43", "--n", "64"], 2, "FAIL psi_routes_dev: measured nan"),
+    # the constructor's self-checks are relative: the absolute identity check fails
+    *((["ellipse", "--alpha", alpha, "--beta", beta], 2, "FAIL constants_identity_dev")
+      for alpha, beta in (("0.999999", "0"), ("1.0000001", "0"), ("1", "1e-8"))),
+])
+def test_an_ellipse_near_the_degenerate_circle_is_a_status_without_a_warning(
+    tmp_path, capsys, argv, status, message
+):
+    # an uncaught exception (a traceback from the command line) fails the test
+    argv = [*argv, "-o", str(tmp_path / "artifact")]
+    if "--alpha" not in argv:
+        argv += ["--alpha", "1"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == status
+    assert message in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_tolerance_violation_is_exit_2(tmp_path, capsys, monkeypatch):

@@ -572,11 +572,8 @@ def test_one_pass_of_a_family_gives_each_members_hermite_sum(rho2):
     family[2][3] = family[2][5] = 0j
     family += [(0j,) * 12 + (0.7 - 0.2j,), (0j,) * 4 + (1.5j,)]
     fs = [HoloGauss(a, 0.1j, 0.2, 0.4 - 0.2j, 0.7 + 0.5j, rho2) for a in family]
-    got = gaussalg._family_sums(fs, z)
-    for g, f in zip(got, fs):
-        assert np.array_equal(g, f.hermite_sum(z))
+    got = gaussalg._hermite_sums(gaussalg._stacked(fs), 0.4 - 0.2j + (0.7 + 0.5j) * z, rho2)
+    assert got.shape == (len(fs), z.size)
+    for g, f in zip(got, fs):  # a one-term sum is a number: its row is that number
+        assert np.array_equal(g, np.broadcast_to(f.hermite_sum(z), z.shape))
         assert np.all(g == _hermite_sum_every_term(f.coeffs, f.y0 + f.y1 * z, rho2))
-    # functions on different bases are summed one by one
-    mixed = [fs[1], HoloGauss(family[1], y1=0.3 + 0j, rho2=rho2)]
-    for g, f in zip(gaussalg._family_sums(mixed, z), mixed):
-        assert np.array_equal(g, f.hermite_sum(z))

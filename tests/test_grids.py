@@ -3,8 +3,8 @@
 Their nodes and outer shells are formed chunk by chunk from per-axis
 arrays; here they are checked, bit for bit, against the whole-grid formulas
 the grids were once built with, and the shells against their definition on
-every grid of the certification battery.  Grids made from their nodes,
-``QuadGrid(nodes, weights)``, hold them as before.
+every grid of the certification battery.  A per-node reference is a grid's
+one-axis twin: its nodes and weights on one axis, with its centre and reach.
 """
 
 import math
@@ -85,6 +85,17 @@ def _defined_shell(nodes):
     return r >= 0.95 * r.max()
 
 
+def _one_axis(nodes, weights, center, reach):
+    """The grid of these nodes and weights on one axis, with this shell."""
+    zero = -np.zeros(1, nodes.dtype)  # first[i] + (-0.0) is first[i], bit for bit
+    return QuadGrid(nodes, zero, weights, np.ones(1), 1.0, center, reach)
+
+
+def _twin(grid):
+    """A grid's one-axis twin: its nodes, weights, centre and reach."""
+    return _one_axis(grid.nodes, grid.weights, grid.center, grid.reach)
+
+
 CASES = {
     "plane, real exponent": (
         lambda: plane_grid(_real_exponent),
@@ -127,7 +138,7 @@ def test_tensor_grids_form_the_nodes_of_the_whole_grid_formulas_bit_for_bit(buil
 @pytest.mark.parametrize("build", [
     *(build for build, _ in CASES.values()),
     lambda: line_grid(lambda x: -x * x, 300),
-    lambda: QuadGrid(np.linspace(-3, 3, 20_000) * (1 + 0.5j), np.full(20_000, 1e-3)),
+    lambda: _one_axis(np.linspace(-3, 3, 20_000) * (1 + 0.5j), np.full(20_000, 1e-3), 0j, 3.0),
 ], ids=[*CASES, "line", "hand-built"])
 def test_chunks_cover_the_nodes_in_order_bit_for_bit(build):
     grid = build()
@@ -146,13 +157,13 @@ def test_chunks_cover_the_nodes_in_order_bit_for_bit(build):
 def _recording_grids(monkeypatch) -> list:
     """The grids built from now on, in order."""
     grids = []
-    of = QuadGrid._of.__func__
+    init = QuadGrid.__init__
 
-    def recording(cls, *form, **options):
-        grids.append(of(cls, *form, **options))
-        return grids[-1]
+    def recording(grid, *axes, **options):
+        init(grid, *axes, **options)
+        grids.append(grid)
 
-    monkeypatch.setattr(QuadGrid, "_of", classmethod(recording))
+    monkeypatch.setattr(QuadGrid, "__init__", recording)
     return grids
 
 
@@ -258,7 +269,7 @@ def test_a_node_sum_holds_few_chunk_arrays_at_once():
 ], ids=["plane", "polar"])
 def test_sums_on_a_tensor_grid_are_the_sums_on_its_nodes_bit_for_bit(build):
     grid = build()
-    copy = QuadGrid(grid.nodes, grid.weights)
+    copy = _twin(grid)
 
     def rows(z):
         return [np.exp(-abs(z) ** 2), z * np.exp(-0.8 * abs(z) ** 2)]
@@ -277,27 +288,25 @@ def test_sums_on_a_tensor_grid_are_the_sums_on_its_nodes_bit_for_bit(build):
         assert _same_bits(got, want)
 
 
-def test_hand_built_grids_hold_copies_of_their_nodes():
+def test_a_one_axis_grid_is_read_only_and_sums_node_by_node():
     nodes = np.array([0.0, 1.0, -2.0, 3.5, 0.25])
     weights = np.array([1.0, 2.0, 0.5, 1.0, 0.75])
-    grid = QuadGrid(nodes, weights)
-    nodes[0], weights[0] = 9.0, 9.0
+    mean = nodes.mean()
+    grid = _one_axis(nodes, weights, mean, 0.95 * np.abs(nodes - mean).max())
     assert grid.nodes.tolist() == [0.0, 1.0, -2.0, 3.5, 0.25]
     assert grid.weights.tolist() == [1.0, 2.0, 0.5, 1.0, 0.75]
     assert grid.shell.tolist() == _defined_shell(grid.nodes).tolist() == [
         False, False, False, True, False,
     ]
     assert grid.steps is None and grid.join is np.add
-    for arr in (grid.nodes, grid.weights, grid.shell):
+    for arr in (nodes, weights, grid.nodes, grid.weights, grid.shell):
         with pytest.raises(ValueError):
             arr[0] = 0
     with pytest.raises(AttributeError):
         grid.weights = weights
-    with pytest.raises(DomainError, match="equal length"):
-        QuadGrid(nodes, weights[:3])
     with pytest.raises(DomainError, match="positive"):
-        QuadGrid(nodes, -weights)
-    # a hand-built grid's sums are the plain per-node sums
+        _one_axis(nodes, -weights, mean, 1.0)
+    # a one-axis grid's sums are the plain per-node sums
     got = bargmann._quad_block(grid, lambda x: [np.exp(-8 * x * x)], lambda x: [1.0])[0, 0]
     want = sum(w * math.exp(-8 * x * x) for x, w in zip(grid.nodes.tolist(), grid.weights.tolist()))
     assert got == pytest.approx(want, rel=1e-15)

@@ -7,13 +7,7 @@ import pytest
 from scipy.special import gammainc
 
 from bargmann_lab import toeplitz
-from bargmann_lab.bargmann import (
-    TRUNCATION_TOL,
-    QuadGrid,
-    TruncationError,
-    line_grid,
-    polar_grid,
-)
+from bargmann_lab.bargmann import TRUNCATION_TOL, TruncationError, polar_grid
 from bargmann_lab.gaussalg import DomainError
 from bargmann_lab.toeplitz import (
     RadialSymbol,
@@ -142,22 +136,28 @@ def test_matrix_entries_indicator():
     assert abs(toeplitz_matrix_quad(sym, 0, 0) - (1 - math.exp(-1))) <= 1e-5
 
 
-def test_matrix_constant_symbol_is_identity():
+def _sum_on(monkeypatch, grid):
+    """From now on the Toeplitz blocks sum on ``grid``, whatever their
+    indices: their default grid is it."""
+    monkeypatch.setattr(toeplitz, "default_toeplitz_grid", lambda sym, max_index: grid)
+
+
+def test_matrix_constant_symbol_is_identity(monkeypatch):
     sym = RadialSymbol.smooth(lambda u: 1.0, support=math.inf)
-    grid = default_toeplitz_grid(sym, 3)
+    _sum_on(monkeypatch, default_toeplitz_grid(sym, 3))
     for m in range(4):
         for n in range(m, 4):
-            got = toeplitz_matrix_quad(sym, m, n, grid=grid)
+            got = toeplitz_matrix_quad(sym, m, n)
             want = 1.0 if m == n else 0.0
             assert abs(got - want) <= 1e-6
 
 
 @pytest.mark.parametrize("sym", [RadialSymbol.indicator(1.0), RadialSymbol.gaussian(0.5)],
                          ids=["indicator", "exponential"])
-def test_matrix_diagonal_matches_radial_route(sym):
-    grid = default_toeplitz_grid(sym, 6)
+def test_matrix_diagonal_matches_radial_route(monkeypatch, sym):
+    _sum_on(monkeypatch, default_toeplitz_grid(sym, 6))
     for n in range(7):
-        diag = toeplitz_matrix_quad(sym, n, n, grid=grid)
+        diag = toeplitz_matrix_quad(sym, n, n)
         assert abs(diag - radial_eigenvalue(sym, n)) <= 1e-5
 
 
@@ -178,18 +178,19 @@ def _reference_entry(sym, m, n, grid):
     )
 
 
-def test_block_matches_per_node_reference():
+def test_block_matches_per_node_reference(monkeypatch):
     # three angles alias e^{3ik theta} to 1: entries with |m - n| in {3, 6}
     # are genuinely nonzero, so the off-diagonal comparison has substance
     sym = RadialSymbol.gaussian(0.5)
     grid = polar_grid(12.0, n_r=40, n_theta=3)
+    _sum_on(monkeypatch, grid)
     N = 7
-    got = toeplitz_block_quad(sym, N, grid=grid)
+    got = toeplitz_block_quad(sym, N)
     want = np.array([[_reference_entry(sym, m, n, grid) for n in range(N)] for m in range(N)])
     assert abs(want[0, 3]) > 1e-3 and abs(want[1, 4]) > 1e-3
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * abs(want).max())
     for m, n in ((0, 3), (6, 0), (2, 2)):
-        assert toeplitz_matrix_quad(sym, m, n, grid=grid) == pytest.approx(got[m, n], rel=1e-12)
+        assert toeplitz_matrix_quad(sym, m, n) == pytest.approx(got[m, n], rel=1e-12)
 
 
 def _per_node_block(sym, N, grid):
@@ -208,36 +209,28 @@ def _per_node_block(sym, N, grid):
     return block, mass, shell
 
 
-def test_polar_block_is_the_per_node_block():
+def test_polar_block_is_the_per_node_block(monkeypatch):
     # radial sums times angular sums against the per-node block on the same
     # nodes and weights; three angles alias e^{3ik theta} to 1, so entries
     # with |m - n| in {3, 6} are nonzero
     sym = RadialSymbol.gaussian(0.5)
     for grid in (polar_grid(12.0, n_r=40, n_theta=3), default_toeplitz_grid(sym, 6)):
-        got = toeplitz_block_quad(sym, 7, grid=grid)
+        _sum_on(monkeypatch, grid)
+        got = toeplitz_block_quad(sym, 7)
         want = _per_node_block(sym, 7, grid)[0]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * abs(want).max())
     # both routes see the same outer-shell nodes: the radial route raises
     # exactly where the per-node shell mass exceeds the tolerance
     grid = polar_grid(6.0, n_r=60, n_theta=16)
+    _sum_on(monkeypatch, grid)
     for N, raises in ((2, False), (7, True)):
         _, mass, shell = _per_node_block(sym, N, grid)
         assert (shell > TRUNCATION_TOL * mass).any() == raises
         if raises:
             with pytest.raises(TruncationError):
-                toeplitz_block_quad(sym, N, grid=grid)
+                toeplitz_block_quad(sym, N)
         else:
-            toeplitz_block_quad(sym, N, grid=grid)
-
-
-def test_the_blocks_need_a_polar_grid():
-    grid = polar_grid(9.0, n_r=40, n_theta=16)
-    sym = RadialSymbol.gaussian(0.5)
-    for plain in (QuadGrid(grid.nodes, grid.weights), line_grid(lambda x: -x * x)):
-        with pytest.raises(DomainError, match="polar_grid"):
-            toeplitz_block_quad(sym, 3, grid=plain)
-        with pytest.raises(DomainError, match="polar_grid"):
-            toeplitz_matrix_quad(sym, 0, 1, grid=plain)
+            toeplitz_block_quad(sym, N)
 
 
 def test_the_blocks_read_the_angles_of_their_polar_grid_bit_for_bit(monkeypatch):
@@ -248,24 +241,25 @@ def test_the_blocks_read_the_angles_of_their_polar_grid_bit_for_bit(monkeypatch)
     angles = toeplitz._angles
     monkeypatch.setattr(toeplitz, "_angles", lambda n: seen.append(angles(n)) or seen[-1])
     for grid in (polar_grid(12.0, n_r=40, n_theta=3), default_toeplitz_grid(sym, 6)):
-        toeplitz_block_quad(sym, 7, grid=grid)
+        _sum_on(monkeypatch, grid)
+        toeplitz_block_quad(sym, 7)
         theta = seen[-1]
         n = grid.second.size
         assert theta.tobytes() == (2.0 * math.pi * np.arange(n) / n).tobytes()
         assert (np.cos(theta) + 1j * np.sin(theta)).tobytes() == grid.second.tobytes()
 
 
-def test_block_and_entry_raise_truncation_where_a_single_sum_would():
+def test_block_and_entry_raise_truncation_where_a_single_sum_would(monkeypatch):
     # r_max = 6: the outer shell holds ~1e-14 of the (0, 0) mass but ~1e-8
     # of the (6, 6) mass, above TRUNCATION_TOL
     sym = RadialSymbol.gaussian(0.5)
-    grid = polar_grid(6.0, n_r=60, n_theta=16)
-    toeplitz_matrix_quad(sym, 0, 0, grid=grid)
-    toeplitz_block_quad(sym, 2, grid=grid)
+    _sum_on(monkeypatch, polar_grid(6.0, n_r=60, n_theta=16))
+    toeplitz_matrix_quad(sym, 0, 0)
+    toeplitz_block_quad(sym, 2)
     with pytest.raises(TruncationError):
-        toeplitz_matrix_quad(sym, 6, 6, grid=grid)
+        toeplitz_matrix_quad(sym, 6, 6)
     with pytest.raises(TruncationError):
-        toeplitz_block_quad(sym, 7, grid=grid)
+        toeplitz_block_quad(sym, 7)
 
 
 def test_block_rejects_empty_and_negative_indices():

@@ -28,7 +28,8 @@ def code_lines(path):
             lines.update(range(tok.start[0], tok.end[0] + 1))
     return len(lines - doc)
 
-total = 0
-for p in sorted(Path(sys.argv[1]).rglob("*.py")):
-    n = code_lines(p); total += n; print(f"{n:6d} {p}")
-print(f"{total:6d} total")
+if __name__ == "__main__":
+    total = 0
+    for p in sorted(Path(sys.argv[1]).rglob("*.py")):
+        n = code_lines(p); total += n; print(f"{n:6d} {p}")
+    print(f"{total:6d} total")
