@@ -558,11 +558,11 @@ def _quad_block(grid: QuadGrid, rows, cols, factors=None) -> np.ndarray:
     """The quadrature sums ``sum_n w_n r_j(z_n) c_k(z_n)`` as a J x K array.
 
     ``rows`` and ``cols`` map a chunk of nodes (at most :data:`_CHUNK`) to
-    the values of their J (or K) functions on it: an array with one row per
-    function, or a list with an array or a number per function (a one-term
-    Hermite sum is a number).  ``cols`` is None for the conjugates of the
-    rows' values, evaluated once per chunk for both; a plain sum passes the
-    one column ``lambda z: [1.0]`` and reads entry ``[0, 0]``.
+    the values of their J (or K) functions on it: a fresh complex array with
+    one row per function (not copied), or a list with an array or a number per
+    function (a one-term Hermite sum is a number).  ``cols`` is None for the
+    conjugates of the rows' values, evaluated once per chunk for both; a plain
+    sum passes the one column ``lambda z: [1.0]`` and reads entry ``[0, 0]``.
     ``factors``, if given, is the per-axis pair ``(a, b)`` of a factor
     ``e^E = a_i b_j`` of every row, on a plane grid fitted to E
     (:func:`_fitted_factors`).  The chunk's nodes, weights and shell mask
@@ -595,8 +595,10 @@ def _quad_block(grid: QuadGrid, rows, cols, factors=None) -> np.ndarray:
 
 def _on_chunk(functions, z: np.ndarray) -> np.ndarray:
     """The values ``functions(z)`` as a complex array, one row per function."""
-    values = np.broadcast_arrays(z, *functions(z))[1:]
-    return np.array(values, dtype=complex).reshape(-1, z.size)
+    values = functions(z)
+    if isinstance(values, np.ndarray) and values.dtype == complex:
+        return values  # fresh: _quad_block may overwrite it
+    return np.array(np.broadcast_arrays(z, *values)[1:], dtype=complex).reshape(-1, z.size)
 
 
 def _fitted_factors(grid: QuadGrid, exponent):
@@ -803,7 +805,7 @@ def _pair_block(p: PhaseParams, fs, gs, grid: QuadGrid) -> np.ndarray:
     the rows the fs, the columns the conjugated gs (the rows' own, when gs
     is fs), and the pair exponent's per-axis factors are what
     :func:`_quad_block` multiplies in."""
-    (f, A), (g, B) = (fs[0], _stacked(fs)), (gs[0], _stacked(gs))
+    (f, A), (g, B) = ((us[0], _stacked([u.coeffs for u in us])) for us in (fs, gs))
     return _quad_block(
         grid,
         lambda zs: _hermite_sums(A, f.y0 + f.y1 * zs, f.rho2),

@@ -247,7 +247,7 @@ class HermiteBlock:
         f = fs[0]
         if not _one_basis(fs):
             raise DomainError("a block needs functions with one exponent and scale")
-        return HermiteBlock(_stacked(fs), f.gamma2, f.s, f.gamma1)
+        return HermiteBlock(_stacked([f.coeffs for f in fs]), f.gamma2, f.s, f.gamma1)
 
     @property
     def is_zero(self) -> bool:
@@ -274,12 +274,12 @@ class HermiteBlock:
         return HermiteBlock(out, self.gamma2, self.s, self.gamma1)
 
 
-def _stacked(fs) -> np.ndarray:
-    """The coefficients of the functions fs as the columns of one K x m
-    array, a shorter column padded with zeros."""
-    A = np.zeros((max(len(f.coeffs) for f in fs), len(fs)), complex)
-    for j, f in enumerate(fs):
-        A[: len(f.coeffs), j] = f.coeffs
+def _stacked(cs) -> np.ndarray:
+    """The coefficient sequences cs as the columns of one K x m array, a
+    shorter column padded with zeros."""
+    A = np.zeros((max(map(len, cs)), len(cs)), complex)
+    for j, c in enumerate(cs):
+        A[: len(c), j] = c
     return A
 
 

@@ -38,6 +38,7 @@ from .gaussalg import (
     _hermitian,
     _line_band,
     _reattach,
+    _stacked,
     _worst,
     relative_residual,
 )
@@ -60,8 +61,8 @@ class HermiteSystem:
         self.params = PhaseParams(a_canon, params.B, params.C, params.h)
         p = self.params
         amp = (p.C.imag / (math.pi * p.h)) ** 0.25
-        s = math.sqrt(p.h / p.C.imag)
-        self._phi_cache = [HermiteGauss((complex(amp),), -1j * p.C.conjugate() / (2 * p.h), s)]
+        self._gamma2, self._s = -1j * p.C.conjugate() / (2 * p.h), math.sqrt(p.h / p.C.imag)
+        self._chain, self._phi_cache = [np.array([complex(amp)])], {}
 
     @classmethod
     def from_bch(cls, B: complex, C: complex, h: float = 1.0) -> "HermiteSystem":
@@ -70,20 +71,25 @@ class HermiteSystem:
     # -- constructions -----------------------------------------------------
 
     def hermite_phi(self, n: int) -> HermiteGauss:
-        """n-th generalized Hermite function, by the ladder recursion: the
-        cache is extended in one :func:`~bargmann_lab.gaussalg._chain`, from
-        its last member on, of P*'s band on phi_0's Gaussian, step m times
-        ``B / sqrt(2 m h Im C)``, and every member it passes is cached."""
-        _check_index(n)
-        cache = self._phi_cache
-        if len(cache) <= n:
-            p, f = self.params, cache[0]
-            lo, hi, diag = _line_band(self.ladder_ops()[1], f.gamma2, f.s)
-            scales = (p.B / _sqrt_pos(m * 2 * p.h * p.C.imag) for m in range(len(cache), n + 1))
-            bands = [(lo * c, hi * c, diag * c) for c in scales]
-            chain = _chain(np.array(cache[-1].coeffs), bands)
-            cache.extend(HermiteGauss(a.tolist(), f.gamma2, f.s) for a in chain[1:])
-        return cache[n]
+        """n-th generalized Hermite function: its :meth:`_ladder` array, built
+        into a :class:`HermiteGauss` on its first request and cached."""
+        if n not in self._phi_cache:
+            a = self._ladder(n + 1)[n]
+            self._phi_cache[n] = HermiteGauss(a.tolist(), self._gamma2, self._s)
+        return self._phi_cache[n]
+
+    def _ladder(self, N: int) -> list:
+        """The coefficients of phi_0, ..., phi_{N-1}, kept as the ladder's arrays:
+        one :func:`~bargmann_lab.gaussalg._chain` from the last kept member on, of
+        P*'s band on phi_0's Gaussian, step m times ``B / sqrt(2 m h Im C)``."""
+        _check_index(N - 1)
+        chain = self._chain
+        if len(chain) < N:
+            p = self.params
+            lo, hi, diag = _line_band(self.ladder_ops()[1], self._gamma2, self._s)
+            scales = (p.B / _sqrt_pos(m * 2 * p.h * p.C.imag) for m in range(len(chain), N))
+            chain.extend(_chain(chain[-1], [(lo * c, hi * c, diag * c) for c in scales])[1:])
+        return chain[:N]
 
     def rodrigues_phi(self, n: int) -> HermiteGauss:
         """Same function by the independent Rodrigues route.
@@ -94,7 +100,7 @@ class HermiteSystem:
         """
         _check_index(n)
         p = self.params
-        phi0 = self._phi_cache[0]
+        phi0 = self.hermite_phi(0)
         amp = (
             (p.C.imag / (math.pi * p.h)) ** 0.25
             / math.sqrt(math.factorial(n))
@@ -173,10 +179,9 @@ class HermiteSystem:
 
     def phi_block(self, N: int) -> HermiteBlock:
         """phi_0, ..., phi_{N-1} as the columns of one block (N >= 1), the
-        cache extended once, to phi_{N-1}."""
+        ladder's arrays extended once, to phi_{N-1}, and stacked."""
         _check_nonempty(N)
-        self.hermite_phi(N - 1)
-        return HermiteBlock.stack([self.hermite_phi(n) for n in range(N)])
+        return HermiteBlock(_stacked(self._ladder(N)), self._gamma2, self._s)
 
     # -- Gram matrices -------------------------------------------------------
 

@@ -180,9 +180,9 @@ def spectrum_check(p: NchoParams, N: int) -> list[dict]:
 
     Returns entries ``{"sign", "n", "lambda", "residual"}`` ordered by
     (n, sign), i.e. by increasing eigenvalue with the double multiplicity
-    adjacent.  Per sign, Q is applied once to the block of all N
-    eigenfunctions.  As in :func:`~bargmann_lab.gaussalg.relative_residual`, a
-    residual that cannot be evaluated (||Phi|| evaluates to zero, ``Q Phi``
+    adjacent.  Per sign, Q is applied once, to the upper components phi_n/sqrt 2
+    of all N (:func:`_upper_row`).  As in :func:`~bargmann_lab.gaussalg.relative_residual`,
+    a residual that cannot be evaluated (||Phi|| evaluates to zero, ``Q Phi``
     would exceed the degree cap, or a sum meets non-finite terms) is ``inf``,
     in that member's entry only.
     """
@@ -190,7 +190,8 @@ def spectrum_check(p: NchoParams, N: int) -> list[dict]:
         raise DomainError("N must be >= 1")
     lams = [eigenvalue(p, n) for n in range(N)]
     residuals = {
-        tag: _vec_residual(p, _eigen_block(p, sign, N), lams)
+        tag: _residual_ratio(_pair_norm, functools.partial(_upper_row, p, sign),
+                             _bridge_system(p, sign).phi_block(N).scale(1 / math.sqrt(2)), lams)
         for sign, tag in ((+1, "+"), (-1, "-"))
     }
     return [
@@ -200,10 +201,17 @@ def spectrum_check(p: NchoParams, N: int) -> list[dict]:
     ]
 
 
-def _vec_residual(p: NchoParams, F: VecFun2, lam):
-    """||Q F - lam F|| / ||F||, or ``inf`` where it cannot be evaluated; for a
-    VecFun2 of blocks and one lam per column, a list of one per column."""
-    return _residual_ratio(vec_norm, lambda G: apply_Q(p, G), F, lam)
+def _upper_row(p: NchoParams, sign: int, u):
+    """Upper component of Q_alpha (u, sign*i u) by :func:`apply_Q`'s steps in its
+    order; the lower one is sign*i times it, bit for bit (+-i swaps and negates)."""
+    S, X = _sym_ops(p)
+    ix_l = apply_diffop(X, u).scale(sign * 1j).scale(1j)
+    return apply_diffop(S, u).scale(p.alpha / 2).add(ix_l.scale(-1))
+
+
+def _pair_norm(u):
+    """The L2 + L2 norm of (u, +-i u), of a function or per column of a block."""
+    return np.hypot(n := norm_line(u), n)
 
 
 def combined_gram(p: NchoParams, n: int) -> tuple[list[list[complex]], float]:

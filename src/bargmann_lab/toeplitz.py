@@ -206,8 +206,6 @@ def _toeplitz_entries(
     shell.  Each entry is checked for truncation as a single sum would be.
     """
     rows, cols = list(rows), list(cols)
-    if min(rows + cols) < 0:
-        raise DomainError("index must be >= 0")
     K = max(rows + cols) + 1
     r, w, theta = g.first, g.w1, _angles(g.second.size)
     u = r * r
@@ -248,6 +246,8 @@ def toeplitz_matrix_quad(sym: RadialSymbol, m: int, n: int) -> complex:
     diagonal reproduces :func:`radial_eigenvalue`.  Computed as the 1 x 1
     block of :func:`toeplitz_block_quad`'s pass.
     """
+    if min(m, n) < 0:  # before the grid is sized for them
+        raise DomainError("index must be >= 0")
     g = default_toeplitz_grid(sym, max(m, n))
     return complex(_toeplitz_entries(sym, [m], [n], g)[0, 0])
 

@@ -314,16 +314,17 @@ def test_ellipse_and_bridge_certify_to_degree_64(tmp_path, capsys, alpha, beta):
 
 
 def _raising(err):
-    def apply_Q(p, F):
+    def upper_row(p, sign, u):
         raise err
-    return apply_Q
+    return upper_row
 
 
 @pytest.mark.parametrize("args,attr,fault", [
-    (["ncho", "--n", "40"], "vec_norm", lambda F: 0.0),
-    (["certify", "--suite", "ncho", "--n", "41"], "apply_Q", lambda p, F: F.scale(math.nan)),
-    (["ncho", "--n", "64"], "apply_Q", _raising(DegreeCapError("degree 65 exceeds cap 64"))),
-    (["ncho", "--h", "1e300"], "apply_Q", _raising(ValueError("-inf + inf in fsum"))),
+    (["ncho", "--n", "40"], "_pair_norm", lambda u: 0.0),
+    (["certify", "--suite", "ncho", "--n", "41"], "_upper_row",
+     lambda p, sign, u: u.scale(math.nan)),
+    (["ncho", "--n", "64"], "_upper_row", _raising(DegreeCapError("degree 65 exceeds cap 64"))),
+    (["ncho", "--h", "1e300"], "_upper_row", _raising(ValueError("-inf + inf in fsum"))),
 ], ids=["ncho-n40", "certify-n41", "ncho-n64-degree-cap", "ncho-h1e300"])
 def test_unevaluable_ncho_residual_is_exit_2(tmp_path, capsys, monkeypatch, args, attr, fault):
     # the Hermite-coefficient route evaluates these inputs, so each case

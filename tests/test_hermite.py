@@ -374,15 +374,43 @@ def test_eigen_residual_checks_are_the_single_function_residuals(B, C, h):
         assert abs(e["residual"] - want) <= 1e-14 * want, e["n"]
 
 
+def _columns_are_the_phis(hs, block, N):
+    """Each column n of a phi_block(N) is hermite_phi(n)'s coefficients,
+    bit for bit, padded with zeros."""
+    assert block.coeffs.shape[1] == N
+    for n in range(N):
+        phi = hs.hermite_phi(n)
+        c = np.array(phi.coeffs, complex)
+        assert block.coeffs[: len(c), n].tobytes() == c.tobytes(), n
+        assert not np.any(block.coeffs[len(c) :, n]), n
+        assert (block.gamma2, block.s, block.gamma1) == (phi.gamma2, phi.s, phi.gamma1)
+
+
+@pytest.mark.parametrize("B,C,h", PARAM_SETS)
+@pytest.mark.parametrize("order", ["block-first", "phi-first", "stepwise"])
+def test_phi_block_columns_are_hermite_phi_bit_for_bit(B, C, h, order):
+    # the block is stacked from the ladder's arrays, hermite_phi builds its
+    # member from the same array: whichever extends the ladder first, and
+    # however far at a time, both agree to the last bit, with a fresh system
+    hs, ref = _system(B, C, h), _system(B, C, h)
+    if order == "phi-first":
+        for n in range(64):
+            hs.hermite_phi(n)
+    for N in (5, 30, 64) if order == "stepwise" else (64,):
+        block = hs.phi_block(N)
+        _columns_are_the_phis(hs, block, N)
+        _columns_are_the_phis(ref, block, N)
+
+
 def test_nan_member_eigen_residual_is_inf_in_its_own_entry_only(monkeypatch):
     hs = _system(3.0, 1 + 2j, 0.5)
     want = [hs.eigen_residual(n) for n in range(9)]
-    phi = HermiteSystem.hermite_phi
+    ladder = HermiteSystem._ladder
 
-    def nan_at_4(self, n):
-        return phi(self, n).scale(math.nan) if n == 4 else phi(self, n)
+    def nan_at_4(self, N):
+        return [a * math.nan if n == 4 else a for n, a in enumerate(ladder(self, N))]
 
-    monkeypatch.setattr(HermiteSystem, "hermite_phi", nan_at_4)
+    monkeypatch.setattr(HermiteSystem, "_ladder", nan_at_4)
     entries, _ = hermite_eigen_checks(hs, 9)
     got = [e["residual"] for e in entries]
     assert got[4] == math.inf

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from bargmann_lab import ncho
 from bargmann_lab.gaussalg import (
@@ -11,6 +12,7 @@ from bargmann_lab.gaussalg import (
     DiffOp,
     DomainError,
     HermiteGauss,
+    _residual_ratio,
     apply_diffop,
 )
 from bargmann_lab.hermite import HermiteSystem
@@ -197,10 +199,16 @@ def test_spectrum_certifies_to_degree_64(alpha, h):
     assert all(r["residual"] <= TOL_ALGEBRA for r in rows)
 
 
+def _vec_residual(p, F, lam):
+    """||Q F - lam F|| / ||F|| on both components of F (a VecFun2, or one of
+    blocks with one lam per column): the reference for spectrum_check."""
+    return _residual_ratio(vec_norm, lambda G: apply_Q(p, G), F, lam)
+
+
 def _single_residuals(p, N):
     """The residual of each Phi_{alpha,sign,n} alone, by (n, sign)."""
     return {
-        (tag, n): ncho._vec_residual(p, eigenfunction_vec(p, sign, n), eigenvalue(p, n))
+        (tag, n): _vec_residual(p, eigenfunction_vec(p, sign, n), eigenvalue(p, n))
         for n in range(N)
         for sign, tag in ((+1, "+"), (-1, "-"))
     }
@@ -219,15 +227,34 @@ def test_spectrum_residuals_are_the_single_function_residuals(alpha, h):
         assert abs(r["residual"] - want) <= 1e-14 * want, (r["sign"], r["n"])
 
 
+@seed(28)
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.floats(1.0, 6.0, exclude_min=True),
+    h=st.floats(-3.0, 3.0).map(lambda e: 10.0**e) | st.sampled_from([1e-200, 1e300]),
+    N=st.sampled_from([1, 2, 11, 41, 64]),
+)
+def test_spectrum_check_is_the_two_component_residual_bit_for_bit(alpha, h, N):
+    # the residual from the upper component alone is the one of Q applied
+    # to both components, to the last bit, inf entries included
+    p = NchoParams(alpha, h)
+    lams = [eigenvalue(p, n) for n in range(N)]
+    rows = spectrum_check(p, N)
+    for sign, tag in ((+1, "+"), (-1, "-")):
+        want = _vec_residual(p, ncho._eigen_block(p, sign, N), lams)
+        got = [r["residual"] for r in rows if r["sign"] == tag]
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (sign, got, want)
+
+
 def test_nan_member_is_inf_in_its_own_entry_only(monkeypatch):
     p = NchoParams(2.0, 1.0)
     want = _single_residuals(p, 9)
-    phi = HermiteSystem.hermite_phi
+    ladder = HermiteSystem._ladder
 
-    def nan_at_5(self, n):
-        return phi(self, n).scale(math.nan) if n == 5 else phi(self, n)
+    def nan_at_5(self, N):
+        return [a * math.nan if n == 5 else a for n, a in enumerate(ladder(self, N))]
 
-    monkeypatch.setattr(HermiteSystem, "hermite_phi", nan_at_5)
+    monkeypatch.setattr(HermiteSystem, "_ladder", nan_at_5)
     for r in spectrum_check(p, 9):
         single = want[(r["sign"], r["n"])]
         if r["n"] == 5:

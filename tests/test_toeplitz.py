@@ -268,3 +268,14 @@ def test_block_rejects_empty_and_negative_indices():
         toeplitz_block_quad(sym, 0)
     with pytest.raises(DomainError):
         toeplitz_matrix_quad(sym, -1, 0)
+
+
+@pytest.mark.parametrize("m,n", [(-3, -4), (0, -7), (-1, 0)])
+def test_entry_rejects_negative_indices_before_sizing_its_grid(monkeypatch, m, n):
+    # both indices below -2 used to reach the grid's sqrt(2 (max + 2)) first
+    def no_grid(sym, max_index):
+        raise AssertionError("grid sized for a negative index")
+
+    monkeypatch.setattr(toeplitz, "default_toeplitz_grid", no_grid)
+    with pytest.raises(DomainError, match="index must be >= 0"):
+        toeplitz_matrix_quad(RadialSymbol.gaussian(0.5), m, n)
