@@ -18,19 +18,19 @@ w2[j] scale``.  Every quadrature sum of the package is a block of
 ``_quad_block``: the sums ``sum_n w_n r_j(z_n) c_k(z_n)`` of row functions
 against column functions, evaluated on chunks of nodes, each with its own
 truncation check.  Every integrand is one expression on a chunk of nodes:
-the ``phasecore`` functions and ``HoloGauss.hermite_sum`` accept arrays, and
-the exponents of all factors are summed before a single ``np.exp``, because
-a factor alone can overflow where the product is negligible.  The rows and
-columns are Hermite sums.  Every plane kernel sums on the grid fitted to the
-exponent E of its integrand's exponential factor ``e^E`` (below), where E
-has no cross term between the two axes, so ``e^E = a_i b_j`` is evaluated
-once per axis, 2n calls of ``exp`` instead of n^2 (sum factorization;
-Orszag, J. Comput. Phys. 37, 70 (1980)), and handed to ``_quad_block`` as
-that pair.  The projector fits its grid to its column exponent at 0, whose
-every point then factors per axis too; the Toeplitz blocks on a polar grid
-are radial sums times angular sums.  A plane sum of degree at most 6 runs on
-per-axis moments, forming no node, where they certify its truncation check
-(:func:`_moment_sum`).
+the exponent forms (:class:`Quadratic`) and ``HoloGauss.hermite_sum``
+accept arrays, and the exponents of all factors are summed before a single
+``np.exp``, because a factor alone can overflow where the product is
+negligible.  The rows and columns are Hermite sums.  Every plane kernel
+sums on the grid fitted to the exponent E of its integrand's exponential
+factor ``e^E`` (below), where E has no cross term between the two axes, so
+``e^E = a_i b_j`` is evaluated once per axis, 2n calls of ``exp`` instead
+of n^2 (sum factorization; Orszag, J. Comput. Phys. 37, 70 (1980)), and
+handed to ``_quad_block`` as that pair.  The projector fits its grid to
+its column exponent at 0, whose every point then factors per axis too; the
+Toeplitz blocks on a polar grid are radial sums times angular sums.  A
+plane sum of degree at most 6 runs on per-axis moments, forming no node,
+where they certify its truncation check (:func:`_moment_sum`).
 
 Gauss rules are built by Newton's method on their three-term recurrences,
 from asymptotic starts (Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29, 1420
@@ -56,7 +56,11 @@ much wider or narrower than the weight, while fitting the total makes
 polynomial-times-Gaussian integrands exact up to the oscillatory phase, which
 the node count then resolves spectrally.  The imaginary part fixes the
 rotation of the axes within that frame: on the axes that diagonalize it, E
-is a sum of one quadratic per axis.
+is a sum of one quadratic per axis.  The phase, the weight and the kernel are
+quadratic polynomials, so each kernel builds E from coefficients, as a
+:class:`Quadratic` (``-2 Phi/h`` is :func:`_weight`), and a grid reads both
+quadratic forms from them: E is never sampled, so a large constant term
+costs the quadratic coefficients no digits.
 """
 
 from __future__ import annotations
@@ -64,15 +68,16 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .gaussalg import DomainError, HermiteGauss, HoloGauss, _hermite_sums, _hermitian, _stacked
-from .phasecore import PhaseParams, phi_phase, kernel_Psi, weight_Phi
+from .phasecore import PhaseParams
 
 __all__ = [
     "QuadGrid",
+    "Quadratic",
     "TruncationError",
     "line_grid",
     "plane_grid",
@@ -365,22 +370,37 @@ def _check_count(name: str, value: int) -> None:
         raise DomainError(f"{name} = {value} must be >= 1")
 
 
-def _fit_quad_1d(fn: Callable[[float], float]) -> tuple[float, float, float]:
-    """Exact (c, m1, m2) with fn(x) = c + m1*x + m2*x**2 for quadratic fn."""
-    c = fn(0.0)
-    fp, fm = fn(1.0), fn(-1.0)
-    return c, (fp - fm) / 2.0, (fp + fm) / 2.0 - c
+class Quadratic(NamedTuple):
+    """The quadratic exponent ``E(z) = q2 z^2 + q1 z + conj(r2 z^2 + r1 z) +
+    m |z|^2 + c`` of an integrand, as its coefficients: a holomorphic part,
+    an antiholomorphic part, a real multiple of |z|^2 and a constant.  A
+    coefficient may be a column, one row per function (the projector's
+    points); E is then a column at a point.  Calling the form evaluates E on
+    a point or an array, float on the line or complex x+iy on the plane."""
+
+    q2: complex
+    q1: complex
+    r2: complex = 0
+    r1: complex = 0
+    m: float = 0.0
+    c: complex = 0
+
+    def __call__(self, z):
+        zz, z2 = z * z, z.real * z.real + z.imag * z.imag
+        anti = (self.r2 * zz + self.r1 * z).conjugate()
+        return self.q2 * zz + self.q1 * z + anti + self.m * z2 + self.c
 
 
-def line_grid(real_exponent: Callable[[float], float], n: int = 200) -> QuadGrid:
-    """Gauss-Hermite grid adapted to a (quadratic) real exponent profile.
+def line_grid(exponent: Quadratic, n: int = 200) -> QuadGrid:
+    """Gauss-Hermite grid adapted to the quadratic exponent of the integrand.
 
-    ``real_exponent`` must be the quadratic ``x -> Re`` of the total integrand
-    exponent; the grid then integrates ``poly * exp(exponent)`` essentially
-    exactly.
+    The grid reads the real part of ``exponent`` on the line from its
+    coefficients, ``Re(q2 + r2) + m`` of x^2 and ``Re(q1 + r1)`` of x, and
+    then integrates ``poly * exp(exponent)`` essentially exactly.
     """
     _check_count("n", n)
-    _, m1, m2 = _fit_quad_1d(real_exponent)
+    m2 = (exponent.q2 + exponent.r2).real + exponent.m
+    m1 = (exponent.q1 + exponent.r1).real
     if not m2 < 0:
         raise DomainError(f"integrand does not decay: quadratic coeff {m2}")
     center = -m1 / (2.0 * m2)
@@ -393,45 +413,27 @@ def line_grid(real_exponent: Callable[[float], float], n: int = 200) -> QuadGrid
     return QuadGrid(x, -np.zeros(1), w, np.ones(1), scale, mean, reach)
 
 
-#: The points at which a plane grid samples its exponent (:func:`_fit_quad_2d`).
-_FIT_POINTS = (0j, 1 + 0j, -1 + 0j, 1j, -1j, 1 + 1j)
-
-
-def _samples(exponent: Callable[[complex], complex]) -> tuple[complex, ...]:
-    """The exponent at :data:`_FIT_POINTS`, each point a Python complex."""
-    return tuple(complex(exponent(z)) for z in _FIT_POINTS)
-
-
-def _fit_quad_2d(samples: Sequence[float]):
-    """Exact quadratic-form fit f(x+iy) = c + L.v + v.M.v from the real
-    values of f at :data:`_FIT_POINTS`, returned as (M, L, c)."""
-    c, f10, fm10, f01, f0m1, f11 = samples
-    m11 = (f10 + fm10) / 2.0 - c
-    m22 = (f01 + f0m1) / 2.0 - c
-    l1 = (f10 - fm10) / 2.0
-    l2 = (f01 - f0m1) / 2.0
-    m12 = (f11 - c - l1 - l2 - m11 - m22) / 2.0
-    M = np.array([[m11, m12], [m12, m22]], dtype=float)
-    L = np.array([l1, l2], dtype=float)
-    return M, L, c
-
-
-def plane_grid(exponent: Callable[[complex], complex], n: int = 160) -> QuadGrid:
+def plane_grid(exponent: Quadratic, n: int = 160) -> QuadGrid:
     """Tensor Gauss-Hermite grid over the plane, fitted to the complex
-    quadratic ``exponent`` of the integrand.
+    quadratic ``exponent`` of the integrand.  Its coefficients give, with
+    ``a = q2 + r2``, ``b = q1 + r1`` and ``d = q2 - r2``, the real part's
+    quadratic form ``M_re = [[m + Re a, -Im a], [-Im a, m - Re a]]`` and
+    linear part ``(Re b, -Im b)`` in (x, y), and the imaginary part's
+    quadratic form ``M_im = [[Im d, Re d], [Re d, -Im d]]``.
 
-    With ``-M_re = V Lambda V^T`` the (negative-definite) quadratic form of
-    the real part, centered on its maximum zc, the axes are ``L = V
-    Lambda^{-1/2} O``, where O diagonalizes the imaginary quadratic form in
-    the frame ``V Lambda^{-1/2}``: nodes ``zc + t_i l_1 + t_j l_2`` and
-    weights ``|det L| ew_i ew_j``.  Polynomial-times-Gaussian integrands are
-    integrated to round-off and oscillatory phases converge spectrally in
-    ``n``, and on these axes the exponent has no cross term, so ``e^E``
+    With ``-M_re = V Lambda V^T`` (negative definite), centered on its
+    maximum zc, the axes are ``L = V Lambda^{-1/2} O``, where O diagonalizes
+    M_im in the frame ``V Lambda^{-1/2}``: nodes ``zc + t_i l_1 + t_j l_2``
+    and weights ``|det L| ew_i ew_j``.  Polynomial-times-Gaussian integrands
+    are integrated to round-off and oscillatory phases converge spectrally
+    in ``n``, and on these axes the exponent has no cross term, so ``e^E``
     factors per axis (:func:`_fitted_factors`).  A real exponent gives O = 1.
     """
     _check_count("n", n)
-    samples = _samples(exponent)
-    M, L, _ = _fit_quad_2d([v.real for v in samples])
+    q2, q1, r2, r1, m, _ = exponent
+    a, b, d = q2 + r2, q1 + r1, q2 - r2
+    M = np.array([[m + a.real, -a.imag], [-a.imag, m - a.real]], dtype=float)
+    L = np.array([b.real, -b.imag], dtype=float)
     evals, evecs = np.linalg.eigh(M)
     if not (evals < 0).all():
         raise DomainError(
@@ -442,7 +444,7 @@ def plane_grid(exponent: Callable[[complex], complex], n: int = 160) -> QuadGrid
     s1 = 1.0 / math.sqrt(-evals[0])
     s2 = 1.0 / math.sqrt(-evals[1])
     scale, dirs = (s1, s2), evecs
-    M_im = _fit_quad_2d([v.imag for v in samples])[0]
+    M_im = np.array([[d.imag, d.real], [d.real, -d.imag]], dtype=float)
     if M_im.any():
         if not np.isfinite(M_im).all():
             raise DomainError(
@@ -462,18 +464,21 @@ def plane_grid(exponent: Callable[[complex], complex], n: int = 160) -> QuadGrid
 def hphi_grid(p: PhaseParams, U: HoloGauss, V: HoloGauss, n: int = 160) -> QuadGrid:
     """Grid for the weighted inner product of U and V (fitted to their pair
     exponent)."""
-    return plane_grid(lambda z: _pair_exponent(p, U, V, z), n)
+    return plane_grid(_pair_exponent(p, U, V), n)
 
 
-def _pair_exponent(p: PhaseParams, U: HoloGauss, V: HoloGauss, z):
-    """The exponent of ``U conj(V) e^{-2 Phi/h}`` at z (a point or an array):
-    ``c2 z^2 + c1 z`` of U, plus the conjugate of V's, minus ``2 Phi/h``."""
-    return (
-        U.c2 * z * z
-        + U.c1 * z
-        + (V.c2 * z * z + V.c1 * z).conjugate()
-        - 2.0 * weight_Phi(p, z) / p.h
-    )
+def _weight(p: PhaseParams) -> tuple[complex, float]:
+    """``(k, m)`` with ``-2 Phi(z)/h = k z^2 + conj(k z^2) + m |z|^2``
+    (:func:`~bargmann_lab.phasecore.weight_Phi`): ``k = (B^2/(4 Im C) +
+    A/(2i))/h`` and ``m = -|B|^2/(2 h Im C)``."""
+    return (p.B * p.B / (4 * p.C.imag) + p.A / 2j) / p.h, -abs(p.B) ** 2 / (2 * p.C.imag) / p.h
+
+
+def _pair_exponent(p: PhaseParams, U: HoloGauss, V: HoloGauss) -> Quadratic:
+    """The exponent of ``U conj(V) e^{-2 Phi/h}``: ``c2 z^2 + c1 z`` of U,
+    plus the conjugate of V's, minus ``2 Phi/h``."""
+    k, m = _weight(p)
+    return Quadratic(U.c2 + k, U.c1, V.c2 + k, V.c1, m)
 
 
 def polar_grid(
@@ -601,14 +606,14 @@ def _on_chunk(functions, z: np.ndarray) -> np.ndarray:
     return np.array(np.broadcast_arrays(z, *values)[1:], dtype=complex).reshape(-1, z.size)
 
 
-def _fitted_factors(grid: QuadGrid, exponent):
+def _fitted_factors(grid: QuadGrid, exponent: Quadratic):
     """Per-axis factors ``(a, b)`` with ``a_i b_j = e^E`` at node ``zc + t_i
     l_1 + t_j l_2`` of a plane grid fitted to the exponent E, which has no
     cross term on its axes: E along the two axes through the center zc, less
     E at zc.  Each exponent is summed before its one ``np.exp``; b is shifted
     so that its largest modulus is 1, so no factor exceeds the largest
-    product.  ``exponent`` may return one leading row per function (E at zc
-    then a column)."""
+    product.  ``exponent``'s coefficients may be columns, one row per
+    function (E at zc then a column)."""
     zc = grid.center
     e2 = exponent(zc + grid.second) - exponent(zc)
     shift = e2.real.max(axis=-1, keepdims=True)
@@ -719,17 +724,17 @@ def transform(p: PhaseParams, f: HermiteGauss) -> HoloGauss:
 
 def transform_quad(p: PhaseParams, f: HermiteGauss, z: complex) -> complex:
     """Quadrature route for T f(z): the oracle for :func:`transform`, on the
-    line grid fitted to the real part of the integrand's exponent, with f's
-    Hermite sum by its three-term recurrence times ``e^E`` per node."""
+    line grid fitted to the real part of the integrand's exponent ``i
+    phi(z, x)/h + gamma2 x^2 + gamma1 x``, with f's Hermite sum by its
+    three-term recurrence times ``e^E`` per node."""
     if f.is_zero:
         return 0j
-
-    def exponent(x):
-        return 1j * phi_phase(p, z, x) / p.h + f.gamma2 * x * x + f.gamma1 * x
-
-    g = line_grid(lambda x: exponent(x).real)
+    exponent = Quadratic(
+        1j * p.C / (2 * p.h) + f.gamma2, 1j * p.B * z / p.h + f.gamma1,
+        c=1j * p.A * z * z / (2 * p.h),
+    )
     total = _quad_block(
-        g, lambda x: [f.hermite_sum(x) * np.exp(exponent(x))], lambda x: [1.0]
+        line_grid(exponent), lambda x: [f.hermite_sum(x) * np.exp(exponent(x))], lambda x: [1.0]
     )[0, 0]
     return p.C_phi * p.h ** (-0.75) * complex(total)
 
@@ -745,15 +750,11 @@ def adjoint_quad(p: PhaseParams, U: HoloGauss, x: float) -> complex:
     """
     if U.is_zero:
         return 0j
-
-    def exponent(z):
-        return (
-            -1j * phi_phase(p, z, x).conjugate() / p.h
-            + U.c2 * z * z
-            + U.c1 * z
-            - 2.0 * weight_Phi(p, z) / p.h
-        )
-
+    k, m = _weight(p)  # the phase -i conj(phi(z, x))/h is conj(i phi(z, x)/h)
+    exponent = Quadratic(
+        U.c2 + k, U.c1, 1j * p.A / (2 * p.h) + k, 1j * p.B * x / p.h, m,
+        (1j * p.C * x * x / (2 * p.h)).conjugate(),
+    )
     grid = plane_grid(exponent)
     factors = _fitted_factors(grid, exponent)
     total = _moment_sum(grid, factors, U)
@@ -769,31 +770,28 @@ def projector_apply(p: PhaseParams, U: HoloGauss, points: Sequence[complex]) -> 
     read, unless U is a ``HoloGauss``.
 
     The sums run on the plane grid fitted to the column exponent at z = 0,
-    ``c2 zeta^2 + c1 zeta - 2 Phi/h + 2 Psi(z, conj zeta)/h``.  ``Psi(z, conj
-    zeta)`` is a term bilinear in z and conj zeta plus quadratics in each
-    alone, so every point's column exponent is that grid's quadratic plus a
-    linear term and a constant, with no cross term: each column factors per
-    axis, summed by :func:`_moment_sum` where it certifies the sum.  The
+    ``c2 zeta^2 + c1 zeta - 2 Phi/h + 2 Psi(z, conj zeta)/h``.  The conj
+    zeta^2 terms of ``2 Psi/h`` and ``-2 Phi/h`` cancel, so every point's
+    column exponent is that grid's quadratic plus ``conj(-m conj(z) zeta)``
+    and ``-k z^2`` (:func:`_weight`), with no cross term: each column factors
+    per axis, summed by :func:`_moment_sum` where it certifies the sum.  The
     other points are one 1 x P block of :func:`_quad_block`: ``U.hermite_sum``
     against one column per point, whose exponent is summed before its one
     ``np.exp`` per node.  Each point is its own sum, with its own truncation
     check.
     """
-
-    def exponent(z, zs):
-        weighted = U.c2 * zs * zs + U.c1 * zs - 2.0 * weight_Phi(p, zs) / p.h
-        return weighted + 2.0 * kernel_Psi(p, z, zs.conjugate()) / p.h
-
-    grid = plane_grid(lambda zs: exponent(0j, zs))
+    k, m = _weight(p)
     zs = np.array(points, dtype=complex).reshape(-1, 1)
-    a, b = _fitted_factors(grid, functools.partial(exponent, zs))
+    exponent = Quadratic(U.c2 + k, U.c1, 0, -m * zs.conjugate(), m, -k * zs * zs)
+    grid = plane_grid(Quadratic(U.c2 + k, U.c1, m=m))
+    a, b = _fitted_factors(grid, exponent)
     sums = [_moment_sum(grid, factors, U) for factors in zip(a, b)]
-    rest = [z for z, v in zip(points, sums) if v is None]
+    rest = [i for i, v in enumerate(sums) if v is None]
 
-    def cols(zs):
-        return [np.exp(exponent(z, zs)) for z in rest]
+    def cols(zeta):
+        return np.exp(exponent(zeta)[rest])
 
-    node = iter(_quad_block(grid, lambda zs: [U.hermite_sum(zs)], cols)[0] if rest else ())
+    node = iter(_quad_block(grid, lambda zeta: [U.hermite_sum(zeta)], cols)[0] if rest else ())
     return [p.C_Phi / p.h * complex(next(node) if v is None else v) for v in sums]
 
 
@@ -810,7 +808,7 @@ def _pair_block(p: PhaseParams, fs, gs, grid: QuadGrid) -> np.ndarray:
         grid,
         lambda zs: _hermite_sums(A, f.y0 + f.y1 * zs, f.rho2),
         None if gs is fs else lambda zs: np.conj(_hermite_sums(B, g.y0 + g.y1 * zs, g.rho2)),
-        _fitted_factors(grid, functools.partial(_pair_exponent, p, f, g)),
+        _fitted_factors(grid, _pair_exponent(p, f, g)),
     )
 
 
@@ -827,8 +825,7 @@ def inner_product_HPhi(p: PhaseParams, U: HoloGauss, V: HoloGauss) -> complex:
     if U.is_zero or V.is_zero:
         return 0j
     grid = hphi_grid(p, U, V)
-    exponent = functools.partial(_pair_exponent, p, U, V)
-    total = _moment_sum(grid, _fitted_factors(grid, exponent), U, V)
+    total = _moment_sum(grid, _fitted_factors(grid, _pair_exponent(p, U, V)), U, V)
     if total is None:
         total = _pair_block(p, [U], [V], grid)[0, 0]
     return complex(total)

@@ -43,7 +43,7 @@ from .gaussalg import (
     relative_residual,
 )
 from .phasecore import PhaseParams, canonical_A
-from .bargmann import _quad_block, line_grid
+from .bargmann import Quadratic, _quad_block, line_grid
 
 __all__ = ["HermiteSystem", "gram_deviation"]
 
@@ -210,7 +210,7 @@ class HermiteSystem:
         def rows(x):
             return _hermite_sums(phis.coeffs, x / phis.s, 1.0) * np.exp(phis.gamma2 * np.square(x))
 
-        return _quad_block(line_grid(lambda x: -x * x / phis.s**2), rows, None)
+        return _quad_block(line_grid(Quadratic(-1 / phis.s**2, 0j)), rows, None)
 
 
 def _check_nonempty(N: int) -> None:

@@ -7,7 +7,6 @@ functions while moving anti-holomorphic impostors.
 """
 
 import cmath
-import functools
 import math
 from types import SimpleNamespace
 
@@ -17,6 +16,7 @@ from scipy.integrate import quad
 
 from bargmann_lab import bargmann, cli, suites, toeplitz
 from bargmann_lab.bargmann import (
+    Quadratic,
     adjoint_quad,
     gram_HPhi,
     grid_values,
@@ -34,6 +34,13 @@ from bargmann_lab.gaussalg import ComplexPoly, DomainError, HermiteGauss, HoloGa
 from bargmann_lab.hermite import HermiteSystem
 from bargmann_lab.phasecore import PhaseParams, canonical_A, kernel_Psi, phi_phase, weight_Phi
 from bargmann_lab.toeplitz import RadialSymbol, toeplitz_matrix_quad
+from exponent_reference import (
+    adjoint_exponent,
+    adjoint_form,
+    projector_exponent,
+    projector_forms,
+    quadratic_parts,
+)
 from moment_reference import gaussian_moment
 
 CLASSIC = PhaseParams(0.5j, -1j, 1j, 1.0)
@@ -221,29 +228,23 @@ def test_array_path_matches_per_node_reference(monkeypatch):
             2 * kernel_Psi(p, z, zeta.conjugate()) / p.h - 2 * weight_Phi(p, zeta) / p.h
         )
 
-    def adjoint_exponent(zs):
-        phase = -1j * phi_phase(p, zs, x).conjugate() / p.h
-        return phase + U.c2 * zs * zs + U.c1 * zs - 2.0 * weight_Phi(p, zs) / p.h
-
-    def projector_exponent(z, zs):
-        weighted = U.c2 * zs * zs + U.c1 * zs - 2.0 * weight_Phi(p, zs) / p.h
-        return weighted + 2.0 * kernel_Psi(p, z, zs.conjugate()) / p.h
-
     def rows(zs):
         return [U.hermite_sum(zs)]
 
-    grid = plane_grid(adjoint_exponent, n=24)
-    factors = bargmann._fitted_factors(grid, adjoint_exponent)
+    exponent = adjoint_form(p, U, x)
+    grid = plane_grid(exponent, n=24)
+    factors = bargmann._fitted_factors(grid, exponent)
     got = p.C_phi * p.h ** (-0.75) * bargmann._quad_block(grid, rows, lambda zs: [1.0], factors)
     want = p.C_phi * p.h ** (-0.75) * ref_sum(grid, adjoint_term)
     assert got[0, 0] == pytest.approx(want, rel=1e-12)
 
     # several points in one block: each is the sum of its own per-node reference
-    grid = plane_grid(lambda zs: projector_exponent(0j, zs), n=24)
     points = [z, -1.1 + 0.7j, 0.05j, 1.4 - 1.3j]
+    at_zero, columns = projector_forms(p, U, points)
+    grid = plane_grid(at_zero, n=24)
 
     def cols(zs):
-        return [np.exp(projector_exponent(z, zs)) for z in points]
+        return np.exp(columns(zs))
 
     for z, got in zip(points, p.C_Phi / p.h * bargmann._quad_block(grid, rows, cols)[0]):
         want = p.C_Phi / p.h * ref_sum(grid, projector_term)
@@ -320,11 +321,8 @@ def _per_node_sum(grid, term):
 
 
 def test_plane_grid_axes_cancel_an_imaginary_cross_term():
-    def exponent(z):
-        x, y = z.real, z.imag
-        real = -0.8 * x * x + 0.3 * x * y - 0.4 * y * y + 0.2 * x
-        return real + 1j * (0.9 * x * y + 0.5 * x * x - 0.3 * y * y + 0.7 * y)
-
+    # -0.8 x^2 + 0.3 x y - 0.4 y^2 + 0.2 x + i (0.5 x^2 + 0.9 x y - 0.5 y^2 + 0.7 y)
+    exponent = Quadratic(0.125 + 0.175j, 0.45, -0.325 - 0.325j, -0.25, -0.6)
     n = 24
     grid = plane_grid(exponent, n=n)
     t = bargmann._gauss_rule("hermite", n)[0]
@@ -354,8 +352,7 @@ def test_inner_product_of_functions_with_different_exponents_factors_per_axis():
     V = transform(p, _random_line_function(rng))
     assert U.c2 != V.c2
     grid = hphi_grid(p, U, V)
-    pair = functools.partial(bargmann._pair_exponent, p, U, V)
-    assert any(v.imag for v in bargmann._samples(pair))
+    assert quadratic_parts(bargmann._pair_exponent(p, U, V))[2].any()  # the axes turn
 
     def term(z):
         pair = U.c2 * z * z + U.c1 * z + (V.c2 * z * z + V.c1 * z).conjugate()
@@ -370,12 +367,8 @@ def test_adjoint_on_its_own_grid_matches_per_node_reference():
     p = GENERAL
     U = transform(p, HermiteSystem(p).hermite_phi(2))
     x = 0.4
-
-    def exponent(z):
-        phase = -1j * phi_phase(p, z, x).conjugate() / p.h
-        return phase + U.c2 * z * z + U.c1 * z - 2.0 * weight_Phi(p, z) / p.h
-
-    grid = plane_grid(exponent)
+    exponent = adjoint_exponent(p, U, x)
+    grid = plane_grid(adjoint_form(p, U, x))
     want = _per_node_sum(grid, lambda z: complex(U.hermite_sum(z)) * cmath.exp(exponent(z)))
     want *= p.C_phi * p.h ** (-0.75)
     assert adjoint_quad(p, U, x) == pytest.approx(want, rel=1e-12)
@@ -384,17 +377,13 @@ def test_adjoint_on_its_own_grid_matches_per_node_reference():
 def test_projector_on_its_own_grid_matches_per_node_reference():
     p = GENERAL
     U = transform(p, HermiteSystem(p).hermite_phi(3))
-
-    def exponent(z, zeta):
-        weighted = U.c2 * zeta * zeta + U.c1 * zeta - 2.0 * weight_Phi(p, zeta) / p.h
-        return weighted + 2.0 * kernel_Psi(p, z, zeta.conjugate()) / p.h
-
-    grid = plane_grid(lambda zeta: exponent(0j, zeta))
     points = [0.3 - 0.1j, -1.2 + 0.4j, 0.7j, 1.5 + 1.1j]
+    grid = plane_grid(projector_forms(p, U, points)[0])
     together = projector_apply(p, U, points)
     for z, got in zip(points, together):
+        exponent = projector_exponent(p, U, z)
         want = _per_node_sum(
-            grid, lambda zeta: complex(U.hermite_sum(zeta)) * cmath.exp(exponent(z, zeta))
+            grid, lambda zeta: complex(U.hermite_sum(zeta)) * cmath.exp(exponent(zeta))
         )
         assert got == pytest.approx(p.C_Phi / p.h * want, rel=1e-12)
         assert got == pytest.approx(U(z), rel=1e-10)
@@ -430,7 +419,7 @@ def test_quadrature_gram_conjugates_its_rows_for_its_columns():
     # one evaluation of each phi_n per chunk, for its row and its column
     hs = HermiteSystem(GENERAL)
     phis = [hs.hermite_phi(n) for n in range(12)]
-    grid = line_grid(lambda x: -x * x / phis[0].s ** 2)
+    grid = line_grid(Quadratic(-1 / phis[0].s ** 2, 0j))
     want = bargmann._quad_block(
         grid, lambda x: [f(x) for f in phis], lambda x: np.conj([f(x) for f in phis])
     )
@@ -441,7 +430,7 @@ def test_quadrature_gram_conjugates_its_rows_for_its_columns():
 def test_grid_arrays_are_read_only():
     grid = polar_grid(2.0, n_r=4, n_theta=4)
     assert grid.nodes.dtype == complex and grid.weights.dtype == float
-    plane = plane_grid(lambda z: -abs(z) ** 2 + 0.5j * z.real * z.imag, n=8)
+    plane = plane_grid(Quadratic(0.125, 0j, -0.125, 0j, -1.0), n=8)  # -|z|^2 + 0.5i x y
     for arr in (grid.nodes, grid.weights, grid.first, grid.second, grid.w1, grid.w2,
                 plane.first, plane.second, plane.w1):
         with pytest.raises(ValueError):
@@ -470,9 +459,9 @@ def test_grids_of_one_size_share_one_rule_build(monkeypatch):
     monkeypatch.setattr(bargmann, "_RULES", {})
     monkeypatch.setattr(bargmann, "_hermite_rule", counting("hermite", bargmann._hermite_rule))
     monkeypatch.setattr(bargmann, "_legendre_rule", counting("legendre", bargmann._legendre_rule))
-    line_grid(lambda x: -x * x, n=24)
-    plane_grid(lambda z: -abs(z) ** 2, n=24)
-    plane_grid(lambda z: -(z.real**2) - 3.0 * z.imag**2 + z.real, n=24)
+    line_grid(Quadratic(-1.0, 0j), n=24)
+    plane_grid(Quadratic(0j, 0j, m=-1.0), n=24)
+    plane_grid(Quadratic(0.5, 0.5, 0.5, 0.5, -2.0), n=24)  # -x^2 - 3 y^2 + x
     polar_grid(2.0, n_r=24, n_theta=4)
     polar_grid(3.0, n_r=24, n_theta=8, split_at=1.0)
     assert builds == [("hermite", 24), ("legendre", 24)]
@@ -505,7 +494,7 @@ def _reference_polar_grid(r_max, split, n_r, n_theta):
 
 
 def test_cached_rules_give_the_grids_of_a_fresh_build():
-    # dyadic coefficients: the exponent fits recover M and L exactly
+    # dyadic coefficients: the grids read M and L exactly
     t, ew = bargmann._hermite_rule(40)
     scale = 1.0 / math.sqrt(0.5)
     want_line = (0.25 + scale * t, ew * scale)
@@ -514,13 +503,13 @@ def test_cached_rules_give_the_grids_of_a_fresh_build():
     want_plane = _reference_plane_grid(M, L, 40)
     want_polar = _reference_polar_grid(5.0, 1.5, 30, 8)
 
-    def plane_exponent(z):
-        x, y = z.real, z.imag
-        return -0.5 * x * x + 0.25 * x * y - 0.25 * y * y + 0.5 * x - 0.25 * y
+    # -0.5 x^2 + 0.25 x y - 0.25 y^2 + 0.5 x - 0.25 y
+    a, b = -0.0625 - 0.0625j, 0.25 + 0.125j
+    plane_exponent = Quadratic(a, b, a, b, -0.375)
 
     for _ in range(2):  # the first build may fill the cache, the second reads it
         grids = (
-            (line_grid(lambda x: -0.5 * x * x + 0.25 * x, n=40), want_line),
+            (line_grid(Quadratic(-0.5, 0.25), n=40), want_line),
             (plane_grid(plane_exponent, n=40), want_plane),
             (polar_grid(5.0, n_r=30, n_theta=8, split_at=1.5), want_polar),
         )
@@ -531,17 +520,32 @@ def test_cached_rules_give_the_grids_of_a_fresh_build():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("build,name", [
-    (lambda: line_grid(lambda x: -x * x, n=0), "n"),
-    (lambda: plane_grid(lambda z: -abs(z) ** 2, n=0), "n"),
+    (lambda: line_grid(Quadratic(-1.0, 0j), n=0), "n"),
+    (lambda: plane_grid(Quadratic(0j, 0j, m=-1.0), n=0), "n"),
     (lambda: polar_grid(2.0, n_r=0), "n_r"),
     (lambda: polar_grid(2.0, n_theta=0), "n_theta"),
     (lambda: polar_grid(math.inf), "r_max"),
-    (lambda: line_grid(lambda x: -x * x, n=701), "n"),
-    (lambda: plane_grid(lambda z: -abs(z) ** 2, n=701), "n"),
+    (lambda: line_grid(Quadratic(-1.0, 0j), n=701), "n"),
+    (lambda: plane_grid(Quadratic(0j, 0j, m=-1.0), n=701), "n"),
 ])
 def test_grid_builders_reject_bad_sizes_by_name(build, name):
     with pytest.raises(DomainError, match=f"^{name} = "):
         build()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_line_grid_reads_its_quadratic_coefficient_beside_any_constant():
+    # a constant of 1e17 leaves the grid as it is without one, bit for bit
+    # (values of size 1e17 at three points lost the x^2 coefficient: no grid)
+    grid = line_grid(Quadratic(-0.5, 0j, c=1e17))
+    assert grid.scale == line_grid(Quadratic(-0.5, 0j)).scale == 1 / math.sqrt(0.5)
+    assert grid.scale == pytest.approx(math.sqrt(2), rel=2**-52)
+    # at B = 1e10 the constant i A z^2/2h of transform_quad's exponent is
+    # 2.5e19 z^2: the oracle still sums (to NaN here, since the real-line
+    # integrand cancels from e^{2.5e19 z^2}; its check then fails)
+    p = PhaseParams(canonical_A(1e10, 1 + 2j), 1e10, 1 + 2j, 0.5)
+    value = transform_quad(p, HermiteSystem(p).hermite_phi(0), 0.3 + 0.2j)
+    assert isinstance(value, complex)
 
 
 def test_transform_oracle_keeps_a_nan_deviation(monkeypatch, tmp_path, capsys):

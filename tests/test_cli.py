@@ -182,22 +182,38 @@ def test_parameter_whose_square_overflows_is_a_domain_error(tmp_path, capsys, ar
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv,status,message", [
-    (["transform", "--h", "1e-300"], 2, "FAIL closed_vs_quad: measured nan"),
-    (["certify", "--suite", "transform", "--h", "1e-300"], 1, "error: integrand does not decay"),
-    (["certify", "--suite", "transform", "--B=1e150"], 1, "error: integrand does not decay"),
-], ids=["transform-h-tiny", "certify-h-tiny", "certify-B-big"])
-def test_extreme_scale_is_a_status_not_a_traceback(tmp_path, argv, status, message):
-    # h*h underflows to 0 and e^{c2 z^2} overflows at a point here: a check
-    # that cannot be evaluated fails (exit 2), a grid that cannot be fitted is
-    # a domain error (exit 1), and neither is an uncaught exception
+#: The checks of the transform suite that read NaN at |B| >= 3e8, where U =
+#: T phi_0 overflows at their fixed points.
+_LARGE_B_FAILS = [
+    "FAIL reproducing_max_dev[points=10]: measured nan",
+    "FAIL transform_closed_vs_quad: measured nan",
+]
+
+
+@pytest.mark.parametrize("argv,status,lines", [
+    (["transform", "--h", "1e-300"], 2, ["FAIL closed_vs_quad: measured nan"]),
+    (["certify", "--suite", "transform", "--h", "1e-300"], 1,
+     ["error: integrand does not decay"]),
+    (["certify", "--suite", "transform", "--B=1e150"], 2, _LARGE_B_FAILS),
+    (["certify", "--suite", "transform", "--B=1e10"], 2, _LARGE_B_FAILS),
+    (["certify", "--suite", "transform", "--B=3e8"], 2, _LARGE_B_FAILS),
+    (["transform", "--B=3e8"], 2, ["FAIL closed_vs_quad: measured nan"]),
+], ids=["transform-h-tiny", "certify-h-tiny", "certify-B-big", "certify-B-1e10", "certify-B-3e8",
+        "transform-B-3e8"])
+def test_extreme_scale_is_a_status_not_a_traceback(tmp_path, argv, status, lines):
+    # h*h underflows to 0, or e^{c2 z^2} overflows at a point: a check that
+    # cannot be evaluated fails (exit 2), a grid that cannot be fitted is a
+    # domain error (exit 1), and neither is an uncaught exception or prints
+    # a numpy warning; stderr holds exactly these lines
     proc = subprocess.run(
-        [sys.executable, "-m", "bargmann_lab.cli", *argv, "-o", str(tmp_path / "artifact")],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "bargmann_lab.cli", *argv,
+         "-o", str(tmp_path / "artifact")],
         capture_output=True, text=True,
     )
     assert proc.returncode == status, proc.stderr
-    assert message in proc.stderr
-    assert "Traceback" not in proc.stderr
+    got = proc.stderr.splitlines()
+    assert len(got) == len(lines), proc.stderr
+    assert all(line.startswith(want) for line, want in zip(got, lines)), proc.stderr
 
 
 def test_unevaluable_transform_check_fails_without_a_runtime_warning(tmp_path):
@@ -213,18 +229,23 @@ def test_unevaluable_transform_check_fails_without_a_runtime_warning(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
 
 
-def test_an_unfittable_transform_suite_is_exit_1_without_a_runtime_warning(tmp_path):
+def test_a_transform_suite_at_large_B_fails_two_checks_without_a_runtime_warning(tmp_path):
     # at |B| = 1e150 the projector's per-axis factors and the closed form
-    # overflow before the line grid cannot be fitted: the domain error is
-    # reported (exit 1), and no numpy warning is printed ahead of it
+    # overflow, while the line grid still reads its exponent: the two checks
+    # at U's fixed points read NaN and fail (exit 2), unitarity and the
+    # adjoint round trip pass, and no numpy warning is printed
+    out = tmp_path / "artifact.json"
     proc = subprocess.run(
         [sys.executable, "-m", "bargmann_lab.cli", "certify", "--suite", "transform",
-         "--B=1e150", "-o", str(tmp_path / "artifact")],
+         "--B=1e150", "--format", "json", "-o", str(out)],
         capture_output=True, text=True,
     )
-    assert proc.returncode == 1, proc.stderr
-    assert "error: integrand does not decay" in proc.stderr
-    assert "RuntimeWarning" not in proc.stderr
+    assert proc.returncode == 2, proc.stderr
+    got = proc.stderr.splitlines()
+    assert len(got) == 2 and all(map(str.startswith, got, _LARGE_B_FAILS)), proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+    passed = [c["name"] for c in json.loads(out.read_text())["checks"] if c["pass"]]
+    assert passed == ["unitarity_max_dev[pairs=20]", "adjoint_roundtrip_max"]
 
 
 def test_degenerate_ellipse_is_exit_1(capsys):

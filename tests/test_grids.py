@@ -5,6 +5,8 @@ arrays; here they are checked, bit for bit, against the whole-grid formulas
 the grids were once built with, and the shells against their definition on
 every grid of the certification battery.  A per-node reference is a grid's
 one-axis twin: its nodes and weights on one axis, with its centre and reach.
+The exponent forms the kernels fit their grids to are checked against the
+exponents built from ``phasecore`` and against the six-point fit of those.
 """
 
 import math
@@ -12,33 +14,42 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from bargmann_lab import bargmann, suites
 from bargmann_lab.bargmann import (
     QuadGrid,
+    Quadratic,
     hphi_grid,
     line_grid,
     plane_grid,
     polar_grid,
     transform,
 )
-from bargmann_lab.ellipse import derived_constants, psi_n
+from bargmann_lab.ellipse import bridge_params, derived_constants, psi_n
 from bargmann_lab.gaussalg import DomainError
 from bargmann_lab.hermite import HermiteSystem
 from bargmann_lab.phasecore import PhaseParams, canonical_A
+from exponent_reference import (
+    adjoint_exponent,
+    adjoint_form,
+    fit_quad_2d,
+    line_exponent,
+    line_form,
+    pair_exponent,
+    projector_exponent,
+    projector_forms,
+    quadratic_parts,
+    row,
+)
 
 GENERAL = PhaseParams(canonical_A(3.0, 1 + 2j), 3.0, 1 + 2j, 0.5)
 
-
-def _real_exponent(z):
-    x, y = z.real, z.imag
-    return -0.5 * x * x + 0.25 * x * y - 0.25 * y * y + 0.5 * x - 0.25 * y
-
-
-def _complex_exponent(z):
-    x, y = z.real, z.imag
-    real = -0.8 * x * x + 0.3 * x * y - 0.4 * y * y + 0.2 * x
-    return real + 1j * (0.9 * x * y + 0.5 * x * x - 0.3 * y * y + 0.7 * y)
+# -0.5 x^2 + 0.25 x y - 0.25 y^2 + 0.5 x - 0.25 y, a real exponent
+_REAL = Quadratic(-0.0625 - 0.0625j, 0.25 + 0.125j, -0.0625 - 0.0625j, 0.25 + 0.125j, -0.375)
+# -0.8 x^2 + 0.3 x y - 0.4 y^2 + 0.2 x + i (0.5 x^2 + 0.9 x y - 0.5 y^2 + 0.7 y)
+_COMPLEX = Quadratic(0.125 + 0.175j, 0.45, -0.325 - 0.325j, -0.25, -0.6)
+_LINE = Quadratic(-1.0, 0j)
 
 
 _U3 = transform(GENERAL, HermiteSystem(GENERAL).hermite_phi(3))
@@ -47,14 +58,12 @@ _U3 = transform(GENERAL, HermiteSystem(GENERAL).hermite_phi(3))
 def _eager_plane(exponent, n):
     """Nodes and weights of ``plane_grid(exponent, n)`` over the whole grid
     at once, from the meshgrid of its axes."""
-    samples = bargmann._samples(exponent)
-    M, L, _ = bargmann._fit_quad_2d([v.real for v in samples])
+    M, L, M_im = quadratic_parts(exponent)
     evals, evecs = np.linalg.eigh(M)
     center = np.linalg.solve(2.0 * M, -L)
     t, ew = bargmann._hermite_rule(n)
     s1, s2 = 1.0 / math.sqrt(-evals[0]), 1.0 / math.sqrt(-evals[1])
     scale, dirs = (s1, s2), evecs
-    M_im = bargmann._fit_quad_2d([v.imag for v in samples])[0]
     if M_im.any():
         frame = evecs * [s1, s2]
         scale, dirs = (1.0, 1.0), frame @ np.linalg.eigh(frame.T @ M_im @ frame)[1]
@@ -98,16 +107,16 @@ def _twin(grid):
 
 CASES = {
     "plane, real exponent": (
-        lambda: plane_grid(_real_exponent),
-        lambda: _eager_plane(_real_exponent, 160),
+        lambda: plane_grid(_REAL),
+        lambda: _eager_plane(_REAL, 160),
     ),
     "plane, complex exponent": (
-        lambda: plane_grid(_complex_exponent, n=97),
-        lambda: _eager_plane(_complex_exponent, 97),
+        lambda: plane_grid(_COMPLEX, n=97),
+        lambda: _eager_plane(_COMPLEX, 97),
     ),
     "plane, transform pair": (
         lambda: hphi_grid(GENERAL, _U3, _U3),
-        lambda: _eager_plane(lambda z: bargmann._pair_exponent(GENERAL, _U3, _U3, z), 160),
+        lambda: _eager_plane(bargmann._pair_exponent(GENERAL, _U3, _U3), 160),
     ),
     "polar, split": (lambda: polar_grid(7.5, split_at=2.5), lambda: _eager_polar(7.5, 2.5)),
     "polar, no split": (lambda: polar_grid(9.0), lambda: _eager_polar(9.0, None)),
@@ -137,7 +146,7 @@ def test_tensor_grids_form_the_nodes_of_the_whole_grid_formulas_bit_for_bit(buil
 
 @pytest.mark.parametrize("build", [
     *(build for build, _ in CASES.values()),
-    lambda: line_grid(lambda x: -x * x, 300),
+    lambda: line_grid(_LINE, 300),
     lambda: _one_axis(np.linspace(-3, 3, 20_000) * (1 + 0.5j), np.full(20_000, 1e-3), 0j, 3.0),
 ], ids=[*CASES, "line", "hand-built"])
 def test_chunks_cover_the_nodes_in_order_bit_for_bit(build):
@@ -207,6 +216,56 @@ def test_per_axis_factors_are_the_exponential_on_every_node(monkeypatch):
         assert (error <= 1e-13 * np.abs(want).max(axis=-1, keepdims=True)).all()
 
 
+#: The phase data of the transform suites and of the ellipse bridge.
+_PHASES = [
+    *(PhaseParams(canonical_A(B, C), B, C, h) for B, C, h in suites.HERMITE_PARAM_SETS),
+    *(bridge_params(derived_constants(a, b)) for a, b in suites.ELLIPSE_SETS),
+]
+
+
+def _terms(form, z):
+    """The sum of the moduli of a form's terms at z."""
+    q2, q1, r2, r1, m, c = form
+    z2 = abs(z) ** 2
+    return (abs(q2) + abs(r2) + abs(m)) * z2 + (abs(q1) + abs(r1)) * abs(z) + abs(c)
+
+
+@seed(31)
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.sampled_from(_PHASES),
+    x=st.floats(-2.0, 2.0),
+    n_points=st.sampled_from([1, 10]),
+    draw=st.integers(0, 2**32 - 1),
+)
+def test_each_kernel_form_is_its_phasecore_exponent_and_its_six_point_fit(p, x, n_points, draw):
+    # each form the kernels build (the pair, the adjoint at x, the projector
+    # at 0 and at each of its points, transform_quad's line at a point) is
+    # the exponent built from phasecore at every z, to 1e-13 of its terms;
+    # and the quadratic forms the grids read from its coefficients are the
+    # six-point fit of that exponent, to 1e-12 of the largest entry
+    rng = np.random.default_rng(draw)
+    U, V = (transform(p, suites._random_line_function(rng)) for _ in range(2))
+    f = suites._random_line_function(rng)
+    points = [complex(*rng.uniform(-1.5, 1.5, size=2)) for _ in range(n_points)]
+    at_zero, columns = projector_forms(p, U, points)
+    z0 = points[0]
+    cases = [
+        (bargmann._pair_exponent(p, U, V), pair_exponent(p, U, V)),
+        (adjoint_form(p, U, x), adjoint_exponent(p, U, x)),
+        (at_zero, projector_exponent(p, U, 0j)),
+        *((row(columns, i), projector_exponent(p, U, z)) for i, z in enumerate(points)),
+        (line_form(p, f, z0), line_exponent(p, f, z0)),
+    ]
+    z = rng.uniform(-3, 3, size=64) + 1j * rng.uniform(-3, 3, size=64)
+    for form, exponent in cases:
+        assert (np.abs(form(z) - exponent(z)) <= 1e-13 * _terms(form, z)).all()
+        read, fitted = quadratic_parts(form), fit_quad_2d(exponent)
+        largest = max(np.abs(part).max() for part in fitted)
+        for mine, theirs in zip(read, fitted):
+            assert np.abs(mine - theirs).max() <= 1e-12 * largest
+
+
 def _built(build):
     """A grid from ``build()`` and the peak of the memory its build traced."""
     build()  # the first build of a size fills the Gauss rule cache
@@ -219,7 +278,7 @@ def _built(build):
 
 @pytest.mark.parametrize("build", [
     lambda: polar_grid(9.0, split_at=3.0),
-    lambda: plane_grid(_complex_exponent),
+    lambda: plane_grid(_COMPLEX),
 ], ids=["polar", "plane"])
 def test_grids_allocate_nothing_per_node(build):
     grid, peak = _built(build)
@@ -230,7 +289,7 @@ def test_grids_allocate_nothing_per_node(build):
 
 def test_a_line_grid_allocates_nothing_per_node_but_its_one_axis():
     # its one axis is its nodes; beside it, less than one byte more per node
-    (small, low), (large, high) = (_built(lambda: line_grid(lambda x: -x * x, n)) for n in (100, 700))
+    (small, low), (large, high) = (_built(lambda: line_grid(_LINE, n)) for n in (100, 700))
     assert high - low - (large.first.nbytes - small.first.nbytes) < large.size - small.size
     assert _unformed(large)
 
@@ -240,7 +299,7 @@ def test_sums_leave_the_whole_grid_arrays_unformed(monkeypatch):
     fs = [psi_n(derived_constants(2.0, 1.0), k) for k in range(8)]
     grids = _recording_grids(monkeypatch)
     bargmann.gram_HPhi(p, fs)
-    grid = plane_grid(_complex_exponent)
+    grid = plane_grid(_COMPLEX)
     bargmann._quad_block(grid, lambda z: [np.exp(-abs(z) ** 2)], lambda z: [1.0])
     assert len(grids) == 2 and all(map(_unformed, grids))
 
@@ -264,7 +323,7 @@ def test_a_node_sum_holds_few_chunk_arrays_at_once():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: plane_grid(_complex_exponent),
+    lambda: plane_grid(_COMPLEX),
     lambda: polar_grid(9.0, split_at=3.0),
 ], ids=["plane", "polar"])
 def test_sums_on_a_tensor_grid_are_the_sums_on_its_nodes_bit_for_bit(build):
@@ -326,8 +385,8 @@ def test_the_largest_hermite_rule_builds_warning_free():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("build", [
     lambda n: bargmann._hermite_rule(n),
-    lambda n: line_grid(lambda x: -x * x, n=n),
-    lambda n: plane_grid(lambda z: -abs(z) ** 2, n=n),
+    lambda n: line_grid(_LINE, n=n),
+    lambda n: plane_grid(Quadratic(0j, 0j, m=-1.0), n=n),
 ], ids=["rule", "line", "plane"])
 def test_a_hermite_rule_above_the_bound_is_a_domain_error_naming_n(build):
     for n in (bargmann._HERMITE_MAX + 1, 780):

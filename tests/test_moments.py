@@ -13,7 +13,6 @@ do not certify the truncation check, or a moment is not finite, the call is
 the node sum.
 """
 
-import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,31 +30,18 @@ from bargmann_lab.bargmann import (
     transform,
 )
 from bargmann_lab.hermite import HermiteSystem
-from bargmann_lab.phasecore import PhaseParams, canonical_A, kernel_Psi, phi_phase, weight_Phi
+from bargmann_lab.phasecore import PhaseParams, canonical_A
+from exponent_reference import adjoint_form, projector_exponent, projector_forms, row
 
 SETS = [PhaseParams(canonical_A(B, C), B, C, h) for B, C, h in suites.HERMITE_PARAM_SETS]
 GENERAL = SETS[1]  # (3, 1+2i, 0.5)
 TOL = 1e-13
 
 
-def _adjoint_exponent(p, U, x):
-    def exponent(z):
-        phase = -1j * phi_phase(p, z, x).conjugate() / p.h
-        return phase + U.c2 * z * z + U.c1 * z - 2.0 * weight_Phi(p, z) / p.h
-
-    return exponent
-
-
-def _projector_exponent(p, U, z):
-    def exponent(zs):
-        weighted = U.c2 * zs * zs + U.c1 * zs - 2.0 * weight_Phi(p, zs) / p.h
-        return weighted + 2.0 * kernel_Psi(p, z, zs.conjugate()) / p.h
-
-    return exponent
-
-
-def _projector_grid(p, U):
-    return plane_grid(_projector_exponent(p, U, 0j))
+def _projector_grid(p, U, points):
+    """The grid ``projector_apply(p, U, points)`` fits, and its column form."""
+    at_zero, columns = projector_forms(p, U, points)
+    return plane_grid(at_zero), columns
 
 
 def _projector_node_sums(grid, U, exponents):
@@ -79,7 +65,7 @@ def test_moment_sums_are_the_node_sums_on_the_same_grid(p, draw):
     U, V = transform(p, f), transform(p, g)
 
     # the weighted inner product, on the grid fitted to the pair
-    exponent = functools.partial(bargmann._pair_exponent, p, U, V)
+    exponent = bargmann._pair_exponent(p, U, V)
     grid = hphi_grid(p, U, V)
     assert bargmann._moment_sum(grid, bargmann._fitted_factors(grid, exponent), U, V) is not None
     node = bargmann._pair_block(p, [U], [V], grid)[0, 0]
@@ -87,7 +73,7 @@ def test_moment_sums_are_the_node_sums_on_the_same_grid(p, draw):
 
     # the adjoint at a point of the line, on the grid fitted to its exponent
     x = rng.uniform(-2, 2)
-    exponent = _adjoint_exponent(p, U, x)
+    exponent = adjoint_form(p, U, x)
     grid = plane_grid(exponent)
     factors = bargmann._fitted_factors(grid, exponent)
     node = p.C_phi * p.h ** (-0.75) * bargmann._quad_block(
@@ -98,11 +84,12 @@ def test_moment_sums_are_the_node_sums_on_the_same_grid(p, draw):
 
     # the projector at four points, on the grid fitted to its exponent at 0
     points = [complex(*rng.uniform(-1.5, 1.5, size=2)) for _ in range(4)]
-    exponents = [_projector_exponent(p, U, z) for z in points]
-    grid = _projector_grid(p, U)
+    grid, columns = _projector_grid(p, U, points)
+    exponents = [projector_exponent(p, U, z) for z in points]
     nodes = _projector_node_sums(grid, U, exponents)
-    for z, e, got, node in zip(points, exponents, projector_apply(p, U, points), nodes):
-        assert bargmann._moment_sum(grid, bargmann._fitted_factors(grid, e), U) is not None
+    for i, (e, got, node) in enumerate(zip(exponents, projector_apply(p, U, points), nodes)):
+        factors = bargmann._fitted_factors(grid, row(columns, i))
+        assert bargmann._moment_sum(grid, factors, U) is not None
         mass = _mass(grid, lambda zs: U.hermite_sum(zs) * np.exp(e(zs)))
         assert abs(got - p.C_Phi / p.h * node) <= TOL * p.C_Phi / p.h * mass
 
@@ -119,9 +106,11 @@ def test_an_uncertified_sum_raises_the_node_sums_truncation_error(monkeypatch):
     p = GENERAL
     hs = HermiteSystem(p)
     U, V = transform(p, hs.hermite_phi(2)), transform(p, hs.hermite_phi(1))
+    z = 0.2 + 0.1j
+    adjoint, (at_zero, columns) = adjoint_form(p, U, 0.3), projector_forms(p, U, [z])
     _coarse(monkeypatch)
 
-    exponent = functools.partial(bargmann._pair_exponent, p, U, V)
+    exponent = bargmann._pair_exponent(p, U, V)
     grid = hphi_grid(p, U, V)
     assert grid.weights.size == 64
     assert bargmann._moment_sum(grid, bargmann._fitted_factors(grid, exponent), U, V) is None
@@ -131,9 +120,8 @@ def test_an_uncertified_sum_raises_the_node_sums_truncation_error(monkeypatch):
         inner_product_HPhi(p, U, V)
     assert str(public.value) == str(node.value)
 
-    exponent = _adjoint_exponent(p, U, 0.3)
-    grid = bargmann.plane_grid(exponent)
-    factors = bargmann._fitted_factors(grid, exponent)
+    grid = bargmann.plane_grid(adjoint)
+    factors = bargmann._fitted_factors(grid, adjoint)
     assert bargmann._moment_sum(grid, factors, U) is None
     with pytest.raises(TruncationError) as node:
         bargmann._quad_block(grid, lambda z: [U.hermite_sum(z)], lambda z: [1.0], factors)
@@ -141,9 +129,7 @@ def test_an_uncertified_sum_raises_the_node_sums_truncation_error(monkeypatch):
         adjoint_quad(p, U, 0.3)
     assert str(public.value) == str(node.value)
 
-    z = 0.2 + 0.1j
-    grid = bargmann.plane_grid(_projector_exponent(p, U, 0j))
-    exponent = _projector_exponent(p, U, z)
+    grid, exponent = bargmann.plane_grid(at_zero), row(columns, 0)
     assert bargmann._moment_sum(grid, bargmann._fitted_factors(grid, exponent), U) is None
     with pytest.raises(TruncationError) as node:
         _projector_node_sums(grid, U, [exponent])
@@ -156,8 +142,10 @@ def test_a_moment_that_is_not_finite_falls_back_to_the_node_sum(monkeypatch):
     p = GENERAL
     hs = HermiteSystem(p)
     U = transform(p, hs.hermite_phi(2))
-    grid = _projector_grid(p, U)
-    a, b = bargmann._fitted_factors(grid, _projector_exponent(p, U, 0.1))
+    far, near = 40.0, 0.1
+    with np.errstate(over="ignore", invalid="ignore"):  # far out, a factor overflows
+        grid, columns = _projector_grid(p, U, [far, near])
+    a, b = bargmann._fitted_factors(grid, row(columns, 1))
     for f in (U, transform(p, hs.hermite_phi(0))):
         assert bargmann._moment_sum(grid, (a, b), f) is not None
         for bad in (np.inf, np.nan):
@@ -180,12 +168,11 @@ def test_a_moment_that_is_not_finite_falls_back_to_the_node_sum(monkeypatch):
         return quad_block(grid, rows, cols, factors)
 
     monkeypatch.setattr(bargmann, "_quad_block", recording)
-    far, near = 40.0, 0.1
     with np.errstate(over="ignore", invalid="ignore"):
-        a, b = bargmann._fitted_factors(grid, _projector_exponent(p, U, far))
+        a, b = bargmann._fitted_factors(grid, row(columns, 0))
         assert not np.isfinite(a).all()
         got = projector_apply(p, U, [far, near])
-        want = _projector_node_sums(grid, U, [_projector_exponent(p, U, far)])[0]
+        want = _projector_node_sums(grid, U, [row(columns, 0)])[0]
     assert blocks == [1, 1]  # the projector's one node sum, then the reference's
     assert repr(got[0]) == repr(p.C_Phi / p.h * complex(want))
     assert repr(got[1]) == repr(projector_apply(p, U, [near])[0])
@@ -197,8 +184,8 @@ def test_high_degree_and_foreign_functions_take_the_node_sum():
     p = GENERAL
     hs = HermiteSystem(p)
     U0 = transform(p, hs.hermite_phi(0))
-    grid = _projector_grid(p, U0)
-    factors = bargmann._fitted_factors(grid, _projector_exponent(p, U0, 0.1))
+    grid, columns = _projector_grid(p, U0, [0.1])
+    factors = bargmann._fitted_factors(grid, row(columns, 0))
     U, V = transform(p, hs.hermite_phi(3)), transform(p, hs.hermite_phi(4))
     assert bargmann._moment_sum(grid, factors, U) is not None
     assert bargmann._moment_sum(grid, factors, U, transform(p, hs.hermite_phi(3))) is not None
