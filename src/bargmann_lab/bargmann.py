@@ -28,9 +28,11 @@ factor ``e^E`` (below), where E has no cross term between the two axes, so
 of n^2 (sum factorization; Orszag, J. Comput. Phys. 37, 70 (1980)), and
 handed to ``_quad_block`` as that pair.  The projector fits its grid to
 its column exponent at 0, whose every point then factors per axis too; the
-Toeplitz blocks on a polar grid are radial sums times angular sums.  A
-plane sum of degree at most 6 runs on per-axis moments, forming no node,
-where they certify its truncation check (:func:`_moment_sum`).
+Toeplitz blocks on a polar grid are radial sums times angular sums.  Each
+kernel's sum goes through :func:`_plane_sum`: a sum of degree at most 6
+runs on per-axis moments, forming no node, where they certify its
+truncation check (:func:`_moment_sum`), and any other is the node sum with
+the same per-axis factors.
 
 Gauss rules are built by Newton's method on their three-term recurrences,
 from asymptotic starts (Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29, 1420
@@ -130,8 +132,8 @@ class QuadGrid:
 
     Nothing per node is built with a grid: each chunk of a sum forms its
     nodes, weights and shell from the axes by broadcasting (:meth:`chunks`),
-    and the whole-grid ``nodes``, ``weights`` and ``shell`` are formed on
-    first access, the weights on their own.
+    and the whole-grid ``nodes`` and ``weights`` are formed on first access,
+    each on its own.
     """
 
     def __init__(self, first, second, w1, w2, scale, center, reach, join=np.add, steps=None):
@@ -159,10 +161,6 @@ class QuadGrid:
     @functools.cached_property
     def weights(self) -> np.ndarray:
         return _read_only(self._weights(0, self.size))
-
-    @functools.cached_property
-    def shell(self) -> np.ndarray:
-        return _read_only(np.abs(self.nodes - self.center) >= self.reach)
 
     def _nodes(self, start: int, size: int) -> np.ndarray:
         return _outer(self.join, self.first, self.second, start, size)
@@ -552,9 +550,9 @@ def _check_truncation(total_mass, shell_mass) -> None:
 
 #: Nodes per chunk of :meth:`QuadGrid.chunks`, one pass of :func:`_quad_block`.
 #: Bounds its node-by-function work arrays (about 1 MB each at 7 functions)
-#: whatever the grid size: one array over all 102,400 nodes of a default
-#: polar grid costs tens of MB of peak memory, and a chunk's temporaries are
-#: reused from the allocator's cache.
+#: whatever the grid size: one array over all 25,600 nodes of a default
+#: plane grid would hold 26 MB for the 64 functions of a degree-64 Gram,
+#: and a chunk's temporaries are reused from the allocator's cache.
 _CHUNK = 8192
 
 
@@ -578,8 +576,9 @@ def _quad_block(grid: QuadGrid, rows, cols, factors=None) -> np.ndarray:
     outer-shell masses are the same sums of ``|w r_j| |c_k|``, over all
     nodes and over the grid's shell.  The products run in ``np.einsum``,
     numpy's own loops: no BLAS thread, and each sum is the same, bit for
-    bit, whichever other sums run with it.  The plane kernels' sums come
-    here only where :func:`_moment_sum` does not certify them.
+    bit, whichever other sums run with it.  A plane kernel's sum comes here
+    only where :func:`_moment_sum` does not certify it (:func:`_plane_sum`),
+    and :func:`gram_HPhi`'s block always.
     """
     sums = total = shell = 0.0
     for part, z, w, on in grid.chunks():
@@ -678,6 +677,20 @@ def _moment_sum(grid: QuadGrid, factors, U, V: HoloGauss | None = None):
     return value if finite and shell <= TRUNCATION_TOL * total else None
 
 
+def _plane_sum(grid: QuadGrid, factors, U, V: HoloGauss | None = None):
+    """``sum_n w_n e^{E(z_n)} U(z_n)``, times ``conj V(z_n)`` if V is given,
+    on a plane grid fitted to E, whose per-axis factors are ``factors``
+    (:func:`_fitted_factors`), with U and V as Hermite sums: by
+    :func:`_moment_sum` where it certifies the sum, else over the nodes by
+    :func:`_quad_block` with the same factors.  The one place a plane kernel
+    chooses its route."""
+    total = _moment_sum(grid, factors, U, V)
+    if total is None:
+        cols = (lambda z: [1.0]) if V is None else (lambda z: [np.conj(V.hermite_sum(z))])
+        total = _quad_block(grid, lambda z: [U.hermite_sum(z)], cols, factors)[0, 0]
+    return total
+
+
 # ---------------------------------------------------------------------------
 # The transform and its certified companions
 # ---------------------------------------------------------------------------
@@ -745,8 +758,7 @@ def adjoint_quad(p: PhaseParams, U: HoloGauss, x: float) -> complex:
     Kept quadrature-only by design: it is the independent route that certifies
     the closed-form transform (T* T = identity on the line class).  The sum
     runs on the plane grid fitted to its whole exponent, where the
-    exponential factors per axis, by :func:`_moment_sum` where it certifies
-    the sum.
+    exponential factors per axis (:func:`_plane_sum`).
     """
     if U.is_zero:
         return 0j
@@ -756,11 +768,7 @@ def adjoint_quad(p: PhaseParams, U: HoloGauss, x: float) -> complex:
         (1j * p.C * x * x / (2 * p.h)).conjugate(),
     )
     grid = plane_grid(exponent)
-    factors = _fitted_factors(grid, exponent)
-    total = _moment_sum(grid, factors, U)
-    if total is None:
-        total = _quad_block(grid, lambda z: [U.hermite_sum(z)], lambda z: [1.0], factors)[0, 0]
-    return p.C_phi * p.h ** (-0.75) * complex(total)
+    return p.C_phi * p.h ** (-0.75) * complex(_plane_sum(grid, _fitted_factors(grid, exponent), U))
 
 
 def projector_apply(p: PhaseParams, U: HoloGauss, points: Sequence[complex]) -> list[complex]:
@@ -774,42 +782,14 @@ def projector_apply(p: PhaseParams, U: HoloGauss, points: Sequence[complex]) -> 
     zeta^2 terms of ``2 Psi/h`` and ``-2 Phi/h`` cancel, so every point's
     column exponent is that grid's quadratic plus ``conj(-m conj(z) zeta)``
     and ``-k z^2`` (:func:`_weight`), with no cross term: each column factors
-    per axis, summed by :func:`_moment_sum` where it certifies the sum.  The
-    other points are one 1 x P block of :func:`_quad_block`: ``U.hermite_sum``
-    against one column per point, whose exponent is summed before its one
-    ``np.exp`` per node.  Each point is its own sum, with its own truncation
-    check.
+    per axis, and each point is its own sum (:func:`_plane_sum`), with its
+    own truncation check.
     """
     k, m = _weight(p)
     zs = np.array(points, dtype=complex).reshape(-1, 1)
-    exponent = Quadratic(U.c2 + k, U.c1, 0, -m * zs.conjugate(), m, -k * zs * zs)
     grid = plane_grid(Quadratic(U.c2 + k, U.c1, m=m))
-    a, b = _fitted_factors(grid, exponent)
-    sums = [_moment_sum(grid, factors, U) for factors in zip(a, b)]
-    rest = [i for i, v in enumerate(sums) if v is None]
-
-    def cols(zeta):
-        return np.exp(exponent(zeta)[rest])
-
-    node = iter(_quad_block(grid, lambda zeta: [U.hermite_sum(zeta)], cols)[0] if rest else ())
-    return [p.C_Phi / p.h * complex(next(node) if v is None else v) for v in sums]
-
-
-def _pair_block(p: PhaseParams, fs, gs, grid: QuadGrid) -> np.ndarray:
-    """``[sum w f_j conj(g_k) e^{pair exponent}]`` for functions fs sharing
-    one exponent and basis and gs sharing another, on a grid fitted to the
-    pair exponent: each side is stacked into one coefficient array once, its
-    Hermite sums are one recurrence pass per chunk (:func:`_hermite_sums`),
-    the rows the fs, the columns the conjugated gs (the rows' own, when gs
-    is fs), and the pair exponent's per-axis factors are what
-    :func:`_quad_block` multiplies in."""
-    (f, A), (g, B) = ((us[0], _stacked([u.coeffs for u in us])) for us in (fs, gs))
-    return _quad_block(
-        grid,
-        lambda zs: _hermite_sums(A, f.y0 + f.y1 * zs, f.rho2),
-        None if gs is fs else lambda zs: np.conj(_hermite_sums(B, g.y0 + g.y1 * zs, g.rho2)),
-        _fitted_factors(grid, _pair_exponent(p, f, g)),
-    )
+    a, b = _fitted_factors(grid, Quadratic(U.c2 + k, U.c1, 0, -m * zs.conjugate(), m, -k * zs * zs))
+    return [p.C_Phi / p.h * complex(_plane_sum(grid, factors, U)) for factors in zip(a, b)]
 
 
 def inner_product_HPhi(p: PhaseParams, U: HoloGauss, V: HoloGauss) -> complex:
@@ -819,16 +799,13 @@ def inner_product_HPhi(p: PhaseParams, U: HoloGauss, V: HoloGauss) -> complex:
     a combined exponent that fails to decay in some direction raises
     ``DomainError`` (for the classic weight this is exactly the
     ``|c2| < 1/(4h)`` growth-class bound on each factor).  The sum runs on
-    :func:`hphi_grid`, where the exponential factors per axis, by
-    :func:`_moment_sum` where it certifies it.
+    :func:`hphi_grid`, where the exponential factors per axis
+    (:func:`_plane_sum`).
     """
     if U.is_zero or V.is_zero:
         return 0j
     grid = hphi_grid(p, U, V)
-    total = _moment_sum(grid, _fitted_factors(grid, _pair_exponent(p, U, V)), U, V)
-    if total is None:
-        total = _pair_block(p, [U], [V], grid)[0, 0]
-    return complex(total)
+    return complex(_plane_sum(grid, _fitted_factors(grid, _pair_exponent(p, U, V)), U, V))
 
 
 def gram_HPhi(p: PhaseParams, fs: Sequence[HoloGauss]) -> list[list[complex]]:
@@ -836,12 +813,14 @@ def gram_HPhi(p: PhaseParams, fs: Sequence[HoloGauss]) -> list[list[complex]]:
     or more sharing one exponent ``(c2, c1)`` and one basis ``(y0, y1,
     rho2)``, else ``DomainError``.
 
-    All pairs then share the grid and the exponential factor: the matrix is
-    one K x K block of :func:`_quad_block`, each entry the node sum of its
-    pair on that grid, which :func:`inner_product_HPhi` gives bit for bit
-    above degree 6 and to round-off below, where the moments serve it; each
-    Hermite sum is evaluated once per chunk, for its row and its column.  The
-    lower triangle mirrors the upper (see
+    All pairs then share the grid and the per-axis factors of the pair
+    exponent: the matrix is one K x K block of :func:`_quad_block`, never
+    summed by moments, each entry the node sum of its pair on that grid,
+    which :func:`inner_product_HPhi` gives bit for bit above degree 6 and to
+    round-off below, where the moments serve it.  The functions are stacked
+    into one coefficient array, whose Hermite sums are one recurrence pass
+    per chunk (:func:`~bargmann_lab.gaussalg._hermite_sums`), the rows and,
+    conjugated, the columns.  The lower triangle mirrors the upper (see
     :func:`~bargmann_lab.gaussalg._hermitian`).
     """
     if not len(fs):
@@ -849,4 +828,11 @@ def gram_HPhi(p: PhaseParams, fs: Sequence[HoloGauss]) -> list[list[complex]]:
     U = fs[0]
     if len({(f.c2, f.c1, f.y0, f.y1, f.rho2) for f in fs}) > 1:
         raise DomainError("gram_HPhi needs functions with one exponent and one basis")
-    return _hermitian(_pair_block(p, fs, fs, hphi_grid(p, U, U))).tolist()
+    grid, A = hphi_grid(p, U, U), _stacked([f.coeffs for f in fs])
+    G = _quad_block(
+        grid,
+        lambda z: _hermite_sums(A, U.y0 + U.y1 * z, U.rho2),
+        None,
+        _fitted_factors(grid, _pair_exponent(p, U, U)),
+    )
+    return _hermitian(G).tolist()

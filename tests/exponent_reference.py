@@ -5,8 +5,9 @@ Each kernel hands its grid builder its integrand's exponent as a
 kernel, the same exponent built from the ``phasecore`` functions, which
 accept arrays; the six-point fit that recovers the quadratic forms of a
 callable exponent from its values; the quadratic forms ``plane_grid``
-reads from a form's coefficients; and the forms the kernels build,
-recorded as they hand them over.
+reads from a form's coefficients; the forms the kernels build, recorded
+as they hand them over; and the node sum of a weighted pair with the pair
+exponent's per-axis factors.
 """
 
 import contextlib
@@ -127,3 +128,13 @@ def projector_forms(p, U, points):
 def line_form(p, f, z):
     """The form ``transform_quad(p, f, z)`` fits its line grid to."""
     return _recorded(lambda: bargmann.transform_quad(p, f, z), "line_grid")[0]
+
+
+def pair_node_sum(p, U, V, grid):
+    """The node sum of ``U conj(V) e^{-2 Phi/h}`` on ``grid``, fitted to the
+    pair's exponent, with that exponent's per-axis factors: the sum
+    ``inner_product_HPhi`` takes where the moments do not certify it."""
+    factors = bargmann._fitted_factors(grid, bargmann._pair_exponent(p, U, V))
+    return bargmann._quad_block(
+        grid, lambda z: [U.hermite_sum(z)], lambda z: [np.conj(V.hermite_sum(z))], factors
+    )[0, 0]

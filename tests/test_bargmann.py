@@ -37,6 +37,7 @@ from bargmann_lab.toeplitz import RadialSymbol, toeplitz_matrix_quad
 from exponent_reference import (
     adjoint_exponent,
     adjoint_form,
+    pair_node_sum,
     projector_exponent,
     projector_forms,
     quadratic_parts,
@@ -238,15 +239,14 @@ def test_array_path_matches_per_node_reference(monkeypatch):
     want = p.C_phi * p.h ** (-0.75) * ref_sum(grid, adjoint_term)
     assert got[0, 0] == pytest.approx(want, rel=1e-12)
 
-    # several points in one block: each is the sum of its own per-node reference
+    # several points on one grid, each with its own per-axis factors: each
+    # is the sum of its own per-node reference
     points = [z, -1.1 + 0.7j, 0.05j, 1.4 - 1.3j]
     at_zero, columns = projector_forms(p, U, points)
     grid = plane_grid(at_zero, n=24)
-
-    def cols(zs):
-        return np.exp(columns(zs))
-
-    for z, got in zip(points, p.C_Phi / p.h * bargmann._quad_block(grid, rows, cols)[0]):
+    a, b = bargmann._fitted_factors(grid, columns)
+    for z, factors in zip(points, zip(a, b)):
+        got = p.C_Phi / p.h * bargmann._quad_block(grid, rows, lambda zs: [1.0], factors)[0, 0]
         want = p.C_Phi / p.h * ref_sum(grid, projector_term)
         assert got == pytest.approx(want, rel=1e-12)
     per_node = [U(zeta) for zeta in grid.nodes.tolist()]
@@ -304,7 +304,7 @@ def test_quad_block_matches_per_node_reference():
 
 def test_projector_points_are_independent_sums():
     # each point's sum is the same, bit for bit, whichever points share a
-    # call; at degree 7 every point is a node sum, all in one block
+    # call; at degree 7 every point is a node sum, with its own per-axis factors
     p = GENERAL
     U = transform(p, HermiteSystem(p).hermite_phi(7))
     assert len(U.coeffs) - 1 > bargmann._MOMENT_DEGREE
@@ -404,15 +404,19 @@ def test_gram_HPhi_needs_one_exponent():
 
 
 def test_gram_HPhi_entries_are_the_inner_products_bit_for_bit():
-    # the psi_k share one basis: one recurrence pass per chunk yields every row
+    # the psi_k share one basis: one recurrence pass per chunk yields every
+    # row, each entry its pair's node sum, which is the inner product above
+    # degree 6
     p = derived_constants(2.0, 1.0)
     fs = [psi_n(p, k) for k in range(10)]
     G = gram_HPhi(CLASSIC, fs)
     grid = hphi_grid(CLASSIC, fs[0], fs[0])
     for j in range(len(fs)):
         for k in range(j, len(fs)):
-            pair = complex(bargmann._pair_block(CLASSIC, [fs[j]], [fs[k]], grid)[0, 0])
+            pair = complex(pair_node_sum(CLASSIC, fs[j], fs[k], grid))
             assert repr(G[j][k]) == repr(pair)
+            if j + k > bargmann._MOMENT_DEGREE:
+                assert repr(inner_product_HPhi(CLASSIC, fs[j], fs[k])) == repr(pair)
 
 
 def test_quadrature_gram_conjugates_its_rows_for_its_columns():
@@ -437,11 +441,8 @@ def test_grid_arrays_are_read_only():
             arr[0] = 0
 
 
-def test_rule_and_shell_arrays_are_read_only():
-    grid = polar_grid(2.0, n_r=4, n_theta=4)
-    assert grid.shell.dtype == bool and grid.shell.shape == grid.nodes.shape
-    arrays = [grid.shell, *bargmann._gauss_rule("hermite", 8), *bargmann._gauss_rule("legendre", 8)]
-    for arr in arrays:
+def test_rule_arrays_are_read_only():
+    for arr in (*bargmann._gauss_rule("hermite", 8), *bargmann._gauss_rule("legendre", 8)):
         with pytest.raises(ValueError):
             arr[0] = 0
 

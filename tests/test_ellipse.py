@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from bargmann_lab.bargmann import _MOMENT_DEGREE, _pair_block, hphi_grid, inner_product_HPhi
+from bargmann_lab.bargmann import _MOMENT_DEGREE, hphi_grid, inner_product_HPhi
 from bargmann_lab.ellipse import (
     DegenerateEllipseError,
     EllipseParams,
@@ -45,6 +45,7 @@ from bargmann_lab.gaussalg import (
 from bargmann_lab.hermite import HermiteSystem
 from bargmann_lab.phasecore import PhaseParams
 from bargmann_lab.suites import ELLIPSE_SETS, TOL_IDENTITY, ellipse_eigen_checks, ellipse_gram
+from exponent_reference import pair_node_sum
 
 CLASSIC = PhaseParams(0.5j, -1j, 1j, 1.0)
 SETS = [(2.0, 0.0), (2.0, 1.0), (0.5, 3.0)]
@@ -359,12 +360,6 @@ def test_trace_lies_on_level_set():
         assert abs(abs(zeta_map(p, complex(x, -xi))) - 1.7) <= 1e-10
 
 
-def _pair_sum(pc, U, V, grid):
-    """The node sum of ``U conj(V) e^{-2 Phi/h}`` on ``grid``, fitted to the
-    pair's exponent, as a Python complex."""
-    return complex(_pair_block(pc, [U], [V], grid)[0, 0])
-
-
 def _assert_own_grid_inner_product(pc, U, V, g, mass):
     """``inner_product_HPhi(pc, U, V)`` against g, its node sum on the
     gram's grid (the same grid: the functions share one exponent).  Above
@@ -386,7 +381,7 @@ def test_ellipse_gram_diagonal_is_the_direct_evaluation():
     grid = hphi_grid(pc, psis[0], psis[0])  # the psi_k share one exponent, so one grid
     for m in range(3):
         for n in range(m, 3):
-            g = _pair_sum(pc, psis[m], psis[n], grid)
+            g = complex(pair_node_sum(pc, psis[m], psis[n], grid))
             assert repr(G[m][n]) == repr(g)
             mass = math.sqrt(G[m][m].real * G[n][n].real)
             _assert_own_grid_inner_product(pc, psis[m], psis[n], g, mass)
@@ -405,7 +400,7 @@ def test_ellipse_gram_is_the_per_pair_inner_product(alpha, beta):
     want_dev = 0.0
     for m in range(n):
         for k in range(m, n):
-            g = _pair_sum(pc, psis[m], psis[k], grid)
+            g = complex(pair_node_sum(pc, psis[m], psis[k], grid))
             assert repr(G[m][k]) == repr(g)
             assert repr(G[k][m]) == repr(g if m == k else complex(g.real, 0.0 - g.imag))
             mass = math.sqrt(G[m][m].real * G[k][k].real)

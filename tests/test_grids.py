@@ -125,7 +125,7 @@ CASES = {
 
 def _unformed(grid):
     """Whether none of the grid's whole-grid arrays has been formed."""
-    return not {"nodes", "weights", "shell"} & set(vars(grid))
+    return not {"nodes", "weights"} & set(vars(grid))
 
 
 @pytest.mark.parametrize("build,eager", CASES.values(), ids=CASES)
@@ -136,12 +136,12 @@ def test_tensor_grids_form_the_nodes_of_the_whole_grid_formulas_bit_for_bit(buil
     assert _same_bits(grid.weights, weights)
     assert "nodes" not in vars(grid)  # the weights are formed on their own
     assert _same_bits(grid.nodes, nodes)
-    assert _same_bits(grid.shell, _defined_shell(nodes))
     # and chunk by chunk, as the sums form them, across rows cut by a chunk
+    shell = _defined_shell(nodes)
     for part, z, w, on in grid.chunks():
         assert _same_bits(z, nodes[part])
         assert _same_bits(w, weights[part])
-        assert _same_bits(on, grid.shell[part])
+        assert _same_bits(on, shell[part])
 
 
 @pytest.mark.parametrize("build", [
@@ -152,11 +152,12 @@ def test_tensor_grids_form_the_nodes_of_the_whole_grid_formulas_bit_for_bit(buil
 def test_chunks_cover_the_nodes_in_order_bit_for_bit(build):
     grid = build()
     parts = []
+    shell = np.abs(grid.nodes - grid.center) >= grid.reach
     for part, z, w, on in grid.chunks():
         assert part.stop - part.start <= bargmann._CHUNK
         assert _same_bits(z, grid.nodes[part])
         assert _same_bits(w, grid.weights[part])
-        assert _same_bits(on, grid.shell[part])
+        assert _same_bits(on, shell[part])
         parts.append(part)
     starts = [0, *(part.stop for part in parts)]
     assert [part.start for part in parts] == starts[:-1]
@@ -184,7 +185,9 @@ def test_shells_are_their_definition_on_every_grid_of_the_battery(monkeypatch):
     assert (sum(plane), sum(polar)) == (133, 6)
     assert len(grids) - 139 > 0  # the line grids
     for grid in grids:
-        assert np.array_equal(grid.shell, _defined_shell(grid.nodes))
+        shell = _defined_shell(grid.nodes)
+        for part, _, _, on in grid.chunks():
+            assert np.array_equal(on, shell[part])
 
 
 def test_per_axis_factors_are_the_exponential_on_every_node(monkeypatch):
@@ -308,14 +311,13 @@ def test_a_node_sum_holds_few_chunk_arrays_at_once():
     # the exponential factor and the weights multiply the rows in place, and
     # a chunk's moduli are freed before the next chunk's rows are formed: a
     # 7 x 7 Gram block peaks under 3 complex arrays of 7 rows by one chunk
-    # (2.66; 3.31 when each product was a new array)
+    # (2.74; 3.31 when each product was a new array)
     fs = [psi_n(derived_constants(2.0, 0.0), k) for k in range(7)]
     p = PhaseParams.classic()
-    grid = hphi_grid(p, fs[0], fs[0])
     bargmann.gram_HPhi(p, fs)  # the first sum of a size fills the Gauss rule cache
     tracemalloc.start()
     try:
-        bargmann._pair_block(p, fs, fs, grid)
+        bargmann.gram_HPhi(p, fs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -354,11 +356,12 @@ def test_a_one_axis_grid_is_read_only_and_sums_node_by_node():
     grid = _one_axis(nodes, weights, mean, 0.95 * np.abs(nodes - mean).max())
     assert grid.nodes.tolist() == [0.0, 1.0, -2.0, 3.5, 0.25]
     assert grid.weights.tolist() == [1.0, 2.0, 0.5, 1.0, 0.75]
-    assert grid.shell.tolist() == _defined_shell(grid.nodes).tolist() == [
+    [(_, _, _, on)] = grid.chunks()
+    assert on.tolist() == _defined_shell(grid.nodes).tolist() == [
         False, False, False, True, False,
     ]
     assert grid.steps is None and grid.join is np.add
-    for arr in (nodes, weights, grid.nodes, grid.weights, grid.shell):
+    for arr in (nodes, weights, grid.nodes, grid.weights):
         with pytest.raises(ValueError):
             arr[0] = 0
     with pytest.raises(AttributeError):

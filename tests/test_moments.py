@@ -10,7 +10,9 @@ and to 1e-13 of the sum's absolute mass for the projector, whose sums
 cancel to about 1e-3 of their mass at (3, 1+2i, 0.5), so that round-off of
 the mass is all either route can promise there.  Where the per-axis bounds
 do not certify the truncation check, or a moment is not finite, the call is
-the node sum.
+the node sum with the same per-axis factors (``bargmann._plane_sum``): no
+plane sum exponentiates node by node, and the battery's own-grid sums form
+no node.
 """
 
 from types import SimpleNamespace
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from bargmann_lab import bargmann, suites
+from bargmann_lab import bargmann, cli, suites
 from bargmann_lab.bargmann import (
     TruncationError,
     adjoint_quad,
@@ -31,7 +33,13 @@ from bargmann_lab.bargmann import (
 )
 from bargmann_lab.hermite import HermiteSystem
 from bargmann_lab.phasecore import PhaseParams, canonical_A
-from exponent_reference import adjoint_form, projector_exponent, projector_forms, row
+from exponent_reference import (
+    adjoint_form,
+    pair_node_sum,
+    projector_exponent,
+    projector_forms,
+    row,
+)
 
 SETS = [PhaseParams(canonical_A(B, C), B, C, h) for B, C, h in suites.HERMITE_PARAM_SETS]
 GENERAL = SETS[1]  # (3, 1+2i, 0.5)
@@ -68,7 +76,7 @@ def test_moment_sums_are_the_node_sums_on_the_same_grid(p, draw):
     exponent = bargmann._pair_exponent(p, U, V)
     grid = hphi_grid(p, U, V)
     assert bargmann._moment_sum(grid, bargmann._fitted_factors(grid, exponent), U, V) is not None
-    node = bargmann._pair_block(p, [U], [V], grid)[0, 0]
+    node = pair_node_sum(p, U, V, grid)
     assert abs(inner_product_HPhi(p, U, V) - node) <= TOL * abs(node)
 
     # the adjoint at a point of the line, on the grid fitted to its exponent
@@ -94,6 +102,21 @@ def test_moment_sums_are_the_node_sums_on_the_same_grid(p, draw):
         assert abs(got - p.C_Phi / p.h * node) <= TOL * p.C_Phi / p.h * mass
 
 
+def _plane_node_sums(monkeypatch) -> list:
+    """The ``factors`` of every ``_quad_block`` call on a plane grid from
+    now on, in order."""
+    calls = []
+    quad_block = bargmann._quad_block
+
+    def recording(grid, rows, cols, factors=None):
+        if grid.steps is not None:
+            calls.append(factors)
+        return quad_block(grid, rows, cols, factors)
+
+    monkeypatch.setattr(bargmann, "_quad_block", recording)
+    return calls
+
+
 def _coarse(monkeypatch):
     """Every plane grid the package fits from here on has 8 nodes per axis."""
     plane = bargmann.plane_grid
@@ -115,7 +138,7 @@ def test_an_uncertified_sum_raises_the_node_sums_truncation_error(monkeypatch):
     assert grid.weights.size == 64
     assert bargmann._moment_sum(grid, bargmann._fitted_factors(grid, exponent), U, V) is None
     with pytest.raises(TruncationError) as node:
-        bargmann._pair_block(p, [U], [V], grid)
+        pair_node_sum(p, U, V, grid)
     with pytest.raises(TruncationError) as public:
         inner_product_HPhi(p, U, V)
     assert str(public.value) == str(node.value)
@@ -129,10 +152,11 @@ def test_an_uncertified_sum_raises_the_node_sums_truncation_error(monkeypatch):
         adjoint_quad(p, U, 0.3)
     assert str(public.value) == str(node.value)
 
-    grid, exponent = bargmann.plane_grid(at_zero), row(columns, 0)
-    assert bargmann._moment_sum(grid, bargmann._fitted_factors(grid, exponent), U) is None
+    grid = bargmann.plane_grid(at_zero)
+    factors = bargmann._fitted_factors(grid, row(columns, 0))
+    assert bargmann._moment_sum(grid, factors, U) is None
     with pytest.raises(TruncationError) as node:
-        _projector_node_sums(grid, U, [exponent])
+        bargmann._quad_block(grid, lambda z: [U.hermite_sum(z)], lambda z: [1.0], factors)
     with pytest.raises(TruncationError) as public:
         projector_apply(p, U, [z])
     assert str(public.value) == str(node.value)
@@ -159,24 +183,19 @@ def test_a_moment_that_is_not_finite_falls_back_to_the_node_sum(monkeypatch):
         assert bargmann._moment_sum(grid, (a * 1e156, b * 1e156), f) is None
 
     # far out, the per-axis factors of the projector's column overflow: that
-    # point alone is summed over the nodes, the other by its moments
-    blocks = []
-    quad_block = bargmann._quad_block
-
-    def recording(grid, rows, cols, factors=None):
-        blocks.append(len(cols(grid.nodes[:1])))
-        return quad_block(grid, rows, cols, factors)
-
-    monkeypatch.setattr(bargmann, "_quad_block", recording)
+    # point alone is summed over the nodes, with those factors, the other by
+    # its moments
+    calls = _plane_node_sums(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
         a, b = bargmann._fitted_factors(grid, row(columns, 0))
         assert not np.isfinite(a).all()
         got = projector_apply(p, U, [far, near])
-        want = _projector_node_sums(grid, U, [row(columns, 0)])[0]
-    assert blocks == [1, 1]  # the projector's one node sum, then the reference's
-    assert repr(got[0]) == repr(p.C_Phi / p.h * complex(want))
+        [(a_got, b_got)] = calls
+        assert a_got.tobytes() == a.tobytes() and b_got.tobytes() == b.tobytes()
+        want = bargmann._quad_block(grid, lambda z: [U.hermite_sum(z)], lambda z: [1.0], (a, b))
+    assert repr(got[0]) == repr(p.C_Phi / p.h * complex(want[0, 0]))
     assert repr(got[1]) == repr(projector_apply(p, U, [near])[0])
-    assert blocks == [1, 1]
+    assert len(calls) == 2  # the reference's, and no more
 
 
 def test_high_degree_and_foreign_functions_take_the_node_sum():
@@ -193,3 +212,38 @@ def test_high_degree_and_foreign_functions_take_the_node_sum():
     assert bargmann._moment_sum(grid, factors, transform(p, hs.hermite_phi(7))) is None
     conj = SimpleNamespace(hermite_sum=np.conjugate, c2=0j, c1=0j)
     assert bargmann._moment_sum(grid, factors, conj) is None
+
+
+def test_every_plane_node_sum_takes_per_axis_factors(monkeypatch):
+    # the node sums of the three kernels and of gram_HPhi: above degree 6,
+    # for the projector's duck-typed U, and where coarse grids leave the
+    # moments uncertified
+    p = GENERAL
+    hs = HermiteSystem(p)
+    U7, U2, U1 = (transform(p, hs.hermite_phi(k)) for k in (7, 2, 1))
+    conj = SimpleNamespace(hermite_sum=np.conjugate, c2=0j, c1=0j)
+    calls = _plane_node_sums(monkeypatch)
+    projector_apply(p, conj, [0.9 + 0.4j])
+    projector_apply(p, U7, [0.3 + 0.2j, -1.1 + 0.7j])
+    adjoint_quad(p, U7, 0.3)
+    inner_product_HPhi(p, U7, U1)
+    bargmann.gram_HPhi(p, [transform(p, hs.hermite_phi(k)) for k in (6, 7)])
+    assert len(calls) == 6
+    _coarse(monkeypatch)
+    for kernel in (
+        lambda: projector_apply(p, U2, [0.2 + 0.1j]),
+        lambda: adjoint_quad(p, U2, 0.3),
+        lambda: inner_product_HPhi(p, U2, U1),
+    ):
+        with pytest.raises(TruncationError):
+            kernel()
+    assert len(calls) == 9
+    assert all(factors is not None for factors in calls)
+
+
+def test_the_battery_own_grid_sums_stay_on_moments(monkeypatch, tmp_path):
+    calls = _plane_node_sums(monkeypatch)
+    for B, C, h in suites.HERMITE_PARAM_SETS:
+        assert all(check["pass"] for check in suites.suite_transform(B, C, h))
+    assert cli.main(["transform", "--format", "json", "-o", str(tmp_path / "t.json")]) == 0
+    assert calls == []

@@ -195,7 +195,8 @@ def test_block_matches_per_node_reference(monkeypatch):
 
 def _per_node_block(sym, N, grid):
     """The N x N block and its total and outer-shell masses as sums over the
-    grid's nodes, weights and shell: ``w c(|z|^2) e^{-|z|^2/2} varphi_m
+    grid's nodes, weights and shell ``|z - center| >= reach``: ``w c(|z|^2)
+    e^{-|z|^2/2} varphi_m
     conj(varphi_n)`` with the varphi_k from their closed form."""
     z, w = grid.nodes, grid.weights
     u = abs(z) ** 2
@@ -205,7 +206,8 @@ def _per_node_block(sym, N, grid):
     rows = varphi * (w * sym.c(u) * np.exp(-u / 2))
     block = np.einsum("jn,kn->jk", rows, varphi.conj())
     mass = np.einsum("jn,kn->jk", abs(rows), abs(varphi))
-    shell = np.einsum("jn,kn->jk", abs(rows[:, grid.shell]), abs(varphi[:, grid.shell]))
+    on = np.abs(z - grid.center) >= grid.reach
+    shell = np.einsum("jn,kn->jk", abs(rows[:, on]), abs(varphi[:, on]))
     return block, mass, shell
 
 
