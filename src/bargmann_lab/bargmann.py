@@ -291,6 +291,8 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 _DE_T_MAX = 4.0
 #: Step halvings before the rule gives up: 8 * 2**12 + 1 nodes at the last.
 _DE_LEVELS = 12
+#: Two successive levels agree to this fraction of the integral of |f|.
+_DE_EPSREL = 1e-12
 
 
 def _de_map(a: float, b: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -320,7 +322,7 @@ def _de_map(a: float, b: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _adaptive_quad(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, epsrel: float
+    f: Callable[[np.ndarray], np.ndarray], a: float, b: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(integral of f over [a, b], error estimate) by a double-exponential rule.
 
@@ -330,7 +332,7 @@ def _adaptive_quad(
     values on it, or a stack of such rows (one per integrand, integrated
     together); it is called once per level, on the nodes that level adds.
     The step starts at 1 and halves until two successive levels agree in
-    every row to ``epsrel`` times the integral of |f|, and the error
+    every row to :data:`_DE_EPSREL` times the integral of |f|, and the error
     estimate is their difference.  The test is relative only, so a small
     integral is resolved to its own digits, and one that cancels to 0 is
     resolved to the digits of its parts.  The one absolute floor is the
@@ -354,7 +356,7 @@ def _adaptive_quad(
         if not np.isfinite(value).all():
             break
         error = abs(value - previous)
-        if (error <= np.maximum(epsrel * h * mass, floor)).all():
+        if (error <= np.maximum(_DE_EPSREL * h * mass, floor)).all():
             return value, error
         previous = value
         h /= 2
@@ -459,10 +461,10 @@ def plane_grid(exponent: Quadratic, n: int = 160) -> QuadGrid:
     return QuadGrid(first, second, ew, ew, s1 * s2, zc, reach, steps=steps)
 
 
-def hphi_grid(p: PhaseParams, U: HoloGauss, V: HoloGauss, n: int = 160) -> QuadGrid:
+def hphi_grid(p: PhaseParams, U: HoloGauss, V: HoloGauss) -> QuadGrid:
     """Grid for the weighted inner product of U and V (fitted to their pair
     exponent)."""
-    return plane_grid(_pair_exponent(p, U, V), n)
+    return plane_grid(_pair_exponent(p, U, V))
 
 
 def _weight(p: PhaseParams) -> tuple[complex, float]:

@@ -37,11 +37,11 @@ Complex flag values are written ``a+bi`` (``--C 1+2i``, ``--B=-i``); a lone
 ``"Infinity"`` or ``"-Infinity"``.  Reports are deterministic: the same
 invocation produces byte-identical output.
 
-A CSV artifact is written as its rows are computed, in batches of at most
-``_CSV_BATCH`` rows, so no artifact is held in memory whole; ``transform``
-computes its rows one chunk of grid nodes at a time.  A command that fails
-while writing its artifact to ``-o`` removes the partly written file: a
-failed command leaves no artifact.
+Every CSV artifact, ``ellipse``'s boundary trace included, is written as its
+rows are computed, in batches of at most ``_CSV_BATCH`` rows, so no artifact
+is held in memory whole; ``transform`` computes its rows one chunk of grid
+nodes at a time.  A command that fails while writing its artifact to ``-o``
+removes the partly written file: a failed command leaves no artifact.
 """
 
 from __future__ import annotations
@@ -251,11 +251,6 @@ def _grid_rows(p, U):
             yield z.real, z.imag, w, v.real, v.imag
 
 
-def _lazy(fn, *args):
-    """The rows ``fn(*args)``, computed when they are first iterated."""
-    yield from fn(*args)
-
-
 def _cmd_ncho(cfg: RunConfig):
     entries, checks = suites.ncho_residual_checks(NchoParams(cfg.alpha, cfg.h), cfg.n)
     return _entries_report("ncho", {"alpha": cfg.alpha, "h": cfg.h}, entries, checks)
@@ -278,7 +273,7 @@ def _cmd_ellipse(cfg: RunConfig):
         "bridge": params_to_dict(bridge_params(p)),
         "checks": suites.ellipse_route_checks(p, cfg.n),
     }
-    return report, ("x", "xi"), _lazy(ellipse_trace, p, cfg.rho, cfg.samples)
+    return report, ("x", "xi"), ellipse_trace(p, cfg.rho, cfg.samples)
 
 
 def _cmd_toeplitz(cfg: RunConfig):

@@ -33,6 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -363,13 +364,12 @@ def zeta_inverse(p: EllipseParams, zeta: complex) -> complex:
 
 def ellipse_trace(
     p: EllipseParams, rho: float, samples: int = 256
-) -> list[tuple[float, float]]:
-    """(x, xi) samples of the boundary |zeta| = rho of the elliptic disk."""
+) -> Iterator[tuple[float, float]]:
+    """(x, xi) samples of the boundary |zeta| = rho of the elliptic disk.
+
+    ``rho`` is checked on the call; the samples are then yielded one at a
+    time, each computed as it is asked for."""
     if not rho > 0:
         raise DomainError("rho must be positive")
-    out = []
-    for k in range(samples):
-        zeta = rho * cmath.exp(2j * math.pi * k / samples)
-        z = zeta_inverse(p, zeta)
-        out.append((z.real, -z.imag))
-    return out
+    zs = (zeta_inverse(p, rho * cmath.exp(2j * math.pi * k / samples)) for k in range(samples))
+    return ((z.real, -z.imag) for z in zs)

@@ -49,7 +49,9 @@ __all__ = ["HermiteSystem", "gram_deviation"]
 
 
 class HermiteSystem:
-    """Phase data with canonical A, plus a cache of phi_n.
+    """Phase data with canonical A, plus the ladder's chain of phi_n, which
+    grows to the longest index asked for (:meth:`_ladder`), and their
+    :class:`HermiteGauss` forms.
 
     A non-canonical ``A`` in the input is replaced by ``canonical_A(B, C)``:
     the general-A system differs only by a z-side phase twist that the
@@ -81,14 +83,18 @@ class HermiteSystem:
     def _ladder(self, N: int) -> list:
         """The coefficients of phi_0, ..., phi_{N-1}, kept as the ladder's arrays:
         one :func:`~bargmann_lab.gaussalg._chain` from the last kept member on, of
-        P*'s band on phi_0's Gaussian, step m times ``B / sqrt(2 m h Im C)``."""
+        P*'s band on phi_0's Gaussian, step m times ``B / sqrt(2 m h Im C)``.
+        A longer chain is a new list bound to ``_chain``, never the kept one
+        extended in place: an extension run meanwhile (re-entrant or in another
+        thread) cannot reorder its members."""
         _check_index(N - 1)
         chain = self._chain
         if len(chain) < N:
             p = self.params
             lo, hi, diag = _line_band(self.ladder_ops()[1], self._gamma2, self._s)
             scales = (p.B / _sqrt_pos(m * 2 * p.h * p.C.imag) for m in range(len(chain), N))
-            chain.extend(_chain(chain[-1], [(lo * c, hi * c, diag * c) for c in scales])[1:])
+            chain = chain + _chain(chain[-1], [(lo * c, hi * c, diag * c) for c in scales])[1:]
+            self._chain = chain
         return chain[:N]
 
     def rodrigues_phi(self, n: int) -> HermiteGauss:

@@ -98,17 +98,10 @@ def nu(p: NchoParams, sign: int) -> complex:
 
 
 def hermite_bridge(p: NchoParams, sign: int) -> HermiteSystem:
-    """The generalized Hermite system diagonalizing the ``sign`` block."""
+    """The generalized Hermite system diagonalizing the ``sign`` block; a new
+    one per call, so each caller owns its chain of phi_n."""
     v = nu(p, sign)
     return HermiteSystem.from_bch(math.sqrt(2 / p.alpha) * v, v, p.h)
-
-
-@functools.lru_cache(maxsize=2)
-def _bridge_system(p: NchoParams, sign: int) -> HermiteSystem:
-    """The bridged system of :func:`hermite_bridge`, built once per (p, sign),
-    so its ladder cache of phi_n serves every later index.  Callers work
-    through both signs of one parameter set at a time: two entries suffice."""
-    return hermite_bridge(p, sign)
 
 
 def eigenfunction_vec(p: NchoParams, sign: int, n: int) -> VecFun2:
@@ -118,12 +111,12 @@ def eigenfunction_vec(p: NchoParams, sign: int, n: int) -> VecFun2:
     bridged Hermite system (its Gaussian factor already carries the
     ``exp(-+ i x^2 / 2 alpha h)`` phase).
     """
-    return _scaled_pair(_bridge_system(p, sign).hermite_phi(n), sign)
+    return _scaled_pair(hermite_bridge(p, sign).hermite_phi(n), sign)
 
 
 def _eigen_block(p: NchoParams, sign: int, N: int) -> VecFun2:
     """Phi_{alpha,sign,n} for n < N, as one VecFun2 of blocks (column n)."""
-    return _scaled_pair(_bridge_system(p, sign).phi_block(N), sign)
+    return _scaled_pair(hermite_bridge(p, sign).phi_block(N), sign)
 
 
 def _scaled_pair(phi, sign: int) -> VecFun2:
@@ -191,7 +184,7 @@ def spectrum_check(p: NchoParams, N: int) -> list[dict]:
     lams = [eigenvalue(p, n) for n in range(N)]
     residuals = {
         tag: _residual_ratio(_pair_norm, functools.partial(_upper_row, p, sign),
-                             _bridge_system(p, sign).phi_block(N).scale(1 / math.sqrt(2)), lams)
+                             hermite_bridge(p, sign).phi_block(N).scale(1 / math.sqrt(2)), lams)
         for sign, tag in ((+1, "+"), (-1, "-"))
     }
     return [

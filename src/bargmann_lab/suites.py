@@ -161,9 +161,7 @@ def _eigen_checks(entries: list[dict], label: str) -> tuple[list[dict], list[dic
 # ---------------------------------------------------------------------------
 
 
-def suite_gaussint(
-    rhos: Sequence[float] = ROT_RHOS, thetas: Sequence[float] = ROT_THETAS
-) -> list[dict]:
+def suite_gaussint() -> list[dict]:
     """Closed-form rotated Gaussian integral vs. sinh-sinh quadrature.
 
     The oracle integrates the real and the imaginary part of
@@ -171,8 +169,8 @@ def suite_gaussint(
     :func:`~bargmann_lab.bargmann._adaptive_quad`, to 1e-12 relative.
     """
     checks = []
-    for rho in rhos:
-        for theta in thetas:
+    for rho in ROT_RHOS:
+        for theta in ROT_THETAS:
             closed = gauss_integral(rho, theta)
             c = rho * rho * cmath.exp(2j * theta)
 
@@ -180,7 +178,7 @@ def suite_gaussint(
                 w = np.exp(-c * t * t)
                 return np.stack((w.real, w.imag))
 
-            (re, im), _ = _adaptive_quad(f, -math.inf, math.inf, 1e-12)
+            (re, im), _ = _adaptive_quad(f, -math.inf, math.inf)
             oracle = complex(re, im)
             rel = abs(closed - oracle) / abs(oracle)
             checks.append(
@@ -222,12 +220,8 @@ def hermite_gram_checks(
     return matrices[0], checks
 
 
-def suite_hermite(
-    B: complex, C: complex, h: float, n_res: int = 12, n_gram: int | None = None
-) -> list[dict]:
+def suite_hermite(B: complex, C: complex, h: float, n_res: int, n_gram: int) -> list[dict]:
     """Eigen-residuals plus exact and quadrature Gram deviations."""
-    if n_gram is None:
-        n_gram = n_res
     sys_ = HermiteSystem.from_bch(B, C, h)
     entries, checks = hermite_eigen_checks(sys_, n_res)
     if complex(B) == -1j and complex(C) == 1j:

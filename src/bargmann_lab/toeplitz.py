@@ -124,7 +124,7 @@ def _radial_eigenvalues(sym: RadialSymbol, ns: Sequence[int]) -> np.ndarray:
         # rule puts no node on s = 0
         return sym.c(2 * s) * np.exp(n * np.log(s) - s - lognf)
 
-    val, err = _adaptive_quad(integrand, 0.0, sym.support / 2, 1e-12)
+    val, err = _adaptive_quad(integrand, 0.0, sym.support / 2)
     finite = np.isfinite(val)
     if not finite.all():
         raise DomainError(

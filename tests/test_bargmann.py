@@ -569,7 +569,7 @@ def test_double_exponential_rule_matches_scipy_quad(rho, theta):
     size = abs(cmath.sqrt(math.pi / c))
     for part in (np.real, np.imag):
         value, error = bargmann._adaptive_quad(
-            lambda t: part(np.exp(-c * t * t)), -math.inf, math.inf, 1e-12
+            lambda t: part(np.exp(-c * t * t)), -math.inf, math.inf
         )
         want, _ = quad(lambda t: float(part(cmath.exp(-c * t * t))), -np.inf, np.inf,
                        epsabs=1e-13, epsrel=1e-12, limit=400)
@@ -583,7 +583,7 @@ def test_double_exponential_rule_matches_scipy_quad(rho, theta):
     (lambda x: np.exp(-x), 2.0, math.inf, math.exp(-2.0)),  # exp-sinh
 ])
 def test_double_exponential_rule_on_interval_and_half_line(f, a, b, want):
-    value, error = bargmann._adaptive_quad(f, a, b, 1e-12)
+    value, error = bargmann._adaptive_quad(f, a, b)
     assert value == pytest.approx(want, rel=1e-14)
     assert error <= 1e-12 * value
 
@@ -600,6 +600,6 @@ def test_double_exponential_rule_on_subnormal_rows(f, moment):
     # 64 rows between 1e-320 and 1e-309 converge together, each to within
     # the smallest normal float
     tiny = np.finfo(float).tiny
-    value, error = bargmann._adaptive_quad(f, 0.0, math.inf, 1e-12)
+    value, error = bargmann._adaptive_quad(f, 0.0, math.inf)
     assert (error <= tiny).all()
     assert (abs(value - moment * _SUBNORMAL_ROWS.ravel()) <= tiny).all()

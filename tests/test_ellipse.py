@@ -354,7 +354,7 @@ def test_ground_state_weight_identity():
 
 def test_trace_lies_on_level_set():
     p = derived_constants(2.0, 1.0)
-    pts = ellipse_trace(p, 1.7, samples=64)
+    pts = list(ellipse_trace(p, 1.7, samples=64))
     assert len(pts) == 64
     for x, xi in pts:
         assert abs(abs(zeta_map(p, complex(x, -xi))) - 1.7) <= 1e-10

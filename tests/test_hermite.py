@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
+from bargmann_lab import hermite
 from bargmann_lab.bargmann import inner_product_HPhi
 from bargmann_lab.gaussalg import (
     ComplexPoly,
@@ -400,6 +401,26 @@ def test_phi_block_columns_are_hermite_phi_bit_for_bit(B, C, h, order):
         block = hs.phi_block(N)
         _columns_are_the_phis(hs, block, N)
         _columns_are_the_phis(ref, block, N)
+
+
+def test_an_extension_inside_an_extension_keeps_the_chain_in_order(monkeypatch):
+    # the longer chain is a new list: an extension to 9 run inside one to 12
+    # (here, within its first ladder step) cannot reorder the members
+    hs, ref = _system(3.0, 1 + 2j, 0.5), _system(3.0, 1 + 2j, 0.5)
+    chain, fired = hermite._chain, []
+
+    def reentrant(*args):
+        if not fired:
+            fired.append(True)
+            hs._ladder(9)
+        return chain(*args)
+
+    monkeypatch.setattr(hermite, "_chain", reentrant)
+    got = hs._ladder(12)
+    assert fired
+    want = [a.tobytes() for a in ref._ladder(20)]
+    assert [a.tobytes() for a in got] == want[:12]
+    assert [a.tobytes() for a in hs._ladder(20)] == want
 
 
 def test_nan_member_eigen_residual_is_inf_in_its_own_entry_only(monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from bargmann_lab import ncho
+from bargmann_lab import hermite, ncho
 from bargmann_lab.gaussalg import (
     ComplexPoly,
     DiffOp,
@@ -261,6 +261,28 @@ def test_nan_member_is_inf_in_its_own_entry_only(monkeypatch):
             assert r["residual"] == math.inf
         else:
             assert abs(r["residual"] - single) <= 1e-14 * single
+
+
+def test_a_gram_run_inside_a_spectrum_check_changes_no_residual(monkeypatch):
+    # each call bridges its own systems: a combined_gram of the same
+    # parameters, run inside spectrum_check's first ladder step, cannot
+    # splice its members into spectrum_check's chain
+    p = NchoParams(2.0, 1.0)
+    chain, fired = hermite._chain, []
+
+    def reentrant(*args):
+        if not fired:
+            fired.append(True)
+            combined_gram(p, 30)
+        return chain(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(hermite, "_chain", reentrant)
+        got = [r["residual"] for r in spectrum_check(p, 40)]
+    want = [r["residual"] for r in spectrum_check(p, 40)]
+    assert fired
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert max(want) <= TOL_ALGEBRA
 
 
 @pytest.mark.parametrize("alpha,h", [(1.5, 1.0), (2.0, 1e-200)])
