@@ -284,24 +284,24 @@ def _phase_params(c: RunConfig) -> dict:
     return {"B": _cpair(c.B), "C": _cpair(c.C), "h": c.h}
 
 
-# suite -> config -> (report params, checks).  The transform sizes are
-# reported and passed from the same defaults.
+# suite -> config -> (report params, checks).  Each suite applies its own
+# caps to n; the transform report reads the suite's sizes.
 _SUITES: dict[str, Callable[[RunConfig], tuple[dict, list[dict]]]] = {
-    "all": lambda c: ({"seed": c.seed}, suites.suite_all(seed=c.seed)),
+    "all": lambda c: ({"seed": c.seed}, suites.suite_all(c.seed)),
     "gaussint": lambda c: ({}, suites.suite_gaussint()),
     "hermite": lambda c: ({**_phase_params(c), "n": c.n},
-                          suites.suite_hermite(c.B, c.C, c.h, n_res=c.n, n_gram=c.n)),
-    "transform": lambda c, pairs=20, points=10: (
-        {**_phase_params(c), "pairs": pairs, "points": points, "seed": c.seed},
-        suites.suite_transform(c.B, c.C, c.h, n_pairs=pairs, n_points=points, seed=c.seed)),
+                          suites.suite_hermite(c.B, c.C, c.h, c.n, c.n)),
+    "transform": lambda c: (
+        {**_phase_params(c), "pairs": suites.TRANSFORM_PAIRS,
+         "points": suites.TRANSFORM_POINTS, "seed": c.seed},
+        suites.suite_transform(c.B, c.C, c.h, c.seed)),
     "ncho": lambda c: ({"alpha": c.alpha, "h": c.h, "n": c.n},
-                       suites.suite_ncho(c.alpha, c.h, n_res=c.n, n_gram=min(c.n, 9))),
+                       suites.suite_ncho(c.alpha, c.h, c.n)),
     "ellipse": lambda c: ({"alpha": c.alpha, "beta": c.beta, "n": c.n},
-                          suites.suite_ellipse(c.alpha, c.beta, n_eig=c.n, n_gram=min(c.n, 7))),
+                          suites.suite_ellipse(c.alpha, c.beta, c.n)),
     "bridge": lambda c: ({"alpha": c.alpha, "beta": c.beta, "n": c.n},
-                         suites.suite_bridge(c.alpha, c.beta, n_max=c.n)),
-    "toeplitz": lambda c: ({"R": c.R, "n": c.n},
-                           suites.suite_toeplitz(c.R, n_max=c.n, n_matrix=min(c.n, 7))),
+                         suites.suite_bridge(c.alpha, c.beta, c.n)),
+    "toeplitz": lambda c: ({"R": c.R, "n": c.n}, suites.suite_toeplitz(c.R, c.n)),
 }
 
 

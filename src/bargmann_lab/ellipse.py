@@ -362,9 +362,7 @@ def zeta_inverse(p: EllipseParams, zeta: complex) -> complex:
     ) / (2 * al)
 
 
-def ellipse_trace(
-    p: EllipseParams, rho: float, samples: int = 256
-) -> Iterator[tuple[float, float]]:
+def ellipse_trace(p: EllipseParams, rho: float, samples: int) -> Iterator[tuple[float, float]]:
     """(x, xi) samples of the boundary |zeta| = rho of the elliptic disk.
 
     ``rho`` is checked on the call; the samples are then yielded one at a

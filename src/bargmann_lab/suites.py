@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,13 +59,7 @@ from .ellipse import (
     psi_family_ladder,
     psi_n,
 )
-from .toeplitz import (
-    RadialSymbol,
-    radial_eigenvalue,
-    radius_roundtrip_error,
-    spectrum_rows,
-    toeplitz_block_quad,
-)
+from .toeplitz import RadialSymbol, radius_roundtrip_error, spectrum_rows, toeplitz_block_quad
 
 __all__ = [
     "check",
@@ -89,6 +84,8 @@ __all__ = [
     "NCHO_PLANCKS",
     "ELLIPSE_SETS",
     "TOEPLITZ_RADII",
+    "TRANSFORM_PAIRS",
+    "TRANSFORM_POINTS",
 ]
 
 # Tolerance ladder: exact coefficient algebra, 1-D quadrature cross-checks,
@@ -117,6 +114,9 @@ NCHO_ALPHAS: tuple[float, ...] = (1.5, 2.0, 5.0)
 NCHO_PLANCKS: tuple[float, ...] = (1.0, 0.5)
 ELLIPSE_SETS: tuple[tuple[float, float], ...] = ((2.0, 0.0), (2.0, 1.0), (0.5, 3.0))
 TOEPLITZ_RADII: tuple[float, ...] = (0.5, 1.0, 3.0)
+# The transform suite's random pairs (unitarity) and points (reproducing kernel).
+TRANSFORM_PAIRS = 20
+TRANSFORM_POINTS = 10
 
 ROT_RHOS: tuple[float, ...] = (0.5, 1.0, 2.0)
 ROT_THETAS: tuple[float, ...] = (-0.7, 0.0, 0.7)
@@ -255,31 +255,28 @@ def closed_vs_quad_dev(p: PhaseParams, f: HermiteGauss, U: HoloGauss) -> float:
         )
 
 
-def suite_transform(
-    B: complex,
-    C: complex,
-    h: float,
-    n_pairs: int = 20,
-    n_points: int = 10,
-    seed: int = 2026,
-) -> list[dict]:
-    """Unitarity over random pairs, reproducing kernel, and quadrature oracle."""
+def suite_transform(B: complex, C: complex, h: float, seed: int) -> list[dict]:
+    """Unitarity over TRANSFORM_PAIRS random pairs, the reproducing kernel at
+    TRANSFORM_POINTS random points, and the quadrature oracle."""
     p = PhaseParams(canonical_A(B, C), B, C, h)
     rng = np.random.default_rng(seed)
     checks = []
 
-    pairs = [(_random_line_function(rng), _random_line_function(rng)) for _ in range(n_pairs)]
+    pairs = [(_random_line_function(rng), _random_line_function(rng))
+             for _ in range(TRANSFORM_PAIRS)]
     f0 = pairs[0][0]
     U = transform(p, f0)
-    points = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(n_points)]
+    points = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+              for _ in range(TRANSFORM_POINTS)]
     with np.errstate(over="ignore", invalid="ignore"):  # a value not finite fails its check
         worst = _worst(
             abs(inner_product_HPhi(p, transform(p, f), transform(p, g)) - inner_product_line(f, g))
             for f, g in pairs
         )
-        checks.append(check(f"unitarity_max_dev[pairs={n_pairs}]", worst, TOL_UNITARITY))
+        checks.append(check(f"unitarity_max_dev[pairs={TRANSFORM_PAIRS}]", worst, TOL_UNITARITY))
         worst = _worst(abs(v - U(z)) for v, z in zip(projector_apply(p, U, points), points))
-        checks.append(check(f"reproducing_max_dev[points={n_points}]", worst, TOL_UNITARITY))
+        name = f"reproducing_max_dev[points={TRANSFORM_POINTS}]"
+        checks.append(check(name, worst, TOL_UNITARITY))
         dev = closed_vs_quad_dev(p, f0, U)
         checks.append(check("transform_closed_vs_quad", dev, TOL_TRANSFORM_QUAD))
         worst = _worst(abs(adjoint_quad(p, U, x) - f0(x)) for x in (-1.2, -0.3, 0.0, 0.7, 1.6))
@@ -302,10 +299,12 @@ def ncho_residual_checks(p: NchoParams, n: int) -> tuple[list[dict], list[dict]]
     return entries, checks
 
 
-def suite_ncho(alpha: float, h: float, n_res: int = 11, n_gram: int = 9) -> list[dict]:
-    """Vector eigen-residuals plus the combined (both signs) Gram deviation."""
+def suite_ncho(alpha: float, h: float, n: int) -> list[dict]:
+    """Vector eigen-residuals for n' < n plus the combined (both signs) Gram
+    deviation for n' < min(n, 9)."""
     p = NchoParams(alpha, h)
-    _, checks = ncho_residual_checks(p, n_res)
+    _, checks = ncho_residual_checks(p, n)
+    n_gram = min(n, 9)
     _, dev = combined_gram(p, n_gram)
     checks.append(check(f"combined_gram_dev[n<{n_gram}]", dev, TOL_ALGEBRA))
     return checks
@@ -357,15 +356,15 @@ def ellipse_eigen_checks(p: EllipseParams, n: int, label: str) -> tuple[list[dic
     return _eigen_checks(entries, label)
 
 
-def suite_ellipse(
-    alpha: float, beta: float, n_eig: int = 11, n_gram: int = 7
-) -> list[dict]:
-    """Route agreement, quadrature norms, and oscillator residuals."""
+def suite_ellipse(alpha: float, beta: float, n: int) -> list[dict]:
+    """Route agreement and oscillator residuals for n' < n, and quadrature
+    norms with the plane Gram for n' < min(n, 7)."""
     p = derived_constants(alpha, beta)
-    checks = ellipse_route_checks(p, n_eig, f"[n<{n_eig}]")
-    dev = _worst(map(coeff_deviation, Psi_family(p, n_eig), Psi_family_ladder(p, n_eig)))
-    checks.append(check(f"Psi_routes_dev[n<{n_eig}]", dev, TOL_IDENTITY))
+    checks = ellipse_route_checks(p, n, f"[n<{n}]")
+    dev = _worst(map(coeff_deviation, Psi_family(p, n), Psi_family_ladder(p, n)))
+    checks.append(check(f"Psi_routes_dev[n<{n}]", dev, TOL_IDENTITY))
 
+    n_gram = min(n, 7)
     G, _, dev = ellipse_gram(alpha, beta, n_gram)
     n0 = G[0][0].real  # the plane-quadrature norm of psi_0
     checks.append(
@@ -373,7 +372,7 @@ def suite_ellipse(
     )
     checks.append(check(f"psi_gram_rel_dev[n<{n_gram}]", dev, TOL_NORM_REL))
 
-    checks += ellipse_eigen_checks(p, n_eig, "H_residual")[1]
+    checks += ellipse_eigen_checks(p, n, "H_residual")[1]
 
     if (alpha, beta) == (2.0, 0.0):
         target = DiffOp({(0, 2): 1.0, (2, 0): 16.0}, h=1.0)
@@ -382,7 +381,7 @@ def suite_ellipse(
             check("operator_identity_dev", H.max_coeff_diff(target), TOL_IDENTITY)
         )
         dev = _worst(
-            abs(p.eigen_gap * (2 * n + 1) - 4.0 * (2 * n + 1)) for n in range(n_eig)
+            abs(p.eigen_gap * (2 * k + 1) - 4.0 * (2 * k + 1)) for k in range(n)
         )
         checks.append(check("eigenvalue_4(2n+1)_dev", dev, TOL_IDENTITY))
     return checks
@@ -393,19 +392,19 @@ def suite_ellipse(
 # ---------------------------------------------------------------------------
 
 
-def suite_bridge(alpha: float, beta: float, n_max: int = 11) -> list[dict]:
-    """Collinearity of the line family with the bridged Hermite family: the
-    same exponent and scale, and collinear Hermite coefficients."""
+def suite_bridge(alpha: float, beta: float, n: int) -> list[dict]:
+    """Collinearity of the line family with the bridged Hermite family for
+    n' < n: the same exponent and scale, and collinear Hermite coefficients."""
     p = derived_constants(alpha, beta)
     hs = HermiteSystem(bridge_params(p))
     checks = []
-    phis = hs.phi_block(n_max)
-    for n, big in enumerate(Psi_family(p, n_max)):
-        phi = phis.column(n)
+    phis = hs.phi_block(n)
+    for k, big in enumerate(Psi_family(p, n)):
+        phi = phis.column(k)
         exp_dev = abs(big.gamma2 - phi.gamma2) + abs(big.s - phi.s)
         coeff_dev = coeff_deviation(big, phi, collinear=True)
         checks.append(
-            check(f"bridge_collinear[n={n}]", _worst((exp_dev, coeff_dev)), TOL_ALGEBRA)
+            check(f"bridge_collinear[n={k}]", _worst((exp_dev, coeff_dev)), TOL_ALGEBRA)
         )
     return checks
 
@@ -426,15 +425,17 @@ def toeplitz_series_checks(R: float, n: int) -> tuple[list[dict], list[dict]]:
     return entries, checks
 
 
-def suite_toeplitz(R: float, n_max: int = 11, n_matrix: int = 7) -> list[dict]:
-    """Series vs. radial integrals, matrix diagonality, radius round-trip."""
-    _, checks = toeplitz_series_checks(R, n_max)
+def suite_toeplitz(R: float, n: int) -> list[dict]:
+    """Series vs. radial integrals for n' < n and the radius round-trip; the
+    2D-quadrature matrix for n' < min(n, 7): its off-diagonal entries, and
+    its diagonal against the same radial integrals."""
+    entries, checks = toeplitz_series_checks(R, n)
 
-    sym = RadialSymbol.indicator(R)
-    G = toeplitz_block_quad(sym, n_matrix)
+    n_matrix = min(n, 7)
+    G = toeplitz_block_quad(RadialSymbol.indicator(R), n_matrix)
     idx = range(n_matrix)
     off = _worst(abs(G[m_, n_]) for m_ in idx for n_ in idx if m_ != n_)
-    diag = _worst(abs(G[n_, n_] - radial_eigenvalue(sym, n_)) for n_ in idx)
+    diag = _worst(abs(G[n_, n_] - entries[n_]["lambda_quadrature"]) for n_ in idx)
     checks.append(check(f"matrix_offdiag_max[n<{n_matrix}]", off, TOL_TOEPLITZ_OFFDIAG))
     checks.append(check(f"matrix_diag_dev[n<{n_matrix}]", diag, TOL_TOEPLITZ_DIAG))
 
@@ -456,35 +457,26 @@ def _fan_out(tasks: Sequence[tuple[str, Callable[[], list[dict]]]]) -> list[dict
     ]
 
 
-def suite_all(seed: int = 2026) -> list[dict]:
-    """The full certification battery on the reference parameter sets."""
-    tasks: list[tuple[str, Callable[[], list[dict]]]] = []
-    tasks.append(("gaussint", suite_gaussint))
+def suite_all(seed: int) -> list[dict]:
+    """The full certification battery on the reference parameter sets:
+    indices below 11 in every family, except the Hermite systems'
+    eigen-residuals (below 21) and Gram matrices (below 16)."""
+    tasks: list[tuple[str, Callable[[], list[dict]]]] = [("gaussint", suite_gaussint)]
     for B, C, h in HERMITE_PARAM_SETS:
         name = f"hermite[B={_fmt_c(B)},C={_fmt_c(C)},h={h}]"
-        tasks.append(
-            (name, lambda B=B, C=C, h=h: suite_hermite(B, C, h, n_res=21, n_gram=16))
-        )
+        tasks.append((name, partial(suite_hermite, B, C, h, 21, 16)))
     for B, C, h in HERMITE_PARAM_SETS:
         name = f"transform[B={_fmt_c(B)},C={_fmt_c(C)},h={h}]"
-        tasks.append(
-            (name, lambda B=B, C=C, h=h: suite_transform(B, C, h, seed=seed))
-        )
+        tasks.append((name, partial(suite_transform, B, C, h, seed)))
     for alpha in NCHO_ALPHAS:
         for h in NCHO_PLANCKS:
-            name = f"ncho[alpha={alpha},h={h}]"
-            tasks.append(
-                (name, lambda a=alpha, h=h: suite_ncho(a, h, n_res=11, n_gram=9))
-            )
+            tasks.append((f"ncho[alpha={alpha},h={h}]", partial(suite_ncho, alpha, h, 11)))
     for alpha, beta in ELLIPSE_SETS:
         name = f"ellipse[alpha={alpha},beta={beta}]"
-        tasks.append(
-            (name, lambda a=alpha, b=beta: suite_ellipse(a, b, n_eig=11, n_gram=7))
-        )
+        tasks.append((name, partial(suite_ellipse, alpha, beta, 11)))
     for alpha, beta in ELLIPSE_SETS:
         name = f"bridge[alpha={alpha},beta={beta}]"
-        tasks.append((name, lambda a=alpha, b=beta: suite_bridge(a, b, n_max=11)))
+        tasks.append((name, partial(suite_bridge, alpha, beta, 11)))
     for R in TOEPLITZ_RADII:
-        name = f"toeplitz[R={R}]"
-        tasks.append((name, lambda R=R: suite_toeplitz(R, n_max=11, n_matrix=7)))
+        tasks.append((f"toeplitz[R={R}]", partial(suite_toeplitz, R, 11)))
     return _fan_out(tasks)

@@ -108,11 +108,16 @@ def radial_eigenvalue(sym: RadialSymbol, n: int) -> float:
     profile may give lambda_n = 0, to round-off.  This is the quadrature
     route, independent of any series identity.
     """
-    return float(_radial_eigenvalues(sym, [n])[0])
+    (value,), (error,) = _radial_quad(sym, [n])
+    if not math.isfinite(value):
+        raise DomainError(f"radial integral did not converge (profile unbounded?): {value}")
+    if not _certified(value, error):
+        raise DomainError(f"radial integral error estimate {error} too large")
+    return float(value)
 
 
-def _radial_eigenvalues(sym: RadialSymbol, ns: Sequence[int]) -> np.ndarray:
-    """:func:`radial_eigenvalue` for every n in ``ns``, from one quadrature:
+def _radial_quad(sym: RadialSymbol, ns: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_n, error estimate) for every n in ``ns``, from one quadrature:
     each level evaluates the profile once and integrates one row per n."""
     n = np.array(ns, dtype=float).reshape(-1, 1)
     if (n < 0).any():
@@ -124,16 +129,13 @@ def _radial_eigenvalues(sym: RadialSymbol, ns: Sequence[int]) -> np.ndarray:
         # rule puts no node on s = 0
         return sym.c(2 * s) * np.exp(n * np.log(s) - s - lognf)
 
-    val, err = _adaptive_quad(integrand, 0.0, sym.support / 2)
-    finite = np.isfinite(val)
-    if not finite.all():
-        raise DomainError(
-            f"radial integral did not converge (profile unbounded?): {val[~finite][0]}"
-        )
-    bad = err > 1e-10 * np.maximum(1.0, abs(val))
-    if bad.any():
-        raise DomainError(f"radial integral error estimate {err[bad][0]} too large")
-    return val
+    return _adaptive_quad(integrand, 0.0, sym.support / 2)
+
+
+def _certified(value: np.ndarray, error: np.ndarray) -> np.ndarray:
+    """Whether each radial integral is finite with an error estimate of at
+    most 1e-10 times max(1, |value|)."""
+    return np.isfinite(value) & (error <= 1e-10 * np.maximum(1.0, abs(value)))
 
 
 def disk_eigenvalue(R: float, n: int) -> float:
@@ -253,8 +255,12 @@ def toeplitz_matrix_quad(sym: RadialSymbol, m: int, n: int) -> complex:
 
 
 def spectrum_rows(R: float, N: int) -> list[dict]:
-    """Rows n, lambda_formula (series), lambda_quadrature (radial), abs_diff."""
-    radial = _radial_eigenvalues(RadialSymbol.indicator(R), range(N))
+    """Rows n, lambda_formula (series), lambda_quadrature (radial), abs_diff.
+
+    A radial row that :func:`radial_eigenvalue` would refuse reads NaN, so
+    its difference fails any tolerance."""
+    value, error = _radial_quad(RadialSymbol.indicator(R), range(N))
+    radial = np.where(_certified(value, error), value, math.nan)
     rows = []
     for n in range(N):
         lf = disk_eigenvalue(R, n)

@@ -1,15 +1,13 @@
 """Acceptance gate: nine certified claims, one pass/fail line each.
 
-Each criterion runs the corresponding certification suite (closed-form route
-cross-checked by an independent quadrature/property route), extracts the
-worst measured deviation, prints a single visible verdict line, and asserts
-against the pinned tolerance.  Suites shared between criteria are computed
-once and cached at module scope.
+Each criterion reads the checks of the full certification battery
+(``suite_all``) for the corresponding suite (closed-form route cross-checked
+by an independent quadrature/property route), extracts the worst measured
+deviation, prints a single visible verdict line, and asserts against the
+pinned tolerance.  The battery runs once, at module scope, at its own sizes.
 """
 
-import math
-
-import pytest
+import numpy as np
 
 from bargmann_lab import suites
 
@@ -24,35 +22,19 @@ TOL_MATRIX_DIAG = 1e-5
 TOL_MATRIX_OFF = 1e-6
 TOL_ROUNDTRIP = 1e-12
 
-HERMITE_SETS = suites.HERMITE_PARAM_SETS          # five, incl. (-i, i, 1) and (3, 1+2i, 0.5)
-NCHO_GRID = [(a, h) for a in suites.NCHO_ALPHAS for h in suites.NCHO_PLANCKS]
-ELLIPSE_SETS = suites.ELLIPSE_SETS                # (2,0), (2,1), (0.5,3)
-
-_cache: dict = {}
+BATTERY = suites.suite_all(2026)
 
 
-def _hermite_checks():
-    if "hermite" not in _cache:
-        _cache["hermite"] = {
-            (B, C, h): suites.suite_hermite(B, C, h, n_res=21, n_gram=16)
-            for B, C, h in HERMITE_SETS
-        }
-    return _cache["hermite"]
-
-
-def _ellipse_checks():
-    if "ellipse" not in _cache:
-        _cache["ellipse"] = {
-            (a, b): suites.suite_ellipse(a, b, n_eig=11, n_gram=7)
-            for a, b in ELLIPSE_SETS
-        }
-    return _cache["ellipse"]
-
-
-def _worst(checks, prefix):
-    picked = [c for c in checks if c["name"].startswith(prefix)]
-    assert picked, f"no checks with prefix {prefix!r}"
-    return max(c["measured"] for c in picked)
+def _worst(suite, prefix):
+    """Largest measured value of the battery's checks ``suite...::prefix...``:
+    ``suite`` picks every parameter set of a suite (``"hermite["``) or one.
+    A NaN among them is the worst (Python's ``max`` keeps only a first NaN)."""
+    picked = [
+        c["measured"] for c in BATTERY
+        if c["name"].startswith(suite) and c["name"].split("::")[1].startswith(prefix)
+    ]
+    assert picked, f"no checks {suite}...::{prefix}..."
+    return float(np.max(picked))
 
 
 def _verdict(capsys, num, label, worst, bar):
@@ -65,55 +47,49 @@ def _verdict(capsys, num, label, worst, bar):
 
 def test_criterion_1_orthonormal_family(capsys):
     """Gram of phi_n (n <= 15) is the identity: exact and quadrature routes."""
-    exact = max(_worst(cs, "gram_exact_dev") for cs in _hermite_checks().values())
-    quad = max(_worst(cs, "gram_quad_dev") for cs in _hermite_checks().values())
+    exact = _worst("hermite[", "gram_exact_dev")
+    quad = _worst("hermite[", "gram_quad_dev")
     _verdict(capsys, 1, "orthonormality, exact route", exact, TOL_EXACT)
     _verdict(capsys, 1, "orthonormality, quadrature route", quad, TOL_QUAD_GRAM)
 
 
 def test_criterion_2_oscillator_spectrum(capsys):
     """H phi_n defect (n <= 20) and classic eigenvalues (2n+1)h."""
-    res = max(_worst(cs, "eig_residual") for cs in _hermite_checks().values())
-    classic = _hermite_checks()[(-1j, 1j, 1.0)]
-    dev = _worst(classic, "classic_eigenvalue_dev")
+    res = _worst("hermite[", "eig_residual")
+    dev = _worst("hermite[B=-i,C=i,h=1.0]", "classic_eigenvalue_dev")
     _verdict(capsys, 2, "eigen-residuals n <= 20", res, TOL_EXACT)
     _verdict(capsys, 2, "classic eigenvalue ladder", dev, TOL_EXACT)
 
 
 def test_criterion_3_transform_unitary(capsys):
     """Inner products survive the transform; the kernel reproduces values."""
-    worst_u = worst_r = 0.0
-    for B, C, h in HERMITE_SETS:
-        cs = suites.suite_transform(B, C, h, n_pairs=20, n_points=10, seed=2026)
-        worst_u = max(worst_u, _worst(cs, "unitarity_max_dev"))
-        worst_r = max(worst_r, _worst(cs, "reproducing_max_dev"))
-    _verdict(capsys, 3, "unitarity on 20 random pairs/set", worst_u, TOL_UNITARY)
-    _verdict(capsys, 3, "reproducing kernel at 10 points/set", worst_r, TOL_UNITARY)
+    worst_u = _worst("transform[", "unitarity_max_dev")
+    worst_r = _worst("transform[", "reproducing_max_dev")
+    pairs, points = suites.TRANSFORM_PAIRS, suites.TRANSFORM_POINTS
+    _verdict(capsys, 3, f"unitarity on {pairs} random pairs/set", worst_u, TOL_UNITARY)
+    _verdict(capsys, 3, f"reproducing kernel at {points} points/set", worst_r, TOL_UNITARY)
 
 
 def test_criterion_4_two_component_spectrum(capsys):
     """Vector eigenfunctions: residuals (n <= 10) and combined Gram (n <= 8)."""
-    worst_res = worst_gram = 0.0
-    for alpha, h in NCHO_GRID:
-        cs = suites.suite_ncho(alpha, h, n_res=11, n_gram=9)
-        worst_res = max(worst_res, _worst(cs, "residual["))
-        worst_gram = max(worst_gram, _worst(cs, "combined_gram_dev"))
+    worst_res = _worst("ncho[", "residual[")
+    worst_gram = _worst("ncho[", "combined_gram_dev")
     _verdict(capsys, 4, "vector eigen-residuals", worst_res, TOL_EXACT)
     _verdict(capsys, 4, "combined Gram identity", worst_gram, TOL_EXACT)
 
 
 def test_criterion_5_plane_norms(capsys):
     """psi_0 squared norm and the psi Gram diagonal, by plane quadrature."""
-    worst_n = max(_worst(cs, "psi0_norm_rel_err") for cs in _ellipse_checks().values())
-    worst_g = max(_worst(cs, "psi_gram_rel_dev") for cs in _ellipse_checks().values())
+    worst_n = _worst("ellipse[", "psi0_norm_rel_err")
+    worst_g = _worst("ellipse[", "psi_gram_rel_dev")
     _verdict(capsys, 5, "ground-state norm vs closed form", worst_n, TOL_NORM_REL)
     _verdict(capsys, 5, "psi family Gram vs closed form", worst_g, TOL_NORM_REL)
 
 
 def test_criterion_6_elliptic_oscillator(capsys):
     """H Psi_n residuals (n <= 10); axis-aligned case is the frequency-4 oscillator."""
-    worst_res = max(_worst(cs, "H_residual") for cs in _ellipse_checks().values())
-    axis = _ellipse_checks()[(2.0, 0.0)]
+    worst_res = _worst("ellipse[", "H_residual")
+    axis = "ellipse[alpha=2.0,beta=0.0]"
     op_dev = _worst(axis, "operator_identity_dev")
     eig_dev = _worst(axis, "eigenvalue_4(2n+1)_dev")
     _verdict(capsys, 6, "eigen-residuals n <= 10", worst_res, TOL_EXACT)
@@ -123,20 +99,16 @@ def test_criterion_6_elliptic_oscillator(capsys):
 
 def test_criterion_7_rotated_gaussian(capsys):
     """Closed-form rotated Gaussian integral vs adaptive quadrature."""
-    cs = suites.suite_gaussint()
-    worst = _worst(cs, "rot_gauss")
+    worst = _worst("gaussint", "rot_gauss")
     _verdict(capsys, 7, "rotated Gaussian integral", worst, TOL_ROT_GAUSS)
 
 
 def test_criterion_8_localization_eigenvalues(capsys):
     """Disk series vs radial integrals, matrix diagonality, radius recovery."""
-    worst_series = worst_diag = worst_off = worst_rt = 0.0
-    for R in suites.TOEPLITZ_RADII:
-        cs = suites.suite_toeplitz(R, n_max=11, n_matrix=7)
-        worst_series = max(worst_series, _worst(cs, "series_vs_radial"))
-        worst_diag = max(worst_diag, _worst(cs, "matrix_diag_dev"))
-        worst_off = max(worst_off, _worst(cs, "matrix_offdiag_max"))
-        worst_rt = max(worst_rt, _worst(cs, "radius_roundtrip"))
+    worst_series = _worst("toeplitz[", "series_vs_radial")
+    worst_diag = _worst("toeplitz[", "matrix_diag_dev")
+    worst_off = _worst("toeplitz[", "matrix_offdiag_max")
+    worst_rt = _worst("toeplitz[", "radius_roundtrip")
     _verdict(capsys, 8, "disk series vs radial quadrature", worst_series, TOL_SERIES)
     _verdict(capsys, 8, "matrix diagonal agreement", worst_diag, TOL_MATRIX_DIAG)
     _verdict(capsys, 8, "matrix off-diagonal decay", worst_off, TOL_MATRIX_OFF)
@@ -145,8 +117,5 @@ def test_criterion_8_localization_eigenvalues(capsys):
 
 def test_criterion_9_cross_family_bridge(capsys):
     """Psi_n is collinear with the bridged phi_n for n <= 10, three families."""
-    worst = 0.0
-    for alpha, beta in ELLIPSE_SETS:
-        cs = suites.suite_bridge(alpha, beta, n_max=11)
-        worst = max(worst, _worst(cs, "bridge_collinear"))
+    worst = _worst("bridge[", "bridge_collinear")
     _verdict(capsys, 9, "family collinearity", worst, TOL_EXACT)

@@ -552,7 +552,7 @@ def test_a_line_grid_reads_its_quadratic_coefficient_beside_any_constant():
 def test_transform_oracle_keeps_a_nan_deviation(monkeypatch, tmp_path, capsys):
     # a NaN quadrature value must fail the check, not vanish in a running max
     monkeypatch.setattr(suites, "transform_quad", lambda *args, **kwargs: math.nan)
-    checks = {c["name"]: c for c in suites.suite_transform(3.0, 1 + 2j, 0.5, 1, 1)}
+    checks = {c["name"]: c for c in suites.suite_transform(3.0, 1 + 2j, 0.5, 2026)}
     oracle = checks["transform_closed_vs_quad"]
     assert math.isnan(oracle["measured"]) and not oracle["pass"]
     out = tmp_path / "t.json"

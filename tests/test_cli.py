@@ -189,6 +189,14 @@ _LARGE_B_FAILS = [
     "FAIL transform_closed_vs_quad: measured nan",
 ]
 
+#: The checks of the Toeplitz suite that fail at --n 3 for 3e27 <= R <= 3e40:
+#: the radial rule cannot certify its rows, which read NaN, and lambda_0
+#: rounds to 1, so the radius cannot be recovered.
+_HUGE_R_FAILS = [
+    *(f"FAIL series_vs_radial[n={k}]: measured nan" for k in range(3)),
+    "FAIL radius_roundtrip: measured inf",
+]
+
 
 @pytest.mark.parametrize("argv,status,lines", [
     (["transform", "--h", "1e-300"], 2, ["FAIL closed_vs_quad: measured nan"]),
@@ -198,13 +206,17 @@ _LARGE_B_FAILS = [
     (["certify", "--suite", "transform", "--B=1e10"], 2, _LARGE_B_FAILS),
     (["certify", "--suite", "transform", "--B=3e8"], 2, _LARGE_B_FAILS),
     (["transform", "--B=3e8"], 2, ["FAIL closed_vs_quad: measured nan"]),
+    (["toeplitz", "--disk", "1e30", "--n", "3"], 2, _HUGE_R_FAILS),
+    (["certify", "--suite", "toeplitz", "--R", "1e35", "--n", "3"], 2,
+     [*_HUGE_R_FAILS, "FAIL matrix_diag_dev[n<3]: measured nan"]),
 ], ids=["transform-h-tiny", "certify-h-tiny", "certify-B-big", "certify-B-1e10", "certify-B-3e8",
-        "transform-B-3e8"])
+        "transform-B-3e8", "toeplitz-R-huge", "certify-R-huge"])
 def test_extreme_scale_is_a_status_not_a_traceback(tmp_path, argv, status, lines):
-    # h*h underflows to 0, or e^{c2 z^2} overflows at a point: a check that
-    # cannot be evaluated fails (exit 2), a grid that cannot be fitted is a
-    # domain error (exit 1), and neither is an uncaught exception or prints
-    # a numpy warning; stderr holds exactly these lines
+    # h*h underflows to 0, e^{c2 z^2} overflows at a point, or no two levels
+    # of the radial rule agree: a check that cannot be evaluated fails
+    # (exit 2), a grid that cannot be fitted is a domain error (exit 1), and
+    # neither is an uncaught exception or prints a numpy warning; stderr
+    # holds exactly these lines
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "bargmann_lab.cli", *argv,
          "-o", str(tmp_path / "artifact")],
@@ -485,28 +497,28 @@ def test_non_finite_values_are_strict_json_strings(tmp_path, capsys, monkeypatch
      lambda: suites.suite_hermite(3, 1 + 2j, 0.5, n_res=5, n_gram=1),
      {f"eig_residual[n={k}]": f"eig_residual[n={k}]" for k in range(5)}),
     (["eigres", "--system", "ellipse", "--alpha", "0.5", "--beta", "3", "--n", "5"],
-     lambda: suites.suite_ellipse(0.5, 3.0, n_eig=5, n_gram=1),
+     lambda: suites.suite_ellipse(0.5, 3.0, 5),
      {f"eig_residual[n={k}]": f"H_residual[n={k}]" for k in range(5)}),
     (["ncho", "--alpha", "3", "--h", "0.5", "--n", "4"],
-     lambda: suites.suite_ncho(3.0, 0.5, n_res=4, n_gram=1),
+     lambda: suites.suite_ncho(3.0, 0.5, 4),
      {f"residual[sign={s},n={k}]": f"residual[sign={s},n={k}]"
       for k in range(4) for s in "+-"}),
     (["toeplitz", "--disk", "3", "--n", "6", "--format", "json"],
-     lambda: suites.suite_toeplitz(3.0, n_max=6, n_matrix=1),
+     lambda: suites.suite_toeplitz(3.0, 6),
      {**{f"series_vs_radial[n={k}]": f"series_vs_radial[n={k}]" for k in range(6)},
       "radius_roundtrip": "radius_roundtrip"}),
     (["ellipse", "--alpha", "2", "--beta", "1", "--n", "4", "--format", "json"],
-     lambda: suites.suite_ellipse(2.0, 1.0, n_eig=4, n_gram=1),
+     lambda: suites.suite_ellipse(2.0, 1.0, 4),
      {"constants_identity_dev": "constants_identity_dev",
       "psi_routes_dev": "psi_routes_dev[n<4]"}),
     (["gram", "--B=-0.7+0.2i", "--C", "0.3+0.8i", "--n", "4", "--method", "both"],
      lambda: suites.suite_hermite(-0.7 + 0.2j, 0.3 + 0.8j, 1.0, n_res=1, n_gram=4),
      {"gram_exact_dev": "gram_exact_dev[n<4]", "gram_quad_dev": "gram_quad_dev[n<4]"}),
     (["gram", "--system", "ellipse", "--alpha", "2", "--beta", "1", "--n", "3"],
-     lambda: suites.suite_ellipse(2.0, 1.0, n_eig=1, n_gram=3),
+     lambda: suites.suite_ellipse(2.0, 1.0, 3),
      {"gram_rel_dev": "psi_gram_rel_dev[n<3]"}),
     (["gram", "--system", "ncho", "--alpha", "3", "--h", "0.5", "--n", "3"],
-     lambda: suites.suite_ncho(3.0, 0.5, n_res=1, n_gram=3),
+     lambda: suites.suite_ncho(3.0, 0.5, 3),
      {"combined_gram_dev": "combined_gram_dev[n<3]"}),
 ], ids=["eigres-hermite", "eigres-ellipse", "ncho", "toeplitz", "ellipse",
         "gram-hermite", "gram-ellipse", "gram-ncho"])
@@ -518,6 +530,55 @@ def test_command_measures_what_its_suite_measures(tmp_path, argv, suite_checks, 
     assert set(rendered) == set(names)
     for name, suite_name in names.items():
         assert rendered[name] == computed[suite_name], name
+
+
+def _cli_complex(z) -> str:
+    z = complex(z)
+    return f"{z.real!r}{z.imag:+}i"
+
+
+def _battery_runs() -> list[tuple[str, list[str]]]:
+    """(the battery's check prefix, the certify flags of the same suite call)
+    for every reference set; hermite is left out, since the battery sizes its
+    eigen-residuals (21) and Gram (16) apart and --n sizes both."""
+    runs = [("gaussint", ["--suite", "gaussint"])]
+    for B, C, h in suites.HERMITE_PARAM_SETS:
+        runs.append((f"transform[B={suites._fmt_c(B)},C={suites._fmt_c(C)},h={h}]",
+                     ["--suite", "transform", f"--B={_cli_complex(B)}",
+                      f"--C={_cli_complex(C)}", f"--h={h!r}", "--seed", "2026"]))
+    for alpha in suites.NCHO_ALPHAS:
+        for h in suites.NCHO_PLANCKS:
+            runs.append((f"ncho[alpha={alpha},h={h}]",
+                         ["--suite", "ncho", f"--alpha={alpha!r}", f"--h={h!r}", "--n", "11"]))
+    for suite in ("ellipse", "bridge"):
+        for alpha, beta in suites.ELLIPSE_SETS:
+            runs.append((f"{suite}[alpha={alpha},beta={beta}]",
+                         ["--suite", suite, f"--alpha={alpha!r}", f"--beta={beta!r}",
+                          "--n", "11"]))
+    for R in suites.TOEPLITZ_RADII:
+        runs.append((f"toeplitz[R={R}]", ["--suite", "toeplitz", f"--R={R!r}", "--n", "11"]))
+    return runs
+
+
+@pytest.fixture(scope="module")
+def battery():
+    return suites.suite_all(2026)
+
+
+_BATTERY_RUNS = _battery_runs()
+
+
+@pytest.mark.parametrize("prefix,argv", _BATTERY_RUNS, ids=[p for p, _ in _BATTERY_RUNS])
+def test_certify_renders_the_battery_checks_of_its_suite(tmp_path, battery, prefix, argv):
+    # the CLI and the battery call each suite the same way: the same check
+    # names, and the same measured values bit for bit
+    out = tmp_path / "report.json"
+    assert cli.main(["certify", *argv, "-o", str(out)]) == 0
+    rendered = [(c["name"], c["measured"].hex())
+                for c in json.loads(out.read_text())["checks"]]
+    want = [(c["name"].removeprefix(prefix + "::"), c["measured"].hex())
+            for c in battery if c["name"].startswith(prefix + "::")]
+    assert want and rendered == want
 
 
 def test_transform_renders_the_closed_form_on_its_grid(tmp_path):

@@ -179,7 +179,7 @@ def _recording_grids(monkeypatch) -> list:
 
 def test_shells_are_their_definition_on_every_grid_of_the_battery(monkeypatch):
     grids = _recording_grids(monkeypatch)
-    assert all(c["pass"] for c in suites.suite_all())
+    assert all(c["pass"] for c in suites.suite_all(2026))
     plane = [g.steps is not None for g in grids]
     polar = [g.join is np.multiply for g in grids]
     assert (sum(plane), sum(polar)) == (133, 6)
@@ -206,7 +206,7 @@ def test_per_axis_factors_are_the_exponential_on_every_node(monkeypatch):
 
     monkeypatch.setattr(bargmann, "_fitted_factors", recording)
     for B, C, h in suites.HERMITE_PARAM_SETS:
-        suites.suite_transform(B, C, h)
+        suites.suite_transform(B, C, h, 2026)
     suites.ellipse_gram(2.0, 1.0, 7)
     assert len(calls) == 131
     for grid, exponent, (a, b) in calls:

@@ -244,6 +244,6 @@ def test_every_plane_node_sum_takes_per_axis_factors(monkeypatch):
 def test_the_battery_own_grid_sums_stay_on_moments(monkeypatch, tmp_path):
     calls = _plane_node_sums(monkeypatch)
     for B, C, h in suites.HERMITE_PARAM_SETS:
-        assert all(check["pass"] for check in suites.suite_transform(B, C, h))
+        assert all(check["pass"] for check in suites.suite_transform(B, C, h, 2026))
     assert cli.main(["transform", "--format", "json", "-o", str(tmp_path / "t.json")]) == 0
     assert calls == []

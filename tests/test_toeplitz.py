@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from bargmann_lab import toeplitz
+from bargmann_lab import suites, toeplitz
 from bargmann_lab.bargmann import TRUNCATION_TOL, TruncationError, polar_grid
 from bargmann_lab.gaussalg import DomainError
 from bargmann_lab.toeplitz import (
@@ -92,6 +92,16 @@ def test_unannounced_jump_fails_the_error_estimate():
     sym = RadialSymbol.smooth(lambda u: (u <= 3.0) * 1.0)
     with pytest.raises(DomainError, match="error estimate inf too large"):
         radial_eigenvalue(sym, 2)
+
+
+@pytest.mark.parametrize("R", suites.TOEPLITZ_RADII)
+def test_toeplitz_suite_runs_one_radial_quadrature(monkeypatch, R):
+    # the matrix diagonal is checked against the series check's radial rows
+    calls = []
+    quad = toeplitz._adaptive_quad
+    monkeypatch.setattr(toeplitz, "_adaptive_quad", lambda *args: calls.append(R) or quad(*args))
+    assert all(c["pass"] for c in suites.suite_toeplitz(R, 11))
+    assert len(calls) == 1
 
 
 def test_deep_tail_underflows_to_zero():
