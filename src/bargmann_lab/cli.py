@@ -40,7 +40,10 @@ invocation produces byte-identical output.
 Every CSV artifact, ``ellipse``'s boundary trace included, is written as its
 rows are computed, in batches of at most ``_CSV_BATCH`` rows, so no artifact
 is held in memory whole; ``transform`` computes its rows one chunk of grid
-nodes at a time.  A command that fails while writing its artifact to ``-o``
+nodes at a time.  Each command hands the writer its batches as columns, and
+each batch is formatted column by column: every distinct value of a column
+(a float's by its bit pattern) is formatted once, with ``repr``, the text
+``str`` gives.  A command that fails while writing its artifact to ``-o``
 removes the partly written file: a failed command leaves no artifact.
 """
 
@@ -57,7 +60,9 @@ import re
 import stat
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .gaussalg import DEGREE_CAP, DomainError
 from .phasecore import params_to_dict
@@ -162,15 +167,32 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# command implementations: each returns (report, csv_header, csv_rows); the
-# rows may be a generator, run only when CSV is written
+# command implementations: each returns (report, csv_header, csv_batches);
+# the batches are a generator, run only when CSV is written
 # ---------------------------------------------------------------------------
+
+
+#: Rows per batch, and so per write, of a CSV artifact: bounds what is held
+#: at once.
+_CSV_BATCH = 4096
+
+
+def _batches(*columns) -> Iterator[tuple]:
+    """The (equal-length) ``columns`` cut into batches of at most
+    :data:`_CSV_BATCH` rows."""
+    for start in range(0, len(columns[0]), _CSV_BATCH):
+        yield tuple(c[start : start + _CSV_BATCH] for c in columns)
+
+
+def _entry_batches(entries: list[dict]) -> Iterator[tuple]:
+    """Column batches of (same-keyed) entries: one list per key."""
+    yield from _batches(*([e[k] for e in entries] for k in entries[0]))
 
 
 def _entries_report(command: str, head: dict, entries: list[dict], checks: list[dict]):
     """Report of a command whose CSV rows are its (same-keyed) entries."""
     report = {"command": command, **head, "entries": entries, "checks": checks}
-    return report, tuple(entries[0]), (tuple(e.values()) for e in entries)
+    return report, tuple(entries[0]), _entry_batches(entries)
 
 
 def _cmd_gram(cfg: RunConfig):
@@ -180,28 +202,34 @@ def _cmd_gram(cfg: RunConfig):
         params = params_to_dict(sys_.params)
         methods = ("exact", "quadrature") if cfg.method == "both" else (cfg.method,)
         G, checks = suites.hermite_gram_checks(sys_, cfg.n, methods)
-        matrix = G.tolist()
     elif cfg.system == "ellipse":
         params = {"alpha": cfg.alpha, "beta": cfg.beta}
-        matrix, diag, dev = suites.ellipse_gram(cfg.alpha, cfg.beta, cfg.n)
+        G, diag, dev = suites.ellipse_gram(cfg.alpha, cfg.beta, cfg.n)
         checks = [suites.check("gram_rel_dev", dev, suites.TOL_NORM_REL)]
         extra = {"closed_form_diagonal": diag}
     else:  # ncho
         params = {"alpha": cfg.alpha, "h": cfg.h}
-        matrix, dev = combined_gram(NchoParams(cfg.alpha, cfg.h), cfg.n)
+        G, dev = combined_gram(NchoParams(cfg.alpha, cfg.h), cfg.n)
         checks = [suites.check("combined_gram_dev", dev, suites.TOL_ALGEBRA)]
 
+    G = np.asarray(G, dtype=complex)
     report = {
         "command": "gram",
         "system": cfg.system,
         "params": params,
         "n": cfg.n,
-        "matrix": [[_cpair(z) for z in row] for row in matrix],
+        "matrix": [[_cpair(z) for z in row] for row in G.tolist()],
         **extra,
         "checks": checks,
     }
-    rows = ((i, j, z.real, z.imag) for i, row in enumerate(matrix) for j, z in enumerate(row))
-    return report, ("m", "n", "re", "im"), rows
+    return report, ("m", "n", "re", "im"), _matrix_batches(G)
+
+
+def _matrix_batches(G: np.ndarray) -> Iterator[tuple]:
+    """Column batches of a complex matrix: row and column index, re, im."""
+    m, n = np.indices(G.shape, dtype=np.int32).reshape(2, -1)
+    z = G.reshape(-1)
+    yield from _batches(m, n, z.real, z.imag)
 
 
 def _cmd_eigres(cfg: RunConfig):
@@ -243,12 +271,11 @@ def _cmd_transform(cfg: RunConfig):
 
 def _grid_rows(p, U):
     """U's values on its grid (:func:`~bargmann_lab.bargmann.hphi_grid`) as
-    CSV rows, one chunk of nodes at a time; the grid is fitted when the rows
-    are first iterated."""
+    column batches, slices of one chunk of nodes at a time; the grid is
+    fitted when the batches are first iterated."""
     for _, nodes, weights, _ in hphi_grid(p, U, U).chunks():
-        values = U(nodes).tolist()
-        for z, w, v in zip(nodes.tolist(), weights.tolist(), values):
-            yield z.real, z.imag, w, v.real, v.imag
+        values = U(nodes)
+        yield from _batches(nodes.real, nodes.imag, weights, values.real, values.imag)
 
 
 def _cmd_ncho(cfg: RunConfig):
@@ -273,7 +300,16 @@ def _cmd_ellipse(cfg: RunConfig):
         "bridge": params_to_dict(bridge_params(p)),
         "checks": suites.ellipse_route_checks(p, cfg.n),
     }
-    return report, ("x", "xi"), ellipse_trace(p, cfg.rho, cfg.samples)
+    return report, ("x", "xi"), _trace_batches(ellipse_trace(p, cfg.rho, cfg.samples))
+
+
+def _trace_batches(samples: Iterable[tuple[float, float]]) -> Iterator[tuple]:
+    """The (x, xi) samples, computed as they are asked for, as column
+    batches of at most :data:`_CSV_BATCH` rows."""
+    samples = iter(samples)
+    flat = itertools.chain.from_iterable
+    while (xy := np.fromiter(flat(itertools.islice(samples, _CSV_BATCH)), float)).size:
+        yield xy[0::2], xy[1::2]
 
 
 def _cmd_toeplitz(cfg: RunConfig):
@@ -308,8 +344,7 @@ _SUITES: dict[str, Callable[[RunConfig], tuple[dict, list[dict]]]] = {
 def _cmd_certify(cfg: RunConfig):
     params, checks = _SUITES[cfg.suite](cfg)
     report = {"suite": cfg.suite, "params": params, "checks": checks}
-    rows = ((c["name"], c["measured"], c["tolerance"], c["pass"]) for c in checks)
-    return report, ("name", "measured", "tolerance", "pass"), rows
+    return report, ("name", "measured", "tolerance", "pass"), _entry_batches(checks)
 
 
 # Each flag once: its argparse keywords.  A flag that is not given stays out
@@ -385,18 +420,75 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-#: Rows per write of a CSV artifact: bounds the text held at once.
-_CSV_BATCH = 4096
+#: Bytes that hold ``str`` of any value of a float or bool column: the
+#: longest float repr is "-2.2250738585072014e-308".
+_FIELD_BYTES = {"f": 24, "b": 5}
+
+#: Distinct values formatted, and rows gathered, per step: bounds the strs
+#: and the copies held at once.
+_FORMAT_STEP = 256
 
 
-def _write_csv(out, header: tuple, rows: Iterable[tuple]) -> None:
-    """Write ``header`` and the ``rows`` (tuples), each field as ``str``
-    gives it, in batches of at most :data:`_CSV_BATCH` rows."""
+def _field_dtype(a: np.ndarray) -> np.dtype:
+    """NUL-padded bytes that hold ``str`` of any value of the column ``a``.
+    An int column's longest text is its least or its greatest value's; a str
+    column's items take 4 bytes per character, enough for any UTF-8."""
+    if a.dtype.kind in "iu":
+        width = max(len(str(a.min())), len(str(a.max())))
+    else:
+        width = _FIELD_BYTES.get(a.dtype.kind, a.dtype.itemsize)
+    return np.dtype(f"S{width}")
+
+
+def _put_column(field: np.ndarray, a: np.ndarray) -> None:
+    """Write ``str`` of each value of the column ``a`` into ``field``, as
+    NUL-padded UTF-8.  Each distinct value is formatted once; floats are told
+    apart by bit pattern, so ``-0.0`` and ``0.0`` keep their own texts."""
+    keys = a.view(np.int64) if a.dtype == np.float64 else a
+    distinct, index = np.unique(keys, return_inverse=True)
+    values = distinct.view(a.dtype)
+    form = str.encode if a.dtype.kind == "U" else str
+    texts = np.empty(values.size, field.dtype)
+    for start in range(0, values.size, _FORMAT_STEP):
+        part = slice(start, start + _FORMAT_STEP)
+        texts[part] = list(map(form, values[part].tolist()))
+    for start in range(0, index.size, _FORMAT_STEP):
+        part = slice(start, start + _FORMAT_STEP)
+        field[part] = texts[index[part]]
+
+
+def _batch_text(columns: Sequence) -> str:
+    """The CSV lines of one batch of equal-length columns.
+
+    Each row is laid out in one fixed-width record, each field padded with
+    NULs and followed by its separator, so no str is held per field; the
+    batch's text is the records' bytes with the padding taken out."""
+    arrays = [np.asarray(c) for c in columns]
+    layout = []
+    for j, a in enumerate(arrays):
+        layout += [(f"t{j}", _field_dtype(a)), (f"s{j}", "S1")]
+    padded = bytearray(len(arrays[0]) * np.dtype(layout).itemsize)
+    records = np.frombuffer(padded, dtype=layout)
+    for j, a in enumerate(arrays):
+        _put_column(records[f"t{j}"], a)
+        records[f"s{j}"] = b"\n" if j == len(arrays) - 1 else b","
+    text = padded.translate(None, b"\0")
+    del padded, records  # before the decoded copy is made
+    return text.decode()
+
+
+def _write_csv(out, header: tuple, batches: Iterable[Sequence]) -> None:
+    """Write ``header`` and the rows of the column ``batches``, one write per
+    batch, each field as ``str`` gives it.
+
+    A batch holds at most :data:`_CSV_BATCH` rows as equal-length columns,
+    each an array or a list of one type: floats, ints, bools or strs (with
+    no NUL).  Each column is formatted on its own, every distinct value
+    once (see :func:`_put_column`), and each batch's text is put together
+    in one pass (see :func:`_batch_text`)."""
     out.write(",".join(header) + "\n")
-    line = ",".join(["%s"] * len(header)) + "\n"
-    rows = iter(rows)
-    while text := "".join(map(line.__mod__, itertools.islice(rows, _CSV_BATCH))):
-        out.write(text)
+    for columns in batches:
+        out.write(_batch_text(columns))
 
 
 def _json_text(report: dict) -> str:

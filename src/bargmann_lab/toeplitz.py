@@ -182,16 +182,20 @@ def default_toeplitz_grid(sym: RadialSymbol, max_index: int) -> QuadGrid:
     """Polar grid sized for matrix elements up to ``max_index``, with
     :func:`~bargmann_lab.bargmann.polar_grid`'s default node counts.
 
-    Radial panels split at an indicator boundary (|z| = sqrt(support));
-    the angular trapezoid rule annihilates e^{i k theta} for 0 < |k| < 128,
+    The grid reaches sqrt(2 (max_index + 2)) + 8, past which the weighted
+    powers are negligible.  A support boundary (|z| = sqrt(support)) inside
+    that reach splits the radial panels there and widens the grid to 6
+    beyond it; a boundary at or beyond the reach leaves the grid as for a
+    global profile, since the profile has no break where the weight lives
+    (widening it with the same node count would step over the weight).  The
+    angular trapezoid rule annihilates e^{i k theta} for 0 < |k| < 128,
     which is what makes radial matrices diagonal at quadrature level.
     """
     r_max = math.sqrt(2.0 * (max_index + 2)) + 8.0
-    split = None
-    if math.isfinite(sym.support) and sym.support > 0:
-        split = math.sqrt(sym.support)
-        r_max = max(r_max, split + 6.0)
-    return polar_grid(r_max, split_at=split)
+    split = math.sqrt(sym.support) if sym.support > 0 else math.inf
+    if split >= r_max:
+        return polar_grid(r_max)
+    return polar_grid(max(r_max, split + 6.0), split_at=split)
 
 
 def _toeplitz_entries(

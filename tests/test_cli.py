@@ -1,7 +1,7 @@
 """Command-line surface: flag parsing, artifacts, exit statuses, determinism."""
 
 import csv
-import itertools
+import io
 import json
 import math
 import os
@@ -671,25 +671,34 @@ def test_ncho_report_shape(tmp_path):
 # --------------------------------------------------------- streamed CSV
 
 
-def _whole_grid_rows(p, U):
-    """The transform rows as they were once formed: over the whole grid."""
+def _whole_grid_columns(p, U):
+    """The transform's columns as they were once formed: over the whole
+    grid, in one batch."""
     grid = hphi_grid(p, U, U)
-    values = grid_values(U, grid).tolist()
-    for z, w, v in zip(grid.nodes.tolist(), grid.weights.tolist(), values):
-        yield z.real, z.imag, w, v.real, v.imag
+    values = grid_values(U, grid)
+    yield grid.nodes.real, grid.nodes.imag, grid.weights, values.real, values.imag
+
+
+def _str_rendering(header, batches) -> str:
+    """The CSV text of column ``batches``, row by row, each field as ``str``
+    gives the Python value of its row."""
+    lines = [",".join(header)]
+    for columns in batches:
+        values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+        lines += [",".join(str(x) for x in row) for row in zip(*values)]
+    return "\n".join(lines) + "\n"
 
 
 def _reference_csv(argv, monkeypatch) -> bytes:
     """The artifact of ``argv`` rendered in one string, row by row with
-    ``str``, from the whole-grid transform rows: the reference the streamed
-    CSV must match byte for byte."""
+    ``str``, from the whole-grid transform columns: the reference the
+    streamed CSV must match byte for byte."""
     ns = cli.build_parser().parse_args(cli._merge_negative_values(argv))
     cfg = cli.RunConfig(**vars(ns))
     with monkeypatch.context() as m:
-        m.setattr(cli, "_grid_rows", _whole_grid_rows)
-        _, header, rows = cli._COMMANDS[cfg.command].render(cfg)
-        lines = [",".join(header)] + [",".join(str(x) for x in row) for row in rows]
-    return ("\n".join(lines) + "\n").encode()
+        m.setattr(cli, "_grid_rows", _whole_grid_columns)
+        _, header, batches = cli._COMMANDS[cfg.command].render(cfg)
+        return _str_rendering(header, batches).encode()
 
 
 @pytest.mark.parametrize("argv,status", [
@@ -723,6 +732,44 @@ def test_streamed_csv_is_the_one_string_rendering_byte_for_byte(
     assert out.read_bytes() == expected
 
 
+# the fields the column writer must render as str does: signed zeros, NaNs
+# of both signs, infinities, the least subnormal, floats whose repr switches
+# to and from exponent form, and a float with the longest repr
+_FIELDS = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5,
+           0.1, 1e22, -2.2250738585072014e-308]
+
+
+class _Writes(io.StringIO):
+    """A text stream that counts its writes."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("as_lists", [False, True], ids=["arrays", "lists"])
+@pytest.mark.parametrize("rows", [1, cli._CSV_BATCH, cli._CSV_BATCH + 1])
+def test_the_column_writer_renders_every_field_as_str_does(rows, as_lists):
+    k = np.arange(rows)
+    special = np.array(_FIELDS)[k % len(_FIELDS)]  # each repeated within a batch
+    spread = 1 / 3 + 0.1 * k  # distinct values with all their digits
+    spread[-2:] = 2.5  # one value on both sides of the batch boundary at 4,097 rows
+    ints = k - 2048
+    ints[0] = -(2**63)
+    flags = k % 3 == 0
+    names = np.array(["a", "bb", "\u03bb[n=3]", ""])[k % 4]
+    columns = (special, spread, ints, flags, names)
+    if as_lists:
+        columns = tuple(c.tolist() for c in columns)
+    header = ("special", "spread", "int", "bool", "str")
+    out = _Writes()
+    cli._write_csv(out, header, cli._batches(*columns))
+    assert out.getvalue() == _str_rendering(header, [columns])
+    assert out.writes == 1 + -(-rows // cli._CSV_BATCH)  # the header, one per batch
+
+
 def test_json_reports_build_no_csv_rows(tmp_path, monkeypatch):
     args = ["ellipse", "--alpha", "2", "--beta", "1", "--samples", "4096", "--format", "json"]
     before, after = tmp_path / "before.json", tmp_path / "after.json"
@@ -748,10 +795,10 @@ def test_json_reports_build_no_csv_rows(tmp_path, monkeypatch):
 
 
 def _failing_after_one_batch(monkeypatch):
-    rows_of = cli._grid_rows
+    batches_of = cli._grid_rows
 
     def failing(p, U):
-        yield from itertools.islice(rows_of(p, U), cli._CSV_BATCH)
+        yield next(batches_of(p, U))
         raise gaussalg.DomainError("row source failed")
 
     monkeypatch.setattr(cli, "_grid_rows", failing)
@@ -794,6 +841,21 @@ def test_transform_csv_is_written_without_the_whole_artifact_in_memory(tmp_path)
     finally:
         tracemalloc.stop()
     assert peak < 3e6, peak
+
+
+def test_gram_csv_is_written_within_its_memory_bound(tmp_path):
+    # the degree-64 Gram matrix is one 4,096-row batch; rendered row by row
+    # its traced peak was 1.20 MB, and with a new str per field 2.54 MB
+    argv = ["gram", "--system", "hermite", "--method", "quadrature", "--n", "64",
+            "--format", "csv", "-o", str(tmp_path / "gram.csv")]
+    assert cli.main(argv) == 0  # warm-up: Gauss rules, imports
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3e6, peak
 
 
 def test_ellipse_csv_is_written_without_the_whole_trace_in_memory(tmp_path):

@@ -291,3 +291,19 @@ def test_entry_rejects_negative_indices_before_sizing_its_grid(monkeypatch, m, n
     monkeypatch.setattr(toeplitz, "default_toeplitz_grid", no_grid)
     with pytest.raises(DomainError, match="index must be >= 0"):
         toeplitz_matrix_quad(RadialSymbol.gaussian(0.5), m, n)
+
+
+@pytest.mark.parametrize("R", [1e8, 1e10, 1e15, 1e20])
+def test_a_disk_beyond_the_weight_has_the_series_diagonal(R):
+    # the boundary sqrt(2R) lies beyond the weight's reach: the grid stays
+    # on that reach, where the indicator is 1, instead of widening to
+    # sqrt(2R) + 6 with the same radial node count (which read an all-zero
+    # block from about R = 1e15)
+    G = toeplitz_block_quad(RadialSymbol.indicator(R), 3)
+    for n in range(3):
+        assert abs(G[n, n] - disk_eigenvalue(R, n)) <= 1e-12
+
+
+def test_a_huge_disk_suite_fails_only_its_radius_roundtrip():
+    failing = [c["name"] for c in suites.suite_toeplitz(1e15, 3) if not c["pass"]]
+    assert failing == ["radius_roundtrip"]
