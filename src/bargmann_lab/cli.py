@@ -91,12 +91,6 @@ def parse_complex(text: str) -> complex:
     return complex(s)
 
 
-def _cpair(z: complex) -> list[float]:
-    """JSON form of a complex scalar: [re, im]."""
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 # Flags whose values may start with "-" (complex literals, negative reals).
 _NEGATIVE_VALUE_FLAGS = {"--B", "--C", "--beta"}
 
@@ -218,7 +212,7 @@ def _cmd_gram(cfg: RunConfig):
         "system": cfg.system,
         "params": params,
         "n": cfg.n,
-        "matrix": [[_cpair(z) for z in row] for row in G.tolist()],
+        "matrix": G,
         **extra,
         "checks": checks,
     }
@@ -259,9 +253,9 @@ def _cmd_transform(cfg: RunConfig):
         "command": "transform",
         "params": params_to_dict(p),
         "result": {
-            "c2": _cpair(U.c2),
-            "c1": _cpair(U.c1),
-            "poly": [_cpair(c) for c in U.poly.coeffs],
+            "c2": U.c2,
+            "c1": U.c1,
+            "poly": U.poly.coeffs,
         },
         "checks": checks,
     }
@@ -289,11 +283,11 @@ def _cmd_ellipse(cfg: RunConfig):
         "command": "ellipse",
         "params": {"alpha": cfg.alpha, "beta": cfg.beta},
         "constants": {
-            "a": _cpair(p.a),
-            "lam": _cpair(p.lam),
-            "C_ab": _cpair(p.C_ab),
-            "A_ab": _cpair(p.A_ab),
-            "w": _cpair(p.w_exponent),
+            "a": p.a,
+            "lam": p.lam,
+            "C_ab": p.C_ab,
+            "A_ab": p.A_ab,
+            "w": p.w_exponent,
             "norm_psi0_sq": p.norm_psi0_sq,
             "eigen_gap": p.eigen_gap,
         },
@@ -317,7 +311,7 @@ def _cmd_toeplitz(cfg: RunConfig):
 
 
 def _phase_params(c: RunConfig) -> dict:
-    return {"B": _cpair(c.B), "C": _cpair(c.C), "h": c.h}
+    return {"B": c.B, "C": c.C, "h": c.h}
 
 
 # suite -> config -> (report params, checks).  Each suite applies its own
@@ -491,14 +485,28 @@ def _write_csv(out, header: tuple, batches: Iterable[Sequence]) -> None:
         out.write(_batch_text(columns))
 
 
+def _json_value(value):
+    """JSON form of what ``json`` does not take: a complex number is [re, im]
+    and an array its nested lists.  A complex array's entries are split into
+    [re, im] by numpy: one call here per entry makes a Gram matrix's JSON
+    slower to write than a list of pairs built beforehand."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "c":
+            value = np.stack((value.real, value.imag), axis=-1)
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _json_text(report: dict) -> str:
     """The report as indented JSON text."""
     try:
-        return json.dumps(report, indent=2, allow_nan=False) + "\n"
+        return json.dumps(report, indent=2, allow_nan=False, default=_json_value) + "\n"
     except ValueError:
         # strict JSON: each non-finite float becomes a string, "NaN",
         # "Infinity" or "-Infinity", the token json.dumps would write
-        strict = json.loads(json.dumps(report), parse_constant=str)
+        strict = json.loads(json.dumps(report, default=_json_value), parse_constant=str)
         return json.dumps(strict, indent=2) + "\n"
 
 

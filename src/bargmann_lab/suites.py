@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from functools import partial
 from typing import Callable, Sequence
 
@@ -236,15 +237,40 @@ def suite_hermite(B: complex, C: complex, h: float, n_res: int, n_gram: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def _random_line_function(rng: np.random.Generator) -> HermiteGauss:
-    deg = int(rng.integers(0, 4))
-    coeffs = tuple(
-        complex(a, b)
-        for a, b in zip(rng.normal(size=deg + 1), rng.normal(size=deg + 1))
-    )
-    gamma2 = complex(-0.4 - rng.uniform(0.0, 1.2), 0.5 * rng.normal())
-    gamma1 = complex(0.5 * rng.normal(), 0.5 * rng.normal())
+def _normal(rng: random.Random) -> float:
+    """A standard normal draw: Box-Muller on two of ``rng``'s uniforms."""
+    radius = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+    return radius * math.cos(2.0 * math.pi * rng.random())
+
+
+def _uniform(rng: random.Random, a: float, b: float) -> float:
+    """A draw uniform on [a, b] from one of ``rng``'s uniforms."""
+    return a + (b - a) * rng.random()
+
+
+def _random_line_function(rng: random.Random) -> HermiteGauss:
+    """A random degree 0-3 polynomial with standard normal real and imaginary
+    parts, times a Gaussian: Re gamma2 uniform on [-1.6, -0.4]; Im gamma2 and
+    gamma1's parts normal with deviation 0.5."""
+    deg = int(4 * rng.random())
+    coeffs = tuple(complex(_normal(rng), _normal(rng)) for _ in range(deg + 1))
+    gamma2 = complex(-0.4 - _uniform(rng, 0.0, 1.2), 0.5 * _normal(rng))
+    gamma1 = complex(0.5 * _normal(rng), 0.5 * _normal(rng))
     return HermiteGauss.from_poly(ComplexPoly.from_coeffs(coeffs), gamma2, gamma1)
+
+
+def _transform_draws(seed: int) -> tuple[list[tuple[HermiteGauss, HermiteGauss]], list[complex]]:
+    """The transform suite's TRANSFORM_PAIRS random pairs and then its
+    TRANSFORM_POINTS points, uniform on [-1.5, 1.5]^2, drawn from
+    ``random.Random(seed)``.  Only its ``random()`` values are used, whose
+    sequence Python keeps fixed for a seed, so the draws depend on no
+    numpy version."""
+    rng = random.Random(seed)
+    pairs = [(_random_line_function(rng), _random_line_function(rng))
+             for _ in range(TRANSFORM_PAIRS)]
+    points = [complex(_uniform(rng, -1.5, 1.5), _uniform(rng, -1.5, 1.5))
+              for _ in range(TRANSFORM_POINTS)]
+    return pairs, points
 
 
 def closed_vs_quad_dev(p: PhaseParams, f: HermiteGauss, U: HoloGauss) -> float:
@@ -257,17 +283,15 @@ def closed_vs_quad_dev(p: PhaseParams, f: HermiteGauss, U: HoloGauss) -> float:
 
 def suite_transform(B: complex, C: complex, h: float, seed: int) -> list[dict]:
     """Unitarity over TRANSFORM_PAIRS random pairs, the reproducing kernel at
-    TRANSFORM_POINTS random points, and the quadrature oracle."""
+    TRANSFORM_POINTS random points, and the quadrature oracle.  The pairs and
+    points are drawn from ``random.Random(seed)`` (:func:`_transform_draws`),
+    so the checks' values depend on no numpy version."""
     p = PhaseParams(canonical_A(B, C), B, C, h)
-    rng = np.random.default_rng(seed)
     checks = []
 
-    pairs = [(_random_line_function(rng), _random_line_function(rng))
-             for _ in range(TRANSFORM_PAIRS)]
+    pairs, points = _transform_draws(seed)
     f0 = pairs[0][0]
     U = transform(p, f0)
-    points = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-              for _ in range(TRANSFORM_POINTS)]
     with np.errstate(over="ignore", invalid="ignore"):  # a value not finite fails its check
         worst = _worst(
             abs(inner_product_HPhi(p, transform(p, f), transform(p, g)) - inner_product_line(f, g))

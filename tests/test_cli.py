@@ -14,9 +14,10 @@ import warnings
 import numpy as np
 import pytest
 
-from bargmann_lab import HermiteSystem, cli, ellipse, gaussalg, ncho, suites, transform
+from bargmann_lab import HermiteSystem, bargmann, cli, ellipse, gaussalg, ncho, suites, transform
 from bargmann_lab.bargmann import grid_values, hphi_grid
 from bargmann_lab.gaussalg import DegreeCapError
+from bargmann_lab.phasecore import PhaseParams, canonical_A
 
 
 # ------------------------------------------------------------ flag parsing
@@ -430,14 +431,58 @@ def test_tiny_h_ncho_gram_cross_sign_entries_are_zero(tmp_path, argv, name):
         assert rep["matrix"] == [[[z.real, z.imag] for z in row] for row in G]
 
 
-def test_projector_overflow_seed_passes(tmp_path):
-    # U alone overflows on this grid; the projector's integrand does not
-    out = tmp_path / "t.json"
-    argv = ["certify", "--suite", "transform", "--B=-2", "--C=0.5i", "--h=2",
-            "--seed=1834948940", "-o", str(out)]
-    assert cli.main(argv) == 0
-    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
-    assert checks["reproducing_max_dev[points=10]"]["pass"]
+def _numpy_generator_draws(seed):
+    """f0 and the points that the transform suite once drew at ``seed`` from
+    ``np.random.default_rng``, by its own code of that time."""
+    rng = np.random.default_rng(seed)
+
+    def line_function():
+        deg = int(rng.integers(0, 4))
+        coeffs = tuple(
+            complex(a, b) for a, b in zip(rng.normal(size=deg + 1), rng.normal(size=deg + 1))
+        )
+        gamma2 = complex(-0.4 - rng.uniform(0.0, 1.2), 0.5 * rng.normal())
+        gamma1 = complex(0.5 * rng.normal(), 0.5 * rng.normal())
+        return gaussalg.HermiteGauss.from_poly(gaussalg.ComplexPoly.from_coeffs(coeffs), gamma2, gamma1)
+
+    pairs = [(line_function(), line_function()) for _ in range(suites.TRANSFORM_PAIRS)]
+    points = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+              for _ in range(suites.TRANSFORM_POINTS)]
+    return pairs[0][0], points
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_projector_reproduces_where_U_alone_overflows_on_its_grid():
+    # the projector check at (-2, 0.5i, 2) on the f0 and points of seed
+    # 1834948940's numpy draw, where U alone once overflowed on the
+    # projector's grid: U reaches 1e211 there, and the sum, which folds U's
+    # exponent into its column's, reproduces U without a RuntimeWarning
+    f0, points = _numpy_generator_draws(1834948940)
+    p = PhaseParams(canonical_A(-2, 0.5j), -2, 0.5j, 2.0)
+    U = transform(p, f0)
+    k, m = bargmann._weight(p)
+    grid = bargmann.plane_grid(bargmann.Quadratic(U.c2 + k, U.c1, m=m))
+    assert np.abs(U(grid.nodes)).max() > 1e200
+    worst = max(abs(v - U(z)) for v, z in zip(bargmann.projector_apply(p, U, points), points))
+    assert worst <= suites.TOL_UNITARITY
+
+
+def test_transform_draws_at_the_default_seed_are_pinned():
+    # the suite's first pair and first point at seed 2026: Python keeps
+    # random.Random's random() sequence for a seed, so only a change to the
+    # suite's own draw formulas can move them
+    pairs, points = suites._transform_draws(2026)
+    f, g = pairs[0]
+    assert f.coeffs == pytest.approx([-1.1784275486934348 + 1.5847392560949727j], rel=1e-14)
+    assert f.gamma2 == pytest.approx(-0.6679414680135889 - 0.6354649468339358j, rel=1e-14)
+    assert f.gamma1 == pytest.approx(-0.8353579167632306 + 0.09196637357765501j, rel=1e-14)
+    assert g.coeffs == pytest.approx([
+        0.27371425100173874 + 1.4433929134720949j, -0.3981851824507058 - 4.848240106627668j,
+        0.2682974792566075 + 0.543099504030078j, 0.6943574407641404 - 3.535014186120855j,
+    ], rel=1e-14)
+    assert g.gamma2 == pytest.approx(-0.49158388128678776 - 0.426736380982681j, rel=1e-14)
+    assert g.gamma1 == pytest.approx(-0.40085531655094875 - 0.29160356530019466j, rel=1e-14)
+    assert points[0] == pytest.approx(-1.0970382162947205 - 1.1845406057274843j, rel=1e-14)
 
 
 def test_tiny_disk_radius_roundtrips(tmp_path):
@@ -626,6 +671,20 @@ def test_console_script_runs_end_to_end(tmp_path):
     rep = json.loads(out.read_text())
     assert all(c["pass"] for c in rep["checks"])
 
+
+
+def test_certifying_loads_no_numpy_random(tmp_path):
+    # the transform suite draws from random.Random, so neither battery
+    # imports numpy.random (and secrets and OpenSSL with it)
+    out = str(tmp_path / "artifact")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from bargmann_lab import cli; "
+         "assert cli.main(['certify', '--suite', 'all', '-o', sys.argv[1]]) == 0; "
+         "assert cli.main(['certify', '--suite', 'transform', '-o', sys.argv[1]]) == 0; "
+         "sys.exit('numpy.random' in sys.modules)", out],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -10,6 +10,7 @@ exponents built from ``phasecore`` and against the six-point fit of those.
 """
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -247,10 +248,10 @@ def test_each_kernel_form_is_its_phasecore_exponent_and_its_six_point_fit(p, x, 
     # the exponent built from phasecore at every z, to 1e-13 of its terms;
     # and the quadratic forms the grids read from its coefficients are the
     # six-point fit of that exponent, to 1e-12 of the largest entry
-    rng = np.random.default_rng(draw)
+    rng = random.Random(draw)
     U, V = (transform(p, suites._random_line_function(rng)) for _ in range(2))
     f = suites._random_line_function(rng)
-    points = [complex(*rng.uniform(-1.5, 1.5, size=2)) for _ in range(n_points)]
+    points = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(n_points)]
     at_zero, columns = projector_forms(p, U, points)
     z0 = points[0]
     cases = [
@@ -260,7 +261,7 @@ def test_each_kernel_form_is_its_phasecore_exponent_and_its_six_point_fit(p, x, 
         *((row(columns, i), projector_exponent(p, U, z)) for i, z in enumerate(points)),
         (line_form(p, f, z0), line_exponent(p, f, z0)),
     ]
-    z = rng.uniform(-3, 3, size=64) + 1j * rng.uniform(-3, 3, size=64)
+    z = np.array([complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(64)])
     for form, exponent in cases:
         assert (np.abs(form(z) - exponent(z)) <= 1e-13 * _terms(form, z)).all()
         read, fitted = quadratic_parts(form), fit_quad_2d(exponent)
