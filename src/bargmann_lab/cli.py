@@ -17,8 +17,9 @@ transform
 ncho
     Two-component spectrum report (both signs, residuals).
 ellipse
-    Derived constants and identity checks; CSV gives boundary samples of
-    the elliptic disk.
+    Derived constants and identity checks; CSV gives samples (x, xi) of
+    alpha^2 x^2 + (beta x + xi)^2 = rho^2, the preimage of |zeta| = rho
+    (4 x^2 + xi^2 = rho^2 at (2, 0)), not a Wigner level set.
 toeplitz
     Localization eigenvalues of the disk symbol: series vs. radial
     quadrature (CSV: ``n, lambda_formula, lambda_quadrature, abs_diff``).
@@ -43,8 +44,9 @@ is held in memory whole; ``transform`` computes its rows one chunk of grid
 nodes at a time.  Each command hands the writer its batches as columns, and
 each batch is formatted column by column: every distinct value of a column
 (a float's by its bit pattern) is formatted once, with ``repr``, the text
-``str`` gives.  A command that fails while writing its artifact to ``-o``
-removes the partly written file: a failed command leaves no artifact.
+``str`` gives, and a text field quoted where RFC 4180 asks.  A command that
+fails while writing its artifact to ``-o`` removes the partly written file:
+a failed command leaves no artifact.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ import argparse
 import cmath
 import contextlib
 import functools
-import itertools
 import json
 import os
 import re
@@ -294,16 +295,8 @@ def _cmd_ellipse(cfg: RunConfig):
         "bridge": params_to_dict(bridge_params(p)),
         "checks": suites.ellipse_route_checks(p, cfg.n),
     }
-    return report, ("x", "xi"), _trace_batches(ellipse_trace(p, cfg.rho, cfg.samples))
-
-
-def _trace_batches(samples: Iterable[tuple[float, float]]) -> Iterator[tuple]:
-    """The (x, xi) samples, computed as they are asked for, as column
-    batches of at most :data:`_CSV_BATCH` rows."""
-    samples = iter(samples)
-    flat = itertools.chain.from_iterable
-    while (xy := np.fromiter(flat(itertools.islice(samples, _CSV_BATCH)), float)).size:
-        yield xy[0::2], xy[1::2]
+    trace = ellipse_trace(p, cfg.rho, cfg.samples)  # re-cut to the CSV batch bound
+    return report, ("x", "xi"), (part for columns in trace for part in _batches(*columns))
 
 
 def _cmd_toeplitz(cfg: RunConfig):
@@ -426,7 +419,8 @@ _FORMAT_STEP = 256
 def _field_dtype(a: np.ndarray) -> np.dtype:
     """NUL-padded bytes that hold ``str`` of any value of the column ``a``.
     An int column's longest text is its least or its greatest value's; a str
-    column's items take 4 bytes per character, enough for any UTF-8."""
+    column's items take 4 bytes per character, enough for any UTF-8, quoted
+    as a CSV field or not."""
     if a.dtype.kind in "iu":
         width = max(len(str(a.min())), len(str(a.max())))
     else:
@@ -434,14 +428,23 @@ def _field_dtype(a: np.ndarray) -> np.dtype:
     return np.dtype(f"S{width}")
 
 
+def _quoted(text: str) -> bytes:
+    """``text`` as a CSV field (RFC 4180), in UTF-8: put in quotes, each
+    quote doubled, where it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text.encode()
+
+
 def _put_column(field: np.ndarray, a: np.ndarray) -> None:
     """Write ``str`` of each value of the column ``a`` into ``field``, as
-    NUL-padded UTF-8.  Each distinct value is formatted once; floats are told
-    apart by bit pattern, so ``-0.0`` and ``0.0`` keep their own texts."""
+    NUL-padded UTF-8, a str value as a CSV field (:func:`_quoted`).  Each
+    distinct value is formatted once; floats are told apart by bit pattern,
+    so ``-0.0`` and ``0.0`` keep their own texts."""
     keys = a.view(np.int64) if a.dtype == np.float64 else a
     distinct, index = np.unique(keys, return_inverse=True)
     values = distinct.view(a.dtype)
-    form = str.encode if a.dtype.kind == "U" else str
+    form = _quoted if a.dtype.kind == "U" else str
     texts = np.empty(values.size, field.dtype)
     for start in range(0, values.size, _FORMAT_STEP):
         part = slice(start, start + _FORMAT_STEP)
@@ -473,7 +476,8 @@ def _batch_text(columns: Sequence) -> str:
 
 def _write_csv(out, header: tuple, batches: Iterable[Sequence]) -> None:
     """Write ``header`` and the rows of the column ``batches``, one write per
-    batch, each field as ``str`` gives it.
+    batch, each field as ``str`` gives it (a str field quoted where CSV
+    needs it).
 
     A batch holds at most :data:`_CSV_BATCH` rows as equal-length columns,
     each an array or a list of one type: floats, ints, bools or strs (with

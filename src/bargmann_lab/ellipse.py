@@ -1,8 +1,11 @@
 """Orthogonal families attached to an elliptic phase-plane region (h = 1).
 
 For parameters alpha > 0, beta (excluding the degenerate circle
-``(alpha, beta) = (1, 0)``), the region ``|alpha x - i(beta x + xi)| <= rho``
-is an elliptic disk.  Its associated holomorphic family lives in the classic
+``(alpha, beta) = (1, 0)``), the region ``|zeta| <= rho``, ``zeta = alpha x
+- i(beta x + xi)``, is an elliptic disk.  Its boundary, the preimage of
+``|zeta| = rho``, is ``alpha^2 x^2 + (beta x + xi)^2 = rho^2`` (``4 x^2 +
+xi^2 = rho^2`` at (2, 0)), not a level set of the family's Wigner functions
+(``16 x^2 + xi^2`` at (2, 0)).  The holomorphic family lives in the classic
 Bargmann space:
 
     psi_0 = exp(-a z^2 / 4),
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -91,49 +94,42 @@ class DegenerateEllipseError(DomainError):
 
 @dataclass(frozen=True)
 class EllipseParams:
-    """Ellipse data (alpha, beta) plus the derived constants.
-
-    Build via :func:`derived_constants`; the constructor re-checks the
-    defining identities, each relative to the size of its terms, rather than
-    trusting its caller.  lambda/a and C_ab grow without bound near the
-    degenerate circle: where one is not finite, that is a DomainError.
-    """
+    """Ellipse data (alpha, beta) and the constants a, lambda, C_ab and A_ab
+    they determine, derived in closed form and validated here.  lambda/a and
+    C_ab grow without bound near the degenerate circle: where one is not
+    finite, that is a DomainError.  The identities the constants obey are
+    certified by the ``constants_identity_dev`` check, not re-checked here."""
 
     alpha: float
     beta: float
-    a: complex
-    lam: complex
-    C_ab: complex
-    A_ab: complex
+    a: complex = field(init=False)
+    lam: complex = field(init=False)
+    C_ab: complex = field(init=False)
+    A_ab: complex = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise DomainError(f"alpha = {self.alpha} must be positive")
-        if self.alpha == 1.0 and self.beta == 0.0:
+        alpha, beta = self.alpha, self.beta
+        if not alpha > 0:
+            raise DomainError(f"alpha = {alpha} must be positive")
+        if alpha == 1.0 and beta == 0.0:
             raise DegenerateEllipseError()
-        if not 0 < abs(self.a) < 1:
-            raise DomainError(f"|a| = {abs(self.a)} must lie in (0, 1)")
-        ratio = self.lam / self.a
-        if not all(map(cmath.isfinite, (ratio, self.C_ab, self.A_ab))):
-            raise DomainError(f"alpha = {self.alpha}, beta = {self.beta}: lambda/a, C_ab or A_ab "
+        if not alpha * alpha + beta * beta < math.inf:
+            raise DomainError(f"alpha = {alpha}, beta = {beta}: alpha**2 + beta**2 overflows")
+        s = alpha**2 + beta**2
+        a = complex(s - 1, 2 * beta) / (s + 1)
+        lam = 2 * alpha**2 / ((s + 1) * complex(s - 1, -2 * beta))
+        c_ab = (1 - a.conjugate()) / (2 * a.conjugate())
+        a_ab = math.pi**0.25 * cmath.sqrt((s + 1) / complex(1, -beta))
+        for name, value in zip(("a", "lam", "C_ab", "A_ab"), (a, lam, c_ab, a_ab)):
+            object.__setattr__(self, name, value)  # the dataclass is frozen
+        if not 0 < abs(a) < 1:
+            raise DomainError(f"|a| = {abs(a)} must lie in (0, 1)")
+        ratio = lam / a
+        if not all(map(cmath.isfinite, (ratio, c_ab, a_ab))):
+            raise DomainError(f"alpha = {alpha}, beta = {beta}: lambda/a, C_ab or A_ab "
                               "is not finite (too near the degenerate circle (1, 0))")
-        terms = (self.a, 2 * self.lam, -1 / self.a.conjugate())
-        if abs(sum(terms)) > _IDENTITY_TOL * max(map(abs, terms)):
-            raise DomainError("identity a + 2 lambda = 1/conj(a) violated")
         if abs(ratio.imag) > _IDENTITY_TOL * abs(ratio) or not ratio.real > 0:
             raise DomainError(f"lambda/a = {ratio} must be real positive")
-        expected = (
-            2
-            * self.alpha**2
-            / ((self.alpha**2 + self.beta**2 - 1) ** 2 + 4 * self.beta**2)
-        )
-        if abs(ratio.real - expected) > _IDENTITY_TOL * max(1.0, expected):
-            raise DomainError("lambda/a does not match its closed form")
-        branch = cmath.phase(self.A_ab / math.pi**0.25)
-        if not -math.pi / 4 < branch < math.pi / 4:
-            raise DomainError(
-                f"A_ab branch argument {branch} outside (-pi/4, pi/4)"
-            )
 
     @property
     def lam_over_a(self) -> float:
@@ -158,19 +154,8 @@ class EllipseParams:
 
 
 def derived_constants(alpha: float, beta: float) -> EllipseParams:
-    """Compute (a, lambda, C_ab, A_ab) from (alpha, beta) and validate."""
-    if not alpha > 0:
-        raise DomainError(f"alpha = {alpha} must be positive")
-    if alpha == 1.0 and beta == 0.0:
-        raise DegenerateEllipseError()
-    if not alpha * alpha + beta * beta < math.inf:
-        raise DomainError(f"alpha = {alpha}, beta = {beta}: alpha**2 + beta**2 overflows")
-    s = alpha**2 + beta**2
-    a = complex(s - 1, 2 * beta) / (s + 1)
-    lam = 2 * alpha**2 / ((s + 1) * complex(s - 1, -2 * beta))
-    c_ab = (1 - a.conjugate()) / (2 * a.conjugate())
-    a_ab = math.pi**0.25 * cmath.sqrt((s + 1) / complex(1, -beta))
-    return EllipseParams(alpha, beta, a, lam, c_ab, a_ab)
+    """The ellipse data (alpha, beta) with their derived constants."""
+    return EllipseParams(alpha, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -355,19 +340,34 @@ def zeta_map(p: EllipseParams, z: complex) -> complex:
 
 
 def zeta_inverse(p: EllipseParams, zeta: complex) -> complex:
-    """Inverse of :func:`zeta_map` (solving the z/conj(z) linear system)."""
-    al, be = p.alpha, p.beta
-    return (
-        complex(al + 1, be) * zeta - complex(al - 1, -be) * zeta.conjugate()
-    ) / (2 * al)
+    """Inverse of :func:`zeta_map`: x = Re zeta / alpha, xi = -(Im zeta + beta x)."""
+    x = zeta.real / p.alpha
+    return complex(x, zeta.imag + p.beta * x)
 
 
-def ellipse_trace(p: EllipseParams, rho: float, samples: int) -> Iterator[tuple[float, float]]:
-    """(x, xi) samples of the boundary |zeta| = rho of the elliptic disk.
+#: Samples per batch of :func:`ellipse_trace`: bounds the arrays held at once.
+_TRACE_BATCH = 8192
 
-    ``rho`` is checked on the call; the samples are then yielded one at a
-    time, each computed as it is asked for."""
+
+def ellipse_trace(
+    p: EllipseParams, rho: float, samples: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The boundary alpha^2 x^2 + (beta x + xi)^2 = rho^2 at theta = 2 pi
+    k/samples, as batches (x, xi) of float arrays of at most
+    :data:`_TRACE_BATCH` samples: x = rho cos(theta)/alpha and xi = -(rho
+    sin(theta) + beta x), the :func:`zeta_inverse` of rho e^{i theta} in real
+    arithmetic.  ``rho`` is checked on the call, and each batch is computed
+    as it is asked for.  Only a coordinate, or beta x, that overflows is inf."""
     if not rho > 0:
         raise DomainError("rho must be positive")
-    zs = (zeta_inverse(p, rho * cmath.exp(2j * math.pi * k / samples)) for k in range(samples))
-    return ((z.real, -z.imag) for z in zs)
+    return _trace(p, rho, samples)
+
+
+def _trace(p: EllipseParams, rho: float, samples: int) -> Iterator[tuple]:
+    for start in range(0, samples, _TRACE_BATCH):
+        theta = 2 * np.pi * np.arange(start, min(start + _TRACE_BATCH, samples)) / samples
+        with np.errstate(over="ignore"):
+            x = rho * np.cos(theta) / p.alpha
+            # beta x is 0 at beta = 0, also where x overflows
+            xi = -(rho * np.sin(theta) + (p.beta * x if p.beta else 0.0))
+        yield x, xi

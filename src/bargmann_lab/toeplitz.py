@@ -82,12 +82,6 @@ class RadialSymbol:
         return RadialSymbol(lambda u: (u <= 2 * R) * 1.0, 2 * R)
 
     @staticmethod
-    def smooth(
-        c: Callable[[np.ndarray], np.ndarray], support: float = math.inf
-    ) -> "RadialSymbol":
-        return RadialSymbol(c, support)
-
-    @staticmethod
     def gaussian(rate: float) -> "RadialSymbol":
         """c(u) = exp(-rate * u)."""
         if not rate > 0:

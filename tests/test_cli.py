@@ -266,6 +266,18 @@ def test_degenerate_ellipse_is_exit_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("alpha,beta,message", [
+    ("1e8", "0", "error: |a| = 1.0 must lie in (0, 1)"),  # a rounds to 1
+    ("1e-170", "1e-6", "error: lambda/a = (-0+0j) must be real positive"),  # 2 alpha^2 underflows
+])
+def test_an_ellipse_whose_constants_leave_their_range_is_exit_1(tmp_path, capsys, alpha, beta,
+                                                                 message):
+    out = tmp_path / "artifact"
+    assert cli.main(["ellipse", "--alpha", alpha, "--beta", beta, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
 _TOO_NEAR = "error: alpha = 1.0, beta = {}: lambda/a, C_ab or A_ab is not finite"
 
 
@@ -284,7 +296,7 @@ _TOO_NEAR = "error: alpha = 1.0, beta = {}: lambda/a, C_ab or A_ab is not finite
     (["certify", "--suite", "bridge", "--beta", "1e-40", "--n", "64"], 2,
      "FAIL bridge_collinear[n=63]: measured nan"),
     (["ellipse", "--beta", "1e-43", "--n", "64"], 2, "FAIL psi_routes_dev: measured nan"),
-    # the constructor's self-checks are relative: the absolute identity check fails
+    # the constructor re-checks no identity: the absolute identity check fails
     *((["ellipse", "--alpha", alpha, "--beta", beta], 2, "FAIL constants_identity_dev")
       for alpha, beta in (("0.999999", "0"), ("1.0000001", "0"), ("1", "1e-8"))),
 ])
@@ -739,13 +751,15 @@ def _whole_grid_columns(p, U):
 
 
 def _str_rendering(header, batches) -> str:
-    """The CSV text of column ``batches``, row by row, each field as ``str``
-    gives the Python value of its row."""
-    lines = [",".join(header)]
+    """The CSV text of column ``batches``, row by row, as ``csv.writer``
+    writes the Python values of each row: each field as ``str`` gives it, a
+    str field that holds a comma or a quote in quotes, each quote doubled."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
     for columns in batches:
-        values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-        lines += [",".join(str(x) for x in row) for row in zip(*values)]
-    return "\n".join(lines) + "\n"
+        writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    return out.getvalue()
 
 
 def _reference_csv(argv, monkeypatch) -> bytes:
@@ -818,7 +832,7 @@ def test_the_column_writer_renders_every_field_as_str_does(rows, as_lists):
     ints = k - 2048
     ints[0] = -(2**63)
     flags = k % 3 == 0
-    names = np.array(["a", "bb", "\u03bb[n=3]", ""])[k % 4]
+    names = np.array(["a", "bb", "\u03bb[n=3]", "", "a,b", 'say "hi"'])[k % 6]
     columns = (special, spread, ints, flags, names)
     if as_lists:
         columns = tuple(c.tolist() for c in columns)
@@ -929,6 +943,44 @@ def test_ellipse_csv_is_written_without_the_whole_trace_in_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 2e6, peak
-    rows = list(ellipse.ellipse_trace(ellipse.derived_constants(2.0, 1.0), 1.0, 200000))
-    text = "x,xi\n" + "".join(f"{x!s},{xi!s}\n" for x, xi in rows)
+    batches = ellipse.ellipse_trace(ellipse.derived_constants(2.0, 1.0), 1.0, 200000)
+    text = "x,xi\n" + "".join(
+        f"{x!s},{xi!s}\n" for xs, xis in batches for x, xi in zip(xs.tolist(), xis.tolist())
+    )
     assert out.read_bytes() == text.encode()
+
+
+def test_certify_all_csv_reads_back_with_the_json_names(tmp_path):
+    # check names such as transform[B=-i,C=i,h=1.0]::... hold commas: the
+    # CSV quotes them, so a CSV reader finds each row's four fields
+    rows, rep = tmp_path / "all.csv", tmp_path / "all.json"
+    assert cli.main(["certify", "--suite", "all", "--format", "csv", "-o", str(rows)]) == 0
+    assert cli.main(["certify", "--suite", "all", "-o", str(rep)]) == 0
+    with rows.open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        read = list(reader)
+    assert reader.fieldnames == ["name", "measured", "tolerance", "pass"]
+    assert len(read) == 411
+    assert all(len(r) == 4 and None not in r for r in read)
+    assert [r["name"] for r in read] == [c["name"] for c in json.loads(rep.read_text())["checks"]]
+    assert any("," in r["name"] for r in read)
+
+
+def test_ellipse_trace_at_a_huge_level_overflows_only_where_a_coordinate_does(tmp_path):
+    # at rho = 1e308, x = rho cos(theta)/alpha overflows at theta = 0 and pi;
+    # the trace once formed through complex products wrote nan on every row
+    out = tmp_path / "trace.csv"
+    argv = ["ellipse", "--alpha", "0.5", "--beta", "3", "--rho", "1e308", "--samples", "8",
+            "--format", "csv", "-o", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    with out.open(newline="") as fh:
+        rows = [(float(r["x"]), float(r["xi"])) for r in csv.DictReader(fh)]
+    assert len(rows) == 8
+    assert not any(map(math.isnan, (v for row in rows for v in row)))
+    assert [math.isfinite(x) for x, _ in rows] == [False, *[True] * 3, False, *[True] * 3]
+    x, xi = rows[2]  # theta = pi/2
+    assert math.isfinite(xi) and xi == pytest.approx(-1e308, rel=1e-15)
+    assert x == pytest.approx(1e308 * math.cos(math.pi / 2) / 0.5, rel=1e-15)

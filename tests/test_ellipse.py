@@ -10,6 +10,7 @@ eigenvalue ladder.
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
@@ -352,12 +353,50 @@ def test_ground_state_weight_identity():
             assert abs(lhs - rhs) <= 1e-12
 
 
+def _trace_columns(p, rho, samples):
+    """The whole trace as two float arrays, its batches joined."""
+    batches = list(ellipse_trace(p, rho, samples))
+    assert all(x.dtype == xi.dtype == np.float64 for x, xi in batches)
+    return tuple(map(np.concatenate, zip(*batches)))
+
+
 def test_trace_lies_on_level_set():
     p = derived_constants(2.0, 1.0)
-    pts = list(ellipse_trace(p, 1.7, samples=64))
-    assert len(pts) == 64
-    for x, xi in pts:
-        assert abs(abs(zeta_map(p, complex(x, -xi))) - 1.7) <= 1e-10
+    x, xi = _trace_columns(p, 1.7, samples=64)
+    assert x.size == xi.size == 64
+    for x_k, xi_k in zip(x.tolist(), xi.tolist()):
+        assert abs(abs(zeta_map(p, complex(x_k, -xi_k))) - 1.7) <= 1e-10
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_trace_where_x_overflows_at_beta_zero_keeps_xi():
+    # x = rho cos(theta)/alpha overflows at theta = 0 and pi; beta x is 0
+    # there in real arithmetic, so xi = -rho sin(theta) (0 * inf would be NaN)
+    x, xi = _trace_columns(derived_constants(0.5, 0.0), 1e308, 8)
+    assert np.isinf(x[[0, 4]]).all() and np.isfinite(np.delete(x, [0, 4])).all()
+    theta = 2 * np.pi * np.arange(8) / 8
+    assert xi.tolist() == (-(1e308 * np.sin(theta))).tolist()
+
+
+@pytest.mark.parametrize("alpha,beta", [*ELLIPSE_SETS, (1.0, 1e-8), (0.999999, 0.0)])
+@pytest.mark.parametrize("rho", [0.37, 1.0, 5e3])
+def test_trace_is_accurate_at_each_sample_angle(alpha, beta, rho):
+    # against 40-digit x* = rho cos(theta)/alpha and xi* = -(rho sin(theta)
+    # + beta x*) at the float theta = 2 pi k/samples the trace samples:
+    # bounds pinned before measuring, relative to |x*| and to the sizes of
+    # xi*'s two terms (the trace formed through complex products lost every
+    # digit of x near theta = pi/2)
+    samples = 4096
+    x, xi = (c.tolist() for c in _trace_columns(derived_constants(alpha, beta), rho, samples))
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for k in range(0, samples, 3):
+            theta = mpmath.mpf(2 * math.pi * k / samples)
+            x_star = rho * mpmath.cos(theta) / alpha
+            rho_sin = rho * mpmath.sin(theta)
+            xi_star = -(rho_sin + beta * x_star)
+            assert abs(x[k] - x_star) <= 4 * eps * abs(x_star), k
+            assert abs(xi[k] - xi_star) <= 4 * eps * (abs(rho_sin) + abs(beta * x_star)), k
 
 
 def _assert_own_grid_inner_product(pc, U, V, g, mass):

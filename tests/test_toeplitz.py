@@ -22,7 +22,7 @@ from bargmann_lab.toeplitz import (
 
 
 def test_constant_symbol_has_unit_spectrum():
-    sym = RadialSymbol.smooth(lambda u: 1.0)
+    sym = RadialSymbol(lambda u: 1.0, math.inf)
     for n in range(8):
         assert radial_eigenvalue(sym, n) == pytest.approx(1.0, abs=1e-10)
 
@@ -64,7 +64,7 @@ def test_small_disk_eigenvalues_keep_relative_accuracy(R):
 @pytest.mark.parametrize("n", [0, 3])
 def test_unbounded_profile_does_not_converge(n):
     with pytest.raises(DomainError, match="did not converge"):
-        radial_eigenvalue(RadialSymbol.smooth(lambda u: np.exp(u)), n)
+        radial_eigenvalue(RadialSymbol(lambda u: np.exp(u), math.inf), n)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -72,7 +72,7 @@ def test_subnormal_eigenvalue_converges():
     # below the smallest normal float the levels' sums are rounded to a fixed
     # quantum; at this scale no two levels agreed bit for bit
     scale = 3.20661711422e-312
-    sym = RadialSymbol.smooth(lambda u: scale * np.exp(-u))
+    sym = RadialSymbol(lambda u: scale * np.exp(-u), math.inf)
     want = scale / 3.0**6
     assert abs(radial_eigenvalue(sym, 5) - want) <= np.finfo(float).tiny
 
@@ -80,7 +80,7 @@ def test_subnormal_eigenvalue_converges():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sign_changing_profile_with_zero_eigenvalue():
     # c(u) = u/2 - 1 gives lambda_0 = integral (s - 1) e^{-s} ds = 0
-    sym = RadialSymbol.smooth(lambda u: u / 2 - 1)
+    sym = RadialSymbol(lambda u: u / 2 - 1, math.inf)
     assert abs(radial_eigenvalue(sym, 0)) <= 1e-15
     assert radial_eigenvalue(sym, 1) == pytest.approx(1.0, rel=1e-12)
 
@@ -89,7 +89,7 @@ def test_sign_changing_profile_with_zero_eigenvalue():
 def test_unannounced_jump_fails_the_error_estimate():
     # a jump at u = 3 that ``support`` does not mark: the rule's levels
     # never agree to 1e-12, and the eigenvalue is refused
-    sym = RadialSymbol.smooth(lambda u: (u <= 3.0) * 1.0)
+    sym = RadialSymbol(lambda u: (u <= 3.0) * 1.0, math.inf)
     with pytest.raises(DomainError, match="error estimate inf too large"):
         radial_eigenvalue(sym, 2)
 
@@ -153,7 +153,7 @@ def _sum_on(monkeypatch, grid):
 
 
 def test_matrix_constant_symbol_is_identity(monkeypatch):
-    sym = RadialSymbol.smooth(lambda u: 1.0, support=math.inf)
+    sym = RadialSymbol(lambda u: 1.0, math.inf)
     _sum_on(monkeypatch, default_toeplitz_grid(sym, 3))
     for m in range(4):
         for n in range(m, 4):
