@@ -37,12 +37,13 @@ the same per-axis factors.
 Gauss rules are built by Newton's method on their three-term recurrences,
 from asymptotic starts (Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29, 1420
 (2007); Hale & Townsend, ibid. 35, A652 (2013)), with no eigenvalue solve,
-and once per process: ``_gauss_rule`` caches them by family and node count,
-so the hundreds of grids of a certification battery share a handful of
-builds.  Nothing per node is built with a grid: each chunk of a sum forms
-its nodes, weights and outer truncation shell from the axes by one
-broadcast, so no whole-grid array is built unless it is asked for
-(:class:`QuadGrid`).
+as plane grids are fitted in closed form (:func:`_plane_axes`), so the
+package calls no LAPACK or BLAS routine.  A rule is built once per process:
+``_gauss_rule`` caches them by family and node count, so the hundreds of
+grids of a certification battery share a handful of builds.  Nothing per
+node is built with a grid: each chunk of a sum forms its nodes, weights and
+outer truncation shell from the axes by one broadcast, so no whole-grid
+array is built unless it is asked for (:class:`QuadGrid`).
 
 The one-dimensional oracles on intervals and half-lines (the rotated
 Gaussian integral, the radial eigenvalues) go through ``_adaptive_quad``, a
@@ -170,15 +171,17 @@ class QuadGrid:
         w *= self.scale
         return w
 
-    def chunks(self):
+    def chunks(self, size: int | None = None):
         """Yield ``(part, nodes, weights, shell)`` for consecutive slices
-        ``part`` of at most :data:`_CHUNK` nodes: the nodes in ``part``,
-        their weights and their shell mask, formed from the axes."""
-        for start in range(0, self.size, _CHUNK):
-            size = min(_CHUNK, self.size - start)
-            z = self._nodes(start, size)
+        ``part`` of at most ``size`` nodes (default :data:`_CHUNK`): the nodes
+        in ``part``, their weights and their shell mask, formed from the
+        axes."""
+        size = size or _CHUNK
+        for start in range(0, self.size, size):
+            part = slice(start, min(start + size, self.size))
+            z = self._nodes(start, part.stop - start)
             on = np.abs(z - self.center) >= self.reach
-            yield slice(start, start + size), z, self._weights(start, size), on
+            yield part, z, self._weights(start, z.size), on
 
 
 def _read_only(a):
@@ -428,37 +431,87 @@ def plane_grid(exponent: Quadratic, n: int = 160) -> QuadGrid:
     are integrated to round-off and oscillatory phases converge spectrally
     in ``n``, and on these axes the exponent has no cross term, so ``e^E``
     factors per axis (:func:`_fitted_factors`).  A real exponent gives O = 1.
+    The fit is in closed form (:func:`_plane_axes`).
     """
     _check_count("n", n)
+    zc, (l1, l2), det = _plane_axes(exponent)
+    t, ew = _gauss_rule("hermite", n)
+    first = (zc.real + t * l1.real) + 1j * (zc.imag + t * l1.imag)
+    second = t * l2.real + 1j * (t * l2.imag)
+    reach = _SHELL * np.abs(np.add.outer(first[[0, -1]], second[[0, -1]]) - zc).max()
+    return QuadGrid(first, second, ew, ew, det, zc, reach, steps=(l1, l2))
+
+
+def _plane_axes(exponent: Quadratic) -> tuple[complex, tuple[complex, complex], float]:
+    """The centre zc, the axes (l_1, l_2) and ``|det L|`` of
+    :func:`plane_grid`'s fit, by scalar closed forms.
+
+    Both forms are scaled by 4^-e, the even power of two that brings
+    M_re's largest entry into [1/2, 2), and the axes scaled back by 2^-e at
+    the end: no step overflows, and the fit is exactly covariant under
+    ``E(z) -> E(2^k z)``.  The eigenpairs of each form are the 2 x 2
+    symmetric Schur decomposition (:func:`_sym_eig`), ``zc = -M_re^{-1}
+    (Re b, -Im b)/2`` is summed over M_re's eigenpairs, and each axis is
+    signed so that ``Re l > 0``, or ``Im l > 0`` where ``Re l = 0``.
+    """
     q2, q1, r2, r1, m, _ = exponent
     a, b, d = q2 + r2, q1 + r1, q2 - r2
-    M = np.array([[m + a.real, -a.imag], [-a.imag, m - a.real]], dtype=float)
-    L = np.array([b.real, -b.imag], dtype=float)
-    evals, evecs = np.linalg.eigh(M)
-    if not (evals < 0).all():
-        raise DomainError(
-            f"integrand does not decay in all directions: eigenvalues {evals}"
-        )
-    center = np.linalg.solve(2.0 * M, -L)
-    t, ew = _gauss_rule("hermite", n)
-    s1 = 1.0 / math.sqrt(-evals[0])
-    s2 = 1.0 / math.sqrt(-evals[1])
-    scale, dirs = (s1, s2), evecs
-    M_im = np.array([[d.imag, d.real], [d.real, -d.imag]], dtype=float)
-    if M_im.any():
-        if not np.isfinite(M_im).all():
-            raise DomainError(
-                f"integrand does not decay in all directions: phase {M_im.tolist()}"
-            )
-        frame = evecs * [s1, s2]
-        scale, dirs = (1.0, 1.0), frame @ np.linalg.eigh(frame.T @ M_im @ frame)[1]
-    t1, t2 = t * scale[0], t * scale[1]
-    first = (center[0] + t1 * dirs[0, 0]) + 1j * (center[1] + t1 * dirs[1, 0])
-    second = t2 * dirs[0, 1] + 1j * (t2 * dirs[1, 1])
-    zc = complex(*center)
-    reach = _SHELL * np.abs(np.add.outer(first[[0, -1]], second[[0, -1]]) - zc).max()
-    steps = tuple(complex(*dirs[:, k]) * scale[k] for k in (0, 1))
-    return QuadGrid(first, second, ew, ew, s1 * s2, zc, reach, steps=steps)
+    p, q, r = m + a.real, -a.imag, m - a.real
+    e = math.frexp(max(abs(p), abs(q), abs(r)))[1] // 2
+    pairs = _sym_eig(*(_ldexp(v, -2 * e) for v in (p, q, r)))
+    evals = [_ldexp(lam, 2 * e) for lam, _ in pairs]
+    if not (evals[0] < 0 and evals[1] < 0):
+        raise DomainError(f"integrand does not decay in all directions: eigenvalues {evals}")
+    lx, ly = _ldexp(b.real, -e), _ldexp(-b.imag, -e)
+    cx = cy = 0.0
+    for lam, (x, y) in pairs:
+        u = (x * lx + y * ly) / (-2.0 * lam)
+        cx, cy = cx + u * x, cy + u * y
+    # the frame V Lambda^{-1/2} of the scaled form, one column per eigenpair
+    frame = [(x / math.sqrt(-lam), y / math.sqrt(-lam)) for lam, (x, y) in pairs]
+    axes = frame
+    if d:
+        if not (math.isfinite(d.real) and math.isfinite(d.imag)):
+            M_im = [[d.imag, d.real], [d.real, -d.imag]]
+            raise DomainError(f"integrand does not decay in all directions: phase {M_im}")
+        im, re = _ldexp(d.imag, -2 * e), _ldexp(d.real, -2 * e)
+        # M_im in the frame: N_jk = f_j^T M_im f_k
+        Mf = [(im * x + re * y, re * x - im * y) for x, y in frame]
+        N = [[fj[0] * g[0] + fj[1] * g[1] for g in Mf] for fj in frame]
+        axes = [
+            (frame[0][0] * o0 + frame[1][0] * o1, frame[0][1] * o0 + frame[1][1] * o1)
+            for _, (o0, o1) in _sym_eig(N[0][0], N[0][1], N[1][1])
+        ]
+    steps = []
+    for x, y in axes:
+        l = complex(_ldexp(x, -e), _ldexp(y, -e))
+        steps.append(-l if l.real < 0 or (l.real == 0 and l.imag < 0) else l)
+    det = _ldexp(1.0 / math.sqrt(-pairs[0][0]) / math.sqrt(-pairs[1][0]), -2 * e)
+    return complex(_ldexp(cx, -e), _ldexp(cy, -e)), tuple(steps), det
+
+
+def _ldexp(x: float, n: int) -> float:
+    """``x 2^n``, or +-inf where that overflows (``math.ldexp`` raises)."""
+    try:
+        return math.ldexp(x, n)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _sym_eig(p: float, q: float, r: float) -> list[tuple[float, tuple[float, float]]]:
+    """The eigenpairs ``(lam, (x, y))`` of the real symmetric ``[[p, q], [q,
+    r]]``, ascending in lam, with unit eigenvectors: the 2 x 2 symmetric
+    Schur decomposition (Golub & Van Loan, Matrix Computations, 4th ed.,
+    8.5.2), whose rotation's tangent t is the smaller root of ``t^2 + 2 tau
+    t - 1 = 0``, ``tau = (r - p)/(2 q)``."""
+    t = 0.0
+    if q != 0:
+        tau = (r - p) / (2.0 * q)
+        t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+    c = 1.0 / math.hypot(1.0, t)
+    s = t * c
+    pairs = [(p - t * q, (c, -s)), (r + t * q, (s, c))]
+    return pairs if not pairs[1][0] < pairs[0][0] else pairs[::-1]
 
 
 def hphi_grid(p: PhaseParams, U: HoloGauss, V: HoloGauss) -> QuadGrid:
@@ -551,11 +604,11 @@ def _check_truncation(total_mass, shell_mass) -> None:
 
 
 #: Nodes per chunk of :meth:`QuadGrid.chunks`, one pass of :func:`_quad_block`.
-#: Bounds its node-by-function work arrays (about 1 MB each at 7 functions)
-#: whatever the grid size: one array over all 25,600 nodes of a default
-#: plane grid would hold 26 MB for the 64 functions of a degree-64 Gram,
-#: and a chunk's temporaries are reused from the allocator's cache.
-_CHUNK = 8192
+#: Bounds its node-by-function work arrays (229 KB each at 7 functions, 2 MB
+#: at 64) whatever the grid size: one array over all 25,600 nodes of a
+#: default plane grid would hold 26 MB for the 64 functions of a degree-64
+#: Gram, and a chunk's temporaries are reused from the allocator's cache.
+_CHUNK = 2048
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a sum not finite fails the check it reaches

@@ -40,7 +40,7 @@ invocation produces byte-identical output.
 
 Every CSV artifact, ``ellipse``'s boundary trace included, is written as its
 rows are computed, in batches of at most ``_CSV_BATCH`` rows, so no artifact
-is held in memory whole; ``transform`` computes its rows one chunk of grid
+is held in memory whole; ``transform`` computes its rows one batch of grid
 nodes at a time.  Each command hands the writer its batches as columns, and
 each batch is formatted column by column: every distinct value of a column
 (a float's by its bit pattern) is formatted once, with ``repr``, the text
@@ -266,11 +266,11 @@ def _cmd_transform(cfg: RunConfig):
 
 def _grid_rows(p, U):
     """U's values on its grid (:func:`~bargmann_lab.bargmann.hphi_grid`) as
-    column batches, slices of one chunk of nodes at a time; the grid is
-    fitted when the batches are first iterated."""
-    for _, nodes, weights, _ in hphi_grid(p, U, U).chunks():
+    column batches, one :data:`_CSV_BATCH` slice of nodes at a time; the
+    grid is fitted when the batches are first iterated."""
+    for _, nodes, weights, _ in hphi_grid(p, U, U).chunks(_CSV_BATCH):
         values = U(nodes)
-        yield from _batches(nodes.real, nodes.imag, weights, values.real, values.imag)
+        yield nodes.real, nodes.imag, weights, values.real, values.imag
 
 
 def _cmd_ncho(cfg: RunConfig):

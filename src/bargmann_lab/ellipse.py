@@ -357,7 +357,8 @@ def ellipse_trace(
     :data:`_TRACE_BATCH` samples: x = rho cos(theta)/alpha and xi = -(rho
     sin(theta) + beta x), the :func:`zeta_inverse` of rho e^{i theta} in real
     arithmetic.  ``rho`` is checked on the call, and each batch is computed
-    as it is asked for.  Only a coordinate, or beta x, that overflows is inf."""
+    as it is asked for.  Only a coordinate that overflows is inf: where
+    beta x alone overflows, xi is -2 (rho sin(theta)/2 + (beta/2) x)."""
     if not rho > 0:
         raise DomainError("rho must be positive")
     return _trace(p, rho, samples)
@@ -368,6 +369,10 @@ def _trace(p: EllipseParams, rho: float, samples: int) -> Iterator[tuple]:
         theta = 2 * np.pi * np.arange(start, min(start + _TRACE_BATCH, samples)) / samples
         with np.errstate(over="ignore"):
             x = rho * np.cos(theta) / p.alpha
+            y = rho * np.sin(theta)
             # beta x is 0 at beta = 0, also where x overflows
-            xi = -(rho * np.sin(theta) + (p.beta * x if p.beta else 0.0))
+            xi = -(y + (p.beta * x if p.beta else 0.0))
+            # where beta x alone overflows, xi may not: sum the halves, double
+            redo = np.isfinite(x) & ~np.isfinite(xi)
+            xi[redo] = -2.0 * (y[redo] / 2.0 + (p.beta / 2.0) * x[redo])
         yield x, xi

@@ -267,7 +267,7 @@ def test_array_path_matches_per_node_reference(monkeypatch):
 
 
 def test_quad_block_matches_per_node_reference():
-    # 25,600 nodes (as many as a 160 x 160 plane grid): three full chunks and
+    # 25,600 nodes (as many as a 160 x 160 plane grid): twelve full chunks and
     # 1,024 more.  Spread uniformly over a disk of radius 6, so that the mass
     # of the Gaussian integrands sits in every chunk and a chunk boundary that
     # dropped or doubled a node would show; it is negligible on the rim
@@ -277,7 +277,7 @@ def test_quad_block_matches_per_node_reference():
     # one axis of nodes; the shell is the rim, |z| >= 0.95 * 6
     grid = bargmann.QuadGrid(nodes, -np.zeros(1, complex), rng.uniform(0.5, 1.5, size=n),
                              np.ones(1), 1.0, 0j, 5.7)
-    assert grid.nodes.size // bargmann._CHUNK == 3
+    assert grid.nodes.size // bargmann._CHUNK == 12
     assert grid.nodes.size % bargmann._CHUNK == 1024
     rows = [
         lambda z: np.exp(-2 * abs(z) ** 2),
@@ -468,19 +468,14 @@ def test_grids_of_one_size_share_one_rule_build(monkeypatch):
     assert builds == [("hermite", 24), ("legendre", 24)]
 
 
-def _reference_plane_grid(M, L, n):
-    # the grid built from the uncached rule directly
-    evals, evecs = np.linalg.eigh(M)
-    center = np.linalg.solve(2.0 * M, -L)
+def _reference_plane_grid(exponent, n):
+    # the grid built from its fit and the uncached rule directly
+    zc, (l1, l2), det = bargmann._plane_axes(exponent)
     t, ew = bargmann._hermite_rule(n)
-    s1, s2 = 1.0 / math.sqrt(-evals[0]), 1.0 / math.sqrt(-evals[1])
-    t1, t2 = np.meshgrid(t * s1, t * s2, indexing="ij")
-    xy = (
-        center[None, None, :]
-        + t1[..., None] * evecs[:, 0][None, None, :]
-        + t2[..., None] * evecs[:, 1][None, None, :]
-    ).reshape(-1, 2)
-    return xy[:, 0] + 1j * xy[:, 1], (np.outer(ew, ew) * (s1 * s2)).reshape(-1)
+    t1, t2 = np.meshgrid(t, t, indexing="ij")
+    x = (zc.real + t1 * l1.real) + t2 * l2.real
+    y = (zc.imag + t1 * l1.imag) + t2 * l2.imag
+    return (x + 1j * y).reshape(-1), (np.outer(ew, ew) * det).reshape(-1)
 
 
 def _reference_polar_grid(r_max, split, n_r, n_theta):
@@ -499,14 +494,11 @@ def test_cached_rules_give_the_grids_of_a_fresh_build():
     t, ew = bargmann._hermite_rule(40)
     scale = 1.0 / math.sqrt(0.5)
     want_line = (0.25 + scale * t, ew * scale)
-    M = np.array([[-0.5, 0.125], [0.125, -0.25]])
-    L = np.array([0.5, -0.25])
-    want_plane = _reference_plane_grid(M, L, 40)
-    want_polar = _reference_polar_grid(5.0, 1.5, 30, 8)
-
     # -0.5 x^2 + 0.25 x y - 0.25 y^2 + 0.5 x - 0.25 y
     a, b = -0.0625 - 0.0625j, 0.25 + 0.125j
     plane_exponent = Quadratic(a, b, a, b, -0.375)
+    want_plane = _reference_plane_grid(plane_exponent, 40)
+    want_polar = _reference_polar_grid(5.0, 1.5, 30, 8)
 
     for _ in range(2):  # the first build may fill the cache, the second reads it
         grids = (

@@ -1,6 +1,7 @@
 """Command-line surface: flag parsing, artifacts, exit statuses, determinism."""
 
 import csv
+import fractions
 import io
 import json
 import math
@@ -190,6 +191,15 @@ _LARGE_B_FAILS = [
     "FAIL transform_closed_vs_quad: measured nan",
 ]
 
+#: The checks of the transform suite that read NaN at |B| = 1e-154, where
+#: a plane grid's weight scale |det L| overflows (the fit scales it back by
+#: a power of two, which gives inf there, not an OverflowError).
+_SMALL_B_FAILS = [
+    "FAIL unitarity_max_dev[pairs=20]: measured nan",
+    "FAIL reproducing_max_dev[points=10]: measured nan",
+    "FAIL adjoint_roundtrip_max: measured nan",
+]
+
 #: The checks of the Toeplitz suite that fail at --n 3 for 3e27 <= R <= 3e40:
 #: the radial rule cannot certify its rows, which read NaN, and lambda_0
 #: rounds to 1, so the radius cannot be recovered.
@@ -207,11 +217,12 @@ _HUGE_R_FAILS = [
     (["certify", "--suite", "transform", "--B=1e10"], 2, _LARGE_B_FAILS),
     (["certify", "--suite", "transform", "--B=3e8"], 2, _LARGE_B_FAILS),
     (["transform", "--B=3e8"], 2, ["FAIL closed_vs_quad: measured nan"]),
+    (["certify", "--suite", "transform", "--B=1e-154"], 2, _SMALL_B_FAILS),
     (["toeplitz", "--disk", "1e30", "--n", "3"], 2, _HUGE_R_FAILS),
     (["certify", "--suite", "toeplitz", "--R", "1e35", "--n", "3"], 2,
      [*_HUGE_R_FAILS, "FAIL matrix_diag_dev[n<3]: measured nan"]),
 ], ids=["transform-h-tiny", "certify-h-tiny", "certify-B-big", "certify-B-1e10", "certify-B-3e8",
-        "transform-B-3e8", "toeplitz-R-huge", "certify-R-huge"])
+        "transform-B-3e8", "certify-B-tiny", "toeplitz-R-huge", "certify-R-huge"])
 def test_extreme_scale_is_a_status_not_a_traceback(tmp_path, argv, status, lines):
     # h*h underflows to 0, e^{c2 z^2} overflows at a point, or no two levels
     # of the radial rule agree: a check that cannot be evaluated fails
@@ -964,6 +975,30 @@ def test_certify_all_csv_reads_back_with_the_json_names(tmp_path):
     assert all(len(r) == 4 and None not in r for r in read)
     assert [r["name"] for r in read] == [c["name"] for c in json.loads(rep.read_text())["checks"]]
     assert any("," in r["name"] for r in read)
+
+
+def test_ellipse_trace_where_beta_x_alone_overflows_writes_the_finite_xi(tmp_path):
+    # at alpha 1, beta -2 and rho 1.5e308, beta x overflows at theta = pi/4
+    # and 5 pi/4, where xi = -(rho sin(theta) + beta x) is finite; each row
+    # against exact rational arithmetic on the trace's float inputs, within
+    # 2 eps of the sizes of its two terms (xi was once written as inf there)
+    out = tmp_path / "trace.csv"
+    argv = ["ellipse", "--alpha", "1", "--beta=-2", "--rho", "1.5e308", "--samples", "8",
+            "--format", "csv", "-o", str(out)]
+    assert cli.main(argv) == 0
+    lines = out.read_text().splitlines()
+    assert lines[2] == "1.0606601717798214e+308,1.0606601717798216e+308"  # theta = pi/4
+    F, top = fractions.Fraction, fractions.Fraction(sys.float_info.max)
+    eps = F(np.finfo(float).eps)
+    for k, line in enumerate(lines[1:]):
+        x, xi = map(float, line.split(","))
+        rho_sin = F(1.5e308) * F(float(np.sin(2 * np.pi * k / 8)))
+        exact = -(rho_sin + F(-2.0) * F(x))
+        if abs(exact) > top:
+            assert xi == (math.inf if exact > 0 else -math.inf), k
+        else:
+            assert abs(F(xi) - exact) <= 2 * eps * (abs(rho_sin) + 2 * abs(F(x))), k
+    assert sum(map(math.isfinite, (float(line.split(",")[1]) for line in lines[1:]))) == 4
 
 
 def test_ellipse_trace_at_a_huge_level_overflows_only_where_a_coordinate_does(tmp_path):

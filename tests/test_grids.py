@@ -58,20 +58,13 @@ _U3 = transform(GENERAL, HermiteSystem(GENERAL).hermite_phi(3))
 
 def _eager_plane(exponent, n):
     """Nodes and weights of ``plane_grid(exponent, n)`` over the whole grid
-    at once, from the meshgrid of its axes."""
-    M, L, M_im = quadratic_parts(exponent)
-    evals, evecs = np.linalg.eigh(M)
-    center = np.linalg.solve(2.0 * M, -L)
+    at once, from the meshgrid of the rule and the grid's fit."""
+    zc, (l1, l2), det = bargmann._plane_axes(exponent)
     t, ew = bargmann._hermite_rule(n)
-    s1, s2 = 1.0 / math.sqrt(-evals[0]), 1.0 / math.sqrt(-evals[1])
-    scale, dirs = (s1, s2), evecs
-    if M_im.any():
-        frame = evecs * [s1, s2]
-        scale, dirs = (1.0, 1.0), frame @ np.linalg.eigh(frame.T @ M_im @ frame)[1]
-    t1, t2 = np.meshgrid(t * scale[0], t * scale[1], indexing="ij")
-    x = (center[0] + t1 * dirs[0, 0]) + t2 * dirs[0, 1]
-    y = (center[1] + t1 * dirs[1, 0]) + t2 * dirs[1, 1]
-    return (x + 1j * y).reshape(-1), (np.outer(ew, ew) * (s1 * s2)).reshape(-1)
+    t1, t2 = np.meshgrid(t, t, indexing="ij")
+    x = (zc.real + t1 * l1.real) + t2 * l2.real
+    y = (zc.imag + t1 * l1.imag) + t2 * l2.imag
+    return (x + 1j * y).reshape(-1), (np.outer(ew, ew) * det).reshape(-1)
 
 
 def _eager_polar(r_max, split, n_r=400, n_theta=128):
@@ -143,6 +136,111 @@ def test_tensor_grids_form_the_nodes_of_the_whole_grid_formulas_bit_for_bit(buil
         assert _same_bits(z, nodes[part])
         assert _same_bits(w, weights[part])
         assert _same_bits(on, shell[part])
+
+
+def _signed(l):
+    """An axis signed as :func:`plane_grid` signs it: Re > 0, or Im > 0."""
+    return -l if l.real < 0 or (l.real == 0 and l.imag < 0) else l
+
+
+def _eigen_solver_fit(exponent):
+    """``plane_grid``'s centre, axes and ``|det L|`` by numpy's eigen- and
+    linear solvers, the way the grid was fitted before its closed form."""
+    M, L, M_im = quadratic_parts(exponent)
+    evals, evecs = np.linalg.eigh(M)
+    frame = evecs / np.sqrt(-evals)
+    dirs = frame @ np.linalg.eigh(frame.T @ M_im @ frame)[1] if M_im.any() else frame
+    center = np.linalg.solve(2.0 * M, -L)
+    return complex(*center), [_signed(complex(*dirs[:, k])) for k in (0, 1)], 1 / math.sqrt(evals.prod())
+
+
+_PAIR = bargmann._pair_exponent(GENERAL, _U3, _U3)
+_FITS = {"real": _REAL, "complex": _COMPLEX, "transform pair": _PAIR}
+
+
+@pytest.mark.parametrize("exponent", _FITS.values(), ids=_FITS)
+def test_the_closed_form_fit_is_the_eigen_solvers_to_round_off(exponent):
+    zc, steps, det = bargmann._plane_axes(exponent)
+    want_zc, want_steps, want_det = _eigen_solver_fit(exponent)
+    size = max(map(abs, want_steps))
+    assert abs(zc - want_zc) <= 1e-14 * (abs(want_zc) + size)
+    for l, want in zip(steps, want_steps):
+        assert abs(l - want) <= 1e-14 * size
+    assert abs(det - want_det) <= 1e-14 * want_det
+
+
+def _random_form(rng):
+    """A decaying form, whose M_re has the eigenvalues m +- |q2 + r2|; one
+    in five is real (q2 - r2 = 0)."""
+    def z(scale):
+        return complex(rng.gauss(0, scale), rng.gauss(0, scale))
+
+    q2, r2 = z(1.0), z(1.0)
+    if rng.random() < 0.2:
+        r2 = q2
+    return Quadratic(q2, z(2.0), r2, z(2.0), -abs(q2 + r2) - 2.0 * rng.random() - 1e-3)
+
+
+def test_the_closed_form_fit_diagonalizes_random_forms():
+    # on the axes, the real part is -(t_1^2 + t_2^2) with no cross term, and
+    # so is the imaginary part's quadratic; the centre is the real part's
+    # maximum; the axes come in the order of the eigen-solvers' and signed
+    rng = random.Random(46)
+    for _ in range(500):
+        form = _random_form(rng)
+        M, L, M_im = quadratic_parts(form)
+        zc, steps, det = bargmann._plane_axes(form)
+        V = np.array([[l.real for l in steps], [l.imag for l in steps]])
+        re, im = V.T @ M @ V, V.T @ M_im @ V
+        assert np.abs(re + np.eye(2)).max() <= 1e-13
+        assert abs(im[0, 1]) <= 1e-13 * max(np.abs(M_im).max() * (V**2).sum(), 1e-300)
+        assert abs(det - abs(np.linalg.det(V))) <= 1e-13 * det
+        residual = 2.0 * M @ [zc.real, zc.imag] + L
+        assert np.abs(residual).max() <= 1e-13 * (np.abs(M).max() * abs(zc) + np.abs(L).max())
+        assert all(l == _signed(l) for l in steps)
+        order = np.diag(im) if M_im.any() else -1 / np.abs(V**2).sum(axis=0)
+        assert order[0] <= order[1] + 1e-13 * np.abs(order).max()
+
+
+#: Powers of two of the dilation ladder, fixed before the first run.
+_LADDER = (-500, -341, -100, -37, -1, 1, 2, 64, 100, 293, 500)
+
+
+def _dilated(form, k):
+    """The form of ``E(2^k z)``'s quadratic coefficients: ``4^k`` times the
+    quadratic ones, ``2^k`` times the linear ones."""
+    q2, q1, r2, r1, m, c = (complex(v) for v in form)
+    return Quadratic(_power_of_two(q2, 2 * k), _power_of_two(q1, k), _power_of_two(r2, 2 * k),
+                     _power_of_two(r1, k), math.ldexp(m.real, 2 * k), c)
+
+
+def _power_of_two(a, k):
+    """2^k a, part by part, for a complex number or array."""
+    if isinstance(a, complex):
+        return complex(math.ldexp(a.real, k), math.ldexp(a.imag, k))
+    return np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k)
+
+
+@pytest.mark.parametrize("exponent", _FITS.values(), ids=_FITS)
+def test_the_fit_is_exactly_covariant_under_powers_of_two(exponent):
+    base = plane_grid(exponent)
+    for k in _LADDER:
+        grid = plane_grid(_dilated(exponent, k))
+        assert _same_bits(grid.first, _power_of_two(base.first, -k)), k
+        assert _same_bits(grid.second, _power_of_two(base.second, -k)), k
+        assert grid.steps == tuple(_power_of_two(l, -k) for l in base.steps), k
+        assert grid.center == _power_of_two(base.center, -k), k
+        assert grid.scale == math.ldexp(base.scale, -2 * k), k
+
+
+def test_unitarity_is_the_same_bits_under_power_of_two_dilations_of_B():
+    def unitarity(k):
+        checks = suites.suite_transform(complex(0.0, -math.ldexp(1.0, k)), 1j, 1.0, 2026)
+        return checks[0]["measured"]
+
+    base = unitarity(0)
+    for k in (-100, -37, -1, 1, 64, 100):
+        assert unitarity(k) == base, k
 
 
 @pytest.mark.parametrize("build", [
@@ -271,7 +369,8 @@ def test_each_kernel_form_is_its_phasecore_exponent_and_its_six_point_fit(p, x, 
 
 
 def _built(build):
-    """A grid from ``build()`` and the peak of the memory its build traced."""
+    """What ``build()`` returns (a grid, a sum) and the peak of the memory
+    that call traced."""
     build()  # the first build of a size fills the Gauss rule cache
     tracemalloc.start()
     try:
@@ -308,21 +407,31 @@ def test_sums_leave_the_whole_grid_arrays_unformed(monkeypatch):
     assert len(grids) == 2 and all(map(_unformed, grids))
 
 
-def test_a_node_sum_holds_few_chunk_arrays_at_once():
+def test_a_node_sum_holds_few_chunk_arrays_at_once(monkeypatch):
     # the exponential factor and the weights multiply the rows in place, and
     # a chunk's moduli are freed before the next chunk's rows are formed: a
-    # 7 x 7 Gram block peaks under 3 complex arrays of 7 rows by one chunk
-    # (2.74; 3.31 when each product was a new array)
+    # 7 x 7 Gram block's peak grows by under 3 complex arrays of 7 rows per
+    # node added to the chunk (2.64 from 2,048 to 8,192 nodes; 3.31 when
+    # each product was a new array)
     fs = [psi_n(derived_constants(2.0, 0.0), k) for k in range(7)]
     p = PhaseParams.classic()
-    bargmann.gram_HPhi(p, fs)  # the first sum of a size fills the Gauss rule cache
-    tracemalloc.start()
-    try:
-        bargmann.gram_HPhi(p, fs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * len(fs) * bargmann._CHUNK * 16, peak
+    peaks = {}
+    for chunk in (2048, 8192):
+        monkeypatch.setattr(bargmann, "_CHUNK", chunk)
+        peaks[chunk] = _built(lambda: bargmann.gram_HPhi(p, fs))[1]
+    assert peaks[8192] - peaks[2048] < 3 * len(fs) * (8192 - 2048) * 16, peaks
+
+
+@pytest.mark.parametrize("n,bound", [
+    # bounds pinned before the chunks shrank to 2,048 nodes: 0.8 MB at 7 rows
+    # (2.53 MB at 8,192-node chunks), and three complex arrays of 64 rows by
+    # one chunk at 64 rows (21.4 MB at 8,192-node chunks)
+    (7, 0.8e6),
+    (64, 3 * 64 * 2048 * 16),
+])
+def test_an_ellipse_gram_is_summed_within_its_memory_bound(n, bound):
+    peak = _built(lambda: suites.ellipse_gram(0.5, 3.0, n))[1]
+    assert peak <= bound, peak
 
 
 @pytest.mark.parametrize("build", [
