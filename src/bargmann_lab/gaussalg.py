@@ -340,9 +340,8 @@ class HoloGauss:
     def poly(self) -> ComplexPoly:
         """The polynomial part in monomials of z (capped at :data:`DEGREE_CAP`;
         at high degree its coefficients cancel where the Hermite sum does not,
-        so besides rendering only ``bargmann._t_poly`` reads it, at degree 6 or
-        less): the recurrence of :func:`_hermite_sum` run on coefficient lists
-        in z, where ``y = y0 + y1 z`` is affine."""
+        so only rendering reads it): the recurrence of :func:`_hermite_sum`
+        run on coefficient lists in z, where ``y = y0 + y1 z`` is affine."""
         y0, y1 = self.y0, self.y1
         prev, cur, acc = [0j], [1 + 0j], [self.coeffs[0]]  # p_{k-1}, p_k, partial sum
         for k, a in enumerate(self.coeffs[1:], 1):

@@ -218,17 +218,20 @@ _HUGE_R_FAILS = [
     (["certify", "--suite", "transform", "--B=3e8"], 2, _LARGE_B_FAILS),
     (["transform", "--B=3e8"], 2, ["FAIL closed_vs_quad: measured nan"]),
     (["certify", "--suite", "transform", "--B=1e-154"], 2, _SMALL_B_FAILS),
+    (["certify", "--suite", "transform", "--B=1e-90"], 0, []),
+    (["transform", "--B=1e-160", "--format", "json"], 2, ["FAIL unitarity_ground_state: measured nan"]),
     (["toeplitz", "--disk", "1e30", "--n", "3"], 2, _HUGE_R_FAILS),
     (["certify", "--suite", "toeplitz", "--R", "1e35", "--n", "3"], 2,
      [*_HUGE_R_FAILS, "FAIL matrix_diag_dev[n<3]: measured nan"]),
 ], ids=["transform-h-tiny", "certify-h-tiny", "certify-B-big", "certify-B-1e10", "certify-B-3e8",
-        "transform-B-3e8", "certify-B-tiny", "toeplitz-R-huge", "certify-R-huge"])
+        "transform-B-3e8", "certify-B-tiny", "certify-B-1e-90", "transform-B-subnormal",
+        "toeplitz-R-huge", "certify-R-huge"])
 def test_extreme_scale_is_a_status_not_a_traceback(tmp_path, argv, status, lines):
-    # h*h underflows to 0, e^{c2 z^2} overflows at a point, or no two levels
-    # of the radial rule agree: a check that cannot be evaluated fails
-    # (exit 2), a grid that cannot be fitted is a domain error (exit 1), and
-    # neither is an uncaught exception or prints a numpy warning; stderr
-    # holds exactly these lines
+    # h*h underflows to 0, e^{c2 z^2} overflows at a point, |B|^2 is
+    # subnormal, or no two levels of the radial rule agree: a check that
+    # cannot be evaluated fails (exit 2), a grid that cannot be fitted is a
+    # domain error (exit 1), and neither is an uncaught exception or prints a
+    # numpy warning; stderr holds exactly these lines
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "bargmann_lab.cli", *argv,
          "-o", str(tmp_path / "artifact")],

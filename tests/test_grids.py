@@ -233,14 +233,24 @@ def test_the_fit_is_exactly_covariant_under_powers_of_two(exponent):
         assert grid.scale == math.ldexp(base.scale, -2 * k), k
 
 
-def test_unitarity_is_the_same_bits_under_power_of_two_dilations_of_B():
-    def unitarity(k):
-        checks = suites.suite_transform(complex(0.0, -math.ldexp(1.0, k)), 1j, 1.0, 2026)
-        return checks[0]["measured"]
+#: Powers of two that B is dilated by, fixed before the first run: |B| from
+#: about 1e-151 to 3e147.  Below about 1e-77 U's coefficients in monomials
+#: of z underflow, so no plane sum may form them.
+_B_LADDER = (-500, -400, -300, -270, -260, -250, -100, -1, 1, 100, 250, 300, 400, 490)
 
-    base = unitarity(0)
-    for k in (-100, -37, -1, 1, 64, 100):
-        assert unitarity(k) == base, k
+
+def test_unitarity_is_the_same_bits_under_power_of_two_dilations_of_B():
+    # the plane sums evaluate U at points of the grid, which dilate by 2^-k
+    # as U's basis y0 + y1 z does by 2^k: nothing rounds differently
+    def measured(B, C, h, k):
+        B = complex(math.ldexp(B.real, k), math.ldexp(B.imag, k))
+        checks = {c["name"]: c["measured"] for c in suites.suite_transform(B, C, h, 2026)}
+        return checks["unitarity_max_dev[pairs=20]"], checks["adjoint_roundtrip_max"]
+
+    for B, C, h in suites.HERMITE_PARAM_SETS:
+        base = measured(complex(B), C, h, 0)
+        for k in _B_LADDER:
+            assert measured(complex(B), C, h, k) == base, (B, k)
 
 
 @pytest.mark.parametrize("build", [

@@ -2,9 +2,10 @@
 
 On a grid it fits itself, each of ``inner_product_HPhi``, ``adjoint_quad``
 and ``projector_apply`` sums a polynomial of degree at most 6 in the axis
-coordinates t by per-axis moments (``bargmann._moment_sum``).  The
-expansion of the integrand in t is algebra of its own, not the exact
-route's, so it is checked here against the node sum of ``_quad_block`` on
+coordinates t by per-axis moments (``bargmann._moment_sum``), on the
+integrand's values at the points of a small Gauss-Hermite rule.  That
+interpolation in t is algebra of its own, not the exact route's, so it is
+checked here against the node sum of ``_quad_block`` on
 the same grid: to 1e-13 of the value for the inner product and the adjoint,
 and to 1e-13 of the sum's absolute mass for the projector, whose sums
 cancel to about 1e-3 of their mass at (3, 1+2i, 0.5), so that round-off of
@@ -32,6 +33,7 @@ from bargmann_lab.bargmann import (
     projector_apply,
     transform,
 )
+from bargmann_lab.gaussalg import HoloGauss, inner_product_line
 from bargmann_lab.hermite import HermiteSystem
 from bargmann_lab.phasecore import PhaseParams, canonical_A
 from exponent_reference import (
@@ -248,3 +250,41 @@ def test_the_battery_own_grid_sums_stay_on_moments(monkeypatch, tmp_path):
         assert all(check["pass"] for check in suites.suite_transform(B, C, h, 2026))
     assert cli.main(["transform", "--format", "json", "-o", str(tmp_path / "t.json")]) == 0
     assert calls == []
+
+
+@pytest.mark.parametrize("degree", range(bargmann._MOMENT_DEGREE + 1))
+def test_a_gaussian_factor_reduces_to_the_small_gauss_hermite_rule(degree):
+    # with a_i = e^{-t_i^2}, A_p = sum_i ew_i a_i L_p(t_i) is the integral of
+    # e^{-t^2} L_p(t), exact on the 160-node rule: the weight of x_p in the
+    # (degree + 1)-point rule, to round-off of the largest weight
+    t, ew = bargmann._gauss_rule("hermite", 160)
+    x, ex = bargmann._gauss_rule("hermite", degree + 1)
+    A = np.einsum("pi,i->p", bargmann._lagrange(x, t), ew * np.exp(-t * t))
+    want = ex * np.exp(-x * x)
+    assert np.abs(A - want).max() <= 1e-15 * want.max()
+
+
+def test_the_plane_sums_read_no_monomial_form(monkeypatch):
+    want = [suites.suite_transform(B, C, h, 2026) for B, C, h in suites.HERMITE_PARAM_SETS]
+
+    def raising(f):
+        raise AssertionError("HoloGauss.poly was read")
+
+    monkeypatch.setattr(HoloGauss, "poly", property(raising))
+    assert [suites.suite_transform(B, C, h, 2026) for B, C, h in suites.HERMITE_PARAM_SETS] == want
+
+
+def test_unitarity_holds_on_moments_at_a_tiny_B():
+    # at |B| = 1e-90, U's monomial coefficients times powers of the grid's
+    # steps underflow, while U at the interpolation points does not
+    rng = random.Random(47)
+    for _, C, h in suites.HERMITE_PARAM_SETS:
+        p = PhaseParams(canonical_A(1e-90, C), 1e-90, C, h)
+        for _ in range(4):
+            f = suites._random_line_function(rng)
+            U = transform(p, f)
+            grid = hphi_grid(p, U, U)
+            factors = bargmann._fitted_factors(grid, bargmann._pair_exponent(p, U, U))
+            assert bargmann._moment_sum(grid, factors, U, U) is not None
+            norm = inner_product_line(f, f)
+            assert abs(inner_product_HPhi(p, U, U) - norm) <= 1e-14 * abs(norm)
