@@ -205,23 +205,15 @@ def _outer(join, u: np.ndarray, v: np.ndarray, start: int, size: int) -> np.ndar
 # Grid construction
 # ---------------------------------------------------------------------------
 
-_RULES: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _gauss_rule(family: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (nodes, weights) of the n-point Gauss rule of ``family``,
-    ``"hermite"`` or ``"legendre"`` (on [-1, 1]), built on first use and
-    served from a per-process cache.  The Hermite weights come times
-    e^{t^2}: ``sum w_i f(t_i)`` integrates ``e^{-t^2} poly(t)`` over the line.
+    ``"hermite"`` or ``"legendre"`` (on [-1, 1]), built once per process.
+    The Hermite weights come times e^{t^2}: ``sum w_i f(t_i)`` integrates
+    ``e^{-t^2} poly(t)`` over the line.
     """
-    key = (family, n)
-    rule = _RULES.get(key)
-    if rule is None:
-        t, w = (_hermite_rule if family == "hermite" else _legendre_rule)(n)
-        t.flags.writeable = False
-        w.flags.writeable = False
-        rule = _RULES[key] = (t, w)
-    return rule
+    t, w = (_hermite_rule if family == "hermite" else _legendre_rule)(n)
+    return _read_only(t), _read_only(w)
 
 
 def _newton_rule(n: int, starts: np.ndarray, step: Callable) -> tuple[np.ndarray, np.ndarray]:
@@ -681,11 +673,15 @@ def _fitted_factors(grid: QuadGrid, exponent: Quadratic):
 _MOMENT_DEGREE = 6
 
 
-def _lagrange(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``L[p, i] = prod_{r != p} (t_i - x_r)/(x_p - x_r)``: the Lagrange basis of x at t."""
+@functools.cache
+def _lagrange(degree: int, n: int) -> np.ndarray:
+    """Read-only ``L[p, i] = prod_{r != p} (t_i - x_r)/(x_p - x_r)``: the
+    Lagrange basis of the (degree + 1)-point Gauss-Hermite nodes x at the
+    n-point ones t, built once per process."""
+    x, t = _gauss_rule("hermite", degree + 1)[0], _gauss_rule("hermite", n)[0]
     eye = np.eye(x.size, dtype=bool)[:, :, None]
     ratios = np.subtract.outer(t, x).T / np.where(eye, 1.0, np.subtract.outer(x, x)[:, :, None])
-    return np.where(eye, 1.0, ratios).prod(axis=1)
+    return _read_only(np.where(eye, 1.0, ratios).prod(axis=1))
 
 
 def _moment_sum(grid: QuadGrid, factors, U, V: HoloGauss | None = None):
@@ -708,9 +704,8 @@ def _moment_sum(grid: QuadGrid, factors, U, V: HoloGauss | None = None):
     if degree > _MOMENT_DEGREE:
         return None
     (l1, l2), (t, ew) = grid.steps, _gauss_rule("hermite", grid.first.size)
-    x = _gauss_rule("hermite", degree + 1)[0]
+    x, L = _gauss_rule("hermite", degree + 1)[0], _lagrange(degree, t.size)
     c = (grid.reach - 1e-14 * (abs(grid.center) + grid.reach)) / (abs(l1) + abs(l2))
-    L = _lagrange(x, t)
     bounds = np.stack([L, np.abs(L), np.abs(L) * (np.abs(t) >= c)])
 
     def moments(f):

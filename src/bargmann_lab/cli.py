@@ -32,10 +32,11 @@ violation (each failure is reported on stderr with the measured value),
 1 on usage or domain errors, such as a non-finite or out-of-range flag (a
 negative ``--seed`` too) or a parameter whose square overflows.
 
-Complex flag values are written ``a+bi`` (``--C 1+2i``, ``--B=-i``); a lone
-``-i`` after a flag is accepted too.  JSON output encodes complex scalars as
-``[re, im]`` pairs, and a non-finite number as the string ``"NaN"``,
-``"Infinity"`` or ``"-Infinity"``.  Reports are deterministic: the same
+Complex flag values are written ``a+bi`` (``--C 1+2i``, ``--B=-i``).  A
+value that starts with "-" may also follow its flag as the next argument
+(``--B -i``, ``--h -1e-3``) wherever the flag's type reads it.  JSON output
+encodes complex scalars as ``[re, im]`` pairs, and a non-finite number as
+the string ``"NaN"``, ``"Infinity"`` or ``"-Infinity"``.  Reports are deterministic: the same
 invocation produces byte-identical output.
 
 Every CSV artifact, ``ellipse``'s boundary trace included, is written as its
@@ -92,25 +93,30 @@ def parse_complex(text: str) -> complex:
     return complex(s)
 
 
-# Flags whose values may start with "-" (complex literals, negative reals).
-_NEGATIVE_VALUE_FLAGS = {"--B", "--C", "--beta"}
-
-
 def _merge_negative_values(argv: Sequence[str]) -> list[str]:
-    """Rewrite ``--B -i`` to ``--B=-i`` so argparse keeps the value."""
+    """Rewrite ``--B -i`` to ``--B=-i`` and ``--h -1e-3`` to ``--h=-1e-3`` so
+    argparse keeps the value: a token that starts with "-" joins the flag
+    before it where that flag's own ``_FLAGS`` type parses it, so ``--B -h``
+    and ``--B -o`` stay flags."""
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _NEGATIVE_VALUE_FLAGS and i + 1 < len(argv):
-            nxt = argv[i + 1]
-            if len(nxt) >= 2 and nxt[0] == "-" and (nxt[1].isdigit() or nxt[1] in ".i"):
-                out.append(f"{tok}={nxt}")
-                i += 2
-                continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        if out and tok.startswith("-") and _parses(out[-1], tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
     return out
+
+
+def _parses(flag: str, text: str) -> bool:
+    """Whether ``text`` is a value of ``flag`` by its ``_FLAGS`` type."""
+    parse = _FLAGS.get(flag, {}).get("type")
+    if parse is None:
+        return False
+    try:
+        parse(text)
+    except ValueError:
+        return False
+    return True
 
 
 class _Parser(argparse.ArgumentParser):

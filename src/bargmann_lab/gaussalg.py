@@ -638,7 +638,7 @@ def _sqrt_2k(n: int) -> np.ndarray:
     return _sqrt_2k_table(1 << (n - 1).bit_length())[:n]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _sqrt_2k_table(n: int) -> np.ndarray:
     """The read-only column ``sqrt(2k)``, k = 0..n-1, stored as the complex
     numbers a real column would be cast to in a product with a complex

@@ -19,7 +19,6 @@ appears only as the independent Gram-matrix oracle.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Sequence
 
@@ -50,8 +49,9 @@ __all__ = ["HermiteSystem", "gram_deviation"]
 
 class HermiteSystem:
     """Phase data with canonical A, plus the ladder's chain of phi_n, which
-    grows to the longest index asked for (:meth:`_ladder`), and their
-    :class:`HermiteGauss` forms.
+    grows to the longest index asked for (:meth:`_ladder`): the one state a
+    system keeps.  A :class:`HermiteGauss` form is built from the chain on
+    each request, not kept.
 
     A non-canonical ``A`` in the input is replaced by ``canonical_A(B, C)``:
     the general-A system differs only by a z-side phase twist that the
@@ -64,7 +64,7 @@ class HermiteSystem:
         p = self.params
         amp = (p.C.imag / (math.pi * p.h)) ** 0.25
         self._gamma2, self._s = -1j * p.C.conjugate() / (2 * p.h), math.sqrt(p.h / p.C.imag)
-        self._chain, self._phi_cache = [np.array([complex(amp)])], {}
+        self._chain = [np.array([complex(amp)])]
 
     @classmethod
     def from_bch(cls, B: complex, C: complex, h: float = 1.0) -> "HermiteSystem":
@@ -73,12 +73,9 @@ class HermiteSystem:
     # -- constructions -----------------------------------------------------
 
     def hermite_phi(self, n: int) -> HermiteGauss:
-        """n-th generalized Hermite function: its :meth:`_ladder` array, built
-        into a :class:`HermiteGauss` on its first request and cached."""
-        if n not in self._phi_cache:
-            a = self._ladder(n + 1)[n]
-            self._phi_cache[n] = HermiteGauss(a.tolist(), self._gamma2, self._s)
-        return self._phi_cache[n]
+        """n-th generalized Hermite function: its :meth:`_ladder` array as a
+        :class:`HermiteGauss`."""
+        return HermiteGauss(self._ladder(n + 1)[n].tolist(), self._gamma2, self._s)
 
     def _ladder(self, N: int) -> list:
         """The coefficients of phi_0, ..., phi_{N-1}, kept as the ladder's arrays:
@@ -130,13 +127,7 @@ class HermiteSystem:
     # -- operators ----------------------------------------------------------
 
     def ladder_ops(self) -> tuple[DiffOp, DiffOp, DiffOp]:
-        """(P, P*, H): annihilation, creation, modified oscillator, built
-        once per system (:attr:`_ladder_ops`)."""
-        return self._ladder_ops
-
-    @functools.cached_property
-    def _ladder_ops(self) -> tuple[DiffOp, DiffOp, DiffOp]:
-        """(P, P*, H) of :meth:`ladder_ops`:
+        """(P, P*, H): annihilation, creation, modified oscillator:
 
         P  = -(hD + conj(C) x)/conj(B)
         P* = -(hD + C x)/B

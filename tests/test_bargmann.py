@@ -442,12 +442,23 @@ def test_grid_arrays_are_read_only():
 
 
 def test_rule_arrays_are_read_only():
-    for arr in (*bargmann._gauss_rule("hermite", 8), *bargmann._gauss_rule("legendre", 8)):
-        with pytest.raises(ValueError):
-            arr[0] = 0
+    for family in ("hermite", "legendre"):
+        rule = bargmann._gauss_rule(family, 8)
+        assert all(a is b for a, b in zip(rule, bargmann._gauss_rule(family, 8)))
+        for arr in rule:
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
-def test_grids_of_one_size_share_one_rule_build(monkeypatch):
+@pytest.fixture
+def fresh_rules():
+    """An empty Gauss rule cache, emptied again after the test."""
+    bargmann._gauss_rule.cache_clear()
+    yield
+    bargmann._gauss_rule.cache_clear()
+
+
+def test_grids_of_one_size_share_one_rule_build(monkeypatch, fresh_rules):
     builds = []
 
     def counting(family, builder):
@@ -457,7 +468,6 @@ def test_grids_of_one_size_share_one_rule_build(monkeypatch):
 
         return build
 
-    monkeypatch.setattr(bargmann, "_RULES", {})
     monkeypatch.setattr(bargmann, "_hermite_rule", counting("hermite", bargmann._hermite_rule))
     monkeypatch.setattr(bargmann, "_legendre_rule", counting("legendre", bargmann._legendre_rule))
     line_grid(Quadratic(-1.0, 0j), n=24)

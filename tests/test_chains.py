@@ -211,7 +211,7 @@ def _holo_ladder_reference(f, d, m):
 @pytest.mark.parametrize("B,C,h", PHASE_SETS)
 def test_hermite_chains_are_chains_of_functions_bit_for_bit(B, C, h):
     params = PhaseParams(canonical_A(B, C), B, C, h)
-    extended = HermiteSystem(params)  # its cache grows in several stretches
+    extended = HermiteSystem(params)  # its chain grows in several stretches
     for n in INDICES:
         want = _hermite_reference(params, n)
         for got in (extended.hermite_phi(n), HermiteSystem(params).hermite_phi(n)):

@@ -156,14 +156,43 @@ def test_domain_error_is_exit_1(capsys):
     (["certify", "--suite", "all", "--seed=-5"], "--seed"),
     (["ncho", "--n", "0"], "--n"),
     (["ncho", "--n", "65"], "--n"),
+    # a value that starts with "-" as the next argument: the flag's own error
+    (["eigres", "--h", "-1e-3"], "--h"),
+    (["eigres", "--alpha", "-inf"], "--alpha"),
+    (["eigres", "--beta", "-nan"], "--beta"),
+    (["toeplitz", "--disk", "-1e-3"], "--disk"),
 ], ids=["h", "alpha", "beta", "disk", "R", "rho", "B", "C", "samples-5", "samples0",
-        "h0", "ncho-h-1", "disk0", "R-2", "rho0", "rho-1", "seed-1", "seed-5", "n0", "n65"])
+        "h0", "ncho-h-1", "disk0", "R-2", "rho0", "rho-1", "seed-1", "seed-5", "n0", "n65",
+        "h-1e-3", "alpha-inf", "beta-nan", "disk-1e-3"])
 def test_bad_flag_is_rejected_at_the_boundary(tmp_path, capsys, argv, flag):
     out = tmp_path / "artifact"
     assert cli.main([*argv, "-o", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag} = ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spelled,joined", [
+    (["--B", "-j"], ["--B=-j"]),
+    (["--B", "-I"], ["--B=-I"]),
+    (["--B", "-J", "--C", "-1+2i"], ["--B=-J", "--C=-1+2i"]),
+], ids=["j", "I", "J-and-C"])
+def test_a_value_that_starts_with_a_minus_may_follow_its_flag(tmp_path, capsys, spelled, joined):
+    # every spelling parse_complex reads, as the next argument or after "="
+    got, want = tmp_path / "spelled.json", tmp_path / "joined.json"
+    assert cli.main(["transform", *spelled, "--format", "json", "-o", str(got)]) == 0
+    assert cli.main(["transform", *joined, "--format", "json", "-o", str(want)]) == 0
+    assert got.read_bytes() == want.read_bytes()
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("value", ["-h", "-o"])
+def test_a_flag_after_a_value_flag_stays_a_flag(capsys, value):
+    # parse_complex rejects "-h" and "-o": argparse reads them as flags, and
+    # --B is left without its argument
+    assert cli._merge_negative_values(["transform", "--B", value]) == ["transform", "--B", value]
+    assert cli.main(["transform", "--B", value]) == 1
+    assert "argument --B: expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,name", [

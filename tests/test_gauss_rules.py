@@ -125,12 +125,19 @@ def test_end_and_middle_nodes_match_a_40_digit_newton_reference(family, n, weigh
             assert abs(Decimal(w[i]) / weight - 1) <= Decimal(weight_tol), i
 
 
-def test_rules_build_without_an_eigenvalue_solve(monkeypatch):
+@pytest.fixture
+def fresh_rules():
+    """An empty Gauss rule cache, emptied again after the test."""
+    bargmann._gauss_rule.cache_clear()
+    yield
+    bargmann._gauss_rule.cache_clear()
+
+
+def test_rules_build_without_an_eigenvalue_solve(monkeypatch, fresh_rules):
     def no_solve(*args, **kwargs):
         raise AssertionError("eigenvalue solve")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
-    monkeypatch.setattr(bargmann, "_RULES", {})
     for family, n in (("hermite", 160), ("hermite", 200), ("legendre", 400)):
         t, w = bargmann._gauss_rule(family, n)
         assert t.shape == w.shape == (n,)

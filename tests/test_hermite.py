@@ -403,6 +403,23 @@ def test_phi_block_columns_are_hermite_phi_bit_for_bit(B, C, h, order):
         _columns_are_the_phis(ref, block, N)
 
 
+@pytest.mark.parametrize("B,C,h", PARAM_SETS)
+def test_a_member_is_its_block_column_after_the_chain_grew_past_it(B, C, h):
+    # hermite_phi builds its member from the kept chain array on each call,
+    # and the chain is the one state a system keeps
+    hs = _system(B, C, h)
+    hs.phi_block(64)
+    for n in (0, 1, 7, 40, 63):
+        got, want = hs.hermite_phi(n), hs.phi_block(n + 1).column(n)
+        assert (got.gamma2, got.s, got.gamma1) == (want.gamma2, want.s, want.gamma1)
+        assert np.array(got.coeffs).tobytes() == np.array(want.coeffs).tobytes(), n
+    hs.ladder_ops()
+    hs.eigen_residual(5)
+    hs.rodrigues_phi(3)
+    hs.gram_matrix(4)
+    assert set(vars(hs)) == {"params", "_gamma2", "_s", "_chain"}
+
+
 def test_an_extension_inside_an_extension_keeps_the_chain_in_order(monkeypatch):
     # the longer chain is a new list: an extension to 9 run inside one to 12
     # (here, within its first ladder step) cannot reorder the members

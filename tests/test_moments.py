@@ -259,9 +259,40 @@ def test_a_gaussian_factor_reduces_to_the_small_gauss_hermite_rule(degree):
     # (degree + 1)-point rule, to round-off of the largest weight
     t, ew = bargmann._gauss_rule("hermite", 160)
     x, ex = bargmann._gauss_rule("hermite", degree + 1)
-    A = np.einsum("pi,i->p", bargmann._lagrange(x, t), ew * np.exp(-t * t))
+    A = np.einsum("pi,i->p", bargmann._lagrange(degree, 160), ew * np.exp(-t * t))
     want = ex * np.exp(-x * x)
     assert np.abs(A - want).max() <= 1e-15 * want.max()
+
+
+@pytest.mark.parametrize("degree", range(bargmann._MOMENT_DEGREE + 1))
+def test_a_lagrange_table_is_the_read_only_product_formula(degree):
+    # L[p, i] = prod_{r != p} (t_i - x_r)/(x_p - x_r), multiplied in the order of r
+    t = bargmann._gauss_rule("hermite", 160)[0]
+    x = bargmann._gauss_rule("hermite", degree + 1)[0]
+    want = np.ones((degree + 1, t.size))
+    for p in range(degree + 1):
+        for r in range(degree + 1):
+            if r != p:
+                want[p] = want[p] * ((t - x[r]) / (x[p] - x[r]))
+    L = bargmann._lagrange(degree, 160)
+    assert L.shape == want.shape and L.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        L[0, 0] = 0
+
+
+def test_the_battery_builds_each_lagrange_table_once(monkeypatch):
+    cached, sizes = bargmann._lagrange, []
+
+    def recording(degree, n):
+        sizes.append((degree, n))
+        return cached(degree, n)
+
+    cached.cache_clear()
+    monkeypatch.setattr(bargmann, "_lagrange", recording)
+    suites.suite_all(2026)
+    info = cached.cache_info()
+    assert info.misses == len(set(sizes)) > 0
+    assert info.hits == len(sizes) - info.misses > info.misses
 
 
 def test_the_plane_sums_read_no_monomial_form(monkeypatch):
