@@ -674,14 +674,15 @@ _MOMENT_DEGREE = 6
 
 
 @functools.cache
-def _lagrange(degree: int, n: int) -> np.ndarray:
-    """Read-only ``L[p, i] = prod_{r != p} (t_i - x_r)/(x_p - x_r)``: the
-    Lagrange basis of the (degree + 1)-point Gauss-Hermite nodes x at the
-    n-point ones t, built once per process."""
+def _lagrange(degree: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``L[p, i] = prod_{r != p} (t_i - x_r)/(x_p - x_r)`` and its
+    modulus ``|L|``: the Lagrange basis of the (degree + 1)-point
+    Gauss-Hermite nodes x at the n-point ones t, built once per process."""
     x, t = _gauss_rule("hermite", degree + 1)[0], _gauss_rule("hermite", n)[0]
     eye = np.eye(x.size, dtype=bool)[:, :, None]
     ratios = np.subtract.outer(t, x).T / np.where(eye, 1.0, np.subtract.outer(x, x)[:, :, None])
-    return _read_only(np.where(eye, 1.0, ratios).prod(axis=1))
+    L = np.where(eye, 1.0, ratios).prod(axis=1)
+    return _read_only(L), _read_only(np.abs(L))
 
 
 def _moment_sum(grid: QuadGrid, factors, U, V: HoloGauss | None = None):
@@ -704,18 +705,17 @@ def _moment_sum(grid: QuadGrid, factors, U, V: HoloGauss | None = None):
     if degree > _MOMENT_DEGREE:
         return None
     (l1, l2), (t, ew) = grid.steps, _gauss_rule("hermite", grid.first.size)
-    x, L = _gauss_rule("hermite", degree + 1)[0], _lagrange(degree, t.size)
+    x, (L, abs_L) = _gauss_rule("hermite", degree + 1)[0], _lagrange(degree, t.size)
     c = (grid.reach - 1e-14 * (abs(grid.center) + grid.reach)) / (abs(l1) + abs(l2))
-    bounds = np.stack([L, np.abs(L), np.abs(L) * (np.abs(t) >= c)])
-
-    def moments(f):
-        return np.einsum("pi,i->p", L, ew * f), np.einsum("kpi,i->kp", bounds, abs(ew * f))
 
     with np.errstate(over="ignore", invalid="ignore"):  # not finite: the node sum reports it
         z = np.add.outer(grid.center + x * l1, x * l2)
         R = U.hermite_sum(z) if V is None else U.hermite_sum(z) * np.conj(V.hermite_sum(z))
         R = np.broadcast_to(R, z.shape)  # a degree-0 Hermite sum is a number
-        (A, (S, P, Pc)), (B, (T, Q, Qc)) = map(moments, factors)
+        F = ew * np.stack(factors)  # one row per axis
+        G = abs(F)
+        (A, B), (S, T) = np.einsum("pi,fi->fp", L, F), np.einsum("pi,fi->fp", L, G)
+        P, Q, Pc, Qc = np.einsum("pi,fi->fp", abs_L, np.concatenate((G, G * (np.abs(t) >= c))))
         shell = np.einsum("pq,p,q->", abs(R), Pc, Q) + np.einsum("pq,p,q->", abs(R), P, Qc)
         total = abs(np.einsum("pq,p,q->", R, S, T))
         value = abs((l1.conjugate() * l2).imag) * np.einsum("pq,p,q->", R, A, B)

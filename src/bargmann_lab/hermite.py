@@ -13,8 +13,11 @@ weighted holomorphic space.  The ``phi_n`` are simultaneously:
 * given by a Rodrigues formula (n-fold hD derivative of a plain Gaussian).
 
 The phi_n are ``HermiteGauss`` on their own Gaussian, of scale sqrt(h/Im C),
-where the operators are banded and inner products diagonal; quadrature
-appears only as the independent Gram-matrix oracle.
+where the operators are banded and inner products diagonal.  There each is
+one coefficient, ``phi_n = (Im C/pi h)^{1/4} (-i)^n eta_n(x/s) e^{gamma2
+x^2}``, built in closed form; the ladder relation is a tested identity, and
+the Rodrigues chain the independent exact route.  Quadrature appears only as
+the independent Gram-matrix oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .gaussalg import (
     _hermitian,
     _line_band,
     _reattach,
-    _stacked,
     _worst,
     relative_residual,
 )
@@ -46,12 +48,13 @@ from .bargmann import Quadratic, _quad_block, line_grid
 
 __all__ = ["HermiteSystem", "gram_deviation"]
 
+#: (-i)^k at k mod 4; a real power is an int, so amp times it stays real.
+_MINUS_I_POWERS = (1, -1j, -1, 1j)
+
 
 class HermiteSystem:
-    """Phase data with canonical A, plus the ladder's chain of phi_n, which
-    grows to the longest index asked for (:meth:`_ladder`): the one state a
-    system keeps.  A :class:`HermiteGauss` form is built from the chain on
-    each request, not kept.
+    """Phase data with canonical A: a plain value, fixed at construction.
+    Each phi_n is built in closed form on request (:meth:`hermite_phi`).
 
     A non-canonical ``A`` in the input is replaced by ``canonical_A(B, C)``:
     the general-A system differs only by a z-side phase twist that the
@@ -62,9 +65,8 @@ class HermiteSystem:
         a_canon = canonical_A(params.B, params.C)
         self.params = PhaseParams(a_canon, params.B, params.C, params.h)
         p = self.params
-        amp = (p.C.imag / (math.pi * p.h)) ** 0.25
+        self._amp = (p.C.imag / (math.pi * p.h)) ** 0.25
         self._gamma2, self._s = -1j * p.C.conjugate() / (2 * p.h), math.sqrt(p.h / p.C.imag)
-        self._chain = [np.array([complex(amp)])]
 
     @classmethod
     def from_bch(cls, B: complex, C: complex, h: float = 1.0) -> "HermiteSystem":
@@ -73,26 +75,18 @@ class HermiteSystem:
     # -- constructions -----------------------------------------------------
 
     def hermite_phi(self, n: int) -> HermiteGauss:
-        """n-th generalized Hermite function: its :meth:`_ladder` array as a
-        :class:`HermiteGauss`."""
-        return HermiteGauss(self._ladder(n + 1)[n].tolist(), self._gamma2, self._s)
+        """n-th generalized Hermite function, ``(Im C/pi h)^{1/4} (-i)^n
+        eta_n(x/s) e^{gamma2 x^2}``: one coefficient, see :meth:`_top`."""
+        _check_index(n)
+        return HermiteGauss((0j,) * n + (self._top(n),), self._gamma2, self._s)
 
-    def _ladder(self, N: int) -> list:
-        """The coefficients of phi_0, ..., phi_{N-1}, kept as the ladder's arrays:
-        one :func:`~bargmann_lab.gaussalg._chain` from the last kept member on, of
-        P*'s band on phi_0's Gaussian, step m times ``B / sqrt(2 m h Im C)``.
-        A longer chain is a new list bound to ``_chain``, never the kept one
-        extended in place: an extension run meanwhile (re-entrant or in another
-        thread) cannot reorder its members."""
-        _check_index(N - 1)
-        chain = self._chain
-        if len(chain) < N:
-            p = self.params
-            lo, hi, diag = _line_band(self.ladder_ops()[1], self._gamma2, self._s)
-            scales = (p.B / _sqrt_pos(m * 2 * p.h * p.C.imag) for m in range(len(chain), N))
-            chain = chain + _chain(chain[-1], [(lo * c, hi * c, diag * c) for c in scales])[1:]
-            self._chain = chain
-        return chain[:N]
+    def _top(self, n: int) -> complex:
+        """phi_n's one coefficient, ``(Im C/pi h)^{1/4} (-i)^n``.  On phi_0's
+        own Gaussian P* has no L part, so each ladder step ``B P*/sqrt(2 m h
+        Im C)`` maps ``eta_{m-1}`` to ``-i eta_m``.  The power comes from
+        :data:`_MINUS_I_POWERS`, in Python arithmetic: an infinite amplitude
+        (a subnormal h) raises no floating-point warning."""
+        return self._amp * _MINUS_I_POWERS[n % 4]
 
     def rodrigues_phi(self, n: int) -> HermiteGauss:
         """Same function by the independent Rodrigues route.
@@ -104,11 +98,7 @@ class HermiteSystem:
         _check_index(n)
         p = self.params
         phi0 = self.hermite_phi(0)
-        amp = (
-            (p.C.imag / (math.pi * p.h)) ** 0.25
-            / math.sqrt(math.factorial(n))
-            * (-1 / math.sqrt(2 * p.h * p.C.imag)) ** n
-        )
+        amp = self._amp / math.sqrt(math.factorial(n)) * (-1 / math.sqrt(2 * p.h * p.C.imag)) ** n
         # the core e^{-ImC x^2/h} on phi_0's scale; the exponent reattached is
         # e^{(ImC - iReC) x^2/2h} * e^{-ImC x^2/h} = e^{-i conj(C) x^2 / 2h}
         band = _line_band(DiffOp.hD(p.h), -p.C.imag / p.h, phi0.s)
@@ -175,10 +165,12 @@ class HermiteSystem:
         return relative_residual(H, self.phi_block(N), mus)
 
     def phi_block(self, N: int) -> HermiteBlock:
-        """phi_0, ..., phi_{N-1} as the columns of one block (N >= 1), the
-        ladder's arrays extended once, to phi_{N-1}, and stacked."""
+        """phi_0, ..., phi_{N-1} as the columns of one block (N >= 1): the
+        diagonal N x N array of their coefficients (:meth:`_top`)."""
         _check_nonempty(N)
-        return HermiteBlock(_stacked(self._ladder(N)), self._gamma2, self._s)
+        _check_index(N - 1)
+        tops = np.array([self._top(n) for n in range(N)], complex)
+        return HermiteBlock(np.diag(tops), self._gamma2, self._s)
 
     # -- Gram matrices -------------------------------------------------------
 
@@ -188,12 +180,15 @@ class HermiteSystem:
         ``exact`` takes the diagonal coefficient sums of the block of all N
         in one ``np.einsum`` (:func:`~bargmann_lab.gaussalg._gram`);
         ``quadrature`` is the independent Gauss-Hermite oracle on the line:
-        one block of :func:`~bargmann_lab.bargmann._quad_block` on the line
-        grid of the combined exponent of phi_m conj(phi_n), the real Gaussian
-        ``-x^2/s^2`` (s = sqrt(h/Im C)), where the rule is exact up to
-        round-off; values from one pass of the three-term recurrence per
-        chunk (:func:`~bargmann_lab.gaussalg._hermite_sums`), for their row
-        and their conjugated column, the rule from the per-process cache the
+        one block of :func:`~bargmann_lab.bargmann._quad_block` in ``u =
+        x/s`` (s = sqrt(h/Im C)), times s, on the fixed line grid of the
+        combined exponent of phi_m conj(phi_n) there, the real Gaussian
+        ``-u^2``, where the rule is exact up to round-off; so no grid is
+        fitted to an s^2 that under- or overflows (such a sum reads NaN and
+        fails its check).  Values ``e^{gamma2 s^2 u^2}`` times one pass of the
+        three-term recurrence per chunk
+        (:func:`~bargmann_lab.gaussalg._hermite_sums`), for their row and
+        their conjugated column, the rule from the per-process cache the
         plane grids share.
         The exact matrix is Hermitian: its lower triangle mirrors the upper
         (see :func:`~bargmann_lab.gaussalg._hermitian`).
@@ -204,10 +199,12 @@ class HermiteSystem:
         if method == "exact":
             return _hermitian(_gram([phis], [phis]))
 
-        def rows(x):
-            return _hermite_sums(phis.coeffs, x / phis.s, 1.0) * np.exp(phis.gamma2 * np.square(x))
+        g2 = phis.gamma2 * (phis.s * phis.s)
 
-        return _quad_block(line_grid(Quadratic(-1 / phis.s**2, 0j)), rows, None)
+        def rows(u):
+            return _hermite_sums(phis.coeffs, u, 1.0) * np.exp(g2 * np.square(u))
+
+        return phis.s * _quad_block(line_grid(Quadratic(-1.0, 0j)), rows, None)
 
 
 def _check_nonempty(N: int) -> None:

@@ -98,8 +98,8 @@ def nu(p: NchoParams, sign: int) -> complex:
 
 
 def hermite_bridge(p: NchoParams, sign: int) -> HermiteSystem:
-    """The generalized Hermite system diagonalizing the ``sign`` block; a new
-    one per call, so each caller owns its chain of phi_n."""
+    """The generalized Hermite system diagonalizing the ``sign`` block: a
+    plain value, whose phi_n are in closed form."""
     v = nu(p, sign)
     return HermiteSystem.from_bch(math.sqrt(2 / p.alpha) * v, v, p.h)
 

@@ -172,19 +172,6 @@ def _fused_step(f, lo, hi):
     return HermiteGauss(out[:, 0].tolist(), f.gamma2, f.s, f.gamma1)
 
 
-def _hermite_reference(params, n):
-    """phi_n by the ladder, one HermiteGauss per step: P*'s fused band, step
-    m times ``B / sqrt(2 m h Im C)``."""
-    p = PhaseParams(canonical_A(params.B, params.C), params.B, params.C, params.h)
-    amp = (p.C.imag / (math.pi * p.h)) ** 0.25
-    f = HermiteGauss((complex(amp),), -1j * p.C.conjugate() / (2 * p.h), math.sqrt(p.h / p.C.imag))
-    lo, hi = _fused_band(DiffOp({(0, 1): -1 / p.B, (1, 0): -p.C / p.B}, p.h), f)
-    for m in range(1, n + 1):
-        c = p.B / math.sqrt(m * 2 * p.h * p.C.imag)
-        f = _fused_step(f, lo * c, hi * c)
-    return f
-
-
 def _rodrigues_reference(op, core, s, n, amp, gamma2):
     """``amp e^{(gamma2 - core) x^2} op^n e^{core x^2}``, one HermiteGauss per
     step of op's fused band."""
@@ -209,22 +196,17 @@ def _holo_ladder_reference(f, d, m):
 
 
 @pytest.mark.parametrize("B,C,h", PHASE_SETS)
-def test_hermite_chains_are_chains_of_functions_bit_for_bit(B, C, h):
-    params = PhaseParams(canonical_A(B, C), B, C, h)
-    extended = HermiteSystem(params)  # its chain grows in several stretches
+def test_rodrigues_chains_are_chains_of_functions_bit_for_bit(B, C, h):
+    hs = HermiteSystem(PhaseParams(canonical_A(B, C), B, C, h))
     for n in INDICES:
-        want = _hermite_reference(params, n)
-        for got in (extended.hermite_phi(n), HermiteSystem(params).hermite_phi(n)):
-            assert (got.gamma2, got.s, got.gamma1) == (want.gamma2, want.s, want.gamma1)
-            _assert_same_bits(got.coeffs, want.coeffs)
-        phi0 = extended.hermite_phi(0)
+        phi0 = hs.hermite_phi(0)
         amp = (
             (C.imag / (math.pi * h)) ** 0.25
             / math.sqrt(math.factorial(n))
             * (-1 / math.sqrt(2 * h * C.imag)) ** n
         )
         want = _rodrigues_reference(DiffOp.hD(h), -C.imag / h, phi0.s, n, amp, phi0.gamma2)
-        got = extended.rodrigues_phi(n)
+        got = hs.rodrigues_phi(n)
         assert (got.gamma2, got.s) == (want.gamma2, want.s)
         _assert_same_bits(got.coeffs, want.coeffs)
 
@@ -276,16 +258,17 @@ def test_the_psi_ladder_chain_steps_on_arrays_as_on_functions_bit_for_bit(alpha,
 
 # ------------------------------------------------- accuracy against 50 digits
 #
-# In exact arithmetic each of the four line chains lands on one coefficient:
-# P* has no L part on phi_0's own Gaussian, P*_ab none on Psi_0's, and hD
-# and d/dx none on the Rodrigues cores e^{-x^2/s^2} at their scale s.  So
-# phi_n = (-i)^n (Im C/pi h)^{1/4} eta_n and Psi_n = A_ab (C_ab/s)^n
-# sqrt(2^n n!) eta_n with s = sqrt((1 + beta^2)/alpha^2), on both routes.
-# The references take the same double parameters, in 50 digits; the error
-# is the largest coefficient deviation relative to the one coefficient of
-# the reference, and grows with the chain length.
+# In exact arithmetic each line chain lands on one coefficient: P*_ab has
+# no L part on Psi_0's own Gaussian, and hD and d/dx none on the Rodrigues
+# cores e^{-x^2/s^2} at their scale s.  So phi_n = (-i)^n (Im C/pi h)^{1/4}
+# eta_n, which hermite_phi builds in closed form, and Psi_n = A_ab
+# (C_ab/s)^n sqrt(2^n n!) eta_n with s = sqrt((1 + beta^2)/alpha^2), on both
+# routes.  The references take the same double parameters, in 50 digits;
+# the error is the largest coefficient deviation relative to the one
+# coefficient of the reference, and grows with the chain length.
 
 ACCURACY_INDICES = (16, 32, 64)
+EPS = np.finfo(float).eps
 
 
 def _relative_error(coeffs, n, ref):
@@ -294,15 +277,30 @@ def _relative_error(coeffs, n, ref):
     return float(worst / abs(ref))
 
 
+def _phi_amplitude(C, h):
+    """(Im C/pi h)^{1/4}, in the working precision."""
+    return (mp.mpf(C.imag) / (mp.pi * mp.mpf(h))) ** mp.mpf(0.25)
+
+
 @pytest.mark.parametrize("B,C,h", PHASE_SETS)
 def test_phi_chains_are_within_round_off_of_the_50_digit_coefficient(B, C, h):
     hs = HermiteSystem(PhaseParams(canonical_A(B, C), B, C, h))
     with mp.workdps(50):
-        amp = (mp.mpf(C.imag) / (mp.pi * mp.mpf(h))) ** mp.mpf(0.25)
+        amp = _phi_amplitude(C, h)
         for n in ACCURACY_INDICES:
             ref = (-1j) ** n * amp
-            for f in (hs.hermite_phi(n), hs.rodrigues_phi(n)):
-                assert _relative_error(f.coeffs, n, ref) <= 1e-14 * n
+            f = hs.rodrigues_phi(n)
+            assert _relative_error(f.coeffs, n, ref) <= 1e-14 * n
+
+
+@pytest.mark.parametrize("B,C,h", PHASE_SETS)
+def test_phi_in_closed_form_is_within_2_eps_of_the_50_digit_coefficient(B, C, h):
+    # one rounded amplitude times an exact power of -i, at every index
+    hs = HermiteSystem(PhaseParams(canonical_A(B, C), B, C, h))
+    with mp.workdps(50):
+        amp = _phi_amplitude(C, h)
+        for n in range(65):
+            assert _relative_error(hs.hermite_phi(n).coeffs, n, (-1j) ** n * amp) <= 2 * EPS
 
 
 @pytest.mark.parametrize("alpha,beta", ELLIPSE_SETS)

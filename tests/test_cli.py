@@ -229,6 +229,15 @@ _SMALL_B_FAILS = [
     "FAIL adjoint_roundtrip_max: measured nan",
 ]
 
+#: The checks of the Hermite suite that fail at --n 3 where h/Im C under- or
+#: overflows: phi_n's exponent and amplitude are not finite, so the residuals
+#: read inf and both Grams NaN; the quadrature sums in x/s on a fixed grid.
+_TINY_H_FAILS = [
+    *(f"FAIL eig_residual[n={k}]: measured inf" for k in range(3)),
+    "FAIL gram_exact_dev[n<3]: measured nan",
+    "FAIL gram_quad_dev[n<3]: measured nan",
+]
+
 #: The checks of the Toeplitz suite that fail at --n 3 for 3e27 <= R <= 3e40:
 #: the radial rule cannot certify its rows, which read NaN, and lambda_0
 #: rounds to 1, so the radius cannot be recovered.
@@ -252,11 +261,22 @@ _HUGE_R_FAILS = [
     (["toeplitz", "--disk", "1e30", "--n", "3"], 2, _HUGE_R_FAILS),
     (["certify", "--suite", "toeplitz", "--R", "1e35", "--n", "3"], 2,
      [*_HUGE_R_FAILS, "FAIL matrix_diag_dev[n<3]: measured nan"]),
+    *((["gram", "--system", "hermite", "--method", "quadrature", flag, "--n", "3"], 2,
+       ["FAIL gram_quad_dev: measured nan"])
+      for flag in ("--h=1e-310", "--h=5e-324", "--C=1+1e-310i")),
+    (["certify", "--suite", "hermite", "--h", "1e-310", "--n", "3"], 2, _TINY_H_FAILS),
+    (["eigres", "--h", "5e-324"], 2,
+     [f"FAIL eig_residual[n={k}]: measured inf" for k in range(12)]),
+    (["certify", "--suite", "ncho", "--alpha", "2", "--h", "5e-324"], 2,
+     [*(f"FAIL residual[sign={s},n={k}]: measured inf" for k in range(12) for s in "+-"),
+      "FAIL combined_gram_dev[n<9]: measured nan"]),
 ], ids=["transform-h-tiny", "certify-h-tiny", "certify-B-big", "certify-B-1e10", "certify-B-3e8",
         "transform-B-3e8", "certify-B-tiny", "certify-B-1e-90", "transform-B-subnormal",
-        "toeplitz-R-huge", "certify-R-huge"])
+        "toeplitz-R-huge", "certify-R-huge", "gram-quad-h-1e-310", "gram-quad-h-subnormal",
+        "gram-quad-ImC-tiny", "certify-hermite-h-1e-310", "eigres-h-subnormal",
+        "certify-ncho-h-subnormal"])
 def test_extreme_scale_is_a_status_not_a_traceback(tmp_path, argv, status, lines):
-    # h*h underflows to 0, e^{c2 z^2} overflows at a point, |B|^2 is
+    # h*h underflows to 0, e^{c2 z^2} overflows at a point, |B|^2 or h is
     # subnormal, or no two levels of the radial rule agree: a check that
     # cannot be evaluated fails (exit 2), a grid that cannot be fitted is a
     # domain error (exit 1), and neither is an uncaught exception or prints a

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from bargmann_lab import hermite
 from bargmann_lab.bargmann import inner_product_HPhi
 from bargmann_lab.gaussalg import (
     ComplexPoly,
@@ -25,9 +24,12 @@ from bargmann_lab.gaussalg import (
     norm_line,
 )
 from bargmann_lab.hermite import HermiteSystem, gram_deviation
+from bargmann_lab.ncho import NchoParams, hermite_bridge
 from bargmann_lab.phasecore import PhaseParams, canonical_A
 from bargmann_lab.suites import (
     HERMITE_PARAM_SETS,
+    NCHO_ALPHAS,
+    NCHO_PLANCKS,
     TOL_ALGEBRA,
     TOL_GRAM_QUAD,
     hermite_eigen_checks,
@@ -390,9 +392,9 @@ def _columns_are_the_phis(hs, block, N):
 @pytest.mark.parametrize("B,C,h", PARAM_SETS)
 @pytest.mark.parametrize("order", ["block-first", "phi-first", "stepwise"])
 def test_phi_block_columns_are_hermite_phi_bit_for_bit(B, C, h, order):
-    # the block is stacked from the ladder's arrays, hermite_phi builds its
-    # member from the same array: whichever extends the ladder first, and
-    # however far at a time, both agree to the last bit, with a fresh system
+    # the block and hermite_phi are one closed form: whichever is asked
+    # first, and however far at a time, both agree to the last bit, with a
+    # fresh system
     hs, ref = _system(B, C, h), _system(B, C, h)
     if order == "phi-first":
         for n in range(64):
@@ -404,51 +406,63 @@ def test_phi_block_columns_are_hermite_phi_bit_for_bit(B, C, h, order):
 
 
 @pytest.mark.parametrize("B,C,h", PARAM_SETS)
-def test_a_member_is_its_block_column_after_the_chain_grew_past_it(B, C, h):
-    # hermite_phi builds its member from the kept chain array on each call,
-    # and the chain is the one state a system keeps
+def test_a_member_is_its_block_column_and_no_call_changes_a_system(B, C, h):
+    # phi_n and the block are one closed form, and a system is a plain value:
+    # its attributes are fixed at construction
     hs = _system(B, C, h)
-    hs.phi_block(64)
+    state = dict(vars(hs))
     for n in (0, 1, 7, 40, 63):
         got, want = hs.hermite_phi(n), hs.phi_block(n + 1).column(n)
         assert (got.gamma2, got.s, got.gamma1) == (want.gamma2, want.s, want.gamma1)
         assert np.array(got.coeffs).tobytes() == np.array(want.coeffs).tobytes(), n
+    hs.phi_block(64)
     hs.ladder_ops()
     hs.eigen_residual(5)
+    hs.eigen_residuals(9)
     hs.rodrigues_phi(3)
+    hs.monomial_basis(3)
     hs.gram_matrix(4)
-    assert set(vars(hs)) == {"params", "_gamma2", "_s", "_chain"}
+    hs.gram_matrix(4, "quadrature")
+    assert vars(hs) == state
+    assert set(state) == {"params", "_amp", "_gamma2", "_s"}
 
 
-def test_an_extension_inside_an_extension_keeps_the_chain_in_order(monkeypatch):
-    # the longer chain is a new list: an extension to 9 run inside one to 12
-    # (here, within its first ladder step) cannot reorder the members
-    hs, ref = _system(3.0, 1 + 2j, 0.5), _system(3.0, 1 + 2j, 0.5)
-    chain, fired = hermite._chain, []
+#: The ladder test's systems: the battery's, the small-|B| set whose fused
+#: L coefficient cancels (|Re C|/2 Im C = 25), and every ncho bridge.
+LADDER_SYSTEMS = [
+    *(_system(B, C, h) for B, C, h in (*HERMITE_PARAM_SETS, (1e-3 + 2e-3j, 5 + 0.1j, 30.0))),
+    *(hermite_bridge(NchoParams(alpha, h), sign)
+      for alpha in (*NCHO_ALPHAS, 1.06) for h in NCHO_PLANCKS for sign in (1, -1)),
+]
 
-    def reentrant(*args):
-        if not fired:
-            fired.append(True)
-            hs._ladder(9)
-        return chain(*args)
 
-    monkeypatch.setattr(hermite, "_chain", reentrant)
-    got = hs._ladder(12)
-    assert fired
-    want = [a.tobytes() for a in ref._ladder(20)]
-    assert [a.tobytes() for a in got] == want[:12]
-    assert [a.tobytes() for a in hs._ladder(20)] == want
+@pytest.mark.parametrize("hs", LADDER_SYSTEMS,
+                         ids=lambda hs: f"{hs.params.B}-{hs.params.C}-{hs.params.h}")
+def test_the_ladder_raises_phi_n_to_phi_n_plus_1_within_n_eps(hs):
+    # phi_{n+1} = B P* phi_n / sqrt(2 (n+1) h Im C), P* applied by the banded
+    # algebra to the closed form; each coefficient within 64 (n+1) eps of the
+    # amplitude (P*'s L coefficient is a cancelling sum of terms up to
+    # |Re C|/(2 Im C) times its R coefficient)
+    p, (_, Pstar, _) = hs.params, hs.ladder_ops()
+    steps = [p.B / math.sqrt(2 * (n + 1) * p.h * p.C.imag) for n in range(64)]
+    got = apply_diffop(Pstar, hs.phi_block(64)).scale(np.array(steps))
+    want = hs.phi_block(65).coeffs[:, 1:]
+    assert got.coeffs.shape == want.shape
+    phi0 = hs.hermite_phi(0)
+    assert (got.gamma2, got.s, got.gamma1) == (phi0.gamma2, phi0.s, phi0.gamma1)
+    err = np.abs(got.coeffs - want).max(axis=0) / abs(phi0.coeffs[0])
+    assert np.all(err <= 64 * np.arange(1, 65) * np.finfo(float).eps), err.max()
 
 
 def test_nan_member_eigen_residual_is_inf_in_its_own_entry_only(monkeypatch):
     hs = _system(3.0, 1 + 2j, 0.5)
     want = [hs.eigen_residual(n) for n in range(9)]
-    ladder = HermiteSystem._ladder
+    phi_block = HermiteSystem.phi_block
 
     def nan_at_4(self, N):
-        return [a * math.nan if n == 4 else a for n, a in enumerate(ladder(self, N))]
+        return phi_block(self, N).scale([math.nan if n == 4 else 1.0 for n in range(N)])
 
-    monkeypatch.setattr(HermiteSystem, "_ladder", nan_at_4)
+    monkeypatch.setattr(HermiteSystem, "phi_block", nan_at_4)
     entries, _ = hermite_eigen_checks(hs, 9)
     got = [e["residual"] for e in entries]
     assert got[4] == math.inf

@@ -259,14 +259,15 @@ def test_a_gaussian_factor_reduces_to_the_small_gauss_hermite_rule(degree):
     # (degree + 1)-point rule, to round-off of the largest weight
     t, ew = bargmann._gauss_rule("hermite", 160)
     x, ex = bargmann._gauss_rule("hermite", degree + 1)
-    A = np.einsum("pi,i->p", bargmann._lagrange(degree, 160), ew * np.exp(-t * t))
+    A = np.einsum("pi,i->p", bargmann._lagrange(degree, 160)[0], ew * np.exp(-t * t))
     want = ex * np.exp(-x * x)
     assert np.abs(A - want).max() <= 1e-15 * want.max()
 
 
 @pytest.mark.parametrize("degree", range(bargmann._MOMENT_DEGREE + 1))
 def test_a_lagrange_table_is_the_read_only_product_formula(degree):
-    # L[p, i] = prod_{r != p} (t_i - x_r)/(x_p - x_r), multiplied in the order of r
+    # L[p, i] = prod_{r != p} (t_i - x_r)/(x_p - x_r), multiplied in the order
+    # of r, and its modulus, both read-only
     t = bargmann._gauss_rule("hermite", 160)[0]
     x = bargmann._gauss_rule("hermite", degree + 1)[0]
     want = np.ones((degree + 1, t.size))
@@ -274,10 +275,12 @@ def test_a_lagrange_table_is_the_read_only_product_formula(degree):
         for r in range(degree + 1):
             if r != p:
                 want[p] = want[p] * ((t - x[r]) / (x[p] - x[r]))
-    L = bargmann._lagrange(degree, 160)
+    L, abs_L = bargmann._lagrange(degree, 160)
     assert L.shape == want.shape and L.tobytes() == want.tobytes()
-    with pytest.raises(ValueError):
-        L[0, 0] = 0
+    assert abs_L.tobytes() == np.abs(want).tobytes()
+    for table in (L, abs_L):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
 
 
 def test_the_battery_builds_each_lagrange_table_once(monkeypatch):

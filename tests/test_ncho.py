@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from bargmann_lab import hermite, ncho
+from bargmann_lab import ncho
 from bargmann_lab.gaussalg import (
     ComplexPoly,
     DiffOp,
@@ -249,40 +249,18 @@ def test_spectrum_check_is_the_two_component_residual_bit_for_bit(alpha, h, N):
 def test_nan_member_is_inf_in_its_own_entry_only(monkeypatch):
     p = NchoParams(2.0, 1.0)
     want = _single_residuals(p, 9)
-    ladder = HermiteSystem._ladder
+    phi_block = HermiteSystem.phi_block
 
     def nan_at_5(self, N):
-        return [a * math.nan if n == 5 else a for n, a in enumerate(ladder(self, N))]
+        return phi_block(self, N).scale([math.nan if n == 5 else 1.0 for n in range(N)])
 
-    monkeypatch.setattr(HermiteSystem, "_ladder", nan_at_5)
+    monkeypatch.setattr(HermiteSystem, "phi_block", nan_at_5)
     for r in spectrum_check(p, 9):
         single = want[(r["sign"], r["n"])]
         if r["n"] == 5:
             assert r["residual"] == math.inf
         else:
             assert abs(r["residual"] - single) <= 1e-14 * single
-
-
-def test_a_gram_run_inside_a_spectrum_check_changes_no_residual(monkeypatch):
-    # each call bridges its own systems: a combined_gram of the same
-    # parameters, run inside spectrum_check's first ladder step, cannot
-    # splice its members into spectrum_check's chain
-    p = NchoParams(2.0, 1.0)
-    chain, fired = hermite._chain, []
-
-    def reentrant(*args):
-        if not fired:
-            fired.append(True)
-            combined_gram(p, 30)
-        return chain(*args)
-
-    with monkeypatch.context() as m:
-        m.setattr(hermite, "_chain", reentrant)
-        got = [r["residual"] for r in spectrum_check(p, 40)]
-    want = [r["residual"] for r in spectrum_check(p, 40)]
-    assert fired
-    assert np.array(got).tobytes() == np.array(want).tobytes()
-    assert max(want) <= TOL_ALGEBRA
 
 
 @pytest.mark.parametrize("alpha,h", [(1.5, 1.0), (2.0, 1e-200)])
